@@ -96,11 +96,13 @@ def _smoothstep(u):
 def cutoff_eta(t):
     """C^2 cutoff: identically 1 on (-inf, 1], 0 on [2, inf), quintic ramp between.
 
-    Accepts scalars or arrays.  |eta'| <= 15/8 everywhere.
+    Accepts scalars or arrays.  |eta'| <= 15/8 everywhere.  Evaluated as
+    S(2 - t) through the ramp's symmetry 1 - S(u) = S(1 - u): S(v) >= 0 for
+    every v >= 0, whereas 1 - S(t - 1) rounds to about -1e-15 just below 2
+    and makes eta ** p NaN for non-integer p.
     """
     arr = np.asarray(t, dtype=float)
-    u = np.clip(arr - 1.0, 0.0, 1.0)
-    out = 1.0 - _smoothstep(u)
+    out = _smoothstep(np.clip(2.0 - arr, 0.0, 1.0))
     return float(out) if arr.ndim == 0 else out
 
 
@@ -200,6 +202,12 @@ def _eval_vectorized(f, x):
     return arr
 
 
+def _converged(total: float, err: float, spec: QuadratureSpec) -> bool:
+    """Level difference within tolerance.  A non-finite total never counts:
+    an infinite one would otherwise meet its own infinite relative tolerance."""
+    return math.isfinite(total) and err <= max(spec.abs_tol, spec.rel_tol * abs(total))
+
+
 def _ts_integrate(f, a: float, b: float, spec: QuadratureSpec) -> QuadResult:
     scale = b - a
     total = 0.0
@@ -213,7 +221,7 @@ def _ts_integrate(f, a: float, b: float, spec: QuadratureSpec) -> QuadResult:
         total = s_new if level == 0 else 0.5 * total + s_new
         if level >= 2:
             err = abs(total - prev)
-            if err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+            if _converged(total, err, spec):
                 return QuadResult(total, err)
         prev = total
     raise NotConvergedError(
@@ -242,7 +250,7 @@ def _gl_integrate(f, a: float, b: float, spec: QuadratureSpec) -> QuadResult:
         total = float(np.sum(w * _eval_vectorized(f, x)))
         if prev is not None:
             err = abs(total - prev)
-            if err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+            if _converged(total, err, spec):
                 return QuadResult(total, err)
         prev = total
     raise NotConvergedError(
@@ -286,7 +294,7 @@ def integrate_angular(f_of_sin: Callable, spec: QuadratureSpec | None = None) ->
         total = s_new if level == 0 else 0.5 * total + s_new
         if level >= 2:
             err = abs(total - prev)
-            if err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+            if _converged(total, err, spec):
                 return QuadResult(total, err)
         prev = total
     raise NotConvergedError(
@@ -307,37 +315,59 @@ def integrate_2d_product(fr: Callable, fphi: Callable,
     return radial.value * angular.value
 
 
+#: Grid elements handed to a tensor integrand per call: small enough that the
+#: block and the integrand's temporaries stay in cache.
+_BLOCK = 2 ** 16
+
+
+def _tensor_sum(f, r, wr, s, ws) -> float:
+    """sum_ij wr_i ws_j f(r_i, s_j), evaluated in row blocks of about _BLOCK elements."""
+    rows = max(1, _BLOCK // s.size)
+    total = 0.0
+    for i in range(0, r.size, rows):
+        block = np.asarray(f(r[i:i + rows, None], s[None, :]), dtype=float)
+        total += float(wr[i:i + rows] @ block @ ws)
+    return total
+
+
 def integrate_2d(f: Callable, spec: QuadratureSpec | None = None) -> float:
     """Tensor tanh-sinh integral of f(r, s) over (0, truncation_radius) x (0, pi).
 
     The integrand receives broadcastable arrays (r[:, None], s[None, :]) with
     s = sin(phi) computed from the endpoint distance.  Admissible
     singularities: r = 0 and phi in {0, pi} at algebraic rates above -1.
-    Evaluation is chunked over r to bound memory.
+
+    Levels are nested: the level-L rule holds every level L-1 node with half
+    its weight in each variable, so the old node pairs contribute exactly a
+    quarter of the level L-1 total.  Each level therefore evaluates f only on
+    the pairs it adds (new r x all phi, old r x new phi), about 3/4 of its
+    grid, in row blocks of about _BLOCK elements.
     """
     spec = spec or _DEFAULT_SPEC
     R = spec.truncation_radius
     prev = None
     err = float("inf")
     total = 0.0
+    old = 0
     for level in range(2, spec.levels + 1):
-        tr, dr, wr = _ts_full(level)
-        r = np.where(tr <= 0.0, R * dr, R * (1.0 - dr))
-        _, dp, wp = _ts_full(level)
-        s = np.sin(np.pi * dp)
-        acc = np.zeros_like(s)
-        chunk = max(1, 2 ** 22 // max(1, s.size))
-        for i in range(0, r.size, chunk):
-            block = f(r[i:i + chunk, None], s[None, :])
-            acc += (R * wr[i:i + chunk]) @ np.asarray(block, dtype=float)
-        total = float(acc @ (math.pi * wp))
+        t, d, w = _ts_full(level)      # ordered by level: the first `old` are the old nodes
+        r = np.where(t <= 0.0, R * d, R * (1.0 - d))
+        s = np.sin(np.pi * d)
+        wr, ws = R * w, math.pi * w
+        total = (0.25 * total
+                 + _tensor_sum(f, r[old:], wr[old:], s, ws)
+                 + _tensor_sum(f, r[:old], wr[:old], s[old:], ws[old:]))
+        old = t.size
+        if not math.isfinite(total):
+            break                      # and so it stays at every finer level
         if prev is not None:
             err = abs(total - prev)
-            if err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+            if _converged(total, err, spec):
                 return total
         prev = total
     raise NotConvergedError(
-        f"tensor tanh-sinh did not converge within {spec.levels} levels",
+        f"tensor tanh-sinh did not converge within {spec.levels} levels "
+        f"(last sum {total})",
         value=total, err_estimate=err)
 
 

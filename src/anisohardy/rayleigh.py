@@ -207,6 +207,47 @@ def quotient_p2(family: TrialFamily, spec: QuadratureSpec | None = None) -> Quot
     return QuotientParts(num, den, num / den, j1, j2, j3)
 
 
+def _general_p_exponents(family: TrialFamily) -> tuple[float, float]:
+    """(a_phi, a_r): powers of sin(phi) and r shared by numerator and denominator.
+
+    a_phi = -1 + p*sigma and a_r = p*(beta + sigma) > 0 for this family.
+    """
+    p = family.params
+    gam = family.h_exponent
+    return (p.n - 2.0 + p.p * (p.alpha + gam),
+            p.n - 1.0 + p.p * (p.alpha + p.beta + gam))
+
+
+def _grad_integrand(family: TrialFamily):
+    """Reduced gradient integrand f(r, sin phi) of the general-p numerator.
+
+    With v = |x'|^gam g(|x|) and s = sin(phi),
+    |grad v|^2 = |x'|^(2 gam - 2) (A(r) + B(r) s^2) where A = gam^2 g^2 and
+    B = r^2 g'^2 + 2 gam r g g'.  A and B are computed on the r column with
+    the radial weight r^a_r folded in as r^(2 a_r / p), which is safe
+    because a_r > 0; the full grid then costs one multiply-add, one clamp,
+    one power and one multiply, all in place.
+    """
+    pw = family.params.p
+    gam = family.h_exponent
+    a_phi, a_r = _general_p_exponents(family)
+    g, gp = family.g, family.g_prime
+
+    def integrand(r, s):
+        gv, gpv = g(r), gp(r)
+        fold = r ** (2.0 * a_r / pw)
+        A = fold * (gam * gam) * gv * gv
+        B = fold * r * gpv * (r * gpv + 2.0 * gam * gv)
+        out = B * (s * s)
+        out += A
+        np.maximum(out, 0.0, out=out)
+        out **= pw / 2.0
+        out *= s ** a_phi
+        return out
+
+    return integrand
+
+
 def quotient_general_p(family: TrialFamily,
                        spec: QuadratureSpec | None = None) -> QuotientParts:
     """Rayleigh quotient of the general-p family; tensor rule for the gradient.
@@ -217,25 +258,12 @@ def quotient_general_p(family: TrialFamily,
     if family.kind is not FamilyKind.GENERAL_P_BETA_NONNEG:
         raise ValueError("quotient_general_p takes the general-p family")
     spec = spec or _SWEEP_SPEC_2D
-    p = family.params
-    pw, a, b = p.p, p.alpha, p.beta
-    gam = family.h_exponent
-    a_phi = p.n - 2.0 + pw * (a + gam)
-    a_r = p.n - 1.0 + pw * (a + b + gam)
+    pw = family.params.p
+    a_phi, a_r = _general_p_exponents(family)
     _check_exponent(a_phi, "angular")
     _check_exponent(a_r, "radial")
 
-    g, gp = family.g, family.g_prime
-
-    def grad_integrand(r, s_sin):
-        s = r * s_sin
-        gv = g(r)
-        gpv = gp(r)
-        big = gam * gam * gv * gv + s * s * gpv * gpv + 2.0 * gam * (s * s / r) * gv * gpv
-        big = np.maximum(big, 0.0)
-        return s_sin ** a_phi * r ** a_r * big ** (pw / 2.0)
-
-    num = integrate_2d(grad_integrand, spec)
+    num = integrate_2d(_grad_integrand(family), spec)
     ang = integrate_angular(lambda s: s ** a_phi, spec).value
     e2 = family.epsilon ** 2
     lam = 2.0 * family.g_exponent
@@ -296,12 +324,18 @@ def _extrapolate_eps(eps, rows, log_affine: bool):
     q = [r.quotient for r in rows]
     if not log_affine:
         return _fit_inv_log(eps, q)
-    L = np.abs(np.log(np.asarray(eps, dtype=float)))
-    cn = np.polynomial.polynomial.polyfit(L, [r.numerator for r in rows], 1)
-    cd = np.polynomial.polynomial.polyfit(L, [r.denominator for r in rows], 1)
+    L, cn, cd = _eps_lines(eps, rows)
     fitted = (cn[0] + cn[1] * L) / (cd[0] + cd[1] * L)
     rms = float(np.sqrt(np.mean((fitted - np.asarray(q)) ** 2)))
     return float(cn[1] / cd[1]), rms
+
+
+def _eps_lines(eps, rows):
+    """|ln eps| and the lines through numerator and denominator against it."""
+    L = np.abs(np.log(np.asarray(eps, dtype=float)))
+    cn = np.polynomial.polynomial.polyfit(L, [r.numerator for r in rows], 1)
+    cd = np.polynomial.polynomial.polyfit(L, [r.denominator for r in rows], 1)
+    return L, cn, cd
 
 
 def _fit_sigma_intercept(x, y):
@@ -328,6 +362,33 @@ def _fit_sigma_intercept(x, y):
     return intercept, max(rms, abs(intercept - float(lower[0])))
 
 
+def _fit_pole_ratio(x, num_slopes, den_slopes):
+    """sigma -> 0 limit of the general-p slope ratios N(sigma) / D(sigma).
+
+    N and D are the |ln eps| slopes of numerator and denominator: angular
+    integrals against sin(phi)^(-1 + p*sigma), each with the simple pole
+    2/(p*sigma).  Their ratio is singular already at sigma = -1/p, where
+    sigma*D vanishes, so a polynomial through the ratios converges slowly;
+    sigma*N and sigma*D are analytic out to sigma = -2/p.  The limit is the
+    ratio of their degree min(3, npts-1) intercepts, and the residual is
+    measured on the ratio as in _fit_sigma_intercept.
+    """
+    xa = np.asarray(x, dtype=float)
+    yn = xa * np.asarray(num_slopes, dtype=float)
+    yd = xa * np.asarray(den_slopes, dtype=float)
+    fit = np.polynomial.polynomial.polyfit
+    deg = min(3, len(xa) - 1)
+    cn, cd = fit(xa, yn, deg), fit(xa, yd, deg)
+    value = float(cn[0] / cd[0])
+    fitted = (np.polynomial.polynomial.polyval(xa, cn)
+              / np.polynomial.polynomial.polyval(xa, cd))
+    rms = float(np.sqrt(np.mean((fitted - yn / yd) ** 2)))
+    if len(xa) > deg + 1 or deg == 0:
+        return value, rms
+    lower = float(fit(xa, yn, deg - 1)[0] / fit(xa, yd, deg - 1)[0])
+    return value, max(rms, abs(value - lower))
+
+
 def _max_workers() -> int:
     env = os.environ.get("ANISOHARDY_WORKERS", "").strip()
     if env:
@@ -350,9 +411,11 @@ def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None,
     """Sweep eps (and sigma), extrapolate the quotient to the sharp constant.
 
     K > 1: single-stage fit quotient = C + c/|ln eps|.  K <= 1 and general-p:
-    per-sigma eps-extrapolation followed by a linear-in-sigma intercept.
-    Raises FitUnstableError (carrying the value) when the fit residual
-    exceeds 5% of the fitted constant.
+    per-sigma eps-extrapolation followed by a polynomial sigma intercept;
+    general-p takes the intercepts of sigma times the two eps slopes
+    (_fit_pole_ratio).  Raises FitUnstableError (carrying the value) when
+    the fitted constant or its residual is not finite, or the residual
+    exceeds 5% of the constant.
     """
     eps_list = [float(e) for e in (eps_list if eps_list is not None else DEFAULT_EPS)]
     if not eps_list or any(not 0.0 < e < 1.0 for e in eps_list):
@@ -406,15 +469,21 @@ def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None,
             return SweepRow(e, s, q.numerator, q.denominator, q.quotient)
 
         rows = tuple(_pmap(one, grid))
-        log_affine = kind is not FamilyKind.P2_K_LT_1
-        limits = []
-        for s in sigmas:
-            slice_rows = [r for r in rows if r.sigma == s]
-            lim, _ = _extrapolate_eps(eps_list, slice_rows, log_affine)
-            limits.append(lim)
-        extrapolated, resid = _fit_sigma_intercept(sigmas, limits)
+        slices = [[r for r in rows if r.sigma == s] for s in sigmas]
+        if kind is FamilyKind.GENERAL_P_BETA_NONNEG:
+            lines = [_eps_lines(eps_list, sl) for sl in slices]
+            extrapolated, resid = _fit_pole_ratio(
+                sigmas, [cn[1] for _, cn, _ in lines], [cd[1] for _, _, cd in lines])
+        else:
+            log_affine = kind is not FamilyKind.P2_K_LT_1
+            limits = [_extrapolate_eps(eps_list, sl, log_affine)[0] for sl in slices]
+            extrapolated, resid = _fit_sigma_intercept(sigmas, limits)
         fit = FitInfo(FitModel.LINEAR_SIGMA, resid)
 
+    if not (math.isfinite(extrapolated) and math.isfinite(resid)):
+        raise FitUnstableError(
+            f"fit is not finite: value {extrapolated}, residual {resid}",
+            value=extrapolated, residual=resid)
     if resid > 0.05 * abs(extrapolated):
         raise FitUnstableError(
             f"fit residual {resid} exceeds 5% of {extrapolated}",

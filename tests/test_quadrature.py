@@ -9,6 +9,7 @@ from anisohardy import (QuadMethod, QuadratureSpec, XiSpec, beta, cutoff_eta,
                         cutoff_eta_prime, integrate_1d, integrate_2d,
                         integrate_2d_product, integrate_angular, lemma1_check,
                         log_gamma, sin_power_integral, sphere_area)
+from anisohardy import quadrature
 from anisohardy.errors import NotConvergedError
 
 
@@ -66,6 +67,12 @@ class TestCutoff:
         assert np.all(np.diff(vals) <= 1e-15)  # monotone non-increasing
         assert np.max(np.abs(cutoff_eta_prime(t))) <= 15.0 / 8.0 + 1e-12
 
+    def test_never_negative_near_support_end(self):
+        t = np.linspace(1.9, 2.1, 200_001)
+        vals = cutoff_eta(t)
+        assert np.all(vals >= 0.0)
+        assert np.all(np.isfinite(vals ** 2.5))
+
     def test_ramp_integral(self):
         res = integrate_1d(cutoff_eta, 0.0, 2.0)
         assert res.value == pytest.approx(1.5, abs=1e-9)
@@ -100,6 +107,11 @@ class TestIntegrate1d:
             integrate_1d(lambda t: np.sin(50.0 / (t + 1e-2)), 0.0, 1.0, spec)
         assert math.isfinite(ei.value.value)
         assert ei.value.err_estimate > 0
+
+    def test_non_finite_sum_is_not_converged(self):
+        # the first node closer than 1e-300 to the endpoint enters at level 3
+        with pytest.raises(NotConvergedError):
+            integrate_1d(lambda t: np.where(t < 1e-300, np.inf, 1.0), 0.0, 1.0)
 
     def test_requires_ordered_interval(self):
         with pytest.raises(ValueError):
@@ -165,3 +177,74 @@ class TestLemma1:
             lemma1_check(XiSpec(a=1.0, b=-1.0), [])
         with pytest.raises(ValueError):
             lemma1_check(XiSpec(a=1.0, b=-1.0), [2.0])
+
+
+class TestIntegrate2dIncremental:
+    """The nested-level driver against full-grid tensor sums built here."""
+
+    SPEC = QuadratureSpec()
+
+    @staticmethod
+    def _full_rule(level):
+        # every multiple of 2^-level in the window, with the full-step weights
+        h = 2.0 ** -level
+        m = int(quadrature._TMAX / h)
+        t = np.arange(-m, m + 1) * h
+        e = np.exp(-np.pi * np.abs(np.sinh(t)))
+        d = e / (1.0 + e)
+        w = h * np.pi * np.cosh(t) * e / (1.0 + e) ** 2
+        keep = (d > 0.0) & (w > 0.0) & np.isfinite(w)
+        return t[keep], d[keep], w[keep]
+
+    def _full_grid_sum(self, f, level):
+        R = self.SPEC.truncation_radius
+        t, d, w = self._full_rule(level)
+        r = np.where(t <= 0.0, R * d, R * (1.0 - d))
+        s = np.sin(np.pi * d)
+        return float((R * w) @ f(r[:, None], s[None, :]) @ (math.pi * w))
+
+    @staticmethod
+    def _counting(f):
+        seen = [0]
+
+        def counted(r, s):
+            seen[0] += np.broadcast(r, s).size
+            return f(r, s)
+        return counted, seen
+
+    @staticmethod
+    def _integrand(r, s):
+        return r ** 0.5 * s ** -0.5 * np.exp(-r)
+
+    def test_evaluates_each_node_pair_once(self):
+        counted, seen = self._counting(self._integrand)
+        value = integrate_2d(counted, self.SPEC)
+        sizes = {self._full_rule(lv)[0].size ** 2: lv for lv in range(2, 11)}
+        assert seen[0] in sizes          # exactly the full grid of one level
+        level = sizes[seen[0]]
+        ref = [self._full_grid_sum(self._integrand, lv) for lv in range(2, level + 1)]
+        assert value == pytest.approx(ref[-1], rel=1e-13)
+        tol = max(self.SPEC.abs_tol, self.SPEC.rel_tol * abs(ref[-1]))
+        assert abs(ref[-1] - ref[-2]) <= tol
+        assert all(abs(b - a) > tol for a, b in zip(ref[:-2], ref[1:-1]))
+
+    def test_unconverged_value_matches_full_grid(self):
+        def oscillating(r, s):
+            return np.sin(30.0 / (r + 0.05)) * s ** -0.5
+
+        spec = QuadratureSpec(levels=5)
+        counted, seen = self._counting(oscillating)
+        with pytest.raises(NotConvergedError) as ei:
+            integrate_2d(counted, spec)
+        assert seen[0] == self._full_rule(5)[0].size ** 2
+        ref = self._full_grid_sum(oscillating, 5)
+        assert ei.value.value == pytest.approx(ref, rel=1e-13)
+
+    def test_non_finite_sum_is_not_converged(self):
+        # infinite from level 3 on, whose total would otherwise meet its own
+        # infinite relative tolerance
+        def overflowing(r, s):
+            return np.where(s < 1e-300, np.inf, 1.0) * np.ones_like(r)
+        with pytest.raises(NotConvergedError) as ei:
+            integrate_2d(overflowing)
+        assert math.isinf(ei.value.value)

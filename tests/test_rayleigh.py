@@ -5,9 +5,12 @@ import pytest
 
 from anisohardy import (FamilyKind, HardyParams, TrialFamily, beta,
                         make_family, quotient_general_p, quotient_p2,
-                        sharp_constant_p2, sweep_and_extrapolate)
-from anisohardy.errors import UnsupportedRegimeError
-from anisohardy.rayleigh import FitModel
+                        sharp_constant_general_p, sharp_constant_p2,
+                        sweep_and_extrapolate)
+from anisohardy import rayleigh
+from anisohardy.errors import (FitUnstableError, NotConvergedError,
+                               UnsupportedRegimeError)
+from anisohardy.rayleigh import FitModel, QuotientParts
 
 K3_PARAMS = HardyParams(3, 2.0, -0.5, -0.5)
 BEST_02 = (2.0 * math.sqrt(3.0) - 3.0) / 4.0
@@ -94,6 +97,31 @@ class TestQuotientGeneralP:
         with pytest.raises(ValueError):
             quotient_general_p(make_family(K3_PARAMS, 1e-3))
 
+    @pytest.mark.parametrize("pw", [1.5, 2.5, 3.0, 4.0])
+    def test_factored_integrand_matches_cartesian_gradient(self, pw):
+        # the reduced integrand is |grad v|^p |x'|^(p(a+1)) |x|^(pb) times the
+        # Jacobian r^(n-1) sin(phi)^(n-2) of the spherical reduction, n = 3
+        params = HardyParams(3, pw, 0.1, 0.5)
+        fam = TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG, params, 1e-2, 0.05)
+        rng = np.random.default_rng(int(10 * pw))
+        x = rng.uniform(-1.2, 1.2, size=(400, 3))
+        r = np.linalg.norm(x, axis=1)
+        rho = np.linalg.norm(x[:, :2], axis=1)
+        keep = (r < 1.98) & (rho > 1e-3)
+        x, r, rho = x[keep], r[keep], rho[keep]
+        assert np.count_nonzero(r > 1.0) >= 20      # the cutoff ramp is sampled
+
+        gam, g, gp = fam.h_exponent, fam.g(r), fam.g_prime(r)
+        x_perp = np.column_stack([x[:, :2], np.zeros(len(x))])
+        grad = ((gam * rho ** (gam - 2.0) * g)[:, None] * x_perp
+                + (rho ** gam * gp / r)[:, None] * x)
+        direct = (np.linalg.norm(grad, axis=1) ** pw
+                  * rho ** (pw * (params.alpha + 1.0)) * r ** (pw * params.beta))
+
+        s = rho / r
+        reduced = rayleigh._grad_integrand(fam)(r, s) / (r * r * s)
+        np.testing.assert_allclose(reduced, direct, rtol=1e-12, atol=0.0)
+
 
 class TestSweep:
     def test_k_gt_1_sweep(self):
@@ -145,12 +173,56 @@ class TestSweep:
         res = sweep_and_extrapolate(params)
         assert res.extrapolated == pytest.approx(1.0, rel=0.02)
 
-    def test_unstable_fit_carries_its_value(self):
-        from anisohardy.errors import FitUnstableError
+    @pytest.mark.parametrize("pw", [2.5, 3.0])
+    def test_general_p_certifies_across_p(self, pw):
+        params = HardyParams(3, pw, 0.0, 0.5)
+        res = sweep_and_extrapolate(params)
+        constant = sharp_constant_general_p(params).value
+        assert constant == pytest.approx((2.0 / pw) ** pw, rel=1e-14)
+        assert res.extrapolated == pytest.approx(constant, rel=0.02)
+
+    @pytest.mark.parametrize("pw", [2.5, 4.0])
+    def test_pole_ratio_intercept_beats_ratio_polynomial(self, pw):
+        # f(s) = c0 + c1 s^2 against sin(phi)^(-1 + p sigma): D = B(p sigma/2, 1/2)
+        # and N = c0 D + c1 B(p sigma/2 + 1, 1/2), so N/D = c0 + c1 p sigma/(p sigma + 1)
+        # is singular at sigma = -1/p while sigma N and sigma D are not
+        c0, c1 = 0.3, 2.0
+        sigmas = (0.2, 0.1, 0.05, 0.025)
+        den = [beta(pw * s / 2.0, 0.5) for s in sigmas]
+        num = [c0 * d + c1 * beta(pw * s / 2.0 + 1.0, 0.5) for s, d in zip(sigmas, den)]
+        value, resid = rayleigh._fit_pole_ratio(sigmas, num, den)
+        plain, _ = rayleigh._fit_sigma_intercept(sigmas, [n / d for n, d in zip(num, den)])
+        assert abs(value - c0) < 0.15 * abs(plain - c0)
+        assert abs(value - c0) <= resid
+
+    def test_general_p_certifies_at_high_beta(self):
+        # n = 2, p = 2.5, beta = 0.9: the ratio polynomial's residual sat at
+        # the 5% gate here although its value was 0.56% from the constant
+        params = HardyParams(2, 2.5, 0.2, 0.9)
+        res = sweep_and_extrapolate(params)
+        constant = sharp_constant_general_p(params).value
+        assert res.extrapolated == pytest.approx(constant, rel=0.002)
+        assert res.fit.residual < 0.02 * res.extrapolated
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_general_p_below_window_raises_typed_error(self):
+        with pytest.raises((NotConvergedError, FitUnstableError)):
+            sweep_and_extrapolate(HardyParams(3, 1.8, 0.0, 0.5))
+
+    def test_non_finite_fit_raises(self, monkeypatch):
+        monkeypatch.setattr(rayleigh, "quotient_p2",
+                            lambda fam, spec=None: QuotientParts(math.nan, 1.0, math.nan))
         with pytest.raises(FitUnstableError) as ei:
+            sweep_and_extrapolate(K3_PARAMS)
+        assert math.isnan(ei.value.value)
+
+    def test_unstable_fit_carries_its_value(self):
+        with pytest.raises(FitUnstableError) as ei:
+            # two sigmas: the intercept moves 40% when the slope is dropped
             sweep_and_extrapolate(HardyParams(3, 3.0, 0.0, 0.5),
                                   eps_list=(1e-3, 1e-4),
-                                  sigma_list=(0.1, 0.05, 0.025))
+                                  sigma_list=(0.1, 0.05))
         assert math.isfinite(ei.value.value)
         assert ei.value.residual > 0
 
