@@ -16,11 +16,10 @@ from .closed_form import (Kind, Branch, ConstantResult, sharp_constant_p2,
                           branch_candidates, ckn_constant)
 from .optimizer import (OptimizerBranch, OptimizerReport, maximize,
                         sweep_regimes)
-from .quadrature import (QuadMethod, QuadratureSpec, QuadResult, XiSpec,
+from .quadrature import (QuadratureSpec, QuadResult, XiSpec,
                          log_gamma, beta, sin_power_integral, sphere_area,
                          cutoff_eta, cutoff_eta_prime, integrate_1d,
-                         integrate_angular, integrate_2d, integrate_2d_product,
-                         lemma1_check)
+                         integrate_angular, integrate_2d, lemma1_check)
 from .rayleigh import (FamilyKind, TrialFamily, SweepResult, SweepRow,
                        make_family, quotient_p2, quotient_general_p,
                        sweep_and_extrapolate)
@@ -38,10 +37,10 @@ __all__ = [
     "sharp_constant_general_p", "sharp_constant_general_k_p2",
     "branch_candidates", "ckn_constant",
     "OptimizerBranch", "OptimizerReport", "maximize", "sweep_regimes",
-    "QuadMethod", "QuadratureSpec", "QuadResult", "XiSpec",
+    "QuadratureSpec", "QuadResult", "XiSpec",
     "log_gamma", "beta", "sin_power_integral", "sphere_area",
     "cutoff_eta", "cutoff_eta_prime", "integrate_1d", "integrate_angular",
-    "integrate_2d", "integrate_2d_product", "lemma1_check",
+    "integrate_2d", "lemma1_check",
     "FamilyKind", "TrialFamily", "SweepResult", "SweepRow", "make_family",
     "quotient_p2", "quotient_general_p", "sweep_and_extrapolate",
     "WeightSpec", "H", "H1", "H2", "weight_p2", "weight_general_p",

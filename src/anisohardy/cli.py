@@ -6,7 +6,7 @@ work is deterministic for a fixed manifest: sums accumulate in fixed index
 order and every random draw comes from a generator seeded by (seed, index).
 
 Exit codes: 0 success / all checks passed, 1 at least one check failed,
-2 invalid or inadmissible input.
+2 invalid or inadmissible input; an error maps to 1 or 2 through _EXIT_CODES.
 
 Parallelism is governed by the ANISOHARDY_WORKERS environment variable
 (defaults to all cores); there is no other environment configuration.
@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -27,8 +28,9 @@ import numpy as np
 from . import __version__, report as report_mod
 from .closed_form import (ckn_constant, sharp_constant_general_k_p2,
                           sharp_constant_general_p)
-from .errors import (FitUnstableError, InadmissibleParamsError,
-                     UnsupportedRegimeError)
+from .errors import (FitUnstableError, IllConditionedError,
+                     InadmissibleParamsError, NegativeRemainderError,
+                     NotConvergedError, OptimizerStalledError, TruncationError)
 from .identities import ckn_extremal_check, verify_CKNp, verify_E2, verify_Ep
 from .optimizer import maximize
 from .params import (CknParams, HardyParams, admissible_ckn, admissible_hardy,
@@ -42,6 +44,19 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 _CSV_COLUMNS = ("epsilon", "sigma", "numerator", "denominator", "quotient")
+
+#: Exit code of each error a command may raise: 1 when a numerical check
+#: failed, 2 when the input cannot be taken (every ValueError subclass in
+#: anisohardy.errors is bad input).
+_EXIT_CODES = {
+    NotConvergedError: EXIT_CHECK_FAILED,
+    FitUnstableError: EXIT_CHECK_FAILED,
+    IllConditionedError: EXIT_CHECK_FAILED,
+    OptimizerStalledError: EXIT_CHECK_FAILED,
+    TruncationError: EXIT_CHECK_FAILED,
+    NegativeRemainderError: EXIT_CHECK_FAILED,
+    ValueError: EXIT_BAD_INPUT,
+}
 
 
 @dataclass(frozen=True)
@@ -79,9 +94,17 @@ def _emit(doc: dict, quiet: bool = False):
     print(text)
 
 
-def _fail_input(message: str) -> int:
-    print(json.dumps({"error": message}), file=sys.stderr)
-    return EXIT_BAD_INPUT
+def _fail(exc: Exception) -> int:
+    """Print exc as one JSON document on stderr, with the value, residual or
+    error estimate it carries (null when not finite); return its exit code."""
+    code = next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
+    doc = {"error": str(exc), "type": type(exc).__name__}
+    for key in ("value", "residual", "err_estimate"):
+        if hasattr(exc, key):
+            val = float(getattr(exc, key))
+            doc[key] = val if math.isfinite(val) else None
+    print(json.dumps(doc, sort_keys=True), file=sys.stderr)
+    return code
 
 
 def _parse_list(text: str) -> list[float]:
@@ -134,10 +157,7 @@ def _named_admissibility_failure(params: HardyParams) -> str:
 def cmd_constant(args) -> int:
     if args.ckn:
         return _cmd_constant_ckn(args)
-    try:
-        params = _hardy_from_args(args)
-    except ValueError as exc:
-        return _fail_input(str(exc))
+    params = _hardy_from_args(args)
     seed = args.seed or 0
     manifest = _manifest("constant", {
         "n": params.n, "p": params.p, "alpha": params.alpha,
@@ -148,13 +168,10 @@ def cmd_constant(args) -> int:
                           "manifest": manifest}, indent=2, sort_keys=True))
         return EXIT_BAD_INPUT
     regime = compute_K(params)
-    try:
-        if params.p == 2:
-            result = sharp_constant_general_k_p2(params)
-        else:
-            result = sharp_constant_general_p(params)
-    except (UnsupportedRegimeError, InadmissibleParamsError) as exc:
-        return _fail_input(str(exc))
+    if params.p == 2:
+        result = sharp_constant_general_k_p2(params)
+    else:
+        result = sharp_constant_general_p(params)
     _emit({"admissible": True, "K": regime.k_value,
            "regime": regime.family.value, "constant": result.value,
            "kind": result.kind.value, "branch": result.branch.value,
@@ -169,10 +186,7 @@ def _ckn_from_args(args) -> CknParams:
 
 
 def _cmd_constant_ckn(args) -> int:
-    try:
-        ckn = _ckn_from_args(args)
-    except ValueError as exc:
-        return _fail_input(str(exc))
+    ckn = _ckn_from_args(args)
     manifest = _manifest("constant", {
         "ckn": True, "n": ckn.n, "p": ckn.p, "alpha": ckn.alpha,
         "beta": ckn.beta, "mu": ckn.mu, "gamma1": ckn.gamma1,
@@ -191,14 +205,11 @@ def _cmd_constant_ckn(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    try:
-        params = _hardy_from_args(args)
-    except ValueError as exc:
-        return _fail_input(str(exc))
+    params = _hardy_from_args(args)
     if not admissible_hardy(params):
-        return _fail_input(_named_admissibility_failure(params))
+        raise InadmissibleParamsError(_named_admissibility_failure(params))
     if params.p != 2:
-        return _fail_input("the optimizer oracle requires p = 2")
+        raise ValueError("the optimizer oracle requires p = 2")
     rep = maximize(params)
     closed = sharp_constant_general_k_p2(params)
     doc = {
@@ -234,22 +245,12 @@ def _sweep_rows_csv(rows) -> str:
 def cmd_rayleigh(args) -> int:
     _merge_config(args, {"n": int, "p": float, "alpha": float, "beta": float,
                          "eps_list": str, "sigma_list": str})
-    try:
-        params = _hardy_from_args(args)
-    except ValueError as exc:
-        return _fail_input(str(exc))
+    params = _hardy_from_args(args)
     if not admissible_hardy(params):
-        return _fail_input(_named_admissibility_failure(params))
+        raise InadmissibleParamsError(_named_admissibility_failure(params))
     eps = _parse_list(args.eps_list) if args.eps_list else None
     sigma = _parse_list(args.sigma_list) if args.sigma_list else None
-    try:
-        res = sweep_and_extrapolate(params, eps_list=eps, sigma_list=sigma)
-    except FitUnstableError as exc:
-        print(json.dumps({"error": str(exc), "extrapolated": exc.value,
-                          "residual": exc.residual}), file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except (UnsupportedRegimeError, ValueError) as exc:
-        return _fail_input(str(exc))
+    res = sweep_and_extrapolate(params, eps_list=eps, sigma_list=sigma)
     manifest = _manifest("rayleigh", {
         "n": params.n, "p": params.p, "alpha": params.alpha,
         "beta": params.beta, "k": params.k,
@@ -377,7 +378,7 @@ def cmd_verify(args) -> int:
     _merge_config(args, {"which": str, "count": int, "seed": int})
     which = args.which
     if which not in _VERIFY_CHOICES:
-        return _fail_input(f"--which must be one of {_VERIFY_CHOICES}")
+        raise ValueError(f"--which must be one of {_VERIFY_CHOICES}")
     runner, default_count = _VERIFY_RUNNERS[which]
     count = int(args.count) if args.count is not None else default_count
     seed = args.seed or 0
@@ -392,10 +393,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ckn(args) -> int:
-    try:
-        ckn = _ckn_from_args(args)
-    except ValueError as exc:
-        return _fail_input(str(exc))
+    ckn = _ckn_from_args(args)
     flags = admissible_ckn(ckn)
     doc = {"integrable": flags.integrable, "balanced": flags.balanced,
            "normalized": flags.normalized,
@@ -523,8 +521,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InadmissibleParamsError, ValueError) as exc:
-        return _fail_input(str(exc))
+    except tuple(_EXIT_CODES) as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

@@ -6,9 +6,9 @@ The engine identity for p = 2,
 
 its p-version with the Picone-type remainder R, and the CKN product identity
 are checked on compactly supported bumps placed away from the singular set.
-Bump gradients are analytic; only grad(u/f) and the p != 2 field divergences
-fall back to finite differences, so quadrature error is isolated from
-differentiation error.
+Bump gradients and grad log f are analytic, so quadrature error is isolated
+from differentiation error; finite differences are left only in the
+pointwise spot check of the CKN flux divergence.
 
 Support-box integration is tensor composite Gauss-Legendre (4 panels per
 axis, degree 20 by default); the integrands are smooth on the support.
@@ -26,7 +26,7 @@ from .closed_form import sharp_constant_general_p
 from .errors import (EmptyInputError, NegativeRemainderError,
                      SupportViolationError, TruncationError)
 from .params import CknParams, HardyParams, admissible_ckn
-from .quadrature import QuadMethod, QuadratureSpec, cutoff_eta, cutoff_eta_prime, integrate_1d
+from .quadrature import QuadratureSpec, cutoff_eta, cutoff_eta_prime, integrate_1d
 from .weights import WeightSpec, axis_norms, weight_general_p, weight_p2
 
 __all__ = [
@@ -202,27 +202,25 @@ def _check_support_clear(u, k: int):
             f"(|center'|={cprime}, |center|={cfull}, width={u.width})")
 
 
-def _fd_gradient_field(field, pts, scale: float = 1e-5):
-    """O(h^4) five-point central gradient of a scalar field, row-vectorized."""
-    n = pts.shape[1]
-    h = scale * (1.0 + np.linalg.norm(pts, axis=-1))
-    grad = np.empty_like(pts)
-    for i in range(n):
-        shifted = [pts.copy() for _ in range(4)]
-        shifted[0][:, i] -= 2.0 * h
-        shifted[1][:, i] -= h
-        shifted[2][:, i] += h
-        shifted[3][:, i] += 2.0 * h
-        f_m2, f_m1, f_p1, f_p2 = (field(s) for s in shifted)
-        grad[:, i] = (f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * h)
+def _log_f_gradient(spec: WeightSpec, pts):
+    """grad log f = theta x'/|x'|^2 + lam x/|x|^2 (theta = gamma, lam = 0 on the gamma path)."""
+    k = spec.params.k
+    if spec.exponents is None:
+        theta, lam = spec.gamma, 0.0
+    else:
+        theta, lam = spec.exponents.theta, spec.exponents.lam
+    s = np.linalg.norm(pts[:, :k], axis=-1)
+    r = np.linalg.norm(pts, axis=-1)
+    grad = lam * pts / (r * r)[:, None]
+    grad[:, :k] += theta * pts[:, :k] / (s * s)[:, None]
     return grad
 
 
 def verify_E2(spec: WeightSpec, u, panels: int = 4, degree: int = 20) -> IdentityReport:
     """Check int V|grad u|^2 = int W u^2 + int V f^2 |grad(u/f)|^2 on a bump.
 
-    W is the closed-form weight; grad(u/f) is finite-differenced.  Residual
-    is quadrature-limited, expected at or below 1e-6.
+    W is the closed-form weight and V f^2 |grad(u/f)|^2 = V |grad u - u grad log f|^2
+    is analytic, so the residual is quadrature-limited, expected at or below 1e-6.
     """
     params = spec.params
     if params.p != 2 or spec.exponents is None:
@@ -233,13 +231,12 @@ def verify_E2(spec: WeightSpec, u, panels: int = 4, degree: int = 20) -> Identit
     uval = u.value(pts)
     ugrad = u.gradient(pts)
     v = spec.V(pts)
-    f = spec.f(pts)
     w_closed = weight_p2(pts, spec)
 
     lhs = float(np.sum(wts * v * np.sum(ugrad * ugrad, axis=-1)))
     t_weight = float(np.sum(wts * w_closed * uval * uval))
-    ratio_grad = _fd_gradient_field(lambda z: u.value(z) / spec.f(z), pts)
-    t_remainder = float(np.sum(wts * v * f * f * np.sum(ratio_grad * ratio_grad, axis=-1)))
+    f_ratio_grad = ugrad - uval[:, None] * _log_f_gradient(spec, pts)
+    t_remainder = float(np.sum(wts * v * np.sum(f_ratio_grad * f_ratio_grad, axis=-1)))
     return _residual(lhs, {"weight_term": t_weight, "remainder_term": t_remainder})
 
 
@@ -266,9 +263,7 @@ def verify_Ep(spec: WeightSpec, u, panels: int = 4, degree: int = 20) -> Identit
     v = spec.V(pts)
     w_closed = weight_general_p(pts, spec)
 
-    s = np.linalg.norm(pts[:, :params.k], axis=-1)
-    logf_grad = np.zeros_like(pts)
-    logf_grad[:, :params.k] = spec.gamma * pts[:, :params.k] / (s * s)[:, None]
+    logf_grad = _log_f_gradient(spec, pts)
 
     lhs = float(np.sum(wts * v * np.linalg.norm(ugrad, axis=-1) ** p))
     t_weight = float(np.sum(wts * w_closed * np.abs(uval) ** p))
@@ -377,7 +372,9 @@ def ckn_extremal_check(ckn: CknParams, kappa0: float = 1.0,
     m = gamma3 - gamma2 + 1 > 0 and c = kappa0^(1/(p-1))/m make
     grad u0 = -u0 kappa0^(1/(p-1)) F exactly, so the remainder R vanishes and
     the quotient must hit (n + p(alpha+gamma1))/p.  Radial integrals run over
-    (delta, R) with R doubled until the tail is negligible.
+    (0, R) by tanh-sinh, which takes the r^a singularity at 0 (a > -1), with
+    R doubled until the tail is negligible; delta is the smallest radius of
+    the pointwise remainder check.
     """
     flags = admissible_ckn(ckn)
     if not flags.all_ok:
@@ -394,16 +391,15 @@ def ckn_extremal_check(ckn: CknParams, kappa0: float = 1.0,
     a_field = ckn.n - 1.0 + p * ckn.alpha + p * ckn.gamma3
     a_den = ckn.n - 1.0 + p * ckn.alpha + p * ckn.gamma1
 
-    gl = QuadratureSpec(method=QuadMethod.GAUSS_LEGENDRE_COMPOSITE,
-                        levels=9, abs_tol=1e-15, rel_tol=1e-12)
+    spec = QuadratureSpec(levels=9, abs_tol=1e-15, rel_tol=1e-12)
 
     def segment(a_exp, lo, hi):
         return integrate_1d(
-            lambda r: r ** a_exp * np.exp(-p * c * r ** m), lo, hi, gl).value
+            lambda r: r ** a_exp * np.exp(-p * c * r ** m), lo, hi, spec).value
 
     totals = {"grad": 0.0, "field": 0.0, "den": 0.0}
     exps = {"grad": a_grad, "field": a_field, "den": a_den}
-    lo, hi = delta, 2.0
+    lo, hi = 0.0, 2.0
     for _ in range(24):
         last = {k: segment(e, lo, hi) for k, e in exps.items()}
         for k in totals:

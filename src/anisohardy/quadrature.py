@@ -1,10 +1,11 @@
 """Special functions, the smooth cutoff, and singularity-aware quadrature.
 
-Integration defaults to tanh-sinh (double-exponential): endpoint algebraic
+Integration is tanh-sinh (double-exponential): endpoint algebraic
 singularities t^c with c > -1 become regular for the transformed trapezoid
 sum, which is exactly the class produced by the spherical reduction of the
 weighted integrals here.  Levels halve the trapezoid step and the error
-estimate is the difference between consecutive levels.
+estimate is the difference between consecutive levels; one driver,
+_refine, runs that loop for the 1D, angular and tensor rules.
 
 Nodes are represented by their distance d from the nearer endpoint, so an
 integrand can be evaluated at machine-accurate offsets like b - 1e-290.  For
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Callable
 
@@ -34,11 +34,10 @@ import numpy as np
 from .errors import NotConvergedError
 
 __all__ = [
-    "QuadMethod", "QuadratureSpec", "QuadResult", "XiSpec", "Lemma1Report",
+    "QuadratureSpec", "QuadResult", "XiSpec", "Lemma1Report",
     "log_gamma", "beta", "sin_power_integral", "sphere_area",
     "cutoff_eta", "cutoff_eta_prime",
-    "integrate_1d", "integrate_angular", "integrate_2d", "integrate_2d_product",
-    "lemma1_check",
+    "integrate_1d", "integrate_angular", "integrate_2d", "lemma1_check",
 ]
 
 
@@ -82,8 +81,7 @@ def sin_power_integral(lam: float, numeric: bool = False,
         raise ValueError(f"sin_power_integral requires lam > -1, got {lam}")
     if not numeric:
         return beta((lam + 1.0) / 2.0, 0.5)
-    res = integrate_angular(lambda s: s ** lam, spec)
-    return res.value
+    return integrate_angular(lambda s: s ** lam, spec).value
 
 
 # ----------------------------------------------------------------- cutoff
@@ -116,20 +114,14 @@ def cutoff_eta_prime(t):
 
 # ------------------------------------------------------------- quadrature
 
-class QuadMethod(Enum):
-    TANH_SINH = "tanh_sinh"
-    GAUSS_LEGENDRE_COMPOSITE = "gauss_legendre_composite"
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Method, refinement depth and tolerances for the 1D/2D integrators.
+    """Refinement depth and tolerances for the 1D/2D integrators.
 
     truncation_radius is the upper end of radial integrals (the cutoff
     support ends at 2).
     """
 
-    method: QuadMethod = QuadMethod.TANH_SINH
     levels: int = 10
     abs_tol: float = 1e-13
     rel_tol: float = 1e-10
@@ -193,86 +185,69 @@ def _ts_full(level: int):
     return np.concatenate(ts), np.concatenate(ds), np.concatenate(ws)
 
 
-def _eval_vectorized(f, x):
-    fx = f(x)
-    arr = np.asarray(fx, dtype=float)
-    if arr.shape != x.shape:
-        # scalar-only callable; fall back to an elementwise loop
-        arr = np.array([float(f(xi)) for xi in x])
-    return arr
+def _refine(totals, spec: QuadratureSpec, what: str) -> QuadResult:
+    """Drive running level totals to convergence.
 
-
-def _converged(total: float, err: float, spec: QuadratureSpec) -> bool:
-    """Level difference within tolerance.  A non-finite total never counts:
-    an infinite one would otherwise meet its own infinite relative tolerance."""
-    return math.isfinite(total) and err <= max(spec.abs_tol, spec.rel_tol * abs(total))
-
-
-def _ts_integrate(f, a: float, b: float, spec: QuadratureSpec) -> QuadResult:
-    scale = b - a
-    total = 0.0
-    prev = 0.0
-    err = float("inf")
-    for level in range(spec.levels + 1):
-        t, d, w = _ts_level(level)
-        x = np.where(t <= 0.0, a + scale * d, b - scale * d)
-        fx = _eval_vectorized(f, x)
-        s_new = float(np.sum(w * fx)) * scale
-        total = s_new if level == 0 else 0.5 * total + s_new
-        if level >= 2:
-            err = abs(total - prev)
-            if _converged(total, err, spec):
-                return QuadResult(total, err)
-        prev = total
-    raise NotConvergedError(
-        f"tanh-sinh did not converge on ({a}, {b}) within {spec.levels} levels",
-        value=total, err_estimate=err)
-
-
-@lru_cache(maxsize=8)
-def _leggauss(degree: int = 20):
-    x, w = np.polynomial.legendre.leggauss(degree)
-    return x, w
-
-
-def _gl_integrate(f, a: float, b: float, spec: QuadratureSpec) -> QuadResult:
-    x0, w0 = _leggauss()
+    Converged when two consecutive totals differ by at most
+    max(abs_tol, rel_tol*|total|); that difference is the error estimate.
+    Refinement stops at the first non-finite total: it stays non-finite at
+    every finer level, and an infinite total would meet its own infinite
+    relative tolerance.  Otherwise NotConvergedError carries the last total.
+    """
     prev = None
-    err = float("inf")
-    total = 0.0
-    for level in range(spec.levels + 1):
-        panels = 2 ** level
-        edges = np.linspace(a, b, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        x = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-        w = (half[:, None] * w0[None, :]).ravel()
-        total = float(np.sum(w * _eval_vectorized(f, x)))
+    err = math.inf
+    total = math.nan
+    for total in totals:
+        if not math.isfinite(total):
+            break
         if prev is not None:
             err = abs(total - prev)
-            if _converged(total, err, spec):
+            if err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
                 return QuadResult(total, err)
         prev = total
     raise NotConvergedError(
-        f"composite Gauss-Legendre did not converge on ({a}, {b})",
+        f"{what} did not converge within {spec.levels} levels (last sum {total})",
         value=total, err_estimate=err)
+
+
+def _ts_totals(f, nodes, scale: float, levels: int):
+    """Running tanh-sinh totals of f over an interval of length scale.
+
+    nodes(t, d) maps the transform abscissae and endpoint distances of the
+    unit interval to the points f is evaluated at.  Each level evaluates f
+    only at its new nodes and halves the previous total; levels 1..levels
+    are yielded, level 0 only seeds the first.
+    """
+    total = 0.0
+    for level in range(levels + 1):
+        t, d, w = _ts_level(level)
+        x = nodes(t, d)
+        fx = np.asarray(f(x), dtype=float)
+        if fx.shape != x.shape:
+            fx = np.broadcast_to(fx, x.shape)
+        s_new = float(np.sum(w * fx)) * scale
+        total = s_new if level == 0 else 0.5 * total + s_new
+        if level:
+            yield total
 
 
 def integrate_1d(f: Callable, a: float, b: float,
                  spec: QuadratureSpec | None = None) -> QuadResult:
     """Integrate f over (a, b); algebraic endpoint singularities allowed.
 
-    f is evaluated on numpy arrays of interior points (scalar-only callables
-    are looped over as a fallback).  Converged when the level difference is
-    at most max(abs_tol, rel_tol*|value|); otherwise NotConvergedError
-    carrying the best value.
+    f is evaluated on numpy arrays of interior points and returns an array
+    of the same shape (or a value that broadcasts to it).  Converged when
+    the level difference is at most max(abs_tol, rel_tol*|value|);
+    otherwise NotConvergedError carrying the best value.
     """
     spec = spec or _DEFAULT_SPEC
     if not b > a:
         raise ValueError(f"need b > a, got ({a}, {b})")
-    if spec.method is QuadMethod.TANH_SINH:
-        return _ts_integrate(f, a, b, spec)
-    return _gl_integrate(f, a, b, spec)
+    scale = b - a
+    totals = _ts_totals(
+        f, lambda t, d: np.where(t <= 0.0, a + scale * d, b - scale * d),
+        scale, spec.levels)
+    return _refine(totals, spec, f"tanh-sinh on ({a}, {b})")
 
 
 def integrate_angular(f_of_sin: Callable, spec: QuadratureSpec | None = None) -> QuadResult:
@@ -283,36 +258,9 @@ def integrate_angular(f_of_sin: Callable, spec: QuadratureSpec | None = None) ->
     Handles algebraic blow-up of f at sin phi -> 0 with rate > -1.
     """
     spec = spec or _DEFAULT_SPEC
-    total = 0.0
-    prev = 0.0
-    err = float("inf")
-    for level in range(spec.levels + 1):
-        _, d, w = _ts_level(level)
-        s = np.sin(np.pi * d)
-        fx = _eval_vectorized(f_of_sin, s)
-        s_new = float(np.sum(w * fx)) * math.pi
-        total = s_new if level == 0 else 0.5 * total + s_new
-        if level >= 2:
-            err = abs(total - prev)
-            if _converged(total, err, spec):
-                return QuadResult(total, err)
-        prev = total
-    raise NotConvergedError(
-        f"angular tanh-sinh did not converge within {spec.levels} levels",
-        value=total, err_estimate=err)
-
-
-def integrate_2d_product(fr: Callable, fphi: Callable,
-                         spec: QuadratureSpec | None = None) -> float:
-    """Product-form integral over (0, truncation_radius) x (0, pi).
-
-    fr(r) is the radial factor, fphi(s) the angular factor as a function of
-    s = sin(phi).  Two 1D passes; quadrature failures propagate.
-    """
-    spec = spec or _DEFAULT_SPEC
-    radial = integrate_1d(fr, 0.0, spec.truncation_radius, spec)
-    angular = integrate_angular(fphi, spec)
-    return radial.value * angular.value
+    totals = _ts_totals(f_of_sin, lambda t, d: np.sin(np.pi * d),
+                        math.pi, spec.levels)
+    return _refine(totals, spec, "angular tanh-sinh")
 
 
 #: Grid elements handed to a tensor integrand per call: small enough that the
@@ -330,26 +278,11 @@ def _tensor_sum(f, r, wr, s, ws) -> float:
     return total
 
 
-def integrate_2d(f: Callable, spec: QuadratureSpec | None = None) -> float:
-    """Tensor tanh-sinh integral of f(r, s) over (0, truncation_radius) x (0, pi).
-
-    The integrand receives broadcastable arrays (r[:, None], s[None, :]) with
-    s = sin(phi) computed from the endpoint distance.  Admissible
-    singularities: r = 0 and phi in {0, pi} at algebraic rates above -1.
-
-    Levels are nested: the level-L rule holds every level L-1 node with half
-    its weight in each variable, so the old node pairs contribute exactly a
-    quarter of the level L-1 total.  Each level therefore evaluates f only on
-    the pairs it adds (new r x all phi, old r x new phi), about 3/4 of its
-    grid, in row blocks of about _BLOCK elements.
-    """
-    spec = spec or _DEFAULT_SPEC
-    R = spec.truncation_radius
-    prev = None
-    err = float("inf")
+def _tensor_totals(f, R: float, levels: int):
+    """Running tensor tanh-sinh totals over (0, R) x (0, pi), levels 2..levels."""
     total = 0.0
     old = 0
-    for level in range(2, spec.levels + 1):
+    for level in range(2, levels + 1):
         t, d, w = _ts_full(level)      # ordered by level: the first `old` are the old nodes
         r = np.where(t <= 0.0, R * d, R * (1.0 - d))
         s = np.sin(np.pi * d)
@@ -358,17 +291,26 @@ def integrate_2d(f: Callable, spec: QuadratureSpec | None = None) -> float:
                  + _tensor_sum(f, r[old:], wr[old:], s, ws)
                  + _tensor_sum(f, r[:old], wr[:old], s[old:], ws[old:]))
         old = t.size
-        if not math.isfinite(total):
-            break                      # and so it stays at every finer level
-        if prev is not None:
-            err = abs(total - prev)
-            if _converged(total, err, spec):
-                return total
-        prev = total
-    raise NotConvergedError(
-        f"tensor tanh-sinh did not converge within {spec.levels} levels "
-        f"(last sum {total})",
-        value=total, err_estimate=err)
+        yield total
+
+
+def integrate_2d(f: Callable, spec: QuadratureSpec | None = None) -> QuadResult:
+    """Tensor tanh-sinh integral of f(r, s) over (0, truncation_radius) x (0, pi).
+
+    The integrand receives broadcastable arrays (r[:, None], s[None, :]) with
+    s = sin(phi) computed from the endpoint distance, and returns the full
+    grid.  Admissible singularities: r = 0 and phi in {0, pi} at algebraic
+    rates above -1.
+
+    Levels are nested: the level-L rule holds every level L-1 node with half
+    its weight in each variable, so the old node pairs contribute exactly a
+    quarter of the level L-1 total.  Each level therefore evaluates f only on
+    the pairs it adds (new r x all phi, old r x new phi), about 3/4 of its
+    grid, in row blocks of about _BLOCK elements.
+    """
+    spec = spec or _DEFAULT_SPEC
+    totals = _tensor_totals(f, spec.truncation_radius, spec.levels)
+    return _refine(totals, spec, "tensor tanh-sinh")
 
 
 # ------------------------------------------------------------ Lemma check

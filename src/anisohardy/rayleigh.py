@@ -263,7 +263,7 @@ def quotient_general_p(family: TrialFamily,
     _check_exponent(a_phi, "angular")
     _check_exponent(a_r, "radial")
 
-    num = integrate_2d(_grad_integrand(family), spec)
+    num = integrate_2d(_grad_integrand(family), spec).value
     ang = integrate_angular(lambda s: s ** a_phi, spec).value
     e2 = family.epsilon ** 2
     lam = 2.0 * family.g_exponent

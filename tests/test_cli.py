@@ -99,6 +99,25 @@ class TestRayleighCommand:
         assert d1 == d2
 
 
+class TestErrorExitCodes:
+    def test_not_converged_sweep_is_a_failed_check(self, capsys):
+        code, out, err = run_cli(capsys, "rayleigh", "--n", "3", "--p", "1.8",
+                                 "--alpha", "0", "--beta", "0.5",
+                                 "--eps-list", "1e-2,1e-3",
+                                 "--sigma-list", "0.1,0.025")
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        doc = json.loads(err)
+        assert doc["type"] == "NotConvergedError"
+        assert "err_estimate" in doc and "value" in doc
+
+    def test_bad_input_is_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "constant", "--n", "3", "--k", "7")
+        assert code == 2
+        assert json.loads(err)["type"] == "ValueError"
+
+
 class TestVerifyCommand:
     def test_lemma1_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--which", "lemma1",

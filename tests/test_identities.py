@@ -6,7 +6,8 @@ from anisohardy import (BumpFunction, CknParams, ExponentPair, HardyParams,
                         hardy_spot_test, r_functional, sharp_constant_p2,
                         verify_CKNp, verify_E2, verify_Ep)
 from anisohardy.errors import EmptyInputError, SupportViolationError
-from anisohardy.identities import _r_rows
+from anisohardy.identities import _log_f_gradient, _r_rows, _support_nodes
+from anisohardy.report import sample_e2_config
 from anisohardy.weights import axis_norms
 
 
@@ -121,6 +122,28 @@ class TestVerifyE2:
         assert rep.residual_rel <= 1e-6
         assert rep.rhs_terms["remainder_term"] > 0.0
 
+    @staticmethod
+    def _fd_gradient(field, pts, scale=1e-5):
+        # O(h^4) five-point central differences, one coordinate at a time
+        h = scale * (1.0 + np.linalg.norm(pts, axis=-1))
+        grad = np.empty_like(pts)
+        for i in range(pts.shape[1]):
+            def at(step, i=i):
+                shifted = pts.copy()
+                shifted[:, i] += step * h
+                return field(shifted)
+            grad[:, i] = (at(-2) - 8.0 * at(-1) + 8.0 * at(1) - at(2)) / (12.0 * h)
+        return grad
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_ratio_gradient_matches_finite_differences(self, index):
+        spec, u = sample_e2_config(7, index)
+        pts, _ = _support_nodes(u, 2, 6)
+        analytic = ((u.gradient(pts) - u.value(pts)[:, None] * _log_f_gradient(spec, pts))
+                    / spec.f(pts)[:, None])
+        fd = self._fd_gradient(lambda z: u.value(z) / spec.f(z), pts)
+        assert np.max(np.abs(fd - analytic)) <= 1e-8 * np.max(np.abs(analytic))
+
     def test_support_violation(self):
         spec = WeightSpec(HardyParams(3, 2.0, 0.0, 0.0),
                           exponents=ExponentPair(0.5, 0.0))
@@ -208,6 +231,15 @@ class TestCknExtremal:
     def test_half_quotient_n2(self):
         rep = ckn_extremal_check(CknParams(2, 2.0, gamma1=-0.5))
         assert rep.quotient == pytest.approx(0.5, abs=1e-3)
+
+    def test_radial_integrals_start_at_zero(self):
+        # a_den = n - 1 + p(alpha + gamma1) is near -1, so the radial
+        # denominator has a large share on (0, 1e-6)
+        p, a, g2, g3 = 3.0, -0.2373606, -0.0460659, -0.0881161
+        ckn = CknParams(2, p, a, a, a, (g3 * (p - 1.0) + g2 - 1.0) / p, g2, g3)
+        rep = ckn_extremal_check(ckn)
+        assert rep.constant == pytest.approx(0.021873, rel=1e-4)
+        assert rep.quotient == pytest.approx(rep.constant, abs=1e-3)
 
     def test_requires_symmetric_exponents(self):
         with pytest.raises(ValueError):

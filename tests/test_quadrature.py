@@ -5,12 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisohardy import (QuadMethod, QuadratureSpec, XiSpec, beta, cutoff_eta,
+from anisohardy import (QuadratureSpec, XiSpec, beta, cutoff_eta,
                         cutoff_eta_prime, integrate_1d, integrate_2d,
-                        integrate_2d_product, integrate_angular, lemma1_check,
-                        log_gamma, sin_power_integral, sphere_area)
+                        integrate_angular, lemma1_check, log_gamma,
+                        sin_power_integral, sphere_area)
 from anisohardy import quadrature
 from anisohardy.errors import NotConvergedError
+
+
+def _full_rule(level):
+    """Every multiple of 2^-level in the tanh-sinh window, with full-step weights."""
+    h = 2.0 ** -level
+    m = int(quadrature._TMAX / h)
+    t = np.arange(-m, m + 1) * h
+    e = np.exp(-np.pi * np.abs(np.sinh(t)))
+    d = e / (1.0 + e)
+    w = h * np.pi * np.cosh(t) * e / (1.0 + e) ** 2
+    keep = (d > 0.0) & (w > 0.0) & np.isfinite(w)
+    return t[keep], d[keep], w[keep]
 
 
 class TestSpecials:
@@ -96,10 +108,8 @@ class TestIntegrate1d:
         ang = integrate_angular(lambda s: s ** -0.5)
         assert ang.value == pytest.approx(beta(0.25, 0.5), rel=1e-13)
 
-    def test_gauss_legendre_path(self):
-        spec = QuadratureSpec(method=QuadMethod.GAUSS_LEGENDRE_COMPOSITE)
-        res = integrate_1d(np.exp, 0.0, 1.0, spec)
-        assert res.value == pytest.approx(math.e - 1.0, rel=1e-13)
+    def test_scalar_return_broadcasts(self):
+        assert integrate_1d(lambda t: 1.0, 0.0, 1.0).value == pytest.approx(1.0, rel=1e-14)
 
     def test_not_converged_carries_best_value(self):
         spec = QuadratureSpec(levels=3, abs_tol=1e-15, rel_tol=1e-15)
@@ -121,12 +131,12 @@ class TestIntegrate1d:
 class TestIntegrate2d:
     def test_product_separable(self):
         spec = QuadratureSpec(truncation_radius=1.0)
-        value = integrate_2d_product(lambda r: r, lambda s: np.ones_like(s), spec)
-        assert value == pytest.approx(math.pi / 2.0, rel=1e-10)
+        res = integrate_2d(lambda r, s: r * np.ones_like(s), spec)
+        assert res.value == pytest.approx(math.pi / 2.0, rel=1e-10)
 
     def test_zero_integrand(self):
-        value = integrate_2d(lambda r, s: np.zeros(np.broadcast(r, s).shape))
-        assert value == 0.0
+        res = integrate_2d(lambda r, s: np.zeros(np.broadcast(r, s).shape))
+        assert res.value == 0.0
 
     def test_tensor_matches_product_on_reduced_denominator(self):
         # the K = 3 reduced denominator at eps = 1e-2: integrand factors, so
@@ -145,7 +155,7 @@ class TestIntegrate2d:
         tensor = integrate_2d(lambda r, s: s ** (sK - 2.0) * radial(r))
         closed_angular = beta((sK - 1.0) / 2.0, 0.5)
         rad = integrate_1d(radial, 0.0, 2.0)
-        assert tensor == pytest.approx(closed_angular * rad.value, rel=1e-8)
+        assert tensor.value == pytest.approx(closed_angular * rad.value, rel=1e-8)
 
 
 class TestLemma1:
@@ -179,26 +189,61 @@ class TestLemma1:
             lemma1_check(XiSpec(a=1.0, b=-1.0), [2.0])
 
 
+class TestIntegrate1dIncremental:
+    """The 1D level totals against full-rule sums built here."""
+
+    @staticmethod
+    def _full_rule_sum(f, a, b, level):
+        t, d, w = _full_rule(level)
+        x = np.where(t <= 0.0, a + (b - a) * d, b - (b - a) * d)
+        return float(np.sum(w * f(x))) * (b - a)
+
+    @staticmethod
+    def _counting(f):
+        seen = [0]
+
+        def counted(x):
+            seen[0] += x.size
+            return f(x)
+        return counted, seen
+
+    def test_evaluates_each_node_once(self):
+        def f(x):
+            return x ** -0.3 * np.exp(x)
+
+        counted, seen = self._counting(f)
+        spec = QuadratureSpec()
+        res = integrate_1d(counted, 0.5, 2.0, spec)
+        sizes = {_full_rule(lv)[0].size: lv for lv in range(spec.levels + 1)}
+        assert seen[0] in sizes          # exactly the full rule of one level
+        level = sizes[seen[0]]
+        ref = [self._full_rule_sum(f, 0.5, 2.0, lv) for lv in range(level + 1)]
+        assert res.value == pytest.approx(ref[-1], rel=1e-13)
+        tol = max(spec.abs_tol, spec.rel_tol * abs(ref[-1]))
+        assert res.err_estimate <= tol and abs(ref[-1] - ref[-2]) <= tol
+        # level 1 only seeds the first comparison
+        assert all(abs(b - a) > tol for a, b in zip(ref[1:-2], ref[2:-1]))
+
+    def test_stops_at_first_non_finite_level(self):
+        def blowing_up(x):
+            return np.where(x < 1e-300, np.inf, 1.0)
+
+        counted, seen = self._counting(blowing_up)
+        with pytest.raises(NotConvergedError) as ei:
+            integrate_1d(counted, 0.0, 1.0)
+        first = min(lv for lv in range(11) if np.any(_full_rule(lv)[1] < 1e-300))
+        assert seen[0] == _full_rule(first)[0].size
+        assert math.isinf(ei.value.value)
+
+
 class TestIntegrate2dIncremental:
     """The nested-level driver against full-grid tensor sums built here."""
 
     SPEC = QuadratureSpec()
 
-    @staticmethod
-    def _full_rule(level):
-        # every multiple of 2^-level in the window, with the full-step weights
-        h = 2.0 ** -level
-        m = int(quadrature._TMAX / h)
-        t = np.arange(-m, m + 1) * h
-        e = np.exp(-np.pi * np.abs(np.sinh(t)))
-        d = e / (1.0 + e)
-        w = h * np.pi * np.cosh(t) * e / (1.0 + e) ** 2
-        keep = (d > 0.0) & (w > 0.0) & np.isfinite(w)
-        return t[keep], d[keep], w[keep]
-
     def _full_grid_sum(self, f, level):
         R = self.SPEC.truncation_radius
-        t, d, w = self._full_rule(level)
+        t, d, w = _full_rule(level)
         r = np.where(t <= 0.0, R * d, R * (1.0 - d))
         s = np.sin(np.pi * d)
         return float((R * w) @ f(r[:, None], s[None, :]) @ (math.pi * w))
@@ -218,8 +263,8 @@ class TestIntegrate2dIncremental:
 
     def test_evaluates_each_node_pair_once(self):
         counted, seen = self._counting(self._integrand)
-        value = integrate_2d(counted, self.SPEC)
-        sizes = {self._full_rule(lv)[0].size ** 2: lv for lv in range(2, 11)}
+        value = integrate_2d(counted, self.SPEC).value
+        sizes = {_full_rule(lv)[0].size ** 2: lv for lv in range(2, 11)}
         assert seen[0] in sizes          # exactly the full grid of one level
         level = sizes[seen[0]]
         ref = [self._full_grid_sum(self._integrand, lv) for lv in range(2, level + 1)]
@@ -236,7 +281,7 @@ class TestIntegrate2dIncremental:
         counted, seen = self._counting(oscillating)
         with pytest.raises(NotConvergedError) as ei:
             integrate_2d(counted, spec)
-        assert seen[0] == self._full_rule(5)[0].size ** 2
+        assert seen[0] == _full_rule(5)[0].size ** 2
         ref = self._full_grid_sum(oscillating, 5)
         assert ei.value.value == pytest.approx(ref, rel=1e-13)
 
