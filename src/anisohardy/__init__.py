@@ -18,8 +18,9 @@ from .optimizer import (OptimizerBranch, OptimizerReport, maximize,
                         sweep_regimes)
 from .quadrature import (QuadratureSpec, QuadResult, XiSpec,
                          log_gamma, beta, sin_power_integral, sphere_area,
-                         cutoff_eta, cutoff_eta_prime, integrate_1d,
-                         integrate_angular, integrate_2d, lemma1_check)
+                         cutoff_eta, cutoff_eta_prime, gauss_jacobi,
+                         integrate_1d, integrate_angular, integrate_2d,
+                         lemma1_check)
 from .rayleigh import (FamilyKind, TrialFamily, SweepResult, SweepRow,
                        make_family, quotient_p2, quotient_general_p,
                        sweep_and_extrapolate)
@@ -39,8 +40,8 @@ __all__ = [
     "OptimizerBranch", "OptimizerReport", "maximize", "sweep_regimes",
     "QuadratureSpec", "QuadResult", "XiSpec",
     "log_gamma", "beta", "sin_power_integral", "sphere_area",
-    "cutoff_eta", "cutoff_eta_prime", "integrate_1d", "integrate_angular",
-    "integrate_2d", "lemma1_check",
+    "cutoff_eta", "cutoff_eta_prime", "gauss_jacobi", "integrate_1d",
+    "integrate_angular", "integrate_2d", "lemma1_check",
     "FamilyKind", "TrialFamily", "SweepResult", "SweepRow", "make_family",
     "quotient_p2", "quotient_general_p", "sweep_and_extrapolate",
     "WeightSpec", "H", "H1", "H2", "weight_p2", "weight_general_p",

@@ -4,14 +4,19 @@ Integration is tanh-sinh (double-exponential): endpoint algebraic
 singularities t^c with c > -1 become regular for the transformed trapezoid
 sum, which is exactly the class produced by the spherical reduction of the
 weighted integrals here.  Levels halve the trapezoid step and the error
-estimate is the difference between consecutive levels; one driver,
-_refine, runs that loop for the 1D, angular and tensor rules.
+estimate is the difference between consecutive levels.
 
 Nodes are represented by their distance d from the nearer endpoint, so an
 integrand can be evaluated at machine-accurate offsets like b - 1e-290.  For
 integrals over (0, pi) of functions of sin(phi), use integrate_angular: it
 feeds the integrand sin(pi*d) computed from the endpoint distance, avoiding
 the catastrophic cancellation of sin(pi - tiny).
+
+integrate_2d integrates f(r, cos phi) sin(phi)^c over (0, R) x (0, pi):
+radial tanh-sinh of angular Gauss-Jacobi sums (gauss_jacobi, Golub-Welsch)
+whose weight carries sin(phi)^c, so that factor is never evaluated.  Its
+angular orders double, and consecutive orders are compared.  One driver,
+_refine, runs the convergence loop for the 1D, angular and 2D integrators.
 
 Reduced integrals are computed WITHOUT the sphere-area prefactor of the
 residual angles; it cancels in every quotient.  sphere_area exists for
@@ -36,7 +41,7 @@ from .errors import NotConvergedError
 __all__ = [
     "QuadratureSpec", "QuadResult", "XiSpec", "Lemma1Report",
     "log_gamma", "beta", "sin_power_integral", "sphere_area",
-    "cutoff_eta", "cutoff_eta_prime",
+    "cutoff_eta", "cutoff_eta_prime", "gauss_jacobi",
     "integrate_1d", "integrate_angular", "integrate_2d", "lemma1_check",
 ]
 
@@ -173,25 +178,13 @@ def _ts_level(level: int):
     return t[keep], d[keep], w[keep]
 
 
-@lru_cache(maxsize=64)
-def _ts_full(level: int):
-    """All tanh-sinh nodes of the full rule at step 2^-level (cumulative)."""
-    ts, ds, ws = [], [], []
-    for lev in range(level + 1):
-        t, d, w = _ts_level(lev)
-        ts.append(t)
-        ds.append(d)
-        ws.append(w * 2.0 ** (lev - level))  # earlier levels carry the finer step
-    return np.concatenate(ts), np.concatenate(ds), np.concatenate(ws)
-
-
 def _refine(totals, spec: QuadratureSpec, what: str) -> QuadResult:
-    """Drive running level totals to convergence.
+    """Drive a sequence of refined totals (levels or orders) to convergence.
 
     Converged when two consecutive totals differ by at most
     max(abs_tol, rel_tol*|total|); that difference is the error estimate.
     Refinement stops at the first non-finite total: it stays non-finite at
-    every finer level, and an infinite total would meet its own infinite
+    every finer refinement, and an infinite total would meet its own infinite
     relative tolerance.  Otherwise NotConvergedError carries the last total.
     """
     prev = None
@@ -206,7 +199,7 @@ def _refine(totals, spec: QuadratureSpec, what: str) -> QuadResult:
                 return QuadResult(total, err)
         prev = total
     raise NotConvergedError(
-        f"{what} did not converge within {spec.levels} levels (last sum {total})",
+        f"{what} did not converge (last sum {total})",
         value=total, err_estimate=err)
 
 
@@ -247,7 +240,7 @@ def integrate_1d(f: Callable, a: float, b: float,
     totals = _ts_totals(
         f, lambda t, d: np.where(t <= 0.0, a + scale * d, b - scale * d),
         scale, spec.levels)
-    return _refine(totals, spec, f"tanh-sinh on ({a}, {b})")
+    return _refine(totals, spec, f"tanh-sinh on ({a}, {b}) within {spec.levels} levels")
 
 
 def integrate_angular(f_of_sin: Callable, spec: QuadratureSpec | None = None) -> QuadResult:
@@ -260,57 +253,84 @@ def integrate_angular(f_of_sin: Callable, spec: QuadratureSpec | None = None) ->
     spec = spec or _DEFAULT_SPEC
     totals = _ts_totals(f_of_sin, lambda t, d: np.sin(np.pi * d),
                         math.pi, spec.levels)
-    return _refine(totals, spec, "angular tanh-sinh")
+    return _refine(totals, spec, f"angular tanh-sinh within {spec.levels} levels")
 
 
-#: Grid elements handed to a tensor integrand per call: small enough that the
-#: block and the integrand's temporaries stay in cache.
-_BLOCK = 2 ** 16
+@lru_cache(maxsize=128)
+def gauss_jacobi(m: int, a: float, b: float):
+    """m-point Gauss-Jacobi rule for int_-1^1 f(t) (1 - t)^a (1 + t)^b dt.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the three-term recurrence and the weights are mu0 times the
+    squared first eigenvector components, mu0 = 2^(a+b+1) B(a+1, b+1).
+    Exact for polynomials of degree 2m - 1; a, b > -1.  Returns read-only
+    (nodes, weights) with the nodes ascending; the rule is cached.
+    """
+    if m < 1 or a <= -1 or b <= -1:
+        raise ValueError(f"gauss_jacobi needs m >= 1 and a, b > -1, got ({m}, {a}, {b})")
+    k = np.arange(m, dtype=float)
+    s = 2.0 * k + a + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = (b * b - a * a) / (s * (s + 2.0))
+        kk, sk = k[1:], s[1:]
+        off = np.sqrt(4.0 * kk * (kk + a) * (kk + b) * (kk + a + b)
+                      / (sk * sk * (sk + 1.0) * (sk - 1.0)))
+    diag[0] = (b - a) / (a + b + 2.0)      # removable 0/0 at a + b = 0
+    if m > 1:                              # removable 0/0 at a + b = -1
+        off[0] = math.sqrt(4.0 * (1.0 + a) * (1.0 + b) / ((a + b + 2.0) ** 2 * (a + b + 3.0)))
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    weights = 2.0 ** (a + b + 1.0) * beta(a + 1.0, b + 1.0) * vecs[0] ** 2
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
-def _tensor_sum(f, r, wr, s, ws) -> float:
-    """sum_ij wr_i ws_j f(r_i, s_j), evaluated in row blocks of about _BLOCK elements."""
-    rows = max(1, _BLOCK // s.size)
-    total = 0.0
-    for i in range(0, r.size, rows):
-        block = np.asarray(f(r[i:i + rows, None], s[None, :]), dtype=float)
-        total += float(wr[i:i + rows] @ block @ ws)
-    return total
+#: Angular orders of integrate_2d; NotConvergedError past the last.
+_ORDERS = (32, 64, 128, 256, 512, 1024)
 
 
-def _tensor_totals(f, R: float, levels: int):
-    """Running tensor tanh-sinh totals over (0, R) x (0, pi), levels 2..levels."""
-    total = 0.0
-    old = 0
-    for level in range(2, levels + 1):
-        t, d, w = _ts_full(level)      # ordered by level: the first `old` are the old nodes
-        r = np.where(t <= 0.0, R * d, R * (1.0 - d))
-        s = np.sin(np.pi * d)
-        wr, ws = R * w, math.pi * w
-        total = (0.25 * total
-                 + _tensor_sum(f, r[old:], wr[old:], s, ws)
-                 + _tensor_sum(f, r[:old], wr[:old], s[old:], ws[old:]))
-        old = t.size
-        yield total
+def _angular_sums(f, t, w):
+    """r -> sum_j w_j f(r, t_j), in row blocks of about 2^14 grid elements."""
+    rows = max(1, 2 ** 14 // t.size)
+
+    def sums(r):
+        out = np.empty(r.shape)
+        for i in range(0, r.size, rows):
+            out[i:i + rows] = f(r[i:i + rows, None], t[None, :]) @ w
+        return out
+    return sums
 
 
-def integrate_2d(f: Callable, spec: QuadratureSpec | None = None) -> QuadResult:
-    """Tensor tanh-sinh integral of f(r, s) over (0, truncation_radius) x (0, pi).
+def integrate_2d(f: Callable, c: float, spec: QuadratureSpec | None = None) -> QuadResult:
+    """int_0^R int_0^pi f(r, cos phi) sin(phi)^c dphi dr, for f even in cos phi.
 
-    The integrand receives broadcastable arrays (r[:, None], s[None, :]) with
-    s = sin(phi) computed from the endpoint distance, and returns the full
-    grid.  Admissible singularities: r = 0 and phi in {0, pi} at algebraic
-    rates above -1.
+    R is spec.truncation_radius and c > -1.  With t = cos(phi) the angular
+    integral is int_-1^1 f(r, t) (1 - t^2)^((c-1)/2) dt: a Gauss-Jacobi rule
+    carries the singular factor in its weight, so it is never evaluated, and
+    evenness halves the rule to its m/2 positive nodes with doubled weights.
+    The integrand receives broadcastable arrays (r[:, None], t[None, :]) in
+    row blocks of about 2^14 elements and returns the block.
 
-    Levels are nested: the level-L rule holds every level L-1 node with half
-    its weight in each variable, so the old node pairs contribute exactly a
-    quarter of the level L-1 total.  Each level therefore evaluates f only on
-    the pairs it adds (new r x all phi, old r x new phi), about 3/4 of its
-    grid, in row blocks of about _BLOCK elements.
+    Each angular order m = 32, 64, ..., 1024 is one integrate_1d radial
+    integral of the m-point angular sums; consecutive orders are compared by
+    the shared refinement driver.  The error estimate is the larger of the
+    last order difference and that order's radial error.  NotConvergedError
+    past the last order carries its total.
     """
     spec = spec or _DEFAULT_SPEC
-    totals = _tensor_totals(f, spec.truncation_radius, spec.levels)
-    return _refine(totals, spec, "tensor tanh-sinh")
+    radial_err = 0.0
+
+    def order_totals():
+        nonlocal radial_err
+        for m in _ORDERS:
+            t, w = gauss_jacobi(m, (c - 1.0) / 2.0, (c - 1.0) / 2.0)
+            res = integrate_1d(_angular_sums(f, t[m // 2:], 2.0 * w[m // 2:]),
+                               0.0, spec.truncation_radius, spec)
+            radial_err = res.err_estimate
+            yield res.value
+
+    res = _refine(order_totals(), spec, f"Gauss-Jacobi within order {_ORDERS[-1]}")
+    return QuadResult(res.value, max(res.err_estimate, radial_err))
 
 
 # ------------------------------------------------------------ Lemma check

@@ -3,9 +3,10 @@
 Trial functions are v = h(|x'|) g(|x|) with h a power and
 g(r) = (r^2 + eps^2)^(e) eta(r), eta the C^2 cutoff.  After spherical
 reduction every p = 2 integral factors into an angular sin-power integral
-and a radial integral over (0, 2); the general-p gradient integrand does not
-factor and goes through the tensor 2D rule.  All quotients are computed
-without the sphere-area prefactor (it cancels).
+and a radial integral over (0, 2).  The general-p gradient integrand does
+not factor: it goes through integrate_2d, radial tanh-sinh of Gauss-Jacobi
+sums in cos(phi) whose weight carries the sin(phi) power.  All quotients are
+computed without the sphere-area prefactor (it cancels).
 
 The families, per regime of K = -4b(n+2a+b):
 
@@ -34,7 +35,8 @@ from .errors import (FitUnstableError, SingularParamsError,
                      UnsupportedRegimeError)
 from .params import HardyParams, RegimeFamily, admissible_hardy, compute_K
 from .quadrature import (QuadratureSpec, cutoff_eta, cutoff_eta_prime,
-                         integrate_1d, integrate_2d, integrate_angular)
+                         integrate_1d, integrate_2d, integrate_angular,
+                         sin_power_integral)
 
 __all__ = [
     "FamilyKind", "TrialFamily", "FitModel", "FitInfo", "SweepRow",
@@ -219,30 +221,30 @@ def _general_p_exponents(family: TrialFamily) -> tuple[float, float]:
 
 
 def _grad_integrand(family: TrialFamily):
-    """Reduced gradient integrand f(r, sin phi) of the general-p numerator.
+    """Reduced gradient integrand f(r, cos phi) of the general-p numerator.
 
-    With v = |x'|^gam g(|x|) and s = sin(phi),
-    |grad v|^2 = |x'|^(2 gam - 2) (A(r) + B(r) s^2) where A = gam^2 g^2 and
-    B = r^2 g'^2 + 2 gam r g g'.  A and B are computed on the r column with
-    the radial weight r^a_r folded in as r^(2 a_r / p), which is safe
-    because a_r > 0; the full grid then costs one multiply-add, one clamp,
-    one power and one multiply, all in place.
+    With v = |x'|^gam g(|x|) and |x'| = r sin(phi),
+    |grad v|^2 = |x'|^(2 gam - 2) (A(r) cos^2 phi + C(r) sin^2 phi) where
+    A = gam^2 g^2 and C = (gam g + r g')^2.  A and C are computed on the r
+    column with the radial weight r^a_r folded in as r^(2 a_r / p), which
+    is safe because a_r > 0.  The bracket is a sum of non-negative terms, so
+    its power is real; the factor sin(phi)^a_phi is the angular weight of
+    integrate_2d and is not part of f.
     """
     pw = family.params.p
     gam = family.h_exponent
-    a_phi, a_r = _general_p_exponents(family)
+    _, a_r = _general_p_exponents(family)
     g, gp = family.g, family.g_prime
 
-    def integrand(r, s):
-        gv, gpv = g(r), gp(r)
+    def integrand(r, t):
+        gv = g(r)
         fold = r ** (2.0 * a_r / pw)
-        A = fold * (gam * gam) * gv * gv
-        B = fold * r * gpv * (r * gpv + 2.0 * gam * gv)
-        out = B * (s * s)
-        out += A
-        np.maximum(out, 0.0, out=out)
+        A = fold * (gam * gv) ** 2
+        C = fold * (gam * gv + r * gp(r)) ** 2
+        t2 = t * t
+        out = A * t2
+        out += C * (1.0 - t2)
         out **= pw / 2.0
-        out *= s ** a_phi
         return out
 
     return integrand
@@ -250,10 +252,13 @@ def _grad_integrand(family: TrialFamily):
 
 def quotient_general_p(family: TrialFamily,
                        spec: QuadratureSpec | None = None) -> QuotientParts:
-    """Rayleigh quotient of the general-p family; tensor rule for the gradient.
+    """Rayleigh quotient of the general-p family.
 
-    The gradient integrand couples r and sin(phi) through |x'| = r sin(phi)
-    and cannot factor; the denominator still factors.
+    The gradient integrand couples r and phi through |x'| = r sin(phi) and
+    cannot factor: it goes through integrate_2d, radial tanh-sinh against
+    Gauss-Jacobi in cos(phi) with the weight sin(phi)^a_phi.  The
+    denominator factors into the Beta closed form of that angular weight
+    and one radial integral.
     """
     if family.kind is not FamilyKind.GENERAL_P_BETA_NONNEG:
         raise ValueError("quotient_general_p takes the general-p family")
@@ -263,14 +268,13 @@ def quotient_general_p(family: TrialFamily,
     _check_exponent(a_phi, "angular")
     _check_exponent(a_r, "radial")
 
-    num = integrate_2d(_grad_integrand(family), spec).value
-    ang = integrate_angular(lambda s: s ** a_phi, spec).value
+    num = integrate_2d(_grad_integrand(family), a_phi, spec).value
     e2 = family.epsilon ** 2
     lam = 2.0 * family.g_exponent
     rad = integrate_1d(
         lambda r: r ** a_r * (r * r + e2) ** (pw * lam / 2.0) * cutoff_eta(r) ** pw,
         0.0, spec.truncation_radius, spec).value
-    den = ang * rad
+    den = sin_power_integral(a_phi) * rad
     return QuotientParts(num, den, num / den)
 
 
@@ -413,7 +417,8 @@ def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None,
     K > 1: single-stage fit quotient = C + c/|ln eps|.  K <= 1 and general-p:
     per-sigma eps-extrapolation followed by a polynomial sigma intercept;
     general-p takes the intercepts of sigma times the two eps slopes
-    (_fit_pole_ratio).  Raises FitUnstableError (carrying the value) when
+    (_fit_pole_ratio).  The default sigma schedule is DEFAULT_SIGMA, times
+    2/p for general p.  Raises FitUnstableError (carrying the value) when
     the fitted constant or its residual is not finite, or the residual
     exceeds 5% of the constant.
     """
@@ -442,7 +447,11 @@ def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None,
         extrapolated, resid = _extrapolate_eps(eps_list, rows, log_affine=True)
         fit = FitInfo(FitModel.INV_LOG_EPS, resid)
     else:
-        sigmas = [float(s) for s in (sigma_list if sigma_list is not None else DEFAULT_SIGMA)]
+        if sigma_list is None:
+            # the general-p family's angular exponent is -1 + p*sigma, so its
+            # default schedule keeps p*sigma at the p = 2 values
+            sigma_list = [s * 2.0 / params.p for s in DEFAULT_SIGMA]
+        sigmas = [float(s) for s in sigma_list]
         if not sigmas:
             raise ValueError("sigma_list is required for this regime")
         if params.p != 2:

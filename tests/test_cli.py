@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,12 +109,28 @@ class TestErrorExitCodes:
                                  "--alpha", "0", "--beta", "0.5",
                                  "--eps-list", "1e-2,1e-3",
                                  "--sigma-list", "0.1,0.025")
+        # two sigmas leave the sigma intercept without a spare degree
         assert code == 1
         assert out == ""
         assert "Traceback" not in err
         doc = json.loads(err)
-        assert doc["type"] == "NotConvergedError"
-        assert "err_estimate" in doc and "value" in doc
+        assert doc["type"] == "FitUnstableError"
+        assert "residual" in doc and "value" in doc
+
+    def test_sweep_below_p2_keeps_stderr_empty(self):
+        # a fresh interpreter, where numpy warnings would reach stderr
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from anisohardy.cli import main; sys.exit(main(sys.argv[1:]))",
+             "rayleigh", "--n", "3", "--p", "1.8", "--alpha", "0", "--beta", "0.5"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["extrapolated"] == pytest.approx(
+            (2.0 / 1.8) ** 1.8, rel=0.02)
 
     def test_bad_input_is_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "constant", "--n", "3", "--k", "7")

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisohardy import (QuadratureSpec, XiSpec, beta, cutoff_eta,
-                        cutoff_eta_prime, integrate_1d, integrate_2d,
-                        integrate_angular, lemma1_check, log_gamma,
-                        sin_power_integral, sphere_area)
+                        cutoff_eta_prime, gauss_jacobi, integrate_1d,
+                        integrate_2d, integrate_angular, lemma1_check,
+                        log_gamma, sin_power_integral, sphere_area)
 from anisohardy import quadrature
 from anisohardy.errors import NotConvergedError
 
@@ -128,19 +128,49 @@ class TestIntegrate1d:
             integrate_1d(np.exp, 1.0, 0.0)
 
 
+class TestGaussJacobi:
+    @pytest.mark.parametrize("c", [-0.98, -0.6, 0.0, 1.3])
+    def test_even_moments_match_beta(self, c):
+        # int_-1^1 t^(2k) (1 - t^2)^c dt = B(k + 1/2, c + 1), exact for 2k <= 2m - 1
+        t, w = gauss_jacobi(16, c, c)
+        for k in range(16):
+            ref = beta(k + 0.5, c + 1.0)
+            assert float(w @ t ** (2 * k)) == pytest.approx(ref, rel=1e-13)
+
+    def test_unequal_exponents(self):
+        a, b = 0.5, -0.3
+        t, w = gauss_jacobi(7, a, b)
+        mu0 = 2.0 ** (a + b + 1.0) * beta(a + 1.0, b + 1.0)
+        assert float(w.sum()) == pytest.approx(mu0, rel=1e-14)
+        # the mean of t under (1 - t)^a (1 + t)^b
+        assert float(w @ t) / mu0 == pytest.approx((b - a) / (a + b + 2.0), rel=1e-13)
+
+    def test_legendre_at_zero_exponents(self):
+        t, w = gauss_jacobi(20, 0.0, 0.0)
+        tl, wl = np.polynomial.legendre.leggauss(20)
+        np.testing.assert_allclose(t, tl, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(w, wl, rtol=1e-13, atol=0.0)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            gauss_jacobi(8, -1.0, 0.0)
+        with pytest.raises(ValueError):
+            gauss_jacobi(0, 0.0, 0.0)
+
+
 class TestIntegrate2d:
     def test_product_separable(self):
         spec = QuadratureSpec(truncation_radius=1.0)
-        res = integrate_2d(lambda r, s: r * np.ones_like(s), spec)
+        res = integrate_2d(lambda r, t: r * np.ones_like(t), 0.0, spec)
         assert res.value == pytest.approx(math.pi / 2.0, rel=1e-10)
 
     def test_zero_integrand(self):
-        res = integrate_2d(lambda r, s: np.zeros(np.broadcast(r, s).shape))
+        res = integrate_2d(lambda r, t: np.zeros(np.broadcast(r, t).shape), 0.5)
         assert res.value == 0.0
 
     def test_tensor_matches_product_on_reduced_denominator(self):
         # the K = 3 reduced denominator at eps = 1e-2: integrand factors, so
-        # the tensor route must match the (Beta closed form) x (1D radial)
+        # the 2D route must match the (Beta closed form) x (1D radial)
         eps = 1e-2
         K = 3.0
         sK = math.sqrt(K)
@@ -152,10 +182,22 @@ class TestIntegrate2d:
         def radial(r):
             return g2(r) * r ** (2 * beta_exp + sK - 1.0)
 
-        tensor = integrate_2d(lambda r, s: s ** (sK - 2.0) * radial(r))
+        rule = integrate_2d(lambda r, t: radial(r) * np.ones_like(t), sK - 2.0)
         closed_angular = beta((sK - 1.0) / 2.0, 0.5)
         rad = integrate_1d(radial, 0.0, 2.0)
-        assert tensor.value == pytest.approx(closed_angular * rad.value, rel=1e-8)
+        assert rule.value == pytest.approx(closed_angular * rad.value, rel=1e-8)
+
+    def test_angular_factor_matches_tanh_sinh(self):
+        # f even in t = cos(phi) depends on sin(phi)^2 = 1 - t^2 alone, so the
+        # angular factor has an independent tanh-sinh route
+        c = -0.5
+        res = integrate_2d(lambda r, t: np.exp(-r) / (1.02 - t * t), c)
+        ang = integrate_angular(lambda s: s ** c / (0.02 + s * s)).value
+        assert res.value == pytest.approx((1.0 - math.exp(-2.0)) * ang, rel=1e-9)
+
+    def test_rejects_non_integrable_weight(self):
+        with pytest.raises(ValueError):
+            integrate_2d(lambda r, t: r * t, -1.0)
 
 
 class TestLemma1:
@@ -237,59 +279,51 @@ class TestIntegrate1dIncremental:
 
 
 class TestIntegrate2dIncremental:
-    """The nested-level driver against full-grid tensor sums built here."""
+    """Angular orders m = 32, 64, ...: one radial tanh-sinh integral each."""
 
-    SPEC = QuadratureSpec()
-
-    def _full_grid_sum(self, f, level):
-        R = self.SPEC.truncation_radius
-        t, d, w = _full_rule(level)
-        r = np.where(t <= 0.0, R * d, R * (1.0 - d))
-        s = np.sin(np.pi * d)
-        return float((R * w) @ f(r[:, None], s[None, :]) @ (math.pi * w))
+    ORDERS = (32, 64, 128, 256, 512, 1024)
 
     @staticmethod
     def _counting(f):
-        seen = [0]
+        seen = {}
 
-        def counted(r, s):
-            seen[0] += np.broadcast(r, s).size
-            return f(r, s)
+        def counted(r, t):
+            seen[t.size] = seen.get(t.size, 0) + np.broadcast(r, t).size
+            return f(r, t)
         return counted, seen
 
-    @staticmethod
-    def _integrand(r, s):
-        return r ** 0.5 * s ** -0.5 * np.exp(-r)
-
     def test_evaluates_each_node_pair_once(self):
-        counted, seen = self._counting(self._integrand)
-        value = integrate_2d(counted, self.SPEC).value
-        sizes = {_full_rule(lv)[0].size ** 2: lv for lv in range(2, 11)}
-        assert seen[0] in sizes          # exactly the full grid of one level
-        level = sizes[seen[0]]
-        ref = [self._full_grid_sum(self._integrand, lv) for lv in range(2, level + 1)]
-        assert value == pytest.approx(ref[-1], rel=1e-13)
-        tol = max(self.SPEC.abs_tol, self.SPEC.rel_tol * abs(ref[-1]))
-        assert abs(ref[-1] - ref[-2]) <= tol
-        assert all(abs(b - a) > tol for a, b in zip(ref[:-2], ref[1:-1]))
+        # per order reached: every radial node of one tanh-sinh level against
+        # the m/2 positive angular nodes, each pair once
+        counted, seen = self._counting(lambda r, t: r ** 0.5 * np.exp(-r) / (1.02 - t * t))
+        res = integrate_2d(counted, -0.5)
+        reached = [m for m in self.ORDERS if m // 2 in seen]
+        assert sorted(seen) == [m // 2 for m in reached]
+        assert reached == list(self.ORDERS[:len(reached)]) and len(reached) >= 3
+        radial_sizes = {_full_rule(lv)[0].size for lv in range(11)}
+        for m in reached:
+            assert seen[m // 2] % (m // 2) == 0
+            assert seen[m // 2] // (m // 2) in radial_sizes
+        assert res.err_estimate <= max(1e-13, 1e-10 * abs(res.value))
 
     def test_unconverged_value_matches_full_grid(self):
-        def oscillating(r, s):
-            return np.sin(30.0 / (r + 0.05)) * s ** -0.5
-
-        spec = QuadratureSpec(levels=5)
-        counted, seen = self._counting(oscillating)
+        # |t|^(1/2) has a kink at t = 0, so the Gauss sums converge only
+        # algebraically and the order cap is reached; the radial factor
+        # int_0^2 r dr = 2 is exact at every order
+        counted, seen = self._counting(lambda r, t: r * np.sqrt(np.abs(t)))
         with pytest.raises(NotConvergedError) as ei:
-            integrate_2d(counted, spec)
-        assert seen[0] == _full_rule(5)[0].size ** 2
-        ref = self._full_grid_sum(oscillating, 5)
+            integrate_2d(counted, 0.0)
+        assert sorted(seen) == [m // 2 for m in self.ORDERS]
+        t, w = gauss_jacobi(1024, -0.5, -0.5)
+        ref = 2.0 * float(w @ np.sqrt(np.abs(t)))
         assert ei.value.value == pytest.approx(ref, rel=1e-13)
+        assert 0.0 < ei.value.err_estimate < 1e-3 * ref
 
     def test_non_finite_sum_is_not_converged(self):
-        # infinite from level 3 on, whose total would otherwise meet its own
-        # infinite relative tolerance
-        def overflowing(r, s):
-            return np.where(s < 1e-300, np.inf, 1.0) * np.ones_like(r)
+        # infinite at the angular nodes nearest phi = 0, whose total would
+        # otherwise meet its own infinite relative tolerance
+        def overflowing(r, t):
+            return np.where(t > 0.99, np.inf, 1.0) * np.ones_like(r)
         with pytest.raises(NotConvergedError) as ei:
-            integrate_2d(overflowing)
+            integrate_2d(overflowing, 0.0)
         assert math.isinf(ei.value.value)

@@ -1,15 +1,16 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from anisohardy import (FamilyKind, HardyParams, TrialFamily, beta,
-                        make_family, quotient_general_p, quotient_p2,
-                        sharp_constant_general_p, sharp_constant_p2,
+                        integrate_2d, make_family, quotient_general_p,
+                        quotient_p2, sharp_constant_general_p,
+                        sharp_constant_p2, sin_power_integral,
                         sweep_and_extrapolate)
 from anisohardy import rayleigh
-from anisohardy.errors import (FitUnstableError, NotConvergedError,
-                               UnsupportedRegimeError)
+from anisohardy.errors import FitUnstableError, UnsupportedRegimeError
 from anisohardy.rayleigh import FitModel, QuotientParts
 
 K3_PARAMS = HardyParams(3, 2.0, -0.5, -0.5)
@@ -118,9 +119,28 @@ class TestQuotientGeneralP:
         direct = (np.linalg.norm(grad, axis=1) ** pw
                   * rho ** (pw * (params.alpha + 1.0)) * r ** (pw * params.beta))
 
-        s = rho / r
-        reduced = rayleigh._grad_integrand(fam)(r, s) / (r * r * s)
+        # the integrand takes t = cos(phi); sin(phi)^a_phi is the rule's weight
+        s, t = rho / r, x[:, 2] / r
+        a_phi, _ = rayleigh._general_p_exponents(fam)
+        reduced = rayleigh._grad_integrand(fam)(r, t) * s ** a_phi / (r * r * s)
         np.testing.assert_allclose(reduced, direct, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("pw", [1.5, 3.0])
+    def test_equal_brackets_leave_the_sin_power(self, pw):
+        # g = r^(-2 gam) gives r g' = -2 gam g, so C = (gam g + r g')^2 equals
+        # A = (gam g)^2 and the bracket A cos^2 + C sin^2 no longer depends on
+        # phi: the numerator is sin_power_integral(a_phi) int A^(p/2) dr
+        params = HardyParams(3, pw, 0.0, 0.5)
+        fam = TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG, params, 1e-2, 0.05)
+        gam = fam.h_exponent
+        equal = SimpleNamespace(params=params, h_exponent=gam,
+                                g=lambda r: r ** (-2.0 * gam),
+                                g_prime=lambda r: -2.0 * gam * r ** (-2.0 * gam - 1.0))
+        a_phi, a_r = rayleigh._general_p_exponents(fam)
+        num = integrate_2d(rayleigh._grad_integrand(equal), a_phi).value
+        e = a_r - 2.0 * gam * pw            # A^(p/2) = |gam|^p r^e
+        radial = abs(gam) ** pw * 2.0 ** (e + 1.0) / (e + 1.0)
+        assert num == pytest.approx(sin_power_integral(a_phi) * radial, rel=1e-12)
 
 
 class TestSweep:
@@ -204,11 +224,30 @@ class TestSweep:
         assert res.extrapolated == pytest.approx(constant, rel=0.002)
         assert res.fit.residual < 0.02 * res.extrapolated
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
-    def test_general_p_below_window_raises_typed_error(self):
-        with pytest.raises((NotConvergedError, FitUnstableError)):
-            sweep_and_extrapolate(HardyParams(3, 1.8, 0.0, 0.5))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_general_p_below_two_certifies(self):
+        # sin(phi)^(p sigma - 1) is the Gauss-Jacobi weight, never evaluated,
+        # so nothing overflows below p = 2
+        params = HardyParams(3, 1.8, 0.0, 0.5)
+        res = sweep_and_extrapolate(params)
+        constant = sharp_constant_general_p(params).value
+        assert res.extrapolated == pytest.approx(constant, rel=0.02)
+
+    @pytest.mark.parametrize("pw,n,alpha,beta_", [
+        (pw, 2, 0.2, 0.3) for pw in (1.2, 1.5, 1.8, 2.5, 3.0, 4.0)
+    ] + [(pw, 3, 0.0, 0.5) for pw in (1.2, 1.5, 4.0)])
+    def test_general_p_grid_within_criterion_6(self, pw, n, alpha, beta_):
+        # with p = 1.8, 2.5 and 3 at (3, 0, 0.5) above, the grid covers
+        # p in {1.2, 1.5, 1.8, 2.5, 3, 4} at both (n, alpha, beta)
+        params = HardyParams(n, pw, alpha, beta_)
+        res = sweep_and_extrapolate(params)
+        constant = sharp_constant_general_p(params).value
+        assert res.extrapolated == pytest.approx(constant, rel=0.02)
+
+    def test_general_p_default_sigma_is_in_units_of_one_over_p(self):
+        res = sweep_and_extrapolate(HardyParams(3, 4.0, 0.0, 0.5), eps_list=(1e-3, 1e-4))
+        sigmas = sorted({r.sigma for r in res.rows}, reverse=True)
+        assert sigmas == [s * 2.0 / 4.0 for s in rayleigh.DEFAULT_SIGMA]
 
     def test_non_finite_fit_raises(self, monkeypatch):
         monkeypatch.setattr(rayleigh, "quotient_p2",
