@@ -270,12 +270,17 @@ def cmd_rayleigh(args) -> int:
 _VERIFY_CHOICES = ("E2", "Ep", "CKNp", "weights", "leray", "lemma1")
 
 
+def _identity_row(rep) -> dict:
+    return {"residual_rel": rep.residual_rel, "err_estimate": rep.err_estimate,
+            "nodes": rep.nodes}
+
+
 def _verify_e2(seed: int, count: int):
     results = []
     for i in range(count):
         spec, bump = report_mod.sample_e2_config(seed, i)
         rep = verify_E2(spec, bump)
-        results.append({"index": i, "residual_rel": rep.residual_rel,
+        results.append({"index": i, **_identity_row(rep),
                         "pass": rep.residual_rel <= 1e-6})
     return results
 
@@ -286,8 +291,7 @@ def _verify_ep(seed: int, count: int):
     for i in range(count):
         spec, bump = report_mod.sample_ep_config(seed, i, cycle[i % 4])
         rep = verify_Ep(spec, bump)
-        results.append({"index": i, "p": cycle[i % 4],
-                        "residual_rel": rep.residual_rel,
+        results.append({"index": i, "p": cycle[i % 4], **_identity_row(rep),
                         "pass": rep.residual_rel <= 1e-5})
     return results
 
@@ -297,7 +301,7 @@ def _verify_cknp(seed: int, count: int):
     for i in range(count):
         ckn, bump = report_mod.sample_ckn_config(seed, i)
         rep = verify_CKNp(ckn, bump)
-        results.append({"index": i, "residual_rel": rep.residual_rel,
+        results.append({"index": i, **_identity_row(rep),
                         "pass": rep.residual_rel <= 1e-5})
     return results
 

@@ -66,4 +66,5 @@ class TruncationError(ArithmeticError):
 
 
 class NegativeRemainderError(ArithmeticError):
-    """The Picone-type remainder evaluated below -1e-12; indicates a bug, not a math case."""
+    """The Picone-type remainder fell below -1e-12 times the size of its terms;
+    indicates a bug, not a math case."""

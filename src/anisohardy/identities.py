@@ -10,8 +10,13 @@ Bump gradients and grad log f are analytic, so quadrature error is isolated
 from differentiation error; finite differences are left only in the
 pointwise spot check of the CKN flux divergence.
 
-Support-box integration is tensor composite Gauss-Legendre (4 panels per
-axis, degree 20 by default); the integrands are smooth on the support.
+Integrals run over the bump's support ball B(c, 2w) with a product rule in
+spherical coordinates about its centre c (Stroud 1971): Gauss-Legendre in
+the radius on [0, w] and on [w, 2w], split at the cutoff's C^2 seam, times
+a rule on the sphere S^(n-1) (trapezoid in the azimuth, Gauss-Gegenbauer in
+each further polar angle).  The integrands are smooth on each radial piece.
+Every check runs at orders 16 and 12; it reports the order-16 residual and
+takes the largest term difference between the orders as its error estimate.
 """
 
 from __future__ import annotations
@@ -23,10 +28,11 @@ from functools import lru_cache
 import numpy as np
 
 from .closed_form import sharp_constant_general_p
-from .errors import (EmptyInputError, NegativeRemainderError,
+from .errors import (EmptyInputError, IllConditionedError, NegativeRemainderError,
                      SupportViolationError, TruncationError)
 from .params import CknParams, HardyParams, admissible_ckn
-from .quadrature import QuadratureSpec, cutoff_eta, cutoff_eta_prime, integrate_1d
+from .quadrature import (QuadratureSpec, cutoff_eta, cutoff_eta_prime, gauss_jacobi,
+                         integrate_1d)
 from .weights import WeightSpec, axis_norms, weight_general_p, weight_p2
 
 __all__ = [
@@ -35,42 +41,41 @@ __all__ = [
     "ckn_extremal_check", "hardy_spot_test",
 ]
 
-_CLAMP_FLOOR = -1e-12
+_CLAMP_REL = 1e-12
 
 
 def r_functional(X, Y, p: float) -> float:
     """Picone-type remainder R(X, Y) = (p-1)|Y|^p + |X|^p + p|Y|^(p-2) <Y, X>.
 
-    Nonnegative for p > 1 by Young's inequality; tiny negatives (above
-    -1e-12) are rounded to zero, anything lower raises NegativeRemainderError
-    because it indicates a bug, not a mathematical case.
+    Nonnegative for p > 1 by Young's inequality.  R is a cancelling sum, so
+    negatives down to -1e-12 times (p-1)|Y|^p + |X|^p + |p|Y|^(p-2) <Y, X>|
+    are rounding and are clamped to zero; anything lower raises
+    NegativeRemainderError because it indicates a bug, not a mathematical case.
     """
     if p <= 1:
         raise ValueError(f"r_functional requires p > 1, got {p}")
-    xv = np.asarray(X, dtype=float)
-    yv = np.asarray(Y, dtype=float)
-    nx = float(np.linalg.norm(xv))
-    ny = float(np.linalg.norm(yv))
-    if ny == 0.0:
-        value = nx ** p  # |Y|^(p-1) <Y/|Y|, X> -> 0 as Y -> 0 for p > 1
-    else:
-        value = (p - 1.0) * ny ** p + nx ** p + p * ny ** (p - 2.0) * float(np.dot(yv, xv))
-    if value < _CLAMP_FLOOR:
-        raise NegativeRemainderError(f"R(X, Y) = {value} < -1e-12")
-    return max(value, 0.0)
+    xv = np.asarray(X, dtype=float).reshape(1, -1)
+    yv = np.asarray(Y, dtype=float).reshape(1, -1)
+    return float(_r_rows(xv, yv, p)[0])
 
 
 def _r_rows(X, Y, p: float):
-    """Row-wise r_functional for (N, n) arrays, with the same clamping."""
+    """Row-wise r_functional for (N, n) arrays, with the same clamping.
+
+    At Y = 0 the cross term |Y|^(p-1) <Y/|Y|, X> tends to 0 for p > 1.
+    """
     nx = np.linalg.norm(X, axis=-1)
     ny = np.linalg.norm(Y, axis=-1)
     dot = np.sum(X * Y, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = np.where(ny > 0.0, p * ny ** (p - 2.0) * dot, 0.0)
-    value = (p - 1.0) * ny ** p + nx ** p + cross
-    if np.any(value < _CLAMP_FLOOR):
+    sizes = (p - 1.0) * ny ** p + nx ** p
+    value = sizes + cross
+    low = value < -_CLAMP_REL * (sizes + np.abs(cross))
+    if np.any(low):
         raise NegativeRemainderError(
-            f"R(X, Y) reached {float(np.min(value))} < -1e-12")
+            f"R(X, Y) reached {float(np.min(value[low]))}, below -1e-12 times "
+            "the size of its terms")
     return np.maximum(value, 0.0)
 
 
@@ -151,45 +156,70 @@ class BumpFunction:
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """lhs and rhs terms at rule order 16, and |lhs - sum(rhs)| relative to
+    |lhs| + sum|rhs|.  nodes counts the order-16 rule; err_estimate is the
+    largest change of lhs or a term from order 12, over the same denominator."""
+
     lhs: float
     rhs_terms: dict
     residual_rel: float
+    nodes: int = 0
+    err_estimate: float = 0.0
 
 
-def _residual(lhs: float, terms: dict) -> IdentityReport:
-    total = sum(terms.values())
-    denom = abs(lhs) + sum(abs(v) for v in terms.values()) + 1e-300
-    return IdentityReport(lhs, terms, abs(lhs - total) / denom)
+#: Rule orders: the report comes from the first, the error estimate from
+#: its difference to the second.
+_ORDERS = (16, 12)
 
 
-@lru_cache(maxsize=8)
-def _gl_axis(degree: int):
-    return np.polynomial.legendre.leggauss(degree)
+@lru_cache(maxsize=16)
+def _sphere_rule(n: int, m: int):
+    """Product rule on the unit sphere S^(n-1) of R^n: (directions, weights).
+
+    The 2m-point trapezoid rule in the azimuth of the first two coordinates
+    makes S^1.  S^(d-1), d = 3..n, is sliced at heights x_d = t, which scale
+    S^(d-2) by sqrt(1 - t^2) and carry the measure (1 - t^2)^((d-3)/2) dt:
+    the m-point Gauss-Gegenbauer rule.  Read-only and cached.
+    """
+    phi = np.pi * np.arange(2 * m) / m
+    dirs = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    wts = np.full(2 * m, np.pi / m)
+    for d in range(3, n + 1):
+        t, w = gauss_jacobi(m, 0.5 * (d - 3), 0.5 * (d - 3))
+        ring = np.sqrt(1.0 - t * t)[:, None, None] * dirs
+        dirs = np.concatenate([ring.reshape(-1, d - 1),
+                               np.repeat(t, len(wts))[:, None]], axis=1)
+        wts = np.outer(w, wts).ravel()
+    dirs.setflags(write=False)
+    wts.setflags(write=False)
+    return dirs, wts
 
 
-def _box_nodes(center, half_extent: float, panels: int, degree: int):
-    x0, w0 = _gl_axis(degree)
-    axes_x, axes_w = [], []
-    for ci in center:
-        edges = np.linspace(ci - half_extent, ci + half_extent, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        axes_x.append((mid[:, None] + half[:, None] * x0[None, :]).ravel())
-        axes_w.append((half[:, None] * w0[None, :]).ravel())
-    mesh = np.meshgrid(*axes_x, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    wts = axes_w[0]
-    for wa in axes_w[1:]:
-        wts = np.multiply.outer(wts, wa).ravel()
-    return pts, wts
+def _ball_nodes(u, m: int):
+    """Order-m product rule on the support ball B(center, 2 width) of u.
+
+    Gauss-Legendre radii on [0, w] and [w, 2w] with the Jacobian rho^(n-1),
+    times _sphere_rule(n, m): 2m * 2m * m^(n-2) nodes.
+    """
+    n = len(u.center)
+    t, w = gauss_jacobi(m, 0.0, 0.0)
+    half = 0.5 * u.width
+    rho = np.concatenate([half * (t + 1.0), half * (t + 3.0)])
+    w_rho = half * np.concatenate([w, w]) * rho ** (n - 1)
+    dirs, w_dir = _sphere_rule(n, m)
+    pts = np.asarray(u.center) + (rho[:, None, None] * dirs).reshape(-1, n)
+    return pts, np.outer(w_rho, w_dir).ravel()
 
 
-def _support_nodes(u, panels: int, degree: int):
-    """Quadrature nodes restricted to the support ball of u."""
-    pts, wts = _box_nodes(u.center, 2.0 * u.width, panels, degree)
-    rho = np.linalg.norm(pts - np.asarray(u.center), axis=-1)
-    keep = rho <= 2.0 * u.width
-    return pts[keep], wts[keep]
+def _two_orders(u, terms) -> IdentityReport:
+    """Report terms(pts, wts) -> (lhs, rhs_terms) at both rule orders."""
+    fine, coarse = (_ball_nodes(u, m) for m in _ORDERS)
+    lhs, rhs = terms(*fine)
+    lhs_c, rhs_c = terms(*coarse)
+    denom = abs(lhs) + sum(abs(v) for v in rhs.values()) + 1e-300
+    change = max([abs(lhs - lhs_c)] + [abs(rhs[k] - rhs_c[k]) for k in rhs])
+    return IdentityReport(lhs, rhs, abs(lhs - sum(rhs.values())) / denom,
+                          nodes=len(fine[1]), err_estimate=change / denom)
 
 
 def _check_support_clear(u, k: int):
@@ -216,7 +246,7 @@ def _log_f_gradient(spec: WeightSpec, pts):
     return grad
 
 
-def verify_E2(spec: WeightSpec, u, panels: int = 4, degree: int = 20) -> IdentityReport:
+def verify_E2(spec: WeightSpec, u) -> IdentityReport:
     """Check int V|grad u|^2 = int W u^2 + int V f^2 |grad(u/f)|^2 on a bump.
 
     W is the closed-form weight and V f^2 |grad(u/f)|^2 = V |grad u - u grad log f|^2
@@ -226,21 +256,22 @@ def verify_E2(spec: WeightSpec, u, panels: int = 4, degree: int = 20) -> Identit
     if params.p != 2 or spec.exponents is None:
         raise ValueError("verify_E2 needs a p = 2 WeightSpec with exponents")
     _check_support_clear(u, params.k)
-    pts, wts = _support_nodes(u, panels, degree)
 
-    uval = u.value(pts)
-    ugrad = u.gradient(pts)
-    v = spec.V(pts)
-    w_closed = weight_p2(pts, spec)
+    def terms(pts, wts):
+        uval = u.value(pts)
+        ugrad = u.gradient(pts)
+        v = spec.V(pts)
+        w_closed = weight_p2(pts, spec)
+        lhs = float(np.sum(wts * v * np.sum(ugrad * ugrad, axis=-1)))
+        t_weight = float(np.sum(wts * w_closed * uval * uval))
+        f_ratio_grad = ugrad - uval[:, None] * _log_f_gradient(spec, pts)
+        t_remainder = float(np.sum(wts * v * np.sum(f_ratio_grad * f_ratio_grad, axis=-1)))
+        return lhs, {"weight_term": t_weight, "remainder_term": t_remainder}
 
-    lhs = float(np.sum(wts * v * np.sum(ugrad * ugrad, axis=-1)))
-    t_weight = float(np.sum(wts * w_closed * uval * uval))
-    f_ratio_grad = ugrad - uval[:, None] * _log_f_gradient(spec, pts)
-    t_remainder = float(np.sum(wts * v * np.sum(f_ratio_grad * f_ratio_grad, axis=-1)))
-    return _residual(lhs, {"weight_term": t_weight, "remainder_term": t_remainder})
+    return _two_orders(u, terms)
 
 
-def verify_Ep(spec: WeightSpec, u, panels: int = 4, degree: int = 20) -> IdentityReport:
+def verify_Ep(spec: WeightSpec, u) -> IdentityReport:
     """Check the p-version with the Picone remainder R(grad u, -u grad f / f).
 
     The trial function is f = |x'|^gamma, whose logarithmic gradient
@@ -256,20 +287,19 @@ def verify_Ep(spec: WeightSpec, u, panels: int = 4, degree: int = 20) -> Identit
     if p < 2 and spec.gamma == 0.0:
         raise ValueError("p < 2 requires |grad f| > 0, so gamma != 0")
     _check_support_clear(u, params.k)
-    pts, wts = _support_nodes(u, panels, degree)
 
-    uval = u.value(pts)
-    ugrad = u.gradient(pts)
-    v = spec.V(pts)
-    w_closed = weight_general_p(pts, spec)
+    def terms(pts, wts):
+        uval = u.value(pts)
+        ugrad = u.gradient(pts)
+        v = spec.V(pts)
+        w_closed = weight_general_p(pts, spec)
+        lhs = float(np.sum(wts * v * np.linalg.norm(ugrad, axis=-1) ** p))
+        t_weight = float(np.sum(wts * w_closed * np.abs(uval) ** p))
+        rvals = _r_rows(ugrad, -uval[:, None] * _log_f_gradient(spec, pts), p)
+        t_remainder = float(np.sum(wts * v * rvals))
+        return lhs, {"weight_term": t_weight, "remainder_term": t_remainder}
 
-    logf_grad = _log_f_gradient(spec, pts)
-
-    lhs = float(np.sum(wts * v * np.linalg.norm(ugrad, axis=-1) ** p))
-    t_weight = float(np.sum(wts * w_closed * np.abs(uval) ** p))
-    rvals = _r_rows(ugrad, -uval[:, None] * logf_grad, p)
-    t_remainder = float(np.sum(wts * v * rvals))
-    return _residual(lhs, {"weight_term": t_weight, "remainder_term": t_remainder})
+    return _two_orders(u, terms)
 
 
 # ------------------------------------------------------------------- CKN
@@ -285,76 +315,80 @@ def _ckn_fields(ckn: CknParams, pts):
     return V, F, fmag, div_closed
 
 
-def _ckn_flux_divergence_fd(ckn: CknParams, x: np.ndarray, h: float) -> float:
-    """FD divergence of the flux V |F|^(p-2) F at one point, Richardson pair."""
-    def phi(z, i):
-        # V |F|^(p-2) F = |x'|^(b(p-1)+mu) |x|^(g3(p-1)+g2-1) x
-        s, r = axis_norms(z, ckn.n - 1)
-        mag = (s ** (ckn.beta * (ckn.p - 1.0) + ckn.mu)
-               * r ** (ckn.gamma3 * (ckn.p - 1.0) + ckn.gamma2 - 1.0))
-        return mag * z[i]
+def _ckn_flux_divergence_fd(ckn: CknParams, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """FD divergence of the flux V |F|^(p-2) F at the rows of x, Richardson pair.
 
-    def div_at(step):
-        total = 0.0
-        for i in range(ckn.n):
-            e = np.zeros(ckn.n)
-            e[i] = step
-            total += (phi(x + e, i) - phi(x - e, i)) / (2.0 * step)
-        return total
-
-    d1 = div_at(h)
-    d2 = div_at(0.5 * h)
-    return (4.0 * d2 - d1) / 3.0
+    V |F|^(p-2) F = |x'|^(b(p-1)+mu) |x|^(g3(p-1)+g2-1) x.  Row j takes central
+    differences with steps h[j] and h[j]/2 along each axis; every shifted
+    point is evaluated in one array pass.
+    """
+    n = ckn.n
+    steps = np.multiply.outer([1.0, 0.5], h)                        # (2, N)
+    signed = np.stack([steps, -steps])[:, :, None, :]               # (2, 2, 1, N)
+    # z[sign, level, axis i, row] = x[row] + sign * step * e_i
+    z = x + signed[..., None] * np.eye(n)[:, None, :]
+    s, r = axis_norms(z, n - 1)
+    mag = (s ** (ckn.beta * (ckn.p - 1.0) + ckn.mu)
+           * r ** (ckn.gamma3 * (ckn.p - 1.0) + ckn.gamma2 - 1.0))
+    flux = mag * (x.T + signed)                                     # component i of z
+    div = np.sum((flux[0] - flux[1]) / (2.0 * steps[:, None, :]), axis=1)
+    return (4.0 * div[1] - div[0]) / 3.0
 
 
-def verify_CKNp(ckn: CknParams, u, panels: int = 4, degree: int = 20,
-                seed: int = 0, n_div_points: int = 20) -> IdentityReport:
+def _ckn_divergence_spot_check(ckn: CknParams, u, seed: int, count: int) -> float:
+    """Largest relative error of the closed-form flux divergence against finite
+    differences at count points drawn in the annulus 0.2 w < |x - c| < 1.5 w;
+    IllConditionedError when it exceeds 1e-6."""
+    rng = np.random.default_rng(seed)
+    center = np.asarray(u.center)
+    x = np.empty((count, ckn.n))
+    for j in range(count):
+        direction = rng.normal(size=ckn.n)
+        direction /= np.linalg.norm(direction)
+        x[j] = center + rng.uniform(0.2, 1.5) * u.width * direction
+    fd = _ckn_flux_divergence_fd(ckn, x, 1e-4 * (1.0 + np.linalg.norm(x, axis=-1)))
+    closed = _ckn_fields(ckn, x)[3]
+    errors = np.abs(fd - closed) / np.maximum(np.abs(closed), 1e-300)
+    worst = float(np.max(errors, initial=0.0))
+    if not worst <= 1e-6:
+        j = int(np.argmax(errors))
+        raise IllConditionedError(
+            f"closed-form flux divergence disagrees with finite differences "
+            f"(relative error {worst:.3e})", value=float(fd[j]), disagreement=worst)
+    return worst
+
+
+def verify_CKNp(ckn: CknParams, u, seed: int = 0, n_div_points: int = 20) -> IdentityReport:
     """Check the CKN product identity with kappa0 taken from the integrals.
 
     Also spot-checks the closed-form flux divergence
     [n + p(alpha+gamma1)] |x'|^(alpha p) |x|^(gamma1 p) against finite
-    differences at sampled support points (relative error <= 1e-6 required).
+    differences at n_div_points support points (relative error <= 1e-6
+    required, IllConditionedError otherwise).
     """
     flags = admissible_ckn(ckn)
     if not flags.normalized:
         raise ValueError("verify_CKNp requires the normalized exponent relation")
     _check_support_clear(u, ckn.n - 1)
-    pts, wts = _support_nodes(u, panels, degree)
-
-    V, F, fmag, div_closed = _ckn_fields(ckn, pts)
-    uval = u.value(pts)
-    ugrad = u.gradient(pts)
     p = ckn.p
 
-    i_grad = float(np.sum(wts * V * np.linalg.norm(ugrad, axis=-1) ** p))
-    i_field = float(np.sum(wts * V * fmag ** p * np.abs(uval) ** p))
-    if i_grad == 0.0 or i_field == 0.0:
-        return IdentityReport(0.0, {"divergence_term": 0.0, "remainder_term": 0.0}, 0.0)
+    def terms(pts, wts):
+        V, F, fmag, div_closed = _ckn_fields(ckn, pts)
+        uval = u.value(pts)
+        ugrad = u.gradient(pts)
+        i_grad = float(np.sum(wts * V * np.linalg.norm(ugrad, axis=-1) ** p))
+        i_field = float(np.sum(wts * V * fmag ** p * np.abs(uval) ** p))
+        if i_grad == 0.0 or i_field == 0.0:
+            return 0.0, {"divergence_term": 0.0, "remainder_term": 0.0}
+        kappa0 = (i_grad / i_field) ** ((p - 1.0) / p)
+        lhs = i_grad ** (1.0 / p) * i_field ** ((p - 1.0) / p)
+        t_div = float(np.sum(wts * div_closed * np.abs(uval) ** p)) / p
+        rvals = _r_rows(ugrad, (uval * kappa0 ** (1.0 / (p - 1.0)))[:, None] * F, p)
+        t_rem = float(np.sum(wts * V / (p * kappa0) * rvals))
+        return lhs, {"divergence_term": t_div, "remainder_term": t_rem}
 
-    kappa0 = (i_grad / i_field) ** ((p - 1.0) / p)
-    lhs = i_grad ** (1.0 / p) * i_field ** ((p - 1.0) / p)
-    t_div = float(np.sum(wts * div_closed * np.abs(uval) ** p)) / p
-    rvals = _r_rows(ugrad, (uval * kappa0 ** (1.0 / (p - 1.0)))[:, None] * F, p)
-    t_rem = float(np.sum(wts * V / (p * kappa0) * rvals))
-    report = _residual(lhs, {"divergence_term": t_div, "remainder_term": t_rem})
-
-    # pointwise FD check of the closed-form flux divergence
-    rng = np.random.default_rng(seed)
-    center = np.asarray(u.center)
-    worst = 0.0
-    for _ in range(n_div_points):
-        direction = rng.normal(size=ckn.n)
-        direction /= np.linalg.norm(direction)
-        x = center + rng.uniform(0.2, 1.5) * u.width * direction
-        fd = _ckn_flux_divergence_fd(ckn, x, 1e-4 * (1.0 + float(np.linalg.norm(x))))
-        s, r = axis_norms(x, ckn.n - 1)
-        closed = ((ckn.n + p * (ckn.alpha + ckn.gamma1))
-                  * s ** (ckn.alpha * p) * r ** (ckn.gamma1 * p))
-        worst = max(worst, abs(fd - closed) / max(abs(closed), 1e-300))
-    if worst > 1e-6:
-        raise ArithmeticError(
-            f"closed-form flux divergence disagrees with finite differences "
-            f"(relative error {worst:.3e})")
+    report = _two_orders(u, terms)
+    _ckn_divergence_spot_check(ckn, u, seed, n_div_points)
     return report
 
 
@@ -433,8 +467,7 @@ class SpotTestReport:
     constant: float
 
 
-def hardy_spot_test(params: HardyParams, bumps, panels: int = 4,
-                    degree: int = 20) -> SpotTestReport:
+def hardy_spot_test(params: HardyParams, bumps) -> SpotTestReport:
     """Rayleigh quotients of arbitrary bumps must dominate the closed constant."""
     bumps = list(bumps)
     if not bumps:
@@ -443,7 +476,7 @@ def hardy_spot_test(params: HardyParams, bumps, panels: int = 4,
     best = math.inf
     for u in bumps:
         _check_support_clear(u, params.k)
-        pts, wts = _support_nodes(u, panels, degree)
+        pts, wts = _ball_nodes(u, _ORDERS[0])
         s, r = axis_norms(pts, params.k)
         v = s ** (p * (params.alpha + 1.0)) * r ** (p * params.beta)
         num = float(np.sum(wts * v * np.linalg.norm(u.gradient(pts), axis=-1) ** p))

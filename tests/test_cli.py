@@ -132,6 +132,19 @@ class TestErrorExitCodes:
         assert json.loads(proc.stdout)["extrapolated"] == pytest.approx(
             (2.0 / 1.8) ** 1.8, rel=0.02)
 
+    def test_flux_divergence_mismatch_is_a_failed_check(self, capsys, monkeypatch):
+        import anisohardy.identities as identities
+        exact = identities._ckn_flux_divergence_fd
+        monkeypatch.setattr(identities, "_ckn_flux_divergence_fd",
+                            lambda ckn, x, h: 1.01 * exact(ckn, x, h))
+        code, out, err = run_cli(capsys, "verify", "--which", "CKNp", "--count", "1")
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        doc = json.loads(err, parse_constant=lambda name: pytest.fail(f"non-strict {name}"))
+        assert doc["type"] == "IllConditionedError"
+        assert math.isfinite(doc["value"])
+
     def test_bad_input_is_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "constant", "--n", "3", "--k", "7")
         assert code == 2
@@ -156,6 +169,9 @@ class TestVerifyCommand:
         assert code == 0
         doc = parse_json(out)
         assert doc["count"] == count and doc["passes"] == count
+        if which in ("E2", "Ep", "CKNp"):
+            assert all(r["nodes"] > 0 and 0.0 <= r["err_estimate"] < 1e-4
+                       for r in doc["reports"])
 
 
 class TestCknCommand:

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from anisohardy import (BumpFunction, CknParams, ExponentPair, HardyParams,
-                        WeightSpec, branch_candidates, ckn_extremal_check,
-                        hardy_spot_test, r_functional, sharp_constant_p2,
-                        verify_CKNp, verify_E2, verify_Ep)
-from anisohardy.errors import EmptyInputError, SupportViolationError
-from anisohardy.identities import _log_f_gradient, _r_rows, _support_nodes
-from anisohardy.report import sample_e2_config
+                        WeightSpec, admissible_ckn, branch_candidates,
+                        ckn_extremal_check, hardy_spot_test, r_functional,
+                        sharp_constant_p2, sphere_area, verify_CKNp, verify_E2,
+                        verify_Ep)
+from anisohardy.errors import (EmptyInputError, NegativeRemainderError,
+                               NotConvergedError, SupportViolationError)
+from anisohardy.identities import (_ball_nodes, _ckn_divergence_spot_check,
+                                   _log_f_gradient, _r_rows, _sphere_rule)
+from anisohardy.report import sample_ckn_config, sample_e2_config, sample_ep_config
 from anisohardy.weights import axis_norms
 
 
@@ -35,6 +38,49 @@ class TestRFunctional:
 
     def test_zero_y_limit(self):
         assert r_functional([2.0, 0.0], [0.0, 0.0], 1.5) == pytest.approx(2.0 ** 1.5)
+
+    def test_negative_beyond_rounding_raises(self):
+        # p < 1 makes (p-1)|Y|^p negative: R = -0.5, far below the floor
+        with pytest.raises(NegativeRemainderError):
+            _r_rows(np.zeros((1, 2)), np.array([[1.0, 0.0]]), 0.5)
+
+
+class TestBallRule:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_sphere_moments(self, n):
+        dirs, w = _sphere_rule(n, 16)
+        assert np.sum(w) == pytest.approx(sphere_area(n), rel=1e-14)
+        # int omega_i^2 = area / n for every coordinate
+        moments = [np.sum(w * dirs[:, i] ** 2) for i in range(n)]
+        assert moments == pytest.approx([sphere_area(n) / n] * n, rel=1e-14)
+        assert np.linalg.norm(dirs, axis=-1) == pytest.approx(np.ones(len(w)), abs=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ball_weights_sum_to_volume(self, n):
+        u = BumpFunction(center=(1.0,) * (n - 1) + (-0.5,), width=0.1)
+        pts, w = _ball_nodes(u, 12)
+        assert np.sum(w) == pytest.approx(sphere_area(n) / n * 0.2 ** n, rel=1e-13)
+        assert np.max(np.linalg.norm(pts - np.asarray(u.center), axis=-1)) < 0.2
+
+    def test_n4_checks_pass_their_gates(self):
+        u = BumpFunction(center=(1.0, -0.9, 0.7, 0.5), width=0.1,
+                         polynomial_degree=1, coefficients=(1.0, 0.4))
+        e2 = verify_E2(WeightSpec(HardyParams(4, 2.0, -0.25, 0.25),
+                                  exponents=ExponentPair(0.4, -0.3)), u)
+        ep = verify_Ep(WeightSpec(HardyParams(4, 1.5, 0.0, 0.2), gamma=-0.5), u)
+        assert e2.residual_rel <= 1e-6 and e2.err_estimate <= 1e-6
+        assert ep.residual_rel <= 1e-5 and ep.err_estimate <= 1e-5
+        assert e2.nodes == ep.nodes == 32 * 32 * 16 * 16
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_err_estimate_bounds_lhs_error(self, index):
+        p = (1.5, 2.0, 3.0, 4.0)[index]
+        spec, u = sample_ep_config(304, index, p)
+        rep = verify_Ep(spec, u)
+        pts, wts = _ball_nodes(u, 48)
+        ref = np.sum(wts * spec.V(pts) * np.linalg.norm(u.gradient(pts), axis=-1) ** p)
+        denom = abs(rep.lhs) + sum(abs(v) for v in rep.rhs_terms.values())
+        assert abs(rep.lhs - ref) / denom <= rep.err_estimate + 1e-14
 
 
 class TestBumpFunction:
@@ -138,7 +184,7 @@ class TestVerifyE2:
     @pytest.mark.parametrize("index", range(4))
     def test_ratio_gradient_matches_finite_differences(self, index):
         spec, u = sample_e2_config(7, index)
-        pts, _ = _support_nodes(u, 2, 6)
+        pts, _ = _ball_nodes(u, 6)
         analytic = ((u.gradient(pts) - u.value(pts)[:, None] * _log_f_gradient(spec, pts))
                     / spec.f(pts)[:, None])
         fd = self._fd_gradient(lambda z: u.value(z) / spec.f(z), pts)
@@ -220,6 +266,43 @@ class TestVerifyCKNp:
         assert rep.lhs == 0.0
         assert rep.residual_rel == 0.0
 
+    @staticmethod
+    def _loop_spot_check(ckn, u, seed=0, count=20):
+        # one point and one coordinate at a time, as the check was first written
+        def phi(z, i):
+            s, r = axis_norms(z, ckn.n - 1)
+            return (s ** (ckn.beta * (ckn.p - 1.0) + ckn.mu)
+                    * r ** (ckn.gamma3 * (ckn.p - 1.0) + ckn.gamma2 - 1.0)) * z[i]
+
+        def div_at(x, step):
+            total = 0.0
+            for i in range(ckn.n):
+                e = np.zeros(ckn.n)
+                e[i] = step
+                total += (phi(x + e, i) - phi(x - e, i)) / (2.0 * step)
+            return total
+
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(count):
+            direction = rng.normal(size=ckn.n)
+            direction /= np.linalg.norm(direction)
+            x = np.asarray(u.center) + rng.uniform(0.2, 1.5) * u.width * direction
+            h = 1e-4 * (1.0 + float(np.linalg.norm(x)))
+            fd = (4.0 * div_at(x, 0.5 * h) - div_at(x, h)) / 3.0
+            s, r = axis_norms(x, ckn.n - 1)
+            closed = ((ckn.n + ckn.p * (ckn.alpha + ckn.gamma1))
+                      * s ** (ckn.alpha * ckn.p) * r ** (ckn.gamma1 * ckn.p))
+            worst = max(worst, abs(fd - closed) / max(abs(closed), 1e-300))
+        return worst
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_array_spot_check_matches_loop(self, index):
+        ckn, u = sample_ckn_config(305, index)
+        worst = _ckn_divergence_spot_check(ckn, u, 0, 20)
+        assert worst == pytest.approx(self._loop_spot_check(ckn, u), abs=1e-12)
+        assert 0.0 < worst <= 1e-6
+
 
 class TestCknExtremal:
     def test_unit_quotient_n3(self):
@@ -240,6 +323,27 @@ class TestCknExtremal:
         rep = ckn_extremal_check(ckn)
         assert rep.constant == pytest.approx(0.021873, rel=1e-4)
         assert rep.quotient == pytest.approx(rep.constant, abs=1e-3)
+
+    def test_remainder_floor_scales_with_its_terms(self):
+        # R cancels terms that grow like r^(p(m-1)) as r -> 0; an absolute
+        # -1e-12 floor raised on 5 of these 40 draws (R down to -6.0e-8)
+        rng = np.random.default_rng(11)
+        reached = 0
+        for _ in range(40):
+            n = int(rng.choice((2, 3, 4)))
+            p = float(rng.choice((2, 3, 4)))
+            a = float(rng.uniform(-0.3, 0.3))
+            g2, g3 = (float(g) for g in rng.uniform(-0.25, 0.25, size=2))
+            ckn = CknParams(n, p, a, a, a, (g3 * (p - 1.0) + g2 - 1.0) / p, g2, g3)
+            if not admissible_ckn(ckn).all_ok:
+                continue
+            try:
+                rep = ckn_extremal_check(ckn)
+            except NotConvergedError:
+                continue  # a radial exponent in (-1, -0.95], past the tanh-sinh window
+            assert rep.quotient == pytest.approx(rep.constant, rel=1e-8)
+            reached += 1
+        assert reached >= 38
 
     def test_requires_symmetric_exponents(self):
         with pytest.raises(ValueError):
