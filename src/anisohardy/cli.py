@@ -8,8 +8,7 @@ order and every random draw comes from a generator seeded by (seed, index).
 Exit codes: 0 success / all checks passed, 1 at least one check failed,
 2 invalid or inadmissible input; an error maps to 1 or 2 through _EXIT_CODES.
 
-Parallelism is governed by the ANISOHARDY_WORKERS environment variable
-(defaults to all cores); there is no other environment configuration.
+Every command runs serially; there is no environment configuration.
 """
 
 from __future__ import annotations
@@ -89,21 +88,22 @@ def _json_default(obj):
 
 
 def _emit(doc: dict, quiet: bool = False):
+    """Print doc as strict JSON; a non-finite float raises ValueError."""
     text = json.dumps(doc, indent=None if quiet else 2, sort_keys=True,
-                      default=_json_default)
+                      default=_json_default, allow_nan=False)
     print(text)
 
 
 def _fail(exc: Exception) -> int:
-    """Print exc as one JSON document on stderr, with the value, residual or
-    error estimate it carries (null when not finite); return its exit code."""
+    """Print exc as one JSON document on stderr, with the numbers it carries
+    (null when not finite); return its exit code."""
     code = next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
     doc = {"error": str(exc), "type": type(exc).__name__}
-    for key in ("value", "residual", "err_estimate"):
+    for key in ("value", "residual", "err_estimate", "disagreement"):
         if hasattr(exc, key):
             val = float(getattr(exc, key))
             doc[key] = val if math.isfinite(val) else None
-    print(json.dumps(doc, sort_keys=True), file=sys.stderr)
+    print(json.dumps(doc, sort_keys=True, allow_nan=False), file=sys.stderr)
     return code
 
 
@@ -158,14 +158,11 @@ def cmd_constant(args) -> int:
     if args.ckn:
         return _cmd_constant_ckn(args)
     params = _hardy_from_args(args)
-    seed = args.seed or 0
-    manifest = _manifest("constant", {
-        "n": params.n, "p": params.p, "alpha": params.alpha,
-        "beta": params.beta, "k": params.k}, seed)
+    manifest = _manifest("constant", asdict(params), args.seed or 0)
     if not admissible_hardy(params):
-        print(json.dumps({"admissible": False,
-                          "violated": _named_admissibility_failure(params),
-                          "manifest": manifest}, indent=2, sort_keys=True))
+        _emit({"admissible": False,
+               "violated": _named_admissibility_failure(params),
+               "manifest": manifest}, args.quiet)
         return EXIT_BAD_INPUT
     regime = compute_K(params)
     if params.p == 2:
@@ -187,15 +184,12 @@ def _ckn_from_args(args) -> CknParams:
 
 def _cmd_constant_ckn(args) -> int:
     ckn = _ckn_from_args(args)
-    manifest = _manifest("constant", {
-        "ckn": True, "n": ckn.n, "p": ckn.p, "alpha": ckn.alpha,
-        "beta": ckn.beta, "mu": ckn.mu, "gamma1": ckn.gamma1,
-        "gamma2": ckn.gamma2, "gamma3": ckn.gamma3}, args.seed or 0)
+    manifest = _manifest("constant", {"ckn": True, **asdict(ckn)}, args.seed or 0)
     flags = admissible_ckn(ckn)
     doc = {"integrable": flags.integrable, "balanced": flags.balanced,
            "normalized": flags.normalized, "manifest": manifest}
     if not flags.all_ok:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _emit(doc, args.quiet)
         return EXIT_BAD_INPUT
     result = ckn_constant(ckn)
     doc.update({"constant": result.value, "kind": result.kind.value,
@@ -225,9 +219,7 @@ def cmd_optimize(args) -> int:
                         "branch": closed.branch.value},
         "abs_diff": abs(rep.value - closed.value),
         "agrees": abs(rep.value - closed.value) <= 1e-6 * (1.0 + abs(closed.value)),
-        "manifest": _manifest("optimize", {
-            "n": params.n, "p": params.p, "alpha": params.alpha,
-            "beta": params.beta, "k": params.k}, args.seed or 0),
+        "manifest": _manifest("optimize", asdict(params), args.seed or 0),
     }
     _emit(doc, args.quiet)
     return EXIT_OK
@@ -251,10 +243,8 @@ def cmd_rayleigh(args) -> int:
     eps = _parse_list(args.eps_list) if args.eps_list else None
     sigma = _parse_list(args.sigma_list) if args.sigma_list else None
     res = sweep_and_extrapolate(params, eps_list=eps, sigma_list=sigma)
-    manifest = _manifest("rayleigh", {
-        "n": params.n, "p": params.p, "alpha": params.alpha,
-        "beta": params.beta, "k": params.k,
-        "eps_list": eps, "sigma_list": sigma}, args.seed or 0)
+    manifest = _manifest("rayleigh", {**asdict(params), "eps_list": eps,
+                                      "sigma_list": sigma}, args.seed or 0)
     if args.format == "csv":
         sys.stdout.write(_sweep_rows_csv(res.rows))
         print(f"# extrapolated {res.extrapolated!r} model {res.fit.model.value!r} "
@@ -401,12 +391,9 @@ def cmd_ckn(args) -> int:
     flags = admissible_ckn(ckn)
     doc = {"integrable": flags.integrable, "balanced": flags.balanced,
            "normalized": flags.normalized,
-           "manifest": _manifest("ckn", {
-               "n": ckn.n, "p": ckn.p, "alpha": ckn.alpha, "beta": ckn.beta,
-               "mu": ckn.mu, "gamma1": ckn.gamma1, "gamma2": ckn.gamma2,
-               "gamma3": ckn.gamma3}, args.seed or 0)}
+           "manifest": _manifest("ckn", asdict(ckn), args.seed or 0)}
     if not flags.all_ok:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _emit(doc, args.quiet)
         return EXIT_BAD_INPUT
     result = ckn_constant(ckn)
     doc.update({"constant": result.value, "kind": result.kind.value})

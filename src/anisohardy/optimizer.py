@@ -1,12 +1,13 @@
 """Independent numeric oracle: maximize H1 over the feasible set {H2 >= 0}.
 
-This module never touches the closed-form constants.  Phase one is a dense
-grid over [-B, B]^2 with a small feasibility slack; phase two refines on the
-active constraint, which is a graph theta(lam) = -lam(n+2a+2b+lam)/(2(lam+b))
-over each side of the pole lam = -b, plus the unconstrained vertex of H when
-the constraint quadratic has a real root there.  Since H1 has no interior
-critical point, the feasible maximum always sits on {H2 = 0}, so scanning
-the two branches and the vertex candidate is exhaustive.
+This module never touches the closed-form constants.  Phase one is an
+801 x 801 grid over [-B, B]^2 with a small feasibility slack, evaluated only
+where a row can peak; phase two refines on the active constraint, which is
+a graph theta(lam) = -lam(n+2a+2b+lam)/(2(lam+b)) over each side of the pole
+lam = -b, plus the unconstrained vertex of H when the constraint quadratic
+has a real root there.  Since H1 has no interior critical point, the
+feasible maximum always sits on {H2 = 0}, so scanning the two branches and
+the vertex candidate is exhaustive.
 
 The same search validates the general-axis formula: for k < n-1 the
 objective is the general quadratic H1 = -theta(k+2a+theta) - H2 with the
@@ -74,6 +75,27 @@ def _golden_max(fn, lo: float, hi: float, tol: float = 1e-10):
     return mid, fn(mid)
 
 
+def _grid_max(n: int, k: int, a: float, b: float, B: float) -> float:
+    """Max of H1 over the 801 x 801 grid on [-B, B]^2 where H2 >= slack.
+
+    On a theta row H1 = q(theta) - H2 and rounded subtraction is monotone, so
+    the row maximum sits at the feasible lam of least H2: next to a root of
+    the convex quadratic H2 = slack in lam, or next to its vertex, where both
+    anchors fall when there is no root.  The 6 grid points around each anchor,
+    evaluated with the dense grid's expressions, give its maximum bit for bit.
+    """
+    axis = np.linspace(-B, B, 801)
+    c = n + 2.0 * a + 2.0 * b + 2.0 * axis
+    half = 0.5 * np.sqrt(np.maximum(c * c - 4.0 * (2.0 * b * axis - _GRID_SLACK), 0.0))
+    anchors = (-0.5 * c)[:, None] + np.array([-1.0, 1.0]) * half[:, None]
+    near = np.clip(np.floor((anchors + B) * (400.0 / B)), -3.0, 803.0).astype(np.intp)
+    th = axis[:, None]
+    la = axis[np.clip(near[:, :, None] + np.arange(-2, 4), 0, 800).reshape(801, 12)]
+    h2g = la * (n + 2.0 * a + 2.0 * b + 2.0 * th + la) + 2.0 * b * th
+    h1g = -th * (k + 2.0 * a + th) - h2g
+    return float(np.max(np.where(h2g >= _GRID_SLACK, h1g, -np.inf)))
+
+
 def maximize(params: HardyParams) -> OptimizerReport:
     """Two-phase search for max H1 subject to H2 >= 0 (p = 2, any k).
 
@@ -97,14 +119,8 @@ def maximize(params: HardyParams) -> OptimizerReport:
         raise RuntimeError("search box too small for the branch points; "
                            "this should be impossible for admissible input")
 
-    # phase 1: dense grid with feasibility slack
-    axis = np.linspace(-B, B, 801)
-    th = axis[:, None]
-    la = axis[None, :]
-    h2g = la * (n + 2.0 * a + 2.0 * b + 2.0 * th + la) + 2.0 * b * th
-    h1g = -th * (k + 2.0 * a + th) - h2g
-    feasible = h2g >= _GRID_SLACK
-    grid_value = float(np.max(np.where(feasible, h1g, -np.inf)))
+    # phase 1: grid maximum with feasibility slack
+    grid_value = _grid_max(n, k, a, b, B)
 
     # phase 2: vertex candidate (constraint root at the vertex of H, if real)
     candidates: list[tuple[float, float, float]] = []  # (value, theta, lam)

@@ -22,6 +22,8 @@ family certifies sharpness.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,11 +37,26 @@ _FORM_AGREE_TOL = 1e-12
 _EQ_TOL = 1e-12
 
 
+def _check_finite(**values):
+    for name, val in values.items():
+        if not math.isfinite(val):
+            raise ValueError(f"{name} must be finite, got {val!r}")
+
+
+def _set_int(obj, name: str, lo: int, hi: float = math.inf):
+    """Store obj.name as an int in [lo, hi]; numpy integers are taken too."""
+    val = getattr(obj, name)
+    if not isinstance(val, numbers.Integral) or not lo <= val <= hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {val!r}")
+    object.__setattr__(obj, name, int(val))
+
+
 @dataclass(frozen=True)
 class HardyParams:
     """One instance (n, p, alpha, beta, k) of the anisotropic Hardy inequality.
 
     k defaults to n-1, the codimension-one axis split.  p = 1 is accepted.
+    n and k are stored as int; p, alpha and beta must be finite.
     """
 
     n: int
@@ -49,12 +66,11 @@ class HardyParams:
     k: int | None = None
 
     def __post_init__(self):
+        _set_int(self, "n", 2)
         if self.k is None:
             object.__setattr__(self, "k", self.n - 1)
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
-        if not isinstance(self.k, int) or not 1 <= self.k <= self.n - 1:
-            raise ValueError(f"k must be an integer in [1, n-1], got k={self.k!r} for n={self.n}")
+        _set_int(self, "k", 1, self.n - 1)
+        _check_finite(p=self.p, alpha=self.alpha, beta=self.beta)
         if not self.p >= 1:
             raise ValueError(f"p must be >= 1, got {self.p!r}")
 
@@ -70,6 +86,9 @@ class ExponentPair:
 
     theta: float
     lam: float
+
+    def __post_init__(self):
+        _check_finite(theta=self.theta, lam=self.lam)
 
 
 def admissible_hardy(params: HardyParams) -> bool:
@@ -101,8 +120,9 @@ class CknParams:
     gamma3: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
+        _set_int(self, "n", 2)
+        _check_finite(p=self.p, alpha=self.alpha, beta=self.beta, mu=self.mu,
+                      gamma1=self.gamma1, gamma2=self.gamma2, gamma3=self.gamma3)
         if not self.p > 1:
             raise ValueError(f"CknParams requires p > 1, got {self.p!r}")
 

@@ -24,8 +24,6 @@ denominator both grow like |ln eps|.  Extrapolation fits exactly that model.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -393,23 +391,6 @@ def _fit_pole_ratio(x, num_slopes, den_slopes):
     return value, max(rms, abs(value - lower))
 
 
-def _max_workers() -> int:
-    env = os.environ.get("ANISOHARDY_WORKERS", "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def _pmap(fn, items):
-    """Order-preserving map, threaded when ANISOHARDY_WORKERS allows."""
-    items = list(items)
-    workers = min(_max_workers(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None,
                           spec: QuadratureSpec | None = None) -> SweepResult:
     """Sweep eps (and sigma), extrapolate the quotient to the sharp constant.
@@ -420,7 +401,9 @@ def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None,
     (_fit_pole_ratio).  The default sigma schedule is DEFAULT_SIGMA, times
     2/p for general p.  Raises FitUnstableError (carrying the value) when
     the fitted constant or its residual is not finite, or the residual
-    exceeds 5% of the constant.
+    exceeds 5% of the constant.  Raises ValueError unless eps_list is
+    strictly decreasing in (0, 1) and the sigmas are distinct, positive and
+    finite.
     """
     eps_list = [float(e) for e in (eps_list if eps_list is not None else DEFAULT_EPS)]
     if not eps_list or any(not 0.0 < e < 1.0 for e in eps_list):
@@ -428,24 +411,13 @@ def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None,
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
 
-    if params.p == 2:
-        regime = compute_K(params)
-        two_stage = regime.family is not RegimeFamily.K_GT_1
-    else:
-        if params.beta < 0.0:
-            raise UnsupportedRegimeError(
-                "no sharpness family exists for beta < 0, p != 2")
-        two_stage = True
-
-    if not two_stage:
+    if params.p != 2 and params.beta < 0.0:
+        raise UnsupportedRegimeError(
+            "no sharpness family exists for beta < 0, p != 2")
+    if params.p == 2 and compute_K(params).family is RegimeFamily.K_GT_1:
         if sigma_list:
             raise ValueError("sigma_list is forbidden for the K > 1 family")
-        families = [make_family(params, e) for e in eps_list]
-        parts = _pmap(lambda f: quotient_p2(f, spec), families)
-        rows = tuple(SweepRow(f.epsilon, 0.0, q.numerator, q.denominator, q.quotient)
-                     for f, q in zip(families, parts))
-        extrapolated, resid = _extrapolate_eps(eps_list, rows, log_affine=True)
-        fit = FitInfo(FitModel.INV_LOG_EPS, resid)
+        kind, sigmas = FamilyKind.P2_K_GT_1, [0.0]
     else:
         if sigma_list is None:
             # the general-p family's angular exponent is -1 + p*sigma, so its
@@ -454,6 +426,8 @@ def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None,
         sigmas = [float(s) for s in sigma_list]
         if not sigmas:
             raise ValueError("sigma_list is required for this regime")
+        if any(not 0.0 < s < math.inf for s in sigmas) or len(set(sigmas)) < len(sigmas):
+            raise ValueError("sigma_list entries must be distinct, positive and finite")
         if params.p != 2:
             kind = FamilyKind.GENERAL_P_BETA_NONNEG
         elif compute_K(params).family is RegimeFamily.K_EQ_1:
@@ -467,17 +441,18 @@ def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None,
                 # too close to K = 1 for the K < 1 family; the K = 1 family
                 # is the robust one at the boundary
                 kind = FamilyKind.P2_K_EQ_1
-        grid = [(s, e) for s in sigmas for e in eps_list]
+    quotient = (quotient_general_p if kind is FamilyKind.GENERAL_P_BETA_NONNEG
+                else quotient_p2)
 
-        def one(se):
-            s, e = se
-            fam = TrialFamily(kind, params, e, s)
-            q = (quotient_general_p(fam, spec)
-                 if fam.kind is FamilyKind.GENERAL_P_BETA_NONNEG
-                 else quotient_p2(fam, spec))
-            return SweepRow(e, s, q.numerator, q.denominator, q.quotient)
+    def row(s, e):
+        q = quotient(TrialFamily(kind, params, e, s), spec)
+        return SweepRow(e, s, q.numerator, q.denominator, q.quotient)
 
-        rows = tuple(_pmap(one, grid))
+    rows = tuple(row(s, e) for s in sigmas for e in eps_list)
+    if kind is FamilyKind.P2_K_GT_1:
+        extrapolated, resid = _extrapolate_eps(eps_list, rows, log_affine=True)
+        fit = FitInfo(FitModel.INV_LOG_EPS, resid)
+    else:
         slices = [[r for r in rows if r.sigma == s] for s in sigmas]
         if kind is FamilyKind.GENERAL_P_BETA_NONNEG:
             lines = [_eps_lines(eps_list, sl) for sl in slices]

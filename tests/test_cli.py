@@ -22,6 +22,11 @@ def parse_json(out: str) -> dict:
     return json.loads(out)
 
 
+def strict_json(text: str) -> dict:
+    """Parse text, failing on NaN or Infinity."""
+    return json.loads(text, parse_constant=lambda name: pytest.fail(f"non-strict {name}"))
+
+
 class TestConstantCommand:
     def test_paper_vector(self, capsys):
         code, out, _ = run_cli(capsys, "constant", "--n", "3", "--p", "2",
@@ -141,14 +146,42 @@ class TestErrorExitCodes:
         assert code == 1
         assert out == ""
         assert "Traceback" not in err
-        doc = json.loads(err, parse_constant=lambda name: pytest.fail(f"non-strict {name}"))
+        doc = strict_json(err)
         assert doc["type"] == "IllConditionedError"
         assert math.isfinite(doc["value"])
+        assert doc["disagreement"] == pytest.approx(0.01, rel=0.1)
 
     def test_bad_input_is_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "constant", "--n", "3", "--k", "7")
         assert code == 2
         assert json.loads(err)["type"] == "ValueError"
+
+    @pytest.mark.parametrize("argv", [
+        ("constant", "--n", "3", "--p", "2", "--alpha", "inf", "--beta", "0"),
+        ("constant", "--n", "3", "--p", "3", "--alpha", "0", "--beta", "inf"),
+        ("constant", "--n", "3", "--p", "inf"),
+        ("constant", "--n", "3", "--alpha", "nan"),
+        ("optimize", "--n", "3", "--beta=-inf"),
+        ("ckn", "--n", "3", "--p", "2", "--gamma1", "inf"),
+        ("constant", "--ckn", "--n", "3", "--p", "2", "--mu=nan"),
+    ])
+    def test_non_finite_parameter_is_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        doc = strict_json(err)
+        assert doc["type"] == "ValueError" and "finite" in doc["error"]
+
+    @pytest.mark.parametrize("sigmas", ["0.1,0.1", "0.1,0,0.05", "0.1,-0.05"])
+    def test_bad_sigma_list_is_exit_2(self, capsys, sigmas):
+        code, out, err = run_cli(capsys, "rayleigh", "--n", "3", "--p", "2",
+                                 "--alpha", "0", "--beta", "0.5",
+                                 "--eps-list", "1e-2,1e-3", "--sigma-list", sigmas)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert strict_json(err)["type"] == "ValueError"
 
 
 class TestVerifyCommand:

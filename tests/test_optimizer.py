@@ -6,7 +6,9 @@ import pytest
 from anisohardy import (HardyParams, OptimizerBranch, admissible_hardy,
                         maximize, sharp_constant_general_k_p2,
                         sharp_constant_p2, sweep_regimes)
-from anisohardy.errors import InadmissibleParamsError
+from anisohardy import optimizer
+from anisohardy.errors import InadmissibleParamsError, OptimizerStalledError
+from anisohardy.report import sample_admissible
 
 BEST_02 = (2.0 * math.sqrt(3.0) - 3.0) / 4.0
 
@@ -91,6 +93,67 @@ class TestMaximize:
         values = [maximize(HardyParams(3, 2.0, 0.0, b)).value
                   for b in np.linspace(0.0, -1.4, 15)]
         assert all(b <= a + 1e-8 for a, b in zip(values, values[1:]))
+
+
+def _box(n, a, b):
+    return 2.0 * (n + 2.0 * abs(a) + 2.0 * abs(b)) + 4.0
+
+
+def _dense_grid_max(n, k, a, b, B):
+    """Every point of the 801 x 801 phase-one grid, the reference for
+    _grid_max; blocks of 32 rows only keep the arrays in cache."""
+    axis = np.linspace(-B, B, 801)
+    la = axis[None, :]
+    best = -np.inf
+    for start in range(0, 801, 32):
+        th = axis[start:start + 32, None]
+        h2g = la * (n + 2.0 * a + 2.0 * b + 2.0 * th + la) + 2.0 * b * th
+        h1g = -th * (k + 2.0 * a + th) - h2g
+        best = max(best, float(np.max(np.where(h2g >= optimizer._GRID_SLACK, h1g, -np.inf))))
+    return best
+
+
+class TestGridMax:
+    def test_matches_dense_grid_on_seeded_draws(self):
+        rng = np.random.default_rng(2024)
+        for i in range(2000):
+            n = int(rng.integers(2, 7))
+            k = int(rng.integers(1, n))
+            a, b = (float(v) for v in rng.uniform(-3.0, 3.0, size=2))
+            if i % 5 == 0:
+                b = 0.0
+            if i % 7 == 0:
+                a = -k / 2.0
+            B = _box(n, a, b)
+            assert optimizer._grid_max(n, k, a, b, B) == _dense_grid_max(n, k, a, b, B), \
+                (n, k, a, b)
+
+    def test_matches_dense_grid_on_criterion_3(self):
+        rng = np.random.default_rng(101)  # the draws of report.run_criterion_3
+        for _ in range(200):
+            prm = sample_admissible(rng)
+            args = (prm.n, prm.k, prm.alpha, prm.beta, _box(prm.n, prm.alpha, prm.beta))
+            assert optimizer._grid_max(*args) == _dense_grid_max(*args), prm
+
+    @pytest.mark.parametrize("params", [
+        HardyParams(3, 2.0, -0.5, -0.5),
+        HardyParams(5, 2.0, 0.3, -1.0),
+        HardyParams(5, 2.0, 0.4, -0.9, 2),
+    ])
+    def test_stall_check_keeps_its_threshold(self, params, monkeypatch):
+        grid = maximize(params).diagnostics.grid_value
+        golden = optimizer._golden_max
+        for shortfall, stalls in ((1e-3, True), (0.5 * optimizer._STALL_TOL, False)):
+            def short(fn, lo, hi, tol=1e-10):
+                lam, val = golden(fn, lo, hi, tol)
+                return lam, min(val, grid - shortfall)
+
+            monkeypatch.setattr(optimizer, "_golden_max", short)
+            if stalls:
+                with pytest.raises(OptimizerStalledError):
+                    maximize(params)
+            else:
+                assert maximize(params).value == grid - shortfall
 
 
 class TestSweepRegimes:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisohardy import (CknParams, HardyParams, RegimeFamily, admissible_ckn,
-                        admissible_hardy, compute_K)
+from anisohardy import (CknParams, ExponentPair, HardyParams, RegimeFamily,
+                        admissible_ckn, admissible_hardy, compute_K)
 from anisohardy.errors import InadmissibleParamsError
 
 
@@ -20,10 +20,22 @@ class TestHardyParams:
         dict(n=3, k=0),
         dict(n=3, k=3),
         dict(n=3, p=0.5),
+        dict(n=3.0),
+        dict(n=3, k=1.0),
+        dict(n=3, p=math.inf),
+        dict(n=3, alpha=math.inf),
+        dict(n=3, beta=-math.inf),
+        dict(n=3, alpha=math.nan),
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             HardyParams(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        params = HardyParams(np.int64(3), 2.0, 0.0, 0.0, np.int32(1))
+        assert params == HardyParams(3, 2.0, 0.0, 0.0, 1)
+        assert type(params.n) is int and type(params.k) is int
+        assert type(HardyParams(np.int64(4)).k) is int
 
 
 class TestAdmissibleHardy:
@@ -64,6 +76,15 @@ class TestAdmissibleCkn:
     def test_requires_p_above_1(self):
         with pytest.raises(ValueError):
             CknParams(3, 1.0)
+
+    @pytest.mark.parametrize("field", ["p", "alpha", "beta", "mu",
+                                       "gamma1", "gamma2", "gamma3"])
+    def test_rejects_non_finite(self, field):
+        with pytest.raises(ValueError, match=field):
+            CknParams(**{"n": 3, "p": 2.0, field: math.inf})
+
+    def test_accepts_numpy_integer_n(self):
+        assert type(CknParams(np.int64(3), 2.0).n) is int
 
 
 class TestComputeK:
@@ -109,3 +130,10 @@ class TestComputeK:
             checked += 1
             K = compute_K(params).k_value
             assert K <= (n + 2 * a) ** 2 * (1 - 1e-15)
+
+
+class TestExponentPair:
+    @pytest.mark.parametrize("theta,lam", [(math.inf, 0.0), (0.0, math.nan)])
+    def test_rejects_non_finite(self, theta, lam):
+        with pytest.raises(ValueError):
+            ExponentPair(theta, lam)
