@@ -46,7 +46,8 @@ _CSV_COLUMNS = ("epsilon", "sigma", "numerator", "denominator", "quotient")
 
 #: Exit code of each error a command may raise: 1 when a numerical check
 #: failed, 2 when the input cannot be taken (every ValueError subclass in
-#: anisohardy.errors is bad input).
+#: anisohardy.errors is bad input, and so is a --config file that cannot be
+#: read).
 _EXIT_CODES = {
     NotConvergedError: EXIT_CHECK_FAILED,
     FitUnstableError: EXIT_CHECK_FAILED,
@@ -55,6 +56,7 @@ _EXIT_CODES = {
     TruncationError: EXIT_CHECK_FAILED,
     NegativeRemainderError: EXIT_CHECK_FAILED,
     ValueError: EXIT_BAD_INPUT,
+    OSError: EXIT_BAD_INPUT,
 }
 
 
@@ -397,9 +399,7 @@ def cmd_ckn(args) -> int:
         return EXIT_BAD_INPUT
     result = ckn_constant(ckn)
     doc.update({"constant": result.value, "kind": result.kind.value})
-    symmetric = (abs(ckn.alpha - ckn.beta) <= 1e-12
-                 and abs(ckn.alpha - ckn.mu) <= 1e-12)
-    if symmetric and ckn.gamma3 - ckn.gamma2 + 1.0 > 0.0:
+    if ckn.symmetric and ckn.gamma3 - ckn.gamma2 + 1.0 > 0.0:
         rep = ckn_extremal_check(ckn)
         doc["extremal"] = {"quotient": rep.quotient, "constant": rep.constant,
                            "residual_R_max": rep.residual_R_max}
@@ -448,13 +448,21 @@ def _add_ckn_flags(sub):
     sub.add_argument("--gamma3", type=float, default=0.0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError (exit 2 via _fail)
+    instead of printing usage text and exiting."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="anisohardy",
         description="Sharp constants of anisotropic Hardy/CKN inequalities, "
                     "with optimizer, Rayleigh-sweep and identity certification.")
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--config", type=str, default=None,
@@ -508,10 +516,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; every error, a usage error too, ends as _fail's document.
+
+    Floating-point warnings are silenced: the numbers themselves carry
+    overflow and invalid results, and stderr holds at most the one error
+    document.
+    """
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except tuple(_EXIT_CODES) as exc:
         return _fail(exc)
 

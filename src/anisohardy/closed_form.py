@@ -166,7 +166,5 @@ def ckn_constant(params: CknParams) -> ConstantResult:
             f"CKN parameters rejected (integrable={flags.integrable}, "
             f"balanced={flags.balanced}, normalized={flags.normalized})")
     value = (params.n + params.p * (params.alpha + params.gamma1)) / params.p
-    symmetric = (abs(params.alpha - params.beta) <= 1e-12
-                 and abs(params.alpha - params.mu) <= 1e-12)
-    sharp = symmetric and params.gamma3 - params.gamma2 + 1.0 > 0.0
+    sharp = params.symmetric and params.gamma3 - params.gamma2 + 1.0 > 0.0
     return ConstantResult(value, Kind.SHARP if sharp else Kind.LOWER_BOUND, Branch.CKN)

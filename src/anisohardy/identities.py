@@ -413,7 +413,7 @@ def ckn_extremal_check(ckn: CknParams, kappa0: float = 1.0,
     flags = admissible_ckn(ckn)
     if not flags.all_ok:
         raise ValueError("ckn_extremal_check requires an admissible CKN instance")
-    if not (abs(ckn.alpha - ckn.beta) <= 1e-12 and abs(ckn.alpha - ckn.mu) <= 1e-12):
+    if not ckn.symmetric:
         raise ValueError("the extremal family needs alpha = beta = mu")
     m = ckn.gamma3 - ckn.gamma2 + 1.0
     if not m > 0.0:

@@ -126,6 +126,11 @@ class CknParams:
         if not self.p > 1:
             raise ValueError(f"CknParams requires p > 1, got {self.p!r}")
 
+    @property
+    def symmetric(self) -> bool:
+        """alpha = beta = mu to 1e-12, where the exponential extremal family lives."""
+        return abs(self.alpha - self.beta) <= 1e-12 and abs(self.alpha - self.mu) <= 1e-12
+
 
 @dataclass(frozen=True)
 class CknAdmissibility:

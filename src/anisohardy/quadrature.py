@@ -4,7 +4,9 @@ Integration is tanh-sinh (double-exponential): endpoint algebraic
 singularities t^c with c > -1 become regular for the transformed trapezoid
 sum, which is exactly the class produced by the spherical reduction of the
 weighted integrals here.  Levels halve the trapezoid step and the error
-estimate is the difference between consecutive levels.
+estimate is the difference between consecutive levels.  integrate_rows
+integrates several integrands on the same nodes from one evaluation per
+level; integrate_1d is its one-row case.
 
 Nodes are represented by their distance d from the nearer endpoint, so an
 integrand can be evaluated at machine-accurate offsets like b - 1e-290.  For
@@ -42,7 +44,8 @@ __all__ = [
     "QuadratureSpec", "QuadResult", "XiSpec", "Lemma1Report",
     "log_gamma", "beta", "sin_power_integral", "sphere_area",
     "cutoff_eta", "cutoff_eta_prime", "gauss_jacobi",
-    "integrate_1d", "integrate_angular", "integrate_2d", "lemma1_check",
+    "integrate_1d", "integrate_rows", "integrate_angular", "integrate_2d",
+    "lemma1_check",
 ]
 
 
@@ -178,60 +181,89 @@ def _ts_level(level: int):
     return t[keep], d[keep], w[keep]
 
 
-def _refine(totals, spec: QuadratureSpec, what: str) -> QuadResult:
-    """Drive a sequence of refined totals (levels or orders) to convergence.
+def _refine(totals, spec: QuadratureSpec, what: str) -> tuple[QuadResult, ...]:
+    """Drive rows of refined totals (levels or orders) to convergence.
 
-    Converged when two consecutive totals differ by at most
-    max(abs_tol, rel_tol*|total|); that difference is the error estimate.
-    Refinement stops at the first non-finite total: it stays non-finite at
-    every finer refinement, and an infinite total would meet its own infinite
-    relative tolerance.  Otherwise NotConvergedError carries the last total.
+    totals yields, per refinement, one total for each of m rows that share
+    it.  A row is converged when two consecutive totals differ by at most
+    max(abs_tol, rel_tol*|total|); that difference is its error estimate,
+    and the row keeps that result while the others refine.  A row stops at
+    its first non-finite total: it stays non-finite at every finer
+    refinement, and an infinite total would meet its own infinite relative
+    tolerance.  Rows are settled in order, as if each were driven alone in
+    turn: the first row that fails raises NotConvergedError carrying its
+    last total, and refinement ends as soon as that is decided.
     """
-    prev = None
-    err = math.inf
-    total = math.nan
-    for total in totals:
-        if not math.isfinite(total):
-            break
-        if prev is not None:
-            err = abs(total - prev)
-            if err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-                return QuadResult(total, err)
-        prev = total
-    raise NotConvergedError(
-        f"{what} did not converge (last sum {total})",
-        value=total, err_estimate=err)
+    done = None     # per row: None while refining, False once failed, else its result
+    for row_totals in totals:
+        if done is None:
+            m = len(row_totals)
+            prev, err, last, done = [None] * m, [math.inf] * m, [math.nan] * m, [None] * m
+        for i, total in enumerate(row_totals):
+            if done[i] is not None:
+                continue
+            last[i] = total
+            if not math.isfinite(total):
+                done[i] = False
+                continue
+            if prev[i] is not None:
+                err[i] = abs(total - prev[i])
+                if err[i] <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+                    done[i] = QuadResult(total, err[i])
+                    continue
+            prev[i] = total
+        for i, state in enumerate(done):
+            if state is None:
+                break
+            if state is False:
+                raise _not_converged(what, last[i], err[i])
+        else:
+            return tuple(done)
+    i = next(i for i, state in enumerate(done) if not state)
+    raise _not_converged(what, last[i], err[i])
+
+
+def _not_converged(what: str, total: float, err: float) -> NotConvergedError:
+    return NotConvergedError(f"{what} did not converge (last sum {total})",
+                             value=total, err_estimate=err)
 
 
 def _ts_totals(f, nodes, scale: float, levels: int):
-    """Running tanh-sinh totals of f over an interval of length scale.
+    """Running tanh-sinh totals of the rows of f over an interval of length scale.
 
     nodes(t, d) maps the transform abscissae and endpoint distances of the
-    unit interval to the points f is evaluated at.  Each level evaluates f
-    only at its new nodes and halves the previous total; levels 1..levels
-    are yielded, level 0 only seeds the first.
+    unit interval to the points f is evaluated at; f returns a sequence of
+    m row values there, each an array of the points' shape or a value that
+    broadcasts to it.  Each level evaluates f only at its new nodes and
+    halves the previous totals; levels 1..levels are yielded as m-tuples,
+    level 0 only seeds the first.
     """
-    total = 0.0
+    totals = None
     for level in range(levels + 1):
         t, d, w = _ts_level(level)
         x = nodes(t, d)
-        fx = np.asarray(f(x), dtype=float)
-        if fx.shape != x.shape:
-            fx = np.broadcast_to(fx, x.shape)
-        s_new = float(np.sum(w * fx)) * scale
-        total = s_new if level == 0 else 0.5 * total + s_new
+        sums = []
+        for row in f(x):
+            fx = np.asarray(row, dtype=float)
+            if fx.shape != x.shape:
+                fx = np.broadcast_to(fx, x.shape)
+            sums.append(float(np.sum(w * fx)) * scale)
+        totals = sums if level == 0 else [0.5 * a + b for a, b in zip(totals, sums)]
         if level:
-            yield total
+            yield tuple(totals)
 
 
-def integrate_1d(f: Callable, a: float, b: float,
-                 spec: QuadratureSpec | None = None) -> QuadResult:
-    """Integrate f over (a, b); algebraic endpoint singularities allowed.
+def integrate_rows(f: Callable, a: float, b: float,
+                   spec: QuadratureSpec | None = None) -> tuple[QuadResult, ...]:
+    """Integrate the m rows of f over (a, b) on shared tanh-sinh nodes.
 
-    f is evaluated on numpy arrays of interior points and returns an array
-    of the same shape (or a value that broadcasts to it).  Converged when
-    the level difference is at most max(abs_tol, rel_tol*|value|);
-    otherwise NotConvergedError carrying the best value.
+    f is evaluated once per level on a numpy array of interior points and
+    returns a sequence of m values there (arrays of the points' shape, or
+    values that broadcast to it), so work shared by the rows is done once.
+    Each row is summed, converged and frozen exactly as integrate_1d would
+    integrate it alone, so its QuadResult is the same to the bit; the first
+    row, in order, that does not converge raises NotConvergedError with its
+    best value.
     """
     spec = spec or _DEFAULT_SPEC
     if not b > a:
@@ -243,6 +275,19 @@ def integrate_1d(f: Callable, a: float, b: float,
     return _refine(totals, spec, f"tanh-sinh on ({a}, {b}) within {spec.levels} levels")
 
 
+def integrate_1d(f: Callable, a: float, b: float,
+                 spec: QuadratureSpec | None = None) -> QuadResult:
+    """Integrate f over (a, b); algebraic endpoint singularities allowed.
+
+    f is evaluated on numpy arrays of interior points and returns an array
+    of the same shape (or a value that broadcasts to it).  Converged when
+    the level difference is at most max(abs_tol, rel_tol*|value|);
+    otherwise NotConvergedError carrying the best value.  This is the
+    one-row case of integrate_rows.
+    """
+    return integrate_rows(lambda x: (f(x),), a, b, spec)[0]
+
+
 def integrate_angular(f_of_sin: Callable, spec: QuadratureSpec | None = None) -> QuadResult:
     """int_0^pi f(sin phi) dphi for integrands depending on phi through sin phi.
 
@@ -251,9 +296,9 @@ def integrate_angular(f_of_sin: Callable, spec: QuadratureSpec | None = None) ->
     Handles algebraic blow-up of f at sin phi -> 0 with rate > -1.
     """
     spec = spec or _DEFAULT_SPEC
-    totals = _ts_totals(f_of_sin, lambda t, d: np.sin(np.pi * d),
+    totals = _ts_totals(lambda s: (f_of_sin(s),), lambda t, d: np.sin(np.pi * d),
                         math.pi, spec.levels)
-    return _refine(totals, spec, f"angular tanh-sinh within {spec.levels} levels")
+    return _refine(totals, spec, f"angular tanh-sinh within {spec.levels} levels")[0]
 
 
 @lru_cache(maxsize=128)
@@ -327,9 +372,9 @@ def integrate_2d(f: Callable, c: float, spec: QuadratureSpec | None = None) -> Q
             res = integrate_1d(_angular_sums(f, t[m // 2:], 2.0 * w[m // 2:]),
                                0.0, spec.truncation_radius, spec)
             radial_err = res.err_estimate
-            yield res.value
+            yield (res.value,)
 
-    res = _refine(order_totals(), spec, f"Gauss-Jacobi within order {_ORDERS[-1]}")
+    res, = _refine(order_totals(), spec, f"Gauss-Jacobi within order {_ORDERS[-1]}")
     return QuadResult(res.value, max(res.err_estimate, radial_err))
 
 

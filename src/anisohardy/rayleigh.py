@@ -34,7 +34,7 @@ from .errors import (FitUnstableError, SingularParamsError,
 from .params import HardyParams, RegimeFamily, admissible_hardy, compute_K
 from .quadrature import (QuadratureSpec, cutoff_eta, cutoff_eta_prime,
                          integrate_1d, integrate_2d, integrate_angular,
-                         sin_power_integral)
+                         integrate_rows, sin_power_integral)
 
 __all__ = [
     "FamilyKind", "TrialFamily", "FitModel", "FitInfo", "SweepRow",
@@ -124,15 +124,13 @@ class TrialFamily:
         lam = -p.beta - 1.0 / p.p - self.sigma
         return lam / 2.0
 
-    def g(self, r):
-        e2 = self.epsilon * self.epsilon
-        return (r * r + e2) ** self.g_exponent * cutoff_eta(r)
-
-    def g_prime(self, r):
-        e2 = self.epsilon * self.epsilon
+    def g_and_prime(self, r):
+        """(g(r), g'(r)): r^2 + eps^2, its power and the cutoff are formed once."""
         ge = self.g_exponent
-        return (2.0 * ge * r * (r * r + e2) ** (ge - 1.0) * cutoff_eta(r)
-                + (r * r + e2) ** ge * cutoff_eta_prime(r))
+        q = r * r + self.epsilon * self.epsilon
+        qe = q ** ge
+        eta = cutoff_eta(r)
+        return qe * eta, 2.0 * ge * r * q ** (ge - 1.0) * eta + qe * cutoff_eta_prime(r)
 
 
 def make_family(params: HardyParams, epsilon: float,
@@ -165,6 +163,12 @@ class QuotientParts:
     j1: float = math.nan
     j2: float = math.nan
     j3: float = math.nan
+    err_estimate: float = math.nan
+
+
+def _rel_err(*results) -> float:
+    """Largest relative error estimate among quadrature results."""
+    return max(r.err_estimate / max(abs(r.value), 1e-300) for r in results)
 
 
 def _check_exponent(value: float, what: str):
@@ -177,7 +181,9 @@ def quotient_p2(family: TrialFamily, spec: QuadratureSpec | None = None) -> Quot
     """Weighted Rayleigh quotient of a p = 2 family member by product quadrature.
 
     The gradient integral splits as J1 + J2 + J3 (h' g, h g', cross term);
-    each is one angular sin-power factor times one radial integral.
+    each is one angular sin-power factor times one radial integral.  The
+    radial integrals of the denominator, J2 and J3 share their nodes and
+    g, g' there: one integrate_rows pass computes all three.
     """
     if family.kind is FamilyKind.GENERAL_P_BETA_NONNEG:
         raise ValueError("quotient_p2 takes a p = 2 family")
@@ -189,22 +195,22 @@ def quotient_p2(family: TrialFamily, spec: QuadratureSpec | None = None) -> Quot
     _check_exponent(mu - 2.0, "angular")
     _check_exponent(nu - 1.0, "radial")           # g is bounded at r = 0
 
-    g, gp = family.g, family.g_prime
-    ang_m2 = integrate_angular(lambda s: s ** (mu - 2.0), spec).value
-    ang = integrate_angular(lambda s: s ** mu, spec).value
-    rad_den = integrate_1d(lambda r: g(r) ** 2 * r ** (nu - 1.0),
-                           0.0, spec.truncation_radius, spec).value
-    rad_j2 = integrate_1d(lambda r: gp(r) ** 2 * r ** (nu + 1.0),
-                          0.0, spec.truncation_radius, spec).value
-    rad_j3 = integrate_1d(lambda r: g(r) * gp(r) * r ** nu,
-                          0.0, spec.truncation_radius, spec).value
+    def radial(r):
+        g, gp = family.g_and_prime(r)
+        return g ** 2 * r ** (nu - 1.0), gp ** 2 * r ** (nu + 1.0), g * gp * r ** nu
 
-    j1 = theta * theta * ang_m2 * rad_den
-    j2 = ang * rad_j2
-    j3 = 2.0 * theta * ang * rad_j3
-    den = ang_m2 * rad_den
+    ang_m2 = integrate_angular(lambda s: s ** (mu - 2.0), spec)
+    ang = integrate_angular(lambda s: s ** mu, spec)
+    rads = integrate_rows(radial, 0.0, spec.truncation_radius, spec)
+    rad_den, rad_j2, rad_j3 = (r.value for r in rads)
+
+    j1 = theta * theta * ang_m2.value * rad_den
+    j2 = ang.value * rad_j2
+    j3 = 2.0 * theta * ang.value * rad_j3
+    den = ang_m2.value * rad_den
     num = j1 + j2 + j3
-    return QuotientParts(num, den, num / den, j1, j2, j3)
+    return QuotientParts(num, den, num / den, j1, j2, j3,
+                         _rel_err(ang_m2, ang, *rads))
 
 
 def _general_p_exponents(family: TrialFamily) -> tuple[float, float]:
@@ -232,13 +238,12 @@ def _grad_integrand(family: TrialFamily):
     pw = family.params.p
     gam = family.h_exponent
     _, a_r = _general_p_exponents(family)
-    g, gp = family.g, family.g_prime
 
     def integrand(r, t):
-        gv = g(r)
+        gv, gpv = family.g_and_prime(r)
         fold = r ** (2.0 * a_r / pw)
         A = fold * (gam * gv) ** 2
-        C = fold * (gam * gv + r * gp(r)) ** 2
+        C = fold * (gam * gv + r * gpv) ** 2
         t2 = t * t
         out = A * t2
         out += C * (1.0 - t2)
@@ -266,14 +271,15 @@ def quotient_general_p(family: TrialFamily,
     _check_exponent(a_phi, "angular")
     _check_exponent(a_r, "radial")
 
-    num = integrate_2d(_grad_integrand(family), a_phi, spec).value
+    num = integrate_2d(_grad_integrand(family), a_phi, spec)
     e2 = family.epsilon ** 2
     lam = 2.0 * family.g_exponent
     rad = integrate_1d(
         lambda r: r ** a_r * (r * r + e2) ** (pw * lam / 2.0) * cutoff_eta(r) ** pw,
-        0.0, spec.truncation_radius, spec).value
-    den = sin_power_integral(a_phi) * rad
-    return QuotientParts(num, den, num / den)
+        0.0, spec.truncation_radius, spec)
+    den = sin_power_integral(a_phi) * rad.value
+    return QuotientParts(num.value, den, num.value / den,
+                         err_estimate=_rel_err(num, rad))
 
 
 # ------------------------------------------------------------------ sweeps
@@ -291,11 +297,15 @@ class FitInfo:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One (eps, sigma) member's quotient; err_estimate is the largest
+    relative quadrature error estimate among its integrals."""
+
     epsilon: float
     sigma: float
     numerator: float
     denominator: float
     quotient: float
+    err_estimate: float
 
 
 @dataclass(frozen=True)
@@ -446,7 +456,7 @@ def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None,
 
     def row(s, e):
         q = quotient(TrialFamily(kind, params, e, s), spec)
-        return SweepRow(e, s, q.numerator, q.denominator, q.quotient)
+        return SweepRow(e, s, q.numerator, q.denominator, q.quotient, q.err_estimate)
 
     rows = tuple(row(s, e) for s in sigmas for e in eps_list)
     if kind is FamilyKind.P2_K_GT_1:

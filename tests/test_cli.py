@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anisohardy.cli import main
 
@@ -96,6 +99,7 @@ class TestRayleighCommand:
         doc = parse_json(out)
         assert json.loads(json.dumps(doc)) == doc
         assert len(doc["rows"]) == 5
+        assert all(0.0 < row["err_estimate"] < 1e-9 for row in doc["rows"])
         assert doc["extrapolated"] == pytest.approx((2 * math.sqrt(3) - 3) / 4,
                                                     rel=0.02)
 
@@ -182,6 +186,123 @@ class TestErrorExitCodes:
         assert out == ""
         assert "Traceback" not in err
         assert strict_json(err)["type"] == "ValueError"
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("constant", "--n", "x", "--p", "2"),
+        ("constant", "--n", "3", "--p", "2", "--mu", "-inf", "--ckn"),
+        ("rayleigh", "--p", "2"),
+        ("constant", "--n", "3", "--bogus", "1"),
+        ("verify", "--which", "nope"),
+        (),
+    ])
+    def test_usage_error_is_one_json_document(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err and "usage:" not in err
+        assert strict_json(err)["type"] == "ValueError"
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["constant", "--help"])
+        assert ei.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: anisohardy constant")
+
+    def test_unreadable_config_is_exit_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "rayleigh", "--n", "3",
+                                 "--config", str(tmp_path / "absent.cfg"))
+        assert code == 2
+        assert out == ""
+        assert strict_json(err)["type"] == "FileNotFoundError"
+
+    def test_overflowing_sweep_leaves_only_the_error_document(self):
+        # K = 1.018: the angular factor overflows in a fresh interpreter,
+        # where a numpy RuntimeWarning would otherwise precede the document
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from anisohardy.cli import main; sys.exit(main(sys.argv[1:]))",
+             "rayleigh", "--n", "2", "--p", "2", "--alpha", "-0.4220116904528721",
+             "--beta", "-0.2959733589660343"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert strict_json(proc.stderr)["type"] == "NotConvergedError"
+
+
+_NUMBERS = (
+    st.one_of(st.sampled_from(["0", "-0.5", "0.3", "-0.25"]), st.floats(-1.0, 1.0).map(repr)),
+    st.sampled_from(["1e308", "-1e-300", "inf", "-inf", "nan", "x", "", "1,2", "--"]))
+_INTS = (st.sampled_from(["2", "3", "4"]),
+         st.sampled_from(["0", "1", "-3", "1.5", "x", "", "inf", "-inf"]))
+
+
+def _argv(command, flags):
+    """command and its flags, each as --flag value, --flag=value or absent.
+
+    flags maps each flag to (well-formed values, malformed values).  Half of
+    the vectors draw from the well-formed values only and always carry the
+    required --n; the rest may mix in malformed values and drop any flag.
+    """
+    def vector(malformed):
+        def flag(name, good, bad):
+            values = st.one_of(good, bad) if malformed else good
+            forms = [values.map(lambda v: [f"--{name}", v]),
+                     values.map(lambda v: [f"--{name}={v}"])]
+            if malformed or name != "n":
+                forms.append(st.just([]))
+            return st.one_of(*forms)
+        return st.tuples(*(flag(name, *vals) for name, vals in flags.items())).map(
+            lambda parts: [command] + [a for part in parts for a in part])
+    return st.one_of(vector(False), vector(True))
+
+
+_CONSTANT_ARGV = st.tuples(
+    _argv("constant", {"n": _INTS, "p": (st.sampled_from(["2", "3", "1.5"]), _NUMBERS[1]),
+                       "alpha": _NUMBERS, "beta": _NUMBERS,
+                       "k": (st.sampled_from(["1", "2"]), _INTS[1]),
+                       "mu": _NUMBERS, "gamma1": _NUMBERS}),
+    st.sampled_from([[], ["--ckn"], ["--quiet"]])).map(lambda t: t[0] + t[1])
+
+# p = 2 or malformed: general-p sweeps cost up to seconds each
+_RAYLEIGH_ARGV = _argv("rayleigh", {
+    "n": _INTS, "p": (st.just("2"), st.sampled_from(["-2", "inf", "nan", "x"])),
+    "alpha": _NUMBERS, "beta": _NUMBERS,
+    "eps-list": (st.just("1e-2,1e-3"), st.sampled_from(["1e-3,1e-2", "x", "1e-2,-inf", ""])),
+    "sigma-list": (st.just("0.1,0.05"), st.sampled_from(["0.1", "nan,0.1", "x", "0.1,0.1"]))})
+
+
+class TestCliProperties:
+    """Any argument vector ends in exit 0, 1 or 2 with strict JSON or nothing
+    on each stream, and never in a traceback."""
+
+    @staticmethod
+    def _check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:       # argparse's own exit, not a return
+                raise AssertionError(f"SystemExit({exc.code})") from None
+        assert code in (0, 1, 2)
+        for text in (out.getvalue(), err.getvalue()):
+            assert "Traceback" not in text
+            if text:
+                strict_json(text)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_CONSTANT_ARGV)
+    def test_constant(self, argv):
+        self._check(argv)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_RAYLEIGH_ARGV)
+    def test_rayleigh(self, argv):
+        self._check(argv)
 
 
 class TestVerifyCommand:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from anisohardy import (QuadratureSpec, XiSpec, beta, cutoff_eta,
                         cutoff_eta_prime, gauss_jacobi, integrate_1d,
-                        integrate_2d, integrate_angular, lemma1_check,
+                        integrate_2d, integrate_angular, integrate_rows, lemma1_check,
                         log_gamma, sin_power_integral, sphere_area)
 from anisohardy import quadrature
 from anisohardy.errors import NotConvergedError
@@ -276,6 +276,65 @@ class TestIntegrate1dIncremental:
         first = min(lv for lv in range(11) if np.any(_full_rule(lv)[1] < 1e-300))
         assert seen[0] == _full_rule(first)[0].size
         assert math.isinf(ei.value.value)
+
+
+def _raised(call):
+    """(message, value, err_estimate) of the NotConvergedError call raises."""
+    with pytest.raises(NotConvergedError) as ei:
+        call()
+    return str(ei.value), ei.value.value, ei.value.err_estimate
+
+
+class TestIntegrateRows:
+    """Rows on shared nodes against integrate_1d of each row alone."""
+
+    SMOOTH = (lambda x: x ** -0.3 * np.exp(x), lambda x: np.sin(3.0 * x), lambda x: x ** 6)
+
+    @staticmethod
+    def step(x):                  # trapezoid error O(h): never within tolerance
+        return np.where(x < 0.3, 1.0, 0.0)
+
+    @staticmethod
+    def overflow(x):              # infinite from level 3 on
+        return np.where(x < 1e-300, np.inf, 1.0)
+
+    @staticmethod
+    def _stacked(rows, seen):
+        def f(x):
+            seen.append(x.size)
+            return tuple(row(x) for row in rows)
+        return f
+
+    def test_rows_match_separate_calls_bit_for_bit(self):
+        seen = []
+        stacked = integrate_rows(self._stacked(self.SMOOTH, seen), 0.0, 2.0)
+        alone_sizes = []
+        for row, res in zip(self.SMOOTH, stacked):
+            alone_seen = []
+            alone, = integrate_rows(self._stacked([row], alone_seen), 0.0, 2.0)
+            assert alone == integrate_1d(row, 0.0, 2.0)
+            assert res.value.hex() == alone.value.hex()
+            assert res.err_estimate.hex() == alone.err_estimate.hex()
+            alone_sizes.append(sum(alone_seen))
+        # the rows freeze at different levels; the pass runs to the deepest
+        assert len(set(alone_sizes)) > 1 and sum(seen) == max(alone_sizes)
+
+    @pytest.mark.parametrize("rows,first", [
+        ((SMOOTH[0], overflow, step), 1),
+        ((step, overflow), 0),
+        ((SMOOTH[1], step, SMOOTH[2]), 1),
+    ])
+    def test_first_failing_row_raises_its_own_error(self, rows, first):
+        expected = _raised(lambda: integrate_1d(rows[first], 0.0, 1.0))
+        assert _raised(lambda: integrate_rows(
+            lambda x: tuple(row(x) for row in rows), 0.0, 1.0)) == expected
+
+    def test_stops_once_the_first_row_fails(self):
+        seen = []
+        with pytest.raises(NotConvergedError):
+            integrate_rows(self._stacked([self.overflow, self.step], seen), 0.0, 1.0)
+        first = min(lv for lv in range(11) if np.any(_full_rule(lv)[1] < 1e-300))
+        assert sum(seen) == _full_rule(first)[0].size
 
 
 class TestIntegrate2dIncremental:

@@ -4,13 +4,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from anisohardy import (FamilyKind, HardyParams, TrialFamily, beta,
-                        integrate_2d, make_family, quotient_general_p,
+from anisohardy import (FamilyKind, HardyParams, TrialFamily, beta, compute_K,
+                        cutoff_eta, cutoff_eta_prime, integrate_1d, integrate_2d,
+                        integrate_angular, integrate_rows, make_family, quotient_general_p,
                         quotient_p2, sharp_constant_general_p,
                         sharp_constant_p2, sin_power_integral,
                         sweep_and_extrapolate)
 from anisohardy import rayleigh
-from anisohardy.errors import FitUnstableError, UnsupportedRegimeError
+from anisohardy.errors import (FitUnstableError, NotConvergedError,
+                               UnsupportedRegimeError)
+from anisohardy.params import RegimeFamily, admissible_hardy
 from anisohardy.rayleigh import FitModel, QuotientParts
 
 K3_PARAMS = HardyParams(3, 2.0, -0.5, -0.5)
@@ -73,6 +76,106 @@ class TestQuotientP2:
             quotient_p2(fam)
 
 
+def _seeded_p2_families(seed, count=4):
+    """count admissible full-axis p = 2 families per regime K > 1, K = 1, K < 1."""
+    rng = np.random.default_rng(seed)
+    found = {family: [] for family in RegimeFamily}
+    while any(len(fams) < count for fams in found.values()):
+        n = int(rng.integers(2, 6))
+        alpha = float(rng.uniform(-1.0, 1.0))
+        if len(found[RegimeFamily.K_EQ_1]) < count:
+            c = n + 2.0 * alpha         # K = -4b(c + b) = 1 at this root
+            beta_ = (-c + math.sqrt(c * c - 1.0)) / 2.0 if c > 1.0 else 0.0
+        else:
+            beta_ = float(rng.uniform(-2.0, 1.0))
+        params = HardyParams(n, 2.0, alpha, beta_)
+        if not admissible_hardy(params):
+            continue
+        regime = compute_K(params)
+        if len(found[regime.family]) == count:
+            continue
+        eps = float(rng.choice(rayleigh.DEFAULT_EPS))
+        if regime.family is RegimeFamily.K_GT_1:
+            sigma = None
+        elif regime.family is RegimeFamily.K_EQ_1:
+            sigma = float(rng.uniform(0.01, 0.2))
+        else:
+            sigma = float(rng.uniform(0.05, 0.95)) * math.sqrt(1.0 - regime.k_value) / 2.0
+        found[regime.family].append(make_family(params, eps, sigma))
+    return [fam for fams in found.values() for fam in fams]
+
+
+def _exponents(fam):
+    """(theta, mu, nu) as quotient_p2 forms them."""
+    p = fam.params
+    theta = fam.h_exponent
+    mu = p.n + 2.0 * p.alpha + 2.0 * theta
+    return theta, mu, mu + 2.0 * p.beta
+
+
+class TestStackedRadials:
+    """quotient_p2's one radial pass against separate integrate_1d calls."""
+
+    SPEC = rayleigh._SWEEP_SPEC_1D
+
+    @pytest.mark.parametrize("fam", _seeded_p2_families(2026), ids=lambda f: f.kind.value)
+    def test_matches_separate_integrals_bit_for_bit(self, fam):
+        theta, mu, nu = _exponents(fam)
+        R = self.SPEC.truncation_radius
+
+        def g(r):
+            return fam.g_and_prime(r)[0]
+
+        def gp(r):
+            return fam.g_and_prime(r)[1]
+
+        alone = (integrate_1d(lambda r: g(r) ** 2 * r ** (nu - 1.0), 0.0, R, self.SPEC),
+                 integrate_1d(lambda r: gp(r) ** 2 * r ** (nu + 1.0), 0.0, R, self.SPEC),
+                 integrate_1d(lambda r: g(r) * gp(r) * r ** nu, 0.0, R, self.SPEC))
+
+        def rows(r):
+            gv, gpv = fam.g_and_prime(r)
+            return gv ** 2 * r ** (nu - 1.0), gpv ** 2 * r ** (nu + 1.0), gv * gpv * r ** nu
+
+        stacked = integrate_rows(rows, 0.0, R, self.SPEC)
+        assert [(r.value.hex(), r.err_estimate.hex()) for r in stacked] == \
+            [(r.value.hex(), r.err_estimate.hex()) for r in alone]
+
+        den, j2, j3 = (r.value for r in alone)
+        ang_m2 = integrate_angular(lambda s: s ** (mu - 2.0), self.SPEC)
+        ang = integrate_angular(lambda s: s ** mu, self.SPEC)
+        q = quotient_p2(fam)
+        assert q.denominator == ang_m2.value * den
+        assert (q.j1, q.j2, q.j3) == (theta * theta * ang_m2.value * den, ang.value * j2,
+                                      2.0 * theta * ang.value * j3)
+        assert q.err_estimate == max(r.err_estimate / abs(r.value)
+                                     for r in (ang_m2, ang) + alone)
+
+    @pytest.mark.parametrize("fam", _seeded_p2_families(7, count=1), ids=lambda f: f.kind.value)
+    def test_g_and_prime_matches_the_separate_formulas(self, fam):
+        r = np.concatenate([np.geomspace(1e-300, 1e-3, 50), np.linspace(1e-3, 2.0, 200)])
+        e2, ge = fam.epsilon * fam.epsilon, fam.g_exponent
+        g, gp = fam.g_and_prime(r)
+        np.testing.assert_array_equal(g, (r * r + e2) ** ge * cutoff_eta(r))
+        np.testing.assert_array_equal(
+            gp, 2.0 * ge * r * (r * r + e2) ** (ge - 1.0) * cutoff_eta(r)
+            + (r * r + e2) ** ge * cutoff_eta_prime(r))
+
+    def test_overflowing_angular_factor_raises_its_own_error(self):
+        # K = 1.018: s^(mu - 2) with mu - 2 = -0.991 overflows at the
+        # subnormal tanh-sinh nodes; the radial rows converge
+        fam = make_family(HardyParams(2, 2.0, -0.4220116904528721, -0.2959733589660343), 1e-2)
+        _, mu, _ = _exponents(fam)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NotConvergedError) as alone:
+                integrate_angular(lambda s: s ** (mu - 2.0), self.SPEC)
+            with pytest.raises(NotConvergedError) as ei:
+                quotient_p2(fam)
+        assert str(ei.value) == str(alone.value) and "last sum inf" in str(ei.value)
+        assert (ei.value.value, ei.value.err_estimate) == (alone.value.value,
+                                                           alone.value.err_estimate)
+
+
 class TestQuotientGeneralP:
     def test_theorem_constant_neighborhood(self):
         # the quotient dominates the sharp constant and sits within the
@@ -93,6 +196,8 @@ class TestQuotientGeneralP:
         qg = quotient_general_p(general)
         qp = quotient_p2(matched)
         assert qg.quotient == pytest.approx(qp.quotient, rel=1e-6)
+        # the largest relative quadrature error estimate of each route
+        assert 0.0 < qg.err_estimate < 1e-7 and 0.0 < qp.err_estimate < 1e-9
 
     def test_rejects_p2_family(self):
         with pytest.raises(ValueError):
@@ -112,7 +217,7 @@ class TestQuotientGeneralP:
         x, r, rho = x[keep], r[keep], rho[keep]
         assert np.count_nonzero(r > 1.0) >= 20      # the cutoff ramp is sampled
 
-        gam, g, gp = fam.h_exponent, fam.g(r), fam.g_prime(r)
+        gam, (g, gp) = fam.h_exponent, fam.g_and_prime(r)
         x_perp = np.column_stack([x[:, :2], np.zeros(len(x))])
         grad = ((gam * rho ** (gam - 2.0) * g)[:, None] * x_perp
                 + (rho ** gam * gp / r)[:, None] * x)
@@ -134,8 +239,8 @@ class TestQuotientGeneralP:
         fam = TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG, params, 1e-2, 0.05)
         gam = fam.h_exponent
         equal = SimpleNamespace(params=params, h_exponent=gam,
-                                g=lambda r: r ** (-2.0 * gam),
-                                g_prime=lambda r: -2.0 * gam * r ** (-2.0 * gam - 1.0))
+                                g_and_prime=lambda r: (r ** (-2.0 * gam),
+                                                       -2.0 * gam * r ** (-2.0 * gam - 1.0)))
         a_phi, a_r = rayleigh._general_p_exponents(fam)
         num = integrate_2d(rayleigh._grad_integrand(equal), a_phi).value
         e = a_r - 2.0 * gam * pw            # A^(p/2) = |gam|^p r^e
