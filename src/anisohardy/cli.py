@@ -1,9 +1,10 @@
 """Command-line surface: constant | optimize | rayleigh | verify | ckn | report.
 
 Every invocation emits one JSON document (or a CSV table for sweeps) carrying
-a run manifest (command, parameters, seed, version, timestamp).  All numeric
-work is deterministic for a fixed manifest: sums accumulate in fixed index
-order and every random draw comes from a generator seeded by (seed, index).
+a run manifest (command, parameters, seed, the tool, Python and numpy
+versions, timestamp).  All numeric work is deterministic for a fixed
+manifest: sums accumulate in fixed index order and every random draw comes
+from a generator seeded by (seed, index).
 
 Exit codes: 0 success / all checks passed, 1 at least one check failed,
 2 invalid or inadmissible input; an error maps to 1 or 2 through _EXIT_CODES.
@@ -18,6 +19,7 @@ import csv
 import io
 import json
 import math
+import platform
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -62,19 +64,26 @@ _EXIT_CODES = {
 
 @dataclass(frozen=True)
 class RunManifest:
+    """What a run did and where: seed is the base seed of its draws; for
+    report, the base seed of each seeded criterion by criterion number."""
+
     command: str
     params: dict
-    seed: int
+    seed: int | dict
     tool_version: str
+    python_version: str
+    numpy_version: str
     timestamp: str
 
 
-def _manifest(command: str, params: dict, seed: int) -> dict:
+def _manifest(command: str, params: dict, seed: int | dict) -> dict:
     return asdict(RunManifest(
         command=command,
         params={k: v for k, v in params.items() if v is not None},
         seed=seed,
         tool_version=__version__,
+        python_version=platform.python_version(),
+        numpy_version=np.__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),
     ))
 
@@ -413,7 +422,7 @@ def cmd_report(args) -> int:
                          "pass": r.passed, "details": r.details}
                         for r in results],
            "all_pass": all(r.passed for r in results),
-           "manifest": _manifest("report", {}, args.seed or 0)}
+           "manifest": _manifest("report", {}, dict(report_mod.CRITERION_SEEDS))}
     if args.csv_dir:
         import os
         os.makedirs(args.csv_dir, exist_ok=True)

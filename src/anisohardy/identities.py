@@ -59,10 +59,12 @@ def r_functional(X, Y, p: float) -> float:
     return float(_r_rows(xv, yv, p)[0])
 
 
-def _r_rows(X, Y, p: float):
+def _r_rows(X, Y, p: float, relative: bool = False):
     """Row-wise r_functional for (N, n) arrays, with the same clamping.
 
     At Y = 0 the cross term |Y|^(p-1) <Y/|Y|, X> tends to 0 for p > 1.
+    With relative=True each R is divided by the size of its terms, the
+    scale of its floor (0 where every term vanishes).
     """
     nx = np.linalg.norm(X, axis=-1)
     ny = np.linalg.norm(Y, axis=-1)
@@ -76,7 +78,11 @@ def _r_rows(X, Y, p: float):
         raise NegativeRemainderError(
             f"R(X, Y) reached {float(np.min(value[low]))}, below -1e-12 times "
             "the size of its terms")
-    return np.maximum(value, 0.0)
+    value = np.maximum(value, 0.0)
+    if relative:
+        size = sizes + np.abs(cross)
+        return np.divide(value, size, out=np.zeros_like(value), where=size > 0.0)
+    return value
 
 
 @dataclass(frozen=True)
@@ -408,7 +414,10 @@ def ckn_extremal_check(ckn: CknParams, kappa0: float = 1.0,
     the quotient must hit (n + p(alpha+gamma1))/p.  Radial integrals run over
     (0, R) by tanh-sinh, which takes the r^a singularity at 0 (a > -1), with
     R doubled until the tail is negligible; delta is the smallest radius of
-    the pointwise remainder check.
+    the pointwise remainder check.  residual_R_max is the largest remainder
+    there relative to the size of its terms, the scale r_functional floors
+    it on: the terms grow like r^(p(m-1)) as r -> 0, so an absolute R reads
+    their rounding.
     """
     flags = admissible_ckn(ckn)
     if not flags.all_ok:
@@ -451,14 +460,10 @@ def ckn_extremal_check(ckn: CknParams, kappa0: float = 1.0,
     constant = (ckn.n + p * (ckn.alpha + ckn.gamma1)) / p
 
     radii = np.geomspace(delta, hi, 64)
-    worst = 0.0
-    for r in radii:
-        u0 = math.exp(-c * r ** m)
-        xvec = np.zeros(ckn.n)
-        xvec[0] = -c * m * r ** (m - 1.0) * u0
-        yvec = -xvec
-        worst = max(worst, r_functional(xvec, yvec, p))
-    return ExtremalReport(float(quotient), float(constant), float(worst))
+    grad = np.zeros((radii.size, ckn.n))
+    grad[:, 0] = -c * m * radii ** (m - 1.0) * np.exp(-c * radii ** m)
+    worst = float(np.max(_r_rows(grad, -grad, p, relative=True)))
+    return ExtremalReport(float(quotient), float(constant), worst)
 
 
 @dataclass(frozen=True)

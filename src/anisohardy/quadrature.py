@@ -233,10 +233,12 @@ def _ts_totals(f, nodes, scale: float, levels: int):
 
     nodes(t, d) maps the transform abscissae and endpoint distances of the
     unit interval to the points f is evaluated at; f returns a sequence of
-    m row values there, each an array of the points' shape or a value that
-    broadcasts to it.  Each level evaluates f only at its new nodes and
-    halves the previous totals; levels 1..levels are yielded as m-tuples,
-    level 0 only seeds the first.
+    row values there, each an array of the points' shape or a value that
+    broadcasts to it, or a 2-D block of such rows, one per line.  A block's
+    lines are summed as single rows are, so each total is the same to the
+    bit either way.  Each level evaluates f only at its new nodes and halves
+    the previous totals; levels 1..levels are yielded as tuples of the m row
+    totals, level 0 only seeds the first.
     """
     totals = None
     for level in range(levels + 1):
@@ -245,6 +247,9 @@ def _ts_totals(f, nodes, scale: float, levels: int):
         sums = []
         for row in f(x):
             fx = np.asarray(row, dtype=float)
+            if fx.ndim > x.ndim:
+                sums.extend(float(s) * scale for s in np.sum(w * fx, axis=-1))
+                continue
             if fx.shape != x.shape:
                 fx = np.broadcast_to(fx, x.shape)
             sums.append(float(np.sum(w * fx)) * scale)
@@ -258,8 +263,9 @@ def integrate_rows(f: Callable, a: float, b: float,
     """Integrate the m rows of f over (a, b) on shared tanh-sinh nodes.
 
     f is evaluated once per level on a numpy array of interior points and
-    returns a sequence of m values there (arrays of the points' shape, or
-    values that broadcast to it), so work shared by the rows is done once.
+    returns a sequence of values there (arrays of the points' shape, values
+    that broadcast to it, or 2-D blocks of such rows, whose lines count as
+    rows in order), so work shared by the rows is done once.
     Each row is summed, converged and frozen exactly as integrate_1d would
     integrate it alone, so its QuadResult is the same to the bit; the first
     row, in order, that does not converge raises NotConvergedError with its

@@ -3,7 +3,8 @@
 Trial functions are v = h(|x'|) g(|x|) with h a power and
 g(r) = (r^2 + eps^2)^(e) eta(r), eta the C^2 cutoff.  After spherical
 reduction every p = 2 integral factors into an angular sin-power integral
-and a radial integral over (0, 2).  The general-p gradient integrand does
+and a radial integral over (0, 2); a p = 2 sweep takes the radials of all its
+members in one tanh-sinh pass.  The general-p gradient integrand does
 not factor: it goes through integrate_2d, radial tanh-sinh of Gauss-Jacobi
 sums in cos(phi) whose weight carries the sin(phi) power.  All quotients are
 computed without the sphere-area prefactor (it cancels).
@@ -29,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (FitUnstableError, SingularParamsError,
+from .errors import (FitUnstableError, NotConvergedError, SingularParamsError,
                      UnsupportedRegimeError)
 from .params import HardyParams, RegimeFamily, admissible_hardy, compute_K
 from .quadrature import (QuadratureSpec, cutoff_eta, cutoff_eta_prime,
@@ -126,11 +127,36 @@ class TrialFamily:
 
     def g_and_prime(self, r):
         """(g(r), g'(r)): r^2 + eps^2, its power and the cutoff are formed once."""
-        ge = self.g_exponent
-        q = r * r + self.epsilon * self.epsilon
-        qe = q ** ge
-        eta = cutoff_eta(r)
-        return qe * eta, 2.0 * ge * r * q ** (ge - 1.0) * eta + qe * cutoff_eta_prime(r)
+        return _g_and_prime(r, r * r, cutoff_eta(r), cutoff_eta_prime(r),
+                            self.epsilon * self.epsilon, self.g_exponent)
+
+
+#: Float exponents for which numpy's power squares, takes the square root or
+#: the reciprocal: those can round differently from its general power, which
+#: an exponent array may get instead.
+_SHORTCUT_EXPONENTS = (2.0, 0.5, -1.0)
+
+
+def _power(base, e):
+    """base ** e for a float e, or for a column e of one exponent per row.
+
+    Each row of a column power is raised as base_row ** float(e_row) would
+    raise it alone, to the bit.
+    """
+    out = base ** e
+    if isinstance(e, np.ndarray):
+        for i, v in enumerate(e[:, 0].tolist()):
+            if v in _SHORTCUT_EXPONENTS:
+                out[i] = (base[i] if base.ndim > 1 else base) ** v
+    return out
+
+
+def _g_and_prime(r, r2, eta, eta_prime, e2, ge):
+    """(g, g') at r from r^2 and the cutoff there; eps^2 and the exponent of g
+    are floats, or columns of one per member that broadcast against r."""
+    q = r2 + e2
+    qe = _power(q, ge)
+    return qe * eta, 2.0 * ge * r * _power(q, ge - 1.0) * eta + qe * eta_prime
 
 
 def make_family(params: HardyParams, epsilon: float,
@@ -185,32 +211,90 @@ def quotient_p2(family: TrialFamily, spec: QuadratureSpec | None = None) -> Quot
     radial integrals of the denominator, J2 and J3 share their nodes and
     g, g' there: one integrate_rows pass computes all three.
     """
-    if family.kind is FamilyKind.GENERAL_P_BETA_NONNEG:
+    return _quotients_p2((family,), spec)[0]
+
+
+#: Grid elements per block of members in the radial pass.
+_BLOCK_ELEMENTS = 2 ** 12
+
+
+def _quotients_p2(families, spec: QuadratureSpec | None = None) -> tuple[QuotientParts, ...]:
+    """quotient_p2 of each member, all radial integrals in one pass.
+
+    The angular pair depends on a member through mu alone, so it is computed
+    once per distinct mu, in member order.  The denominator, J2 and J3
+    radials of every member are the rows of one integrate_rows pass, member
+    by member, so each level's nodes, r^2 and cutoff serve them all.  Each
+    result is the one quotient_p2 gives the member alone, to the bit, and a
+    failure is the first one met by quotient_p2 called on the members in
+    turn: the exponent checks, the two angular factors and the three
+    radials, member by member.
+    """
+    if any(f.kind is FamilyKind.GENERAL_P_BETA_NONNEG for f in families):
         raise ValueError("quotient_p2 takes a p = 2 family")
     spec = spec or _SWEEP_SPEC_1D
-    p = family.params
-    theta = family.h_exponent
-    mu = p.n + 2.0 * p.alpha + 2.0 * theta        # angular exponent of J2, J3
-    nu = mu + 2.0 * p.beta                        # radial exponent base
-    _check_exponent(mu - 2.0, "angular")
-    _check_exponent(nu - 1.0, "radial")           # g is bounded at r = 0
+    angular, exponents, failure = {}, [], None
+    for family in families:
+        p = family.params
+        theta = family.h_exponent
+        mu = p.n + 2.0 * p.alpha + 2.0 * theta    # angular exponent of J2, J3
+        nu = mu + 2.0 * p.beta                    # radial exponent base
+        try:
+            _check_exponent(mu - 2.0, "angular")
+            _check_exponent(nu - 1.0, "radial")   # g is bounded at r = 0
+            if mu not in angular:
+                angular[mu] = (integrate_angular(lambda s: s ** (mu - 2.0), spec),
+                               integrate_angular(lambda s: s ** mu, spec))
+        except (SingularParamsError, NotConvergedError) as exc:
+            failure = exc       # raised after the radials of the members before it
+            break
+        exponents.append((theta, mu, nu))
+    members = families[:len(exponents)]
+    rads = (integrate_rows(_radial_rows(members, [nu for _, _, nu in exponents]),
+                           0.0, spec.truncation_radius, spec) if members else ())
+    if failure is not None:
+        raise failure
 
-    def radial(r):
-        g, gp = family.g_and_prime(r)
-        return g ** 2 * r ** (nu - 1.0), gp ** 2 * r ** (nu + 1.0), g * gp * r ** nu
+    parts = []
+    for i, (theta, mu, _) in enumerate(exponents):
+        ang_m2, ang = angular[mu]
+        rad = rads[3 * i:3 * i + 3]
+        rad_den, rad_j2, rad_j3 = (r.value for r in rad)
+        j1 = theta * theta * ang_m2.value * rad_den
+        j2 = ang.value * rad_j2
+        j3 = 2.0 * theta * ang.value * rad_j3
+        den = ang_m2.value * rad_den
+        num = j1 + j2 + j3
+        parts.append(QuotientParts(num, den, num / den, j1, j2, j3,
+                                   _rel_err(ang_m2, ang, *rad)))
+    return tuple(parts)
 
-    ang_m2 = integrate_angular(lambda s: s ** (mu - 2.0), spec)
-    ang = integrate_angular(lambda s: s ** mu, spec)
-    rads = integrate_rows(radial, 0.0, spec.truncation_radius, spec)
-    rad_den, rad_j2, rad_j3 = (r.value for r in rads)
 
-    j1 = theta * theta * ang_m2.value * rad_den
-    j2 = ang.value * rad_j2
-    j3 = 2.0 * theta * ang.value * rad_j3
-    den = ang_m2.value * rad_den
-    num = j1 + j2 + j3
-    return QuotientParts(num, den, num / den, j1, j2, j3,
-                         _rel_err(ang_m2, ang, *rads))
+def _radial_rows(families, nus):
+    """Integrand of the radial pass: den, J2 and J3 rows of each member in turn.
+
+    Each level forms r^2 and the cutoff once and the powers of r once per
+    distinct nu; g and g' go in blocks of members of about _BLOCK_ELEMENTS
+    grid elements.  Every row is quotient_p2's expression for its member, so
+    it equals the member's own evaluation to the bit.
+    """
+    e2 = np.array([[f.epsilon * f.epsilon] for f in families])
+    ge = np.array([[f.g_exponent] for f in families])
+    nu_keys, nu_of = np.unique(nus, return_inverse=True)
+    nu = nu_keys[:, None]
+
+    def rows(r):
+        r2, eta, eta_prime = r * r, cutoff_eta(r), cutoff_eta_prime(r)
+        r_terms = (_power(r, nu - 1.0), _power(r, nu + 1.0), _power(r, nu))
+        step = max(1, _BLOCK_ELEMENTS // r.size)
+        for i in range(0, len(families), step):
+            m = slice(i, i + step)
+            g, gp = _g_and_prime(r, r2, eta, eta_prime, e2[m], ge[m])
+            block = np.empty((len(g), 3, r.size))
+            for k, (g_term, r_term) in enumerate(zip((g ** 2, gp ** 2, g * gp), r_terms)):
+                np.multiply(g_term, r_term[nu_of[m]], out=block[:, k])
+            yield block.reshape(-1, r.size)
+    return rows
 
 
 def _general_p_exponents(family: TrialFamily) -> tuple[float, float]:
@@ -451,14 +535,16 @@ def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None,
                 # too close to K = 1 for the K < 1 family; the K = 1 family
                 # is the robust one at the boundary
                 kind = FamilyKind.P2_K_EQ_1
-    quotient = (quotient_general_p if kind is FamilyKind.GENERAL_P_BETA_NONNEG
-                else quotient_p2)
-
-    def row(s, e):
-        q = quotient(TrialFamily(kind, params, e, s), spec)
-        return SweepRow(e, s, q.numerator, q.denominator, q.quotient, q.err_estimate)
-
-    rows = tuple(row(s, e) for s in sigmas for e in eps_list)
+    members = [(s, e) for s in sigmas for e in eps_list]
+    if kind is FamilyKind.GENERAL_P_BETA_NONNEG:
+        # each family is built just before its quotient: a sigma the family
+        # rejects (>= 1) is met after the quotients of the members before it
+        parts = [quotient_general_p(TrialFamily(kind, params, e, s), spec)
+                 for s, e in members]
+    else:
+        parts = _quotients_p2([TrialFamily(kind, params, e, s) for s, e in members], spec)
+    rows = tuple(SweepRow(e, s, q.numerator, q.denominator, q.quotient, q.err_estimate)
+                 for (s, e), q in zip(members, parts))
     if kind is FamilyKind.P2_K_GT_1:
         extrapolated, resid = _extrapolate_eps(eps_list, rows, log_affine=True)
         fit = FitInfo(FitModel.INV_LOG_EPS, resid)

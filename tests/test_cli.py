@@ -4,10 +4,12 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -241,19 +243,19 @@ _INTS = (st.sampled_from(["2", "3", "4"]),
          st.sampled_from(["0", "1", "-3", "1.5", "x", "", "inf", "-inf"]))
 
 
-def _argv(command, flags):
+def _argv(command, flags, required="n"):
     """command and its flags, each as --flag value, --flag=value or absent.
 
     flags maps each flag to (well-formed values, malformed values).  Half of
     the vectors draw from the well-formed values only and always carry the
-    required --n; the rest may mix in malformed values and drop any flag.
+    required flag; the rest may mix in malformed values and drop any flag.
     """
     def vector(malformed):
         def flag(name, good, bad):
             values = st.one_of(good, bad) if malformed else good
             forms = [values.map(lambda v: [f"--{name}", v]),
                      values.map(lambda v: [f"--{name}={v}"])]
-            if malformed or name != "n":
+            if malformed or name != required:
                 forms.append(st.just([]))
             return st.one_of(*forms)
         return st.tuples(*(flag(name, *vals) for name, vals in flags.items())).map(
@@ -274,6 +276,39 @@ _RAYLEIGH_ARGV = _argv("rayleigh", {
     "alpha": _NUMBERS, "beta": _NUMBERS,
     "eps-list": (st.just("1e-2,1e-3"), st.sampled_from(["1e-3,1e-2", "x", "1e-2,-inf", ""])),
     "sigma-list": (st.just("0.1,0.05"), st.sampled_from(["0.1", "nan,0.1", "x", "0.1,0.1"]))})
+
+_OPTIMIZE_ARGV = _argv("optimize", {
+    "n": _INTS, "p": (st.sampled_from(["2", "3"]), _NUMBERS[1]),
+    "alpha": _NUMBERS, "beta": _NUMBERS, "k": (st.sampled_from(["1", "2", "3"]), _INTS[1])})
+
+
+@st.composite
+def _normalized_ckn(draw):
+    """ckn vectors with alpha = beta = mu and gamma1 on the normalized relation,
+    which reach the constant and the extremal check unless not integrable."""
+    p = draw(st.sampled_from([1.5, 2.0, 3.0, 4.0]))
+    a, g2, g3 = (draw(st.floats(-0.3, 0.3)) for _ in range(3))
+    values = {"alpha": a, "beta": a, "mu": a, "gamma1": (g3 * (p - 1.0) + g2 - 1.0) / p,
+              "gamma2": g2, "gamma3": g3}
+    # --name=value: argparse reads a separate "-1e-05" as an option
+    return ["ckn", "--n", draw(_INTS[0]), f"--p={p!r}"] + [
+        f"--{name}={v!r}" for name, v in values.items()]
+
+
+_CKN_ARGV = _argv("ckn", {
+    "n": _INTS, "p": (st.sampled_from(["2", "3", "1.5"]), _NUMBERS[1]),
+    "alpha": _NUMBERS, "beta": _NUMBERS, "mu": _NUMBERS,
+    "gamma1": _NUMBERS, "gamma2": _NUMBERS, "gamma3": _NUMBERS})
+
+# --count is always given, as 0 to 2 or malformed: the default batches take
+# up to a second each
+_VERIFY_ARGV = st.tuples(
+    _argv("verify", {
+        "which": (st.sampled_from(["E2", "Ep", "CKNp", "weights", "leray", "lemma1"]),
+                  st.sampled_from(["", "x", "e2", "--"])),
+        "seed": (st.sampled_from(["0", "7", "303"]), st.sampled_from(["-1", "x", "1.5", ""]))},
+        required="which"),
+    st.sampled_from(["0", "1", "2", "-1", "x", ""])).map(lambda t: t[0] + ["--count", t[1]])
 
 
 class TestCliProperties:
@@ -302,6 +337,26 @@ class TestCliProperties:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(_RAYLEIGH_ARGV)
     def test_rayleigh(self, argv):
+        self._check(argv)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_OPTIMIZE_ARGV)
+    def test_optimize(self, argv):
+        self._check(argv)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_CKN_ARGV)
+    def test_ckn(self, argv):
+        self._check(argv)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(_normalized_ckn())
+    def test_ckn_normalized(self, argv):
+        self._check(argv)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_VERIFY_ARGV)
+    def test_verify(self, argv):
         self._check(argv)
 
 
@@ -352,6 +407,10 @@ class TestReportCommand:
         doc = parse_json(out)
         assert doc["all_pass"] is True
         assert len(doc["criteria"]) == 11
+        manifest = doc["manifest"]
+        assert manifest["seed"] == {"3": 101, "4": 202, "8": 303, "10": 404, "11": 505}
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
         assert sorted(p.name for p in csv_dir.iterdir()) == [
             "sweep_k_gt_1.csv", "sweep_k_le_1.csv"]
         header = (csv_dir / "sweep_k_gt_1.csv").read_text().splitlines()[0]

@@ -342,6 +342,8 @@ class TestCknExtremal:
             except NotConvergedError:
                 continue  # a radial exponent in (-1, -0.95], past the tanh-sinh window
             assert rep.quotient == pytest.approx(rep.constant, rel=1e-8)
+            # criterion 9's gate; the absolute R read 6.0e-8 on draw 9
+            assert rep.residual_R_max <= 1e-12
             reached += 1
         assert reached >= 38
 

@@ -1,19 +1,22 @@
+import json
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from anisohardy import (FamilyKind, HardyParams, TrialFamily, beta, compute_K,
-                        cutoff_eta, cutoff_eta_prime, integrate_1d, integrate_2d,
+from anisohardy import (FamilyKind, HardyParams, QuadratureSpec, TrialFamily, beta,
+                        compute_K, cutoff_eta, cutoff_eta_prime, integrate_1d, integrate_2d,
                         integrate_angular, integrate_rows, make_family, quotient_general_p,
                         quotient_p2, sharp_constant_general_p,
                         sharp_constant_p2, sin_power_integral,
                         sweep_and_extrapolate)
 from anisohardy import rayleigh
+from anisohardy.cli import main
 from anisohardy.errors import (FitUnstableError, NotConvergedError,
                                UnsupportedRegimeError)
 from anisohardy.params import RegimeFamily, admissible_hardy
+from anisohardy.quadrature import QuadResult
 from anisohardy.rayleigh import FitModel, QuotientParts
 
 K3_PARAMS = HardyParams(3, 2.0, -0.5, -0.5)
@@ -174,6 +177,100 @@ class TestStackedRadials:
         assert str(ei.value) == str(alone.value) and "last sum inf" in str(ei.value)
         assert (ei.value.value, ei.value.err_estimate) == (alone.value.value,
                                                            alone.value.err_estimate)
+
+
+def _sweep_outcome(params, sigmas):
+    """The rows, extrapolated value and fit residual of a sweep as float.hex,
+    or the message, value and residual of the FitUnstableError it raises."""
+    try:
+        res = sweep_and_extrapolate(params, sigma_list=sigmas)
+    except FitUnstableError as exc:
+        return str(exc), exc.value.hex(), exc.residual.hex()
+    return ([tuple(float(getattr(r, f)).hex() for f in r.__dataclass_fields__) for r in res.rows],
+            res.extrapolated.hex(), res.fit.residual.hex())
+
+
+_BATCH = rayleigh._quotients_p2
+
+
+def _member_loop(families, spec=None):
+    """quotient_p2 on each member in turn (its body: the batch of one member)."""
+    return tuple(_BATCH((fam,), spec)[0] for fam in families)
+
+
+# K = 0.995: only sigma = 0.025 lies below sqrt(1 - K)/2, so the sweep falls
+# back to the K = 1 family
+_NEAR_K1 = HardyParams(3, 2.0, 0.0, (-3.0 + math.sqrt(9.0 - 0.995)) / 2.0)
+# at sigma = 0.1 the power of r in J2 is r^2, which numpy's power by the
+# float 2 takes as a square
+_SQUARE = HardyParams(3, 2.0, 0.0, 0.9)
+_SIGMAS = {_SQUARE: (0.1, 0.06, 0.03, 0.015)}
+
+
+class TestBatchedSweep:
+    """_quotients_p2 against quotient_p2 called on each member in turn."""
+
+    @pytest.mark.parametrize("params", [fam.params for fam in _seeded_p2_families(31, count=2)]
+                             + [_NEAR_K1, _SQUARE],
+                             ids=lambda p: f"{p.n}_{p.alpha:.3f}_{p.beta:.3f}")
+    def test_sweep_matches_member_loop_bit_for_bit(self, params, monkeypatch):
+        sigmas = None
+        if compute_K(params).family is not RegimeFamily.K_GT_1:
+            sigmas = _SIGMAS.get(params, rayleigh.DEFAULT_SIGMA)
+        batched = _sweep_outcome(params, sigmas)
+        monkeypatch.setattr(rayleigh, "_quotients_p2", _member_loop)
+        assert batched == _sweep_outcome(params, sigmas)
+        if params == _NEAR_K1:
+            assert make_family(params, 1e-3, 0.025).kind is FamilyKind.P2_K_LT_1
+            assert len(batched[0]) == 20           # the K = 1 family keeps every sigma
+
+    def test_overflowing_angular_factor_keeps_its_error(self, capsys):
+        # K = 1.018: the first member's angular factor overflows; no radial runs
+        params = HardyParams(2, 2.0, -0.4220116904528721, -0.2959733589660343)
+        _, mu, _ = _exponents(make_family(params, 1e-2))
+        with np.errstate(all="ignore"):
+            with pytest.raises(NotConvergedError) as alone:
+                integrate_angular(lambda s: s ** (mu - 2.0), rayleigh._SWEEP_SPEC_1D)
+        code = main(["rayleigh", "--n", "2", "--p", "2", "--alpha", repr(params.alpha),
+                     "--beta", repr(params.beta)])
+        captured = capsys.readouterr()
+        doc = json.loads(captured.err)
+        assert (code, captured.out) == (1, "")
+        assert doc["type"] == "NotConvergedError" and doc["error"] == str(alone.value)
+        assert doc["value"] is None and math.isinf(alone.value.value)   # inf prints as null
+        assert doc["err_estimate"] == alone.value.err_estimate
+
+    def test_earlier_radial_failure_beats_later_angular_failure(self, monkeypatch):
+        params = HardyParams(3, 2.0, 0.0, -0.05)
+
+        def angular_failing_at_second_sigma():
+            calls = []
+
+            def fake(f_of_sin, spec=None):
+                calls.append(1)
+                if len(calls) > 2:      # the first sigma's pair passes
+                    raise NotConvergedError("angular stub", value=7.0, err_estimate=1.0)
+                return QuadResult(1.0, 0.0)
+            return fake
+
+        short = QuadratureSpec(levels=3)    # no radial converges in 3 levels
+        monkeypatch.setattr(rayleigh, "integrate_angular", angular_failing_at_second_sigma())
+        first = TrialFamily(FamilyKind.P2_K_LT_1, params, rayleigh.DEFAULT_EPS[0],
+                            rayleigh.DEFAULT_SIGMA[0])
+        with pytest.raises(NotConvergedError) as radial:
+            quotient_p2(first, short)
+        assert "tanh-sinh on (0.0, 2.0)" in str(radial.value)
+
+        monkeypatch.setattr(rayleigh, "integrate_angular", angular_failing_at_second_sigma())
+        with pytest.raises(NotConvergedError) as ei:
+            sweep_and_extrapolate(params, spec=short)
+        assert (str(ei.value), ei.value.value, ei.value.err_estimate) == \
+            (str(radial.value), radial.value.value, radial.value.err_estimate)
+
+        # with converging radials the later angular failure is the first one
+        monkeypatch.setattr(rayleigh, "integrate_angular", angular_failing_at_second_sigma())
+        with pytest.raises(NotConvergedError, match="angular stub"):
+            sweep_and_extrapolate(params)
 
 
 class TestQuotientGeneralP:
@@ -355,8 +452,9 @@ class TestSweep:
         assert sigmas == [s * 2.0 / 4.0 for s in rayleigh.DEFAULT_SIGMA]
 
     def test_non_finite_fit_raises(self, monkeypatch):
-        monkeypatch.setattr(rayleigh, "quotient_p2",
-                            lambda fam, spec=None: QuotientParts(math.nan, 1.0, math.nan))
+        monkeypatch.setattr(rayleigh, "_quotients_p2",
+                            lambda families, spec=None: tuple(
+                                QuotientParts(math.nan, 1.0, math.nan) for _ in families))
         with pytest.raises(FitUnstableError) as ei:
             sweep_and_extrapolate(K3_PARAMS)
         assert math.isnan(ei.value.value)
