@@ -17,8 +17,13 @@ the catastrophic cancellation of sin(pi - tiny).
 integrate_2d integrates f(r, cos phi) sin(phi)^c over (0, R) x (0, pi):
 radial tanh-sinh of angular Gauss-Jacobi sums (gauss_jacobi, Golub-Welsch)
 whose weight carries sin(phi)^c, so that factor is never evaluated.  Its
-angular orders double, and consecutive orders are compared.  One driver,
-_refine, runs the convergence loop for the 1D, angular and 2D integrators.
+angular orders double, and consecutive orders are compared.
+_integrate_2d_rows integrates several such integrands together: each order
+is one radial pass over the integrands still refining, and each integrand's
+radial part is evaluated once per level for every order; integrate_2d is
+its one-integrand case.  One driver, _refine, runs the convergence loop for
+the 1D, angular and 2D integrators: it reports one outcome per row, and the
+public integrators raise the first row's failure.
 
 Reduced integrals are computed WITHOUT the sphere-area prefactor of the
 residual angles; it cancels in every quotient.  sphere_area exists for
@@ -181,46 +186,66 @@ def _ts_level(level: int):
     return t[keep], d[keep], w[keep]
 
 
-def _refine(totals, spec: QuadratureSpec, what: str) -> tuple[QuadResult, ...]:
+def _refine(totals, spec: QuadratureSpec, what: str) -> tuple:
     """Drive rows of refined totals (levels or orders) to convergence.
 
-    totals yields, per refinement, one total for each of m rows that share
-    it.  A row is converged when two consecutive totals differ by at most
+    totals is a generator that yields, per refinement, one total for each of
+    m rows, and is sent the indices of the rows still live before it makes
+    the next refinement; a row that is not live may get any placeholder.  A
+    row is converged when two consecutive totals differ by at most
     max(abs_tol, rel_tol*|total|); that difference is its error estimate,
-    and the row keeps that result while the others refine.  A row stops at
+    and the row keeps that result while the others refine.  A row fails at
     its first non-finite total: it stays non-finite at every finer
     refinement, and an infinite total would meet its own infinite relative
-    tolerance.  Rows are settled in order, as if each were driven alone in
-    turn: the first row that fails raises NotConvergedError carrying its
-    last total, and refinement ends as soon as that is decided.
+    tolerance.  A total may also be the NotConvergedError of a row that
+    failed inside its refinement (an angular order's radial pass); that is
+    the row's outcome.
+
+    Returns one outcome per row: its QuadResult, its NotConvergedError
+    (carrying its last total), or None for a row after the first failed
+    row.  Rows are settled in order, as if each were driven alone in turn:
+    rows after the first failure refine no further, and refinement ends
+    once every row before it is decided.
     """
-    done = None     # per row: None while refining, False once failed, else its result
-    for row_totals in totals:
-        if done is None:
+    live, out = None, None
+    while True:
+        try:
+            row_totals = totals.send(live)
+        except StopIteration:
+            break
+        if out is None:
             m = len(row_totals)
-            prev, err, last, done = [None] * m, [math.inf] * m, [math.nan] * m, [None] * m
-        for i, total in enumerate(row_totals):
-            if done[i] is not None:
-                continue
+            prev, err, last, out = [None] * m, [math.inf] * m, [math.nan] * m, [None] * m
+        still = []
+        for i in range(m) if live is None else live:
+            total = row_totals[i]
+            if isinstance(total, NotConvergedError):
+                out[i] = total
+                break
             last[i] = total
             if not math.isfinite(total):
-                done[i] = False
-                continue
+                out[i] = _not_converged(what, total, err[i])
+                break
             if prev[i] is not None:
                 err[i] = abs(total - prev[i])
                 if err[i] <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-                    done[i] = QuadResult(total, err[i])
+                    out[i] = QuadResult(total, err[i])
                     continue
             prev[i] = total
-        for i, state in enumerate(done):
-            if state is None:
-                break
-            if state is False:
-                raise _not_converged(what, last[i], err[i])
-        else:
-            return tuple(done)
-    i = next(i for i, state in enumerate(done) if not state)
-    raise _not_converged(what, last[i], err[i])
+            still.append(i)
+        live = still
+        if not live:
+            return tuple(out)
+    out[live[0]] = _not_converged(what, last[live[0]], err[live[0]])
+    return tuple(out)
+
+
+def _settled(outcomes) -> tuple[QuadResult, ...]:
+    """The results of _refine's outcomes; raises the first row's failure."""
+    for res in outcomes:
+        if not isinstance(res, QuadResult):
+            raise res
+    return outcomes
 
 
 def _not_converged(what: str, total: float, err: float) -> NotConvergedError:
@@ -232,20 +257,25 @@ def _ts_totals(f, nodes, scale: float, levels: int):
     """Running tanh-sinh totals of the rows of f over an interval of length scale.
 
     nodes(t, d) maps the transform abscissae and endpoint distances of the
-    unit interval to the points f is evaluated at; f returns a sequence of
-    row values there, each an array of the points' shape or a value that
-    broadcasts to it, or a 2-D block of such rows, one per line.  A block's
-    lines are summed as single rows are, so each total is the same to the
-    bit either way.  Each level evaluates f only at its new nodes and halves
-    the previous totals; levels 1..levels are yielded as tuples of the m row
-    totals, level 0 only seeds the first.
+    unit interval to the points x f is evaluated at.  f(x, level, live)
+    returns a sequence of row values there, each an array of the points'
+    shape or a value that broadcasts to it, or a 2-D block of such rows, one
+    per line; live is None while every row refines, then the indices _refine
+    sent, and a row outside it may be None.  A block's lines are summed as
+    single rows are, so each total is the same to the bit either way.  Each
+    level evaluates f only at its new nodes and halves the previous totals;
+    levels 1..levels are yielded as tuples of the m row totals, level 0 only
+    seeds the first.
     """
-    totals = None
+    totals, live = None, None
     for level in range(levels + 1):
         t, d, w = _ts_level(level)
         x = nodes(t, d)
         sums = []
-        for row in f(x):
+        for row in f(x, level, live):
+            if row is None:
+                sums.append(math.nan)
+                continue
             fx = np.asarray(row, dtype=float)
             if fx.ndim > x.ndim:
                 sums.extend(float(s) * scale for s in np.sum(w * fx, axis=-1))
@@ -255,7 +285,18 @@ def _ts_totals(f, nodes, scale: float, levels: int):
             sums.append(float(np.sum(w * fx)) * scale)
         totals = sums if level == 0 else [0.5 * a + b for a, b in zip(totals, sums)]
         if level:
-            yield tuple(totals)
+            live = yield tuple(totals)
+
+
+def _ts_rows(f, a: float, b: float, spec: QuadratureSpec) -> tuple:
+    """_refine's outcomes for the rows of f(x, level, live) over (a, b)."""
+    if not b > a:
+        raise ValueError(f"need b > a, got ({a}, {b})")
+    scale = b - a
+    totals = _ts_totals(
+        f, lambda t, d: np.where(t <= 0.0, a + scale * d, b - scale * d),
+        scale, spec.levels)
+    return _refine(totals, spec, f"tanh-sinh on ({a}, {b}) within {spec.levels} levels")
 
 
 def integrate_rows(f: Callable, a: float, b: float,
@@ -271,14 +312,7 @@ def integrate_rows(f: Callable, a: float, b: float,
     row, in order, that does not converge raises NotConvergedError with its
     best value.
     """
-    spec = spec or _DEFAULT_SPEC
-    if not b > a:
-        raise ValueError(f"need b > a, got ({a}, {b})")
-    scale = b - a
-    totals = _ts_totals(
-        f, lambda t, d: np.where(t <= 0.0, a + scale * d, b - scale * d),
-        scale, spec.levels)
-    return _refine(totals, spec, f"tanh-sinh on ({a}, {b}) within {spec.levels} levels")
+    return _settled(_ts_rows(lambda x, level, live: f(x), a, b, spec or _DEFAULT_SPEC))
 
 
 def integrate_1d(f: Callable, a: float, b: float,
@@ -302,9 +336,9 @@ def integrate_angular(f_of_sin: Callable, spec: QuadratureSpec | None = None) ->
     Handles algebraic blow-up of f at sin phi -> 0 with rate > -1.
     """
     spec = spec or _DEFAULT_SPEC
-    totals = _ts_totals(lambda s: (f_of_sin(s),), lambda t, d: np.sin(np.pi * d),
-                        math.pi, spec.levels)
-    return _refine(totals, spec, f"angular tanh-sinh within {spec.levels} levels")[0]
+    totals = _ts_totals(lambda s, level, live: (f_of_sin(s),),
+                        lambda t, d: np.sin(np.pi * d), math.pi, spec.levels)
+    return _settled(_refine(totals, spec, f"angular tanh-sinh within {spec.levels} levels"))[0]
 
 
 @lru_cache(maxsize=128)
@@ -340,16 +374,15 @@ def gauss_jacobi(m: int, a: float, b: float):
 _ORDERS = (32, 64, 128, 256, 512, 1024)
 
 
-def _angular_sums(f, t, w):
-    """r -> sum_j w_j f(r, t_j), in row blocks of about 2^14 grid elements."""
-    rows = max(1, 2 ** 14 // t.size)
-
-    def sums(r):
-        out = np.empty(r.shape)
-        for i in range(0, r.size, rows):
-            out[i:i + rows] = f(r[i:i + rows, None], t[None, :]) @ w
-        return out
-    return sums
+def _angular_sums(block, size: int, t, w):
+    """sum_j w_j f(r_i, t_j) at the size radial nodes of a level, in row
+    blocks of about 2^14 grid elements; block(rows, t) is f on the nodes in
+    the slice rows against t[None, :]."""
+    step = max(1, 2 ** 14 // t.size)
+    out = np.empty(size)
+    for i in range(0, size, step):
+        out[i:i + step] = block(slice(i, i + step), t[None, :]) @ w
+    return out
 
 
 def integrate_2d(f: Callable, c: float, spec: QuadratureSpec | None = None) -> QuadResult:
@@ -362,26 +395,69 @@ def integrate_2d(f: Callable, c: float, spec: QuadratureSpec | None = None) -> Q
     The integrand receives broadcastable arrays (r[:, None], t[None, :]) in
     row blocks of about 2^14 elements and returns the block.
 
-    Each angular order m = 32, 64, ..., 1024 is one integrate_1d radial
+    Each angular order m = 32, 64, ..., 1024 is one radial tanh-sinh
     integral of the m-point angular sums; consecutive orders are compared by
     the shared refinement driver.  The error estimate is the larger of the
     last order difference and that order's radial error.  NotConvergedError
-    past the last order carries its total.
+    past the last order carries its total, and a radial integral that does
+    not converge raises its own.  This is the one-integrand case of
+    _integrate_2d_rows.
+    """
+    return _settled(_integrate_2d_rows(
+        [lambda r: lambda rows, t: f(r[rows, None], t)], [c], spec))[0]
+
+
+def _integrate_2d_rows(integrands, cs, spec: QuadratureSpec | None = None) -> tuple:
+    """integrate_2d of several integrands, as _refine's outcomes, one per integrand.
+
+    integrands[i](r) takes the radial nodes r of one tanh-sinh level and
+    returns block(rows, t), integrand i on r[rows] x t for a slice rows and
+    angular nodes t[None, :]; it is called once per level, and its block
+    serves every angular order, so radial work is done once per node.  cs[i]
+    is the sin power of integrand i.  Each order runs one radial tanh-sinh
+    pass whose rows are the integrands still refining over the orders, with
+    the angular sums in the row blocks integrate_2d uses, so every outcome
+    is the one integrate_2d gives its integrand alone, to the bit: a
+    QuadResult, the NotConvergedError it would raise, or None after the
+    first failed row.
     """
     spec = spec or _DEFAULT_SPEC
-    radial_err = 0.0
+    blocks = {}                     # (row, level) -> the row's block at that level
+    radial_err = [0.0] * len(integrands)
 
     def order_totals():
-        nonlocal radial_err
+        live = range(len(integrands))
         for m in _ORDERS:
-            t, w = gauss_jacobi(m, (c - 1.0) / 2.0, (c - 1.0) / 2.0)
-            res = integrate_1d(_angular_sums(f, t[m // 2:], 2.0 * w[m // 2:]),
-                               0.0, spec.truncation_radius, spec)
-            radial_err = res.err_estimate
-            yield (res.value,)
+            rows = list(live)
+            rules = {}
+            for i in rows:
+                if cs[i] not in rules:
+                    t, w = gauss_jacobi(m, (cs[i] - 1.0) / 2.0, (cs[i] - 1.0) / 2.0)
+                    rules[cs[i]] = t[m // 2:], 2.0 * w[m // 2:]
 
-    res, = _refine(order_totals(), spec, f"Gauss-Jacobi within order {_ORDERS[-1]}")
-    return QuadResult(res.value, max(res.err_estimate, radial_err))
+            def sums(r, level, running):
+                running = range(len(rows)) if running is None else set(running)
+                for j, i in enumerate(rows):
+                    if j not in running:
+                        yield None
+                        continue
+                    block = blocks.get((i, level))
+                    if block is None:
+                        block = blocks[i, level] = integrands[i](r)
+                    yield _angular_sums(block, r.size, *rules[cs[i]])
+
+            totals = [math.nan] * len(integrands)
+            for i, res in zip(rows, _ts_rows(sums, 0.0, spec.truncation_radius, spec)):
+                if isinstance(res, QuadResult):
+                    totals[i], radial_err[i] = res.value, res.err_estimate
+                elif res is not None:
+                    totals[i] = res
+            live = yield tuple(totals)
+
+    outcomes = _refine(order_totals(), spec, f"Gauss-Jacobi within order {_ORDERS[-1]}")
+    return tuple(QuadResult(res.value, max(res.err_estimate, radial_err[i]))
+                 if isinstance(res, QuadResult) else res
+                 for i, res in enumerate(outcomes))
 
 
 # ------------------------------------------------------------ Lemma check

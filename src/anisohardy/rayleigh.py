@@ -33,9 +33,12 @@ import numpy as np
 from .errors import (FitUnstableError, NotConvergedError, SingularParamsError,
                      UnsupportedRegimeError)
 from .params import HardyParams, RegimeFamily, admissible_hardy, compute_K
-from .quadrature import (QuadratureSpec, cutoff_eta, cutoff_eta_prime,
-                         integrate_1d, integrate_2d, integrate_angular,
-                         integrate_rows, sin_power_integral)
+# integrate_1d and integrate_2d are no longer called here; certbench's layer
+# tracer looks them up by these names.
+from .quadrature import (QuadResult, QuadratureSpec, _integrate_2d_rows,  # noqa: F401
+                         cutoff_eta, cutoff_eta_prime, integrate_1d,
+                         integrate_2d, integrate_angular, integrate_rows,
+                         sin_power_integral)
 
 __all__ = [
     "FamilyKind", "TrialFamily", "FitModel", "FitInfo", "SweepRow",
@@ -308,33 +311,51 @@ def _general_p_exponents(family: TrialFamily) -> tuple[float, float]:
             p.n - 1.0 + p.p * (p.alpha + p.beta + gam))
 
 
-def _grad_integrand(family: TrialFamily):
-    """Reduced gradient integrand f(r, cos phi) of the general-p numerator.
+def _grad_columns(family: TrialFamily):
+    """r -> (A, C), the radial columns of the general-p gradient integrand.
 
     With v = |x'|^gam g(|x|) and |x'| = r sin(phi),
     |grad v|^2 = |x'|^(2 gam - 2) (A(r) cos^2 phi + C(r) sin^2 phi) where
-    A = gam^2 g^2 and C = (gam g + r g')^2.  A and C are computed on the r
-    column with the radial weight r^a_r folded in as r^(2 a_r / p), which
-    is safe because a_r > 0.  The bracket is a sum of non-negative terms, so
-    its power is real; the factor sin(phi)^a_phi is the angular weight of
-    integrate_2d and is not part of f.
+    A = gam^2 g^2 and C = (gam g + r g')^2.  A and C carry the radial weight
+    r^a_r folded in as r^(2 a_r / p), which is safe because a_r > 0.
     """
     pw = family.params.p
     gam = family.h_exponent
     _, a_r = _general_p_exponents(family)
 
-    def integrand(r, t):
+    def columns(r):
         gv, gpv = family.g_and_prime(r)
         fold = r ** (2.0 * a_r / pw)
-        A = fold * (gam * gv) ** 2
-        C = fold * (gam * gv + r * gpv) ** 2
-        t2 = t * t
-        out = A * t2
-        out += C * (1.0 - t2)
-        out **= pw / 2.0
-        return out
+        return fold * (gam * gv) ** 2, fold * (gam * gv + r * gpv) ** 2
+    return columns
 
-    return integrand
+
+def _bracket_power(A, C, t, pw: float):
+    """(A t^2 + C (1 - t^2))^(p/2): a sum of non-negative terms, so its power is real."""
+    t2 = t * t
+    out = A * t2
+    out += C * (1.0 - t2)
+    out **= pw / 2.0
+    return out
+
+
+def _grad_integrand(family: TrialFamily):
+    """Reduced gradient integrand f(r, cos phi) = (A cos^2 phi + C sin^2 phi)^(p/2)
+    of the general-p numerator, for integrate_2d; the factor sin(phi)^a_phi
+    is the rule's angular weight and is not part of f."""
+    columns, pw = _grad_columns(family), family.params.p
+    return lambda r, t: _bracket_power(*columns(r), t, pw)
+
+
+def _grad_levels(family: TrialFamily):
+    """_grad_integrand in the form of _integrate_2d_rows: the columns are
+    formed once per radial level and serve every angular order."""
+    columns, pw = _grad_columns(family), family.params.p
+
+    def at_level(r):
+        A, C = columns(r)
+        return lambda rows, t: _bracket_power(A[rows, None], C[rows, None], t, pw)
+    return at_level
 
 
 def quotient_general_p(family: TrialFamily,
@@ -342,28 +363,80 @@ def quotient_general_p(family: TrialFamily,
     """Rayleigh quotient of the general-p family.
 
     The gradient integrand couples r and phi through |x'| = r sin(phi) and
-    cannot factor: it goes through integrate_2d, radial tanh-sinh against
-    Gauss-Jacobi in cos(phi) with the weight sin(phi)^a_phi.  The
-    denominator factors into the Beta closed form of that angular weight
-    and one radial integral.
+    cannot factor: it is a 2-D integral, radial tanh-sinh against
+    Gauss-Jacobi in cos(phi) with the weight sin(phi)^a_phi (integrate_2d).
+    The denominator factors into the Beta closed form of that angular weight
+    and one radial integral.  This is the one-member case of
+    _quotients_general_p.
     """
-    if family.kind is not FamilyKind.GENERAL_P_BETA_NONNEG:
+    return _quotients_general_p((family,), spec)[0]
+
+
+def _quotients_general_p(families, spec: QuadratureSpec | None = None
+                         ) -> tuple[QuotientParts, ...]:
+    """quotient_general_p of each member: all numerators in one batched 2-D
+    pass, all denominators in one radial pass.
+
+    Each angular order integrates only the members still refining, and each
+    member's radial columns are formed once per radial level.  Each result
+    is the one quotient_general_p gives the member alone, to the bit, and a
+    failure is the first one met by quotient_general_p called on the
+    members in turn: the exponent checks, the numerator and the
+    denominator, member by member.  Members after it do no further work.
+    """
+    if any(f.kind is not FamilyKind.GENERAL_P_BETA_NONNEG for f in families):
         raise ValueError("quotient_general_p takes the general-p family")
     spec = spec or _SWEEP_SPEC_2D
-    pw = family.params.p
-    a_phi, a_r = _general_p_exponents(family)
-    _check_exponent(a_phi, "angular")
-    _check_exponent(a_r, "radial")
+    exponents, failure = [], None
+    for family in families:
+        a_phi, a_r = _general_p_exponents(family)
+        try:
+            _check_exponent(a_phi, "angular")
+            _check_exponent(a_r, "radial")
+        except SingularParamsError as exc:
+            failure = exc       # raised after the members before it
+            break
+        exponents.append((a_phi, a_r))
+    nums = _integrate_2d_rows([_grad_levels(f) for f in families[:len(exponents)]],
+                              [a_phi for a_phi, _ in exponents], spec)
+    done = next((i for i, num in enumerate(nums) if not isinstance(num, QuadResult)),
+                len(nums))
+    if done < len(nums):
+        failure = nums[done]
+    members = families[:done]
+    rads = (integrate_rows(_denominator_rows(members, [a_r for _, a_r in exponents]),
+                           0.0, spec.truncation_radius, spec) if members else ())
+    if failure is not None:
+        raise failure
 
-    num = integrate_2d(_grad_integrand(family), a_phi, spec)
-    e2 = family.epsilon ** 2
-    lam = 2.0 * family.g_exponent
-    rad = integrate_1d(
-        lambda r: r ** a_r * (r * r + e2) ** (pw * lam / 2.0) * cutoff_eta(r) ** pw,
-        0.0, spec.truncation_radius, spec)
-    den = sin_power_integral(a_phi) * rad.value
-    return QuotientParts(num.value, den, num.value / den,
-                         err_estimate=_rel_err(num, rad))
+    parts = []
+    for (a_phi, _), num, rad in zip(exponents, nums, rads):
+        den = sin_power_integral(a_phi) * rad.value
+        parts.append(QuotientParts(num.value, den, num.value / den,
+                                   err_estimate=_rel_err(num, rad)))
+    return tuple(parts)
+
+
+def _denominator_rows(families, a_rs):
+    """Integrand of the denominator pass, r^a_r g^p, one row per member.
+
+    Each level forms r^2 once and r^a_r and the cutoff's power once per
+    distinct value; every row is quotient_general_p's expression for its
+    member, to the bit.
+    """
+    def rows(r):
+        r2, eta = r * r, cutoff_eta(r)
+        r_powers, eta_powers = {}, {}
+        for family, a_r in zip(families, a_rs):
+            pw = family.params.p
+            if a_r not in r_powers:
+                r_powers[a_r] = r ** a_r
+            if pw not in eta_powers:
+                eta_powers[pw] = eta ** pw
+            lam = 2.0 * family.g_exponent
+            yield (r_powers[a_r] * (r2 + family.epsilon ** 2) ** (pw * lam / 2.0)
+                   * eta_powers[pw])
+    return rows
 
 
 # ------------------------------------------------------------------ sweeps
@@ -536,13 +609,21 @@ def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None,
                 # is the robust one at the boundary
                 kind = FamilyKind.P2_K_EQ_1
     members = [(s, e) for s in sigmas for e in eps_list]
-    if kind is FamilyKind.GENERAL_P_BETA_NONNEG:
-        # each family is built just before its quotient: a sigma the family
-        # rejects (>= 1) is met after the quotients of the members before it
-        parts = [quotient_general_p(TrialFamily(kind, params, e, s), spec)
-                 for s, e in members]
-    else:
-        parts = _quotients_p2([TrialFamily(kind, params, e, s) for s, e in members], spec)
+    families, failure = [], None
+    for s, e in members:
+        try:
+            families.append(TrialFamily(kind, params, e, s))
+        except ValueError as exc:
+            # a sigma the family rejects (>= 1) is met after the quotients of
+            # the members before it, as if each member were built just
+            # before its quotient
+            failure = exc
+            break
+    quotients = (_quotients_general_p if kind is FamilyKind.GENERAL_P_BETA_NONNEG
+                 else _quotients_p2)
+    parts = quotients(families, spec)
+    if failure is not None:
+        raise failure
     rows = tuple(SweepRow(e, s, q.numerator, q.denominator, q.quotient, q.err_estimate)
                  for (s, e), q in zip(members, parts))
     if kind is FamilyKind.P2_K_GT_1:

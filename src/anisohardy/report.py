@@ -26,7 +26,8 @@ from .weights import WeightSpec, divergence_oracle, weight_p2
 
 __all__ = ["CriterionResult", "ALL_CRITERIA", "run_all",
            "sample_admissible", "sample_e2_config", "sample_ep_config",
-           "sample_ckn_config", "LEMMA1_POSITIVE", "LEMMA1_NEGATIVE"]
+           "sample_ckn_config", "weight_errors", "leray_errors",
+           "LEMMA1_POSITIVE", "LEMMA1_NEGATIVE"]
 
 
 @dataclass
@@ -302,14 +303,19 @@ def run_criterion_10(seed: int = CRITERION_SEEDS[10]) -> CriterionResult:
                                     "negative_slope": neg_slope})
 
 
-def run_criterion_11(seed: int = CRITERION_SEEDS[11]) -> CriterionResult:
-    rng = np.random.default_rng(seed)
-    weight_worst = 0.0
-    for _ in range(20):
+def weight_errors(rng, count: int):
+    """Per p = 2 weight instance, the largest relative FD-oracle error.
+
+    Draws count instances (sample_admissible, exponents in [-1.5, 1.5]) and
+    for each 50 points with |x'| > 0.3 and 0.3 < |x| < 2.5 where the
+    closed weight is at least 1e-3 (relative error is meaningless near its
+    zero set), and yields the largest |closed - FD| / |closed| of each.
+    """
+    for _ in range(count):
         params = sample_admissible(rng, span=1.5, margin=0.05)
         pair = ExponentPair(float(rng.uniform(-1.5, 1.5)), float(rng.uniform(-1.5, 1.5)))
         spec = WeightSpec(params, exponents=pair)
-        done = 0
+        worst, done = 0.0, 0
         while done < 50:
             x = rng.uniform(-2.0, 2.0, size=params.n)
             s = float(np.linalg.norm(x[:params.k]))
@@ -318,28 +324,42 @@ def run_criterion_11(seed: int = CRITERION_SEEDS[11]) -> CriterionResult:
                 continue
             closed = weight_p2(x, spec)
             if abs(closed) < 1e-3:
-                continue  # relative error is meaningless near the zero set
+                continue
             done += 1
             fd = divergence_oracle(spec.V, spec.f, x)
-            weight_worst = max(weight_worst, abs(closed - fd) / abs(closed))
+            worst = max(worst, abs(closed - fd) / abs(closed))
+        yield worst
 
-    def leray_V(z):
-        return abs(z[0]) / np.linalg.norm(z)
 
-    def leray_f(z):
-        return math.sqrt(-math.log(np.linalg.norm(z)))
+def _leray_V(z):
+    return abs(z[0]) / np.linalg.norm(z)
 
-    leray_worst = 0.0
-    for _ in range(50):
+
+def _leray_f(z):
+    # complex-analytic, as the oracle's complex step needs
+    return np.sqrt(-np.log(np.sqrt(np.sum(z * z))))
+
+
+def leray_errors(rng, count: int):
+    """Relative FD-oracle errors of the punctured-disc identity
+    -div(|x_1|/|x| grad sqrt(-ln|x|)) / sqrt(-ln|x|) = |x_1| / (4 |x|^3 ln^2|x|)
+    at count points with 0.1 < |x| < 0.7 and |x_1| > 0.05."""
+    for _ in range(count):
         while True:
             rr = float(rng.uniform(0.1, 0.7))
             psi = float(rng.uniform(0.15, math.pi - 0.15))
             x = np.array([rr * math.cos(psi), rr * math.sin(psi)])
             if abs(x[0]) > 0.05:
                 break
-        fd = divergence_oracle(leray_V, leray_f, x)
+        fd = divergence_oracle(_leray_V, _leray_f, x)
         expect = abs(x[0]) / (4.0 * rr ** 3 * math.log(rr) ** 2)
-        leray_worst = max(leray_worst, abs(fd - expect) / expect)
+        yield abs(fd - expect) / expect
+
+
+def run_criterion_11(seed: int = CRITERION_SEEDS[11]) -> CriterionResult:
+    rng = np.random.default_rng(seed)
+    weight_worst = max(weight_errors(rng, 20))
+    leray_worst = max(leray_errors(rng, 50))
     passed = weight_worst <= 1e-6 and leray_worst <= 1e-6
     return CriterionResult(11, "weight vs FD divergence (20x50) and punctured-disc identity",
                            passed, {"weight_worst": weight_worst,

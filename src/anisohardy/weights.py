@@ -1,4 +1,4 @@
-"""Weight algebra for separable trial functions and its finite-difference oracle.
+"""Weight algebra for separable trial functions and its divergence oracle.
 
 For V = |x'|^(2a+2) |x|^(2b) and f = |x'|^theta |x|^lam, the generated Hardy
 weight splits into a purely anisotropic part and an angular part:
@@ -21,9 +21,17 @@ uses f = |x'|^gamma and V = |x'|^(p(a+1)) |x|^(pb), producing
 Sign convention: weights are returned as the coefficient of the POSITIVE
 right-hand side, so Hardy inequalities read  int V |grad u|^p >= int W |u|^p.
 
-divergence_oracle / divergence_oracle_p recompute the same quantities by
-central finite differences with Richardson extrapolation and know nothing of
-the closed forms above; they are the independent check.
+divergence_oracle / divergence_oracle_p recompute the same quantities from
+the fields alone and know nothing of the closed forms above; they are the
+independent check.  Both are one stencil: the flux V |grad f|^(p-2) grad f
+takes grad f by complex step, Im f(z + i h e_j)/h, which has no subtractive
+cancellation (Squire and Trapp, SIAM Rev. 40, 1998), and its divergence is
+a central difference with Richardson extrapolation, whose roundoff is about
+eps/h.  f must therefore be complex-analytic near real points: write a norm
+as np.sqrt(np.sum(z*z)) and |z_0| as np.sqrt(z[0]**2), not with abs,
+np.linalg.norm or a float cast; an f that returns a real value at a complex
+point raises ValueError.  axis_norms, and so WeightSpec.V and
+WeightSpec.f, keep complex points complex.
 """
 
 from __future__ import annotations
@@ -66,8 +74,14 @@ def H1(theta: float, lam: float, params: HardyParams) -> float:
 
 
 def axis_norms(x, k: int):
-    """(|x'|, |x|) for points of shape (..., n), x' = first k coordinates."""
-    arr = np.asarray(x, dtype=float)
+    """(|x'|, |x|) for points of shape (..., n), x' = first k coordinates.
+
+    A complex point stays complex: the norms are the analytic continuations
+    sqrt(sum z_i^2), as the oracles' complex step needs.
+    """
+    arr = np.asarray(x)
+    if arr.dtype.kind != "c":
+        arr = np.asarray(arr, dtype=float)
     s = np.sqrt(np.sum(arr[..., :k] ** 2, axis=-1))
     r = np.sqrt(np.sum(arr ** 2, axis=-1))
     return s, r
@@ -160,27 +174,47 @@ def weight_general_p(x, spec: WeightSpec):
 # ------------------------------------------------------------- FD oracles
 
 def _default_step(x) -> float:
-    # The second-difference roundoff (~eps/h^2) dominates below h ~ 1e-3 and
-    # breaks 1e-6 oracle agreement for steep exponents; 4e-3 with the second
-    # Richardson stage keeps roundoff and truncation both below ~1e-7.
+    # The outer difference's roundoff (~eps/h) and the Richardson pair's
+    # truncation stay below ~1e-9 relative at this step for the steep
+    # exponents of the oracle checks.
     return 4e-3 * (1.0 + float(np.linalg.norm(x)))
 
 
-def _div_v_grad_f(V: Callable, f: Callable, x: np.ndarray, h: float) -> float:
-    """div(V grad f)(x) = grad V . grad f + V Laplacian f, central differences."""
+#: Imaginary step of the complex-step gradient, relative to 1 + |x|.  Its
+#: truncation error is of order step^2, below double precision.
+_COMPLEX_STEP = 1e-30
+
+
+def _complex_partial(f: Callable, z: np.ndarray, j: int, step: float) -> float:
+    """d f / d z_j at the real point z by complex step."""
+    zc = z.astype(complex)
+    zc[j] += 1j * step
+    value = f(zc)
+    if np.asarray(value).dtype.kind != "c":
+        raise ValueError(
+            "the divergence oracle needs f complex-analytic: f returned a real "
+            "value at a complex point (abs, np.linalg.norm or a float cast inside f?)")
+    return float(np.imag(value)) / step
+
+
+def _flux_divergence(V: Callable, f: Callable, p: float, x: np.ndarray, h: float,
+                     step: float) -> float:
+    """div(V |grad f|^(p-2) grad f)(x): central differences of the flux at
+    step h, whose gradient is a complex step of size step (only its i-th
+    component at p = 2)."""
     n = x.size
-    v0 = float(V(x))
-    f0 = float(f(x))
+
+    def flux(z: np.ndarray, i: int) -> float:
+        if p == 2:
+            return float(V(z)) * _complex_partial(f, z, i, step)
+        g = np.array([_complex_partial(f, z, j, step) for j in range(n)])
+        return float(V(z)) * float(np.linalg.norm(g)) ** (p - 2.0) * g[i]
+
     total = 0.0
     for i in range(n):
         e = np.zeros(n)
         e[i] = h
-        fp, fm = float(f(x + e)), float(f(x - e))
-        vp, vm = float(V(x + e)), float(V(x - e))
-        dfi = (fp - fm) / (2.0 * h)
-        d2fi = (fp - 2.0 * f0 + fm) / (h * h)
-        dvi = (vp - vm) / (2.0 * h)
-        total += dvi * dfi + v0 * d2fi
+        total += (flux(x + e, i) - flux(x - e, i)) / (2.0 * h)
     return total
 
 
@@ -197,67 +231,36 @@ def _richardson2(values):
 
 
 def divergence_oracle(V: Callable, f: Callable, x, h: float | None = None) -> float:
-    """-div(V grad f)/f by central differences with Richardson halving.
+    """-div(V grad f)/f: the p = 2 case of divergence_oracle_p.
 
-    V and f are scalar fields taking a point (n,).  Steps h, h/2, h/4 are
-    combined to O(h^6); IllConditionedError when the two Richardson stages
-    disagree by more than 1e-4 relative.
+    V and f are scalar fields taking a point (n,); f must be complex-analytic
+    (see the module docstring).  IllConditionedError when the two
+    Richardson stages disagree by more than 1e-4 relative.
     """
-    pt = np.asarray(x, dtype=float)
-    step = h if h is not None else _default_step(pt)
-    stages = [_div_v_grad_f(V, f, pt, step * s) for s in (1.0, 0.5, 0.25)]
-    rich, disagreement = _richardson2(stages)
-    if disagreement > _RICHARDSON_TOL * max(abs(rich), 1e-12):
-        raise IllConditionedError(
-            f"Richardson halving disagrees by {disagreement:.3e} at {pt}",
-            value=-rich / float(f(pt)), disagreement=disagreement)
-    return -rich / float(f(pt))
-
-
-def _grad_fd(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
-    n = x.size
-    g = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        g[i] = (float(f(x + e)) - float(f(x - e))) / (2.0 * h)
-    return g
-
-
-def _div_p_field(V: Callable, f: Callable, p: float, x: np.ndarray, h: float) -> float:
-    """div(V |grad f|^(p-2) grad f)(x); the gradient inside is itself FD at step h."""
-    n = x.size
-
-    def flux(z: np.ndarray, i: int) -> float:
-        g = _grad_fd(f, z, h)
-        gn = float(np.linalg.norm(g))
-        return float(V(z)) * gn ** (p - 2.0) * g[i]
-
-    total = 0.0
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        total += (flux(x + e, i) - flux(x - e, i)) / (2.0 * h)
-    return total
+    return divergence_oracle_p(V, f, 2.0, x, h)
 
 
 def divergence_oracle_p(V: Callable, f: Callable, p: float, x,
                         h: float | None = None) -> float:
-    """-div(V |grad f|^(p-2) grad f)/f^(p-1) by nested central differences.
+    """-div(V |grad f|^(p-2) grad f)/f^(p-1) from the fields alone.
 
-    p = 2 is the same operator as divergence_oracle and is delegated to it.
-    For p < 2 the gradient of f must not vanish at x.
+    V and f are scalar fields taking a point (n,); V is evaluated at real
+    points only, f also at complex ones and must be complex-analytic there,
+    else ValueError.  The flux's gradient is a complex step; its divergence
+    is a central difference at steps h, h/2, h/4 combined to O(h^6).
+    IllConditionedError when the two Richardson stages disagree by more than
+    1e-4 relative.  For p < 2 the gradient of f must not vanish at x.
     """
-    if p == 2:
-        return divergence_oracle(V, f, x, h)
     pt = np.asarray(x, dtype=float)
     step = h if h is not None else _default_step(pt)
-    if p < 2 and float(np.linalg.norm(_grad_fd(f, pt, step))) == 0.0:
+    cs = _COMPLEX_STEP * (1.0 + float(np.linalg.norm(pt)))
+    if p < 2 and not any(_complex_partial(f, pt, j, cs) for j in range(pt.size)):
         raise ValueError("divergence_oracle_p with p < 2 needs |grad f| > 0 at x")
-    stages = [_div_p_field(V, f, p, pt, step * s) for s in (1.0, 0.5, 0.25)]
+    stages = [_flux_divergence(V, f, p, pt, step * s, cs) for s in (1.0, 0.5, 0.25)]
     rich, disagreement = _richardson2(stages)
+    value = -rich / float(f(pt)) ** (p - 1.0)
     if disagreement > _RICHARDSON_TOL * max(abs(rich), 1e-12):
         raise IllConditionedError(
             f"Richardson halving disagrees by {disagreement:.3e} at {pt}",
-            value=-rich / float(f(pt)) ** (p - 1.0), disagreement=disagreement)
-    return -rich / float(f(pt)) ** (p - 1.0)
+            value=value, disagreement=disagreement)
+    return value

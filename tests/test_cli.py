@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisohardy.cli import main
+from anisohardy.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -236,6 +237,50 @@ class TestUsageErrors:
         assert strict_json(proc.stderr)["type"] == "NotConvergedError"
 
 
+def _float_flags():
+    """(command, flag) for every float-typed flag of every command."""
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, flag) for name, sub in subs.choices.items()
+            for action in sub._actions if action.type is float
+            for flag in action.option_strings]
+
+
+#: The least each command needs besides the flag under test; constant reads
+#: its CKN flags only with --ckn, which reads all of its float flags.
+_BASE_ARGV = {"constant": ["--n", "3", "--ckn"], "optimize": ["--n", "3"],
+              "rayleigh": ["--n", "3"], "ckn": ["--n", "3"]}
+
+
+class TestNegativeFloatFlags:
+    def test_every_command_has_float_flags(self):
+        assert {cmd for cmd, _ in _float_flags()} == set(_BASE_ARGV)
+
+    @pytest.mark.parametrize("cmd,flag", _float_flags())
+    @pytest.mark.parametrize("value", ["-1e-05", "-2.5E+3", "-.5e-3", "-1e5", "-0.25"])
+    def test_separate_negative_value_parses_like_attached(self, cmd, flag, value):
+        parse = build_parser().parse_args
+        separate = vars(parse([cmd, *_BASE_ARGV[cmd], flag, value]))
+        attached = vars(parse([cmd, *_BASE_ARGV[cmd], f"{flag}={value}"]))
+        assert separate == attached
+        assert separate[flag.lstrip("-").replace("-", "_")] == float(value)
+
+    @pytest.mark.parametrize("cmd,flag", _float_flags())
+    @pytest.mark.parametrize("value", ["-inf", "nan"])
+    def test_non_finite_value_is_exit_2(self, capsys, cmd, flag, value):
+        code, out, err = run_cli(capsys, cmd, *_BASE_ARGV[cmd], flag, value)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert strict_json(err)["type"] == "ValueError"
+
+    def test_constant_with_exponent_alpha(self, capsys):
+        code, out, _ = run_cli(capsys, "constant", "--n", "3", "--beta", "0",
+                               "--alpha", "-1e-05")
+        assert code == 0
+        assert parse_json(out)["manifest"]["params"]["alpha"] == -1e-05
+
+
 _NUMBERS = (
     st.one_of(st.sampled_from(["0", "-0.5", "0.3", "-0.25"]), st.floats(-1.0, 1.0).map(repr)),
     st.sampled_from(["1e308", "-1e-300", "inf", "-inf", "nan", "x", "", "1,2", "--"]))
@@ -290,7 +335,6 @@ def _normalized_ckn(draw):
     a, g2, g3 = (draw(st.floats(-0.3, 0.3)) for _ in range(3))
     values = {"alpha": a, "beta": a, "mu": a, "gamma1": (g3 * (p - 1.0) + g2 - 1.0) / p,
               "gamma2": g2, "gamma3": g3}
-    # --name=value: argparse reads a separate "-1e-05" as an option
     return ["ckn", "--n", draw(_INTS[0]), f"--p={p!r}"] + [
         f"--{name}={v!r}" for name, v in values.items()]
 

@@ -99,17 +99,25 @@ def _box(n, a, b):
     return 2.0 * (n + 2.0 * abs(a) + 2.0 * abs(b)) + 4.0
 
 
-def _dense_grid_max(n, k, a, b, B):
+def _dense_grid_max(n, k, a, b, B, rows=64):
     """Every point of the 801 x 801 phase-one grid, the reference for
-    _grid_max; blocks of 32 rows only keep the arrays in cache."""
+    _grid_max: H2 and H1 at each point, then the largest H1 where H2 is
+    feasible.  Blocks of rows are evaluated in place into buffers that stay
+    in cache; each operation rounds as the grid's own expressions do."""
     axis = np.linspace(-B, B, 801)
     la = axis[None, :]
+    h2g, h1g = np.empty((rows, 801)), np.empty((rows, 801))
+    feasible = np.empty((rows, 801), dtype=bool)
     best = -np.inf
-    for start in range(0, 801, 32):
-        th = axis[start:start + 32, None]
-        h2g = la * (n + 2.0 * a + 2.0 * b + 2.0 * th + la) + 2.0 * b * th
-        h1g = -th * (k + 2.0 * a + th) - h2g
-        best = max(best, float(np.max(np.where(h2g >= optimizer._GRID_SLACK, h1g, -np.inf))))
+    for start in range(0, 801, rows):
+        th = axis[start:start + rows, None]
+        h2, h1, ok = h2g[:len(th)], h1g[:len(th)], feasible[:len(th)]
+        np.add(n + 2.0 * a + 2.0 * b + 2.0 * th, la, out=h2)
+        np.multiply(la, h2, out=h2)                 # la * (... + la)
+        np.add(h2, 2.0 * b * th, out=h2)            # + 2 b th
+        np.subtract(-th * (k + 2.0 * a + th), h2, out=h1)
+        np.greater_equal(h2, optimizer._GRID_SLACK, out=ok)
+        best = max(best, float(np.max(h1, where=ok, initial=-np.inf)))
     return best
 
 

@@ -11,7 +11,7 @@ from anisohardy import (FamilyKind, HardyParams, QuadratureSpec, TrialFamily, be
                         quotient_p2, sharp_constant_general_p,
                         sharp_constant_p2, sin_power_integral,
                         sweep_and_extrapolate)
-from anisohardy import rayleigh
+from anisohardy import quadrature, rayleigh
 from anisohardy.cli import main
 from anisohardy.errors import (FitUnstableError, NotConvergedError,
                                UnsupportedRegimeError)
@@ -271,6 +271,129 @@ class TestBatchedSweep:
         monkeypatch.setattr(rayleigh, "integrate_angular", angular_failing_at_second_sigma())
         with pytest.raises(NotConvergedError, match="angular stub"):
             sweep_and_extrapolate(params)
+
+
+def _general_p_member(family, spec=None):
+    """quotient_general_p written member by member: integrate_2d of the
+    gradient integrand and integrate_1d of the denominator's radial."""
+    spec = spec or rayleigh._SWEEP_SPEC_2D
+    pw = family.params.p
+    a_phi, a_r = rayleigh._general_p_exponents(family)
+    rayleigh._check_exponent(a_phi, "angular")
+    rayleigh._check_exponent(a_r, "radial")
+    num = integrate_2d(rayleigh._grad_integrand(family), a_phi, spec)
+    e2 = family.epsilon ** 2
+    lam = 2.0 * family.g_exponent
+    rad = integrate_1d(
+        lambda r: r ** a_r * (r * r + e2) ** (pw * lam / 2.0) * cutoff_eta(r) ** pw,
+        0.0, spec.truncation_radius, spec)
+    den = sin_power_integral(a_phi) * rad.value
+    return QuotientParts(num.value, den, num.value / den,
+                         err_estimate=rayleigh._rel_err(num, rad))
+
+
+def _general_p_member_loop(families, spec=None):
+    return tuple(_general_p_member(fam, spec) for fam in families)
+
+
+def _general_p_outcome(params, eps_list=None, sigmas=None):
+    """A sweep's rows, extrapolated value and fit residual as float.hex, or
+    the class, message and carried numbers of the error it raises."""
+    try:
+        res = sweep_and_extrapolate(params, eps_list, sigmas)
+    except (ValueError, NotConvergedError, FitUnstableError) as exc:
+        return (type(exc).__name__, str(exc)) + tuple(
+            float(getattr(exc, key)).hex() for key in ("value", "residual", "err_estimate")
+            if hasattr(exc, key))
+    return ([tuple(float(getattr(r, f)).hex() for f in r.__dataclass_fields__) for r in res.rows],
+            res.extrapolated.hex(), res.fit.residual.hex())
+
+
+def _rough_member(eps, sigma):
+    """A g_and_prime that makes C = 0 for the member (eps, sigma): its
+    angular factor is then |cos phi|^p, which Gauss-Jacobi resolves only
+    slowly, so that member alone fails the order loop."""
+    plain = TrialFamily.g_and_prime
+
+    def g_and_prime(self, r):
+        if (self.epsilon, self.sigma) != (eps, sigma):
+            return plain(self, r)
+        gam = self.h_exponent
+        g = r ** -gam
+        return g, -gam * g / r
+    return g_and_prime
+
+
+class TestBatchedGeneralPSweep:
+    """_quotients_general_p against quotient_general_p's member-by-member form."""
+
+    @pytest.mark.parametrize("pw", [1.5, 2.5, 3.0, 4.0])
+    def test_sweep_matches_member_loop_bit_for_bit(self, pw, monkeypatch):
+        rng = np.random.default_rng(int(10 * pw))
+        params = HardyParams(int(rng.integers(2, 4)), pw, float(rng.uniform(0.0, 0.3)),
+                             float(rng.uniform(0.05, 0.6)))
+        batched = _general_p_outcome(params)
+        monkeypatch.setattr(rayleigh, "_quotients_general_p", _general_p_member_loop)
+        assert batched == _general_p_outcome(params)
+        assert len(batched[0]) == 20
+
+    def test_sigma_of_one_fails_after_the_members_before_it(self, monkeypatch):
+        params = HardyParams(3, 3.0, 0.0, 0.5)
+        eps, sigmas = (1e-3, 1e-4), (0.2, 1.5)
+        batched = _general_p_outcome(params, eps, sigmas)
+        assert batched[:2] == ("ValueError", "the general-p family requires sigma in (0, 1)")
+        monkeypatch.setattr(rayleigh, "_quotients_general_p", _general_p_member_loop)
+        assert _general_p_outcome(params, eps, sigmas) == batched
+
+    @pytest.mark.parametrize("where", ["radial", "order"])
+    def test_later_member_failure_comes_first(self, where, monkeypatch):
+        # the fourth member fails; sigma = 1.5, met after it, would raise ValueError
+        params = HardyParams(3, 1.5, 0.0, 0.5)
+        eps, sigmas = (1e-3, 1e-4), (0.2, 0.1, 1.5)
+        if where == "radial":       # its radial total is NaN at the first order
+            plain = TrialFamily.g_and_prime
+            monkeypatch.setattr(TrialFamily, "g_and_prime", lambda self, r: (
+                plain(self, r) if (self.epsilon, self.sigma) != (1e-4, 0.1)
+                else (np.full_like(r, math.nan), np.zeros_like(r))))
+            message = "tanh-sinh on (0.0, 2.0)"
+        else:
+            monkeypatch.setattr(quadrature, "_ORDERS", (32, 64, 128))
+            monkeypatch.setattr(TrialFamily, "g_and_prime", _rough_member(1e-4, 0.1))
+            message = "Gauss-Jacobi within order 128"
+        batched = _general_p_outcome(params, eps, sigmas)
+
+        seen = []
+
+        def logged_loop(families, spec=None):
+            for fam in families:
+                seen.append((fam.epsilon, fam.sigma))
+                yield _general_p_member(fam, spec)
+        monkeypatch.setattr(rayleigh, "_quotients_general_p",
+                            lambda families, spec=None: tuple(logged_loop(families, spec)))
+        assert _general_p_outcome(params, eps, sigmas) == batched
+        assert batched[0] == "NotConvergedError" and batched[1].startswith(message)
+        assert seen == [(1e-3, 0.2), (1e-4, 0.2), (1e-3, 0.1), (1e-4, 0.1)]
+
+    def test_earlier_denominator_failure_beats_later_numerator_failure(self, monkeypatch):
+        params = HardyParams(3, 1.5, 0.0, 0.5)
+        eps, sigmas = (1e-3, 1e-4), (0.2, 0.1)
+        monkeypatch.setattr(TrialFamily, "g_and_prime", _rough_member(1e-4, 0.1))
+        monkeypatch.setattr(quadrature, "_ORDERS", (32, 64, 128))
+        later = [TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG, params, e, s)
+                 for s in sigmas for e in eps][1:]
+        with pytest.raises(NotConvergedError, match="Gauss-Jacobi within order 128"):
+            rayleigh._quotients_general_p(later)     # the fourth member's numerator
+
+        plain = rayleigh._denominator_rows
+
+        def den_nan_at_first(families, a_rs):
+            rows = plain(families, a_rs)
+            return lambda r: [row if i else math.nan * row for i, row in enumerate(rows(r))]
+        monkeypatch.setattr(rayleigh, "_denominator_rows", den_nan_at_first)
+        # the first member's denominator fails first
+        assert _general_p_outcome(params, eps, sigmas)[:2] == (
+            "NotConvergedError",
+            "tanh-sinh on (0.0, 2.0) within 9 levels did not converge (last sum nan)")
 
 
 class TestQuotientGeneralP:

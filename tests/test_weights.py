@@ -132,7 +132,7 @@ class TestWeightGeneralP:
 class TestDivergenceOracle:
     def test_classical_hardy_weight(self):
         value = divergence_oracle(lambda x: 1.0,
-                                  lambda x: np.linalg.norm(x) ** -0.5,
+                                  lambda x: np.sqrt(np.sum(x * x)) ** -0.5,
                                   np.array([1.0, 0.0, 0.0]))
         assert value == pytest.approx(0.25, rel=1e-7)
 
@@ -140,7 +140,7 @@ class TestDivergenceOracle:
         x = np.array([0.3, 0.1])
         value = divergence_oracle(
             lambda z: abs(z[0]) / np.linalg.norm(z),
-            lambda z: math.sqrt(-math.log(np.linalg.norm(z))), x)
+            lambda z: np.sqrt(-np.log(np.sqrt(np.sum(z * z)))), x)
         r = np.linalg.norm(x)
         assert value == pytest.approx(abs(x[0]) / (4 * r ** 3 * math.log(r) ** 2),
                                       rel=1e-6)
@@ -152,6 +152,17 @@ class TestDivergenceOracle:
         x = np.array([0.5, -0.2, 0.8])
         assert divergence_oracle(spec.V, spec.f, x) == pytest.approx(
             weight_p2(x, spec), rel=1e-7)
+
+    def test_near_cancellation_point(self):
+        # |w| = 2.1e-3 against terms of order one: a central second
+        # difference of f missed 1e-6 relative here by 1.7x
+        params = HardyParams(3, 2.0, 0.8781972007851815, 1.2523149275393424, 2)
+        spec = WeightSpec(params, exponents=ExponentPair(0.9003362344784716,
+                                                         -1.1747525574378614))
+        x = np.array([1.3630756271304705, 0.41201051507289455, 1.1674313319067404])
+        closed = weight_p2(x, spec)
+        assert abs(closed) < 3e-3
+        assert divergence_oracle(spec.V, spec.f, x) == pytest.approx(closed, rel=1e-6)
 
     def test_oracle_vs_closed_form_sample(self):
         rng = np.random.default_rng(21)
@@ -217,7 +228,7 @@ class TestDivergenceOracleP:
                 closed, rel=1e-5)
 
     def test_flat_unit_field_at_p1(self):
-        value = divergence_oracle_p(lambda z: 1.0, lambda z: abs(z[0]), 1.0,
+        value = divergence_oracle_p(lambda z: 1.0, lambda z: np.sqrt(z[0] ** 2), 1.0,
                                     np.array([1.0, 0.5]))
         assert value == pytest.approx(0.0, abs=1e-12)
 
@@ -226,6 +237,17 @@ class TestIllConditioned:
     def test_kink_inside_stencil_is_flagged(self):
         from anisohardy.errors import IllConditionedError
         with pytest.raises(IllConditionedError) as ei:
-            divergence_oracle(lambda z: 1.0, lambda z: abs(z[0]) + 1.0,
+            divergence_oracle(lambda z: 1.0, lambda z: np.sqrt(z[0] ** 2) + 1.0,
                               np.array([1e-4, 1.0]))
         assert ei.value.disagreement > 1e-4
+
+    @pytest.mark.parametrize("f", [lambda z: abs(z[0]) + 1.0,
+                                   lambda z: np.linalg.norm(z) ** -0.5,
+                                   lambda z: float(np.real(z[0])) + 2.0],
+                             ids=["abs", "norm", "float"])
+    def test_non_analytic_field_is_refused(self, f):
+        # a real value at a complex point: the complex step would read 0
+        with pytest.raises(ValueError, match="complex-analytic"):
+            divergence_oracle(lambda z: 1.0, f, np.array([0.5, 1.0]))
+        with pytest.raises(ValueError, match="complex-analytic"):
+            divergence_oracle_p(lambda z: 1.0, f, 3.0, np.array([0.5, 1.0]))
