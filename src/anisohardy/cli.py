@@ -35,8 +35,8 @@ from .errors import (FitUnstableError, IllConditionedError,
                      NotConvergedError, OptimizerStalledError, TruncationError)
 from .identities import ckn_extremal_check, verify_CKNp, verify_E2, verify_Ep
 from .optimizer import maximize
-from .params import (CknParams, HardyParams, admissible_ckn, admissible_hardy,
-                     compute_K)
+from .params import (CknParams, HardyParams, _check_finite, admissible_ckn,
+                     admissible_hardy, compute_K)
 from .quadrature import lemma1_check
 from .rayleigh import sweep_and_extrapolate
 
@@ -168,6 +168,8 @@ def _named_admissibility_failure(params: HardyParams) -> str:
 def cmd_constant(args) -> int:
     if args.ckn:
         return _cmd_constant_ckn(args)
+    # the CKN flags are unused here, but a non-finite one is still refused
+    _check_finite(mu=args.mu, gamma1=args.gamma1, gamma2=args.gamma2, gamma3=args.gamma3)
     params = _hardy_from_args(args)
     manifest = _manifest("constant", asdict(params), args.seed or 0)
     if not admissible_hardy(params):

@@ -17,6 +17,17 @@ a rule on the sphere S^(n-1) (trapezoid in the azimuth, Gauss-Gegenbauer in
 each further polar angle).  The integrands are smooth on each radial piece.
 Every check runs at orders 16 and 12; it reports the order-16 residual and
 takes the largest term difference between the orders as its error estimate.
+
+The rule's nodes are coordinate-major: an (n, N) array whose coordinate
+rows are contiguous, so each operation runs once over all N nodes instead
+of over the n coordinates of each node.  At each order the bump's geometry
+(z = x - c, q = z . direction, rho = |z|, eta(rho/w), eta'(rho/w)) is
+formed once for u and grad u, and |x'| and |x| once for all of a check's
+terms.  A sum over coordinates adds the rows in coordinate order, which
+gives the bits of numpy's sum over the last axis of the row-major (N, n)
+array.  Functions of (..., n) points (weight_p2, weight_general_p,
+axis_norms, and the value and gradient of a bump that is not a
+BumpFunction) take the (N, n) view x.T.
 """
 
 from __future__ import annotations
@@ -29,10 +40,12 @@ import numpy as np
 
 from .closed_form import sharp_constant_general_p
 from .errors import (EmptyInputError, IllConditionedError, NegativeRemainderError,
-                     SupportViolationError, TruncationError)
+                     SupportViolationError)
 from .params import CknParams, HardyParams, admissible_ckn
-from .quadrature import (QuadratureSpec, cutoff_eta, cutoff_eta_prime, gauss_jacobi,
-                         integrate_1d)
+# integrate_1d is no longer called here; certbench's layer tracer looks it up
+# by this name.
+from .quadrature import (cutoff_eta, cutoff_eta_prime, gauss_jacobi,  # noqa: F401
+                         integrate_1d, log_gamma)
 from .weights import WeightSpec, axis_norms, weight_general_p, weight_p2
 
 __all__ = [
@@ -42,6 +55,27 @@ __all__ = [
 ]
 
 _CLAMP_REL = 1e-12
+
+
+def _dot(a, b):
+    """sum_i a_i b_i over the coordinate rows of a and b, in coordinate order:
+    the bits of np.sum(a * b, axis=-1) on the row-major transposes."""
+    total = a[0] * b[0]
+    for i in range(1, len(a)):
+        total += a[i] * b[i]
+    return total
+
+
+def _norms(x, k: int):
+    """(|x'|, |x|) at coordinate-major points x (n, ...), x' the first k rows;
+    the bits of axis_norms(x.T, k)."""
+    sq = x[0] * x[0]
+    for i in range(1, k):
+        sq += x[i] * x[i]
+    s = np.sqrt(sq)
+    for i in range(k, len(x)):
+        sq += x[i] * x[i]
+    return s, np.sqrt(sq)
 
 
 def r_functional(X, Y, p: float) -> float:
@@ -54,21 +88,22 @@ def r_functional(X, Y, p: float) -> float:
     """
     if p <= 1:
         raise ValueError(f"r_functional requires p > 1, got {p}")
-    xv = np.asarray(X, dtype=float).reshape(1, -1)
-    yv = np.asarray(Y, dtype=float).reshape(1, -1)
+    xv = np.asarray(X, dtype=float).reshape(-1, 1)
+    yv = np.asarray(Y, dtype=float).reshape(-1, 1)
     return float(_r_rows(xv, yv, p)[0])
 
 
 def _r_rows(X, Y, p: float, relative: bool = False):
-    """Row-wise r_functional for (N, n) arrays, with the same clamping.
+    """r_functional at every node of coordinate-major (n, N) arrays, with the
+    same clamping.
 
     At Y = 0 the cross term |Y|^(p-1) <Y/|Y|, X> tends to 0 for p > 1.
     With relative=True each R is divided by the size of its terms, the
     scale of its floor (0 where every term vanishes).
     """
-    nx = np.linalg.norm(X, axis=-1)
-    ny = np.linalg.norm(Y, axis=-1)
-    dot = np.sum(X * Y, axis=-1)
+    nx = np.sqrt(_dot(X, X))
+    ny = np.sqrt(_dot(Y, Y))
+    dot = _dot(X, Y)
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = np.where(ny > 0.0, p * ny ** (p - 2.0) * dot, 0.0)
     sizes = (p - 1.0) * ny ** p + nx ** p
@@ -141,23 +176,38 @@ class BumpFunction:
         return out if deg >= 1 else np.zeros_like(q)
 
     def value(self, x):
-        arr = np.asarray(x, dtype=float)
-        z = arr - np.asarray(self.center)
-        q = z @ np.asarray(self.direction)
-        rho = np.linalg.norm(z, axis=-1)
-        return self._poly(q) * cutoff_eta(rho / self.width)
+        """u at points x of shape (n,) or (..., n)."""
+        return self._fields(_coordinate_major(x))[0]
 
     def gradient(self, x):
-        arr = np.asarray(x, dtype=float)
-        z = arr - np.asarray(self.center)
-        dirv = np.asarray(self.direction)
-        q = z @ dirv
-        rho = np.linalg.norm(z, axis=-1)
-        eta = cutoff_eta(rho / self.width)
-        etap = cutoff_eta_prime(rho / self.width)
-        safe_rho = np.where(rho > 0.0, rho, 1.0)
-        radial = (self._poly(q) * etap / self.width / safe_rho)[..., None] * z
-        return self._poly_prime(q)[..., None] * dirv * eta[..., None] + radial
+        """grad u at points x of shape (n,) or (..., n), in the same shape."""
+        return np.moveaxis(self._fields(_coordinate_major(x))[1], 0, -1)
+
+    def _fields(self, x):
+        """(u, grad u) at coordinate-major points x of shape (n, ...); the
+        gradient is coordinate-major too.  z = x - center, q = z . direction,
+        rho = |z| and the cutoff's eta and eta' are formed once for both."""
+        center = np.asarray(self.center).reshape((-1,) + (1,) * (np.ndim(x) - 1))
+        z = x - center
+        # q is the row-major matrix-vector product, not a sum over rows: BLAS
+        # rounds it with fused multiply-adds.
+        q = np.stack(tuple(z), axis=-1) @ np.asarray(self.direction)
+        rho = np.sqrt(_dot(z, z))
+        t = rho / self.width
+        eta = cutoff_eta(t)
+        etap = cutoff_eta_prime(t)
+        poly = self._poly(q)
+        radial = poly * etap / self.width / np.where(rho > 0.0, rho, 1.0)
+        slope = self._poly_prime(q)
+        grad = radial * z
+        for i, d in enumerate(self.direction):
+            grad[i] += slope * d * eta
+        return poly * eta, grad
+
+
+def _coordinate_major(x):
+    """Points (..., n) as a coordinate-major view (n, ...)."""
+    return np.moveaxis(np.asarray(x, dtype=float), -1, 0)
 
 
 @dataclass(frozen=True)
@@ -180,7 +230,8 @@ _ORDERS = (16, 12)
 
 @lru_cache(maxsize=16)
 def _sphere_rule(n: int, m: int):
-    """Product rule on the unit sphere S^(n-1) of R^n: (directions, weights).
+    """Product rule on the unit sphere S^(n-1) of R^n: coordinate-major
+    directions (n, M) and weights (M,).
 
     The 2m-point trapezoid rule in the azimuth of the first two coordinates
     makes S^1.  S^(d-1), d = 3..n, is sliced at heights x_d = t, which scale
@@ -188,13 +239,12 @@ def _sphere_rule(n: int, m: int):
     the m-point Gauss-Gegenbauer rule.  Read-only and cached.
     """
     phi = np.pi * np.arange(2 * m) / m
-    dirs = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    dirs = np.stack([np.cos(phi), np.sin(phi)])
     wts = np.full(2 * m, np.pi / m)
     for d in range(3, n + 1):
         t, w = gauss_jacobi(m, 0.5 * (d - 3), 0.5 * (d - 3))
-        ring = np.sqrt(1.0 - t * t)[:, None, None] * dirs
-        dirs = np.concatenate([ring.reshape(-1, d - 1),
-                               np.repeat(t, len(wts))[:, None]], axis=1)
+        ring = dirs[:, None, :] * np.sqrt(1.0 - t * t)[:, None]
+        dirs = np.concatenate([ring.reshape(d - 1, -1), np.repeat(t, len(wts))[None]])
         wts = np.outer(w, wts).ravel()
     dirs.setflags(write=False)
     wts.setflags(write=False)
@@ -202,10 +252,11 @@ def _sphere_rule(n: int, m: int):
 
 
 def _ball_nodes(u, m: int):
-    """Order-m product rule on the support ball B(center, 2 width) of u.
+    """Order-m product rule on the support ball B(center, 2 width) of u:
+    coordinate-major nodes (n, N) and weights (N,).
 
     Gauss-Legendre radii on [0, w] and [w, 2w] with the Jacobian rho^(n-1),
-    times _sphere_rule(n, m): 2m * 2m * m^(n-2) nodes.
+    times _sphere_rule(n, m): N = 2m * 2m * m^(n-2) nodes, radius-major.
     """
     n = len(u.center)
     t, w = gauss_jacobi(m, 0.0, 0.0)
@@ -213,19 +264,34 @@ def _ball_nodes(u, m: int):
     rho = np.concatenate([half * (t + 1.0), half * (t + 3.0)])
     w_rho = half * np.concatenate([w, w]) * rho ** (n - 1)
     dirs, w_dir = _sphere_rule(n, m)
-    pts = np.asarray(u.center) + (rho[:, None, None] * dirs).reshape(-1, n)
-    return pts, np.outer(w_rho, w_dir).ravel()
+    x = (dirs[:, None, :] * rho[:, None]).reshape(n, -1)
+    x += np.asarray(u.center)[:, None]
+    return x, np.outer(w_rho, w_dir).ravel()
+
+
+def _bump_fields(u, x):
+    """(u, grad u) at coordinate-major nodes x, the gradient coordinate-major.
+
+    A BumpFunction forms its geometry once for both; any other bump is
+    evaluated through its value and gradient on the (N, n) view.
+    """
+    if isinstance(u, BumpFunction):
+        return u._fields(x)
+    return u.value(x.T), np.moveaxis(u.gradient(x.T), -1, 0)
 
 
 def _two_orders(u, terms) -> IdentityReport:
-    """Report terms(pts, wts) -> (lhs, rhs_terms) at both rule orders."""
-    fine, coarse = (_ball_nodes(u, m) for m in _ORDERS)
-    lhs, rhs = terms(*fine)
-    lhs_c, rhs_c = terms(*coarse)
+    """Report terms(x, wts, u, grad u) -> (lhs, rhs_terms) at both rule orders."""
+    found = []
+    for m in _ORDERS:
+        x, wts = _ball_nodes(u, m)
+        lhs, rhs = terms(x, wts, *_bump_fields(u, x))
+        found.append((lhs, rhs, wts.size))
+    (lhs, rhs, nodes), (lhs_c, rhs_c, _) = found
     denom = abs(lhs) + sum(abs(v) for v in rhs.values()) + 1e-300
     change = max([abs(lhs - lhs_c)] + [abs(rhs[k] - rhs_c[k]) for k in rhs])
     return IdentityReport(lhs, rhs, abs(lhs - sum(rhs.values())) / denom,
-                          nodes=len(fine[1]), err_estimate=change / denom)
+                          nodes=nodes, err_estimate=change / denom)
 
 
 def _check_support_clear(u, k: int):
@@ -238,17 +304,21 @@ def _check_support_clear(u, k: int):
             f"(|center'|={cprime}, |center|={cfull}, width={u.width})")
 
 
-def _log_f_gradient(spec: WeightSpec, pts):
-    """grad log f = theta x'/|x'|^2 + lam x/|x|^2 (theta = gamma, lam = 0 on the gamma path)."""
+def _hardy_v(params: HardyParams, s, r):
+    """V = |x'|^(p(alpha+1)) |x|^(p beta), the expression of WeightSpec.V."""
+    return s ** (params.p * (params.alpha + 1.0)) * r ** (params.p * params.beta)
+
+
+def _log_f_gradient(spec: WeightSpec, x, s, r):
+    """grad log f = theta x'/|x'|^2 + lam x/|x|^2 (theta = gamma, lam = 0 on the
+    gamma path) at coordinate-major points x with norms s = |x'|, r = |x|."""
     k = spec.params.k
     if spec.exponents is None:
         theta, lam = spec.gamma, 0.0
     else:
         theta, lam = spec.exponents.theta, spec.exponents.lam
-    s = np.linalg.norm(pts[:, :k], axis=-1)
-    r = np.linalg.norm(pts, axis=-1)
-    grad = lam * pts / (r * r)[:, None]
-    grad[:, :k] += theta * pts[:, :k] / (s * s)[:, None]
+    grad = lam * x / (r * r)
+    grad[:k] += theta * x[:k] / (s * s)
     return grad
 
 
@@ -263,15 +333,14 @@ def verify_E2(spec: WeightSpec, u) -> IdentityReport:
         raise ValueError("verify_E2 needs a p = 2 WeightSpec with exponents")
     _check_support_clear(u, params.k)
 
-    def terms(pts, wts):
-        uval = u.value(pts)
-        ugrad = u.gradient(pts)
-        v = spec.V(pts)
-        w_closed = weight_p2(pts, spec)
-        lhs = float(np.sum(wts * v * np.sum(ugrad * ugrad, axis=-1)))
+    def terms(x, wts, uval, ugrad):
+        s, r = _norms(x, params.k)
+        v = _hardy_v(params, s, r)
+        w_closed = weight_p2(x.T, spec)
+        lhs = float(np.sum(wts * v * _dot(ugrad, ugrad)))
         t_weight = float(np.sum(wts * w_closed * uval * uval))
-        f_ratio_grad = ugrad - uval[:, None] * _log_f_gradient(spec, pts)
-        t_remainder = float(np.sum(wts * v * np.sum(f_ratio_grad * f_ratio_grad, axis=-1)))
+        f_ratio_grad = ugrad - uval * _log_f_gradient(spec, x, s, r)
+        t_remainder = float(np.sum(wts * v * _dot(f_ratio_grad, f_ratio_grad)))
         return lhs, {"weight_term": t_weight, "remainder_term": t_remainder}
 
     return _two_orders(u, terms)
@@ -294,14 +363,13 @@ def verify_Ep(spec: WeightSpec, u) -> IdentityReport:
         raise ValueError("p < 2 requires |grad f| > 0, so gamma != 0")
     _check_support_clear(u, params.k)
 
-    def terms(pts, wts):
-        uval = u.value(pts)
-        ugrad = u.gradient(pts)
-        v = spec.V(pts)
-        w_closed = weight_general_p(pts, spec)
-        lhs = float(np.sum(wts * v * np.linalg.norm(ugrad, axis=-1) ** p))
+    def terms(x, wts, uval, ugrad):
+        s, r = _norms(x, params.k)
+        v = _hardy_v(params, s, r)
+        w_closed = weight_general_p(x.T, spec)
+        lhs = float(np.sum(wts * v * np.sqrt(_dot(ugrad, ugrad)) ** p))
         t_weight = float(np.sum(wts * w_closed * np.abs(uval) ** p))
-        rvals = _r_rows(ugrad, -uval[:, None] * _log_f_gradient(spec, pts), p)
+        rvals = _r_rows(ugrad, -uval * _log_f_gradient(spec, x, s, r), p)
         t_remainder = float(np.sum(wts * v * rvals))
         return lhs, {"weight_term": t_weight, "remainder_term": t_remainder}
 
@@ -310,33 +378,37 @@ def verify_Ep(spec: WeightSpec, u) -> IdentityReport:
 
 # ------------------------------------------------------------------- CKN
 
-def _ckn_fields(ckn: CknParams, pts):
-    """(V, F, |F|, closed-form div(V |F|^(p-2) F)) at the given points."""
-    s, r = axis_norms(pts, ckn.n - 1)
+def _ckn_fields(ckn: CknParams, x):
+    """(V, F, |F|, closed-form div(V |F|^(p-2) F)) at coordinate-major points
+    x (n, N); F is coordinate-major too.  |x'| and |x| come from axis_norms,
+    whose calls certbench's tracer counts as the CKN check's points."""
+    s, r = axis_norms(x.T, ckn.n - 1)
     V = s ** (ckn.p * ckn.mu) * r ** (ckn.p * ckn.gamma2)
-    fmag = s ** (ckn.beta - ckn.mu) * r ** (ckn.gamma3 - ckn.gamma2)
-    F = (s ** (ckn.beta - ckn.mu) * r ** (ckn.gamma3 - ckn.gamma2 - 1.0))[..., None] * pts
+    s_field = s ** (ckn.beta - ckn.mu)
+    fmag = s_field * r ** (ckn.gamma3 - ckn.gamma2)
+    F = s_field * r ** (ckn.gamma3 - ckn.gamma2 - 1.0) * x
     div_closed = ((ckn.n + ckn.p * (ckn.alpha + ckn.gamma1))
                   * s ** (ckn.alpha * ckn.p) * r ** (ckn.gamma1 * ckn.p))
     return V, F, fmag, div_closed
 
 
 def _ckn_flux_divergence_fd(ckn: CknParams, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """FD divergence of the flux V |F|^(p-2) F at the rows of x, Richardson pair.
+    """FD divergence of the flux V |F|^(p-2) F at coordinate-major points x
+    (n, N), Richardson pair.
 
-    V |F|^(p-2) F = |x'|^(b(p-1)+mu) |x|^(g3(p-1)+g2-1) x.  Row j takes central
-    differences with steps h[j] and h[j]/2 along each axis; every shifted
-    point is evaluated in one array pass.
+    V |F|^(p-2) F = |x'|^(b(p-1)+mu) |x|^(g3(p-1)+g2-1) x.  Point j takes
+    central differences with steps h[j] and h[j]/2 along each axis; every
+    shifted point is evaluated in one array pass.
     """
     n = ckn.n
     steps = np.multiply.outer([1.0, 0.5], h)                        # (2, N)
     signed = np.stack([steps, -steps])[:, :, None, :]               # (2, 2, 1, N)
-    # z[sign, level, axis i, row] = x[row] + sign * step * e_i
-    z = x + signed[..., None] * np.eye(n)[:, None, :]
-    s, r = axis_norms(z, n - 1)
+    # z[coordinate j, sign, level, axis i, point] = x[j] + sign * step * [i == j]
+    z = x[:, None, None, None, :] + signed * np.eye(n)[:, None, None, :, None]
+    s, r = axis_norms(np.moveaxis(z, 0, -1), n - 1)
     mag = (s ** (ckn.beta * (ckn.p - 1.0) + ckn.mu)
            * r ** (ckn.gamma3 * (ckn.p - 1.0) + ckn.gamma2 - 1.0))
-    flux = mag * (x.T + signed)                                     # component i of z
+    flux = mag * (x + signed)                                       # component i of z
     div = np.sum((flux[0] - flux[1]) / (2.0 * steps[:, None, :]), axis=1)
     return (4.0 * div[1] - div[0]) / 3.0
 
@@ -347,12 +419,12 @@ def _ckn_divergence_spot_check(ckn: CknParams, u, seed: int, count: int) -> floa
     IllConditionedError when it exceeds 1e-6."""
     rng = np.random.default_rng(seed)
     center = np.asarray(u.center)
-    x = np.empty((count, ckn.n))
+    x = np.empty((ckn.n, count))
     for j in range(count):
         direction = rng.normal(size=ckn.n)
         direction /= np.linalg.norm(direction)
-        x[j] = center + rng.uniform(0.2, 1.5) * u.width * direction
-    fd = _ckn_flux_divergence_fd(ckn, x, 1e-4 * (1.0 + np.linalg.norm(x, axis=-1)))
+        x[:, j] = center + rng.uniform(0.2, 1.5) * u.width * direction
+    fd = _ckn_flux_divergence_fd(ckn, x, 1e-4 * (1.0 + np.sqrt(_dot(x, x))))
     closed = _ckn_fields(ckn, x)[3]
     errors = np.abs(fd - closed) / np.maximum(np.abs(closed), 1e-300)
     worst = float(np.max(errors, initial=0.0))
@@ -378,18 +450,17 @@ def verify_CKNp(ckn: CknParams, u, seed: int = 0, n_div_points: int = 20) -> Ide
     _check_support_clear(u, ckn.n - 1)
     p = ckn.p
 
-    def terms(pts, wts):
-        V, F, fmag, div_closed = _ckn_fields(ckn, pts)
-        uval = u.value(pts)
-        ugrad = u.gradient(pts)
-        i_grad = float(np.sum(wts * V * np.linalg.norm(ugrad, axis=-1) ** p))
-        i_field = float(np.sum(wts * V * fmag ** p * np.abs(uval) ** p))
+    def terms(x, wts, uval, ugrad):
+        V, F, fmag, div_closed = _ckn_fields(ckn, x)
+        u_p = np.abs(uval) ** p
+        i_grad = float(np.sum(wts * V * np.sqrt(_dot(ugrad, ugrad)) ** p))
+        i_field = float(np.sum(wts * V * fmag ** p * u_p))
         if i_grad == 0.0 or i_field == 0.0:
             return 0.0, {"divergence_term": 0.0, "remainder_term": 0.0}
         kappa0 = (i_grad / i_field) ** ((p - 1.0) / p)
         lhs = i_grad ** (1.0 / p) * i_field ** ((p - 1.0) / p)
-        t_div = float(np.sum(wts * div_closed * np.abs(uval) ** p)) / p
-        rvals = _r_rows(ugrad, (uval * kappa0 ** (1.0 / (p - 1.0)))[:, None] * F, p)
+        t_div = float(np.sum(wts * div_closed * u_p)) / p
+        rvals = _r_rows(ugrad, uval * kappa0 ** (1.0 / (p - 1.0)) * F, p)
         t_rem = float(np.sum(wts * V / (p * kappa0) * rvals))
         return lhs, {"divergence_term": t_div, "remainder_term": t_rem}
 
@@ -405,16 +476,25 @@ class ExtremalReport:
     residual_R_max: float
 
 
+#: The remainder check of ckn_extremal_check samples radii up to where the
+#: extremal's factor exp(-p c r^m) has fallen to exp(-_DECAY), about 4e-18.
+_DECAY = 40.0
+
+
 def ckn_extremal_check(ckn: CknParams, kappa0: float = 1.0,
                        delta: float = 1e-6) -> ExtremalReport:
     """Evaluate the CKN quotient on the exponential extremal u0 = exp(-c |x|^m).
 
     m = gamma3 - gamma2 + 1 > 0 and c = kappa0^(1/(p-1))/m make
     grad u0 = -u0 kappa0^(1/(p-1)) F exactly, so the remainder R vanishes and
-    the quotient must hit (n + p(alpha+gamma1))/p.  Radial integrals run over
-    (0, R) by tanh-sinh, which takes the r^a singularity at 0 (a > -1), with
-    R doubled until the tail is negligible; delta is the smallest radius of
-    the pointwise remainder check.  residual_R_max is the largest remainder
+    the quotient must hit (n + p(alpha+gamma1))/p.  Each radial integral is
+    a ratio of Gamma functions,
+
+        int_0^inf r^a exp(-p c r^m) dr = Gamma((a+1)/m) / (m (pc)^((a+1)/m)),
+
+    taken in logarithms (admissibility gives a > -1 for all three).  The
+    pointwise remainder check samples 64 radii from delta up to the decay
+    radius (_DECAY / (p c))^(1/m).  residual_R_max is the largest remainder
     there relative to the size of its terms, the scale r_functional floors
     it on: the terms grow like r^(p(m-1)) as r -> 0, so an absolute R reads
     their rounding.
@@ -427,43 +507,27 @@ def ckn_extremal_check(ckn: CknParams, kappa0: float = 1.0,
     m = ckn.gamma3 - ckn.gamma2 + 1.0
     if not m > 0.0:
         raise ValueError("the extremal family needs gamma3 - gamma2 + 1 > 0")
+    if not kappa0 > 0.0:
+        raise ValueError(f"kappa0 must be positive, got {kappa0!r}")
     p = ckn.p
     c = kappa0 ** (1.0 / (p - 1.0)) / m
 
-    a_grad = ckn.n - 1.0 + p * ckn.alpha + p * ckn.gamma2 + (m - 1.0) * p
-    a_field = ckn.n - 1.0 + p * ckn.alpha + p * ckn.gamma3
-    a_den = ckn.n - 1.0 + p * ckn.alpha + p * ckn.gamma1
+    def log_moment(a):
+        t = (a + 1.0) / m
+        return log_gamma(t) - math.log(m) - t * math.log(p * c)
 
-    spec = QuadratureSpec(levels=9, abs_tol=1e-15, rel_tol=1e-12)
-
-    def segment(a_exp, lo, hi):
-        return integrate_1d(
-            lambda r: r ** a_exp * np.exp(-p * c * r ** m), lo, hi, spec).value
-
-    totals = {"grad": 0.0, "field": 0.0, "den": 0.0}
-    exps = {"grad": a_grad, "field": a_field, "den": a_den}
-    lo, hi = 0.0, 2.0
-    for _ in range(24):
-        last = {k: segment(e, lo, hi) for k, e in exps.items()}
-        for k in totals:
-            totals[k] += last[k]
-        if all(abs(last[k]) <= 1e-9 * max(abs(totals[k]), 1e-300) for k in totals):
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise TruncationError(
-            f"radial tail still above tolerance at R = {hi}")
-
-    i_grad = (c * m) ** p * totals["grad"]
-    quotient = (i_grad ** (1.0 / p) * totals["field"] ** ((p - 1.0) / p)
-                / totals["den"])
+    log_grad = p * math.log(c * m) + log_moment(
+        ckn.n - 1.0 + p * ckn.alpha + p * ckn.gamma2 + (m - 1.0) * p)
+    log_field = log_moment(ckn.n - 1.0 + p * ckn.alpha + p * ckn.gamma3)
+    log_den = log_moment(ckn.n - 1.0 + p * ckn.alpha + p * ckn.gamma1)
+    quotient = math.exp(log_grad / p + (p - 1.0) / p * log_field - log_den)
     constant = (ckn.n + p * (ckn.alpha + ckn.gamma1)) / p
 
-    radii = np.geomspace(delta, hi, 64)
-    grad = np.zeros((radii.size, ckn.n))
-    grad[:, 0] = -c * m * radii ** (m - 1.0) * np.exp(-c * radii ** m)
+    radii = np.geomspace(delta, (_DECAY / (p * c)) ** (1.0 / m), 64)
+    grad = np.zeros((ckn.n, radii.size))
+    grad[0] = -c * m * radii ** (m - 1.0) * np.exp(-c * radii ** m)
     worst = float(np.max(_r_rows(grad, -grad, p, relative=True)))
-    return ExtremalReport(float(quotient), float(constant), worst)
+    return ExtremalReport(quotient, float(constant), worst)
 
 
 @dataclass(frozen=True)
@@ -481,10 +545,11 @@ def hardy_spot_test(params: HardyParams, bumps) -> SpotTestReport:
     best = math.inf
     for u in bumps:
         _check_support_clear(u, params.k)
-        pts, wts = _ball_nodes(u, _ORDERS[0])
-        s, r = axis_norms(pts, params.k)
-        v = s ** (p * (params.alpha + 1.0)) * r ** (p * params.beta)
-        num = float(np.sum(wts * v * np.linalg.norm(u.gradient(pts), axis=-1) ** p))
-        den = float(np.sum(wts * v * s ** (-p) * np.abs(u.value(pts)) ** p))
+        x, wts = _ball_nodes(u, _ORDERS[0])
+        uval, ugrad = _bump_fields(u, x)
+        s, r = _norms(x, params.k)
+        v = _hardy_v(params, s, r)
+        num = float(np.sum(wts * v * np.sqrt(_dot(ugrad, ugrad)) ** p))
+        den = float(np.sum(wts * v * s ** (-p) * np.abs(uval) ** p))
         best = min(best, num / den)
     return SpotTestReport(best, sharp_constant_general_p(params).value)

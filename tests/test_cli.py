@@ -274,6 +274,16 @@ class TestNegativeFloatFlags:
         assert "Traceback" not in err
         assert strict_json(err)["type"] == "ValueError"
 
+    @pytest.mark.parametrize("flag", ["--mu", "--gamma1", "--gamma2", "--gamma3"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_unused_ckn_flag_non_finite_is_exit_2(self, capsys, flag, value):
+        # without --ckn, constant does not use its CKN flags but still checks them
+        code, out, err = run_cli(capsys, "constant", "--n", "3", flag, value)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert strict_json(err)["type"] == "ValueError"
+
     def test_constant_with_exponent_alpha(self, capsys):
         code, out, _ = run_cli(capsys, "constant", "--n", "3", "--beta", "0",
                                "--alpha", "-1e-05")
