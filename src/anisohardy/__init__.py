@@ -22,8 +22,7 @@ from .quadrature import (QuadratureSpec, QuadResult, XiSpec,
                          integrate_1d, integrate_rows, integrate_angular,
                          integrate_2d, lemma1_check)
 from .rayleigh import (FamilyKind, TrialFamily, SweepResult, SweepRow,
-                       make_family, quotient_p2, quotient_general_p,
-                       sweep_and_extrapolate)
+                       quotient_p2, quotient_general_p, sweep_and_extrapolate)
 from .weights import (WeightSpec, H, H1, H2, weight_p2, weight_general_p,
                       divergence_oracle, divergence_oracle_p)
 from .identities import (BumpFunction, IdentityReport, r_functional,
@@ -42,7 +41,7 @@ __all__ = [
     "log_gamma", "beta", "sin_power_integral", "sphere_area",
     "cutoff_eta", "cutoff_eta_prime", "gauss_jacobi", "integrate_1d",
     "integrate_rows", "integrate_angular", "integrate_2d", "lemma1_check",
-    "FamilyKind", "TrialFamily", "SweepResult", "SweepRow", "make_family",
+    "FamilyKind", "TrialFamily", "SweepResult", "SweepRow",
     "quotient_p2", "quotient_general_p", "sweep_and_extrapolate",
     "WeightSpec", "H", "H1", "H2", "weight_p2", "weight_general_p",
     "divergence_oracle", "divergence_oracle_p",

@@ -28,16 +28,15 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, report as report_mod
-from .closed_form import (ckn_constant, sharp_constant_general_k_p2,
+from .closed_form import (Kind, ckn_constant, sharp_constant_general_k_p2,
                           sharp_constant_general_p)
 from .errors import (FitUnstableError, IllConditionedError,
                      InadmissibleParamsError, NegativeRemainderError,
-                     NotConvergedError, OptimizerStalledError, TruncationError)
-from .identities import ckn_extremal_check, verify_CKNp, verify_E2, verify_Ep
+                     NotConvergedError, OptimizerStalledError)
+from .identities import ckn_extremal_check
 from .optimizer import maximize
 from .params import (CknParams, HardyParams, _check_finite, admissible_ckn,
                      admissible_hardy, compute_K)
-from .quadrature import lemma1_check
 from .rayleigh import sweep_and_extrapolate
 
 EXIT_OK = 0
@@ -55,7 +54,6 @@ _EXIT_CODES = {
     FitUnstableError: EXIT_CHECK_FAILED,
     IllConditionedError: EXIT_CHECK_FAILED,
     OptimizerStalledError: EXIT_CHECK_FAILED,
-    TruncationError: EXIT_CHECK_FAILED,
     NegativeRemainderError: EXIT_CHECK_FAILED,
     ValueError: EXIT_BAD_INPUT,
     OSError: EXIT_BAD_INPUT,
@@ -167,7 +165,7 @@ def _named_admissibility_failure(params: HardyParams) -> str:
 
 def cmd_constant(args) -> int:
     if args.ckn:
-        return _cmd_constant_ckn(args)
+        return cmd_ckn(args)
     # the CKN flags are unused here, but a non-finite one is still refused
     _check_finite(mu=args.mu, gamma1=args.gamma1, gamma2=args.gamma2, gamma3=args.gamma3)
     params = _hardy_from_args(args)
@@ -193,22 +191,6 @@ def _ckn_from_args(args) -> CknParams:
     return CknParams(int(args.n), float(args.p), float(args.alpha),
                      float(args.beta), float(args.mu), float(args.gamma1),
                      float(args.gamma2), float(args.gamma3))
-
-
-def _cmd_constant_ckn(args) -> int:
-    ckn = _ckn_from_args(args)
-    manifest = _manifest("constant", {"ckn": True, **asdict(ckn)}, args.seed or 0)
-    flags = admissible_ckn(ckn)
-    doc = {"integrable": flags.integrable, "balanced": flags.balanced,
-           "normalized": flags.normalized, "manifest": manifest}
-    if not flags.all_ok:
-        _emit(doc, args.quiet)
-        return EXIT_BAD_INPUT
-    result = ckn_constant(ckn)
-    doc.update({"constant": result.value, "kind": result.kind.value,
-                "branch": result.branch.value})
-    _emit(doc, args.quiet)
-    return EXIT_OK
 
 
 def cmd_optimize(args) -> int:
@@ -270,81 +252,34 @@ def cmd_rayleigh(args) -> int:
     return EXIT_OK
 
 
-_VERIFY_CHOICES = ("E2", "Ep", "CKNp", "weights", "leray", "lemma1")
+#: Default batch size of each verify check; lemma1 runs its three fixed kernels.
+_VERIFY_COUNTS = {"E2": 20, "Ep": 20, "CKNp": 10, "weights": 20, "leray": 50, "lemma1": 3}
+_VERIFY_CHOICES = tuple(_VERIFY_COUNTS)
 
 
-def _identity_row(rep) -> dict:
-    return {"residual_rel": rep.residual_rel, "err_estimate": rep.err_estimate,
-            "nodes": rep.nodes}
-
-
-def _verify_e2(seed: int, count: int):
-    results = []
-    for i in range(count):
-        spec, bump = report_mod.sample_e2_config(seed, i)
-        rep = verify_E2(spec, bump)
-        results.append({"index": i, **_identity_row(rep),
-                        "pass": rep.residual_rel <= 1e-6})
-    return results
-
-
-def _verify_ep(seed: int, count: int):
-    cycle = (1.5, 2.0, 3.0, 4.0)
-    results = []
-    for i in range(count):
-        spec, bump = report_mod.sample_ep_config(seed, i, cycle[i % 4])
-        rep = verify_Ep(spec, bump)
-        results.append({"index": i, "p": cycle[i % 4], **_identity_row(rep),
-                        "pass": rep.residual_rel <= 1e-5})
-    return results
-
-
-def _verify_cknp(seed: int, count: int):
-    results = []
-    for i in range(count):
-        ckn, bump = report_mod.sample_ckn_config(seed, i)
-        rep = verify_CKNp(ckn, bump)
-        results.append({"index": i, **_identity_row(rep),
-                        "pass": rep.residual_rel <= 1e-5})
-    return results
-
-
-def _verify_weights(seed: int, count: int):
-    return [{"index": i, "worst_rel": worst, "pass": worst <= 1e-6}
-            for i, worst in enumerate(report_mod.weight_errors(np.random.default_rng(seed),
-                                                               count))]
-
-
-def _verify_leray(seed: int, count: int):
-    return [{"index": i, "rel_err": rel, "pass": rel <= 1e-6}
-            for i, rel in enumerate(report_mod.leray_errors(np.random.default_rng(seed),
-                                                            count))]
-
-
-def _verify_lemma1(seed: int, count: int):
-    eps = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-    results = []
-    for i, xi in enumerate(report_mod.LEMMA1_POSITIVE):
-        rep = lemma1_check(xi, eps)
-        results.append({"index": i, "a": xi.a, "b": xi.b, "control": "positive",
-                        "slope": rep.slope_vs_log_eps, "max_abs": rep.max_abs,
-                        "pass": abs(rep.slope_vs_log_eps) <= 1e-2})
-    rep = lemma1_check(report_mod.LEMMA1_NEGATIVE, eps)
-    results.append({"index": len(results), "a": report_mod.LEMMA1_NEGATIVE.a,
-                    "b": report_mod.LEMMA1_NEGATIVE.b, "control": "negative",
-                    "slope": rep.slope_vs_log_eps, "max_abs": rep.max_abs,
-                    "pass": abs(rep.slope_vs_log_eps) >= 0.1})
-    return results
-
-
-_VERIFY_RUNNERS = {
-    "E2": (_verify_e2, 20),
-    "Ep": (_verify_ep, 20),
-    "CKNp": (_verify_cknp, 10),
-    "weights": (_verify_weights, 20),
-    "leray": (_verify_leray, 50),
-    "lemma1": (_verify_lemma1, 3),
-}
+def _verify_rows(which: str, seed: int, count: int) -> list[dict]:
+    """The rows of one verify batch, drawn by the report generators that serve
+    the check's acceptance criterion, each with its index and pass flag."""
+    gate = report_mod.GATES.get(which)
+    if which == "lemma1":
+        rows = [{"a": xi.a, "b": xi.b, "control": control, "slope": rep.slope_vs_log_eps,
+                 "max_abs": rep.max_abs, "pass": ok}
+                for xi, control, rep, ok in report_mod.lemma1_reports()]
+    elif which == "weights":
+        rows = [{"worst_rel": err, "pass": err <= gate}
+                for err in report_mod.weight_errors(np.random.default_rng(seed), count)]
+    elif which == "leray":
+        rows = [{"rel_err": err, "pass": err <= gate}
+                for err in report_mod.leray_errors(np.random.default_rng(seed), count)]
+    else:
+        reports = {"E2": report_mod.e2_reports, "Ep": report_mod.ep_reports,
+                   "CKNp": report_mod.ckn_reports}[which](seed, count)
+        rows = [{"residual_rel": rep.residual_rel, "err_estimate": rep.err_estimate,
+                 "nodes": rep.nodes, "pass": rep.residual_rel <= gate} for rep in reports]
+        if which == "Ep":
+            for i, row in enumerate(rows):
+                row["p"] = report_mod.EP_P_CYCLE[i % 4]
+    return [{"index": i, **row} for i, row in enumerate(rows)]
 
 
 def cmd_verify(args) -> int:
@@ -352,10 +287,14 @@ def cmd_verify(args) -> int:
     which = args.which
     if which not in _VERIFY_CHOICES:
         raise ValueError(f"--which must be one of {_VERIFY_CHOICES}")
-    runner, default_count = _VERIFY_RUNNERS[which]
-    count = int(args.count) if args.count is not None else default_count
+    count = int(args.count) if args.count is not None else _VERIFY_COUNTS[which]
+    if count < 1:
+        raise ValueError(f"--count must be at least 1, got {count}")
+    if which == "lemma1" and count != _VERIFY_COUNTS["lemma1"]:
+        raise ValueError(f"--count must be {_VERIFY_COUNTS['lemma1']} for lemma1, which "
+                         f"runs its fixed kernels; got {count}")
     seed = args.seed or 0
-    results = runner(seed, count)
+    results = _verify_rows(which, seed, count)
     failures = [r for r in results if not r["pass"]]
     _emit({"which": which, "count": len(results),
            "passes": len(results) - len(failures),
@@ -366,17 +305,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ckn(args) -> int:
+    """The CKN gates, constant, kind and branch, and the extremal check where
+    the constant is sharp; constant --ckn prints the same document."""
     ckn = _ckn_from_args(args)
     flags = admissible_ckn(ckn)
+    params = asdict(ckn) if args.command == "ckn" else {"ckn": True, **asdict(ckn)}
     doc = {"integrable": flags.integrable, "balanced": flags.balanced,
            "normalized": flags.normalized,
-           "manifest": _manifest("ckn", asdict(ckn), args.seed or 0)}
+           "manifest": _manifest(args.command, params, args.seed or 0)}
     if not flags.all_ok:
         _emit(doc, args.quiet)
         return EXIT_BAD_INPUT
     result = ckn_constant(ckn)
-    doc.update({"constant": result.value, "kind": result.kind.value})
-    if ckn.symmetric and ckn.gamma3 - ckn.gamma2 + 1.0 > 0.0:
+    doc.update({"constant": result.value, "kind": result.kind.value,
+                "branch": result.branch.value})
+    if result.kind is Kind.SHARP:
         rep = ckn_extremal_check(ckn)
         doc["extremal"] = {"quotient": rep.quotient, "constant": rep.constant,
                            "residual_R_max": rep.residual_R_max}

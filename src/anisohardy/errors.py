@@ -61,10 +61,6 @@ class FitUnstableError(ArithmeticError):
         self.residual = residual
 
 
-class TruncationError(ArithmeticError):
-    """Radial truncation left more tail mass than the tolerance allows."""
-
-
 class NegativeRemainderError(ArithmeticError):
     """The Picone-type remainder fell below -1e-12 times the size of its terms;
     indicates a bug, not a math case."""

@@ -58,11 +58,15 @@ class OptimizerReport:
 
 
 def _golden_max(fn, lo: float, hi: float, tol: float = 1e-10):
+    """Golden-section maximum of fn on [lo, hi], to a bracket of tol or until
+    the bracket stops shrinking (one ulp wide, when that exceeds tol)."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
+    width = math.inf
+    while tol < b - a < width:
+        width = b - a
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)

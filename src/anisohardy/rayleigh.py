@@ -42,7 +42,7 @@ from .quadrature import (QuadResult, QuadratureSpec, _integrate_2d_rows,  # noqa
 
 __all__ = [
     "FamilyKind", "TrialFamily", "FitModel", "FitInfo", "SweepRow",
-    "SweepResult", "QuotientParts", "make_family",
+    "SweepResult", "QuotientParts",
     "quotient_p2", "quotient_general_p", "sweep_and_extrapolate",
     "DEFAULT_EPS", "DEFAULT_SIGMA",
 ]
@@ -97,6 +97,15 @@ class TrialFamily:
             raise ValueError("trial families are defined for k = n-1")
         if not admissible_hardy(p):
             raise ValueError(f"inadmissible parameters: {p}")
+        if self.kind is FamilyKind.GENERAL_P_BETA_NONNEG:
+            angular, radial = _general_p_exponents(self)
+        else:
+            _, mu, nu = _p2_exponents(self)
+            angular, radial = mu - 2.0, nu - 1.0    # g is bounded at r = 0
+        for what, value in (("angular", angular), ("radial", radial)):
+            if value <= -1.0:
+                raise SingularParamsError(
+                    f"reduced {what} exponent {value} <= -1; integral diverges")
 
     def _K(self) -> float:
         return compute_K(self.params).k_value
@@ -162,28 +171,6 @@ def _g_and_prime(r, r2, eta, eta_prime, e2, ge):
     return qe * eta, 2.0 * ge * r * _power(q, ge - 1.0) * eta + qe * eta_prime
 
 
-def make_family(params: HardyParams, epsilon: float,
-                sigma: float | None = None) -> TrialFamily:
-    """Pick the regime-appropriate family for (params, epsilon, sigma)."""
-    if params.p != 2:
-        if params.beta < 0.0:
-            raise UnsupportedRegimeError(
-                "no sharpness family exists for beta < 0, p != 2")
-        if sigma is None:
-            raise ValueError("the general-p family needs a sigma")
-        return TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG, params, epsilon, sigma)
-    regime = compute_K(params)
-    if regime.family is RegimeFamily.K_GT_1:
-        if sigma not in (None, 0.0):
-            raise ValueError("the K > 1 family takes no sigma")
-        return TrialFamily(FamilyKind.P2_K_GT_1, params, epsilon, 0.0)
-    if sigma is None:
-        raise ValueError("K <= 1 families need a sigma")
-    kind = (FamilyKind.P2_K_EQ_1 if regime.family is RegimeFamily.K_EQ_1
-            else FamilyKind.P2_K_LT_1)
-    return TrialFamily(kind, params, epsilon, sigma)
-
-
 @dataclass(frozen=True)
 class QuotientParts:
     numerator: float
@@ -198,12 +185,6 @@ class QuotientParts:
 def _rel_err(*results) -> float:
     """Largest relative error estimate among quadrature results."""
     return max(r.err_estimate / max(abs(r.value), 1e-300) for r in results)
-
-
-def _check_exponent(value: float, what: str):
-    if value <= -1.0:
-        raise SingularParamsError(
-            f"reduced {what} exponent {value} <= -1; integral diverges")
 
 
 def quotient_p2(family: TrialFamily, spec: QuadratureSpec | None = None) -> QuotientParts:
@@ -230,27 +211,21 @@ def _quotients_p2(families, spec: QuadratureSpec | None = None) -> tuple[Quotien
     by member, so each level's nodes, r^2 and cutoff serve them all.  Each
     result is the one quotient_p2 gives the member alone, to the bit, and a
     failure is the first one met by quotient_p2 called on the members in
-    turn: the exponent checks, the two angular factors and the three
-    radials, member by member.
+    turn: the two angular factors and the three radials, member by member.
     """
     if any(f.kind is FamilyKind.GENERAL_P_BETA_NONNEG for f in families):
         raise ValueError("quotient_p2 takes a p = 2 family")
     spec = spec or _SWEEP_SPEC_1D
     angular, exponents, failure = {}, [], None
     for family in families:
-        p = family.params
-        theta = family.h_exponent
-        mu = p.n + 2.0 * p.alpha + 2.0 * theta    # angular exponent of J2, J3
-        nu = mu + 2.0 * p.beta                    # radial exponent base
-        try:
-            _check_exponent(mu - 2.0, "angular")
-            _check_exponent(nu - 1.0, "radial")   # g is bounded at r = 0
-            if mu not in angular:
+        theta, mu, nu = _p2_exponents(family)
+        if mu not in angular:
+            try:
                 angular[mu] = (integrate_angular(lambda s: s ** (mu - 2.0), spec),
                                integrate_angular(lambda s: s ** mu, spec))
-        except (SingularParamsError, NotConvergedError) as exc:
-            failure = exc       # raised after the radials of the members before it
-            break
+            except NotConvergedError as exc:
+                failure = exc   # raised after the radials of the members before it
+                break
         exponents.append((theta, mu, nu))
     members = families[:len(exponents)]
     rads = (integrate_rows(_radial_rows(members, [nu for _, _, nu in exponents]),
@@ -271,6 +246,15 @@ def _quotients_p2(families, spec: QuadratureSpec | None = None) -> tuple[Quotien
         parts.append(QuotientParts(num, den, num / den, j1, j2, j3,
                                    _rel_err(ang_m2, ang, *rad)))
     return tuple(parts)
+
+
+def _p2_exponents(family: TrialFamily) -> tuple[float, float, float]:
+    """(theta, mu, nu): the power of |x'| in h, the angular exponent of J2
+    and J3, and the radial exponent base mu + 2 beta."""
+    p = family.params
+    theta = family.h_exponent
+    mu = p.n + 2.0 * p.alpha + 2.0 * theta
+    return theta, mu, mu + 2.0 * p.beta
 
 
 def _radial_rows(families, nus):
@@ -381,33 +365,22 @@ def _quotients_general_p(families, spec: QuadratureSpec | None = None
     member's radial columns are formed once per radial level.  Each result
     is the one quotient_general_p gives the member alone, to the bit, and a
     failure is the first one met by quotient_general_p called on the
-    members in turn: the exponent checks, the numerator and the
-    denominator, member by member.  Members after it do no further work.
+    members in turn: the numerator and the denominator, member by member.
+    Members after it do no further work.
     """
     if any(f.kind is not FamilyKind.GENERAL_P_BETA_NONNEG for f in families):
         raise ValueError("quotient_general_p takes the general-p family")
     spec = spec or _SWEEP_SPEC_2D
-    exponents, failure = [], None
-    for family in families:
-        a_phi, a_r = _general_p_exponents(family)
-        try:
-            _check_exponent(a_phi, "angular")
-            _check_exponent(a_r, "radial")
-        except SingularParamsError as exc:
-            failure = exc       # raised after the members before it
-            break
-        exponents.append((a_phi, a_r))
-    nums = _integrate_2d_rows([_grad_levels(f) for f in families[:len(exponents)]],
+    exponents = [_general_p_exponents(f) for f in families]
+    nums = _integrate_2d_rows([_grad_levels(f) for f in families],
                               [a_phi for a_phi, _ in exponents], spec)
     done = next((i for i, num in enumerate(nums) if not isinstance(num, QuadResult)),
                 len(nums))
-    if done < len(nums):
-        failure = nums[done]
     members = families[:done]
     rads = (integrate_rows(_denominator_rows(members, [a_r for _, a_r in exponents]),
                            0.0, spec.truncation_radius, spec) if members else ())
-    if failure is not None:
-        raise failure
+    if done < len(nums):
+        raise nums[done]
 
     parts = []
     for (a_phi, _), num, rad in zip(exponents, nums, rads):
@@ -558,19 +531,15 @@ def _fit_pole_ratio(x, num_slopes, den_slopes):
     return value, max(rms, abs(value - lower))
 
 
-def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None,
-                          spec: QuadratureSpec | None = None) -> SweepResult:
-    """Sweep eps (and sigma), extrapolate the quotient to the sharp constant.
+def _plan_sweep(params: HardyParams, eps_list, sigma_list):
+    """(kind, eps list, sigmas, families) of a sweep, every member built.
 
-    K > 1: single-stage fit quotient = C + c/|ln eps|.  K <= 1 and general-p:
-    per-sigma eps-extrapolation followed by a polynomial sigma intercept;
-    general-p takes the intercepts of sigma times the two eps slopes
-    (_fit_pole_ratio).  The default sigma schedule is DEFAULT_SIGMA, times
-    2/p for general p.  Raises FitUnstableError (carrying the value) when
-    the fitted constant or its residual is not finite, or the residual
-    exceeds 5% of the constant.  Raises ValueError unless eps_list is
-    strictly decreasing in (0, 1) and the sigmas are distinct, positive and
-    finite.
+    Every refusal of a sweep is raised here, before any quadrature runs:
+    the eps and sigma schedules, the beta < 0 general-p regime, and each
+    member's own checks in TrialFamily.  The family follows the regime: K > 1
+    takes no sigma; near K = 1, where fewer than two sigmas lie below the
+    K < 1 family's bound sqrt(1 - K)/2, the K = 1 family, which is the
+    robust one at the boundary, takes them all.
     """
     eps_list = [float(e) for e in (eps_list if eps_list is not None else DEFAULT_EPS)]
     if not eps_list or any(not 0.0 < e < 1.0 for e in eps_list):
@@ -605,27 +574,31 @@ def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None,
             if len(kept) >= 2:
                 sigmas, kind = kept, FamilyKind.P2_K_LT_1
             else:
-                # too close to K = 1 for the K < 1 family; the K = 1 family
-                # is the robust one at the boundary
                 kind = FamilyKind.P2_K_EQ_1
-    members = [(s, e) for s in sigmas for e in eps_list]
-    families, failure = [], None
-    for s, e in members:
-        try:
-            families.append(TrialFamily(kind, params, e, s))
-        except ValueError as exc:
-            # a sigma the family rejects (>= 1) is met after the quotients of
-            # the members before it, as if each member were built just
-            # before its quotient
-            failure = exc
-            break
+    families = [TrialFamily(kind, params, e, s) for s in sigmas for e in eps_list]
+    return kind, eps_list, sigmas, families
+
+
+def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None,
+                          spec: QuadratureSpec | None = None) -> SweepResult:
+    """Sweep eps (and sigma), extrapolate the quotient to the sharp constant.
+
+    K > 1: single-stage fit quotient = C + c/|ln eps|.  K <= 1 and general-p:
+    per-sigma eps-extrapolation followed by a polynomial sigma intercept;
+    general-p takes the intercepts of sigma times the two eps slopes
+    (_fit_pole_ratio).  The default sigma schedule is DEFAULT_SIGMA, times
+    2/p for general p.  Raises FitUnstableError (carrying the value) when
+    the fitted constant or its residual is not finite, or the residual
+    exceeds 5% of the constant.  Raises ValueError, before any quadrature,
+    unless eps_list is strictly decreasing in (0, 1), the sigmas are
+    distinct, positive and finite, and every member is a valid TrialFamily.
+    """
+    kind, eps_list, sigmas, families = _plan_sweep(params, eps_list, sigma_list)
     quotients = (_quotients_general_p if kind is FamilyKind.GENERAL_P_BETA_NONNEG
                  else _quotients_p2)
     parts = quotients(families, spec)
-    if failure is not None:
-        raise failure
-    rows = tuple(SweepRow(e, s, q.numerator, q.denominator, q.quotient, q.err_estimate)
-                 for (s, e), q in zip(members, parts))
+    rows = tuple(SweepRow(f.epsilon, f.sigma, q.numerator, q.denominator, q.quotient,
+                          q.err_estimate) for f, q in zip(families, parts))
     if kind is FamilyKind.P2_K_GT_1:
         extrapolated, resid = _extrapolate_eps(eps_list, rows, log_affine=True)
         fit = FitInfo(FitModel.INV_LOG_EPS, resid)

@@ -70,6 +70,24 @@ class TestConstantCommand:
         assert doc["constant"] == pytest.approx(1.0)
         assert doc["integrable"] and doc["balanced"] and doc["normalized"]
 
+    @pytest.mark.parametrize("flags", [
+        ["--gamma1", "-0.5"],                                   # sharp: with the extremal
+        ["--alpha", "0.1", "--mu", "0.2", "--gamma1", "-0.5"],  # lower bound
+        ["--alpha", "0.1"],                                     # not balanced: exit 2
+    ])
+    def test_ckn_mode_prints_the_ckn_document(self, capsys, flags):
+        argv = ["--n", "3", "--p", "2", *flags, "--quiet"]
+        code, out, _ = run_cli(capsys, "constant", "--ckn", *argv)
+        ckn_code, ckn_out, _ = run_cli(capsys, "ckn", *argv)
+        doc, ckn_doc = parse_json(out), parse_json(ckn_out)
+        manifest, ckn_manifest = doc.pop("manifest"), ckn_doc.pop("manifest")
+        assert (code, doc) == (ckn_code, ckn_doc)
+        assert (manifest["command"], ckn_manifest["command"]) == ("constant", "ckn")
+        assert manifest["params"] == {"ckn": True, **ckn_manifest["params"]}
+        if code == 0:
+            assert doc["branch"] == "ckn"
+            assert ("extremal" in doc) == (doc["kind"] == "sharp")
+
 
 class TestOptimizeCommand:
     def test_agreement_flag(self, capsys):
@@ -80,6 +98,28 @@ class TestOptimizeCommand:
         assert doc["agrees"] is True
         assert doc["abs_diff"] <= 1e-6
         assert doc["oracle"]["active_constraint"] is True
+
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "3", "--beta", "3e5"],
+        ["--n", "5", "--k", "2", "--beta", "4e5"],
+    ])
+    def test_large_beta_returns(self, argv):
+        # the golden-section bracket stalls at one ulp near lambda = -6e5,
+        # wider than its 1e-10 tolerance; a fresh interpreter with a timeout
+        # turns a hang into a failure
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from anisohardy.cli import main; sys.exit(main(sys.argv[1:]))",
+             "optimize", *argv, "--quiet"],
+            capture_output=True, text=True, env=env, timeout=30)
+        assert proc.returncode == 0
+        doc = strict_json(proc.stdout)
+        assert doc["closed_form"]["value"] == 1.0
+        assert doc["oracle"]["value"] == pytest.approx(1.0, abs=1e-6)
 
 
 class TestRayleighCommand:
@@ -435,6 +475,31 @@ class TestVerifyCommand:
         if which in ("E2", "Ep", "CKNp"):
             assert all(r["nodes"] > 0 and 0.0 <= r["err_estimate"] < 1e-4
                        for r in doc["reports"])
+
+
+class TestVerifyCount:
+    @pytest.mark.parametrize("which,count", [
+        ("E2", "-3"), ("E2", "0"), ("leray", "0"), ("lemma1", "0"),
+        ("lemma1", "1"), ("lemma1", "4"),
+    ])
+    def test_count_out_of_range_is_exit_2(self, capsys, which, count):
+        code, out, err = run_cli(capsys, "verify", "--which", which, "--count", count)
+        assert (code, out) == (2, "")
+        doc = strict_json(err)
+        assert doc["type"] == "ValueError" and "--count" in doc["error"]
+
+    def test_count_from_config_is_checked_too(self, capsys, tmp_path):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("count = 0\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "verify", "--which", "E2", "--config", str(cfg))
+        assert (code, out) == (2, "")
+
+    def test_lemma1_takes_its_own_count(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--which", "lemma1", "--count", "3",
+                               "--quiet")
+        doc = parse_json(out)
+        assert code == 0
+        assert doc["count"] == doc["manifest"]["params"]["count"] == len(doc["reports"]) == 3
 
 
 class TestCknCommand:

@@ -7,14 +7,14 @@ import pytest
 
 from anisohardy import (FamilyKind, HardyParams, QuadratureSpec, TrialFamily, beta,
                         compute_K, cutoff_eta, cutoff_eta_prime, integrate_1d, integrate_2d,
-                        integrate_angular, integrate_rows, make_family, quotient_general_p,
+                        integrate_angular, integrate_rows, quotient_general_p,
                         quotient_p2, sharp_constant_general_p,
                         sharp_constant_p2, sin_power_integral,
                         sweep_and_extrapolate)
 from anisohardy import quadrature, rayleigh
 from anisohardy.cli import main
 from anisohardy.errors import (FitUnstableError, NotConvergedError,
-                               UnsupportedRegimeError)
+                               SingularParamsError, UnsupportedRegimeError)
 from anisohardy.params import RegimeFamily, admissible_hardy
 from anisohardy.quadrature import QuadResult
 from anisohardy.rayleigh import FitModel, QuotientParts
@@ -23,16 +23,19 @@ K3_PARAMS = HardyParams(3, 2.0, -0.5, -0.5)
 BEST_02 = (2.0 * math.sqrt(3.0) - 3.0) / 4.0
 
 
+def _planned_kind(params, sigmas=None):
+    """The family kind the sweep planner picks for params."""
+    return rayleigh._plan_sweep(params, None, sigmas)[0]
+
+
 class TestTrialFamily:
     def test_kind_selection_follows_regime(self):
-        assert make_family(K3_PARAMS, 1e-3).kind is FamilyKind.P2_K_GT_1
-        assert make_family(HardyParams(3, 2.0, 0.0, -0.05), 1e-3,
-                           0.05).kind is FamilyKind.P2_K_LT_1
-        assert make_family(HardyParams(3, 3.0, 0.0, 0.5), 1e-3,
-                           0.05).kind is FamilyKind.GENERAL_P_BETA_NONNEG
+        assert _planned_kind(K3_PARAMS) is FamilyKind.P2_K_GT_1
+        assert _planned_kind(HardyParams(3, 2.0, 0.0, -0.05)) is FamilyKind.P2_K_LT_1
+        assert _planned_kind(HardyParams(3, 3.0, 0.0, 0.5)) is FamilyKind.GENERAL_P_BETA_NONNEG
 
     def test_k_gt_1_exponents(self):
-        fam = make_family(K3_PARAMS, 1e-3)
+        fam = TrialFamily(FamilyKind.P2_K_GT_1, K3_PARAMS, 1e-3)
         assert fam.h_exponent == pytest.approx(-(2 - math.sqrt(3)) / 2, abs=1e-14)
         assert 2 * fam.g_exponent == pytest.approx(0.5 - math.sqrt(3) / 2, abs=1e-14)
 
@@ -49,32 +52,40 @@ class TestTrialFamily:
         with pytest.raises(ValueError):
             TrialFamily(FamilyKind.P2_K_GT_1, K3_PARAMS, 1.5)
 
+    def test_divergent_reduced_exponent_is_refused(self):
+        # the K = 1 family at beta = -0.6: the radial exponent of the
+        # denominator is 2 sigma + 2 beta = -1.1
+        with pytest.raises(SingularParamsError,
+                           match=r"^reduced radial exponent -1\.0999\d* <= -1; integral diverges$"):
+            TrialFamily(FamilyKind.P2_K_EQ_1, HardyParams(3, 2.0, 0.0, -0.6), 1e-3, 0.05)
+
     def test_no_general_p_family_for_negative_beta(self):
         with pytest.raises(UnsupportedRegimeError):
-            make_family(HardyParams(3, 3.0, 0.0, -0.1), 1e-3, 0.05)
+            _planned_kind(HardyParams(3, 3.0, 0.0, -0.1), (0.05,))
 
 
 class TestQuotientP2:
     def test_k3_bracket(self):
-        q = quotient_p2(make_family(K3_PARAMS, 1e-3))
+        q = quotient_p2(TrialFamily(FamilyKind.P2_K_GT_1, K3_PARAMS, 1e-3))
         assert BEST_02 < q.quotient < BEST_02 + 1.0
 
     def test_monotone_toward_limit(self):
-        q_coarse = quotient_p2(make_family(K3_PARAMS, 1e-3))
-        q_fine = quotient_p2(make_family(K3_PARAMS, 1e-5))
+        q_coarse = quotient_p2(TrialFamily(FamilyKind.P2_K_GT_1, K3_PARAMS, 1e-3))
+        q_fine = quotient_p2(TrialFamily(FamilyKind.P2_K_GT_1, K3_PARAMS, 1e-5))
         assert q_fine.quotient < q_coarse.quotient
 
     def test_breakdown_sums(self):
-        q = quotient_p2(make_family(K3_PARAMS, 1e-4))
+        q = quotient_p2(TrialFamily(FamilyKind.P2_K_GT_1, K3_PARAMS, 1e-4))
         assert q.numerator == pytest.approx(q.j1 + q.j2 + q.j3, rel=1e-12)
 
     def test_k_lt_1_family_near_square(self):
-        fam = make_family(HardyParams(3, 2.0, 0.0, 0.0), 1e-4, 0.05)
+        fam = TrialFamily(FamilyKind.P2_K_LT_1, HardyParams(3, 2.0, 0.0, 0.0), 1e-4, 0.05)
         q = quotient_p2(fam)
         assert abs(q.quotient - 1.0) < 0.2
 
     def test_rejects_general_p_family(self):
-        fam = make_family(HardyParams(3, 3.0, 0.0, 0.5), 1e-3, 0.05)
+        fam = TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG, HardyParams(3, 3.0, 0.0, 0.5),
+                          1e-3, 0.05)
         with pytest.raises(ValueError):
             quotient_p2(fam)
 
@@ -99,12 +110,13 @@ def _seeded_p2_families(seed, count=4):
             continue
         eps = float(rng.choice(rayleigh.DEFAULT_EPS))
         if regime.family is RegimeFamily.K_GT_1:
-            sigma = None
+            kind, sigma = FamilyKind.P2_K_GT_1, 0.0
         elif regime.family is RegimeFamily.K_EQ_1:
-            sigma = float(rng.uniform(0.01, 0.2))
+            kind, sigma = FamilyKind.P2_K_EQ_1, float(rng.uniform(0.01, 0.2))
         else:
+            kind = FamilyKind.P2_K_LT_1
             sigma = float(rng.uniform(0.05, 0.95)) * math.sqrt(1.0 - regime.k_value) / 2.0
-        found[regime.family].append(make_family(params, eps, sigma))
+        found[regime.family].append(TrialFamily(kind, params, eps, sigma))
     return [fam for fams in found.values() for fam in fams]
 
 
@@ -167,7 +179,8 @@ class TestStackedRadials:
     def test_overflowing_angular_factor_raises_its_own_error(self):
         # K = 1.018: s^(mu - 2) with mu - 2 = -0.991 overflows at the
         # subnormal tanh-sinh nodes; the radial rows converge
-        fam = make_family(HardyParams(2, 2.0, -0.4220116904528721, -0.2959733589660343), 1e-2)
+        fam = TrialFamily(FamilyKind.P2_K_GT_1,
+                          HardyParams(2, 2.0, -0.4220116904528721, -0.2959733589660343), 1e-2)
         _, mu, _ = _exponents(fam)
         with np.errstate(all="ignore"):
             with pytest.raises(NotConvergedError) as alone:
@@ -221,13 +234,14 @@ class TestBatchedSweep:
         monkeypatch.setattr(rayleigh, "_quotients_p2", _member_loop)
         assert batched == _sweep_outcome(params, sigmas)
         if params == _NEAR_K1:
-            assert make_family(params, 1e-3, 0.025).kind is FamilyKind.P2_K_LT_1
+            assert compute_K(params).family is RegimeFamily.K_LT_1
+            assert _planned_kind(params, sigmas) is FamilyKind.P2_K_EQ_1
             assert len(batched[0]) == 20           # the K = 1 family keeps every sigma
 
     def test_overflowing_angular_factor_keeps_its_error(self, capsys):
         # K = 1.018: the first member's angular factor overflows; no radial runs
         params = HardyParams(2, 2.0, -0.4220116904528721, -0.2959733589660343)
-        _, mu, _ = _exponents(make_family(params, 1e-2))
+        _, mu, _ = _exponents(TrialFamily(FamilyKind.P2_K_GT_1, params, 1e-2))
         with np.errstate(all="ignore"):
             with pytest.raises(NotConvergedError) as alone:
                 integrate_angular(lambda s: s ** (mu - 2.0), rayleigh._SWEEP_SPEC_1D)
@@ -279,8 +293,6 @@ def _general_p_member(family, spec=None):
     spec = spec or rayleigh._SWEEP_SPEC_2D
     pw = family.params.p
     a_phi, a_r = rayleigh._general_p_exponents(family)
-    rayleigh._check_exponent(a_phi, "angular")
-    rayleigh._check_exponent(a_r, "radial")
     num = integrate_2d(rayleigh._grad_integrand(family), a_phi, spec)
     e2 = family.epsilon ** 2
     lam = 2.0 * family.g_exponent
@@ -337,19 +349,18 @@ class TestBatchedGeneralPSweep:
         assert batched == _general_p_outcome(params)
         assert len(batched[0]) == 20
 
-    def test_sigma_of_one_fails_after_the_members_before_it(self, monkeypatch):
+    def test_sigma_of_one_is_refused_before_any_member_runs(self, monkeypatch):
         params = HardyParams(3, 3.0, 0.0, 0.5)
         eps, sigmas = (1e-3, 1e-4), (0.2, 1.5)
         batched = _general_p_outcome(params, eps, sigmas)
-        assert batched[:2] == ("ValueError", "the general-p family requires sigma in (0, 1)")
-        monkeypatch.setattr(rayleigh, "_quotients_general_p", _general_p_member_loop)
-        assert _general_p_outcome(params, eps, sigmas) == batched
+        assert batched == ("ValueError", "the general-p family requires sigma in (0, 1)")
+        assert _refusal(params, eps, sigmas, monkeypatch) == (*batched, 0)
 
     @pytest.mark.parametrize("where", ["radial", "order"])
     def test_later_member_failure_comes_first(self, where, monkeypatch):
-        # the fourth member fails; sigma = 1.5, met after it, would raise ValueError
+        # the fourth member fails; the members after it do no work
         params = HardyParams(3, 1.5, 0.0, 0.5)
-        eps, sigmas = (1e-3, 1e-4), (0.2, 0.1, 1.5)
+        eps, sigmas = (1e-3, 1e-4), (0.2, 0.1, 0.05)
         if where == "radial":       # its radial total is NaN at the first order
             plain = TrialFamily.g_and_prime
             monkeypatch.setattr(TrialFamily, "g_and_prime", lambda self, r: (
@@ -396,12 +407,88 @@ class TestBatchedGeneralPSweep:
             "tanh-sinh on (0.0, 2.0) within 9 levels did not converge (last sum nan)")
 
 
+def _count_evaluations(monkeypatch):
+    """Count, in the returned one-item list, the integrand evaluations of the
+    sweep's radial, 2-D and angular passes."""
+    evaluations = [0]
+
+    def counted(f):
+        def f_counted(*args):
+            evaluations[0] += 1
+            return f(*args)
+        return f_counted
+
+    rows, rows_2d, angular = (rayleigh.integrate_rows, rayleigh._integrate_2d_rows,
+                              rayleigh.integrate_angular)
+    monkeypatch.setattr(rayleigh, "integrate_rows",
+                        lambda f, *args: rows(counted(f), *args))
+    monkeypatch.setattr(rayleigh, "_integrate_2d_rows",
+                        lambda levels, *args: rows_2d([counted(lv) for lv in levels], *args))
+    monkeypatch.setattr(rayleigh, "integrate_angular",
+                        lambda f, *args: angular(counted(f), *args))
+    return evaluations
+
+
+def _refusal(params, eps_list, sigma_list, monkeypatch):
+    """(type name, message, integrand evaluations) of a refused sweep."""
+    evaluations = _count_evaluations(monkeypatch)
+    with pytest.raises(ValueError) as ei:
+        sweep_and_extrapolate(params, eps_list, sigma_list)
+    return type(ei.value).__name__, str(ei.value), evaluations[0]
+
+
+_SIGMA_MESSAGE = "sigma_list entries must be distinct, positive and finite"
+
+
+class TestRefusalsBeforeQuadrature:
+    """Every schedule the sweep planner refuses is refused with no integrand
+    evaluated, with the type and message of its check."""
+
+    @pytest.mark.parametrize("params,eps_list,sigma_list,expected", [
+        (K3_PARAMS, None, (0.1,),
+         ("ValueError", "sigma_list is forbidden for the K > 1 family")),
+        (HardyParams(3, 2.0, 0.0, -0.05), None, (0.2, 0.0), ("ValueError", _SIGMA_MESSAGE)),
+        (HardyParams(3, 2.0, 0.0, -0.05), None, (0.2, -0.1), ("ValueError", _SIGMA_MESSAGE)),
+        (HardyParams(3, 3.0, 0.0, 0.5), None, (0.2, 0.1, 0.2), ("ValueError", _SIGMA_MESSAGE)),
+        (HardyParams(3, 3.0, 0.0, 0.5), None, (0.2, math.inf), ("ValueError", _SIGMA_MESSAGE)),
+        (HardyParams(3, 3.0, 0.0, 0.5), None, (0.2, math.nan), ("ValueError", _SIGMA_MESSAGE)),
+        (HardyParams(3, 3.0, 0.0, 0.5), None, (0.2, 0.1, 1.0),
+         ("ValueError", "the general-p family requires sigma in (0, 1)")),
+        (HardyParams(4, 2.0, 0.0, -0.05, 2), None, None,
+         ("ValueError", "trial families are defined for k = n-1")),
+        (HardyParams(4, 3.0, 0.3, 0.1, 2), None, None,
+         ("ValueError", "trial families are defined for k = n-1")),
+        (HardyParams(3, 3.0, 0.0, -0.1), None, None,
+         ("UnsupportedRegimeError", "no sharpness family exists for beta < 0, p != 2")),
+        (K3_PARAMS, (), None,
+         ("ValueError", "eps_list must be non-empty with entries in (0, 1)")),
+        (K3_PARAMS, (1e-2, 1.0), None,
+         ("ValueError", "eps_list must be non-empty with entries in (0, 1)")),
+        (HardyParams(3, 3.0, 0.0, 0.5), (1e-3, 1e-2), None,
+         ("ValueError", "eps_list must be strictly decreasing")),
+    ])
+    def test_refused_with_no_integrand_evaluated(self, params, eps_list, sigma_list,
+                                                 expected, monkeypatch):
+        assert _refusal(params, eps_list, sigma_list, monkeypatch) == (*expected, 0)
+
+    def test_the_counter_sees_every_pass(self, monkeypatch):
+        # so that the zero counts above are no accident of the counter
+        evaluations = _count_evaluations(monkeypatch)
+        sweep_and_extrapolate(HardyParams(3, 2.0, 0.0, -0.05), (1e-2, 1e-3))
+        p2_count = evaluations[0]
+        assert p2_count > 0
+        quotient_general_p(TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG,
+                                       HardyParams(3, 3.0, 0.0, 0.5), 1e-3, 0.1))
+        assert evaluations[0] > p2_count
+
+
 class TestQuotientGeneralP:
     def test_theorem_constant_neighborhood(self):
         # the quotient dominates the sharp constant and sits within the
         # O(sigma) band above it (about 6.4*sigma + O(1/|ln eps|) here; the
         # sigma->0, eps->0 double limit recovers the constant, see TestSweep)
-        fam = make_family(HardyParams(3, 3.0, 0.0, 0.5), 1e-4, 0.05)
+        fam = TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG, HardyParams(3, 3.0, 0.0, 0.5),
+                          1e-4, 0.05)
         q = quotient_general_p(fam)
         constant = (2.0 / 3.0) ** 3
         assert constant * (1 - 1e-6) <= q.quotient <= constant + 0.5
@@ -421,7 +508,7 @@ class TestQuotientGeneralP:
 
     def test_rejects_p2_family(self):
         with pytest.raises(ValueError):
-            quotient_general_p(make_family(K3_PARAMS, 1e-3))
+            quotient_general_p(TrialFamily(FamilyKind.P2_K_GT_1, K3_PARAMS, 1e-3))
 
     @pytest.mark.parametrize("pw", [1.5, 2.5, 3.0, 4.0])
     def test_factored_integrand_matches_cartesian_gradient(self, pw):
@@ -513,8 +600,7 @@ class TestSweep:
     def test_k_equal_1_band_uses_boundary_family(self):
         beta_star = (-3.0 + math.sqrt(8.0)) / 2.0  # K(beta) = 1 for n=3, a=0
         params = HardyParams(3, 2.0, 0.0, beta_star)
-        fam = make_family(params, 1e-3, 0.05)
-        assert fam.kind is FamilyKind.P2_K_EQ_1
+        assert _planned_kind(params) is FamilyKind.P2_K_EQ_1
         res = sweep_and_extrapolate(params)
         assert res.extrapolated == pytest.approx(1.0, rel=0.02)
 
