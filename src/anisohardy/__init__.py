@@ -19,8 +19,8 @@ from .optimizer import (OptimizerBranch, OptimizerReport, maximize,
 from .quadrature import (QuadratureSpec, QuadResult, XiSpec,
                          log_gamma, beta, sin_power_integral, sphere_area,
                          cutoff_eta, cutoff_eta_prime, gauss_jacobi,
-                         integrate_1d, integrate_rows, integrate_angular,
-                         integrate_2d, lemma1_check)
+                         integrate_1d, integrate_rows, integrate_2d,
+                         lemma1_check)
 from .rayleigh import (FamilyKind, TrialFamily, SweepResult, SweepRow,
                        quotient_p2, quotient_general_p, sweep_and_extrapolate)
 from .weights import (WeightSpec, H, H1, H2, weight_p2, weight_general_p,
@@ -40,7 +40,7 @@ __all__ = [
     "QuadratureSpec", "QuadResult", "XiSpec",
     "log_gamma", "beta", "sin_power_integral", "sphere_area",
     "cutoff_eta", "cutoff_eta_prime", "gauss_jacobi", "integrate_1d",
-    "integrate_rows", "integrate_angular", "integrate_2d", "lemma1_check",
+    "integrate_rows", "integrate_2d", "lemma1_check",
     "FamilyKind", "TrialFamily", "SweepResult", "SweepRow",
     "quotient_p2", "quotient_general_p", "sweep_and_extrapolate",
     "WeightSpec", "H", "H1", "H2", "weight_p2", "weight_general_p",

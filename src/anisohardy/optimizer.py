@@ -131,7 +131,10 @@ def maximize(params: HardyParams) -> OptimizerReport:
     bq = n + 2.0 * a + 2.0 * b + 2.0 * theta_vertex
     disc = bq * bq - 8.0 * b * theta_vertex
     if disc >= 0.0:
-        lam_v = 0.5 * (-bq + math.sqrt(disc))
+        # the larger root; for bq > 0 through the product of the roots,
+        # 2 b theta_v, since -bq + sqrt(disc) cancels there
+        root = math.sqrt(disc)
+        lam_v = 0.5 * (-bq + root) if bq <= 0.0 else -4.0 * b * theta_vertex / (bq + root)
         candidates.append((H(theta_vertex, params), theta_vertex, lam_v))
 
     # phase 2: branch refinement on each side of the pole lam = -b

@@ -12,7 +12,8 @@ Nodes are represented by their distance d from the nearer endpoint, so an
 integrand can be evaluated at machine-accurate offsets like b - 1e-290.  For
 integrals over (0, pi) of functions of sin(phi), use integrate_angular: it
 feeds the integrand sin(pi*d) computed from the endpoint distance, avoiding
-the catastrophic cancellation of sin(pi - tiny).
+the catastrophic cancellation of sin(pi - tiny).  It is the numeric route of
+sin_power_integral, whose Beta closed form the sweeps use.
 
 integrate_2d integrates f(r, cos phi) sin(phi)^c over (0, R) x (0, pi):
 radial tanh-sinh of angular Gauss-Jacobi sums (gauss_jacobi, Golub-Welsch)

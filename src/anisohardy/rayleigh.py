@@ -2,12 +2,13 @@
 
 Trial functions are v = h(|x'|) g(|x|) with h a power and
 g(r) = (r^2 + eps^2)^(e) eta(r), eta the C^2 cutoff.  After spherical
-reduction every p = 2 integral factors into an angular sin-power integral
-and a radial integral over (0, 2); a p = 2 sweep takes the radials of all its
-members in one tanh-sinh pass.  The general-p gradient integrand does
-not factor: it goes through integrate_2d, radial tanh-sinh of Gauss-Jacobi
-sums in cos(phi) whose weight carries the sin(phi) power.  All quotients are
-computed without the sphere-area prefactor (it cancels).
+reduction every p = 2 integral factors into an angular sin-power integral,
+taken from its Beta closed form, and a radial integral over (0, 2); a p = 2
+sweep takes the radials of all its members in one tanh-sinh pass.  The
+general-p gradient integrand does not factor: it goes through integrate_2d,
+radial tanh-sinh of Gauss-Jacobi sums in cos(phi) whose weight carries the
+sin(phi) power.  All quotients are computed without the sphere-area
+prefactor (it cancels).
 
 The families, per regime of K = -4b(n+2a+b):
 
@@ -30,11 +31,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (FitUnstableError, NotConvergedError, SingularParamsError,
-                     UnsupportedRegimeError)
+from .errors import FitUnstableError, SingularParamsError, UnsupportedRegimeError
 from .params import HardyParams, RegimeFamily, admissible_hardy, compute_K
-# integrate_1d and integrate_2d are no longer called here; certbench's layer
-# tracer looks them up by these names.
+# integrate_1d, integrate_2d and integrate_angular are no longer called here;
+# certbench's layer tracer looks them up by these names.
 from .quadrature import (QuadResult, QuadratureSpec, _integrate_2d_rows,  # noqa: F401
                          cutoff_eta, cutoff_eta_prime, integrate_1d,
                          integrate_2d, integrate_angular, integrate_rows,
@@ -191,9 +191,10 @@ def quotient_p2(family: TrialFamily, spec: QuadratureSpec | None = None) -> Quot
     """Weighted Rayleigh quotient of a p = 2 family member by product quadrature.
 
     The gradient integral splits as J1 + J2 + J3 (h' g, h g', cross term);
-    each is one angular sin-power factor times one radial integral.  The
-    radial integrals of the denominator, J2 and J3 share their nodes and
-    g, g' there: one integrate_rows pass computes all three.
+    each is one angular sin-power factor, its Beta closed form, times one
+    radial integral, so err_estimate is the radials' alone.  The radial
+    integrals of the denominator, J2 and J3 share their nodes and g, g'
+    there: one integrate_rows pass computes all three.
     """
     return _quotients_p2((family,), spec)[0]
 
@@ -205,46 +206,31 @@ _BLOCK_ELEMENTS = 2 ** 12
 def _quotients_p2(families, spec: QuadratureSpec | None = None) -> tuple[QuotientParts, ...]:
     """quotient_p2 of each member, all radial integrals in one pass.
 
-    The angular pair depends on a member through mu alone, so it is computed
-    once per distinct mu, in member order.  The denominator, J2 and J3
-    radials of every member are the rows of one integrate_rows pass, member
-    by member, so each level's nodes, r^2 and cutoff serve them all.  Each
-    result is the one quotient_p2 gives the member alone, to the bit, and a
-    failure is the first one met by quotient_p2 called on the members in
-    turn: the two angular factors and the three radials, member by member.
+    The angular pair is the Beta closed form sin_power_integral of mu - 2
+    and mu.  The denominator, J2 and J3 radials of every member are the rows
+    of one integrate_rows pass, member by member, so each level's nodes, r^2
+    and cutoff serve them all.  Each result is the one quotient_p2 gives the
+    member alone, to the bit, and a failure is the first radial failure met
+    by quotient_p2 called on the members in turn.
     """
     if any(f.kind is FamilyKind.GENERAL_P_BETA_NONNEG for f in families):
         raise ValueError("quotient_p2 takes a p = 2 family")
     spec = spec or _SWEEP_SPEC_1D
-    angular, exponents, failure = {}, [], None
-    for family in families:
-        theta, mu, nu = _p2_exponents(family)
-        if mu not in angular:
-            try:
-                angular[mu] = (integrate_angular(lambda s: s ** (mu - 2.0), spec),
-                               integrate_angular(lambda s: s ** mu, spec))
-            except NotConvergedError as exc:
-                failure = exc   # raised after the radials of the members before it
-                break
-        exponents.append((theta, mu, nu))
-    members = families[:len(exponents)]
-    rads = (integrate_rows(_radial_rows(members, [nu for _, _, nu in exponents]),
-                           0.0, spec.truncation_radius, spec) if members else ())
-    if failure is not None:
-        raise failure
+    exponents = [_p2_exponents(f) for f in families]
+    rads = integrate_rows(_radial_rows(families, [nu for _, _, nu in exponents]),
+                          0.0, spec.truncation_radius, spec)
 
     parts = []
     for i, (theta, mu, _) in enumerate(exponents):
-        ang_m2, ang = angular[mu]
+        ang_m2, ang = sin_power_integral(mu - 2.0), sin_power_integral(mu)
         rad = rads[3 * i:3 * i + 3]
         rad_den, rad_j2, rad_j3 = (r.value for r in rad)
-        j1 = theta * theta * ang_m2.value * rad_den
-        j2 = ang.value * rad_j2
-        j3 = 2.0 * theta * ang.value * rad_j3
-        den = ang_m2.value * rad_den
+        j1 = theta * theta * ang_m2 * rad_den
+        j2 = ang * rad_j2
+        j3 = 2.0 * theta * ang * rad_j3
+        den = ang_m2 * rad_den
         num = j1 + j2 + j3
-        parts.append(QuotientParts(num, den, num / den, j1, j2, j3,
-                                   _rel_err(ang_m2, ang, *rad)))
+        parts.append(QuotientParts(num, den, num / den, j1, j2, j3, _rel_err(*rad)))
     return tuple(parts)
 
 
@@ -428,7 +414,8 @@ class FitInfo:
 @dataclass(frozen=True)
 class SweepRow:
     """One (eps, sigma) member's quotient; err_estimate is the largest
-    relative quadrature error estimate among its integrals."""
+    relative quadrature error estimate among its radial (and general-p 2-D)
+    integrals: the angular factors are Beta closed forms."""
 
     epsilon: float
     sigma: float

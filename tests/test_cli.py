@@ -261,16 +261,17 @@ class TestUsageErrors:
         assert strict_json(err)["type"] == "FileNotFoundError"
 
     def test_overflowing_sweep_leaves_only_the_error_document(self):
-        # K = 1.018: the angular factor overflows in a fresh interpreter,
-        # where a numpy RuntimeWarning would otherwise precede the document
+        # r^(nu - 1) with nu - 1 = -0.985 overflows at the subnormal radial
+        # nodes in a fresh interpreter, where a numpy RuntimeWarning would
+        # otherwise precede the document
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; from anisohardy.cli import main; sys.exit(main(sys.argv[1:]))",
-             "rayleigh", "--n", "2", "--p", "2", "--alpha", "-0.4220116904528721",
-             "--beta", "-0.2959733589660343"],
+             "rayleigh", "--n", "2", "--p", "2", "--alpha", "0.6061986706952709",
+             "--beta", "-1.5988105841255105"],
             capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 1
         assert proc.stdout == ""

@@ -89,6 +89,16 @@ class TestMaximize:
             checked += 1
             assert maximize(params).active_constraint
 
+    @pytest.mark.parametrize("beta_", [1e4, 3e5])
+    def test_vertex_at_large_beta_lies_on_the_constraint(self, beta_):
+        # bq > 0 here: the vertex root -bq/2 + sqrt(disc)/2 cancelled and left
+        # constraint residuals of -1.6e-8 and -1.9e-6
+        rep = maximize(HardyParams(3, 2.0, 0.0, beta_))
+        assert rep.branch_guess is OptimizerBranch.VERTEX
+        assert rep.value == 1.0 and rep.argmax.theta == -1.0
+        assert rep.diagnostics.constraint_residual == 0.0
+        assert rep.active_constraint
+
     def test_value_nonincreasing_as_beta_decreases(self):
         values = [maximize(HardyParams(3, 2.0, 0.0, b)).value
                   for b in np.linspace(0.0, -1.4, 15)]

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from anisohardy import (QuadratureSpec, XiSpec, beta, cutoff_eta,
                         cutoff_eta_prime, gauss_jacobi, integrate_1d,
-                        integrate_2d, integrate_angular, integrate_rows, lemma1_check,
+                        integrate_2d, integrate_rows, lemma1_check,
                         log_gamma, sin_power_integral, sphere_area)
 from anisohardy import quadrature
+from anisohardy.quadrature import integrate_angular
 from anisohardy.errors import NotConvergedError
 
 

@@ -5,18 +5,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from anisohardy import (FamilyKind, HardyParams, QuadratureSpec, TrialFamily, beta,
-                        compute_K, cutoff_eta, cutoff_eta_prime, integrate_1d, integrate_2d,
-                        integrate_angular, integrate_rows, quotient_general_p,
-                        quotient_p2, sharp_constant_general_p,
-                        sharp_constant_p2, sin_power_integral,
+from anisohardy import (FamilyKind, HardyParams, TrialFamily, beta, compute_K,
+                        cutoff_eta, cutoff_eta_prime, integrate_1d, integrate_2d,
+                        integrate_rows, quotient_general_p, quotient_p2,
+                        sharp_constant_general_p, sharp_constant_p2, sin_power_integral,
                         sweep_and_extrapolate)
 from anisohardy import quadrature, rayleigh
 from anisohardy.cli import main
 from anisohardy.errors import (FitUnstableError, NotConvergedError,
                                SingularParamsError, UnsupportedRegimeError)
 from anisohardy.params import RegimeFamily, admissible_hardy
-from anisohardy.quadrature import QuadResult
+from anisohardy.quadrature import integrate_angular
 from anisohardy.rayleigh import FitModel, QuotientParts
 
 K3_PARAMS = HardyParams(3, 2.0, -0.5, -0.5)
@@ -157,14 +156,28 @@ class TestStackedRadials:
             [(r.value.hex(), r.err_estimate.hex()) for r in alone]
 
         den, j2, j3 = (r.value for r in alone)
-        ang_m2 = integrate_angular(lambda s: s ** (mu - 2.0), self.SPEC)
-        ang = integrate_angular(lambda s: s ** mu, self.SPEC)
+        ang_m2, ang = sin_power_integral(mu - 2.0), sin_power_integral(mu)
         q = quotient_p2(fam)
-        assert q.denominator == ang_m2.value * den
-        assert (q.j1, q.j2, q.j3) == (theta * theta * ang_m2.value * den, ang.value * j2,
-                                      2.0 * theta * ang.value * j3)
-        assert q.err_estimate == max(r.err_estimate / abs(r.value)
-                                     for r in (ang_m2, ang) + alone)
+        assert q.denominator == ang_m2 * den
+        assert (q.j1, q.j2, q.j3) == (theta * theta * ang_m2 * den, ang * j2,
+                                      2.0 * theta * ang * j3)
+        assert q.err_estimate == max(r.err_estimate / abs(r.value) for r in alone)
+
+    @pytest.mark.parametrize("seed", [2026, 5, 6, 7])
+    def test_beta_pair_matches_angular_quadrature(self, seed):
+        # the independent tanh-sinh route, where its window resolves the
+        # exponent; beyond its err_estimate only rounding of the two routes
+        checked = 0
+        for fam in _seeded_p2_families(seed):
+            _, mu, _ = _exponents(fam)
+            for lam in (mu - 2.0, mu):
+                if lam <= -0.95:
+                    continue
+                numeric = integrate_angular(lambda s: s ** lam, self.SPEC)
+                closed = sin_power_integral(lam)
+                assert abs(numeric.value - closed) <= numeric.err_estimate + 1e-14 * closed
+                checked += 1
+        assert checked >= 20
 
     @pytest.mark.parametrize("fam", _seeded_p2_families(7, count=1), ids=lambda f: f.kind.value)
     def test_g_and_prime_matches_the_separate_formulas(self, fam):
@@ -175,21 +188,6 @@ class TestStackedRadials:
         np.testing.assert_array_equal(
             gp, 2.0 * ge * r * (r * r + e2) ** (ge - 1.0) * cutoff_eta(r)
             + (r * r + e2) ** ge * cutoff_eta_prime(r))
-
-    def test_overflowing_angular_factor_raises_its_own_error(self):
-        # K = 1.018: s^(mu - 2) with mu - 2 = -0.991 overflows at the
-        # subnormal tanh-sinh nodes; the radial rows converge
-        fam = TrialFamily(FamilyKind.P2_K_GT_1,
-                          HardyParams(2, 2.0, -0.4220116904528721, -0.2959733589660343), 1e-2)
-        _, mu, _ = _exponents(fam)
-        with np.errstate(all="ignore"):
-            with pytest.raises(NotConvergedError) as alone:
-                integrate_angular(lambda s: s ** (mu - 2.0), self.SPEC)
-            with pytest.raises(NotConvergedError) as ei:
-                quotient_p2(fam)
-        assert str(ei.value) == str(alone.value) and "last sum inf" in str(ei.value)
-        assert (ei.value.value, ei.value.err_estimate) == (alone.value.value,
-                                                           alone.value.err_estimate)
 
 
 def _sweep_outcome(params, sigmas):
@@ -238,53 +236,24 @@ class TestBatchedSweep:
             assert _planned_kind(params, sigmas) is FamilyKind.P2_K_EQ_1
             assert len(batched[0]) == 20           # the K = 1 family keeps every sigma
 
-    def test_overflowing_angular_factor_keeps_its_error(self, capsys):
-        # K = 1.018: the first member's angular factor overflows; no radial runs
+    def test_just_above_k1_certifies(self, capsys):
+        # K = 1.018: the angular exponent mu - 2 = -0.991 lies past the
+        # tanh-sinh window, where s^(mu - 2) overflows at subnormal nodes;
+        # the Beta closed form has no such limit
         params = HardyParams(2, 2.0, -0.4220116904528721, -0.2959733589660343)
+        assert compute_K(params).k_value == pytest.approx(1.018, abs=1e-3)
         _, mu, _ = _exponents(TrialFamily(FamilyKind.P2_K_GT_1, params, 1e-2))
-        with np.errstate(all="ignore"):
-            with pytest.raises(NotConvergedError) as alone:
-                integrate_angular(lambda s: s ** (mu - 2.0), rayleigh._SWEEP_SPEC_1D)
+        assert -1.0 < mu - 2.0 < -0.95
+        res = sweep_and_extrapolate(params)
+        constant = sharp_constant_p2(params).value
+        assert res.extrapolated == pytest.approx(constant, rel=1e-5)
+        assert res.fit.residual < 1e-7
+
         code = main(["rayleigh", "--n", "2", "--p", "2", "--alpha", repr(params.alpha),
                      "--beta", repr(params.beta)])
         captured = capsys.readouterr()
-        doc = json.loads(captured.err)
-        assert (code, captured.out) == (1, "")
-        assert doc["type"] == "NotConvergedError" and doc["error"] == str(alone.value)
-        assert doc["value"] is None and math.isinf(alone.value.value)   # inf prints as null
-        assert doc["err_estimate"] == alone.value.err_estimate
-
-    def test_earlier_radial_failure_beats_later_angular_failure(self, monkeypatch):
-        params = HardyParams(3, 2.0, 0.0, -0.05)
-
-        def angular_failing_at_second_sigma():
-            calls = []
-
-            def fake(f_of_sin, spec=None):
-                calls.append(1)
-                if len(calls) > 2:      # the first sigma's pair passes
-                    raise NotConvergedError("angular stub", value=7.0, err_estimate=1.0)
-                return QuadResult(1.0, 0.0)
-            return fake
-
-        short = QuadratureSpec(levels=3)    # no radial converges in 3 levels
-        monkeypatch.setattr(rayleigh, "integrate_angular", angular_failing_at_second_sigma())
-        first = TrialFamily(FamilyKind.P2_K_LT_1, params, rayleigh.DEFAULT_EPS[0],
-                            rayleigh.DEFAULT_SIGMA[0])
-        with pytest.raises(NotConvergedError) as radial:
-            quotient_p2(first, short)
-        assert "tanh-sinh on (0.0, 2.0)" in str(radial.value)
-
-        monkeypatch.setattr(rayleigh, "integrate_angular", angular_failing_at_second_sigma())
-        with pytest.raises(NotConvergedError) as ei:
-            sweep_and_extrapolate(params, spec=short)
-        assert (str(ei.value), ei.value.value, ei.value.err_estimate) == \
-            (str(radial.value), radial.value.value, radial.value.err_estimate)
-
-        # with converging radials the later angular failure is the first one
-        monkeypatch.setattr(rayleigh, "integrate_angular", angular_failing_at_second_sigma())
-        with pytest.raises(NotConvergedError, match="angular stub"):
-            sweep_and_extrapolate(params)
+        assert (code, captured.err) == (0, "")
+        assert json.loads(captured.out)["extrapolated"] == res.extrapolated
 
 
 def _general_p_member(family, spec=None):
@@ -409,7 +378,7 @@ class TestBatchedGeneralPSweep:
 
 def _count_evaluations(monkeypatch):
     """Count, in the returned one-item list, the integrand evaluations of the
-    sweep's radial, 2-D and angular passes."""
+    sweep's radial and 2-D passes."""
     evaluations = [0]
 
     def counted(f):
@@ -418,14 +387,11 @@ def _count_evaluations(monkeypatch):
             return f(*args)
         return f_counted
 
-    rows, rows_2d, angular = (rayleigh.integrate_rows, rayleigh._integrate_2d_rows,
-                              rayleigh.integrate_angular)
+    rows, rows_2d = rayleigh.integrate_rows, rayleigh._integrate_2d_rows
     monkeypatch.setattr(rayleigh, "integrate_rows",
                         lambda f, *args: rows(counted(f), *args))
     monkeypatch.setattr(rayleigh, "_integrate_2d_rows",
                         lambda levels, *args: rows_2d([counted(lv) for lv in levels], *args))
-    monkeypatch.setattr(rayleigh, "integrate_angular",
-                        lambda f, *args: angular(counted(f), *args))
     return evaluations
 
 
