@@ -14,8 +14,7 @@ from .params import (HardyParams, CknParams, CknAdmissibility, ExponentPair,
 from .closed_form import (Kind, Branch, ConstantResult, sharp_constant_p2,
                           sharp_constant_general_p, sharp_constant_general_k_p2,
                           branch_candidates, ckn_constant)
-from .optimizer import (OptimizerBranch, OptimizerReport, maximize,
-                        sweep_regimes)
+from .optimizer import OptimizerBranch, OptimizerReport, maximize
 from .quadrature import (QuadratureSpec, QuadResult, XiSpec,
                          log_gamma, beta, sin_power_integral, sphere_area,
                          cutoff_eta, cutoff_eta_prime, gauss_jacobi,
@@ -36,7 +35,7 @@ __all__ = [
     "Kind", "Branch", "ConstantResult", "sharp_constant_p2",
     "sharp_constant_general_p", "sharp_constant_general_k_p2",
     "branch_candidates", "ckn_constant",
-    "OptimizerBranch", "OptimizerReport", "maximize", "sweep_regimes",
+    "OptimizerBranch", "OptimizerReport", "maximize",
     "QuadratureSpec", "QuadResult", "XiSpec",
     "log_gamma", "beta", "sin_power_integral", "sphere_area",
     "cutoff_eta", "cutoff_eta_prime", "gauss_jacobi", "integrate_1d",

@@ -4,7 +4,15 @@ Every invocation emits one JSON document (or a CSV table for sweeps) carrying
 a run manifest (command, parameters, seed, the tool, Python and numpy
 versions, timestamp).  All numeric work is deterministic for a fixed
 manifest: sums accumulate in fixed index order and every random draw comes
-from a generator seeded by (seed, index).
+from a generator seeded by (seed, index).  Only verify draws from a seed it
+is given, so only verify takes --seed; report records its criteria's fixed
+seeds, and the commands that draw nothing record seed 0.
+
+--config FILE, on every command, reads flat key = value lines: each becomes
+--key=value ('_' read as '-') right after the command token, so the parser
+types, range-checks and requires it like a typed flag, and a typed flag,
+which comes later, wins.  An unknown key, or a switch such as quiet, is a
+usage error.
 
 Exit codes: 0 success / all checks passed, 1 at least one check failed,
 2 invalid or inadmissible input; an error maps to 1 or 2 through _EXIT_CODES.
@@ -120,8 +128,9 @@ def _parse_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _load_config(path: str) -> dict:
-    values = {}
+def _config_flags(path: str) -> list[str]:
+    """--key=value for each key = value line of a config file, '_' read as '-'."""
+    flags = []
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
             line = line.split("#", 1)[0].strip()
@@ -130,24 +139,24 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"config line without '=': {line!r}")
             key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = val
-    return values
+            flags.append(f"--{key.replace('_', '-')}={val}")
+    return flags
 
 
-def _merge_config(args: argparse.Namespace, keys: dict):
-    """Fill argparse Namespace fields that are None from the config file."""
-    if not getattr(args, "config", None):
-        return
-    cfg = _load_config(args.config)
-    for key, cast in keys.items():
-        if getattr(args, key, None) is None and key in cfg:
-            setattr(args, key, cast(cfg[key]))
+def _with_config(argv: list[str]) -> list[str]:
+    """argv with its --config file's flags inserted after the command token,
+    before every typed flag; argv itself when it names no config file."""
+    finder = _Parser(prog="anisohardy", add_help=False)
+    finder.add_argument("--config")
+    path = finder.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
+    i = next((i + 1 for i, tok in enumerate(argv) if not tok.startswith("-")), 0)
+    return argv[:i] + _config_flags(path) + argv[i:]
 
 
 def _hardy_from_args(args) -> HardyParams:
-    k = int(args.k) if args.k is not None else None
-    return HardyParams(int(args.n), float(args.p), float(args.alpha),
-                       float(args.beta), k)
+    return HardyParams(args.n, args.p, args.alpha, args.beta, args.k)
 
 
 def _named_admissibility_failure(params: HardyParams) -> str:
@@ -169,7 +178,7 @@ def cmd_constant(args) -> int:
     # the CKN flags are unused here, but a non-finite one is still refused
     _check_finite(mu=args.mu, gamma1=args.gamma1, gamma2=args.gamma2, gamma3=args.gamma3)
     params = _hardy_from_args(args)
-    manifest = _manifest("constant", asdict(params), args.seed or 0)
+    manifest = _manifest("constant", asdict(params), 0)
     if not admissible_hardy(params):
         _emit({"admissible": False,
                "violated": _named_admissibility_failure(params),
@@ -188,9 +197,8 @@ def cmd_constant(args) -> int:
 
 
 def _ckn_from_args(args) -> CknParams:
-    return CknParams(int(args.n), float(args.p), float(args.alpha),
-                     float(args.beta), float(args.mu), float(args.gamma1),
-                     float(args.gamma2), float(args.gamma3))
+    return CknParams(args.n, args.p, args.alpha, args.beta, args.mu,
+                     args.gamma1, args.gamma2, args.gamma3)
 
 
 def cmd_optimize(args) -> int:
@@ -214,7 +222,7 @@ def cmd_optimize(args) -> int:
                         "branch": closed.branch.value},
         "abs_diff": abs(rep.value - closed.value),
         "agrees": abs(rep.value - closed.value) <= 1e-6 * (1.0 + abs(closed.value)),
-        "manifest": _manifest("optimize", asdict(params), args.seed or 0),
+        "manifest": _manifest("optimize", asdict(params), 0),
     }
     _emit(doc, args.quiet)
     return EXIT_OK
@@ -230,8 +238,6 @@ def _sweep_rows_csv(rows) -> str:
 
 
 def cmd_rayleigh(args) -> int:
-    _merge_config(args, {"n": int, "p": float, "alpha": float, "beta": float,
-                         "eps_list": str, "sigma_list": str})
     params = _hardy_from_args(args)
     if not admissible_hardy(params):
         raise InadmissibleParamsError(_named_admissibility_failure(params))
@@ -239,7 +245,7 @@ def cmd_rayleigh(args) -> int:
     sigma = _parse_list(args.sigma_list) if args.sigma_list else None
     res = sweep_and_extrapolate(params, eps_list=eps, sigma_list=sigma)
     manifest = _manifest("rayleigh", {**asdict(params), "eps_list": eps,
-                                      "sigma_list": sigma}, args.seed or 0)
+                                      "sigma_list": sigma}, 0)
     if args.format == "csv":
         sys.stdout.write(_sweep_rows_csv(res.rows))
         print(f"# extrapolated {res.extrapolated!r} model {res.fit.model.value!r} "
@@ -254,7 +260,6 @@ def cmd_rayleigh(args) -> int:
 
 #: Default batch size of each verify check; lemma1 runs its three fixed kernels.
 _VERIFY_COUNTS = {"E2": 20, "Ep": 20, "CKNp": 10, "weights": 20, "leray": 50, "lemma1": 3}
-_VERIFY_CHOICES = tuple(_VERIFY_COUNTS)
 
 
 def _verify_rows(which: str, seed: int, count: int) -> list[dict]:
@@ -283,23 +288,20 @@ def _verify_rows(which: str, seed: int, count: int) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    _merge_config(args, {"which": str, "count": int, "seed": int})
     which = args.which
-    if which not in _VERIFY_CHOICES:
-        raise ValueError(f"--which must be one of {_VERIFY_CHOICES}")
-    count = int(args.count) if args.count is not None else _VERIFY_COUNTS[which]
+    count = args.count if args.count is not None else _VERIFY_COUNTS[which]
     if count < 1:
         raise ValueError(f"--count must be at least 1, got {count}")
     if which == "lemma1" and count != _VERIFY_COUNTS["lemma1"]:
         raise ValueError(f"--count must be {_VERIFY_COUNTS['lemma1']} for lemma1, which "
                          f"runs its fixed kernels; got {count}")
-    seed = args.seed or 0
-    results = _verify_rows(which, seed, count)
+    results = _verify_rows(which, args.seed, count)
     failures = [r for r in results if not r["pass"]]
     _emit({"which": which, "count": len(results),
            "passes": len(results) - len(failures),
            "failures": failures, "reports": results,
-           "manifest": _manifest("verify", {"which": which, "count": count}, seed)},
+           "manifest": _manifest("verify", {"which": which, "count": count},
+                                 args.seed)},
           args.quiet)
     return EXIT_OK if not failures else EXIT_CHECK_FAILED
 
@@ -312,7 +314,7 @@ def cmd_ckn(args) -> int:
     params = asdict(ckn) if args.command == "ckn" else {"ckn": True, **asdict(ckn)}
     doc = {"integrable": flags.integrable, "balanced": flags.balanced,
            "normalized": flags.normalized,
-           "manifest": _manifest(args.command, params, args.seed or 0)}
+           "manifest": _manifest(args.command, params, 0)}
     if not flags.all_ok:
         _emit(doc, args.quiet)
         return EXIT_BAD_INPUT
@@ -353,8 +355,8 @@ def cmd_report(args) -> int:
 
 # ------------------------------------------------------------- parser
 
-def _add_hardy_flags(sub, need_defaults=True):
-    sub.add_argument("--n", type=int, required=need_defaults)
+def _add_hardy_flags(sub):
+    sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--p", type=float, default=2.0)
     sub.add_argument("--alpha", type=float, default=0.0)
     sub.add_argument("--beta", type=float, default=0.0)
@@ -394,10 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "with optimizer, Rayleigh-sweep and identity certification.")
     parser.add_argument("--version", action="version", version=__version__)
     common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--config", type=str, default=None,
-                        help="flat key=value file; flags override file values")
+                        help="flat key = value file of flags; typed flags win")
     common.add_argument("--quiet", action="store_true")
 
     subs = parser.add_subparsers(dest="command", required=True)
@@ -418,6 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ray = subs.add_parser("rayleigh", parents=[common],
                             help="sharpness sweep with extrapolation")
     _add_hardy_flags(p_ray)
+    p_ray.add_argument("--format", choices=("json", "csv"), default="json")
     p_ray.add_argument("--eps-list", type=str, default=None,
                        help="comma-separated decreasing epsilons")
     p_ray.add_argument("--sigma-list", type=str, default=None)
@@ -425,8 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = subs.add_parser("verify", parents=[common],
                             help="identity/oracle verification batches")
-    p_ver.add_argument("--which", choices=_VERIFY_CHOICES, required=True)
+    p_ver.add_argument("--which", choices=tuple(_VERIFY_COUNTS), required=True)
     p_ver.add_argument("--count", type=int, default=None)
+    p_ver.add_argument("--seed", type=int, default=0)
     p_ver.set_defaults(func=cmd_verify)
 
     p_ckn = subs.add_parser("ckn", parents=[common],
@@ -454,7 +456,8 @@ def main(argv=None) -> int:
     document.
     """
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = build_parser().parse_args(_with_config(argv))
         with np.errstate(all="ignore"):
             return args.func(args)
     except tuple(_EXIT_CODES) as exc:

@@ -28,7 +28,7 @@ from enum import Enum
 from .errors import InadmissibleParamsError, UnsupportedRegimeError
 from .params import (CknParams, ExponentPair, HardyParams, admissible_ckn,
                      admissible_hardy, compute_K)
-from .weights import H
+from .weights import H, H2_larger_root
 
 __all__ = [
     "Kind", "Branch", "ConstantResult",
@@ -138,11 +138,9 @@ def branch_candidates(params: HardyParams) -> list[tuple[ExponentPair, float]]:
     a2 = n + 2.0 * a
     theta0 = (1.0 - n - 2.0 * a) / 2.0
     if K <= 0.0:
-        # constraint quadratic in lam at theta0; larger root by convention
-        bq = n + 2.0 * a + 2.0 * b + 2.0 * theta0
-        disc = bq * bq - 8.0 * b * theta0
-        lam = 0.5 * (-bq + math.sqrt(max(disc, 0.0)))
-        return [(ExponentPair(theta0, lam), H(theta0, params))]
+        # constraint quadratic in lam at theta0, whose discriminant is 1 - K;
+        # larger root by convention
+        return [(ExponentPair(theta0, H2_larger_root(theta0, params)), H(theta0, params))]
     if K <= 1.0:
         lam0 = -b - (1.0 + math.sqrt(1.0 - K)) / 2.0
         return [(ExponentPair(theta0, lam0), H(theta0, params))]

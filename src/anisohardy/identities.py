@@ -413,14 +413,18 @@ def _ckn_flux_divergence_fd(ckn: CknParams, x: np.ndarray, h: np.ndarray) -> np.
     return (4.0 * div[1] - div[0]) / 3.0
 
 
-def _ckn_divergence_spot_check(ckn: CknParams, u, seed: int, count: int) -> float:
+#: Points of the CKN flux-divergence spot check, drawn by default_rng(0).
+_SPOT_POINTS = 20
+
+
+def _ckn_divergence_spot_check(ckn: CknParams, u) -> float:
     """Largest relative error of the closed-form flux divergence against finite
-    differences at count points drawn in the annulus 0.2 w < |x - c| < 1.5 w;
-    IllConditionedError when it exceeds 1e-6."""
-    rng = np.random.default_rng(seed)
+    differences at _SPOT_POINTS points drawn in the annulus
+    0.2 w < |x - c| < 1.5 w; IllConditionedError when it exceeds 1e-6."""
+    rng = np.random.default_rng(0)
     center = np.asarray(u.center)
-    x = np.empty((ckn.n, count))
-    for j in range(count):
+    x = np.empty((ckn.n, _SPOT_POINTS))
+    for j in range(_SPOT_POINTS):
         direction = rng.normal(size=ckn.n)
         direction /= np.linalg.norm(direction)
         x[:, j] = center + rng.uniform(0.2, 1.5) * u.width * direction
@@ -436,12 +440,12 @@ def _ckn_divergence_spot_check(ckn: CknParams, u, seed: int, count: int) -> floa
     return worst
 
 
-def verify_CKNp(ckn: CknParams, u, seed: int = 0, n_div_points: int = 20) -> IdentityReport:
+def verify_CKNp(ckn: CknParams, u) -> IdentityReport:
     """Check the CKN product identity with kappa0 taken from the integrals.
 
     Also spot-checks the closed-form flux divergence
     [n + p(alpha+gamma1)] |x'|^(alpha p) |x|^(gamma1 p) against finite
-    differences at n_div_points support points (relative error <= 1e-6
+    differences at _SPOT_POINTS support points (relative error <= 1e-6
     required, IllConditionedError otherwise).
     """
     flags = admissible_ckn(ckn)
@@ -465,7 +469,7 @@ def verify_CKNp(ckn: CknParams, u, seed: int = 0, n_div_points: int = 20) -> Ide
         return lhs, {"divergence_term": t_div, "remainder_term": t_rem}
 
     report = _two_orders(u, terms)
-    _ckn_divergence_spot_check(ckn, u, seed, n_div_points)
+    _ckn_divergence_spot_check(ckn, u)
     return report
 
 
@@ -476,13 +480,14 @@ class ExtremalReport:
     residual_R_max: float
 
 
-#: The remainder check of ckn_extremal_check samples radii up to where the
-#: extremal's factor exp(-p c r^m) has fallen to exp(-_DECAY), about 4e-18.
+#: The remainder check of ckn_extremal_check samples radii from _R_MIN up to
+#: where the extremal's factor exp(-p c r^m) has fallen to exp(-_DECAY),
+#: about 4e-18.
+_R_MIN = 1e-6
 _DECAY = 40.0
 
 
-def ckn_extremal_check(ckn: CknParams, kappa0: float = 1.0,
-                       delta: float = 1e-6) -> ExtremalReport:
+def ckn_extremal_check(ckn: CknParams, kappa0: float = 1.0) -> ExtremalReport:
     """Evaluate the CKN quotient on the exponential extremal u0 = exp(-c |x|^m).
 
     m = gamma3 - gamma2 + 1 > 0 and c = kappa0^(1/(p-1))/m make
@@ -493,7 +498,7 @@ def ckn_extremal_check(ckn: CknParams, kappa0: float = 1.0,
         int_0^inf r^a exp(-p c r^m) dr = Gamma((a+1)/m) / (m (pc)^((a+1)/m)),
 
     taken in logarithms (admissibility gives a > -1 for all three).  The
-    pointwise remainder check samples 64 radii from delta up to the decay
+    pointwise remainder check samples 64 radii from _R_MIN up to the decay
     radius (_DECAY / (p c))^(1/m).  residual_R_max is the largest remainder
     there relative to the size of its terms, the scale r_functional floors
     it on: the terms grow like r^(p(m-1)) as r -> 0, so an absolute R reads
@@ -523,7 +528,7 @@ def ckn_extremal_check(ckn: CknParams, kappa0: float = 1.0,
     quotient = math.exp(log_grad / p + (p - 1.0) / p * log_field - log_den)
     constant = (ckn.n + p * (ckn.alpha + ckn.gamma1)) / p
 
-    radii = np.geomspace(delta, (_DECAY / (p * c)) ** (1.0 / m), 64)
+    radii = np.geomspace(_R_MIN, (_DECAY / (p * c)) ** (1.0 / m), 64)
     grad = np.zeros((ckn.n, radii.size))
     grad[0] = -c * m * radii ** (m - 1.0) * np.exp(-c * radii ** m)
     worst = float(np.max(_r_rows(grad, -grad, p, relative=True)))

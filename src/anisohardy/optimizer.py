@@ -22,13 +22,14 @@ from enum import Enum
 
 import numpy as np
 
-from .closed_form import sharp_constant_general_k_p2
+# sharp_constant_general_k_p2 is not called here; certbench's layer tracer
+# looks it up by this name.
+from .closed_form import sharp_constant_general_k_p2  # noqa: F401
 from .errors import InadmissibleParamsError, OptimizerStalledError
 from .params import ExponentPair, HardyParams, admissible_hardy, compute_K
-from .weights import H, H2
+from .weights import H, H2, H2_larger_root
 
-__all__ = ["OptimizerBranch", "OptimizerDiagnostics", "OptimizerReport",
-           "RegimeSweepRow", "maximize", "sweep_regimes"]
+__all__ = ["OptimizerBranch", "OptimizerDiagnostics", "OptimizerReport", "maximize"]
 
 _GRID_SLACK = -1e-6
 _STALL_TOL = 1e-4
@@ -128,13 +129,8 @@ def maximize(params: HardyParams) -> OptimizerReport:
 
     # phase 2: vertex candidate (constraint root at the vertex of H, if real)
     candidates: list[tuple[float, float, float]] = []  # (value, theta, lam)
-    bq = n + 2.0 * a + 2.0 * b + 2.0 * theta_vertex
-    disc = bq * bq - 8.0 * b * theta_vertex
-    if disc >= 0.0:
-        # the larger root; for bq > 0 through the product of the roots,
-        # 2 b theta_v, since -bq + sqrt(disc) cancels there
-        root = math.sqrt(disc)
-        lam_v = 0.5 * (-bq + root) if bq <= 0.0 else -4.0 * b * theta_vertex / (bq + root)
+    lam_v = H2_larger_root(theta_vertex, params)
+    if lam_v is not None:
         candidates.append((H(theta_vertex, params), theta_vertex, lam_v))
 
     # phase 2: branch refinement on each side of the pole lam = -b
@@ -183,52 +179,3 @@ def maximize(params: HardyParams) -> OptimizerReport:
         diagnostics=OptimizerDiagnostics(grid_value, value, residual),
     )
 
-
-@dataclass(frozen=True)
-class RegimeSweepRow:
-    alpha: float
-    beta: float
-    admissible: bool
-    k_value: float
-    regime: str
-    oracle_value: float
-    closed_form_value: float
-    abs_diff: float
-    branch_agrees: bool
-    converged: bool
-
-
-def _expected_branch(K: float, n: int, k: int) -> OptimizerBranch:
-    return (OptimizerBranch.CONSTRAINT_LEFT if K > (n - k) ** 2
-            else OptimizerBranch.VERTEX)
-
-
-def sweep_regimes(n: int, alpha_grid, beta_grid, k: int | None = None) -> list[RegimeSweepRow]:
-    """Oracle-vs-formula comparison over an (alpha, beta) grid.
-
-    Inadmissible grid points are flagged and carry NaN values; stalled
-    optimizer runs are flagged as not converged.  The sweep never aborts.
-    """
-    rows: list[RegimeSweepRow] = []
-    for a in alpha_grid:
-        for b in beta_grid:
-            params = HardyParams(n=n, p=2.0, alpha=float(a), beta=float(b), k=k)
-            if not admissible_hardy(params):
-                rows.append(RegimeSweepRow(float(a), float(b), False, math.nan, "",
-                                           math.nan, math.nan, math.nan, False, False))
-                continue
-            regime = compute_K(params)
-            closed = sharp_constant_general_k_p2(params)
-            try:
-                rep = maximize(params)
-            except OptimizerStalledError:
-                rows.append(RegimeSweepRow(float(a), float(b), True, regime.k_value,
-                                           regime.family.value, math.nan, closed.value,
-                                           math.nan, False, False))
-                continue
-            expected = _expected_branch(regime.k_value, params.n, params.k)
-            rows.append(RegimeSweepRow(
-                float(a), float(b), True, regime.k_value, regime.family.value,
-                rep.value, closed.value, abs(rep.value - closed.value),
-                rep.branch_guess is expected, True))
-    return rows

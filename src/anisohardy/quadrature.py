@@ -84,18 +84,18 @@ def sphere_area(m: int) -> float:
     return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
 
 
-def sin_power_integral(lam: float, numeric: bool = False,
-                       spec: "QuadratureSpec | None" = None) -> float:
+def sin_power_integral(lam: float, numeric: bool = False) -> float:
     """int_0^pi (sin s)^lam ds = B((lam+1)/2, 1/2), for lam > -1.
 
-    With numeric=True the integral is evaluated by tanh-sinh quadrature
-    instead of the Beta closed form; the two routes are independent.
+    With numeric=True the integral is evaluated by tanh-sinh quadrature at
+    the default QuadratureSpec instead of the Beta closed form; the two
+    routes are independent.
     """
     if lam <= -1:
         raise ValueError(f"sin_power_integral requires lam > -1, got {lam}")
     if not numeric:
         return beta((lam + 1.0) / 2.0, 0.5)
-    return integrate_angular(lambda s: s ** lam, spec).value
+    return integrate_angular(lambda s: s ** lam).value
 
 
 # ----------------------------------------------------------------- cutoff
@@ -493,7 +493,7 @@ class Lemma1Report:
     slope_vs_log_eps: float
 
 
-def lemma1_check(xi: XiSpec, eps_list, spec: QuadratureSpec | None = None) -> Lemma1Report:
+def lemma1_check(xi: XiSpec, eps_list) -> Lemma1Report:
     """Evaluate q(eps) = int_0^inf xi(t) eta(eps t) dt + ln eps on a grid of eps.
 
     Under the hypothesis a + 2b = -1 the values are bounded and their
@@ -501,9 +501,9 @@ def lemma1_check(xi: XiSpec, eps_list, spec: QuadratureSpec | None = None) -> Le
     a markedly nonzero slope (the negative control).
 
     The integral is split at t = 1; the far part is computed in u = ln t,
-    where the kernel is a bounded smooth profile regardless of eps.
+    where the kernel is a bounded smooth profile regardless of eps.  Every
+    integral runs at the default QuadratureSpec.
     """
-    spec = spec or _DEFAULT_SPEC
     eps_arr = [float(e) for e in eps_list]
     if not eps_arr:
         raise ValueError("eps_list must be non-empty")
@@ -511,20 +511,20 @@ def lemma1_check(xi: XiSpec, eps_list, spec: QuadratureSpec | None = None) -> Le
         raise ValueError("all eps must lie in (0, 1)")
 
     # eta(eps*t) == 1 on [0,1] whenever eps <= 1/2; that part is eps-independent
-    near_plain = integrate_1d(xi.xi, 0.0, 1.0, spec).value
+    near_plain = integrate_1d(xi.xi, 0.0, 1.0).value
     values = []
     for e in eps_arr:
         if e <= 0.5:
             near_val = near_plain
         else:
-            near_val = integrate_1d(lambda t: xi.xi(t) * cutoff_eta(e * t), 0.0, 1.0, spec).value
+            near_val = integrate_1d(lambda t: xi.xi(t) * cutoff_eta(e * t), 0.0, 1.0).value
         top = math.log(2.0 / e)
 
         def far(u, _e=e):
             t = np.exp(u)
             return xi.xi(t) * t * cutoff_eta(_e * t)
 
-        far_val = integrate_1d(far, 0.0, top, spec).value
+        far_val = integrate_1d(far, 0.0, top).value
         values.append(near_val + far_val + math.log(e))
 
     logs = np.log(np.asarray(eps_arr))

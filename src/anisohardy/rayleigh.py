@@ -187,7 +187,7 @@ def _rel_err(*results) -> float:
     return max(r.err_estimate / max(abs(r.value), 1e-300) for r in results)
 
 
-def quotient_p2(family: TrialFamily, spec: QuadratureSpec | None = None) -> QuotientParts:
+def quotient_p2(family: TrialFamily) -> QuotientParts:
     """Weighted Rayleigh quotient of a p = 2 family member by product quadrature.
 
     The gradient integral splits as J1 + J2 + J3 (h' g, h g', cross term);
@@ -196,14 +196,14 @@ def quotient_p2(family: TrialFamily, spec: QuadratureSpec | None = None) -> Quot
     integrals of the denominator, J2 and J3 share their nodes and g, g'
     there: one integrate_rows pass computes all three.
     """
-    return _quotients_p2((family,), spec)[0]
+    return _quotients_p2((family,))[0]
 
 
 #: Grid elements per block of members in the radial pass.
 _BLOCK_ELEMENTS = 2 ** 12
 
 
-def _quotients_p2(families, spec: QuadratureSpec | None = None) -> tuple[QuotientParts, ...]:
+def _quotients_p2(families) -> tuple[QuotientParts, ...]:
     """quotient_p2 of each member, all radial integrals in one pass.
 
     The angular pair is the Beta closed form sin_power_integral of mu - 2
@@ -215,10 +215,9 @@ def _quotients_p2(families, spec: QuadratureSpec | None = None) -> tuple[Quotien
     """
     if any(f.kind is FamilyKind.GENERAL_P_BETA_NONNEG for f in families):
         raise ValueError("quotient_p2 takes a p = 2 family")
-    spec = spec or _SWEEP_SPEC_1D
     exponents = [_p2_exponents(f) for f in families]
     rads = integrate_rows(_radial_rows(families, [nu for _, _, nu in exponents]),
-                          0.0, spec.truncation_radius, spec)
+                          0.0, _SWEEP_SPEC_1D.truncation_radius, _SWEEP_SPEC_1D)
 
     parts = []
     for i, (theta, mu, _) in enumerate(exponents):
@@ -328,8 +327,7 @@ def _grad_levels(family: TrialFamily):
     return at_level
 
 
-def quotient_general_p(family: TrialFamily,
-                       spec: QuadratureSpec | None = None) -> QuotientParts:
+def quotient_general_p(family: TrialFamily) -> QuotientParts:
     """Rayleigh quotient of the general-p family.
 
     The gradient integrand couples r and phi through |x'| = r sin(phi) and
@@ -339,11 +337,10 @@ def quotient_general_p(family: TrialFamily,
     and one radial integral.  This is the one-member case of
     _quotients_general_p.
     """
-    return _quotients_general_p((family,), spec)[0]
+    return _quotients_general_p((family,))[0]
 
 
-def _quotients_general_p(families, spec: QuadratureSpec | None = None
-                         ) -> tuple[QuotientParts, ...]:
+def _quotients_general_p(families) -> tuple[QuotientParts, ...]:
     """quotient_general_p of each member: all numerators in one batched 2-D
     pass, all denominators in one radial pass.
 
@@ -356,15 +353,15 @@ def _quotients_general_p(families, spec: QuadratureSpec | None = None
     """
     if any(f.kind is not FamilyKind.GENERAL_P_BETA_NONNEG for f in families):
         raise ValueError("quotient_general_p takes the general-p family")
-    spec = spec or _SWEEP_SPEC_2D
     exponents = [_general_p_exponents(f) for f in families]
     nums = _integrate_2d_rows([_grad_levels(f) for f in families],
-                              [a_phi for a_phi, _ in exponents], spec)
+                              [a_phi for a_phi, _ in exponents], _SWEEP_SPEC_2D)
     done = next((i for i, num in enumerate(nums) if not isinstance(num, QuadResult)),
                 len(nums))
     members = families[:done]
     rads = (integrate_rows(_denominator_rows(members, [a_r for _, a_r in exponents]),
-                           0.0, spec.truncation_radius, spec) if members else ())
+                           0.0, _SWEEP_SPEC_2D.truncation_radius, _SWEEP_SPEC_2D)
+            if members else ())
     if done < len(nums):
         raise nums[done]
 
@@ -485,7 +482,7 @@ def _fit_sigma_intercept(x, y):
     fitted = sum(coeffs[i] * xa ** i for i in range(deg + 1))
     rms = float(np.sqrt(np.mean((fitted - ya) ** 2)))
     intercept = float(coeffs[0])
-    if len(xa) > deg + 1 or deg == 0:
+    if len(xa) > deg + 1:
         return intercept, rms
     lower = np.polynomial.polynomial.polyfit(xa, ya, deg - 1)
     return intercept, max(rms, abs(intercept - float(lower[0])))
@@ -512,7 +509,7 @@ def _fit_pole_ratio(x, num_slopes, den_slopes):
     fitted = (np.polynomial.polynomial.polyval(xa, cn)
               / np.polynomial.polynomial.polyval(xa, cd))
     rms = float(np.sqrt(np.mean((fitted - yn / yd) ** 2)))
-    if len(xa) > deg + 1 or deg == 0:
+    if len(xa) > deg + 1:
         return value, rms
     lower = float(fit(xa, yn, deg - 1)[0] / fit(xa, yd, deg - 1)[0])
     return value, max(rms, abs(value - lower))
@@ -522,7 +519,8 @@ def _plan_sweep(params: HardyParams, eps_list, sigma_list):
     """(kind, eps list, sigmas, families) of a sweep, every member built.
 
     Every refusal of a sweep is raised here, before any quadrature runs:
-    the eps and sigma schedules, the beta < 0 general-p regime, and each
+    the eps and sigma schedules, each of at least two entries since one
+    point fixes no limit, the beta < 0 general-p regime, and each
     member's own checks in TrialFamily.  The family follows the regime: K > 1
     takes no sigma; near K = 1, where fewer than two sigmas lie below the
     K < 1 family's bound sqrt(1 - K)/2, the K = 1 family, which is the
@@ -531,6 +529,8 @@ def _plan_sweep(params: HardyParams, eps_list, sigma_list):
     eps_list = [float(e) for e in (eps_list if eps_list is not None else DEFAULT_EPS)]
     if not eps_list or any(not 0.0 < e < 1.0 for e in eps_list):
         raise ValueError("eps_list must be non-empty with entries in (0, 1)")
+    if len(eps_list) < 2:
+        raise ValueError("eps_list needs at least two entries to extrapolate")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
 
@@ -547,8 +547,8 @@ def _plan_sweep(params: HardyParams, eps_list, sigma_list):
             # default schedule keeps p*sigma at the p = 2 values
             sigma_list = [s * 2.0 / params.p for s in DEFAULT_SIGMA]
         sigmas = [float(s) for s in sigma_list]
-        if not sigmas:
-            raise ValueError("sigma_list is required for this regime")
+        if len(sigmas) < 2:
+            raise ValueError("sigma_list needs at least two entries to extrapolate")
         if any(not 0.0 < s < math.inf for s in sigmas) or len(set(sigmas)) < len(sigmas):
             raise ValueError("sigma_list entries must be distinct, positive and finite")
         if params.p != 2:
@@ -566,8 +566,7 @@ def _plan_sweep(params: HardyParams, eps_list, sigma_list):
     return kind, eps_list, sigmas, families
 
 
-def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None,
-                          spec: QuadratureSpec | None = None) -> SweepResult:
+def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None) -> SweepResult:
     """Sweep eps (and sigma), extrapolate the quotient to the sharp constant.
 
     K > 1: single-stage fit quotient = C + c/|ln eps|.  K <= 1 and general-p:
@@ -578,12 +577,13 @@ def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None,
     the fitted constant or its residual is not finite, or the residual
     exceeds 5% of the constant.  Raises ValueError, before any quadrature,
     unless eps_list is strictly decreasing in (0, 1), the sigmas are
-    distinct, positive and finite, and every member is a valid TrialFamily.
+    distinct, positive and finite, each schedule has at least two entries,
+    and every member is a valid TrialFamily.
     """
     kind, eps_list, sigmas, families = _plan_sweep(params, eps_list, sigma_list)
     quotients = (_quotients_general_p if kind is FamilyKind.GENERAL_P_BETA_NONNEG
                  else _quotients_p2)
-    parts = quotients(families, spec)
+    parts = quotients(families)
     rows = tuple(SweepRow(f.epsilon, f.sigma, q.numerator, q.denominator, q.quotient,
                           q.err_estimate) for f, q in zip(families, parts))
     if kind is FamilyKind.P2_K_GT_1:

@@ -12,8 +12,12 @@ where |x''|^2 = |x|^2 - |x'|^2 (for k = n-1 this is x_n^2), and
     H2(theta, lam)  = lam (n + 2a + 2b + 2 theta + lam) + 2 b theta
     H1              = H - H2.
 
-For k < n-1, H1 is the general-axis quadratic (same H2).  The general-p path
-uses f = |x'|^gamma and V = |x'|^(p(a+1)) |x|^(pb), producing
+For k < n-1, H1 is the general-axis quadratic (same H2).  H2_larger_root
+is the larger root lam of H2(theta, lam) = 0, in a form that does not
+cancel; the optimizer and closed_form's branch points both take it.
+
+The general-p path uses f = |x'|^gamma and V = |x'|^(p(a+1)) |x|^(pb),
+producing
 
     W = V |x'|^-p { -|g|^(p-2) g [(p-1) g + k + p a]
                     - |g|^(p-2) g b p |x'|^2/|x|^2 }.
@@ -36,6 +40,7 @@ WeightSpec.f, keep complex points complex.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,7 +50,7 @@ from .errors import IllConditionedError, SingularPointError
 from .params import ExponentPair, HardyParams
 
 __all__ = [
-    "WeightSpec", "H", "H1", "H2", "axis_norms",
+    "WeightSpec", "H", "H1", "H2", "H2_larger_root", "axis_norms",
     "weight_p2", "weight_general_p",
     "divergence_oracle", "divergence_oracle_p",
 ]
@@ -66,6 +71,22 @@ def H2(theta: float, lam: float, params: HardyParams) -> float:
     return (lam * (params.n + 2.0 * params.alpha + 2.0 * params.beta
                    + 2.0 * theta + lam)
             + 2.0 * params.beta * theta)
+
+
+def H2_larger_root(theta: float, params: HardyParams) -> float | None:
+    """The larger root lam of H2(theta, lam) = 0, or None when it is not real.
+
+    The roots are (-bq +- sqrt(bq^2 - 8 b theta))/2 with
+    bq = n + 2a + 2b + 2 theta.  For bq > 0 the larger one is taken through
+    the product of the roots, 2 b theta, since -bq + sqrt(disc) cancels there.
+    """
+    b = params.beta
+    bq = params.n + 2.0 * params.alpha + 2.0 * b + 2.0 * theta
+    disc = bq * bq - 8.0 * b * theta
+    if disc < 0.0:
+        return None
+    root = math.sqrt(disc)
+    return 0.5 * (-bq + root) if bq <= 0.0 else -4.0 * b * theta / (bq + root)
 
 
 def H1(theta: float, lam: float, params: HardyParams) -> float:
@@ -173,13 +194,6 @@ def weight_general_p(x, spec: WeightSpec):
 
 # ------------------------------------------------------------- FD oracles
 
-def _default_step(x) -> float:
-    # The outer difference's roundoff (~eps/h) and the Richardson pair's
-    # truncation stay below ~1e-9 relative at this step for the steep
-    # exponents of the oracle checks.
-    return 4e-3 * (1.0 + float(np.linalg.norm(x)))
-
-
 #: Imaginary step of the complex-step gradient, relative to 1 + |x|.  Its
 #: truncation error is of order step^2, below double precision.
 _COMPLEX_STEP = 1e-30
@@ -230,29 +244,32 @@ def _richardson2(values):
     return (16.0 * r2 - r1) / 15.0, abs(r2 - r1)
 
 
-def divergence_oracle(V: Callable, f: Callable, x, h: float | None = None) -> float:
+def divergence_oracle(V: Callable, f: Callable, x) -> float:
     """-div(V grad f)/f: the p = 2 case of divergence_oracle_p.
 
     V and f are scalar fields taking a point (n,); f must be complex-analytic
     (see the module docstring).  IllConditionedError when the two
     Richardson stages disagree by more than 1e-4 relative.
     """
-    return divergence_oracle_p(V, f, 2.0, x, h)
+    return divergence_oracle_p(V, f, 2.0, x)
 
 
-def divergence_oracle_p(V: Callable, f: Callable, p: float, x,
-                        h: float | None = None) -> float:
+def divergence_oracle_p(V: Callable, f: Callable, p: float, x) -> float:
     """-div(V |grad f|^(p-2) grad f)/f^(p-1) from the fields alone.
 
     V and f are scalar fields taking a point (n,); V is evaluated at real
     points only, f also at complex ones and must be complex-analytic there,
     else ValueError.  The flux's gradient is a complex step; its divergence
-    is a central difference at steps h, h/2, h/4 combined to O(h^6).
+    is a central difference at steps h, h/2, h/4 combined to O(h^6), with
+    h = 4e-3 (1 + |x|).
     IllConditionedError when the two Richardson stages disagree by more than
     1e-4 relative.  For p < 2 the gradient of f must not vanish at x.
     """
     pt = np.asarray(x, dtype=float)
-    step = h if h is not None else _default_step(pt)
+    # The outer difference's roundoff (~eps/h) and the Richardson pair's
+    # truncation stay below ~1e-9 relative at this step for the steep
+    # exponents of the oracle checks.
+    step = 4e-3 * (1.0 + float(np.linalg.norm(pt)))
     cs = _COMPLEX_STEP * (1.0 + float(np.linalg.norm(pt)))
     if p < 2 and not any(_complex_partial(f, pt, j, cs) for j in range(pt.size)):
         raise ValueError("divergence_oracle_p with p < 2 needs |grad f| > 0 at x")

@@ -184,6 +184,27 @@ class TestErrorExitCodes:
         assert json.loads(proc.stdout)["extrapolated"] == pytest.approx(
             (2.0 / 1.8) ** 1.8, rel=0.02)
 
+    @pytest.mark.parametrize("argv", [
+        ["--alpha", "-0.5", "--beta", "-0.5", "--eps-list", "1e-3"],
+        ["--p", "3", "--beta", "0.5", "--sigma-list", "0.1"],
+        ["--beta", "-0.05", "--sigma-list", "0.2"],
+    ])
+    def test_one_point_schedule_is_exit_2(self, argv):
+        # a fresh interpreter, where a numpy warning of a one-point fit would
+        # reach stderr
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from anisohardy.cli import main; sys.exit(main(sys.argv[1:]))",
+             "rayleigh", "--n", "3", *argv],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert len(proc.stderr.splitlines()) == 1
+        doc = strict_json(proc.stderr)
+        assert doc["type"] == "ValueError" and "at least two entries" in doc["error"]
+
     def test_flux_divergence_mismatch_is_a_failed_check(self, capsys, monkeypatch):
         import anisohardy.identities as identities
         exact = identities._ckn_flux_divergence_fd
@@ -553,3 +574,43 @@ class TestConfigFile:
                                "--eps-list", "1e-2,1e-3,1e-4", "--quiet")
         doc = parse_json(out)
         assert len(doc["rows"]) == 3  # explicit flag wins
+
+    def test_config_values_reach_the_sweep(self, tmp_path, capsys):
+        # n, p, alpha and beta come from the file as they do from typed flags
+        cfg = tmp_path / "p3.cfg"
+        cfg.write_text("n = 3\np = 3\nalpha = 0.2\nbeta = 0.5\neps_list = 1e-3,1e-4\n")
+        code, out, err = run_cli(capsys, "rayleigh", "--config", str(cfg), "--quiet")
+        typed = run_cli(capsys, "rayleigh", "--n", "3", "--p", "3", "--alpha", "0.2",
+                        "--beta", "0.5", "--eps-list", "1e-3,1e-4", "--quiet")
+        docs = [parse_json(text) for text in (out, typed[1])]
+        for doc in docs:
+            doc["manifest"].pop("timestamp")
+        assert (code, err) == (typed[0], typed[2]) == (0, "")
+        assert docs[0] == docs[1]
+        assert docs[0]["manifest"]["params"]["p"] == 3.0
+
+    def test_constant_reads_the_file_and_a_typed_flag_wins(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 4\nalpha = 0.2  # a comment\n")
+        code, out, _ = run_cli(capsys, "constant", "--alpha", "0.1", "--config", str(cfg))
+        assert code == 0
+        assert parse_json(out)["manifest"]["params"] == {
+            "n": 4, "p": 2.0, "alpha": 0.1, "beta": 0.0, "k": 3}
+
+    @pytest.mark.parametrize("line", ["bogus = 1", "quiet = true", "seed = 7", "n"])
+    def test_unknown_switch_or_malformed_line_is_exit_2(self, tmp_path, capsys, line):
+        # seed: constant draws nothing, so it takes no --seed
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        code, out, err = run_cli(capsys, "constant", "--n", "3", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert strict_json(err)["type"] == "ValueError"
+
+    def test_verify_reads_which_and_seed_from_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("which = leray\ncount = 2\nseed = 7\n")
+        code, out, _ = run_cli(capsys, "verify", "--config", str(cfg), "--quiet")
+        assert code == 0
+        manifest = parse_json(out)["manifest"]
+        assert (manifest["params"], manifest["seed"]) == ({"which": "leray", "count": 2}, 7)

@@ -8,7 +8,7 @@ from anisohardy import (Branch, CknParams, HardyParams, Kind,
                         compute_K, maximize, sharp_constant_general_k_p2,
                         sharp_constant_general_p, sharp_constant_p2)
 from anisohardy.errors import InadmissibleParamsError, UnsupportedRegimeError
-from anisohardy.weights import H, H2
+from anisohardy.weights import H, H2, H2_larger_root
 
 BEST_02 = (2.0 * math.sqrt(3.0) - 3.0) / 4.0
 # (4 - (sqrt(8) - 1)^2)/4, confirmed independently by the optimizer oracle
@@ -154,6 +154,15 @@ class TestBranchCandidates:
             for pair, val in branch_candidates(params):
                 assert abs(H2(pair.theta, pair.lam, params)) <= 1e-10
                 assert val == pytest.approx(H(pair.theta, params), abs=1e-12)
+
+    @pytest.mark.parametrize("beta_", [1e4, 3e5])
+    def test_k_le_0_root_does_not_cancel_at_large_beta(self, beta_):
+        # bq = 1 + 2 beta > 0, where -bq + sqrt(disc) cancels: H2 must stay
+        # at the rounding of its terms, of size 2 beta |theta|
+        params = HardyParams(3, 2.0, 0.0, beta_)
+        [(pair, _)] = branch_candidates(params)
+        assert abs(H2(pair.theta, pair.lam, params)) <= 4e-16 * abs(2.0 * beta_ * pair.theta)
+        assert pair.lam == H2_larger_root(pair.theta, params)
 
     def test_lam1_squared_identity_fuzz(self):
         # lam1 = -b - sqrt(K)/2 and theta1 = (-(n+2a) + sqrt(K))/2 satisfy

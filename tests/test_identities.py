@@ -302,7 +302,7 @@ class TestVerifyCKNp:
     @pytest.mark.parametrize("index", range(4))
     def test_array_spot_check_matches_loop(self, index):
         ckn, u = sample_ckn_config(305, index)
-        worst = _ckn_divergence_spot_check(ckn, u, 0, 20)
+        worst = _ckn_divergence_spot_check(ckn, u)
         assert worst == pytest.approx(self._loop_spot_check(ckn, u), abs=1e-12)
         assert 0.0 < worst <= 1e-6
 

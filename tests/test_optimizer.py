@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from anisohardy import (HardyParams, OptimizerBranch, admissible_hardy,
-                        maximize, sharp_constant_general_k_p2,
-                        sharp_constant_p2, sweep_regimes)
+from anisohardy import (HardyParams, OptimizerBranch, admissible_hardy, compute_K,
+                        maximize, sharp_constant_general_k_p2, sharp_constant_p2)
 from anisohardy import optimizer
 from anisohardy.errors import InadmissibleParamsError, OptimizerStalledError
 from anisohardy.report import sample_admissible
@@ -174,24 +173,25 @@ class TestGridMax:
                 assert maximize(params).value == grid - shortfall
 
 
-class TestSweepRegimes:
-    def test_full_grid(self):
-        alpha_grid = np.linspace(-0.9, 0.9, 11)
-        beta_grid = np.linspace(-1.4, 1.4, 11)
-        rows = sweep_regimes(3, alpha_grid, beta_grid)
-        assert len(rows) == 121
-        admissible_rows = [r for r in rows if r.admissible]
-        # the corners of this grid are inadmissible; they are flagged, not fatal
-        assert len(admissible_rows) < 121
-        assert all(r.converged for r in admissible_rows)
-        assert max(r.abs_diff for r in admissible_rows) <= 1e-6
-        assert all(r.branch_agrees for r in admissible_rows)
+class TestRegimeGrid:
+    """maximize over an 11 x 11 (alpha, beta) grid at n = 3 that crosses every
+    K regime and whose corners are inadmissible."""
 
-    def test_single_point(self):
-        rows = sweep_regimes(3, [-0.5], [-0.5])
-        assert len(rows) == 1
-        assert rows[0].abs_diff <= 1e-6
-        assert rows[0].regime == "K>1"
+    GRID = [HardyParams(3, 2.0, float(a), float(b))
+            for a in np.linspace(-0.9, 0.9, 11) for b in np.linspace(-1.4, 1.4, 11)]
 
-    def test_empty_grid(self):
-        assert sweep_regimes(3, [], []) == []
+    def test_value_and_branch_follow_the_regime(self):
+        admissible = [params for params in self.GRID if admissible_hardy(params)]
+        assert 0 < len(admissible) < 121
+        for params in admissible:
+            rep = maximize(params)
+            assert abs(rep.value - sharp_constant_general_k_p2(params).value) <= 1e-6
+            expected = (OptimizerBranch.CONSTRAINT_LEFT if compute_K(params).k_value > 1.0
+                        else OptimizerBranch.VERTEX)
+            assert rep.branch_guess is expected
+
+    def test_inadmissible_points_are_refused(self):
+        for params in self.GRID:
+            if not admissible_hardy(params):
+                with pytest.raises(InadmissibleParamsError):
+                    maximize(params)

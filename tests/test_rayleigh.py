@@ -204,9 +204,9 @@ def _sweep_outcome(params, sigmas):
 _BATCH = rayleigh._quotients_p2
 
 
-def _member_loop(families, spec=None):
+def _member_loop(families):
     """quotient_p2 on each member in turn (its body: the batch of one member)."""
-    return tuple(_BATCH((fam,), spec)[0] for fam in families)
+    return tuple(_BATCH((fam,))[0] for fam in families)
 
 
 # K = 0.995: only sigma = 0.025 lies below sqrt(1 - K)/2, so the sweep falls
@@ -256,10 +256,10 @@ class TestBatchedSweep:
         assert json.loads(captured.out)["extrapolated"] == res.extrapolated
 
 
-def _general_p_member(family, spec=None):
+def _general_p_member(family):
     """quotient_general_p written member by member: integrate_2d of the
     gradient integrand and integrate_1d of the denominator's radial."""
-    spec = spec or rayleigh._SWEEP_SPEC_2D
+    spec = rayleigh._SWEEP_SPEC_2D
     pw = family.params.p
     a_phi, a_r = rayleigh._general_p_exponents(family)
     num = integrate_2d(rayleigh._grad_integrand(family), a_phi, spec)
@@ -273,8 +273,8 @@ def _general_p_member(family, spec=None):
                          err_estimate=rayleigh._rel_err(num, rad))
 
 
-def _general_p_member_loop(families, spec=None):
-    return tuple(_general_p_member(fam, spec) for fam in families)
+def _general_p_member_loop(families):
+    return tuple(_general_p_member(fam) for fam in families)
 
 
 def _general_p_outcome(params, eps_list=None, sigmas=None):
@@ -344,12 +344,12 @@ class TestBatchedGeneralPSweep:
 
         seen = []
 
-        def logged_loop(families, spec=None):
+        def logged_loop(families):
             for fam in families:
                 seen.append((fam.epsilon, fam.sigma))
-                yield _general_p_member(fam, spec)
+                yield _general_p_member(fam)
         monkeypatch.setattr(rayleigh, "_quotients_general_p",
-                            lambda families, spec=None: tuple(logged_loop(families, spec)))
+                            lambda families: tuple(logged_loop(families)))
         assert _general_p_outcome(params, eps, sigmas) == batched
         assert batched[0] == "NotConvergedError" and batched[1].startswith(message)
         assert seen == [(1e-3, 0.2), (1e-4, 0.2), (1e-3, 0.1), (1e-4, 0.1)]
@@ -404,6 +404,8 @@ def _refusal(params, eps_list, sigma_list, monkeypatch):
 
 
 _SIGMA_MESSAGE = "sigma_list entries must be distinct, positive and finite"
+_ONE_EPS = ("ValueError", "eps_list needs at least two entries to extrapolate")
+_ONE_SIGMA = ("ValueError", "sigma_list needs at least two entries to extrapolate")
 
 
 class TestRefusalsBeforeQuadrature:
@@ -432,6 +434,11 @@ class TestRefusalsBeforeQuadrature:
          ("ValueError", "eps_list must be non-empty with entries in (0, 1)")),
         (HardyParams(3, 3.0, 0.0, 0.5), (1e-3, 1e-2), None,
          ("ValueError", "eps_list must be strictly decreasing")),
+        # one point fixes no limit
+        (HardyParams(3, 2.0, -0.5, -0.5), (1e-3,), None, _ONE_EPS),
+        (HardyParams(3, 3.0, 0.0, 0.5), None, (0.1,), _ONE_SIGMA),
+        (HardyParams(3, 2.0, 0.0, -0.05), None, (0.2,), _ONE_SIGMA),
+        (HardyParams(3, 2.0, 0.0, -0.05), None, (), _ONE_SIGMA),
     ])
     def test_refused_with_no_integrand_evaluated(self, params, eps_list, sigma_list,
                                                  expected, monkeypatch):
@@ -628,7 +635,7 @@ class TestSweep:
 
     def test_non_finite_fit_raises(self, monkeypatch):
         monkeypatch.setattr(rayleigh, "_quotients_p2",
-                            lambda families, spec=None: tuple(
+                            lambda families: tuple(
                                 QuotientParts(math.nan, 1.0, math.nan) for _ in families))
         with pytest.raises(FitUnstableError) as ei:
             sweep_and_extrapolate(K3_PARAMS)
