@@ -8,6 +8,17 @@ estimate is the difference between consecutive levels.  integrate_rows
 integrates several integrands on the same nodes from one evaluation per
 level; integrate_1d is its one-row case.
 
+Tanh-sinh converges exponentially only for integrands analytic inside the
+interval; at an interior kink it converges algebraically, and the level
+difference can understate the error.  Break points split the interval into
+panels, each with its own rule, so that a kink becomes a panel endpoint.
+Each level evaluates the integrand once, on the new nodes of every panel
+that a row still refines on, concatenated; each (row, panel) pair
+converges on its own, and a row's value and error estimate are the sums
+over its panels.  One interval is the one-panel case.  The radial
+integrals of the sweeps break at r = 1, where cutoff_eta leaves 1: its
+quintic ramp is C^2 there, and an integrand with eta' only C^1.
+
 Nodes are represented by their distance d from the nearer endpoint, so an
 integrand can be evaluated at machine-accurate offsets like b - 1e-290.  For
 integrals over (0, pi) of functions of sin(phi), use integrate_angular: it
@@ -18,12 +29,13 @@ sin_power_integral, whose Beta closed form the sweeps use.
 integrate_2d integrates f(r, cos phi) sin(phi)^c over (0, R) x (0, pi):
 radial tanh-sinh of angular Gauss-Jacobi sums (gauss_jacobi, Golub-Welsch)
 whose weight carries sin(phi)^c, so that factor is never evaluated.  Its
-angular orders double, and consecutive orders are compared.
-_integrate_2d_rows integrates several such integrands together: each order
-is one radial pass over the integrands still refining, and each integrand's
-radial part is evaluated once per level for every order; integrate_2d is
-its one-integrand case.  One driver, _refine, runs the convergence loop for
-the 1D, angular and 2D integrators: it reports one outcome per row, and the
+angular orders double, and consecutive orders are compared; its radial
+integral takes break points as integrate_rows does.  _integrate_2d_rows
+integrates several such integrands together: each order is one radial pass
+over the integrands still refining, and each integrand's radial part is
+evaluated once per panel and level for every order; integrate_2d is its
+one-integrand case.  One driver, _refine, runs the convergence loop for the
+1D, angular and 2D integrators: it reports one outcome per row, and the
 public integrators raise the first row's failure.
 
 Reduced integrals are computed WITHOUT the sphere-area prefactor of the
@@ -187,58 +199,85 @@ def _ts_level(level: int):
     return t[keep], d[keep], w[keep]
 
 
-def _refine(totals, spec: QuadratureSpec, what: str) -> tuple:
+def _refine(totals, spec: QuadratureSpec, what: str, panels: int = 1) -> tuple:
     """Drive rows of refined totals (levels or orders) to convergence.
 
-    totals is a generator that yields, per refinement, one total for each of
-    m rows, and is sent the indices of the rows still live before it makes
-    the next refinement; a row that is not live may get any placeholder.  A
-    row is converged when two consecutive totals differ by at most
+    totals is a generator that yields, per refinement, one total for each
+    (row, panel) pair of m rows with panels pairs each, row-major, and is
+    sent the indices of the pairs still live before it makes the next
+    refinement; a pair that is not live may get any placeholder.  A pair is
+    converged when two consecutive totals differ by at most
     max(abs_tol, rel_tol*|total|); that difference is its error estimate,
-    and the row keeps that result while the others refine.  A row fails at
-    its first non-finite total: it stays non-finite at every finer
+    and the pair keeps that result while the others refine.  A pair fails
+    at its first non-finite total: it stays non-finite at every finer
     refinement, and an infinite total would meet its own infinite relative
-    tolerance.  A total may also be the NotConvergedError of a row that
-    failed inside its refinement (an angular order's radial pass); that is
-    the row's outcome.
+    tolerance.  With one panel a total may also be the NotConvergedError of
+    a row that failed inside its refinement (an angular order's radial
+    pass); that is the row's outcome.
 
-    Returns one outcome per row: its QuadResult, its NotConvergedError
-    (carrying its last total), or None for a row after the first failed
-    row.  Rows are settled in order, as if each were driven alone in turn:
-    rows after the first failure refine no further, and refinement ends
-    once every row before it is decided.
+    Returns one outcome per row: a QuadResult whose value and error
+    estimate are the sums of its pairs', a NotConvergedError carrying the
+    sums of its pairs' last totals and estimates, or None for a row after
+    the first failed row.  Pairs are settled in order, as if each row were
+    driven alone in turn: a failed row and the rows after it refine no
+    further, and refinement ends once every row before it is decided.
     """
     live, out = None, None
     while True:
         try:
-            row_totals = totals.send(live)
+            pair_totals = totals.send(live)
         except StopIteration:
             break
+        values = pair_totals if isinstance(pair_totals, np.ndarray) else np.array(
+            [math.nan if isinstance(total, NotConvergedError) else total
+             for total in pair_totals], dtype=float)
         if out is None:
-            m = len(row_totals)
-            prev, err, last, out = [None] * m, [math.inf] * m, [math.nan] * m, [None] * m
-        still = []
-        for i in range(m) if live is None else live:
-            total = row_totals[i]
-            if isinstance(total, NotConvergedError):
-                out[i] = total
-                break
-            last[i] = total
-            if not math.isfinite(total):
-                out[i] = _not_converged(what, total, err[i])
-                break
-            if prev[i] is not None:
-                err[i] = abs(total - prev[i])
-                if err[i] <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-                    out[i] = QuadResult(total, err[i])
-                    continue
-            prev[i] = total
-            still.append(i)
-        live = still
-        if not live:
-            return tuple(out)
-    out[live[0]] = _not_converged(what, last[live[0]], err[live[0]])
-    return tuple(out)
+            m = len(values)
+            prev, err, last, out = (np.full(m, math.nan), np.full(m, math.inf),
+                                    np.full(m, math.nan), [None] * m)
+        todo = np.arange(m) if live is None else live
+        bad = ~np.isfinite(values[todo])
+        stop = int(np.argmax(bad)) if bad.any() else len(todo)
+        done = todo[:stop]
+        total = last[done] = values[done]
+        seen = ~np.isnan(prev[done])
+        diff = np.abs(total - prev[done])
+        err[done[seen]] = diff[seen]
+        converged = seen & (diff <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total)))
+        for j in done[converged].tolist():
+            out[j] = QuadResult(float(values[j]), float(err[j]))
+        prev[done] = total
+        live = done[~converged]
+        if stop < len(todo):        # pair j fails, and its row is decided
+            j = int(todo[stop])
+            row = j - j % panels
+            out[j] = (pair_totals[j] if isinstance(pair_totals[j], NotConvergedError)
+                      else _not_converged(what, float(values[j]), float(err[j])))
+            rest = todo[stop:]
+            rest = rest[rest < row + panels]
+            last[rest] = values[rest]
+            live = live[live < row]
+        if not live.size:
+            break
+    if live.size:
+        j = int(live[0])
+        out[j] = _not_converged(what, float(last[j]), float(err[j]))
+
+    rows = []
+    for row in range(0, len(out), panels):
+        pairs = out[row:row + panels]
+        failed = next((res for res in pairs if isinstance(res, NotConvergedError)), None)
+        if failed is not None:
+            rows.append(failed if panels == 1 else _not_converged(
+                what, float(np.sum(last[row:row + panels])),
+                float(np.sum(err[row:row + panels]))))
+        elif None in pairs:
+            rows.append(None)
+        else:
+            rows.append(QuadResult(sum((res.value for res in pairs[1:]), pairs[0].value),
+                                   sum((res.err_estimate for res in pairs[1:]),
+                                       pairs[0].err_estimate)))
+    return tuple(rows)
 
 
 def _settled(outcomes) -> tuple[QuadResult, ...]:
@@ -254,79 +293,100 @@ def _not_converged(what: str, total: float, err: float) -> NotConvergedError:
                              value=total, err_estimate=err)
 
 
-def _ts_totals(f, nodes, scale: float, levels: int):
-    """Running tanh-sinh totals of the rows of f over an interval of length scale.
+def _ts_totals(f, panels, levels: int):
+    """Running tanh-sinh totals of the rows of f over panels, row-major.
 
-    nodes(t, d) maps the transform abscissae and endpoint distances of the
-    unit interval to the points x f is evaluated at.  f(x, level, live)
-    returns a sequence of row values there, each an array of the points'
-    shape or a value that broadcasts to it, or a 2-D block of such rows, one
-    per line; live is None while every row refines, then the indices _refine
-    sent, and a row outside it may be None.  A block's lines are summed as
-    single rows are, so each total is the same to the bit either way.  Each
-    level evaluates f only at its new nodes and halves the previous totals;
-    levels 1..levels are yielded as tuples of the m row totals, level 0 only
-    seeds the first.
+    panels is a sequence of (nodes, scale): nodes(t, d) maps the transform
+    abscissae and endpoint distances of the unit interval to the points of
+    the panel, and scale is its length.  Each level calls f once, as
+    f(x, level, live, segments): x holds the level's new nodes of every
+    panel that still has a live pair, concatenated, and segments the
+    (panel, slice of x) of each.  f returns a sequence of row values at x,
+    each an array of its shape or a value that broadcasts to it, or a 2-D
+    block of such rows, one per line; live is None while every row refines,
+    then the rows with a pair in the indices _refine sent, and a row outside
+    it may be None.  A line's total on a panel is the sum over its slice, so
+    a row's panel totals do not depend on the other panels or rows in x.
+    Each level halves the previous totals; levels 1..levels are yielded as
+    arrays of the (row, panel) totals, level 0 only seeds the first.
     """
+    n = len(panels)
     totals, live = None, None
     for level in range(levels + 1):
         t, d, w = _ts_level(level)
-        x = nodes(t, d)
+        if live is None:
+            ks, rows = range(n), None
+        else:
+            ks, rows = np.unique(live % n).tolist(), np.unique(live // n).tolist()
+        xs = [panels[k][0](t, d) for k in ks]
+        x = xs[0] if len(xs) == 1 else np.concatenate(xs)
+        segments = tuple((k, slice(i * t.size, (i + 1) * t.size)) for i, k in enumerate(ks))
         sums = []
-        for row in f(x, level, live):
-            if row is None:
-                sums.append(math.nan)
-                continue
-            fx = np.asarray(row, dtype=float)
-            if fx.ndim > x.ndim:
-                sums.extend(float(s) * scale for s in np.sum(w * fx, axis=-1))
-                continue
-            if fx.shape != x.shape:
-                fx = np.broadcast_to(fx, x.shape)
-            sums.append(float(np.sum(w * fx)) * scale)
-        totals = sums if level == 0 else [0.5 * a + b for a, b in zip(totals, sums)]
+        for row in f(x, level, rows, segments):
+            fx = np.asarray(math.nan if row is None else row, dtype=float)
+            if fx.ndim <= x.ndim:
+                fx = (fx if fx.shape == x.shape else np.broadcast_to(fx, x.shape))[None]
+            by_panel = np.full((len(fx), n), math.nan)
+            for k, part in segments:
+                by_panel[:, k] = np.add.reduce(w * fx[:, part], axis=-1) * panels[k][1]
+            sums.append(by_panel)
+        sums = np.concatenate(sums).ravel()
+        totals = sums if level == 0 else 0.5 * totals + sums
         if level:
-            live = yield tuple(totals)
+            live = yield totals
 
 
-def _ts_rows(f, a: float, b: float, spec: QuadratureSpec) -> tuple:
-    """_refine's outcomes for the rows of f(x, level, live) over (a, b)."""
-    if not b > a:
-        raise ValueError(f"need b > a, got ({a}, {b})")
-    scale = b - a
-    totals = _ts_totals(
-        f, lambda t, d: np.where(t <= 0.0, a + scale * d, b - scale * d),
-        scale, spec.levels)
-    return _refine(totals, spec, f"tanh-sinh on ({a}, {b}) within {spec.levels} levels")
+def _ts_rows(f, edges, spec: QuadratureSpec) -> tuple:
+    """_refine's outcomes for the rows of f(x, level, live, segments) over
+    the panels between consecutive edges (a, e1, ..., b)."""
+    if any(not hi > lo for lo, hi in zip(edges, edges[1:])):
+        raise ValueError(f"need a < break points < b, increasing, got {tuple(edges)}")
+
+    def panel(lo, hi):
+        return lambda t, d: np.where(t <= 0.0, lo + (hi - lo) * d, hi - (hi - lo) * d), hi - lo
+
+    totals = _ts_totals(f, [panel(lo, hi) for lo, hi in zip(edges, edges[1:])], spec.levels)
+    return _refine(totals, spec,
+                   f"tanh-sinh on ({edges[0]}, {edges[-1]}) within {spec.levels} levels",
+                   len(edges) - 1)
 
 
-def integrate_rows(f: Callable, a: float, b: float,
-                   spec: QuadratureSpec | None = None) -> tuple[QuadResult, ...]:
+def integrate_rows(f: Callable, a: float, b: float, spec: QuadratureSpec | None = None,
+                   breaks: tuple = ()) -> tuple[QuadResult, ...]:
     """Integrate the m rows of f over (a, b) on shared tanh-sinh nodes.
 
     f is evaluated once per level on a numpy array of interior points and
     returns a sequence of values there (arrays of the points' shape, values
     that broadcast to it, or 2-D blocks of such rows, whose lines count as
-    rows in order), so work shared by the rows is done once.
-    Each row is summed, converged and frozen exactly as integrate_1d would
-    integrate it alone, so its QuadResult is the same to the bit; the first
-    row, in order, that does not converge raises NotConvergedError with its
-    best value.
+    rows in order), so work shared by the rows is done once.  breaks, points
+    strictly inside (a, b) in increasing order, split the interval into
+    panels, each with its own tanh-sinh rule: a kink of the integrand at a
+    break is then an endpoint of two panels, where the rule keeps its
+    exponential convergence, instead of an interior point, where it
+    converges only algebraically.  Each level evaluates f once, on the new
+    nodes of every panel that a row still refines on; each (row, panel)
+    converges on its own, and a row's value and error estimate are the sums
+    of its panels'.  Each row is summed, converged and frozen exactly as
+    integrate_1d would integrate it alone, so its QuadResult is the same to
+    the bit; the first row, in order, that does not converge raises
+    NotConvergedError with its best value.
     """
-    return _settled(_ts_rows(lambda x, level, live: f(x), a, b, spec or _DEFAULT_SPEC))
+    return _settled(_ts_rows(lambda x, level, live, segments: f(x), (a, *breaks, b),
+                             spec or _DEFAULT_SPEC))
 
 
-def integrate_1d(f: Callable, a: float, b: float,
-                 spec: QuadratureSpec | None = None) -> QuadResult:
+def integrate_1d(f: Callable, a: float, b: float, spec: QuadratureSpec | None = None,
+                 breaks: tuple = ()) -> QuadResult:
     """Integrate f over (a, b); algebraic endpoint singularities allowed.
 
     f is evaluated on numpy arrays of interior points and returns an array
     of the same shape (or a value that broadcasts to it).  Converged when
-    the level difference is at most max(abs_tol, rel_tol*|value|);
-    otherwise NotConvergedError carrying the best value.  This is the
-    one-row case of integrate_rows.
+    the level difference is at most max(abs_tol, rel_tol*|value|) on every
+    panel between the breaks (see integrate_rows); otherwise
+    NotConvergedError carrying the best value.  This is the one-row case of
+    integrate_rows.
     """
-    return integrate_rows(lambda x: (f(x),), a, b, spec)[0]
+    return integrate_rows(lambda x: (f(x),), a, b, spec, breaks)[0]
 
 
 def integrate_angular(f_of_sin: Callable, spec: QuadratureSpec | None = None) -> QuadResult:
@@ -337,8 +397,8 @@ def integrate_angular(f_of_sin: Callable, spec: QuadratureSpec | None = None) ->
     Handles algebraic blow-up of f at sin phi -> 0 with rate > -1.
     """
     spec = spec or _DEFAULT_SPEC
-    totals = _ts_totals(lambda s, level, live: (f_of_sin(s),),
-                        lambda t, d: np.sin(np.pi * d), math.pi, spec.levels)
+    totals = _ts_totals(lambda s, level, live, segments: (f_of_sin(s),),
+                        [(lambda t, d: np.sin(np.pi * d), math.pi)], spec.levels)
     return _settled(_refine(totals, spec, f"angular tanh-sinh within {spec.levels} levels"))[0]
 
 
@@ -375,18 +435,19 @@ def gauss_jacobi(m: int, a: float, b: float):
 _ORDERS = (32, 64, 128, 256, 512, 1024)
 
 
-def _angular_sums(block, size: int, t, w):
-    """sum_j w_j f(r_i, t_j) at the size radial nodes of a level, in row
-    blocks of about 2^14 grid elements; block(rows, t) is f on the nodes in
-    the slice rows against t[None, :]."""
+def _angular_sums(block, start: int, size: int, t, w):
+    """sum_j w_j f(r_i, t_j) at the size radial nodes from index start on, in
+    row blocks of about 2^14 grid elements; block(rows, t) is f on the nodes
+    in the slice rows against t[None, :]."""
     step = max(1, 2 ** 14 // t.size)
     out = np.empty(size)
     for i in range(0, size, step):
-        out[i:i + step] = block(slice(i, i + step), t[None, :]) @ w
+        out[i:i + step] = block(slice(start + i, start + min(i + step, size)), t[None, :]) @ w
     return out
 
 
-def integrate_2d(f: Callable, c: float, spec: QuadratureSpec | None = None) -> QuadResult:
+def integrate_2d(f: Callable, c: float, spec: QuadratureSpec | None = None,
+                 breaks: tuple = ()) -> QuadResult:
     """int_0^R int_0^pi f(r, cos phi) sin(phi)^c dphi dr, for f even in cos phi.
 
     R is spec.truncation_radius and c > -1.  With t = cos(phi) the angular
@@ -397,34 +458,39 @@ def integrate_2d(f: Callable, c: float, spec: QuadratureSpec | None = None) -> Q
     row blocks of about 2^14 elements and returns the block.
 
     Each angular order m = 32, 64, ..., 1024 is one radial tanh-sinh
-    integral of the m-point angular sums; consecutive orders are compared by
-    the shared refinement driver.  The error estimate is the larger of the
-    last order difference and that order's radial error.  NotConvergedError
-    past the last order carries its total, and a radial integral that does
-    not converge raises its own.  This is the one-integrand case of
-    _integrate_2d_rows.
+    integral of the m-point angular sums over (0, R), split at the radial
+    breaks into panels as integrate_rows splits; consecutive orders are
+    compared by the shared refinement driver.  The error estimate is the
+    larger of the last order difference and that order's radial error.
+    NotConvergedError past the last order carries its total, and a radial
+    integral that does not converge raises its own.  This is the
+    one-integrand case of _integrate_2d_rows.
     """
     return _settled(_integrate_2d_rows(
-        [lambda r: lambda rows, t: f(r[rows, None], t)], [c], spec))[0]
+        [lambda r: lambda rows, t: f(r[rows, None], t)], [c], spec, breaks))[0]
 
 
-def _integrate_2d_rows(integrands, cs, spec: QuadratureSpec | None = None) -> tuple:
+def _integrate_2d_rows(integrands, cs, spec: QuadratureSpec | None = None,
+                       breaks: tuple = ()) -> tuple:
     """integrate_2d of several integrands, as _refine's outcomes, one per integrand.
 
-    integrands[i](r) takes the radial nodes r of one tanh-sinh level and
-    returns block(rows, t), integrand i on r[rows] x t for a slice rows and
-    angular nodes t[None, :]; it is called once per level, and its block
-    serves every angular order, so radial work is done once per node.  cs[i]
-    is the sin power of integrand i.  Each order runs one radial tanh-sinh
-    pass whose rows are the integrands still refining over the orders, with
-    the angular sums in the row blocks integrate_2d uses, so every outcome
-    is the one integrate_2d gives its integrand alone, to the bit: a
-    QuadResult, the NotConvergedError it would raise, or None after the
-    first failed row.
+    integrands[i](r) takes the radial nodes r of one tanh-sinh level, the
+    panels' nodes concatenated, and returns block(rows, t), integrand i on
+    r[rows] x t for a slice rows and angular nodes t[None, :].  Its block
+    serves each of those panels at every angular order, so radial work is
+    done once per node; it is called again at a level only for a panel that
+    no earlier call covered.  cs[i] is the sin power of integrand i.  Each
+    order runs one radial tanh-sinh pass over the panels between the breaks,
+    whose rows are the integrands still refining over the orders, with the
+    angular sums of each panel in the row blocks integrate_2d uses, so
+    every outcome is the one integrate_2d gives its integrand alone, to the
+    bit: a QuadResult, the NotConvergedError it would raise, or None after
+    the first failed row.
     """
     spec = spec or _DEFAULT_SPEC
-    blocks = {}                     # (row, level) -> the row's block at that level
+    blocks = {}     # (row, panel, level) -> the row's block and the panel's first index
     radial_err = [0.0] * len(integrands)
+    edges = (0.0, *breaks, spec.truncation_radius)
 
     def order_totals():
         live = range(len(integrands))
@@ -436,19 +502,22 @@ def _integrate_2d_rows(integrands, cs, spec: QuadratureSpec | None = None) -> tu
                     t, w = gauss_jacobi(m, (cs[i] - 1.0) / 2.0, (cs[i] - 1.0) / 2.0)
                     rules[cs[i]] = t[m // 2:], 2.0 * w[m // 2:]
 
-            def sums(r, level, running):
-                running = range(len(rows)) if running is None else set(running)
-                for j, i in enumerate(rows):
-                    if j not in running:
-                        yield None
-                        continue
-                    block = blocks.get((i, level))
-                    if block is None:
-                        block = blocks[i, level] = integrands[i](r)
-                    yield _angular_sums(block, r.size, *rules[cs[i]])
+            def sums(r, level, running, segments):
+                out = np.full((len(rows), r.size), math.nan)
+                for j in range(len(rows)) if running is None else running:
+                    i = rows[j]
+                    for k, part in segments:
+                        if (i, k, level) not in blocks:
+                            block = integrands[i](r)
+                            for k_new, part_new in segments:
+                                blocks.setdefault((i, k_new, level), (block, part_new.start))
+                        block, start = blocks[i, k, level]
+                        out[j, part] = _angular_sums(block, start, part.stop - part.start,
+                                                     *rules[cs[i]])
+                return (out,)
 
             totals = [math.nan] * len(integrands)
-            for i, res in zip(rows, _ts_rows(sums, 0.0, spec.truncation_radius, spec)):
+            for i, res in zip(rows, _ts_rows(sums, edges, spec)):
                 if isinstance(res, QuadResult):
                     totals[i], radial_err[i] = res.value, res.err_estimate
                 elif res is not None:
@@ -498,39 +567,31 @@ def lemma1_check(xi: XiSpec, eps_list) -> Lemma1Report:
 
     Under the hypothesis a + 2b = -1 the values are bounded and their
     least-squares slope against ln eps vanishes; a violating kernel produces
-    a markedly nonzero slope (the negative control).
+    a markedly nonzero slope (the negative control).  The slope needs at
+    least two eps.
 
-    The integral is split at t = 1; the far part is computed in u = ln t,
-    where the kernel is a bounded smooth profile regardless of eps.  Every
-    integral runs at the default QuadratureSpec.
+    The integral is split at t = 1, where eta(eps t) is still 1, so the near
+    part does not depend on eps.  The far part is computed in u = ln t,
+    where the kernel is a bounded smooth profile regardless of eps, with a
+    panel break at u = ln(1/eps), where the cutoff leaves 1.  Every integral
+    runs at the default QuadratureSpec.
     """
     eps_arr = [float(e) for e in eps_list]
-    if not eps_arr:
-        raise ValueError("eps_list must be non-empty")
+    if len(eps_arr) < 2:
+        raise ValueError("eps_list needs at least two entries to fit a slope")
     if any(not 0.0 < e < 1.0 for e in eps_arr):
         raise ValueError("all eps must lie in (0, 1)")
 
-    # eta(eps*t) == 1 on [0,1] whenever eps <= 1/2; that part is eps-independent
-    near_plain = integrate_1d(xi.xi, 0.0, 1.0).value
+    near = integrate_1d(xi.xi, 0.0, 1.0).value
     values = []
     for e in eps_arr:
-        if e <= 0.5:
-            near_val = near_plain
-        else:
-            near_val = integrate_1d(lambda t: xi.xi(t) * cutoff_eta(e * t), 0.0, 1.0).value
-        top = math.log(2.0 / e)
-
         def far(u, _e=e):
             t = np.exp(u)
             return xi.xi(t) * t * cutoff_eta(_e * t)
 
-        far_val = integrate_1d(far, 0.0, top).value
-        values.append(near_val + far_val + math.log(e))
+        far_val = integrate_1d(far, 0.0, math.log(2.0 / e), breaks=(-math.log(e),)).value
+        values.append(near + far_val + math.log(e))
 
-    logs = np.log(np.asarray(eps_arr))
     vals = np.asarray(values)
-    if len(eps_arr) >= 2:
-        slope = float(np.polyfit(logs, vals, 1)[0])
-    else:
-        slope = 0.0
+    slope = float(np.polyfit(np.log(np.asarray(eps_arr)), vals, 1)[0])
     return Lemma1Report(tuple(float(v) for v in vals), float(np.max(np.abs(vals))), slope)

@@ -7,8 +7,12 @@ taken from its Beta closed form, and a radial integral over (0, 2); a p = 2
 sweep takes the radials of all its members in one tanh-sinh pass.  The
 general-p gradient integrand does not factor: it goes through integrate_2d,
 radial tanh-sinh of Gauss-Jacobi sums in cos(phi) whose weight carries the
-sin(phi) power.  All quotients are computed without the sphere-area
-prefactor (it cancels).
+sin(phi) power.  Every radial integral runs on the panels (0, 1) and (1, 2):
+eta leaves 1 at r = 1, a kink inside (0, 2) that would make tanh-sinh
+converge only algebraically.  The panels change the values from those of
+one-piece radials, within the error estimates; a batch of members still
+gives each member the value it gets alone, to the bit.  All quotients are
+computed without the sphere-area prefactor (it cancels).
 
 The families, per regime of K = -4b(n+2a+b):
 
@@ -52,6 +56,9 @@ DEFAULT_SIGMA = (0.2, 0.1, 0.05, 0.025)
 
 _SWEEP_SPEC_1D = QuadratureSpec(levels=11, abs_tol=1e-14, rel_tol=1e-10)
 _SWEEP_SPEC_2D = QuadratureSpec(levels=9, abs_tol=1e-12, rel_tol=5e-8)
+#: The radial panels are (0, 1) and (1, R): cutoff_eta leaves 1 at r = 1, a
+#: C^2 kink of every radial integrand (C^1 where eta' enters).
+_RADIAL_BREAKS = (1.0,)
 
 
 class FamilyKind(Enum):
@@ -208,16 +215,19 @@ def _quotients_p2(families) -> tuple[QuotientParts, ...]:
 
     The angular pair is the Beta closed form sin_power_integral of mu - 2
     and mu.  The denominator, J2 and J3 radials of every member are the rows
-    of one integrate_rows pass, member by member, so each level's nodes, r^2
-    and cutoff serve them all.  Each result is the one quotient_p2 gives the
-    member alone, to the bit, and a failure is the first radial failure met
-    by quotient_p2 called on the members in turn.
+    of one integrate_rows pass on the panels (0, 1) and (1, 2), member by
+    member, so each level's nodes, r^2 and cutoff serve them all.  Each
+    result is the one quotient_p2 gives the member alone, to the bit, and a
+    failure is the first radial failure met by quotient_p2 called on the
+    members in turn.  The values differ from those of one-piece radials over
+    (0, 2) by about the one-piece error estimates.
     """
     if any(f.kind is FamilyKind.GENERAL_P_BETA_NONNEG for f in families):
         raise ValueError("quotient_p2 takes a p = 2 family")
     exponents = [_p2_exponents(f) for f in families]
     rads = integrate_rows(_radial_rows(families, [nu for _, _, nu in exponents]),
-                          0.0, _SWEEP_SPEC_1D.truncation_radius, _SWEEP_SPEC_1D)
+                          0.0, _SWEEP_SPEC_1D.truncation_radius, _SWEEP_SPEC_1D,
+                          _RADIAL_BREAKS)
 
     parts = []
     for i, (theta, mu, _) in enumerate(exponents):
@@ -342,25 +352,29 @@ def quotient_general_p(family: TrialFamily) -> QuotientParts:
 
 def _quotients_general_p(families) -> tuple[QuotientParts, ...]:
     """quotient_general_p of each member: all numerators in one batched 2-D
-    pass, all denominators in one radial pass.
+    pass, all denominators in one radial pass, both on the radial panels
+    (0, 1) and (1, 2).
 
     Each angular order integrates only the members still refining, and each
     member's radial columns are formed once per radial level.  Each result
     is the one quotient_general_p gives the member alone, to the bit, and a
     failure is the first one met by quotient_general_p called on the
     members in turn: the numerator and the denominator, member by member.
-    Members after it do no further work.
+    Members after it do no further work.  The values differ from those of
+    one-piece radials over (0, 2) by about the one-piece error estimates.
     """
     if any(f.kind is not FamilyKind.GENERAL_P_BETA_NONNEG for f in families):
         raise ValueError("quotient_general_p takes the general-p family")
     exponents = [_general_p_exponents(f) for f in families]
     nums = _integrate_2d_rows([_grad_levels(f) for f in families],
-                              [a_phi for a_phi, _ in exponents], _SWEEP_SPEC_2D)
+                              [a_phi for a_phi, _ in exponents], _SWEEP_SPEC_2D,
+                              _RADIAL_BREAKS)
     done = next((i for i, num in enumerate(nums) if not isinstance(num, QuadResult)),
                 len(nums))
     members = families[:done]
     rads = (integrate_rows(_denominator_rows(members, [a_r for _, a_r in exponents]),
-                           0.0, _SWEEP_SPEC_2D.truncation_radius, _SWEEP_SPEC_2D)
+                           0.0, _SWEEP_SPEC_2D.truncation_radius, _SWEEP_SPEC_2D,
+                           _RADIAL_BREAKS)
             if members else ())
     if done < len(nums):
         raise nums[done]
@@ -374,7 +388,8 @@ def _quotients_general_p(families) -> tuple[QuotientParts, ...]:
 
 
 def _denominator_rows(families, a_rs):
-    """Integrand of the denominator pass, r^a_r g^p, one row per member.
+    """Integrand of the denominator pass, r^a_r g^p, one row per member, as
+    one block.
 
     Each level forms r^2 once and r^a_r and the cutoff's power once per
     distinct value; every row is quotient_general_p's expression for its
@@ -383,15 +398,17 @@ def _denominator_rows(families, a_rs):
     def rows(r):
         r2, eta = r * r, cutoff_eta(r)
         r_powers, eta_powers = {}, {}
-        for family, a_r in zip(families, a_rs):
+        block = np.empty((len(families), r.size))
+        for i, (family, a_r) in enumerate(zip(families, a_rs)):
             pw = family.params.p
             if a_r not in r_powers:
                 r_powers[a_r] = r ** a_r
             if pw not in eta_powers:
                 eta_powers[pw] = eta ** pw
             lam = 2.0 * family.g_exponent
-            yield (r_powers[a_r] * (r2 + family.epsilon ** 2) ** (pw * lam / 2.0)
-                   * eta_powers[pw])
+            block[i] = (r_powers[a_r] * (r2 + family.epsilon ** 2) ** (pw * lam / 2.0)
+                        * eta_powers[pw])
+        return (block,)
     return rows
 
 
@@ -520,8 +537,10 @@ def _plan_sweep(params: HardyParams, eps_list, sigma_list):
 
     Every refusal of a sweep is raised here, before any quadrature runs:
     the eps and sigma schedules, each of at least two entries since one
-    point fixes no limit, the beta < 0 general-p regime, and each
-    member's own checks in TrialFamily.  The family follows the regime: K > 1
+    point fixes no limit, and at least three eps for the K > 1 family, whose
+    eps-only fit would otherwise pass exactly through its points with a
+    residual of 0; the beta < 0 general-p regime; and each member's own
+    checks in TrialFamily.  The family follows the regime: K > 1
     takes no sigma; near K = 1, where fewer than two sigmas lie below the
     K < 1 family's bound sqrt(1 - K)/2, the K = 1 family, which is the
     robust one at the boundary, takes them all.
@@ -540,6 +559,10 @@ def _plan_sweep(params: HardyParams, eps_list, sigma_list):
     if params.p == 2 and compute_K(params).family is RegimeFamily.K_GT_1:
         if sigma_list:
             raise ValueError("sigma_list is forbidden for the K > 1 family")
+        if len(eps_list) < 3:
+            raise ValueError("eps_list needs at least three entries for the K > 1 family: "
+                             "its fit is in eps alone, and a line through two points "
+                             "has no residual")
         kind, sigmas = FamilyKind.P2_K_GT_1, [0.0]
     else:
         if sigma_list is None:
@@ -577,8 +600,8 @@ def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None) -
     the fitted constant or its residual is not finite, or the residual
     exceeds 5% of the constant.  Raises ValueError, before any quadrature,
     unless eps_list is strictly decreasing in (0, 1), the sigmas are
-    distinct, positive and finite, each schedule has at least two entries,
-    and every member is a valid TrialFamily.
+    distinct, positive and finite, each schedule has at least two entries
+    (three eps for K > 1), and every member is a valid TrialFamily.
     """
     kind, eps_list, sigmas, families = _plan_sweep(params, eps_list, sigma_list)
     quotients = (_quotients_general_p if kind is FamilyKind.GENERAL_P_BETA_NONNEG

@@ -205,6 +205,22 @@ class TestErrorExitCodes:
         doc = strict_json(proc.stderr)
         assert doc["type"] == "ValueError" and "at least two entries" in doc["error"]
 
+    def test_two_eps_on_the_k_gt_1_family_is_exit_2(self):
+        # a fresh interpreter, as above; K = 3 takes the eps-only fit
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from anisohardy.cli import main; sys.exit(main(sys.argv[1:]))",
+             "rayleigh", "--n", "3", "--alpha", "-0.5", "--beta", "-0.5",
+             "--eps-list", "0.5,0.4"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert len(proc.stderr.splitlines()) == 1
+        doc = strict_json(proc.stderr)
+        assert doc["type"] == "ValueError" and "at least three entries" in doc["error"]
+
     def test_flux_divergence_mismatch_is_a_failed_check(self, capsys, monkeypatch):
         import anisohardy.identities as identities
         exact = identities._ckn_flux_divergence_fd

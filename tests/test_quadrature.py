@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -229,7 +230,28 @@ class TestLemma1:
         with pytest.raises(ValueError):
             lemma1_check(XiSpec(a=1.0, b=-1.0), [])
         with pytest.raises(ValueError):
-            lemma1_check(XiSpec(a=1.0, b=-1.0), [2.0])
+            lemma1_check(XiSpec(a=1.0, b=-1.0), [2.0, 0.5])
+
+    def test_one_eps_fixes_no_slope(self):
+        # one point used to report slope 0.0 whatever the kernel
+        with pytest.raises(ValueError, match="at least two entries"):
+            lemma1_check(XiSpec(a=1.0, b=-0.5), [1e-3])
+
+    def test_far_part_matches_tight_reference(self):
+        # the far integrand, in u = ln t, has the cutoff's kink at u = ln(1/eps);
+        # a panel break there keeps the sum exponentially convergent
+        xi = XiSpec(a=1.0, b=-1.0)
+        tight = QuadratureSpec(levels=13, abs_tol=1e-30, rel_tol=1e-14)
+        rep = lemma1_check(xi, self.EPS)
+        for eps, value in zip(self.EPS, rep.values):
+            def far(u):
+                t = np.exp(u)
+                return xi.xi(t) * t * cutoff_eta(eps * t)
+            kink = -math.log(eps)
+            ref = (integrate_1d(xi.xi, 0.0, 1.0, tight).value
+                   + integrate_1d(far, 0.0, kink, tight).value
+                   + integrate_1d(far, kink, math.log(2.0 / eps), tight).value + math.log(eps))
+            assert value == pytest.approx(ref, rel=0.0, abs=1e-14)
 
 
 class TestIntegrate1dIncremental:
@@ -266,6 +288,39 @@ class TestIntegrate1dIncremental:
         assert res.err_estimate <= tol and abs(ref[-1] - ref[-2]) <= tol
         # level 1 only seeds the first comparison
         assert all(abs(b - a) > tol for a, b in zip(ref[1:-2], ref[2:-1]))
+
+    @staticmethod
+    def _scalar_loop(f, a, b, spec):
+        """The driver written as a plain loop over levels, in scalars."""
+        total, prev = None, None
+        for level in range(spec.levels + 1):
+            t, d, w = quadrature._ts_level(level)
+            x = np.where(t <= 0.0, a + (b - a) * d, b - (b - a) * d)
+            level_sum = float(np.sum(w * f(x))) * (b - a)
+            total = level_sum if level == 0 else 0.5 * total + level_sum
+            if level == 0:
+                continue
+            if prev is not None and abs(total - prev) <= max(spec.abs_tol,
+                                                             spec.rel_tol * abs(total)):
+                return total, abs(total - prev)
+            prev = total
+        raise AssertionError("the reference did not converge")
+
+    @pytest.mark.parametrize("f,breaks", [
+        (lambda x: x ** -0.3 * np.exp(x), ()),
+        (lambda x: x ** -0.3 * np.exp(x), (0.4, 1.1)),
+        (lambda x: np.abs(x - 0.7) ** 1.5, (0.7,)),
+        (lambda x: np.abs(x - 0.7) ** 1.5, (0.3, 0.7, 1.4)),
+    ])
+    def test_matches_a_scalar_loop_bit_for_bit(self, f, breaks):
+        spec = QuadratureSpec()
+        edges = (0.0, *breaks, 2.0)
+        value, err = self._scalar_loop(f, edges[0], edges[1], spec)
+        for lo, hi in zip(edges[1:], edges[2:]):            # panel by panel, in order
+            panel_value, panel_err = self._scalar_loop(f, lo, hi, spec)
+            value, err = value + panel_value, err + panel_err
+        res = integrate_1d(f, 0.0, 2.0, spec, breaks)
+        assert (res.value.hex(), res.err_estimate.hex()) == (value.hex(), err.hex())
 
     def test_stops_at_first_non_finite_level(self):
         def blowing_up(x):
@@ -338,6 +393,99 @@ class TestIntegrateRows:
         assert sum(seen) == _full_rule(first)[0].size
 
 
+class TestPanels:
+    """Break points split the interval into panels, each with its own rule."""
+
+    ROWS = (lambda x: x ** -0.3 * np.exp(x), lambda x: np.abs(x - 0.7) ** 2.5,
+            lambda x: np.sin(3.0 * x))
+
+    @pytest.mark.parametrize("breaks", [(0.7,), (0.4, 0.7, 1.5)])
+    def test_rows_match_separate_calls_bit_for_bit(self, breaks):
+        stacked = integrate_rows(lambda x: tuple(row(x) for row in self.ROWS), 0.0, 2.0,
+                                 breaks=breaks)
+        for row, res in zip(self.ROWS, stacked):
+            alone = integrate_1d(row, 0.0, 2.0, breaks=breaks)
+            assert (res.value.hex(), res.err_estimate.hex()) == \
+                (alone.value.hex(), alone.err_estimate.hex())
+
+    def test_value_and_estimate_are_sums_over_panels(self):
+        row = self.ROWS[1]
+        whole = integrate_1d(row, 0.0, 2.0, breaks=(0.7,))
+        lo, hi = integrate_1d(row, 0.0, 0.7), integrate_1d(row, 0.7, 2.0)
+        assert whole == quadrature.QuadResult(lo.value + hi.value,
+                                              lo.err_estimate + hi.err_estimate)
+
+    def test_one_call_per_level_on_the_live_panels(self):
+        # the (1, 2) panel of eta' converges levels before the (0, 1) panel,
+        # where eta' is 0; each level is one call on the live panels' nodes
+        sizes = []
+
+        def counted(x):
+            sizes.append(x.size)
+            return cutoff_eta_prime(x) * (1.0 + x)
+
+        integrate_1d(counted, 0.0, 2.0, breaks=(1.0,))
+        level_sizes = [quadrature._ts_level(level)[0].size for level in range(len(sizes))]
+        assert all(size in (n, 2 * n) for size, n in zip(sizes, level_sizes))
+        assert sizes[0] == 2 * level_sizes[0] and sizes[-1] == level_sizes[-1]
+
+    def test_kink_at_a_break_converges_within_its_estimate(self):
+        # int_0^2 eta' = eta(2) - eta(0) = -1; eta' has kinks at r = 1 and 2
+        seen = []
+
+        def counted(x):
+            seen.append(x.size)
+            return cutoff_eta_prime(x)
+
+        split = integrate_1d(counted, 0.0, 2.0, breaks=(1.0,))
+        split_nodes = sum(seen)
+        seen.clear()
+        whole = integrate_1d(counted, 0.0, 2.0)
+        assert abs(split.value + 1.0) <= split.err_estimate + 1e-15
+        assert split_nodes < sum(seen) / 4
+        assert abs(whole.value + 1.0) > abs(split.value + 1.0)
+
+    def test_failure_names_the_whole_interval(self):
+        spec = QuadratureSpec(levels=4, abs_tol=1e-15, rel_tol=1e-15)
+        message, value, err = _raised(lambda: integrate_rows(
+            lambda x: (np.sin(50.0 / (x + 1e-2)),), 0.0, 2.0, spec, (1.0,)))
+        assert message.startswith("tanh-sinh on (0.0, 2.0) within 4 levels did not converge")
+        assert math.isfinite(value) and err > 0
+
+    @pytest.mark.parametrize("rows,first", [
+        ((TestIntegrateRows.SMOOTH[0], TestIntegrateRows.overflow, TestIntegrateRows.step), 1),
+        ((TestIntegrateRows.step, TestIntegrateRows.overflow), 0),
+    ])
+    def test_first_failing_row_raises_its_own_error(self, rows, first):
+        expected = _raised(lambda: integrate_1d(rows[first], 0.0, 1.0, breaks=(0.5,)))
+        assert _raised(lambda: integrate_rows(
+            lambda x: tuple(row(x) for row in rows), 0.0, 1.0, breaks=(0.5,))) == expected
+
+    def test_a_failed_row_stops_refining(self):
+        # the (0, 1) panel, x^-0.9, overflows at the first level with a node
+        # within 1e-300 of 0; the (-1, 0) panel, a step, would never
+        # converge, but its row is decided there and no further level is
+        # evaluated
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            tiny = (x > 0.0) & (x < 1e-300)
+            return (np.where(x < -0.7, 1.0, 0.0) + np.where(x > 0.0, np.abs(x) ** -0.9, 0.0)
+                    + np.where(tiny, np.inf, 0.0))
+
+        with pytest.raises(NotConvergedError) as ei:
+            integrate_1d(f, -1.0, 1.0, breaks=(0.0,))
+        first = min(lv for lv in range(11) if np.any(_full_rule(lv)[1] < 1e-300))
+        assert sizes == [2 * quadrature._ts_level(lv)[0].size for lv in range(first + 1)]
+        assert math.isinf(ei.value.value)
+
+    @pytest.mark.parametrize("breaks", [(0.0,), (2.0,), (1.5, 0.5), (0.5, 0.5), (3.0,)])
+    def test_breaks_must_lie_inside_and_increase(self, breaks):
+        with pytest.raises(ValueError):
+            integrate_1d(np.exp, 0.0, 2.0, breaks=breaks)
+
+
 class TestIntegrate2dIncremental:
     """Angular orders m = 32, 64, ...: one radial tanh-sinh integral each."""
 
@@ -352,19 +500,29 @@ class TestIntegrate2dIncremental:
             return f(r, t)
         return counted, seen
 
-    def test_evaluates_each_node_pair_once(self):
-        # per order reached: every radial node of one tanh-sinh level against
-        # the m/2 positive angular nodes, each pair once
+    @pytest.mark.parametrize("breaks", [(), (1.0,)])
+    def test_evaluates_each_node_pair_once(self, breaks):
+        # per order reached: every radial node of each panel up to the level
+        # that panel reached, against the m/2 positive angular nodes, each
+        # pair once
         counted, seen = self._counting(lambda r, t: r ** 0.5 * np.exp(-r) / (1.02 - t * t))
-        res = integrate_2d(counted, -0.5)
+        res = integrate_2d(counted, -0.5, breaks=breaks)
         reached = [m for m in self.ORDERS if m // 2 in seen]
         assert sorted(seen) == [m // 2 for m in reached]
         assert reached == list(self.ORDERS[:len(reached)]) and len(reached) >= 3
-        radial_sizes = {_full_rule(lv)[0].size for lv in range(11)}
+        radial_sizes = [_full_rule(lv)[0].size for lv in range(11)]
+        panel_sizes = {sum(sizes) for sizes in itertools.product(radial_sizes,
+                                                                 repeat=len(breaks) + 1)}
         for m in reached:
             assert seen[m // 2] % (m // 2) == 0
-            assert seen[m // 2] // (m // 2) in radial_sizes
+            assert seen[m // 2] // (m // 2) in panel_sizes
         assert res.err_estimate <= max(1e-13, 1e-10 * abs(res.value))
+
+    def test_panels_sum_to_the_one_piece_value(self):
+        def f(r, t):
+            return cutoff_eta(r) * r ** 0.5 / (1.02 - t * t)
+        whole, split = integrate_2d(f, -0.5), integrate_2d(f, -0.5, breaks=(1.0,))
+        assert split.value == pytest.approx(whole.value, rel=1e-9)
 
     def test_unconverged_value_matches_full_grid(self):
         # |t|^(1/2) has a kink at t = 0, so the Gauss sums converge only

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from anisohardy import (FamilyKind, HardyParams, TrialFamily, beta, compute_K,
+from anisohardy import (FamilyKind, HardyParams, QuadratureSpec, TrialFamily, beta, compute_K,
                         cutoff_eta, cutoff_eta_prime, integrate_1d, integrate_2d,
                         integrate_rows, quotient_general_p, quotient_p2,
                         sharp_constant_general_p, sharp_constant_p2, sin_power_integral,
@@ -128,9 +128,11 @@ def _exponents(fam):
 
 
 class TestStackedRadials:
-    """quotient_p2's one radial pass against separate integrate_1d calls."""
+    """quotient_p2's one radial pass against separate integrate_1d calls, all
+    on the panels (0, 1) and (1, R)."""
 
     SPEC = rayleigh._SWEEP_SPEC_1D
+    BREAKS = rayleigh._RADIAL_BREAKS
 
     @pytest.mark.parametrize("fam", _seeded_p2_families(2026), ids=lambda f: f.kind.value)
     def test_matches_separate_integrals_bit_for_bit(self, fam):
@@ -143,15 +145,15 @@ class TestStackedRadials:
         def gp(r):
             return fam.g_and_prime(r)[1]
 
-        alone = (integrate_1d(lambda r: g(r) ** 2 * r ** (nu - 1.0), 0.0, R, self.SPEC),
-                 integrate_1d(lambda r: gp(r) ** 2 * r ** (nu + 1.0), 0.0, R, self.SPEC),
-                 integrate_1d(lambda r: g(r) * gp(r) * r ** nu, 0.0, R, self.SPEC))
+        alone = tuple(integrate_1d(f, 0.0, R, self.SPEC, self.BREAKS) for f in (
+            lambda r: g(r) ** 2 * r ** (nu - 1.0), lambda r: gp(r) ** 2 * r ** (nu + 1.0),
+            lambda r: g(r) * gp(r) * r ** nu))
 
         def rows(r):
             gv, gpv = fam.g_and_prime(r)
             return gv ** 2 * r ** (nu - 1.0), gpv ** 2 * r ** (nu + 1.0), gv * gpv * r ** nu
 
-        stacked = integrate_rows(rows, 0.0, R, self.SPEC)
+        stacked = integrate_rows(rows, 0.0, R, self.SPEC, self.BREAKS)
         assert [(r.value.hex(), r.err_estimate.hex()) for r in stacked] == \
             [(r.value.hex(), r.err_estimate.hex()) for r in alone]
 
@@ -188,6 +190,95 @@ class TestStackedRadials:
         np.testing.assert_array_equal(
             gp, 2.0 * ge * r * (r * r + e2) ** (ge - 1.0) * cutoff_eta(r)
             + (r * r + e2) ** ge * cutoff_eta_prime(r))
+
+
+#: The tight reference of a radial row: each panel alone, far below the
+#: sweep's tolerances.
+_TIGHT = QuadratureSpec(levels=13, abs_tol=1e-30, rel_tol=1e-14)
+
+
+def _recorded_passes(monkeypatch):
+    """(integrand, a, b, results) of every radial integrate_rows pass of the
+    sweeps run after this call."""
+    passes = []
+    plain = rayleigh.integrate_rows
+
+    def recording(f, a, b, *args):
+        results = plain(f, a, b, *args)
+        passes.append((f, a, b, results))
+        return results
+    monkeypatch.setattr(rayleigh, "integrate_rows", recording)
+    return passes
+
+
+def _rows_outside_their_estimates(passes):
+    """(rows checked, rows whose value is further from the tight per-panel
+    reference than their err_estimate plus 1e-14 relative for rounding)."""
+    checked, outside = 0, 0
+    for f, a, b, results in passes:
+        reference = [lo.value + hi.value for lo, hi in zip(integrate_rows(f, a, 1.0, _TIGHT),
+                                                           integrate_rows(f, 1.0, b, _TIGHT))]
+        for res, ref in zip(results, reference):
+            checked += 1
+            outside += abs(res.value - ref) > res.err_estimate + 1e-14 * abs(ref)
+    return checked, outside
+
+
+class TestRadialErrorEstimates:
+    """Every radial row of a sweep lies within its err_estimate of a tight
+    reference.  Integrated over (0, 2) in one piece, the cutoff's kink at
+    r = 1 made tanh-sinh converge only algebraically: the level difference
+    then underestimated the error of 2 of the 20 denominator rows of
+    (n, p, beta) = (2, 3, 0.3)."""
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_p2_rows(self, seed, monkeypatch):
+        passes = _recorded_passes(monkeypatch)
+        families = _seeded_p2_families(seed, count=2)
+        for fam in families:
+            sweep_and_extrapolate(fam.params)
+        checked, outside = _rows_outside_their_estimates(passes)
+        assert outside == 0 and checked >= 3 * 5 * len(families)
+
+    def test_general_p_denominator_rows(self, monkeypatch):
+        passes = _recorded_passes(monkeypatch)
+        for pw, n, beta_ in [(1.5, 2, 0.04), (2.5, 3, 0.3), (3.0, 2, 0.3), (4.0, 3, 0.9)]:
+            sweep_and_extrapolate(HardyParams(n, pw, 0.2, beta_))
+        assert _rows_outside_their_estimates(passes) == (80, 0)
+
+
+class TestWorkCounts:
+    """Work counts that do not depend on the machine.  On (0, 2) in one piece
+    the K = 3 sweep's radial pass took 12,619 nodes (levels 0 to 10) and the
+    general-p sweep 3,709,216 bracket-kernel elements."""
+
+    def test_radial_nodes_of_a_k_gt_1_sweep(self, monkeypatch):
+        sizes = []
+        plain = rayleigh.integrate_rows
+
+        def counted(f, *args):
+            def f_counted(r):
+                sizes.append(r.size)
+                return f(r)
+            return plain(f_counted, *args)
+        monkeypatch.setattr(rayleigh, "integrate_rows", counted)
+        sweep_and_extrapolate(K3_PARAMS)
+        # one call per level, on the new nodes of one or both panels
+        level_sizes = [quadrature._ts_level(level)[0].size for level in range(len(sizes))]
+        assert all(size in (n, 2 * n) for size, n in zip(sizes, level_sizes))
+        assert (len(sizes), sum(sizes)) == (8, 1774)
+
+    def test_bracket_kernel_elements_of_a_general_p_sweep(self, monkeypatch):
+        elements = [0]
+        plain = rayleigh._bracket_power
+
+        def counted(A, C, t, pw):
+            out = plain(A, C, t, pw)
+            elements[0] += out.size
+            return out
+        monkeypatch.setattr(rayleigh, "_bracket_power", counted)
+        sweep_and_extrapolate(HardyParams(3, 3.0, 0.0, 0.5))
+        assert elements[0] == 1_855_616
 
 
 def _sweep_outcome(params, sigmas):
@@ -258,16 +349,18 @@ class TestBatchedSweep:
 
 def _general_p_member(family):
     """quotient_general_p written member by member: integrate_2d of the
-    gradient integrand and integrate_1d of the denominator's radial."""
+    gradient integrand and integrate_1d of the denominator's radial, on the
+    sweep's radial panels."""
     spec = rayleigh._SWEEP_SPEC_2D
     pw = family.params.p
     a_phi, a_r = rayleigh._general_p_exponents(family)
-    num = integrate_2d(rayleigh._grad_integrand(family), a_phi, spec)
+    breaks = rayleigh._RADIAL_BREAKS
+    num = integrate_2d(rayleigh._grad_integrand(family), a_phi, spec, breaks)
     e2 = family.epsilon ** 2
     lam = 2.0 * family.g_exponent
     rad = integrate_1d(
         lambda r: r ** a_r * (r * r + e2) ** (pw * lam / 2.0) * cutoff_eta(r) ** pw,
-        0.0, spec.truncation_radius, spec)
+        0.0, spec.truncation_radius, spec, breaks)
     den = sin_power_integral(a_phi) * rad.value
     return QuotientParts(num.value, den, num.value / den,
                          err_estimate=rayleigh._rel_err(num, rad))
@@ -368,7 +461,12 @@ class TestBatchedGeneralPSweep:
 
         def den_nan_at_first(families, a_rs):
             rows = plain(families, a_rs)
-            return lambda r: [row if i else math.nan * row for i, row in enumerate(rows(r))]
+
+            def first_row_nan(r):
+                block, = rows(r)
+                block[0] = math.nan
+                return (block,)
+            return first_row_nan
         monkeypatch.setattr(rayleigh, "_denominator_rows", den_nan_at_first)
         # the first member's denominator fails first
         assert _general_p_outcome(params, eps, sigmas)[:2] == (
@@ -406,6 +504,8 @@ def _refusal(params, eps_list, sigma_list, monkeypatch):
 _SIGMA_MESSAGE = "sigma_list entries must be distinct, positive and finite"
 _ONE_EPS = ("ValueError", "eps_list needs at least two entries to extrapolate")
 _ONE_SIGMA = ("ValueError", "sigma_list needs at least two entries to extrapolate")
+_TWO_EPS_K_GT_1 = ("ValueError", "eps_list needs at least three entries for the K > 1 family: "
+                   "its fit is in eps alone, and a line through two points has no residual")
 
 
 class TestRefusalsBeforeQuadrature:
@@ -439,10 +539,20 @@ class TestRefusalsBeforeQuadrature:
         (HardyParams(3, 3.0, 0.0, 0.5), None, (0.1,), _ONE_SIGMA),
         (HardyParams(3, 2.0, 0.0, -0.05), None, (0.2,), _ONE_SIGMA),
         (HardyParams(3, 2.0, 0.0, -0.05), None, (), _ONE_SIGMA),
+        # the K > 1 fit is in eps alone: two points fit a line exactly, with
+        # residual 0, and (0.5, 0.4) would give 0.1974 against 0.1160
+        (K3_PARAMS, (0.5, 0.4), None, _TWO_EPS_K_GT_1),
+        (K3_PARAMS, (1e-2, 1e-3), None, _TWO_EPS_K_GT_1),
     ])
     def test_refused_with_no_integrand_evaluated(self, params, eps_list, sigma_list,
                                                  expected, monkeypatch):
         assert _refusal(params, eps_list, sigma_list, monkeypatch) == (*expected, 0)
+
+    def test_two_eps_with_a_sigma_schedule_are_allowed(self):
+        # the sigma intercept keeps a residual of its own: the shift from
+        # dropping one degree of its polynomial
+        res = sweep_and_extrapolate(HardyParams(3, 2.0, 0.0, -0.05), (1e-2, 1e-3))
+        assert len(res.rows) == 8 and res.fit.residual > 0.0
 
     def test_the_counter_sees_every_pass(self, monkeypatch):
         # so that the zero counts above are no accident of the counter
