@@ -33,6 +33,9 @@ __all__ = ["OptimizerBranch", "OptimizerDiagnostics", "OptimizerReport", "maximi
 
 _GRID_SLACK = -1e-6
 _STALL_TOL = 1e-4
+#: H2 residual, relative to the size of its terms, below which the
+#: constraint counts as active: rounding of the refined pair.
+_ACTIVE_REL = 1e-8
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -163,8 +166,12 @@ def maximize(params: HardyParams) -> OptimizerReport:
         raise OptimizerStalledError(
             f"refinement stalled: grid {grid_value} vs refined {value}")
 
+    # H2 = lam (n + 2a + 2b + 2 theta + lam) + 2 b theta rounds in proportion
+    # to its terms, which reach 1e15 and more at large beta
     residual = H2(theta_star, lam_star, params)
-    active = abs(residual) <= 1e-8
+    terms = (abs(lam_star) * (abs(lam_star) + abs(n + 2.0 * a + 2.0 * b + 2.0 * theta_star))
+             + abs(2.0 * b * theta_star))
+    active = abs(residual) <= _ACTIVE_REL * terms
     if abs(theta_star - theta_vertex) <= 1e-6 * (1.0 + abs(theta_vertex)):
         guess = OptimizerBranch.VERTEX
     elif lam_star < -b:

@@ -32,11 +32,11 @@ whose weight carries sin(phi)^c, so that factor is never evaluated.  Its
 angular orders double, and consecutive orders are compared; its radial
 integral takes break points as integrate_rows does.  _integrate_2d_rows
 integrates several such integrands together: each order is one radial pass
-over the integrands still refining, and each integrand's radial part is
-evaluated once per panel and level for every order; integrate_2d is its
-one-integrand case.  One driver, _refine, runs the convergence loop for the
-1D, angular and 2D integrators: it reports one outcome per row, and the
-public integrators raise the first row's failure.
+over the integrands still refining, and their radial work, shared or
+their own, is done once per panel and level for every order; integrate_2d
+is its one-integrand case.  One driver, _refine, runs the convergence loop
+for the 1D, angular and 2D integrators: it reports one outcome per row,
+and the public integrators raise the first row's failure.
 
 Reduced integrals are computed WITHOUT the sphere-area prefactor of the
 residual angles; it cancels in every quotient.  sphere_area exists for
@@ -45,6 +45,19 @@ absolute reporting only.
 Exponent caveat: the fixed tanh-sinh window resolves endpoint exponents
 c > -0.95 to full double precision; for c in (-1, -0.95] a tail below the
 subnormal floor is lost (about d^(1+c) with d ~ 5e-324).
+
+Tail window of the 2-D passes: the weights decay double-exponentially in
+the transform abscissa t, so most radial nodes of a panel carry far less
+than a rounding unit of its total, yet each costs m/2 angular elements.
+Level 0 of each order's radial pass sets, per integrand and panel, a
+window from the angular sums S at its 13 integer-t nodes: one unit of t
+past the outermost node on each side whose |w S| is at least _TAIL_REL
+(1e-20) times their total.  Past level 0 a node outside the window adds an
+exact 0 and gets no angular sum.  An integrand with a non-finite level-0
+sum on any panel keeps the full rule on every panel, so its failure is
+still seen.  The window depends on the integrand's own sums alone, so a
+batch gives each integrand the value it gets alone, to the bit.  The 1-D
+integrators keep the full rule.
 """
 
 from __future__ import annotations
@@ -434,15 +447,44 @@ def gauss_jacobi(m: int, a: float, b: float):
 #: Angular orders of integrate_2d; NotConvergedError past the last.
 _ORDERS = (32, 64, 128, 256, 512, 1024)
 
+#: Tail window of the 2-D radial passes: a panel's nodes past the outermost
+#: level-0 node whose share |w S| of the level-0 sum reaches this fraction,
+#: plus one unit of the transform abscissa, get no angular sum.
+_TAIL_REL = 1e-20
+#: The integer abscissa past every node of the transform window; the window
+#: (-_T_EDGE, _T_EDGE) keeps every node.
+_T_EDGE = int(_TMAX) + 1
 
-def _angular_sums(block, start: int, size: int, t, w):
-    """sum_j w_j f(r_i, t_j) at the size radial nodes from index start on, in
-    row blocks of about 2^14 grid elements; block(rows, t) is f on the nodes
-    in the slice rows against t[None, :]."""
+
+@lru_cache(maxsize=64)
+def _window_cuts(level: int) -> tuple:
+    """Index of the first node of a level past each integer abscissa
+    -_T_EDGE, ..., _T_EDGE."""
+    return tuple(np.searchsorted(_ts_level(level)[0],
+                                 np.arange(-_T_EDGE, _T_EDGE + 1)).tolist())
+
+
+def _tail_window(level0_sums) -> tuple[int, int]:
+    """(lo, hi), the integer abscissae bounding a panel's tail window, from
+    the angular sums S at its level-0 nodes: one unit past the outermost
+    node on each side whose |w S| is at least _TAIL_REL times their total.
+    An all-zero panel keeps every node.  The threshold is summed from the
+    scaled terms, so that it stays finite when the total would overflow."""
+    t, _, w = _ts_level(0)
+    mass = np.abs(w * level0_sums)
+    kept = t[mass >= np.sum(_TAIL_REL * mass)]
+    return int(kept[0]) - 1, int(kept[-1]) + 1
+
+
+def _angular_sums(block, i: int, start: int, size: int, t, w):
+    """sum_j w_j f_i(r_k, t_j) at the size radial nodes from index start on,
+    in row blocks of about 2^14 grid elements; block(i, rows, t) is
+    integrand i on the nodes in the slice rows against t[None, :]."""
     step = max(1, 2 ** 14 // t.size)
     out = np.empty(size)
-    for i in range(0, size, step):
-        out[i:i + step] = block(slice(start + i, start + min(i + step, size)), t[None, :]) @ w
+    for k in range(0, size, step):
+        rows = slice(start + k, start + min(k + step, size))
+        out[k:k + step] = block(i, rows, t[None, :]) @ w
     return out
 
 
@@ -460,40 +502,45 @@ def integrate_2d(f: Callable, c: float, spec: QuadratureSpec | None = None,
     Each angular order m = 32, 64, ..., 1024 is one radial tanh-sinh
     integral of the m-point angular sums over (0, R), split at the radial
     breaks into panels as integrate_rows splits; consecutive orders are
-    compared by the shared refinement driver.  The error estimate is the
-    larger of the last order difference and that order's radial error.
-    NotConvergedError past the last order carries its total, and a radial
-    integral that does not converge raises its own.  This is the
-    one-integrand case of _integrate_2d_rows.
+    compared by the shared refinement driver.  Past level 0 each panel
+    takes only the radial nodes of its tail window, set from its level-0
+    sums (see the module docstring): the nodes outside add exactly 0.  The
+    error estimate is the larger of the last order difference and that
+    order's radial error.  NotConvergedError past the last order carries
+    its total, and a radial integral that does not converge raises its own.
+    This is the one-integrand case of _integrate_2d_rows.
     """
     return _settled(_integrate_2d_rows(
-        [lambda r: lambda rows, t: f(r[rows, None], t)], [c], spec, breaks))[0]
+        lambda r: lambda i, rows, t: f(r[rows, None], t), [c], spec, breaks))[0]
 
 
-def _integrate_2d_rows(integrands, cs, spec: QuadratureSpec | None = None,
+def _integrate_2d_rows(levels, cs, spec: QuadratureSpec | None = None,
                        breaks: tuple = ()) -> tuple:
     """integrate_2d of several integrands, as _refine's outcomes, one per integrand.
 
-    integrands[i](r) takes the radial nodes r of one tanh-sinh level, the
-    panels' nodes concatenated, and returns block(rows, t), integrand i on
-    r[rows] x t for a slice rows and angular nodes t[None, :].  Its block
-    serves each of those panels at every angular order, so radial work is
-    done once per node; it is called again at a level only for a panel that
-    no earlier call covered.  cs[i] is the sin power of integrand i.  Each
-    order runs one radial tanh-sinh pass over the panels between the breaks,
-    whose rows are the integrands still refining over the orders, with the
-    angular sums of each panel in the row blocks integrate_2d uses, so
-    every outcome is the one integrate_2d gives its integrand alone, to the
-    bit: a QuadResult, the NotConvergedError it would raise, or None after
-    the first failed row.
+    levels(r) takes the radial nodes r of one tanh-sinh level, the panels'
+    nodes concatenated, and returns block(i, rows, t), integrand i on
+    r[rows] x t for a slice rows and angular nodes t[None, :]; work that
+    the integrands share at a level is done once in levels(r).  Its block
+    serves every order: levels is called again at a level only for a panel
+    that no earlier call covered.  cs[i] is the sin power of integrand i.
+    Each order runs one radial tanh-sinh pass over the panels between the
+    breaks, whose rows are the integrands still refining over the orders.  Level 0 sets each row's tail window on each panel
+    from its own angular sums there, or keeps the full rule on every panel
+    if one of them is not finite; later levels sum only the nodes inside.
+    The angular sums of each panel run in the row blocks integrate_2d uses,
+    so every outcome is the one integrate_2d gives its integrand alone, to
+    the bit: a QuadResult, the NotConvergedError it would raise, or None
+    after the first failed row.
     """
     spec = spec or _DEFAULT_SPEC
-    blocks = {}     # (row, panel, level) -> the row's block and the panel's first index
-    radial_err = [0.0] * len(integrands)
+    blocks = {}     # (panel, level) -> the level's block and the panel's first index
+    radial_err = [0.0] * len(cs)
     edges = (0.0, *breaks, spec.truncation_radius)
+    full = (-_T_EDGE, _T_EDGE)
 
     def order_totals():
-        live = range(len(integrands))
+        live = range(len(cs))
         for m in _ORDERS:
             rows = list(live)
             rules = {}
@@ -501,22 +548,31 @@ def _integrate_2d_rows(integrands, cs, spec: QuadratureSpec | None = None,
                 if cs[i] not in rules:
                     t, w = gauss_jacobi(m, (cs[i] - 1.0) / 2.0, (cs[i] - 1.0) / 2.0)
                     rules[cs[i]] = t[m // 2:], 2.0 * w[m // 2:]
+            windows = {}    # (row, panel) -> (lo, hi) of its tail window
 
             def sums(r, level, running, segments):
-                out = np.full((len(rows), r.size), math.nan)
+                for k, part in segments:
+                    if (k, level) not in blocks:
+                        block = levels(r)
+                        for k_new, part_new in segments:
+                            blocks.setdefault((k_new, level), (block, part_new.start))
+                cuts = _window_cuts(level)
+                out = np.zeros((len(rows), r.size))
                 for j in range(len(rows)) if running is None else running:
                     i = rows[j]
                     for k, part in segments:
-                        if (i, k, level) not in blocks:
-                            block = integrands[i](r)
-                            for k_new, part_new in segments:
-                                blocks.setdefault((i, k_new, level), (block, part_new.start))
-                        block, start = blocks[i, k, level]
-                        out[j, part] = _angular_sums(block, start, part.stop - part.start,
-                                                     *rules[cs[i]])
+                        block, start = blocks[k, level]
+                        t_lo, t_hi = windows.get((j, k), full)
+                        lo, hi = cuts[t_lo + _T_EDGE], cuts[t_hi + _T_EDGE]
+                        out[j, part.start + lo:part.start + hi] = _angular_sums(
+                            block, i, start + lo, hi - lo, *rules[cs[i]])
+                    if not level:
+                        finite = np.isfinite(out[j]).all()
+                        for k, part in segments:
+                            windows[j, k] = _tail_window(out[j, part]) if finite else full
                 return (out,)
 
-            totals = [math.nan] * len(integrands)
+            totals = [math.nan] * len(cs)
             for i, res in zip(rows, _ts_rows(sums, edges, spec)):
                 if isinstance(res, QuadResult):
                     totals[i], radial_err[i] = res.value, res.err_estimate

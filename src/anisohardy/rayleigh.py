@@ -144,9 +144,14 @@ class TrialFamily:
         lam = -p.beta - 1.0 / p.p - self.sigma
         return lam / 2.0
 
-    def g_and_prime(self, r):
-        """(g(r), g'(r)): r^2 + eps^2, its power and the cutoff are formed once."""
-        return _g_and_prime(r, r * r, cutoff_eta(r), cutoff_eta_prime(r),
+    def g_and_prime(self, r, terms=None):
+        """(g(r), g'(r)): r^2 + eps^2, its power and the cutoff are formed once.
+
+        terms is (r^2, eta(r), eta'(r)) when the caller has formed them for
+        several members; they are formed here otherwise.
+        """
+        r2, eta, eta_prime = terms or (r * r, cutoff_eta(r), cutoff_eta_prime(r))
+        return _g_and_prime(r, r2, eta, eta_prime,
                             self.epsilon * self.epsilon, self.g_exponent)
 
 
@@ -283,28 +288,37 @@ def _general_p_exponents(family: TrialFamily) -> tuple[float, float]:
     """(a_phi, a_r): powers of sin(phi) and r shared by numerator and denominator.
 
     a_phi = -1 + p*sigma and a_r = p*(beta + sigma) > 0 for this family.
+    a_phi is formed from p and sigma alone, so that the sweeps of one
+    (p, sigma) share its cached Gauss-Jacobi rules.
     """
     p = family.params
     gam = family.h_exponent
-    return (p.n - 2.0 + p.p * (p.alpha + gam),
-            p.n - 1.0 + p.p * (p.alpha + p.beta + gam))
+    return -1.0 + p.p * family.sigma, p.n - 1.0 + p.p * (p.alpha + p.beta + gam)
 
 
 def _grad_columns(family: TrialFamily):
-    """r -> (A, C), the radial columns of the general-p gradient integrand.
+    """(r, terms, folds) -> (A, C), the radial columns of the general-p
+    gradient integrand.
 
     With v = |x'|^gam g(|x|) and |x'| = r sin(phi),
     |grad v|^2 = |x'|^(2 gam - 2) (A(r) cos^2 phi + C(r) sin^2 phi) where
     A = gam^2 g^2 and C = (gam g + r g')^2.  A and C carry the radial weight
-    r^a_r folded in as r^(2 a_r / p), which is safe because a_r > 0.
+    r^a_r folded in as r^(2 a_r / p), which is safe because a_r > 0.  The
+    terms (r^2, eta, eta') of g_and_prime may come from the caller, and
+    folds, a dict of the powers of r by exponent, may be shared with other
+    members, so that _grad_levels forms each once per radial level; the
+    expressions are the same either way.
     """
-    pw = family.params.p
     gam = family.h_exponent
     _, a_r = _general_p_exponents(family)
+    fold_exponent = 2.0 * a_r / family.params.p
 
-    def columns(r):
-        gv, gpv = family.g_and_prime(r)
-        fold = r ** (2.0 * a_r / pw)
+    def columns(r, terms=None, folds=None):
+        gv, gpv = family.g_and_prime(r, terms)
+        folds = {} if folds is None else folds
+        if fold_exponent not in folds:
+            folds[fold_exponent] = r ** fold_exponent
+        fold = folds[fold_exponent]
         return fold * (gam * gv) ** 2, fold * (gam * gv + r * gpv) ** 2
     return columns
 
@@ -326,14 +340,27 @@ def _grad_integrand(family: TrialFamily):
     return lambda r, t: _bracket_power(*columns(r), t, pw)
 
 
-def _grad_levels(family: TrialFamily):
-    """_grad_integrand in the form of _integrate_2d_rows: the columns are
-    formed once per radial level and serve every angular order."""
-    columns, pw = _grad_columns(family), family.params.p
+def _grad_levels(families):
+    """The _grad_integrand of each member in the form of _integrate_2d_rows.
+
+    Each radial level forms r^2, eta and eta' once for all members, and the
+    fold r^(2 a_r / p) once per distinct a_r; a member's columns are formed
+    at its first block of the level and serve every angular order.  Every
+    column is _grad_integrand's expression for its member, to the bit.
+    """
+    columns = [_grad_columns(f) for f in families]
+    pws = [f.params.p for f in families]
 
     def at_level(r):
-        A, C = columns(r)
-        return lambda rows, t: _bracket_power(A[rows, None], C[rows, None], t, pw)
+        terms = (r * r, cutoff_eta(r), cutoff_eta_prime(r))
+        folds, formed = {}, {}
+
+        def block(i, rows, t):
+            if i not in formed:
+                formed[i] = columns[i](r, terms, folds)
+            A, C = formed[i]
+            return _bracket_power(A[rows, None], C[rows, None], t, pws[i])
+        return block
     return at_level
 
 
@@ -355,8 +382,11 @@ def _quotients_general_p(families) -> tuple[QuotientParts, ...]:
     pass, all denominators in one radial pass, both on the radial panels
     (0, 1) and (1, 2).
 
-    Each angular order integrates only the members still refining, and each
-    member's radial columns are formed once per radial level.  Each result
+    Each angular order integrates only the members still refining, over
+    each member's tail window past level 0 (integrate_2d).  Each radial
+    level forms r^2 and the cutoff terms once for all members, the fold
+    r^(2 a_r / p) once per distinct a_r and each member's columns once, for
+    every order (_grad_levels).  Each result
     is the one quotient_general_p gives the member alone, to the bit, and a
     failure is the first one met by quotient_general_p called on the
     members in turn: the numerator and the denominator, member by member.
@@ -366,9 +396,8 @@ def _quotients_general_p(families) -> tuple[QuotientParts, ...]:
     if any(f.kind is not FamilyKind.GENERAL_P_BETA_NONNEG for f in families):
         raise ValueError("quotient_general_p takes the general-p family")
     exponents = [_general_p_exponents(f) for f in families]
-    nums = _integrate_2d_rows([_grad_levels(f) for f in families],
-                              [a_phi for a_phi, _ in exponents], _SWEEP_SPEC_2D,
-                              _RADIAL_BREAKS)
+    nums = _integrate_2d_rows(_grad_levels(families), [a_phi for a_phi, _ in exponents],
+                              _SWEEP_SPEC_2D, _RADIAL_BREAKS)
     done = next((i for i, num in enumerate(nums) if not isinstance(num, QuadResult)),
                 len(nums))
     members = families[:done]

@@ -99,6 +99,14 @@ class TestOptimizeCommand:
         assert doc["abs_diff"] <= 1e-6
         assert doc["oracle"]["active_constraint"] is True
 
+    def test_constraint_is_active_at_large_beta(self, capsys):
+        # the H2 residual -6.0e-8 is about 1e-16 of its terms
+        code, out, _ = run_cli(capsys, "optimize", "--n", "3", "--k", "1",
+                               "--alpha", "40", "--beta", "5e6", "--quiet")
+        oracle = parse_json(out)["oracle"]
+        assert code == 0 and abs(oracle["diagnostics"]["constraint_residual"]) > 1e-8
+        assert (oracle["active_constraint"], oracle["branch_guess"]) == (True, "vertex")
+
 
     @pytest.mark.parametrize("argv", [
         ["--n", "3", "--beta", "3e5"],

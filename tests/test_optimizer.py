@@ -98,6 +98,18 @@ class TestMaximize:
         assert rep.diagnostics.constraint_residual == 0.0
         assert rep.active_constraint
 
+    @pytest.mark.parametrize("n,k,alpha,beta_", [(3, 1, 40.0, 5e6), (3, 1, 25.0, 2.5e6),
+                                                 (2, 1, 30.0, 8e6)])
+    def test_constraint_is_active_when_its_terms_are_large(self, n, k, alpha, beta_):
+        # residuals of 1.5e-8 to 6.0e-8, about 1e-16 of H2's terms, read as
+        # an inactive constraint against an absolute threshold of 1e-8
+        rep = maximize(HardyParams(n, 2.0, alpha, beta_, k))
+        theta, lam = rep.argmax.theta, rep.argmax.lam
+        terms = (abs(lam) * (abs(lam) + abs(n + 2.0 * alpha + 2.0 * beta_ + 2.0 * theta))
+                 + abs(2.0 * beta_ * theta))
+        assert 1e-8 < abs(rep.diagnostics.constraint_residual) <= 1e-15 * terms
+        assert rep.active_constraint and rep.branch_guess is OptimizerBranch.VERTEX
+
     def test_value_nonincreasing_as_beta_decreases(self):
         values = [maximize(HardyParams(3, 2.0, 0.0, b)).value
                   for b in np.linspace(0.0, -1.4, 15)]

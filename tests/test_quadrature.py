@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -500,23 +501,47 @@ class TestIntegrate2dIncremental:
             return f(r, t)
         return counted, seen
 
-    @pytest.mark.parametrize("breaks", [(), (1.0,)])
-    def test_evaluates_each_node_pair_once(self, breaks):
-        # per order reached: every radial node of each panel up to the level
-        # that panel reached, against the m/2 positive angular nodes, each
-        # pair once
-        counted, seen = self._counting(lambda r, t: r ** 0.5 * np.exp(-r) / (1.02 - t * t))
-        res = integrate_2d(counted, -0.5, breaks=breaks)
-        reached = [m for m in self.ORDERS if m // 2 in seen]
-        assert sorted(seen) == [m // 2 for m in reached]
-        assert reached == list(self.ORDERS[:len(reached)]) and len(reached) >= 3
+    @staticmethod
+    def _radial_nodes(f):
+        """f, and per angular order m/2 the radial nodes it was evaluated at."""
+        seen = {}
+
+        def recorded(r, t):
+            seen.setdefault(t.size, []).extend(np.broadcast_to(r, (r.shape[0], 1))[:, 0].tolist())
+            return f(r, t)
+        return recorded, seen
+
+    @pytest.mark.parametrize("breaks,nodes,full", [((), 133, 197), ((1.0,), 138, 198)])
+    def test_evaluates_each_node_pair_once(self, breaks, nodes, full, monkeypatch):
+        # per order reached: the radial nodes of each panel's tail window up
+        # to the level that panel reached, against the m/2 positive angular
+        # nodes, each pair once; with no window (threshold 0), every node of
+        # each panel up to its level
+        def f(r, t):
+            return r ** 0.5 * np.exp(-r) / (1.02 - t * t)
+        edges = (0.0, *breaks, 2.0)
+        rule = collections.Counter()    # every node of each panel's rule, levels 0 to 10
+        for lv in range(11):
+            t, d, _ = quadrature._ts_level(lv)
+            for lo, hi in zip(edges, edges[1:]):
+                rule.update(np.where(t <= 0.0, lo + (hi - lo) * d, hi - (hi - lo) * d).tolist())
         radial_sizes = [_full_rule(lv)[0].size for lv in range(11)]
         panel_sizes = {sum(sizes) for sizes in itertools.product(radial_sizes,
                                                                  repeat=len(breaks) + 1)}
-        for m in reached:
-            assert seen[m // 2] % (m // 2) == 0
-            assert seen[m // 2] // (m // 2) in panel_sizes
-        assert res.err_estimate <= max(1e-13, 1e-10 * abs(res.value))
+        assert full in panel_sizes and nodes < full
+        for tail, expected in ((quadrature._TAIL_REL, nodes), (0.0, full)):
+            monkeypatch.setattr(quadrature, "_TAIL_REL", tail)
+            counted, seen = self._counting(f)
+            recorded, radial = self._radial_nodes(counted)
+            res = integrate_2d(recorded, -0.5, breaks=breaks)
+            reached = [m for m in self.ORDERS if m // 2 in seen]
+            assert sorted(seen) == [m // 2 for m in reached]
+            assert reached == list(self.ORDERS[:len(reached)]) and len(reached) >= 3
+            for m in reached:
+                assert seen[m // 2] == (m // 2) * expected
+                assert len(radial[m // 2]) == expected
+                assert not collections.Counter(radial[m // 2]) - rule
+            assert res.err_estimate <= max(1e-13, 1e-10 * abs(res.value))
 
     def test_panels_sum_to_the_one_piece_value(self):
         def f(r, t):
@@ -545,3 +570,50 @@ class TestIntegrate2dIncremental:
         with pytest.raises(NotConvergedError) as ei:
             integrate_2d(overflowing, 0.0)
         assert math.isinf(ei.value.value)
+
+
+class TestTailWindow:
+    """Past level 0 a 2-D radial pass sums only the nodes of each panel's
+    tail window, set from that panel's level-0 angular sums."""
+
+    @staticmethod
+    def _smooth(r, t):
+        return r ** 0.5 * np.exp(-r) / (1.02 - t * t)
+
+    def test_window_is_one_unit_past_the_outermost_heavy_node(self):
+        t, _, w = quadrature._ts_level(0)
+        mass = np.where((t >= -2.0) & (t <= 3.0), 1.0, 1e-21)
+        mass[t == -4.0] = 1e-19     # at least 1e-20 of the total, 6
+        assert quadrature._tail_window(mass / w) == (-5, 4)
+        assert quadrature._tail_window(-mass / w) == (-5, 4)
+        assert quadrature._tail_window(np.zeros_like(t)) == (-7, 7)   # every node
+        # finite terms whose total overflows: the level-0 weights sum to 1.016
+        assert (quadrature._tail_window(np.full_like(t, 1.79e308))
+                == quadrature._tail_window(np.ones_like(t)) == (-4, 4))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_level0_sum_keeps_the_full_rule(self, bad):
+        # r = 0.5 is the t = 0 node of the panel (0, 1); level 0 only seeds
+        # the totals, so the pass fails at level 1, which it takes on the
+        # full rule of both panels (12 nodes each) instead of the 8 nodes of
+        # each of the finite integrand's windows
+        blocks = {True: [], False: []}
+
+        def f(r, t, poisoned):
+            blocks[poisoned].append(r.shape[0])
+            value = self._smooth(r, t)
+            return np.where(r == 0.5, bad, value) if poisoned else value
+        integrate_2d(lambda r, t: f(r, t, False), -0.5, breaks=(1.0,))
+        with pytest.raises(NotConvergedError) as ei:
+            integrate_2d(lambda r, t: f(r, t, True), -0.5, breaks=(1.0,))
+        assert not math.isfinite(ei.value.value)
+        assert blocks[True] == [13, 13, 12, 12]
+        assert blocks[False][:4] == [13, 13, 8, 8]
+
+    @pytest.mark.parametrize("c,breaks", [(-0.5, ()), (-0.5, (1.0,)), (0.7, (0.3, 1.0))])
+    def test_matches_the_full_rule(self, c, breaks, monkeypatch):
+        windowed = integrate_2d(self._smooth, c, breaks=breaks)
+        monkeypatch.setattr(quadrature, "_TAIL_REL", 0.0)
+        full = integrate_2d(self._smooth, c, breaks=breaks)
+        assert abs(windowed.value - full.value) <= min(windowed.err_estimate,
+                                                       1e-13 * abs(full.value))

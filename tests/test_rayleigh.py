@@ -250,7 +250,8 @@ class TestRadialErrorEstimates:
 class TestWorkCounts:
     """Work counts that do not depend on the machine.  On (0, 2) in one piece
     the K = 3 sweep's radial pass took 12,619 nodes (levels 0 to 10) and the
-    general-p sweep 3,709,216 bracket-kernel elements."""
+    general-p sweep 3,709,216 bracket-kernel elements; on the panels with
+    no tail window, 1,855,616."""
 
     def test_radial_nodes_of_a_k_gt_1_sweep(self, monkeypatch):
         sizes = []
@@ -278,7 +279,7 @@ class TestWorkCounts:
             return out
         monkeypatch.setattr(rayleigh, "_bracket_power", counted)
         sweep_and_extrapolate(HardyParams(3, 3.0, 0.0, 0.5))
-        assert elements[0] == 1_855_616
+        assert elements[0] == 1_061_088
 
 
 def _sweep_outcome(params, sigmas):
@@ -389,9 +390,9 @@ def _rough_member(eps, sigma):
     slowly, so that member alone fails the order loop."""
     plain = TrialFamily.g_and_prime
 
-    def g_and_prime(self, r):
+    def g_and_prime(self, r, terms=None):
         if (self.epsilon, self.sigma) != (eps, sigma):
-            return plain(self, r)
+            return plain(self, r, terms)
         gam = self.h_exponent
         g = r ** -gam
         return g, -gam * g / r
@@ -425,8 +426,8 @@ class TestBatchedGeneralPSweep:
         eps, sigmas = (1e-3, 1e-4), (0.2, 0.1, 0.05)
         if where == "radial":       # its radial total is NaN at the first order
             plain = TrialFamily.g_and_prime
-            monkeypatch.setattr(TrialFamily, "g_and_prime", lambda self, r: (
-                plain(self, r) if (self.epsilon, self.sigma) != (1e-4, 0.1)
+            monkeypatch.setattr(TrialFamily, "g_and_prime", lambda self, r, terms=None: (
+                plain(self, r, terms) if (self.epsilon, self.sigma) != (1e-4, 0.1)
                 else (np.full_like(r, math.nan), np.zeros_like(r))))
             message = "tanh-sinh on (0.0, 2.0)"
         else:
@@ -474,6 +475,77 @@ class TestBatchedGeneralPSweep:
             "tanh-sinh on (0.0, 2.0) within 9 levels did not converge (last sum nan)")
 
 
+def _seeded_general_p_families(seed, count=8):
+    """count general-p members at random (n, p, alpha, beta, eps, sigma)."""
+    rng = np.random.default_rng(seed)
+    families = []
+    while len(families) < count:
+        pw = float(rng.choice([1.5, 2.5, 3.0, 4.0, 5.0]))
+        params = HardyParams(int(rng.integers(2, 5)), pw, float(rng.uniform(-0.3, 0.8)),
+                             float(rng.uniform(0.0, 1.2)))
+        if admissible_hardy(params):
+            families.append(TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG, params,
+                                        float(rng.choice(rayleigh.DEFAULT_EPS)),
+                                        float(rng.uniform(0.01, 0.2)) * 2.0 / pw))
+    return families
+
+
+def _settled_numerators(families):
+    """The 2-D numerators of _quotients_general_p as QuadResults."""
+    return quadrature._settled(rayleigh._integrate_2d_rows(
+        rayleigh._grad_levels(families),
+        [rayleigh._general_p_exponents(f)[0] for f in families],
+        rayleigh._SWEEP_SPEC_2D, rayleigh._RADIAL_BREAKS))
+
+
+class TestTailWindow:
+    """The general-p numerators, whose radial passes skip the angular sums
+    outside each member's tail window past level 0, against the full rule
+    (a window threshold of 0)."""
+
+    @staticmethod
+    def _numerators(families, monkeypatch, tail):
+        monkeypatch.setattr(quadrature, "_TAIL_REL", tail)
+        elements = [0]
+        plain = rayleigh._bracket_power
+
+        def counted(A, C, t, pw):
+            out = plain(A, C, t, pw)
+            elements[0] += out.size
+            return out
+        monkeypatch.setattr(rayleigh, "_bracket_power", counted)
+        nums = _settled_numerators(families)
+        monkeypatch.setattr(rayleigh, "_bracket_power", plain)
+        return nums, elements[0]
+
+    @pytest.mark.parametrize("families", [
+        rayleigh._plan_sweep(HardyParams(3, 3.0, 0.0, 0.5), None, None)[3],
+        _seeded_general_p_families(5), _seeded_general_p_families(6)],
+        ids=["default_sweep", "seed5", "seed6"])
+    def test_numerators_match_the_full_rule(self, families, monkeypatch):
+        windowed, few = self._numerators(families, monkeypatch, quadrature._TAIL_REL)
+        full, many = self._numerators(families, monkeypatch, 0.0)
+        assert few < 0.75 * many
+        for res, ref in zip(windowed, full):
+            assert abs(res.value - ref.value) <= res.err_estimate
+            assert abs(res.value - ref.value) <= 1e-13 * abs(ref.value)
+
+    def test_nan_at_a_level0_node_still_raises(self, monkeypatch):
+        # r = 0.5 is the t = 0 node of the radial panel (0, 1)
+        plain = TrialFamily.g_and_prime
+
+        def g_and_prime(self, r, terms=None):
+            g, gp = plain(self, r, terms)
+            if (self.epsilon, self.sigma) == (1e-4, 0.1):
+                g = np.where(r == 0.5, math.nan, g)
+            return g, gp
+        monkeypatch.setattr(TrialFamily, "g_and_prime", g_and_prime)
+        outcome = _general_p_outcome(HardyParams(3, 1.5, 0.0, 0.5), (1e-3, 1e-4),
+                                     (0.2, 0.1, 0.05))
+        assert outcome[:2] == ("NotConvergedError", "tanh-sinh on (0.0, 2.0) within 9 levels "
+                               "did not converge (last sum nan)")
+
+
 def _count_evaluations(monkeypatch):
     """Count, in the returned one-item list, the integrand evaluations of the
     sweep's radial and 2-D passes."""
@@ -489,7 +561,7 @@ def _count_evaluations(monkeypatch):
     monkeypatch.setattr(rayleigh, "integrate_rows",
                         lambda f, *args: rows(counted(f), *args))
     monkeypatch.setattr(rayleigh, "_integrate_2d_rows",
-                        lambda levels, *args: rows_2d([counted(lv) for lv in levels], *args))
+                        lambda levels, *args: rows_2d(counted(levels), *args))
     return evaluations
 
 
@@ -593,6 +665,14 @@ class TestQuotientGeneralP:
         with pytest.raises(ValueError):
             quotient_general_p(TrialFamily(FamilyKind.P2_K_GT_1, K3_PARAMS, 1e-3))
 
+    def test_sweeps_of_one_p_and_sigma_share_their_angular_rules(self):
+        # a_phi = -1 + p sigma for every member; formed as n - 2 + p (alpha +
+        # gam), it rounded differently at alpha = 0.3 and missed the cache
+        sweep_and_extrapolate(HardyParams(3, 3.0, 0.0, 0.5))
+        misses = quadrature.gauss_jacobi.cache_info().misses
+        sweep_and_extrapolate(HardyParams(3, 3.0, 0.3, 0.5))
+        assert quadrature.gauss_jacobi.cache_info().misses == misses
+
     @pytest.mark.parametrize("pw", [1.5, 2.5, 3.0, 4.0])
     def test_factored_integrand_matches_cartesian_gradient(self, pw):
         # the reduced integrand is |grad v|^p |x'|^(p(a+1)) |x|^(pb) times the
@@ -628,8 +708,8 @@ class TestQuotientGeneralP:
         params = HardyParams(3, pw, 0.0, 0.5)
         fam = TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG, params, 1e-2, 0.05)
         gam = fam.h_exponent
-        equal = SimpleNamespace(params=params, h_exponent=gam,
-                                g_and_prime=lambda r: (r ** (-2.0 * gam),
+        equal = SimpleNamespace(params=params, h_exponent=gam, sigma=fam.sigma,
+                                g_and_prime=lambda r, terms=None: (r ** (-2.0 * gam),
                                                        -2.0 * gam * r ** (-2.0 * gam - 1.0)))
         a_phi, a_r = rayleigh._general_p_exponents(fam)
         num = integrate_2d(rayleigh._grad_integrand(equal), a_phi).value
