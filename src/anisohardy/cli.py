@@ -280,7 +280,8 @@ def _verify_rows(which: str, seed: int, count: int) -> list[dict]:
         reports = {"E2": report_mod.e2_reports, "Ep": report_mod.ep_reports,
                    "CKNp": report_mod.ckn_reports}[which](seed, count)
         rows = [{"residual_rel": rep.residual_rel, "err_estimate": rep.err_estimate,
-                 "nodes": rep.nodes, "pass": rep.residual_rel <= gate} for rep in reports]
+                 "order": rep.order, "nodes": rep.nodes, "pass": rep.residual_rel <= gate}
+                for rep in reports]
         if which == "Ep":
             for i, row in enumerate(rows):
                 row["p"] = report_mod.EP_P_CYCLE[i % 4]

@@ -272,10 +272,12 @@ def run_criterion_7() -> CriterionResult:
 
 
 def run_criterion_8(seed: int = CRITERION_SEEDS[8]) -> CriterionResult:
-    e2_worst = max(0.0, *(rep.residual_rel for rep in e2_reports(seed, 20)))
-    ep_worst = max(0.0, *(rep.residual_rel for rep in ep_reports(seed + 1, 20)))
+    e2 = list(e2_reports(seed, 20))
+    ep = list(ep_reports(seed + 1, 20))
     ckn = list(ckn_reports(seed + 2, 10))
-    ckn_worst = max(0.0, *(rep.residual_rel for rep in ckn))
+    e2_worst, ep_worst, ckn_worst = (max(0.0, *(rep.residual_rel for rep in reps))
+                                     for reps in (e2, ep, ckn))
+    orders = [rep.order for rep in e2 + ep + ckn]
     # inequality direction: product side dominates the divergence term
     ckn_direction_ok = all(rep.lhs >= rep.rhs_terms["divergence_term"] - 1e-8 for rep in ckn)
     rng = np.random.default_rng(seed + 3)
@@ -292,6 +294,11 @@ def run_criterion_8(seed: int = CRITERION_SEEDS[8]) -> CriterionResult:
     return CriterionResult(8, "identity suite residuals and remainder positivity",
                            passed, {"e2_worst": e2_worst, "ep_worst": ep_worst,
                                     "ckn_worst": ckn_worst,
+                                    "e2_err_worst": max(rep.err_estimate for rep in e2),
+                                    "ep_err_worst": max(rep.err_estimate for rep in ep),
+                                    "ckn_err_worst": max(rep.err_estimate for rep in ckn),
+                                    "stopped_at_12": orders.count(12),
+                                    "stopped_at_16": orders.count(16),
                                     "ckn_direction_ok": bool(ckn_direction_ok),
                                     "r_min": r_min})
 

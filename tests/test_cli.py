@@ -521,6 +521,10 @@ class TestVerifyCommand:
         if which in ("E2", "Ep", "CKNp"):
             assert all(r["nodes"] > 0 and 0.0 <= r["err_estimate"] < 1e-4
                        for r in doc["reports"])
+            # the order-m ball rule has (2m)^2 m^(n-2) nodes, n = 2 or 3 here
+            assert all(r["order"] in (12, 16)
+                       and r["nodes"] in (4 * r["order"] ** 2, 4 * r["order"] ** 3)
+                       for r in doc["reports"])
 
 
 class TestVerifyCount:

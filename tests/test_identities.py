@@ -10,7 +10,9 @@ from anisohardy import (BumpFunction, CknParams, ExponentPair, HardyParams,
 from anisohardy.errors import EmptyInputError, NegativeRemainderError, SupportViolationError
 from anisohardy.identities import (IdentityReport, _ball_nodes, _ckn_divergence_spot_check,
                                    _dot, _log_f_gradient, _norms, _r_rows, _sphere_rule)
-from anisohardy.report import sample_ckn_config, sample_e2_config, sample_ep_config
+from anisohardy import identities
+from anisohardy.report import (EP_P_CYCLE, run_criterion_8, sample_ckn_config,
+                               sample_e2_config, sample_ep_config)
 from anisohardy.weights import axis_norms, weight_general_p, weight_p2
 
 
@@ -71,7 +73,8 @@ class TestBallRule:
         ep = verify_Ep(WeightSpec(HardyParams(4, 1.5, 0.0, 0.2), gamma=-0.5), u)
         assert e2.residual_rel <= 1e-6 and e2.err_estimate <= 1e-6
         assert ep.residual_rel <= 1e-5 and ep.err_estimate <= 1e-5
-        assert e2.nodes == ep.nodes == 32 * 32 * 16 * 16
+        for rep in (e2, ep):
+            assert rep.nodes == (2 * rep.order) ** 2 * rep.order ** 2
 
     @pytest.mark.parametrize("index", range(4))
     def test_err_estimate_bounds_lhs_error(self, index):
@@ -82,6 +85,126 @@ class TestBallRule:
         ref = np.sum(wts * spec.V(x.T) * np.linalg.norm(u.gradient(x.T), axis=-1) ** p)
         denom = abs(rep.lhs) + sum(abs(v) for v in rep.rhs_terms.values())
         assert abs(rep.lhs - ref) / denom <= rep.err_estimate + 1e-14
+
+
+def _traced(monkeypatch, check, *args):
+    """check(*args), and the (orders, terms) of every pass it made over rule
+    orders, in order."""
+    seen = []
+    at_orders = identities._at_orders
+
+    def traced(u, terms, orders):
+        seen.append((orders, terms))
+        return at_orders(u, terms, orders)
+
+    monkeypatch.setattr(identities, "_at_orders", traced)
+    report = check(*args)
+    monkeypatch.undo()
+    return report, seen
+
+
+def _at(u, terms, m):
+    """(lhs, rhs_terms, nodes) of a check's terms at rule order m alone."""
+    return identities._at_orders(u, terms, (m,))[0]
+
+
+def _term_change(report, found):
+    """Largest change of report's lhs or a term from found = (lhs, rhs_terms,
+    nodes), over the size of report's terms."""
+    lhs, rhs, _ = found
+    denom = abs(report.lhs) + sum(abs(v) for v in report.rhs_terms.values())
+    return max([abs(report.lhs - lhs)]
+               + [abs(v - rhs[k]) for k, v in report.rhs_terms.items()]) / denom
+
+
+class TestOrderLadder:
+    def test_e2_check_stops_at_12(self, monkeypatch):
+        spec = WeightSpec(HardyParams(2, 2.0, -0.25, 0.25), exponents=ExponentPair(0.4, -0.3))
+        u = _bumps(2)[0]
+        rep, seen = _traced(monkeypatch, verify_E2, spec, u)
+        assert [orders for orders, _ in seen] == [(8, 12)]
+        terms = seen[0][1]
+        lhs, rhs, _ = _at(u, terms, 12)
+        assert (rep.order, rep.nodes, rep.lhs, rep.rhs_terms) == (12, 24 * 24, lhs, rhs)
+        change = _term_change(rep, _at(u, terms, 8))
+        assert rep.err_estimate == pytest.approx(change, rel=1e-12)
+        assert rep.err_estimate <= identities._ERR_TARGET
+
+    def test_ep_check_escalates_to_the_fixed_pair_report(self, monkeypatch):
+        spec, u = sample_ep_config(7, 2, 1.5)
+        rep, seen = _traced(monkeypatch, verify_Ep, spec, u)
+        assert [orders for orders, _ in seen] == [(8, 10, 12), (16,)]
+        terms = seen[0][1]
+        lhs, rhs, _ = _at(u, terms, 12)
+        coarse = _term_change(IdentityReport(lhs, rhs, 0.0), _at(u, terms, 8))
+        assert coarse > identities._ERR_TARGET
+        assert _bits(rep) == _bits(RowMajor.verify_Ep(spec, u, fixed_pair=True))
+        assert rep.order == 16 and rep.nodes == 32 * 32
+
+    def test_kinked_integrands_also_compare_order_10(self, monkeypatch):
+        # p = 3: the order-8 and order-12 errors of |grad u|^3 nearly agree
+        # (-6.75e-8 and -7.80e-8 relative), so their change alone, 1.06e-8,
+        # understates the order-12 error; the change from order 10 does not
+        spec, u = sample_ep_config(304, 2, 3.0)
+        rep, seen = _traced(monkeypatch, verify_Ep, spec, u)
+        assert [orders for orders, _ in seen] == [(8, 10, 12)] and rep.order == 12
+        from_8 = _term_change(rep, _at(u, seen[0][1], 8))
+        from_10 = _term_change(rep, _at(u, seen[0][1], 10))
+        assert from_8 < 2e-8 < 1e-7 < from_10
+        assert rep.err_estimate == pytest.approx(from_10, rel=1e-12)
+
+    def test_smooth_ep_checks_skip_order_10(self, monkeypatch):
+        spec = WeightSpec(HardyParams(2, 4.0, 0.1, 0.2), gamma=-0.5)
+        _, seen = _traced(monkeypatch, verify_Ep, spec, _bumps(2)[1])
+        assert seen[0][0] == (8, 12)
+
+    def test_one_pass_equals_each_order_alone(self, monkeypatch):
+        ckn, u = sample_ckn_config(9, 1)
+        _, seen = _traced(monkeypatch, verify_CKNp, ckn, u)
+        terms = seen[0][1]
+        together = identities._at_orders(u, terms, (8, 10, 12, 16))
+        assert together == [_at(u, terms, m) for m in (8, 10, 12, 16)]
+
+
+def test_criterion_8_details_the_orders_reached():
+    details = run_criterion_8().details
+    assert details["stopped_at_12"] + details["stopped_at_16"] == 20 + 20 + 10
+    assert details["stopped_at_12"] > details["stopped_at_16"] > 0
+    # an E2 check's terms are smooth: it stops at 12 within the target
+    assert 0.0 < details["e2_err_worst"] <= identities._ERR_TARGET
+    assert 0.0 < details["ckn_err_worst"] and 0.0 < details["ep_err_worst"] < 1e-4
+
+
+_SAMPLERS = {
+    "E2": lambda i: (verify_E2, sample_e2_config(401, i)),
+    "Ep": lambda i: (verify_Ep, sample_ep_config(401, i, EP_P_CYCLE[i % 4])),
+    "CKNp": lambda i: (verify_CKNp, sample_ckn_config(401, i)),
+}
+
+
+def _coverage_cases():
+    """(kind, index) of seed 401's first ten checks of each kind at n = 2,
+    and of the first at n = 3: an order-48 reference takes about 2 ms at
+    n = 2 and 0.15 s at n = 3."""
+    cases = []
+    for kind, sample in _SAMPLERS.items():
+        dims = [len(sample(i)[1][1].center) for i in range(10)]
+        cases += [(kind, i) for i, n in enumerate(dims) if n == 2] + [(kind, dims.index(3))]
+    # an escalated check: its order-16 error is 1.55 times its change from
+    # order 12, the estimate every check reported before the order ladder
+    miss = pytest.mark.xfail(strict=True, reason="the 16-vs-12 change understates "
+                             "the order-16 error of this Ep check (p = 1.5)")
+    return [pytest.param(*case, marks=miss) if case == ("Ep", 8) else case
+            for case in cases]
+
+
+@pytest.mark.parametrize("kind,index", _coverage_cases())
+def test_err_estimate_covers_the_order_48_error(monkeypatch, kind, index):
+    check, args = _SAMPLERS[kind](index)
+    rep, seen = _traced(monkeypatch, check, *args)
+    u = args[1]
+    reference = _at(u, seen[-1][1], 48)
+    assert _term_change(rep, reference) <= rep.err_estimate + 1e-14
 
 
 class TestBumpFunction:
@@ -122,13 +245,10 @@ class TestVerifyE2:
         assert rep.residual_rel <= 1e-6
 
     def test_zero_bump(self):
-        spec = WeightSpec(HardyParams(3, 2.0, 0.0, 0.0),
-                          exponents=ExponentPair(0.5, -0.5))
-        u = BumpFunction(center=(1.0, 1.0, 0.5), width=0.1,
+        # u = 0 made every term 0 and the residual 0: a vacuous pass
+        with pytest.raises(ValueError, match="all zero"):
+            BumpFunction(center=(1.0, 1.0, 0.5), width=0.1,
                          polynomial_degree=0, coefficients=(0.0,))
-        rep = verify_E2(spec, u)
-        assert rep.lhs == 0.0
-        assert all(v == 0.0 for v in rep.rhs_terms.values())
 
     def test_ratio_bump_stresses_remainder_term(self):
         # u = f * eta(|x - x0|/w): u/f is the cutoff alone, so the remainder
@@ -263,11 +383,9 @@ class TestVerifyCKNp:
                                                           rel=1e-12)
 
     def test_zero_bump(self):
-        u = BumpFunction(center=(1.0, 1.0, 1.0), width=0.1,
-                         polynomial_degree=0, coefficients=(0.0,))
-        rep = verify_CKNp(self.CKN, u)
-        assert rep.lhs == 0.0
-        assert rep.residual_rel == 0.0
+        with pytest.raises(ValueError, match="all zero"):
+            BumpFunction(center=(1.0, 1.0, 1.0), width=0.1,
+                         polynomial_degree=2, coefficients=(0.0, 0.0, 0.0))
 
     @staticmethod
     def _loop_spot_check(ckn, u, seed=0, count=20):
@@ -437,7 +555,8 @@ class TestHardySpotTest:
 class RowMajor:
     """The identity checks as first written, on (N, n) row-major nodes with
     the expressions of that evaluation: the reference the coordinate-major
-    checks must equal to the bit."""
+    checks must equal to the bit.  fixed_pair=True reports at order 16 with
+    the change from order 12, as every check did before the order ladder."""
 
     @staticmethod
     def nodes(u, m):
@@ -492,17 +611,28 @@ class RowMajor:
         return np.maximum((p - 1.0) * ny ** p + nx ** p + cross, 0.0)
 
     @classmethod
-    def two_orders(cls, u, terms):
-        fine, coarse = (cls.nodes(u, m) for m in (16, 12))
-        lhs, rhs = terms(*fine)
-        lhs_c, rhs_c = terms(*coarse)
-        denom = abs(lhs) + sum(abs(v) for v in rhs.values()) + 1e-300
-        change = max([abs(lhs - lhs_c)] + [abs(rhs[k] - rhs_c[k]) for k in rhs])
-        return IdentityReport(lhs, rhs, abs(lhs - sum(rhs.values())) / denom,
-                              nodes=len(fine[1]), err_estimate=change / denom)
+    def ladder(cls, u, terms, smooth, fixed_pair):
+        found = {}
+        for m in (8, 10, 12, 16):
+            pts, wts = cls.nodes(u, m)
+            found[m] = terms(pts, wts) + (len(wts),)
+
+        def report(m, *coarse):
+            lhs, rhs, nodes = found[m]
+            denom = abs(lhs) + sum(abs(v) for v in rhs.values()) + 1e-300
+            change = max(max([abs(lhs - found[c][0])]
+                             + [abs(rhs[k] - found[c][1][k]) for k in rhs]) for c in coarse)
+            return IdentityReport(lhs, rhs, abs(lhs - sum(rhs.values())) / denom,
+                                  nodes=nodes, err_estimate=change / denom, order=m)
+
+        if not fixed_pair:
+            rep = report(12, 8) if smooth else report(12, 8, 10)
+            if rep.err_estimate <= 1e-6:
+                return rep
+        return report(16, 12)
 
     @classmethod
-    def verify_E2(cls, spec, u):
+    def verify_E2(cls, spec, u, fixed_pair=False):
         def terms(pts, wts):
             uval = cls.value(u, pts)
             ugrad = cls.gradient(u, pts)
@@ -513,10 +643,10 @@ class RowMajor:
             ratio = ugrad - uval[:, None] * cls.log_f_gradient(spec, pts)
             t_rem = float(np.sum(wts * v * np.sum(ratio * ratio, axis=-1)))
             return lhs, {"weight_term": t_weight, "remainder_term": t_rem}
-        return cls.two_orders(u, terms)
+        return cls.ladder(u, terms, True, fixed_pair)
 
     @classmethod
-    def verify_Ep(cls, spec, u):
+    def verify_Ep(cls, spec, u, fixed_pair=False):
         p = spec.params.p
 
         def terms(pts, wts):
@@ -529,10 +659,10 @@ class RowMajor:
             rvals = cls.r_rows(ugrad, -uval[:, None] * cls.log_f_gradient(spec, pts), p)
             t_rem = float(np.sum(wts * v * rvals))
             return lhs, {"weight_term": t_weight, "remainder_term": t_rem}
-        return cls.two_orders(u, terms)
+        return cls.ladder(u, terms, p % 2 == 0, fixed_pair)
 
     @classmethod
-    def verify_CKNp(cls, ckn, u):
+    def verify_CKNp(cls, ckn, u, fixed_pair=False):
         p = ckn.p
 
         def terms(pts, wts):
@@ -553,7 +683,7 @@ class RowMajor:
             rvals = cls.r_rows(ugrad, (uval * kappa0 ** (1.0 / (p - 1.0)))[:, None] * F, p)
             t_rem = float(np.sum(wts * V / (p * kappa0) * rvals))
             return lhs, {"divergence_term": t_div, "remainder_term": t_rem}
-        return cls.two_orders(u, terms)
+        return cls.ladder(u, terms, p % 2 == 0, fixed_pair)
 
     @classmethod
     def hardy_spot_test(cls, params, bumps):
@@ -584,7 +714,7 @@ def _bumps(n):
 
 def _bits(report):
     return (report.lhs.hex(), {k: v.hex() for k, v in report.rhs_terms.items()},
-            report.residual_rel.hex(), report.nodes, report.err_estimate.hex())
+            report.residual_rel.hex(), report.nodes, report.err_estimate.hex(), report.order)
 
 
 class TestSameAsRowMajor:
