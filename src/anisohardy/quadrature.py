@@ -26,17 +26,11 @@ feeds the integrand sin(pi*d) computed from the endpoint distance, avoiding
 the catastrophic cancellation of sin(pi - tiny).  It is the numeric route of
 sin_power_integral, whose Beta closed form the sweeps use.
 
-integrate_2d integrates f(r, cos phi) sin(phi)^c over (0, R) x (0, pi):
-radial tanh-sinh of angular Gauss-Jacobi sums (gauss_jacobi, Golub-Welsch)
-whose weight carries sin(phi)^c, so that factor is never evaluated.  Its
-angular orders double, and consecutive orders are compared; its radial
-integral takes break points as integrate_rows does.  _integrate_2d_rows
-integrates several such integrands together: each order is one radial pass
-over the integrands still refining, and their radial work, shared or
-their own, is done once per panel and level for every order; integrate_2d
-is its one-integrand case.  One driver, _refine, runs the convergence loop
-for the 1D, angular and 2D integrators: it reports one outcome per row,
-and the public integrators raise the first row's failure.
+integrate_2d, radial tanh-sinh of angular Gauss-Jacobi sums, is a plain
+reference: the general-p sweeps take that angular integral in closed form
+(_bracket_angular).  _refine alone runs the convergence loop of the 1D,
+angular and 2D integrators: it reports one outcome per row, and the public
+integrators raise the first row's failure.
 
 Reduced integrals are computed WITHOUT the sphere-area prefactor of the
 residual angles; it cancels in every quotient.  sphere_area exists for
@@ -45,19 +39,6 @@ absolute reporting only.
 Exponent caveat: the fixed tanh-sinh window resolves endpoint exponents
 c > -0.95 to full double precision; for c in (-1, -0.95] a tail below the
 subnormal floor is lost (about d^(1+c) with d ~ 5e-324).
-
-Tail window of the 2-D passes: the weights decay double-exponentially in
-the transform abscissa t, so most radial nodes of a panel carry far less
-than a rounding unit of its total, yet each costs m/2 angular elements.
-Level 0 of each order's radial pass sets, per integrand and panel, a
-window from the angular sums S at its 13 integer-t nodes: one unit of t
-past the outermost node on each side whose |w S| is at least _TAIL_REL
-(1e-20) times their total.  Past level 0 a node outside the window adds an
-exact 0 and gets no angular sum.  An integrand with a non-finite level-0
-sum on any panel keeps the full rule on every panel, so its failure is
-still seen.  The window depends on the integrand's own sums alone, so a
-batch gives each integrand the value it gets alone, to the bit.  The 1-D
-integrators keep the full rule.
 """
 
 from __future__ import annotations
@@ -155,7 +136,8 @@ def cutoff_eta_prime(t):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Refinement depth and tolerances for the 1D/2D integrators.
+    """Refinement depth and tolerances for the integrators: tanh-sinh levels,
+    and for integrate_2d the angular orders too.
 
     truncation_radius is the upper end of radial integrals (the cutoff
     support ends at 2).
@@ -224,9 +206,7 @@ def _refine(totals, spec: QuadratureSpec, what: str, panels: int = 1) -> tuple:
     and the pair keeps that result while the others refine.  A pair fails
     at its first non-finite total: it stays non-finite at every finer
     refinement, and an infinite total would meet its own infinite relative
-    tolerance.  With one panel a total may also be the NotConvergedError of
-    a row that failed inside its refinement (an angular order's radial
-    pass); that is the row's outcome.
+    tolerance.
 
     Returns one outcome per row: a QuadResult whose value and error
     estimate are the sums of its pairs', a NotConvergedError carrying the
@@ -241,9 +221,7 @@ def _refine(totals, spec: QuadratureSpec, what: str, panels: int = 1) -> tuple:
             pair_totals = totals.send(live)
         except StopIteration:
             break
-        values = pair_totals if isinstance(pair_totals, np.ndarray) else np.array(
-            [math.nan if isinstance(total, NotConvergedError) else total
-             for total in pair_totals], dtype=float)
+        values = np.asarray(pair_totals, dtype=float)
         if out is None:
             m = len(values)
             prev, err, last, out = (np.full(m, math.nan), np.full(m, math.inf),
@@ -264,8 +242,7 @@ def _refine(totals, spec: QuadratureSpec, what: str, panels: int = 1) -> tuple:
         if stop < len(todo):        # pair j fails, and its row is decided
             j = int(todo[stop])
             row = j - j % panels
-            out[j] = (pair_totals[j] if isinstance(pair_totals[j], NotConvergedError)
-                      else _not_converged(what, float(values[j]), float(err[j])))
+            out[j] = _not_converged(what, float(values[j]), float(err[j]))
             rest = todo[stop:]
             rest = rest[rest < row + panels]
             last[rest] = values[rest]
@@ -279,11 +256,9 @@ def _refine(totals, spec: QuadratureSpec, what: str, panels: int = 1) -> tuple:
     rows = []
     for row in range(0, len(out), panels):
         pairs = out[row:row + panels]
-        failed = next((res for res in pairs if isinstance(res, NotConvergedError)), None)
-        if failed is not None:
-            rows.append(failed if panels == 1 else _not_converged(
-                what, float(np.sum(last[row:row + panels])),
-                float(np.sum(err[row:row + panels]))))
+        if any(isinstance(res, NotConvergedError) for res in pairs):
+            rows.append(_not_converged(what, float(np.sum(last[row:row + panels])),
+                                       float(np.sum(err[row:row + panels]))))
         elif None in pairs:
             rows.append(None)
         else:
@@ -311,37 +286,32 @@ def _ts_totals(f, panels, levels: int):
 
     panels is a sequence of (nodes, scale): nodes(t, d) maps the transform
     abscissae and endpoint distances of the unit interval to the points of
-    the panel, and scale is its length.  Each level calls f once, as
-    f(x, level, live, segments): x holds the level's new nodes of every
-    panel that still has a live pair, concatenated, and segments the
-    (panel, slice of x) of each.  f returns a sequence of row values at x,
-    each an array of its shape or a value that broadcasts to it, or a 2-D
-    block of such rows, one per line; live is None while every row refines,
-    then the rows with a pair in the indices _refine sent, and a row outside
-    it may be None.  A line's total on a panel is the sum over its slice, so
-    a row's panel totals do not depend on the other panels or rows in x.
-    Each level halves the previous totals; levels 1..levels are yielded as
-    arrays of the (row, panel) totals, level 0 only seeds the first.
+    the panel, and scale is its length.  Each level calls f once, on x, the
+    level's new nodes of every panel that still has a live pair (per the
+    indices _refine sent), concatenated.  f returns a sequence of row
+    values at x, each an array of its shape or a value that broadcasts to
+    it, or a 2-D block of such rows, one per line.  A line's total on a
+    panel is the sum over that panel's slice of x, so a row's panel totals
+    do not depend on the other panels or rows.  Each level halves the
+    previous totals; levels 1..levels are yielded as arrays of the
+    (row, panel) totals, level 0 only seeds the first.
     """
     n = len(panels)
     totals, live = None, None
     for level in range(levels + 1):
         t, d, w = _ts_level(level)
-        if live is None:
-            ks, rows = range(n), None
-        else:
-            ks, rows = np.unique(live % n).tolist(), np.unique(live // n).tolist()
+        ks = range(n) if live is None else np.unique(live % n).tolist()
         xs = [panels[k][0](t, d) for k in ks]
         x = xs[0] if len(xs) == 1 else np.concatenate(xs)
-        segments = tuple((k, slice(i * t.size, (i + 1) * t.size)) for i, k in enumerate(ks))
         sums = []
-        for row in f(x, level, rows, segments):
-            fx = np.asarray(math.nan if row is None else row, dtype=float)
+        for row in f(x):
+            fx = np.asarray(row, dtype=float)
             if fx.ndim <= x.ndim:
                 fx = (fx if fx.shape == x.shape else np.broadcast_to(fx, x.shape))[None]
             by_panel = np.full((len(fx), n), math.nan)
-            for k, part in segments:
-                by_panel[:, k] = np.add.reduce(w * fx[:, part], axis=-1) * panels[k][1]
+            for i, k in enumerate(ks):
+                part = fx[:, i * t.size:(i + 1) * t.size]
+                by_panel[:, k] = np.add.reduce(w * part, axis=-1) * panels[k][1]
             sums.append(by_panel)
         sums = np.concatenate(sums).ravel()
         totals = sums if level == 0 else 0.5 * totals + sums
@@ -350,8 +320,8 @@ def _ts_totals(f, panels, levels: int):
 
 
 def _ts_rows(f, edges, spec: QuadratureSpec) -> tuple:
-    """_refine's outcomes for the rows of f(x, level, live, segments) over
-    the panels between consecutive edges (a, e1, ..., b)."""
+    """_refine's outcomes for the rows of f over the panels between
+    consecutive edges (a, e1, ..., b)."""
     if any(not hi > lo for lo, hi in zip(edges, edges[1:])):
         raise ValueError(f"need a < break points < b, increasing, got {tuple(edges)}")
 
@@ -384,8 +354,7 @@ def integrate_rows(f: Callable, a: float, b: float, spec: QuadratureSpec | None 
     the bit; the first row, in order, that does not converge raises
     NotConvergedError with its best value.
     """
-    return _settled(_ts_rows(lambda x, level, live, segments: f(x), (a, *breaks, b),
-                             spec or _DEFAULT_SPEC))
+    return _settled(_ts_rows(f, (a, *breaks, b), spec or _DEFAULT_SPEC))
 
 
 def integrate_1d(f: Callable, a: float, b: float, spec: QuadratureSpec | None = None,
@@ -410,7 +379,7 @@ def integrate_angular(f_of_sin: Callable, spec: QuadratureSpec | None = None) ->
     Handles algebraic blow-up of f at sin phi -> 0 with rate > -1.
     """
     spec = spec or _DEFAULT_SPEC
-    totals = _ts_totals(lambda s, level, live, segments: (f_of_sin(s),),
+    totals = _ts_totals(lambda s: (f_of_sin(s),),
                         [(lambda t, d: np.sin(np.pi * d), math.pi)], spec.levels)
     return _settled(_refine(totals, spec, f"angular tanh-sinh within {spec.levels} levels"))[0]
 
@@ -447,143 +416,168 @@ def gauss_jacobi(m: int, a: float, b: float):
 #: Angular orders of integrate_2d; NotConvergedError past the last.
 _ORDERS = (32, 64, 128, 256, 512, 1024)
 
-#: Tail window of the 2-D radial passes: a panel's nodes past the outermost
-#: level-0 node whose share |w S| of the level-0 sum reaches this fraction,
-#: plus one unit of the transform abscissa, get no angular sum.
-_TAIL_REL = 1e-20
-#: The integer abscissa past every node of the transform window; the window
-#: (-_T_EDGE, _T_EDGE) keeps every node.
-_T_EDGE = int(_TMAX) + 1
-
-
-@lru_cache(maxsize=64)
-def _window_cuts(level: int) -> tuple:
-    """Index of the first node of a level past each integer abscissa
-    -_T_EDGE, ..., _T_EDGE."""
-    return tuple(np.searchsorted(_ts_level(level)[0],
-                                 np.arange(-_T_EDGE, _T_EDGE + 1)).tolist())
-
-
-def _tail_window(level0_sums) -> tuple[int, int]:
-    """(lo, hi), the integer abscissae bounding a panel's tail window, from
-    the angular sums S at its level-0 nodes: one unit past the outermost
-    node on each side whose |w S| is at least _TAIL_REL times their total.
-    An all-zero panel keeps every node.  The threshold is summed from the
-    scaled terms, so that it stays finite when the total would overflow."""
-    t, _, w = _ts_level(0)
-    mass = np.abs(w * level0_sums)
-    kept = t[mass >= np.sum(_TAIL_REL * mass)]
-    return int(kept[0]) - 1, int(kept[-1]) + 1
-
-
-def _angular_sums(block, i: int, start: int, size: int, t, w):
-    """sum_j w_j f_i(r_k, t_j) at the size radial nodes from index start on,
-    in row blocks of about 2^14 grid elements; block(i, rows, t) is
-    integrand i on the nodes in the slice rows against t[None, :]."""
-    step = max(1, 2 ** 14 // t.size)
-    out = np.empty(size)
-    for k in range(0, size, step):
-        rows = slice(start + k, start + min(k + step, size))
-        out[k:k + step] = block(i, rows, t[None, :]) @ w
-    return out
-
 
 def integrate_2d(f: Callable, c: float, spec: QuadratureSpec | None = None,
                  breaks: tuple = ()) -> QuadResult:
     """int_0^R int_0^pi f(r, cos phi) sin(phi)^c dphi dr, for f even in cos phi.
 
-    R is spec.truncation_radius and c > -1.  With t = cos(phi) the angular
-    integral is int_-1^1 f(r, t) (1 - t^2)^((c-1)/2) dt: a Gauss-Jacobi rule
-    carries the singular factor in its weight, so it is never evaluated, and
-    evenness halves the rule to its m/2 positive nodes with doubled weights.
-    The integrand receives broadcastable arrays (r[:, None], t[None, :]) in
-    row blocks of about 2^14 elements and returns the block.
-
-    Each angular order m = 32, 64, ..., 1024 is one radial tanh-sinh
-    integral of the m-point angular sums over (0, R), split at the radial
-    breaks into panels as integrate_rows splits; consecutive orders are
-    compared by the shared refinement driver.  Past level 0 each panel
-    takes only the radial nodes of its tail window, set from its level-0
-    sums (see the module docstring): the nodes outside add exactly 0.  The
-    error estimate is the larger of the last order difference and that
-    order's radial error.  NotConvergedError past the last order carries
-    its total, and a radial integral that does not converge raises its own.
-    This is the one-integrand case of _integrate_2d_rows.
+    R is spec.truncation_radius and c > -1.  Each order m = 32, ..., 1024
+    is one integrate_1d of the sums f(r[:, None], t[None, :]) @ w of the
+    m-point Gauss-Jacobi rule for the weight (1 - t^2)^((c-1)/2), t = cos phi,
+    halved to its positive nodes by evenness.  The error estimate is the
+    larger of the last order difference and that order's radial error; past
+    the last order NotConvergedError carries its total.
     """
-    return _settled(_integrate_2d_rows(
-        lambda r: lambda i, rows, t: f(r[rows, None], t), [c], spec, breaks))[0]
-
-
-def _integrate_2d_rows(levels, cs, spec: QuadratureSpec | None = None,
-                       breaks: tuple = ()) -> tuple:
-    """integrate_2d of several integrands, as _refine's outcomes, one per integrand.
-
-    levels(r) takes the radial nodes r of one tanh-sinh level, the panels'
-    nodes concatenated, and returns block(i, rows, t), integrand i on
-    r[rows] x t for a slice rows and angular nodes t[None, :]; work that
-    the integrands share at a level is done once in levels(r).  Its block
-    serves every order: levels is called again at a level only for a panel
-    that no earlier call covered.  cs[i] is the sin power of integrand i.
-    Each order runs one radial tanh-sinh pass over the panels between the
-    breaks, whose rows are the integrands still refining over the orders.  Level 0 sets each row's tail window on each panel
-    from its own angular sums there, or keeps the full rule on every panel
-    if one of them is not finite; later levels sum only the nodes inside.
-    The angular sums of each panel run in the row blocks integrate_2d uses,
-    so every outcome is the one integrate_2d gives its integrand alone, to
-    the bit: a QuadResult, the NotConvergedError it would raise, or None
-    after the first failed row.
-    """
-    spec = spec or _DEFAULT_SPEC
-    blocks = {}     # (panel, level) -> the level's block and the panel's first index
-    radial_err = [0.0] * len(cs)
-    edges = (0.0, *breaks, spec.truncation_radius)
-    full = (-_T_EDGE, _T_EDGE)
+    spec, radial = spec or _DEFAULT_SPEC, []
 
     def order_totals():
-        live = range(len(cs))
         for m in _ORDERS:
-            rows = list(live)
-            rules = {}
-            for i in rows:
-                if cs[i] not in rules:
-                    t, w = gauss_jacobi(m, (cs[i] - 1.0) / 2.0, (cs[i] - 1.0) / 2.0)
-                    rules[cs[i]] = t[m // 2:], 2.0 * w[m // 2:]
-            windows = {}    # (row, panel) -> (lo, hi) of its tail window
+            t, w = gauss_jacobi(m, (c - 1.0) / 2.0, (c - 1.0) / 2.0)
+            radial.append(integrate_1d(lambda r: f(r[:, None], t[None, m // 2:]) @ w[m // 2:],
+                                       0.0, spec.truncation_radius, spec, breaks))
+            yield (2.0 * radial[-1].value,)
 
-            def sums(r, level, running, segments):
-                for k, part in segments:
-                    if (k, level) not in blocks:
-                        block = levels(r)
-                        for k_new, part_new in segments:
-                            blocks.setdefault((k_new, level), (block, part_new.start))
-                cuts = _window_cuts(level)
-                out = np.zeros((len(rows), r.size))
-                for j in range(len(rows)) if running is None else running:
-                    i = rows[j]
-                    for k, part in segments:
-                        block, start = blocks[k, level]
-                        t_lo, t_hi = windows.get((j, k), full)
-                        lo, hi = cuts[t_lo + _T_EDGE], cuts[t_hi + _T_EDGE]
-                        out[j, part.start + lo:part.start + hi] = _angular_sums(
-                            block, i, start + lo, hi - lo, *rules[cs[i]])
-                    if not level:
-                        finite = np.isfinite(out[j]).all()
-                        for k, part in segments:
-                            windows[j, k] = _tail_window(out[j, part]) if finite else full
-                return (out,)
+    res, = _settled(_refine(order_totals(), spec, f"Gauss-Jacobi within order {_ORDERS[-1]}"))
+    return QuadResult(res.value, max(res.err_estimate, 2.0 * radial[-1].err_estimate))
 
-            totals = [math.nan] * len(cs)
-            for i, res in zip(rows, _ts_rows(sums, edges, spec)):
-                if isinstance(res, QuadResult):
-                    totals[i], radial_err[i] = res.value, res.err_estimate
-                elif res is not None:
-                    totals[i] = res
-            live = yield tuple(totals)
 
-    outcomes = _refine(order_totals(), spec, f"Gauss-Jacobi within order {_ORDERS[-1]}")
-    return tuple(QuadResult(res.value, max(res.err_estimate, radial_err[i]))
-                 if isinstance(res, QuadResult) else res
-                 for i, res in enumerate(outcomes))
+# ------------------------------------------------- angular closed form
+
+#: Series terms at most; each element stops at its first term below
+#: _SERIES_REL of its own sum.
+_SERIES_TERMS, _SERIES_REL = 160, 2e-17
+#: Near an integer k, m = c - a - b is interpolated linearly in a, at fixed
+#: c, between the log case at k and the connection formula at k +- _M_GAP.
+_M_GAP = 1e-5
+_NONE = np.zeros(_SERIES_TERMS)
+
+
+def _digamma(x):
+    """psi(x), x > 0: the recurrence up to 10, then the asymptotic series."""
+    x, acc = np.asarray(x), 0.0
+    for _ in range(10):
+        acc, x = acc - np.where(x < 10.0, 1.0 / x, 0.0), np.where(x < 10.0, x + 1.0, x)
+    u = 1.0 / (x * x)
+    return (acc + np.log(x) - 0.5 / x
+            - u * (1 / 12 - u * (1 / 120 - u * (1 / 252 - u * (1 / 240 - u / 132)))))
+
+
+def _gamma_ratio(num, den) -> float:
+    """prod Gamma(num) / prod Gamma(den), for real arguments off the poles."""
+    args = [(x, 1.0) for x in num] + [(x, -1.0) for x in den]
+    sign = (-1.0) ** sum(x < 0.0 and math.floor(-x) % 2 == 0 for x, _ in args)
+    return sign * math.exp(sum(s * math.lgamma(x) for x, s in args))
+
+
+def _pochhammer_series(ups, downs, n: int = _SERIES_TERMS):
+    """prod_u (u)_j / prod_d (d)_j for j < n."""
+    j = np.arange(n - 1, dtype=float)
+    ratio = np.prod([u + j for u in ups], axis=0) / np.prod([d + j for d in downs], axis=0)
+    return np.concatenate(([1.0], np.cumprod(ratio)))
+
+
+def _connection(a, bb, m, scale=1.0, near=True) -> list:
+    """F(a, bb; a + bb + m; 1 - x) as components (scale, P, Q, e), each
+    scale x^e sum_n (P_n ln x + Q_n) x^n: Abramowitz & Stegun 15.3.6 for m
+    not an integer, 15.3.11, the log case, for an integer m >= 1, and near
+    one the interpolation of _M_GAP."""
+    c, k = a + bb + m, round(m)
+    if near and 0.0 < abs(m - k) < _M_GAP:
+        far = k + math.copysign(_M_GAP, m - k)
+        w = (m - k) / (far - k)
+        return (_connection(a + (m - k), bb, k, scale * (1.0 - w), False)
+                + _connection(a + (m - far), bb, far, scale * w, False))
+    if m != k:
+        return [(scale * _gamma_ratio((c, m), (bb + m, a + m)), _NONE,
+                 _pochhammer_series((a, bb), (1.0 - m, 1.0)), 0.0),
+                (scale * _gamma_ratio((c, -m), (a, bb)), _NONE,
+                 _pochhammer_series((bb + m, a + m), (1.0 + m, 1.0)), m)]
+    n = np.arange(_SERIES_TERMS, dtype=float)
+    finite = np.concatenate([_pochhammer_series((a, bb), (1.0, 1.0 - k), k), _NONE[k:]])
+    t = _pochhammer_series((a + k, bb + k), (1.0, k + 1.0)) / math.factorial(k)
+    psi = _digamma(n + 1.0) + _digamma(n + k + 1.0) - _digamma(a + n + k) - _digamma(bb + n + k)
+    return [(scale * _gamma_ratio((k, c), (a + k, bb + k)), _NONE, finite, 0.0),
+            (-(-1.0) ** k * scale * _gamma_ratio((c,), (a, bb)), t, -t * psi, float(k))]
+
+
+@lru_cache(maxsize=64)
+def _bracket_tables(keys: tuple):
+    """(P, Q, scale, e, has P, B(1/2, b) by key): four components of F, zero
+    padded, per (p, b) key, branch and region x >= 1/2, x < 1/2.  Branch 0,
+    C >= A, is F(-p/2, 1/2; b + 1/2; 1 - A/C), m = b + p/2, and branch 1
+    F(-p/2, b; b + 1/2; 1 - C/A), m = (p + 1)/2, each m formed as this sum.
+    F is the Gauss series in 1 - x (e = -1) for x >= 1/2 and at even p,
+    where it terminates, and _connection otherwise.
+    """
+    rows = []
+    for pw, b in keys:
+        a, c = -pw / 2.0, b + 0.5
+        for bb, m in ((0.5, b + pw / 2.0), (b, (pw + 1.0) / 2.0)):
+            gauss = [(1.0, _NONE, _pochhammer_series((a, bb), (c, 1.0)), -1.0)]
+            for comps in (gauss, gauss if pw % 2.0 == 0.0 else _connection(a, bb, m)):
+                rows += comps + [(0.0, _NONE, _NONE, 0.0)] * (4 - len(comps))
+    scale, P, Q, e = (np.array(col) for col in zip(*rows))
+    betas = np.array([beta(0.5, b) for _, b in keys])
+    return P.T.copy(), Q.T.copy(), scale, e, P.any(axis=1), betas
+
+
+def _series_sums(P, Q, rows, y, L):
+    """sum_n (P[n, row] L + Q[n, row]) y^n per entry, each stopping at its
+    first term n >= 1 below _SERIES_REL of its own sum, so that it depends on
+    itself alone; stopped entries are dropped once a quarter of the rest."""
+    total = np.take(Q[0], rows) + np.take(P[0], rows) * L
+    out, live, power = total.copy(), np.arange(y.size), np.ones_like(y)
+    summing, logs = np.ones(y.size, dtype=bool), L.any()
+    for n in range(1, P.shape[0]):
+        power *= y
+        coef = np.take(Q[n], rows)
+        term = (coef + np.take(P[n], rows) * L if logs else coef) * power
+        total += term
+        stop = np.abs(term) <= _SERIES_REL * np.abs(total)
+        stop &= summing
+        if stop.any():
+            out[live[stop]] = total[stop]
+            summing ^= stop
+            if 4 * np.count_nonzero(summing) <= 3 * live.size:
+                live, rows, y, L, power, total, summing = (
+                    v[summing] for v in (live, rows, y, L, power, total, summing))
+                if not live.size:
+                    break
+    out[live[summing]] = total[summing]
+    return out
+
+
+def _bracket_angular(A, C, pws, bs):
+    """int_-1^1 (A t^2 + C (1 - t^2))^(p/2) (1 - t^2)^(b-1) dt, elementwise.
+
+    A and C are (rows, nodes) blocks of values >= 0, pws and bs one p >= 1
+    and b > 0 per row.  With M = max(A, C) and x = min/M it is
+    M^(p/2) B(1/2, b) F(x), F hypergeometric (_bracket_tables), summed in
+    powers of at most 1/2 by each element alone: relative error about
+    1e-12.  M = 0 gives 0, a non-finite A or C a non-finite value.
+    """
+    keys = tuple(dict.fromkeys(zip(pws, bs)))
+    key_of_row = np.array([keys.index(key) for key in zip(pws, bs)])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        P, Q, scale, e, logs, betas = _bracket_tables(keys)
+        top = np.maximum(A, C)
+        x = np.minimum(A, C) / top
+        todo = np.flatnonzero((top > 0.0) & np.isfinite(x))
+        plan = (4 * key_of_row[:, None] + 2 * (A > C) + (x < 0.5)).ravel()[todo]
+        comp = (4 * plan[:, None] + np.arange(4)).ravel()
+        owner = np.repeat(np.arange(todo.size), 4)[scale[comp] != 0.0]
+        comp = comp[scale[comp] != 0.0]
+        xs = x.ravel()[todo][owner]
+        y = np.where(e[comp] < 0.0, 1.0 - xs, xs)
+        L = np.where(logs[comp] & (xs > 0.0), np.log(xs), 0.0)
+        values = scale[comp] * _series_sums(P, Q, comp, y, L) * xs ** np.maximum(e[comp], 0.0)
+        F = np.where(top > 0.0, math.nan, 0.0)
+        F.flat[todo] = np.bincount(owner, weights=values, minlength=todo.size)
+        F *= betas[key_of_row][:, None]
+        for pw in set(pws):
+            mine = np.array(pws) == pw
+            F[mine] *= top[mine] ** (pw / 2.0)
+    return F
 
 
 # ------------------------------------------------------------ Lemma check

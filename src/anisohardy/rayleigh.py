@@ -5,9 +5,10 @@ g(r) = (r^2 + eps^2)^(e) eta(r), eta the C^2 cutoff.  After spherical
 reduction every p = 2 integral factors into an angular sin-power integral,
 taken from its Beta closed form, and a radial integral over (0, 2); a p = 2
 sweep takes the radials of all its members in one tanh-sinh pass.  The
-general-p gradient integrand does not factor: it goes through integrate_2d,
-radial tanh-sinh of Gauss-Jacobi sums in cos(phi) whose weight carries the
-sin(phi) power.  Every radial integral runs on the panels (0, 1) and (1, 2):
+general-p gradient integrand does not factor, but its angular integral at
+each radial node is a Gauss hypergeometric closed form, so a general-p sweep
+too takes the numerator and denominator radials of all its members in one
+pass.  Every radial integral runs on the panels (0, 1) and (1, 2):
 eta leaves 1 at r = 1, a kink inside (0, 2) that would make tanh-sinh
 converge only algebraically.  The panels change the values from those of
 one-piece radials, within the error estimates; a batch of members still
@@ -39,10 +40,9 @@ from .errors import FitUnstableError, SingularParamsError, UnsupportedRegimeErro
 from .params import HardyParams, RegimeFamily, admissible_hardy, compute_K
 # integrate_1d, integrate_2d and integrate_angular are no longer called here;
 # certbench's layer tracer looks them up by these names.
-from .quadrature import (QuadResult, QuadratureSpec, _integrate_2d_rows,  # noqa: F401
-                         cutoff_eta, cutoff_eta_prime, integrate_1d,
-                         integrate_2d, integrate_angular, integrate_rows,
-                         sin_power_integral)
+from .quadrature import (QuadratureSpec, _bracket_angular, cutoff_eta,  # noqa: F401
+                         cutoff_eta_prime, integrate_1d, integrate_2d,
+                         integrate_angular, integrate_rows, sin_power_integral)
 
 __all__ = [
     "FamilyKind", "TrialFamily", "FitModel", "FitInfo", "SweepRow",
@@ -55,7 +55,7 @@ DEFAULT_EPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_SIGMA = (0.2, 0.1, 0.05, 0.025)
 
 _SWEEP_SPEC_1D = QuadratureSpec(levels=11, abs_tol=1e-14, rel_tol=1e-10)
-_SWEEP_SPEC_2D = QuadratureSpec(levels=9, abs_tol=1e-12, rel_tol=5e-8)
+_SWEEP_SPEC_P = QuadratureSpec(levels=9, abs_tol=1e-12, rel_tol=5e-8)
 #: The radial panels are (0, 1) and (1, R): cutoff_eta leaves 1 at r = 1, a
 #: C^2 kink of every radial integrand (C^1 where eta' enters).
 _RADIAL_BREAKS = (1.0,)
@@ -289,154 +289,75 @@ def _general_p_exponents(family: TrialFamily) -> tuple[float, float]:
 
     a_phi = -1 + p*sigma and a_r = p*(beta + sigma) > 0 for this family.
     a_phi is formed from p and sigma alone, so that the sweeps of one
-    (p, sigma) share its cached Gauss-Jacobi rules.
+    (p, sigma) share the cached tables of their angular closed form.
     """
     p = family.params
     gam = family.h_exponent
     return -1.0 + p.p * family.sigma, p.n - 1.0 + p.p * (p.alpha + p.beta + gam)
 
 
-def _grad_columns(family: TrialFamily):
-    """(r, terms, folds) -> (A, C), the radial columns of the general-p
-    gradient integrand.
-
-    With v = |x'|^gam g(|x|) and |x'| = r sin(phi),
-    |grad v|^2 = |x'|^(2 gam - 2) (A(r) cos^2 phi + C(r) sin^2 phi) where
-    A = gam^2 g^2 and C = (gam g + r g')^2.  A and C carry the radial weight
-    r^a_r folded in as r^(2 a_r / p), which is safe because a_r > 0.  The
-    terms (r^2, eta, eta') of g_and_prime may come from the caller, and
-    folds, a dict of the powers of r by exponent, may be shared with other
-    members, so that _grad_levels forms each once per radial level; the
-    expressions are the same either way.
-    """
-    gam = family.h_exponent
-    _, a_r = _general_p_exponents(family)
-    fold_exponent = 2.0 * a_r / family.params.p
-
-    def columns(r, terms=None, folds=None):
-        gv, gpv = family.g_and_prime(r, terms)
-        folds = {} if folds is None else folds
-        if fold_exponent not in folds:
-            folds[fold_exponent] = r ** fold_exponent
-        fold = folds[fold_exponent]
-        return fold * (gam * gv) ** 2, fold * (gam * gv + r * gpv) ** 2
-    return columns
-
-
-def _bracket_power(A, C, t, pw: float):
-    """(A t^2 + C (1 - t^2))^(p/2): a sum of non-negative terms, so its power is real."""
-    t2 = t * t
-    out = A * t2
-    out += C * (1.0 - t2)
-    out **= pw / 2.0
-    return out
-
-
-def _grad_integrand(family: TrialFamily):
-    """Reduced gradient integrand f(r, cos phi) = (A cos^2 phi + C sin^2 phi)^(p/2)
-    of the general-p numerator, for integrate_2d; the factor sin(phi)^a_phi
-    is the rule's angular weight and is not part of f."""
-    columns, pw = _grad_columns(family), family.params.p
-    return lambda r, t: _bracket_power(*columns(r), t, pw)
-
-
-def _grad_levels(families):
-    """The _grad_integrand of each member in the form of _integrate_2d_rows.
-
-    Each radial level forms r^2, eta and eta' once for all members, and the
-    fold r^(2 a_r / p) once per distinct a_r; a member's columns are formed
-    at its first block of the level and serve every angular order.  Every
-    column is _grad_integrand's expression for its member, to the bit.
-    """
-    columns = [_grad_columns(f) for f in families]
-    pws = [f.params.p for f in families]
-
-    def at_level(r):
-        terms = (r * r, cutoff_eta(r), cutoff_eta_prime(r))
-        folds, formed = {}, {}
-
-        def block(i, rows, t):
-            if i not in formed:
-                formed[i] = columns[i](r, terms, folds)
-            A, C = formed[i]
-            return _bracket_power(A[rows, None], C[rows, None], t, pws[i])
-        return block
-    return at_level
-
-
 def quotient_general_p(family: TrialFamily) -> QuotientParts:
     """Rayleigh quotient of the general-p family.
 
-    The gradient integrand couples r and phi through |x'| = r sin(phi) and
-    cannot factor: it is a 2-D integral, radial tanh-sinh against
-    Gauss-Jacobi in cos(phi) with the weight sin(phi)^a_phi (integrate_2d).
-    The denominator factors into the Beta closed form of that angular weight
-    and one radial integral.  This is the one-member case of
-    _quotients_general_p.
+    The gradient integrand couples r and phi through |x'| = r sin(phi), but
+    its angular integral against the weight sin(phi)^a_phi is a Gauss
+    hypergeometric closed form at each radial node; the denominator's is a
+    Beta function.  err_estimate is the two radial integrals' alone: the
+    closed form's relative error is about 1e-12.  This is the one-member
+    case of _quotients_general_p.
     """
     return _quotients_general_p((family,))[0]
 
 
 def _quotients_general_p(families) -> tuple[QuotientParts, ...]:
-    """quotient_general_p of each member: all numerators in one batched 2-D
-    pass, all denominators in one radial pass, both on the radial panels
-    (0, 1) and (1, 2).
+    """quotient_general_p of each member, all radial integrals in one pass.
 
-    Each angular order integrates only the members still refining, over
-    each member's tail window past level 0 (integrate_2d).  Each radial
-    level forms r^2 and the cutoff terms once for all members, the fold
-    r^(2 a_r / p) once per distinct a_r and each member's columns once, for
-    every order (_grad_levels).  Each result
-    is the one quotient_general_p gives the member alone, to the bit, and a
-    failure is the first one met by quotient_general_p called on the
-    members in turn: the numerator and the denominator, member by member.
-    Members after it do no further work.  The values differ from those of
-    one-piece radials over (0, 2) by about the one-piece error estimates.
+    The rows of the pass are the numerator and denominator of each member in
+    turn (_general_p_rows), on the panels (0, 1) and (1, 2).  Each result is
+    the one quotient_general_p gives the member alone, to the bit, and a
+    failure the first one quotient_general_p meets on the members in turn.
     """
     if any(f.kind is not FamilyKind.GENERAL_P_BETA_NONNEG for f in families):
         raise ValueError("quotient_general_p takes the general-p family")
     exponents = [_general_p_exponents(f) for f in families]
-    nums = _integrate_2d_rows(_grad_levels(families), [a_phi for a_phi, _ in exponents],
-                              _SWEEP_SPEC_2D, _RADIAL_BREAKS)
-    done = next((i for i, num in enumerate(nums) if not isinstance(num, QuadResult)),
-                len(nums))
-    members = families[:done]
-    rads = (integrate_rows(_denominator_rows(members, [a_r for _, a_r in exponents]),
-                           0.0, _SWEEP_SPEC_2D.truncation_radius, _SWEEP_SPEC_2D,
-                           _RADIAL_BREAKS)
-            if members else ())
-    if done < len(nums):
-        raise nums[done]
+    rads = integrate_rows(_general_p_rows(families, exponents), 0.0,
+                          _SWEEP_SPEC_P.truncation_radius, _SWEEP_SPEC_P, _RADIAL_BREAKS)
 
     parts = []
-    for (a_phi, _), num, rad in zip(exponents, nums, rads):
+    for (a_phi, _), num, rad in zip(exponents, rads[0::2], rads[1::2]):
         den = sin_power_integral(a_phi) * rad.value
         parts.append(QuotientParts(num.value, den, num.value / den,
                                    err_estimate=_rel_err(num, rad)))
     return tuple(parts)
 
 
-def _denominator_rows(families, a_rs):
-    """Integrand of the denominator pass, r^a_r g^p, one row per member, as
-    one block.
+def _general_p_rows(families, exponents):
+    """Integrand of the radial pass: the numerator and denominator rows of
+    each member in turn, as one block.
 
-    Each level forms r^2 once and r^a_r and the cutoff's power once per
-    distinct value; every row is quotient_general_p's expression for its
-    member, to the bit.
+    |grad v|^2 = |x'|^(2 gam - 2) (A cos^2 phi + C sin^2 phi) for
+    v = |x'|^gam g(|x|), with A = gam^2 g^2 and C = (gam g + r g')^2; both
+    carry the radial weight r^a_r as r^(2 a_r / p) (a_r > 0).  The numerator
+    row is _bracket_angular of A and C at b = (a_phi + 1)/2, the denominator
+    row r^a_r g^p.  Each level forms r^2, the cutoff terms and each power
+    once; every row is quotient_general_p's expression for its member.
     """
+    pws = [f.params.p for f in families]
+    bs = [(a_phi + 1.0) / 2.0 for a_phi, _ in exponents]
+    r_exponents = {e for (_, a_r), pw in zip(exponents, pws) for e in (a_r, 2.0 * a_r / pw)}
+
     def rows(r):
-        r2, eta = r * r, cutoff_eta(r)
-        r_powers, eta_powers = {}, {}
-        block = np.empty((len(families), r.size))
-        for i, (family, a_r) in enumerate(zip(families, a_rs)):
-            pw = family.params.p
-            if a_r not in r_powers:
-                r_powers[a_r] = r ** a_r
-            if pw not in eta_powers:
-                eta_powers[pw] = eta ** pw
-            lam = 2.0 * family.g_exponent
-            block[i] = (r_powers[a_r] * (r2 + family.epsilon ** 2) ** (pw * lam / 2.0)
-                        * eta_powers[pw])
+        terms = (r * r, cutoff_eta(r), cutoff_eta_prime(r))
+        r_pow, eta_pow = {e: r ** e for e in r_exponents}, {pw: terms[1] ** pw for pw in set(pws)}
+        A, C = np.empty((2, len(families), r.size))
+        block = np.empty((2 * len(families), r.size))
+        for i, (family, (_, a_r), pw) in enumerate(zip(families, exponents, pws)):
+            gam, (g, gp) = family.h_exponent, family.g_and_prime(r, terms)
+            fold = r_pow[2.0 * a_r / pw]
+            A[i], C[i] = fold * (gam * g) ** 2, fold * (gam * g + r * gp) ** 2
+            block[2 * i + 1] = (r_pow[a_r] * (terms[0] + family.epsilon ** 2)
+                                ** (pw * family.g_exponent) * eta_pow[pw])
+        block[0::2] = _bracket_angular(A, C, pws, bs)
         return (block,)
     return rows
 
@@ -457,8 +378,9 @@ class FitInfo:
 @dataclass(frozen=True)
 class SweepRow:
     """One (eps, sigma) member's quotient; err_estimate is the largest
-    relative quadrature error estimate among its radial (and general-p 2-D)
-    integrals: the angular factors are Beta closed forms."""
+    relative quadrature error estimate among its radial integrals: the
+    angular factors are closed forms, Beta functions and, for the general-p
+    numerator, a Gauss hypergeometric function good to about 1e-12."""
 
     epsilon: float
     sigma: float

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from anisohardy import (BumpFunction, CknParams, ExponentPair, HardyParams,
 from anisohardy.errors import EmptyInputError, NegativeRemainderError, SupportViolationError
 from anisohardy.identities import (IdentityReport, _ball_nodes, _ckn_divergence_spot_check,
                                    _dot, _log_f_gradient, _norms, _r_rows, _sphere_rule)
-from anisohardy import identities
+from anisohardy import cli, identities, report
 from anisohardy.report import (EP_P_CYCLE, run_criterion_8, sample_ckn_config,
                                sample_e2_config, sample_ep_config)
 from anisohardy.weights import axis_norms, weight_general_p, weight_p2
@@ -173,6 +176,23 @@ def test_criterion_8_details_the_orders_reached():
     # an E2 check's terms are smooth: it stops at 12 within the target
     assert 0.0 < details["e2_err_worst"] <= identities._ERR_TARGET
     assert 0.0 < details["ckn_err_worst"] and 0.0 < details["ep_err_worst"] < 1e-4
+
+
+@pytest.mark.parametrize("reports,field,detail", [
+    ("e2_reports", "residual_rel", "e2_worst"), ("ep_reports", "err_estimate", "ep_err_worst")])
+def test_criterion_8_fails_on_a_nan_after_a_finite_report(reports, field, detail, monkeypatch):
+    # max(0.0, *values) keeps 0.0 over a NaN that is not first, so a NaN
+    # residual passed, and a NaN err_estimate broke the report's strict JSON
+    plain = getattr(report, reports)
+
+    def with_nan(seed, count):
+        found = list(plain(seed, count))
+        found[1] = dataclasses.replace(found[1], **{field: math.nan})
+        return found
+    monkeypatch.setattr(report, reports, with_nan)
+    result = run_criterion_8()
+    assert not result.passed and result.details[detail] is None
+    cli._emit(result.details)
 
 
 _SAMPLERS = {

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -511,12 +512,11 @@ class TestIntegrate2dIncremental:
             return f(r, t)
         return recorded, seen
 
-    @pytest.mark.parametrize("breaks,nodes,full", [((), 133, 197), ((1.0,), 138, 198)])
-    def test_evaluates_each_node_pair_once(self, breaks, nodes, full, monkeypatch):
-        # per order reached: the radial nodes of each panel's tail window up
-        # to the level that panel reached, against the m/2 positive angular
-        # nodes, each pair once; with no window (threshold 0), every node of
-        # each panel up to its level
+    @pytest.mark.parametrize("breaks,full", [((), 197), ((1.0,), 198)])
+    def test_evaluates_each_node_pair_once(self, breaks, full):
+        # per order reached: every radial node of each panel up to the level
+        # that panel reached, against the m/2 positive angular nodes, each
+        # pair once
         def f(r, t):
             return r ** 0.5 * np.exp(-r) / (1.02 - t * t)
         edges = (0.0, *breaks, 2.0)
@@ -528,20 +528,18 @@ class TestIntegrate2dIncremental:
         radial_sizes = [_full_rule(lv)[0].size for lv in range(11)]
         panel_sizes = {sum(sizes) for sizes in itertools.product(radial_sizes,
                                                                  repeat=len(breaks) + 1)}
-        assert full in panel_sizes and nodes < full
-        for tail, expected in ((quadrature._TAIL_REL, nodes), (0.0, full)):
-            monkeypatch.setattr(quadrature, "_TAIL_REL", tail)
-            counted, seen = self._counting(f)
-            recorded, radial = self._radial_nodes(counted)
-            res = integrate_2d(recorded, -0.5, breaks=breaks)
-            reached = [m for m in self.ORDERS if m // 2 in seen]
-            assert sorted(seen) == [m // 2 for m in reached]
-            assert reached == list(self.ORDERS[:len(reached)]) and len(reached) >= 3
-            for m in reached:
-                assert seen[m // 2] == (m // 2) * expected
-                assert len(radial[m // 2]) == expected
-                assert not collections.Counter(radial[m // 2]) - rule
-            assert res.err_estimate <= max(1e-13, 1e-10 * abs(res.value))
+        assert full in panel_sizes
+        counted, seen = self._counting(f)
+        recorded, radial = self._radial_nodes(counted)
+        res = integrate_2d(recorded, -0.5, breaks=breaks)
+        reached = [m for m in self.ORDERS if m // 2 in seen]
+        assert sorted(seen) == [m // 2 for m in reached]
+        assert reached == list(self.ORDERS[:len(reached)]) and len(reached) >= 3
+        for m in reached:
+            assert seen[m // 2] == (m // 2) * full
+            assert len(radial[m // 2]) == full
+            assert not collections.Counter(radial[m // 2]) - rule
+        assert res.err_estimate <= max(1e-13, 1e-10 * abs(res.value))
 
     def test_panels_sum_to_the_one_piece_value(self):
         def f(r, t):
@@ -572,48 +570,65 @@ class TestIntegrate2dIncremental:
         assert math.isinf(ei.value.value)
 
 
-class TestTailWindow:
-    """Past level 0 a 2-D radial pass sums only the nodes of each panel's
-    tail window, set from that panel's level-0 angular sums."""
+def _angular_reference(A, C, pw, b):
+    """int_-1^1 (A t^2 + C (1 - t^2))^(p/2) (1 - t^2)^(b-1) dt as
+    2 int_0^(pi/2) (A cos^2 + C sin^2)^(p/2) sin^(2b-1) by tanh-sinh, with a
+    break where the smaller column's term takes over."""
+    tight = QuadratureSpec(levels=13, abs_tol=1e-300, rel_tol=1e-14)
+    knee = math.atan(math.sqrt(min(A, C) / max(A, C)))
+    knee = knee if A > C else math.pi / 2.0 - knee
+    breaks = (knee,) if 1e-300 < knee < math.pi / 2.0 - 1e-12 else ()
+    res = integrate_1d(lambda phi: (A * np.cos(phi) ** 2 + C * np.sin(phi) ** 2) ** (pw / 2.0)
+                       * np.sin(phi) ** (2.0 * b - 1.0), 0.0, math.pi / 2.0, tight, breaks)
+    return 2.0 * res.value
 
-    @staticmethod
-    def _smooth(r, t):
-        return r ** 0.5 * np.exp(-r) / (1.02 - t * t)
 
-    def test_window_is_one_unit_past_the_outermost_heavy_node(self):
-        t, _, w = quadrature._ts_level(0)
-        mass = np.where((t >= -2.0) & (t <= 3.0), 1.0, 1e-21)
-        mass[t == -4.0] = 1e-19     # at least 1e-20 of the total, 6
-        assert quadrature._tail_window(mass / w) == (-5, 4)
-        assert quadrature._tail_window(-mass / w) == (-5, 4)
-        assert quadrature._tail_window(np.zeros_like(t)) == (-7, 7)   # every node
-        # finite terms whose total overflows: the level-0 weights sum to 1.016
-        assert (quadrature._tail_window(np.full_like(t, 1.79e308))
-                == quadrature._tail_window(np.ones_like(t)) == (-4, 4))
+class TestBracketAngular:
+    """The general-p numerator's angular integral in closed form, against
+    tanh-sinh quadrature over phi."""
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_level0_sum_keeps_the_full_rule(self, bad):
-        # r = 0.5 is the t = 0 node of the panel (0, 1); level 0 only seeds
-        # the totals, so the pass fails at level 1, which it takes on the
-        # full rule of both panels (12 nodes each) instead of the 8 nodes of
-        # each of the finite integrand's windows
-        blocks = {True: [], False: []}
+    RATIOS = (1e-14, 1e-9, 1e-5, 1e-2, 0.3, 0.5, 0.7, 1.0)
 
-        def f(r, t, poisoned):
-            blocks[poisoned].append(r.shape[0])
-            value = self._smooth(r, t)
-            return np.where(r == 0.5, bad, value) if poisoned else value
-        integrate_2d(lambda r, t: f(r, t, False), -0.5, breaks=(1.0,))
-        with pytest.raises(NotConvergedError) as ei:
-            integrate_2d(lambda r, t: f(r, t, True), -0.5, breaks=(1.0,))
-        assert not math.isfinite(ei.value.value)
-        assert blocks[True] == [13, 13, 12, 12]
-        assert blocks[False][:4] == [13, 13, 8, 8]
+    @pytest.mark.parametrize("pw,p_sigma", [
+        (1.5, 0.2), (2.5, 0.8), (3.0, 0.1), (3.6, 0.4),   # generic
+        (3.0, 0.4), (1.6, 0.4), (1.0, 0.4),               # integer m: (p + 1)/2 or b + p/2
+        (4.0, 0.2), (6.0, 0.6), (8.0, 0.1),               # even p: a terminating series
+        (1.6 + 1e-9, 0.4), (3.0 + 1e-8, 0.4),             # m within 1e-5 of an integer
+    ])
+    def test_matches_quadrature_in_both_branches(self, pw, p_sigma):
+        b = p_sigma / 2.0
+        A = np.array([list(self.RATIOS) + [1.0] * len(self.RATIOS)])
+        C = np.array([[1.0] * len(self.RATIOS) + list(self.RATIOS)])
+        got = quadrature._bracket_angular(3.0 * A, 3.0 * C, [pw], [b])[0]
+        for a, c, value in zip(3.0 * A[0], 3.0 * C[0], got):
+            ref = _angular_reference(a, c, pw, b)
+            assert value == pytest.approx(ref, rel=1e-11, abs=0.0), (a, c)
 
-    @pytest.mark.parametrize("c,breaks", [(-0.5, ()), (-0.5, (1.0,)), (0.7, (0.3, 1.0))])
-    def test_matches_the_full_rule(self, c, breaks, monkeypatch):
-        windowed = integrate_2d(self._smooth, c, breaks=breaks)
-        monkeypatch.setattr(quadrature, "_TAIL_REL", 0.0)
-        full = integrate_2d(self._smooth, c, breaks=breaks)
-        assert abs(windowed.value - full.value) <= min(windowed.err_estimate,
-                                                       1e-13 * abs(full.value))
+    @pytest.mark.parametrize("pw,branch,components,log", [
+        (1.6, 0, 2, True), (3.0, 1, 2, True),             # m = 1 and m = 2 exactly
+        (1.6 + 1e-9, 0, 4, True), (3.0 + 1e-8, 1, 4, True),  # log case and 15.3.6 mixed
+        (3.0, 0, 2, False), (4.0, 1, 1, False)])          # 15.3.6; a terminating series
+    def test_region_below_one_half_takes_its_case(self, pw, branch, components, log):
+        # the x < 1/2 region of a branch at b = 0.2, as the cases above name it
+        _, _, scale, _, logs, _ = quadrature._bracket_tables(((pw, 0.2),))
+        region = slice(4 * (2 * branch + 1), 4 * (2 * branch + 2))
+        assert np.count_nonzero(scale[region]) == components and logs[region].any() == log
+
+    def test_rows_do_not_depend_on_each_other(self):
+        rng = np.random.default_rng(3)
+        A, C = rng.uniform(0.0, 2.0, (2, 3, 50)) ** 3
+        pws, bs = [1.5, 3.0, 4.0], [0.1, 0.2, 0.05]
+        block = quadrature._bracket_angular(A, C, pws, bs)
+        for i in range(3):
+            alone = quadrature._bracket_angular(A[i:i + 1], C[i:i + 1], pws[i:i + 1], bs[i:i + 1])
+            assert block[i].tobytes() == alone[0].tobytes()
+
+    def test_zero_and_non_finite_columns(self):
+        A = np.array([[0.0, 0.0, math.nan, math.inf, 1.0, math.inf]])
+        C = np.array([[0.0, 1.0, 1.0, 1.0, math.inf, math.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quadrature._bracket_angular(A, C, [3.0], [0.1])[0]
+        assert got[0] == 0.0 and not np.isfinite(got[2:]).any()
+        # A = 0: int (1 - t^2)^(p/2 + b - 1) dt = B(1/2, b + p/2)
+        assert got[1] == pytest.approx(beta(0.5, 0.1 + 1.5), rel=1e-13)

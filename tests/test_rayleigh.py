@@ -240,18 +240,20 @@ class TestRadialErrorEstimates:
         checked, outside = _rows_outside_their_estimates(passes)
         assert outside == 0 and checked >= 3 * 5 * len(families)
 
-    def test_general_p_denominator_rows(self, monkeypatch):
+    def test_general_p_rows(self, monkeypatch):
+        # the numerator and the denominator row of each of 4 x 20 members
         passes = _recorded_passes(monkeypatch)
         for pw, n, beta_ in [(1.5, 2, 0.04), (2.5, 3, 0.3), (3.0, 2, 0.3), (4.0, 3, 0.9)]:
             sweep_and_extrapolate(HardyParams(n, pw, 0.2, beta_))
-        assert _rows_outside_their_estimates(passes) == (80, 0)
+        assert _rows_outside_their_estimates(passes) == (160, 0)
 
 
 class TestWorkCounts:
     """Work counts that do not depend on the machine.  On (0, 2) in one piece
-    the K = 3 sweep's radial pass took 12,619 nodes (levels 0 to 10) and the
-    general-p sweep 3,709,216 bracket-kernel elements; on the panels with
-    no tail window, 1,855,616."""
+    the K = 3 sweep's radial pass took 12,619 nodes (levels 0 to 10).  The
+    general-p sweep's 2-D numerators took 3,709,216 bracket-kernel elements
+    in one piece, 1,855,616 on the panels and 1,061,088 with a tail window;
+    its closed-form numerator rows take one element per radial node."""
 
     def test_radial_nodes_of_a_k_gt_1_sweep(self, monkeypatch):
         sizes = []
@@ -269,17 +271,18 @@ class TestWorkCounts:
         assert all(size in (n, 2 * n) for size, n in zip(sizes, level_sizes))
         assert (len(sizes), sum(sizes)) == (8, 1774)
 
-    def test_bracket_kernel_elements_of_a_general_p_sweep(self, monkeypatch):
-        elements = [0]
-        plain = rayleigh._bracket_power
+    def test_numerator_row_nodes_of_a_general_p_sweep(self, monkeypatch):
+        elements = []
+        plain = rayleigh._bracket_angular
 
-        def counted(A, C, t, pw):
-            out = plain(A, C, t, pw)
-            elements[0] += out.size
-            return out
-        monkeypatch.setattr(rayleigh, "_bracket_power", counted)
+        def counted(A, C, pws, bs):
+            elements.append(A.shape)
+            return plain(A, C, pws, bs)
+        monkeypatch.setattr(rayleigh, "_bracket_angular", counted)
         sweep_and_extrapolate(HardyParams(3, 3.0, 0.0, 0.5))
-        assert elements[0] == 1_061_088
+        # one call per radial level, every member's row on the level's nodes
+        assert {rows for rows, _ in elements} == {20}
+        assert (len(elements), sum(rows * nodes for rows, nodes in elements)) == (7, 19_720)
 
 
 def _sweep_outcome(params, sigmas):
@@ -348,15 +351,29 @@ class TestBatchedSweep:
         assert json.loads(captured.out)["extrapolated"] == res.extrapolated
 
 
+def _bracket_columns(family, r):
+    """(A, C): the columns of the general-p gradient bracket
+    A cos^2 phi + C sin^2 phi at r, the radial weight folded in."""
+    gam, (g, gp) = family.h_exponent, family.g_and_prime(r)
+    _, a_r = rayleigh._general_p_exponents(family)
+    fold = r ** (2.0 * a_r / family.params.p)
+    return fold * (gam * g) ** 2, fold * (gam * g + r * gp) ** 2
+
+
 def _general_p_member(family):
-    """quotient_general_p written member by member: integrate_2d of the
-    gradient integrand and integrate_1d of the denominator's radial, on the
-    sweep's radial panels."""
-    spec = rayleigh._SWEEP_SPEC_2D
+    """quotient_general_p written member by member: integrate_1d of the
+    closed-form angular integral of the gradient bracket and of the
+    denominator's radial, on the sweep's radial panels."""
+    spec = rayleigh._SWEEP_SPEC_P
     pw = family.params.p
     a_phi, a_r = rayleigh._general_p_exponents(family)
     breaks = rayleigh._RADIAL_BREAKS
-    num = integrate_2d(rayleigh._grad_integrand(family), a_phi, spec, breaks)
+
+    def numerator(r):
+        A, C = _bracket_columns(family, r)
+        return quadrature._bracket_angular(A[None], C[None], [pw], [(a_phi + 1.0) / 2.0])[0]
+
+    num = integrate_1d(numerator, 0.0, spec.truncation_radius, spec, breaks)
     e2 = family.epsilon ** 2
     lam = 2.0 * family.g_exponent
     rad = integrate_1d(
@@ -384,18 +401,17 @@ def _general_p_outcome(params, eps_list=None, sigmas=None):
             res.extrapolated.hex(), res.fit.residual.hex())
 
 
-def _rough_member(eps, sigma):
-    """A g_and_prime that makes C = 0 for the member (eps, sigma): its
-    angular factor is then |cos phi|^p, which Gauss-Jacobi resolves only
-    slowly, so that member alone fails the order loop."""
+def _jumping_member(eps, sigma):
+    """A g_and_prime whose g jumps at r = 0.7 for the member (eps, sigma):
+    tanh-sinh then converges only algebraically, so that member's
+    numerator alone fails, with a finite last sum."""
     plain = TrialFamily.g_and_prime
 
     def g_and_prime(self, r, terms=None):
-        if (self.epsilon, self.sigma) != (eps, sigma):
-            return plain(self, r, terms)
-        gam = self.h_exponent
-        g = r ** -gam
-        return g, -gam * g / r
+        g, gp = plain(self, r, terms)
+        if (self.epsilon, self.sigma) == (eps, sigma):
+            g = np.where(r < 0.7, g, 2.0 * g)
+        return g, gp
     return g_and_prime
 
 
@@ -419,21 +435,17 @@ class TestBatchedGeneralPSweep:
         assert batched == ("ValueError", "the general-p family requires sigma in (0, 1)")
         assert _refusal(params, eps, sigmas, monkeypatch) == (*batched, 0)
 
-    @pytest.mark.parametrize("where", ["radial", "order"])
+    @pytest.mark.parametrize("where", ["radial"])
     def test_later_member_failure_comes_first(self, where, monkeypatch):
         # the fourth member fails; the members after it do no work
         params = HardyParams(3, 1.5, 0.0, 0.5)
         eps, sigmas = (1e-3, 1e-4), (0.2, 0.1, 0.05)
-        if where == "radial":       # its radial total is NaN at the first order
-            plain = TrialFamily.g_and_prime
-            monkeypatch.setattr(TrialFamily, "g_and_prime", lambda self, r, terms=None: (
-                plain(self, r, terms) if (self.epsilon, self.sigma) != (1e-4, 0.1)
-                else (np.full_like(r, math.nan), np.zeros_like(r))))
-            message = "tanh-sinh on (0.0, 2.0)"
-        else:
-            monkeypatch.setattr(quadrature, "_ORDERS", (32, 64, 128))
-            monkeypatch.setattr(TrialFamily, "g_and_prime", _rough_member(1e-4, 0.1))
-            message = "Gauss-Jacobi within order 128"
+        # its numerator total is NaN at the first level
+        plain = TrialFamily.g_and_prime
+        monkeypatch.setattr(TrialFamily, "g_and_prime", lambda self, r, terms=None: (
+            plain(self, r, terms) if (self.epsilon, self.sigma) != (1e-4, 0.1)
+            else (np.full_like(r, math.nan), np.zeros_like(r))))
+        message = "tanh-sinh on (0.0, 2.0)"
         batched = _general_p_outcome(params, eps, sigmas)
 
         seen = []
@@ -451,84 +463,28 @@ class TestBatchedGeneralPSweep:
     def test_earlier_denominator_failure_beats_later_numerator_failure(self, monkeypatch):
         params = HardyParams(3, 1.5, 0.0, 0.5)
         eps, sigmas = (1e-3, 1e-4), (0.2, 0.1)
-        monkeypatch.setattr(TrialFamily, "g_and_prime", _rough_member(1e-4, 0.1))
-        monkeypatch.setattr(quadrature, "_ORDERS", (32, 64, 128))
+        monkeypatch.setattr(TrialFamily, "g_and_prime", _jumping_member(1e-4, 0.1))
         later = [TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG, params, e, s)
                  for s in sigmas for e in eps][1:]
-        with pytest.raises(NotConvergedError, match="Gauss-Jacobi within order 128"):
+        with pytest.raises(NotConvergedError, match=r"within 9 levels did not converge "
+                                                    r"\(last sum \d"):
             rayleigh._quotients_general_p(later)     # the fourth member's numerator
 
-        plain = rayleigh._denominator_rows
+        plain = rayleigh._general_p_rows
 
-        def den_nan_at_first(families, a_rs):
-            rows = plain(families, a_rs)
+        def den_nan_at_first(families, exponents):
+            rows = plain(families, exponents)
 
-            def first_row_nan(r):
+            def first_den_nan(r):
                 block, = rows(r)
-                block[0] = math.nan
+                block[1] = math.nan
                 return (block,)
-            return first_row_nan
-        monkeypatch.setattr(rayleigh, "_denominator_rows", den_nan_at_first)
+            return first_den_nan
+        monkeypatch.setattr(rayleigh, "_general_p_rows", den_nan_at_first)
         # the first member's denominator fails first
         assert _general_p_outcome(params, eps, sigmas)[:2] == (
             "NotConvergedError",
             "tanh-sinh on (0.0, 2.0) within 9 levels did not converge (last sum nan)")
-
-
-def _seeded_general_p_families(seed, count=8):
-    """count general-p members at random (n, p, alpha, beta, eps, sigma)."""
-    rng = np.random.default_rng(seed)
-    families = []
-    while len(families) < count:
-        pw = float(rng.choice([1.5, 2.5, 3.0, 4.0, 5.0]))
-        params = HardyParams(int(rng.integers(2, 5)), pw, float(rng.uniform(-0.3, 0.8)),
-                             float(rng.uniform(0.0, 1.2)))
-        if admissible_hardy(params):
-            families.append(TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG, params,
-                                        float(rng.choice(rayleigh.DEFAULT_EPS)),
-                                        float(rng.uniform(0.01, 0.2)) * 2.0 / pw))
-    return families
-
-
-def _settled_numerators(families):
-    """The 2-D numerators of _quotients_general_p as QuadResults."""
-    return quadrature._settled(rayleigh._integrate_2d_rows(
-        rayleigh._grad_levels(families),
-        [rayleigh._general_p_exponents(f)[0] for f in families],
-        rayleigh._SWEEP_SPEC_2D, rayleigh._RADIAL_BREAKS))
-
-
-class TestTailWindow:
-    """The general-p numerators, whose radial passes skip the angular sums
-    outside each member's tail window past level 0, against the full rule
-    (a window threshold of 0)."""
-
-    @staticmethod
-    def _numerators(families, monkeypatch, tail):
-        monkeypatch.setattr(quadrature, "_TAIL_REL", tail)
-        elements = [0]
-        plain = rayleigh._bracket_power
-
-        def counted(A, C, t, pw):
-            out = plain(A, C, t, pw)
-            elements[0] += out.size
-            return out
-        monkeypatch.setattr(rayleigh, "_bracket_power", counted)
-        nums = _settled_numerators(families)
-        monkeypatch.setattr(rayleigh, "_bracket_power", plain)
-        return nums, elements[0]
-
-    @pytest.mark.parametrize("families", [
-        rayleigh._plan_sweep(HardyParams(3, 3.0, 0.0, 0.5), None, None)[3],
-        _seeded_general_p_families(5), _seeded_general_p_families(6)],
-        ids=["default_sweep", "seed5", "seed6"])
-    def test_numerators_match_the_full_rule(self, families, monkeypatch):
-        windowed, few = self._numerators(families, monkeypatch, quadrature._TAIL_REL)
-        full, many = self._numerators(families, monkeypatch, 0.0)
-        assert few < 0.75 * many
-        for res, ref in zip(windowed, full):
-            assert abs(res.value - ref.value) <= res.err_estimate
-            assert abs(res.value - ref.value) <= 1e-13 * abs(ref.value)
 
     def test_nan_at_a_level0_node_still_raises(self, monkeypatch):
         # r = 0.5 is the t = 0 node of the radial panel (0, 1)
@@ -545,10 +501,28 @@ class TestTailWindow:
         assert outcome[:2] == ("NotConvergedError", "tanh-sinh on (0.0, 2.0) within 9 levels "
                                "did not converge (last sum nan)")
 
+    def test_numerators_match_the_2d_reference(self):
+        # the default sweep's numerators against integrate_2d of the bracket
+        # (A cos^2 phi + C sin^2 phi)^(p/2) with the sin(phi)^a_phi weight
+        params = HardyParams(3, 3.0, 0.0, 0.5)
+        res = sweep_and_extrapolate(params)
+        spec, breaks = rayleigh._SWEEP_SPEC_P, rayleigh._RADIAL_BREAKS
+        for row in res.rows:
+            family = TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG, params, row.epsilon,
+                                 row.sigma)
+            a_phi, _ = rayleigh._general_p_exponents(family)
+
+            def bracket(r, t):
+                A, C = _bracket_columns(family, r)
+                return (A * t * t + C * (1.0 - t * t)) ** 1.5
+
+            ref = integrate_2d(bracket, a_phi, spec, breaks)
+            assert abs(row.numerator - ref.value) <= ref.err_estimate
+
 
 def _count_evaluations(monkeypatch):
     """Count, in the returned one-item list, the integrand evaluations of the
-    sweep's radial and 2-D passes."""
+    sweep's radial passes."""
     evaluations = [0]
 
     def counted(f):
@@ -557,11 +531,9 @@ def _count_evaluations(monkeypatch):
             return f(*args)
         return f_counted
 
-    rows, rows_2d = rayleigh.integrate_rows, rayleigh._integrate_2d_rows
+    rows = rayleigh.integrate_rows
     monkeypatch.setattr(rayleigh, "integrate_rows",
                         lambda f, *args: rows(counted(f), *args))
-    monkeypatch.setattr(rayleigh, "_integrate_2d_rows",
-                        lambda levels, *args: rows_2d(counted(levels), *args))
     return evaluations
 
 
@@ -668,13 +640,14 @@ class TestQuotientGeneralP:
     def test_sweeps_of_one_p_and_sigma_share_their_angular_rules(self):
         # a_phi = -1 + p sigma for every member; formed as n - 2 + p (alpha +
         # gam), it rounded differently at alpha = 0.3 and missed the cache
+        # of the angular closed form's tables
         sweep_and_extrapolate(HardyParams(3, 3.0, 0.0, 0.5))
-        misses = quadrature.gauss_jacobi.cache_info().misses
+        misses = quadrature._bracket_tables.cache_info().misses
         sweep_and_extrapolate(HardyParams(3, 3.0, 0.3, 0.5))
-        assert quadrature.gauss_jacobi.cache_info().misses == misses
+        assert quadrature._bracket_tables.cache_info().misses == misses
 
     @pytest.mark.parametrize("pw", [1.5, 2.5, 3.0, 4.0])
-    def test_factored_integrand_matches_cartesian_gradient(self, pw):
+    def test_factored_integrand_matches_cartesian_gradient(self, pw, monkeypatch):
         # the reduced integrand is |grad v|^p |x'|^(p(a+1)) |x|^(pb) times the
         # Jacobian r^(n-1) sin(phi)^(n-2) of the spherical reduction, n = 3
         params = HardyParams(3, pw, 0.1, 0.5)
@@ -694,17 +667,24 @@ class TestQuotientGeneralP:
         direct = (np.linalg.norm(grad, axis=1) ** pw
                   * rho ** (pw * (params.alpha + 1.0)) * r ** (pw * params.beta))
 
-        # the integrand takes t = cos(phi); sin(phi)^a_phi is the rule's weight
+        # the columns A, C the sweep passes to the angular closed form, with
+        # t = cos(phi) and the weight sin(phi)^a_phi
+        seen = []
+        monkeypatch.setattr(rayleigh, "_bracket_angular",
+                            lambda A, C, pws, bs: seen.append((A, C)) or np.zeros_like(A))
+        rayleigh._general_p_rows([fam], [rayleigh._general_p_exponents(fam)])(r)
+        (A, C), = seen
         s, t = rho / r, x[:, 2] / r
         a_phi, _ = rayleigh._general_p_exponents(fam)
-        reduced = rayleigh._grad_integrand(fam)(r, t) * s ** a_phi / (r * r * s)
+        bracket = (A[0] * t * t + C[0] * (1.0 - t * t)) ** (pw / 2.0)
+        reduced = bracket * s ** a_phi / (r * r * s)
         np.testing.assert_allclose(reduced, direct, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("pw", [1.5, 3.0])
     def test_equal_brackets_leave_the_sin_power(self, pw):
         # g = r^(-2 gam) gives r g' = -2 gam g, so C = (gam g + r g')^2 equals
         # A = (gam g)^2 and the bracket A cos^2 + C sin^2 no longer depends on
-        # phi: the numerator is sin_power_integral(a_phi) int A^(p/2) dr
+        # phi: the closed-form numerator is sin_power_integral(a_phi) int A^(p/2) dr
         params = HardyParams(3, pw, 0.0, 0.5)
         fam = TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG, params, 1e-2, 0.05)
         gam = fam.h_exponent
@@ -712,7 +692,9 @@ class TestQuotientGeneralP:
                                 g_and_prime=lambda r, terms=None: (r ** (-2.0 * gam),
                                                        -2.0 * gam * r ** (-2.0 * gam - 1.0)))
         a_phi, a_r = rayleigh._general_p_exponents(fam)
-        num = integrate_2d(rayleigh._grad_integrand(equal), a_phi).value
+        b = (a_phi + 1.0) / 2.0
+        num = integrate_1d(lambda r: quadrature._bracket_angular(
+            *(col[None] for col in _bracket_columns(equal, r)), [pw], [b])[0], 0.0, 2.0).value
         e = a_r - 2.0 * gam * pw            # A^(p/2) = |gam|^p r^e
         radial = abs(gam) ** pw * 2.0 ** (e + 1.0) / (e + 1.0)
         assert num == pytest.approx(sin_power_integral(a_phi) * radial, rel=1e-12)
