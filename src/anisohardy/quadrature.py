@@ -26,11 +26,10 @@ feeds the integrand sin(pi*d) computed from the endpoint distance, avoiding
 the catastrophic cancellation of sin(pi - tiny).  It is the numeric route of
 sin_power_integral, whose Beta closed form the sweeps use.
 
-integrate_2d, radial tanh-sinh of angular Gauss-Jacobi sums, is a plain
-reference: the general-p sweeps take that angular integral in closed form
-(_bracket_angular).  _refine alone runs the convergence loop of the 1D,
-angular and 2D integrators: it reports one outcome per row, and the public
-integrators raise the first row's failure.
+integrate_2d (radial tanh-sinh of angular Gauss-Jacobi sums) is a plain
+reference; the sweeps take that angular integral in closed form.  _refine
+alone runs the convergence loop of the 1D, angular and 2D integrators, with
+one outcome per row; the public integrators raise the first row's failure.
 
 Reduced integrals are computed WITHOUT the sphere-area prefactor of the
 residual angles; it cancels in every quotient.  sphere_area exists for
@@ -443,9 +442,9 @@ def integrate_2d(f: Callable, c: float, spec: QuadratureSpec | None = None,
 
 # ------------------------------------------------- angular closed form
 
-#: Series terms at most; each element stops at its first term below
-#: _SERIES_REL of its own sum.
-_SERIES_TERMS, _SERIES_REL = 160, 2e-17
+#: Series terms at most, enough for p up to about 200; each element stops
+#: at its first term below _SERIES_REL of its own sum.
+_SERIES_TERMS, _SERIES_REL = 320, 2e-17
 #: Near an integer k, m = c - a - b is interpolated linearly in a, at fixed
 #: c, between the log case at k and the connection formula at k +- _M_GAP.
 _M_GAP = 1e-5
@@ -463,7 +462,9 @@ def _digamma(x):
 
 
 def _gamma_ratio(num, den) -> float:
-    """prod Gamma(num) / prod Gamma(den), for real arguments off the poles."""
+    """prod Gamma(num) / prod Gamma(den), real arguments; a pole in den gives 0."""
+    if any(x <= 0.0 and x == round(x) for x in den):
+        return 0.0
     args = [(x, 1.0) for x in num] + [(x, -1.0) for x in den]
     sign = (-1.0) ** sum(x < 0.0 and math.floor(-x) % 2 == 0 for x, _ in args)
     return sign * math.exp(sum(s * math.lgamma(x) for x, s in args))
@@ -478,9 +479,8 @@ def _pochhammer_series(ups, downs, n: int = _SERIES_TERMS):
 
 def _connection(a, bb, m, scale=1.0, near=True) -> list:
     """F(a, bb; a + bb + m; 1 - x) as components (scale, P, Q, e), each
-    scale x^e sum_n (P_n ln x + Q_n) x^n: Abramowitz & Stegun 15.3.6 for m
-    not an integer, 15.3.11, the log case, for an integer m >= 1, and near
-    one the interpolation of _M_GAP."""
+    scale x^e sum_n (P_n ln x + Q_n) x^n: Abramowitz & Stegun 15.3.6, or
+    15.3.11 (the log case) at an integer m >= 1, interpolated within _M_GAP."""
     c, k = a + bb + m, round(m)
     if near and 0.0 < abs(m - k) < _M_GAP:
         far = k + math.copysign(_M_GAP, m - k)
@@ -506,15 +506,16 @@ def _bracket_tables(keys: tuple):
     padded, per (p, b) key, branch and region x >= 1/2, x < 1/2.  Branch 0,
     C >= A, is F(-p/2, 1/2; b + 1/2; 1 - A/C), m = b + p/2, and branch 1
     F(-p/2, b; b + 1/2; 1 - C/A), m = (p + 1)/2, each m formed as this sum.
-    F is the Gauss series in 1 - x (e = -1) for x >= 1/2 and at even p,
-    where it terminates, and _connection otherwise.
+    For x >= 1/2 F is its Gauss series in 1 - x or, above p = 8, where those
+    terms cancel by up to 3^(p/2), Euler's x^m F(bb + m, a + m; c; 1 - x).
     """
     rows = []
     for pw, b in keys:
         a, c = -pw / 2.0, b + 0.5
         for bb, m in ((0.5, b + pw / 2.0), (b, (pw + 1.0) / 2.0)):
-            gauss = [(1.0, _NONE, _pochhammer_series((a, bb), (c, 1.0)), -1.0)]
-            for comps in (gauss, gauss if pw % 2.0 == 0.0 else _connection(a, bb, m)):
+            gauss = ((a, bb), 0.0) if pw <= 8.0 else ((bb + m, a + m), m)
+            for comps in ([(1.0, _NONE, _pochhammer_series(gauss[0], (c, 1.0)), gauss[1])],
+                          _connection(a, bb, m)):
                 rows += comps + [(0.0, _NONE, _NONE, 0.0)] * (4 - len(comps))
     scale, P, Q, e = (np.array(col) for col in zip(*rows))
     betas = np.array([beta(0.5, b) for _, b in keys])
@@ -551,10 +552,10 @@ def _bracket_angular(A, C, pws, bs):
     """int_-1^1 (A t^2 + C (1 - t^2))^(p/2) (1 - t^2)^(b-1) dt, elementwise.
 
     A and C are (rows, nodes) blocks of values >= 0, pws and bs one p >= 1
-    and b > 0 per row.  With M = max(A, C) and x = min/M it is
-    M^(p/2) B(1/2, b) F(x), F hypergeometric (_bracket_tables), summed in
-    powers of at most 1/2 by each element alone: relative error about
-    1e-12.  M = 0 gives 0, a non-finite A or C a non-finite value.
+    and b > 0 per row.  With M = max(A, C) and x = min/M it is M^(p/2)
+    B(1/2, b) F(x), F hypergeometric (_bracket_tables), summed in powers of
+    at most 1/2 by each element alone: relative error about 1e-12 for p up
+    to about 200.  M = 0 gives 0, a non-finite A or C a non-finite value.
     """
     keys = tuple(dict.fromkeys(zip(pws, bs)))
     key_of_row = np.array([keys.index(key) for key in zip(pws, bs)])
@@ -564,13 +565,12 @@ def _bracket_angular(A, C, pws, bs):
         x = np.minimum(A, C) / top
         todo = np.flatnonzero((top > 0.0) & np.isfinite(x))
         plan = (4 * key_of_row[:, None] + 2 * (A > C) + (x < 0.5)).ravel()[todo]
-        comp = (4 * plan[:, None] + np.arange(4)).ravel()
-        owner = np.repeat(np.arange(todo.size), 4)[scale[comp] != 0.0]
-        comp = comp[scale[comp] != 0.0]
+        owner, slot = np.nonzero(scale[4 * plan[:, None] + np.arange(4)])
+        comp = 4 * plan[owner] + slot
         xs = x.ravel()[todo][owner]
-        y = np.where(e[comp] < 0.0, 1.0 - xs, xs)
+        y = np.where(xs < 0.5, xs, 1.0 - xs)
         L = np.where(logs[comp] & (xs > 0.0), np.log(xs), 0.0)
-        values = scale[comp] * _series_sums(P, Q, comp, y, L) * xs ** np.maximum(e[comp], 0.0)
+        values = scale[comp] * _series_sums(P, Q, comp, y, L) * xs ** e[comp]
         F = np.where(top > 0.0, math.nan, 0.0)
         F.flat[todo] = np.bincount(owner, weights=values, minlength=todo.size)
         F *= betas[key_of_row][:, None]

@@ -594,6 +594,7 @@ class TestBracketAngular:
         (3.0, 0.4), (1.6, 0.4), (1.0, 0.4),               # integer m: (p + 1)/2 or b + p/2
         (4.0, 0.2), (6.0, 0.6), (8.0, 0.1),               # even p: a terminating series
         (1.6 + 1e-9, 0.4), (3.0 + 1e-8, 0.4),             # m within 1e-5 of an integer
+        (20.0, 0.4), (30.0, 13.5), (31.0, 0.8), (100.0, 0.2),  # Euler for x >= 1/2
     ])
     def test_matches_quadrature_in_both_branches(self, pw, p_sigma):
         b = p_sigma / 2.0
@@ -607,7 +608,7 @@ class TestBracketAngular:
     @pytest.mark.parametrize("pw,branch,components,log", [
         (1.6, 0, 2, True), (3.0, 1, 2, True),             # m = 1 and m = 2 exactly
         (1.6 + 1e-9, 0, 4, True), (3.0 + 1e-8, 1, 4, True),  # log case and 15.3.6 mixed
-        (3.0, 0, 2, False), (4.0, 1, 1, False)])          # 15.3.6; a terminating series
+        (3.0, 0, 2, False), (4.0, 1, 1, False)])          # 15.3.6; 1/Gamma(-p/2) = 0
     def test_region_below_one_half_takes_its_case(self, pw, branch, components, log):
         # the x < 1/2 region of a branch at b = 0.2, as the cases above name it
         _, _, scale, _, logs, _ = quadrature._bracket_tables(((pw, 0.2),))
