@@ -135,8 +135,8 @@ def cutoff_eta_prime(t):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Refinement depth and tolerances for the integrators: tanh-sinh levels,
-    and for integrate_2d the angular orders too.
+    """Refinement depth and tolerances for the integrators: tanh-sinh levels
+    (integrate_2d's angular orders are the module constant _ORDERS).
 
     truncation_radius is the upper end of radial integrals (the cutoff
     support ends at 2).
@@ -548,15 +548,36 @@ def _series_sums(P, Q, rows, y, L):
     return out
 
 
+@lru_cache(maxsize=64)
+def _linear_betas(bs: tuple):
+    """Read-only columns B(3/2, b) and B(1/2, b + 1), one row per b: at
+    p = 2 the coefficients of A and C in _bracket_angular."""
+    columns = np.array([[[beta(1.5, b)] for b in bs], [[beta(0.5, b + 1.0)] for b in bs]])
+    columns.setflags(write=False)
+    return columns
+
+
 def _bracket_angular(A, C, pws, bs):
     """int_-1^1 (A t^2 + C (1 - t^2))^(p/2) (1 - t^2)^(b-1) dt, elementwise.
 
     A and C are (rows, nodes) blocks of values >= 0, pws and bs one p >= 1
-    and b > 0 per row.  With M = max(A, C) and x = min/M it is M^(p/2)
-    B(1/2, b) F(x), F hypergeometric (_bracket_tables), summed in powers of
-    at most 1/2 by each element alone: relative error about 1e-12 for p up
-    to about 200.  M = 0 gives 0, a non-finite A or C a non-finite value.
+    and b > 0 per row.  At p = 2 the integral is linear, A B(3/2, b) +
+    C B(1/2, b + 1).  Otherwise, with M = max(A, C) and x = min/M, it is
+    M^(p/2) B(1/2, b) F(x), F hypergeometric (_bracket_tables), summed in
+    powers of at most 1/2 by each element alone: relative error about 1e-12
+    for p up to about 200.  M = 0 gives 0, a non-finite A or C a non-finite
+    value.
     """
+    linear = [pw == 2.0 for pw in pws]
+    if any(linear):
+        of_A, of_C = _linear_betas(tuple(bs))
+        with np.errstate(over="ignore"):
+            F = A * of_A + C * of_C
+        series = np.flatnonzero(np.logical_not(linear))
+        if series.size:
+            F[series] = _bracket_angular(A[series], C[series], [pws[i] for i in series],
+                                         [bs[i] for i in series])
+        return F
     keys = tuple(dict.fromkeys(zip(pws, bs)))
     key_of_row = np.array([keys.index(key) for key in zip(pws, bs)])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -2,14 +2,14 @@
 
 Trial functions are v = h(|x'|) g(|x|) with h a power and
 g(r) = (r^2 + eps^2)^(e) eta(r), eta the C^2 cutoff.  After spherical
-reduction every p = 2 integral factors into an angular sin-power integral,
-taken from its Beta closed form, and a radial integral over (0, 2); a p = 2
-sweep takes the radials of all its members in one tanh-sinh pass.  The
-general-p gradient integrand does not factor, but its angular integral at
-each radial node is a Gauss hypergeometric closed form, so a general-p sweep
-too takes the numerator and denominator radials of all its members in one
-pass.  Every radial integral runs on the panels (0, 1) and (1, 2):
-eta leaves 1 at r = 1, a kink inside (0, 2) that would make tanh-sinh
+reduction the denominator of every member is a sin-power integral, taken
+from its Beta closed form, times a radial integral over (0, 2).  The
+gradient integrand couples r and the angle, but its angular integral at
+each radial node is a closed form too: linear in the two terms of the
+gradient at p = 2, Gauss hypergeometric otherwise.  So every sweep, of any
+family, takes the numerator and denominator radials of all its members in
+one tanh-sinh pass.  Every radial integral runs on the panels (0, 1) and
+(1, 2): eta leaves 1 at r = 1, a kink inside (0, 2) that would make tanh-sinh
 converge only algebraically.  The panels change the values from those of
 one-piece radials, within the error estimates; a batch of members still
 gives each member the value it gets alone, to the bit.  All quotients are
@@ -104,12 +104,7 @@ class TrialFamily:
             raise ValueError("trial families are defined for k = n-1")
         if not admissible_hardy(p):
             raise ValueError(f"inadmissible parameters: {p}")
-        if self.kind is FamilyKind.GENERAL_P_BETA_NONNEG:
-            angular, radial = _general_p_exponents(self)
-        else:
-            _, mu, nu = _p2_exponents(self)
-            angular, radial = mu - 2.0, nu - 1.0    # g is bounded at r = 0
-        for what, value in (("angular", angular), ("radial", radial)):
+        for what, value in zip(("angular", "radial"), _exponents(self)):  # g(0) is finite
             if value <= -1.0:
                 raise SingularParamsError(
                     f"reduced {what} exponent {value} <= -1; integral diverges")
@@ -144,14 +139,9 @@ class TrialFamily:
         lam = -p.beta - 1.0 / p.p - self.sigma
         return lam / 2.0
 
-    def g_and_prime(self, r, terms=None):
-        """(g(r), g'(r)): r^2 + eps^2, its power and the cutoff are formed once.
-
-        terms is (r^2, eta(r), eta'(r)) when the caller has formed them for
-        several members; they are formed here otherwise.
-        """
-        r2, eta, eta_prime = terms or (r * r, cutoff_eta(r), cutoff_eta_prime(r))
-        return _g_and_prime(r, r2, eta, eta_prime,
+    def g_and_prime(self, r):
+        """(g(r), g'(r)): r^2 + eps^2, its power and the cutoff are formed once."""
+        return _g_and_prime(r, r * r, cutoff_eta(r), cutoff_eta_prime(r),
                             self.epsilon * self.epsilon, self.g_exponent)
 
 
@@ -185,12 +175,13 @@ def _g_and_prime(r, r2, eta, eta_prime, e2, ge):
 
 @dataclass(frozen=True)
 class QuotientParts:
+    """A member's gradient integral (numerator), weighted L^p integral
+    (denominator), their quotient, and err_estimate, the larger relative
+    quadrature error estimate of the two radial integrals."""
+
     numerator: float
     denominator: float
     quotient: float
-    j1: float = math.nan
-    j2: float = math.nan
-    j3: float = math.nan
     err_estimate: float = math.nan
 
 
@@ -200,100 +191,16 @@ def _rel_err(*results) -> float:
 
 
 def quotient_p2(family: TrialFamily) -> QuotientParts:
-    """Weighted Rayleigh quotient of a p = 2 family member by product quadrature.
+    """Weighted Rayleigh quotient of a p = 2 family member.
 
-    The gradient integral splits as J1 + J2 + J3 (h' g, h g', cross term);
-    each is one angular sin-power factor, its Beta closed form, times one
-    radial integral, so err_estimate is the radials' alone.  The radial
-    integrals of the denominator, J2 and J3 share their nodes and g, g'
-    there: one integrate_rows pass computes all three.
+    The p = 2 case of the one radial pass (_quotients): the angular integral
+    of the gradient bracket A cos^2 phi + C sin^2 phi is linear in A and C,
+    A B(3/2, b) + C B(1/2, b + 1), and the denominator's is a Beta function,
+    so err_estimate is the two radial integrals' alone.
     """
-    return _quotients_p2((family,))[0]
-
-
-#: Grid elements per block of members in the radial pass.
-_BLOCK_ELEMENTS = 2 ** 12
-
-
-def _quotients_p2(families) -> tuple[QuotientParts, ...]:
-    """quotient_p2 of each member, all radial integrals in one pass.
-
-    The angular pair is the Beta closed form sin_power_integral of mu - 2
-    and mu.  The denominator, J2 and J3 radials of every member are the rows
-    of one integrate_rows pass on the panels (0, 1) and (1, 2), member by
-    member, so each level's nodes, r^2 and cutoff serve them all.  Each
-    result is the one quotient_p2 gives the member alone, to the bit, and a
-    failure is the first radial failure met by quotient_p2 called on the
-    members in turn.  The values differ from those of one-piece radials over
-    (0, 2) by about the one-piece error estimates.
-    """
-    if any(f.kind is FamilyKind.GENERAL_P_BETA_NONNEG for f in families):
+    if family.kind is FamilyKind.GENERAL_P_BETA_NONNEG:
         raise ValueError("quotient_p2 takes a p = 2 family")
-    exponents = [_p2_exponents(f) for f in families]
-    rads = integrate_rows(_radial_rows(families, [nu for _, _, nu in exponents]),
-                          0.0, _SWEEP_SPEC_1D.truncation_radius, _SWEEP_SPEC_1D,
-                          _RADIAL_BREAKS)
-
-    parts = []
-    for i, (theta, mu, _) in enumerate(exponents):
-        ang_m2, ang = sin_power_integral(mu - 2.0), sin_power_integral(mu)
-        rad = rads[3 * i:3 * i + 3]
-        rad_den, rad_j2, rad_j3 = (r.value for r in rad)
-        j1 = theta * theta * ang_m2 * rad_den
-        j2 = ang * rad_j2
-        j3 = 2.0 * theta * ang * rad_j3
-        den = ang_m2 * rad_den
-        num = j1 + j2 + j3
-        parts.append(QuotientParts(num, den, num / den, j1, j2, j3, _rel_err(*rad)))
-    return tuple(parts)
-
-
-def _p2_exponents(family: TrialFamily) -> tuple[float, float, float]:
-    """(theta, mu, nu): the power of |x'| in h, the angular exponent of J2
-    and J3, and the radial exponent base mu + 2 beta."""
-    p = family.params
-    theta = family.h_exponent
-    mu = p.n + 2.0 * p.alpha + 2.0 * theta
-    return theta, mu, mu + 2.0 * p.beta
-
-
-def _radial_rows(families, nus):
-    """Integrand of the radial pass: den, J2 and J3 rows of each member in turn.
-
-    Each level forms r^2 and the cutoff once and the powers of r once per
-    distinct nu; g and g' go in blocks of members of about _BLOCK_ELEMENTS
-    grid elements.  Every row is quotient_p2's expression for its member, so
-    it equals the member's own evaluation to the bit.
-    """
-    e2 = np.array([[f.epsilon * f.epsilon] for f in families])
-    ge = np.array([[f.g_exponent] for f in families])
-    nu_keys, nu_of = np.unique(nus, return_inverse=True)
-    nu = nu_keys[:, None]
-
-    def rows(r):
-        r2, eta, eta_prime = r * r, cutoff_eta(r), cutoff_eta_prime(r)
-        r_terms = (_power(r, nu - 1.0), _power(r, nu + 1.0), _power(r, nu))
-        step = max(1, _BLOCK_ELEMENTS // r.size)
-        for i in range(0, len(families), step):
-            m = slice(i, i + step)
-            g, gp = _g_and_prime(r, r2, eta, eta_prime, e2[m], ge[m])
-            block = np.empty((len(g), 3, r.size))
-            for k, (g_term, r_term) in enumerate(zip((g ** 2, gp ** 2, g * gp), r_terms)):
-                np.multiply(g_term, r_term[nu_of[m]], out=block[:, k])
-            yield block.reshape(-1, r.size)
-    return rows
-
-
-def _general_p_exponents(family: TrialFamily) -> tuple[float, float]:
-    """(a_phi, a_r): powers of sin(phi) and r shared by numerator and denominator.
-
-    a_phi = -1 + p*sigma and a_r = p*(beta + sigma) > 0 for this family.
-    a_phi is formed from p and sigma alone, so that the sweeps of one
-    (p, sigma) share the cached tables of their angular closed form.
-    """
-    p = family.params
-    gam = family.h_exponent
-    return -1.0 + p.p * family.sigma, p.n - 1.0 + p.p * (p.alpha + p.beta + gam)
+    return _quotients((family,))[0]
 
 
 def quotient_general_p(family: TrialFamily) -> QuotientParts:
@@ -304,61 +211,93 @@ def quotient_general_p(family: TrialFamily) -> QuotientParts:
     hypergeometric closed form at each radial node; the denominator's is a
     Beta function.  err_estimate is the two radial integrals' alone: the
     closed form's relative error is about 1e-12.  This is the one-member
-    case of _quotients_general_p.
+    case of _quotients.
     """
-    return _quotients_general_p((family,))[0]
+    if family.kind is not FamilyKind.GENERAL_P_BETA_NONNEG:
+        raise ValueError("quotient_general_p takes the general-p family")
+    return _quotients((family,))[0]
 
 
-def _quotients_general_p(families) -> tuple[QuotientParts, ...]:
-    """quotient_general_p of each member, all radial integrals in one pass.
+def _exponents(family: TrialFamily) -> tuple[float, float]:
+    """(a_phi, a_r): powers of sin(phi) and r shared by numerator and denominator.
+
+    With h = s^theta and mu = n + 2 alpha + 2 theta they are mu - 2 and
+    mu + 2 beta - 1 for the p = 2 families; for the general-p family
+    a_phi = -1 + p*sigma and a_r = p*(beta + sigma) > 0.  The general-p
+    a_phi is formed from p and sigma alone, so that the sweeps of one
+    (p, sigma) share the cached tables of their angular closed form.
+    """
+    p, theta = family.params, family.h_exponent
+    if family.kind is FamilyKind.GENERAL_P_BETA_NONNEG:
+        return -1.0 + p.p * family.sigma, p.n - 1.0 + p.p * (p.alpha + p.beta + theta)
+    mu = p.n + 2.0 * p.alpha + 2.0 * theta
+    return mu - 2.0, mu + 2.0 * p.beta - 1.0
+
+
+def _quotients(families) -> tuple[QuotientParts, ...]:
+    """The quotient of each member, all radial integrals in one pass.
 
     The rows of the pass are the numerator and denominator of each member in
-    turn (_general_p_rows), on the panels (0, 1) and (1, 2).  Each result is
-    the one quotient_general_p gives the member alone, to the bit, and a
-    failure the first one quotient_general_p meets on the members in turn.
+    turn (_rows), on the panels (0, 1) and (1, 2), to _SWEEP_SPEC_1D at
+    p = 2 and _SWEEP_SPEC_P otherwise; the members share one p.  Each result
+    is the one the member gets alone, to the bit, and a failure the first
+    one met on the members in turn.
     """
-    if any(f.kind is not FamilyKind.GENERAL_P_BETA_NONNEG for f in families):
-        raise ValueError("quotient_general_p takes the general-p family")
-    exponents = [_general_p_exponents(f) for f in families]
-    rads = integrate_rows(_general_p_rows(families, exponents), 0.0,
-                          _SWEEP_SPEC_P.truncation_radius, _SWEEP_SPEC_P, _RADIAL_BREAKS)
+    exponents = [_exponents(f) for f in families]
+    spec = _SWEEP_SPEC_1D if families[0].params.p == 2 else _SWEEP_SPEC_P
+    rads = integrate_rows(_rows(families, exponents), 0.0, spec.truncation_radius, spec,
+                          _RADIAL_BREAKS)
 
     parts = []
     for (a_phi, _), num, rad in zip(exponents, rads[0::2], rads[1::2]):
         den = sin_power_integral(a_phi) * rad.value
-        parts.append(QuotientParts(num.value, den, num.value / den,
-                                   err_estimate=_rel_err(num, rad)))
+        parts.append(QuotientParts(num.value, den, num.value / den, _rel_err(num, rad)))
     return tuple(parts)
 
 
-def _general_p_rows(families, exponents):
-    """Integrand of the radial pass: the numerator and denominator rows of
-    each member in turn, as one block.
+#: Grid elements per block of members in the radial pass: small blocks keep
+#: a level's temporaries in cache.
+_BLOCK_ELEMENTS = 2 ** 12
 
-    |grad v|^2 = |x'|^(2 gam - 2) (A cos^2 phi + C sin^2 phi) for
-    v = |x'|^gam g(|x|), with A = gam^2 g^2 and C = (gam g + r g')^2; both
-    carry the radial weight r^a_r as r^(2 a_r / p) (a_r > 0).  The numerator
-    row is _bracket_angular of A and C at b = (a_phi + 1)/2, the denominator
-    row r^a_r g^p.  Each level forms r^2, the cutoff terms and each power
-    once; every row is quotient_general_p's expression for its member.
+
+def _rows(families, exponents):
+    """Integrand of the radial pass: the numerator and denominator rows of
+    each member in turn, in blocks of members of about _BLOCK_ELEMENTS grid
+    elements.
+
+    |grad v|^2 = |x'|^(2 theta - 2) (A cos^2 phi + C sin^2 phi) for
+    v = |x'|^theta g(|x|), with A = theta^2 g^2 and C = (theta g + r g')^2;
+    both carry the radial weight r^a_r as r^(2 a_r / p).  The numerator row
+    is _bracket_angular of A and C at b = (a_phi + 1)/2, the denominator
+    row r^a_r g^p; the members share one p.  Each level forms r^2 and the
+    cutoff once, each distinct power of r once, and g and g' over member
+    columns.  A power that overflows, as r^a_r with a_r near -1 does at
+    subnormal nodes, makes its row non-finite, which fails its member,
+    and raises no warning.
     """
     pws = [f.params.p for f in families]
     bs = [(a_phi + 1.0) / 2.0 for a_phi, _ in exponents]
-    r_exponents = {e for (_, a_r), pw in zip(exponents, pws) for e in (a_r, 2.0 * a_r / pw)}
+    r_keys, r_of = np.unique([e for (_, a_r), pw in zip(exponents, pws)
+                              for e in (2.0 * a_r / pw, a_r)], return_inverse=True)
+    fold_of, den_of = r_of[0::2], r_of[1::2]
+    e2, ge, theta = (np.array([[v] for v in col]) for col in zip(
+        *((f.epsilon * f.epsilon, f.g_exponent, f.h_exponent) for f in families)))
 
     def rows(r):
-        terms = (r * r, cutoff_eta(r), cutoff_eta_prime(r))
-        r_pow, eta_pow = {e: r ** e for e in r_exponents}, {pw: terms[1] ** pw for pw in set(pws)}
-        A, C = np.empty((2, len(families), r.size))
-        block = np.empty((2 * len(families), r.size))
-        for i, (family, (_, a_r), pw) in enumerate(zip(families, exponents, pws)):
-            gam, (g, gp) = family.h_exponent, family.g_and_prime(r, terms)
-            fold = r_pow[2.0 * a_r / pw]
-            A[i], C[i] = fold * (gam * g) ** 2, fold * (gam * g + r * gp) ** 2
-            block[2 * i + 1] = (r_pow[a_r] * (terms[0] + family.epsilon ** 2)
-                                ** (pw * family.g_exponent) * eta_pow[pw])
-        block[0::2] = _bracket_angular(A, C, pws, bs)
-        return (block,)
+        r2, eta, eta_prime = r * r, cutoff_eta(r), cutoff_eta_prime(r)
+        step, blocks = max(1, _BLOCK_ELEMENTS // r.size), []
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            r_pow = _power(r, r_keys[:, None])
+            for i in range(0, len(families), step):
+                m = slice(i, i + step)
+                g, gp = _g_and_prime(r, r2, eta, eta_prime, e2[m], ge[m])
+                fold, theta_g = r_pow[fold_of[m]], theta[m] * g
+                block = np.empty((2 * len(g), r.size))
+                block[0::2] = _bracket_angular(fold * theta_g ** 2,
+                                               fold * (theta_g + r * gp) ** 2, pws[m], bs[m])
+                np.multiply(r_pow[den_of[m]], g ** pws[0], out=block[1::2])
+                blocks.append(block)
+        return blocks
     return rows
 
 
@@ -377,10 +316,11 @@ class FitInfo:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One (eps, sigma) member's quotient; err_estimate is the largest
-    relative quadrature error estimate among its radial integrals: the
-    angular factors are closed forms, Beta functions and, for the general-p
-    numerator, a Gauss hypergeometric function good to about 1e-12."""
+    """One (eps, sigma) member's quotient; err_estimate is the larger
+    relative quadrature error estimate of its two radial integrals: the
+    angular factors are closed forms, a Beta function for the denominator
+    and, for the numerator, a linear form at p = 2 and otherwise a Gauss
+    hypergeometric function good to about 1e-12."""
 
     epsilon: float
     sigma: float
@@ -555,9 +495,7 @@ def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None) -
     (three eps for K > 1), and every member is a valid TrialFamily.
     """
     kind, eps_list, sigmas, families = _plan_sweep(params, eps_list, sigma_list)
-    quotients = (_quotients_general_p if kind is FamilyKind.GENERAL_P_BETA_NONNEG
-                 else _quotients_p2)
-    parts = quotients(families)
+    parts = _quotients(families)
     rows = tuple(SweepRow(f.epsilon, f.sigma, q.numerator, q.denominator, q.quotient,
                           q.err_estimate) for f, q in zip(families, parts))
     if kind is FamilyKind.P2_K_GT_1:

@@ -584,8 +584,8 @@ def _angular_reference(A, C, pw, b):
 
 
 class TestBracketAngular:
-    """The general-p numerator's angular integral in closed form, against
-    tanh-sinh quadrature over phi."""
+    """The sweep numerators' angular integral in closed form, hypergeometric
+    or, at p = 2, linear, against tanh-sinh quadrature over phi."""
 
     RATIOS = (1e-14, 1e-9, 1e-5, 1e-2, 0.3, 0.5, 0.7, 1.0)
 
@@ -595,6 +595,7 @@ class TestBracketAngular:
         (4.0, 0.2), (6.0, 0.6), (8.0, 0.1),               # even p: a terminating series
         (1.6 + 1e-9, 0.4), (3.0 + 1e-8, 0.4),             # m within 1e-5 of an integer
         (20.0, 0.4), (30.0, 13.5), (31.0, 0.8), (100.0, 0.2),  # Euler for x >= 1/2
+        (2.0, 0.4),                                       # linear: A B(3/2, b) + C B(1/2, b + 1)
     ])
     def test_matches_quadrature_in_both_branches(self, pw, p_sigma):
         b = p_sigma / 2.0
@@ -617,10 +618,10 @@ class TestBracketAngular:
 
     def test_rows_do_not_depend_on_each_other(self):
         rng = np.random.default_rng(3)
-        A, C = rng.uniform(0.0, 2.0, (2, 3, 50)) ** 3
-        pws, bs = [1.5, 3.0, 4.0], [0.1, 0.2, 0.05]
+        A, C = rng.uniform(0.0, 2.0, (2, 4, 50)) ** 3
+        pws, bs = [1.5, 2.0, 3.0, 4.0], [0.1, 0.3, 0.2, 0.05]
         block = quadrature._bracket_angular(A, C, pws, bs)
-        for i in range(3):
+        for i in range(4):
             alone = quadrature._bracket_angular(A[i:i + 1], C[i:i + 1], pws[i:i + 1], bs[i:i + 1])
             assert block[i].tobytes() == alone[0].tobytes()
 

@@ -73,9 +73,20 @@ class TestQuotientP2:
         q_fine = quotient_p2(TrialFamily(FamilyKind.P2_K_GT_1, K3_PARAMS, 1e-5))
         assert q_fine.quotient < q_coarse.quotient
 
-    def test_breakdown_sums(self):
-        q = quotient_p2(TrialFamily(FamilyKind.P2_K_GT_1, K3_PARAMS, 1e-4))
-        assert q.numerator == pytest.approx(q.j1 + q.j2 + q.j3, rel=1e-12)
+    def test_numerator_matches_the_three_term_breakdown(self):
+        # the gradient integral split as J1 + J2 + J3 (h' g, h g', cross
+        # term), each a Beta factor times a tight radial integral
+        fam = TrialFamily(FamilyKind.P2_K_GT_1, K3_PARAMS, 1e-4)
+        theta, (a_phi, a_r) = fam.h_exponent, rayleigh._exponents(fam)
+        ang_m2, ang = sin_power_integral(a_phi), sin_power_integral(a_phi + 2.0)
+        radials = [integrate_1d(f, 0.0, 2.0, _TIGHT, rayleigh._RADIAL_BREAKS).value for f in (
+            lambda r: fam.g_and_prime(r)[0] ** 2 * r ** a_r,
+            lambda r: fam.g_and_prime(r)[1] ** 2 * r ** (a_r + 2.0),
+            lambda r: fam.g_and_prime(r)[0] * fam.g_and_prime(r)[1] * r ** (a_r + 1.0))]
+        j1, j2, j3 = (theta * theta * ang_m2 * radials[0], ang * radials[1],
+                      2.0 * theta * ang * radials[2])
+        q = quotient_p2(fam)
+        assert abs(q.numerator - (j1 + j2 + j3)) <= q.err_estimate * q.numerator
 
     def test_k_lt_1_family_near_square(self):
         fam = TrialFamily(FamilyKind.P2_K_LT_1, HardyParams(3, 2.0, 0.0, 0.0), 1e-4, 0.05)
@@ -119,50 +130,39 @@ def _seeded_p2_families(seed, count=4):
     return [fam for fams in found.values() for fam in fams]
 
 
-def _exponents(fam):
-    """(theta, mu, nu) as quotient_p2 forms them."""
-    p = fam.params
-    theta = fam.h_exponent
-    mu = p.n + 2.0 * p.alpha + 2.0 * theta
-    return theta, mu, mu + 2.0 * p.beta
-
-
 class TestStackedRadials:
-    """quotient_p2's one radial pass against separate integrate_1d calls, all
-    on the panels (0, 1) and (1, R)."""
+    """quotient_p2's one radial pass against separate integrate_1d calls of
+    its numerator and denominator rows, all on the panels (0, 1) and (1, R)."""
 
     SPEC = rayleigh._SWEEP_SPEC_1D
     BREAKS = rayleigh._RADIAL_BREAKS
 
     @pytest.mark.parametrize("fam", _seeded_p2_families(2026), ids=lambda f: f.kind.value)
     def test_matches_separate_integrals_bit_for_bit(self, fam):
-        theta, mu, nu = _exponents(fam)
+        theta, (a_phi, a_r) = fam.h_exponent, rayleigh._exponents(fam)
+        b = (a_phi + 1.0) / 2.0
         R = self.SPEC.truncation_radius
 
-        def g(r):
-            return fam.g_and_prime(r)[0]
+        def numerator(r):
+            # the angular integral of A cos^2 phi + C sin^2 phi, linear at p = 2
+            g, gp = fam.g_and_prime(r)
+            fold = r ** a_r
+            A, C = fold * (theta * g) ** 2, fold * (theta * g + r * gp) ** 2
+            return A * beta(1.5, b) + C * beta(0.5, b + 1.0)
 
-        def gp(r):
-            return fam.g_and_prime(r)[1]
+        def denominator(r):
+            return r ** a_r * fam.g_and_prime(r)[0] ** 2
 
-        alone = tuple(integrate_1d(f, 0.0, R, self.SPEC, self.BREAKS) for f in (
-            lambda r: g(r) ** 2 * r ** (nu - 1.0), lambda r: gp(r) ** 2 * r ** (nu + 1.0),
-            lambda r: g(r) * gp(r) * r ** nu))
-
-        def rows(r):
-            gv, gpv = fam.g_and_prime(r)
-            return gv ** 2 * r ** (nu - 1.0), gpv ** 2 * r ** (nu + 1.0), gv * gpv * r ** nu
-
-        stacked = integrate_rows(rows, 0.0, R, self.SPEC, self.BREAKS)
+        alone = tuple(integrate_1d(f, 0.0, R, self.SPEC, self.BREAKS)
+                      for f in (numerator, denominator))
+        stacked = integrate_rows(lambda r: (numerator(r), denominator(r)), 0.0, R, self.SPEC,
+                                 self.BREAKS)
         assert [(r.value.hex(), r.err_estimate.hex()) for r in stacked] == \
             [(r.value.hex(), r.err_estimate.hex()) for r in alone]
 
-        den, j2, j3 = (r.value for r in alone)
-        ang_m2, ang = sin_power_integral(mu - 2.0), sin_power_integral(mu)
+        num, den = alone
         q = quotient_p2(fam)
-        assert q.denominator == ang_m2 * den
-        assert (q.j1, q.j2, q.j3) == (theta * theta * ang_m2 * den, ang * j2,
-                                      2.0 * theta * ang * j3)
+        assert (q.numerator, q.denominator) == (num.value, sin_power_integral(a_phi) * den.value)
         assert q.err_estimate == max(r.err_estimate / abs(r.value) for r in alone)
 
     @pytest.mark.parametrize("seed", [2026, 5, 6, 7])
@@ -171,8 +171,8 @@ class TestStackedRadials:
         # exponent; beyond its err_estimate only rounding of the two routes
         checked = 0
         for fam in _seeded_p2_families(seed):
-            _, mu, _ = _exponents(fam)
-            for lam in (mu - 2.0, mu):
+            a_phi, _ = rayleigh._exponents(fam)
+            for lam in (a_phi, a_phi + 2.0):
                 if lam <= -0.95:
                     continue
                 numeric = integrate_angular(lambda s: s ** lam, self.SPEC)
@@ -238,7 +238,7 @@ class TestRadialErrorEstimates:
         for fam in families:
             sweep_and_extrapolate(fam.params)
         checked, outside = _rows_outside_their_estimates(passes)
-        assert outside == 0 and checked >= 3 * 5 * len(families)
+        assert outside == 0 and checked >= 2 * 5 * len(families)
 
     def test_general_p_rows(self, monkeypatch):
         # the numerator and the denominator row of each of 4 x 20 members
@@ -271,18 +271,38 @@ class TestWorkCounts:
         assert all(size in (n, 2 * n) for size, n in zip(sizes, level_sizes))
         assert (len(sizes), sum(sizes)) == (8, 1774)
 
-    def test_numerator_row_nodes_of_a_general_p_sweep(self, monkeypatch):
-        elements = []
-        plain = rayleigh._bracket_angular
+    def test_row_nodes_of_a_k_lt_1_sweep(self, monkeypatch):
+        # a numerator and a denominator row per member; the J1, J2, J3
+        # breakdown took 3 rows per member, 106,440 row-nodes, on the same nodes
+        calls = _row_node_calls(monkeypatch)
+        sweep_and_extrapolate(HardyParams(3, 2.0, 0.0, -0.05))
+        assert {rows for _, rows in calls} == {40}
+        assert (len(calls), sum(nodes for nodes, _ in calls),
+                sum(nodes * rows for nodes, rows in calls)) == (8, 1774, 70_960)
 
-        def counted(A, C, pws, bs):
-            elements.append(A.shape)
-            return plain(A, C, pws, bs)
-        monkeypatch.setattr(rayleigh, "_bracket_angular", counted)
+    def test_numerator_row_nodes_of_a_general_p_sweep(self, monkeypatch):
+        calls = _row_node_calls(monkeypatch)
         sweep_and_extrapolate(HardyParams(3, 3.0, 0.0, 0.5))
-        # one call per radial level, every member's row on the level's nodes
-        assert {rows for rows, _ in elements} == {20}
-        assert (len(elements), sum(rows * nodes for rows, nodes in elements)) == (7, 19_720)
+        # one call per radial level, every member's two rows on the level's
+        # nodes: 20 x 986 numerator row-nodes
+        assert {rows for _, rows in calls} == {40}
+        assert (len(calls), sum(nodes * rows // 2 for nodes, rows in calls)) == (7, 19_720)
+
+
+def _row_node_calls(monkeypatch):
+    """(nodes, rows) of every integrand call of the radial passes run after
+    this call."""
+    calls = []
+    plain = rayleigh.integrate_rows
+
+    def counted(f, *args):
+        def f_counted(r):
+            blocks = f(r)
+            calls.append((r.size, sum(len(block) for block in blocks)))
+            return blocks
+        return plain(f_counted, *args)
+    monkeypatch.setattr(rayleigh, "integrate_rows", counted)
+    return calls
 
 
 def _sweep_outcome(params, sigmas):
@@ -296,7 +316,7 @@ def _sweep_outcome(params, sigmas):
             res.extrapolated.hex(), res.fit.residual.hex())
 
 
-_BATCH = rayleigh._quotients_p2
+_BATCH = rayleigh._quotients
 
 
 def _member_loop(families):
@@ -307,14 +327,14 @@ def _member_loop(families):
 # K = 0.995: only sigma = 0.025 lies below sqrt(1 - K)/2, so the sweep falls
 # back to the K = 1 family
 _NEAR_K1 = HardyParams(3, 2.0, 0.0, (-3.0 + math.sqrt(9.0 - 0.995)) / 2.0)
-# at sigma = 0.1 the power of r in J2 is r^2, which numpy's power by the
-# float 2 takes as a square
+# at sigma = 0.1 the power of r in both rows is r^2, which numpy's power by
+# the float 2 takes as a square
 _SQUARE = HardyParams(3, 2.0, 0.0, 0.9)
 _SIGMAS = {_SQUARE: (0.1, 0.06, 0.03, 0.015)}
 
 
 class TestBatchedSweep:
-    """_quotients_p2 against quotient_p2 called on each member in turn."""
+    """_quotients against quotient_p2 called on each member in turn."""
 
     @pytest.mark.parametrize("params", [fam.params for fam in _seeded_p2_families(31, count=2)]
                              + [_NEAR_K1, _SQUARE],
@@ -324,12 +344,23 @@ class TestBatchedSweep:
         if compute_K(params).family is not RegimeFamily.K_GT_1:
             sigmas = _SIGMAS.get(params, rayleigh.DEFAULT_SIGMA)
         batched = _sweep_outcome(params, sigmas)
-        monkeypatch.setattr(rayleigh, "_quotients_p2", _member_loop)
+        monkeypatch.setattr(rayleigh, "_quotients", _member_loop)
         assert batched == _sweep_outcome(params, sigmas)
         if params == _NEAR_K1:
             assert compute_K(params).family is RegimeFamily.K_LT_1
             assert _planned_kind(params, sigmas) is FamilyKind.P2_K_EQ_1
             assert len(batched[0]) == 20           # the K = 1 family keeps every sigma
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_radial_power_fails_its_member(self):
+        # a_r = nu - 1 = -0.985: r^a_r overflows at the subnormal nodes, so the
+        # first member's rows are infinite and fail it, with no warning
+        params = HardyParams(2, 2.0, 0.6061986706952709, -1.5988105841255105)
+        _, a_r = rayleigh._exponents(TrialFamily(FamilyKind.P2_K_GT_1, params, 1e-2))
+        assert a_r == pytest.approx(-0.985, abs=1e-3)
+        with pytest.raises(NotConvergedError, match=r"within 11 levels did not converge "
+                                                    r"\(last sum inf\)$"):
+            sweep_and_extrapolate(params)
 
     def test_just_above_k1_certifies(self, capsys):
         # K = 1.018: the angular exponent mu - 2 = -0.991 lies past the
@@ -337,8 +368,8 @@ class TestBatchedSweep:
         # the Beta closed form has no such limit
         params = HardyParams(2, 2.0, -0.4220116904528721, -0.2959733589660343)
         assert compute_K(params).k_value == pytest.approx(1.018, abs=1e-3)
-        _, mu, _ = _exponents(TrialFamily(FamilyKind.P2_K_GT_1, params, 1e-2))
-        assert -1.0 < mu - 2.0 < -0.95
+        a_phi, _ = rayleigh._exponents(TrialFamily(FamilyKind.P2_K_GT_1, params, 1e-2))
+        assert -1.0 < a_phi < -0.95
         res = sweep_and_extrapolate(params)
         constant = sharp_constant_p2(params).value
         assert res.extrapolated == pytest.approx(constant, rel=1e-5)
@@ -355,7 +386,7 @@ def _bracket_columns(family, r):
     """(A, C): the columns of the general-p gradient bracket
     A cos^2 phi + C sin^2 phi at r, the radial weight folded in."""
     gam, (g, gp) = family.h_exponent, family.g_and_prime(r)
-    _, a_r = rayleigh._general_p_exponents(family)
+    _, a_r = rayleigh._exponents(family)
     fold = r ** (2.0 * a_r / family.params.p)
     return fold * (gam * g) ** 2, fold * (gam * g + r * gp) ** 2
 
@@ -366,7 +397,7 @@ def _general_p_member(family):
     denominator's radial, on the sweep's radial panels."""
     spec = rayleigh._SWEEP_SPEC_P
     pw = family.params.p
-    a_phi, a_r = rayleigh._general_p_exponents(family)
+    a_phi, a_r = rayleigh._exponents(family)
     breaks = rayleigh._RADIAL_BREAKS
 
     def numerator(r):
@@ -374,11 +405,8 @@ def _general_p_member(family):
         return quadrature._bracket_angular(A[None], C[None], [pw], [(a_phi + 1.0) / 2.0])[0]
 
     num = integrate_1d(numerator, 0.0, spec.truncation_radius, spec, breaks)
-    e2 = family.epsilon ** 2
-    lam = 2.0 * family.g_exponent
-    rad = integrate_1d(
-        lambda r: r ** a_r * (r * r + e2) ** (pw * lam / 2.0) * cutoff_eta(r) ** pw,
-        0.0, spec.truncation_radius, spec, breaks)
+    rad = integrate_1d(lambda r: r ** a_r * family.g_and_prime(r)[0] ** pw,
+                       0.0, spec.truncation_radius, spec, breaks)
     den = sin_power_integral(a_phi) * rad.value
     return QuotientParts(num.value, den, num.value / den,
                          err_estimate=rayleigh._rel_err(num, rad))
@@ -401,22 +429,27 @@ def _general_p_outcome(params, eps_list=None, sigmas=None):
             res.extrapolated.hex(), res.fit.residual.hex())
 
 
-def _jumping_member(eps, sigma):
-    """A g_and_prime whose g jumps at r = 0.7 for the member (eps, sigma):
-    tanh-sinh then converges only algebraically, so that member's
-    numerator alone fails, with a finite last sum."""
-    plain = TrialFamily.g_and_prime
+def _poison_g(monkeypatch, params, eps, sigma, poison):
+    """Make g poison(r, g) for the general-p member (eps, sigma) of params:
+    in its column of a batch, and when it is evaluated alone."""
+    member = TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG, params, eps, sigma)
+    plain = rayleigh._g_and_prime
 
-    def g_and_prime(self, r, terms=None):
-        g, gp = plain(self, r, terms)
-        if (self.epsilon, self.sigma) == (eps, sigma):
-            g = np.where(r < 0.7, g, 2.0 * g)
-        return g, gp
-    return g_and_prime
+    def g_and_prime(r, r2, eta, eta_prime, e2, ge):
+        g, gp = plain(r, r2, eta, eta_prime, e2, ge)
+        mine = (np.asarray(e2) == eps * eps) & (np.asarray(ge) == member.g_exponent)
+        return np.where(mine, poison(r, g), g), gp
+    monkeypatch.setattr(rayleigh, "_g_and_prime", g_and_prime)
+
+
+def _jump(r, g):
+    """g doubled past r = 0.7: tanh-sinh then converges only algebraically,
+    so the member's rows fail, with a finite last sum."""
+    return np.where(r < 0.7, g, 2.0 * g)
 
 
 class TestBatchedGeneralPSweep:
-    """_quotients_general_p against quotient_general_p's member-by-member form."""
+    """_quotients against quotient_general_p's member-by-member form."""
 
     @pytest.mark.parametrize("pw", [1.5, 2.5, 3.0, 4.0])
     def test_sweep_matches_member_loop_bit_for_bit(self, pw, monkeypatch):
@@ -424,7 +457,7 @@ class TestBatchedGeneralPSweep:
         params = HardyParams(int(rng.integers(2, 4)), pw, float(rng.uniform(0.0, 0.3)),
                              float(rng.uniform(0.05, 0.6)))
         batched = _general_p_outcome(params)
-        monkeypatch.setattr(rayleigh, "_quotients_general_p", _general_p_member_loop)
+        monkeypatch.setattr(rayleigh, "_quotients", _general_p_member_loop)
         assert batched == _general_p_outcome(params)
         assert len(batched[0]) == 20
 
@@ -441,10 +474,7 @@ class TestBatchedGeneralPSweep:
         params = HardyParams(3, 1.5, 0.0, 0.5)
         eps, sigmas = (1e-3, 1e-4), (0.2, 0.1, 0.05)
         # its numerator total is NaN at the first level
-        plain = TrialFamily.g_and_prime
-        monkeypatch.setattr(TrialFamily, "g_and_prime", lambda self, r, terms=None: (
-            plain(self, r, terms) if (self.epsilon, self.sigma) != (1e-4, 0.1)
-            else (np.full_like(r, math.nan), np.zeros_like(r))))
+        _poison_g(monkeypatch, params, 1e-4, 0.1, lambda r, g: np.full_like(g, math.nan))
         message = "tanh-sinh on (0.0, 2.0)"
         batched = _general_p_outcome(params, eps, sigmas)
 
@@ -454,8 +484,7 @@ class TestBatchedGeneralPSweep:
             for fam in families:
                 seen.append((fam.epsilon, fam.sigma))
                 yield _general_p_member(fam)
-        monkeypatch.setattr(rayleigh, "_quotients_general_p",
-                            lambda families: tuple(logged_loop(families)))
+        monkeypatch.setattr(rayleigh, "_quotients", lambda families: tuple(logged_loop(families)))
         assert _general_p_outcome(params, eps, sigmas) == batched
         assert batched[0] == "NotConvergedError" and batched[1].startswith(message)
         assert seen == [(1e-3, 0.2), (1e-4, 0.2), (1e-3, 0.1), (1e-4, 0.1)]
@@ -463,24 +492,24 @@ class TestBatchedGeneralPSweep:
     def test_earlier_denominator_failure_beats_later_numerator_failure(self, monkeypatch):
         params = HardyParams(3, 1.5, 0.0, 0.5)
         eps, sigmas = (1e-3, 1e-4), (0.2, 0.1)
-        monkeypatch.setattr(TrialFamily, "g_and_prime", _jumping_member(1e-4, 0.1))
+        _poison_g(monkeypatch, params, 1e-4, 0.1, _jump)
         later = [TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG, params, e, s)
                  for s in sigmas for e in eps][1:]
         with pytest.raises(NotConvergedError, match=r"within 9 levels did not converge "
                                                     r"\(last sum \d"):
-            rayleigh._quotients_general_p(later)     # the fourth member's numerator
+            rayleigh._quotients(later)     # the fourth member's numerator
 
-        plain = rayleigh._general_p_rows
+        plain = rayleigh._rows
 
         def den_nan_at_first(families, exponents):
             rows = plain(families, exponents)
 
             def first_den_nan(r):
-                block, = rows(r)
-                block[1] = math.nan
-                return (block,)
+                blocks = rows(r)
+                blocks[0][1] = math.nan
+                return blocks
             return first_den_nan
-        monkeypatch.setattr(rayleigh, "_general_p_rows", den_nan_at_first)
+        monkeypatch.setattr(rayleigh, "_rows", den_nan_at_first)
         # the first member's denominator fails first
         assert _general_p_outcome(params, eps, sigmas)[:2] == (
             "NotConvergedError",
@@ -488,16 +517,9 @@ class TestBatchedGeneralPSweep:
 
     def test_nan_at_a_level0_node_still_raises(self, monkeypatch):
         # r = 0.5 is the t = 0 node of the radial panel (0, 1)
-        plain = TrialFamily.g_and_prime
-
-        def g_and_prime(self, r, terms=None):
-            g, gp = plain(self, r, terms)
-            if (self.epsilon, self.sigma) == (1e-4, 0.1):
-                g = np.where(r == 0.5, math.nan, g)
-            return g, gp
-        monkeypatch.setattr(TrialFamily, "g_and_prime", g_and_prime)
-        outcome = _general_p_outcome(HardyParams(3, 1.5, 0.0, 0.5), (1e-3, 1e-4),
-                                     (0.2, 0.1, 0.05))
+        params = HardyParams(3, 1.5, 0.0, 0.5)
+        _poison_g(monkeypatch, params, 1e-4, 0.1, lambda r, g: np.where(r == 0.5, math.nan, g))
+        outcome = _general_p_outcome(params, (1e-3, 1e-4), (0.2, 0.1, 0.05))
         assert outcome[:2] == ("NotConvergedError", "tanh-sinh on (0.0, 2.0) within 9 levels "
                                "did not converge (last sum nan)")
 
@@ -510,7 +532,7 @@ class TestBatchedGeneralPSweep:
         for row in res.rows:
             family = TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG, params, row.epsilon,
                                  row.sigma)
-            a_phi, _ = rayleigh._general_p_exponents(family)
+            a_phi, _ = rayleigh._exponents(family)
 
             def bracket(r, t):
                 A, C = _bracket_columns(family, r)
@@ -672,10 +694,10 @@ class TestQuotientGeneralP:
         seen = []
         monkeypatch.setattr(rayleigh, "_bracket_angular",
                             lambda A, C, pws, bs: seen.append((A, C)) or np.zeros_like(A))
-        rayleigh._general_p_rows([fam], [rayleigh._general_p_exponents(fam)])(r)
+        rayleigh._rows([fam], [rayleigh._exponents(fam)])(r)
         (A, C), = seen
         s, t = rho / r, x[:, 2] / r
-        a_phi, _ = rayleigh._general_p_exponents(fam)
+        a_phi, _ = rayleigh._exponents(fam)
         bracket = (A[0] * t * t + C[0] * (1.0 - t * t)) ** (pw / 2.0)
         reduced = bracket * s ** a_phi / (r * r * s)
         np.testing.assert_allclose(reduced, direct, rtol=1e-12, atol=0.0)
@@ -688,10 +710,10 @@ class TestQuotientGeneralP:
         params = HardyParams(3, pw, 0.0, 0.5)
         fam = TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG, params, 1e-2, 0.05)
         gam = fam.h_exponent
-        equal = SimpleNamespace(params=params, h_exponent=gam, sigma=fam.sigma,
-                                g_and_prime=lambda r, terms=None: (r ** (-2.0 * gam),
+        equal = SimpleNamespace(kind=fam.kind, params=params, h_exponent=gam, sigma=fam.sigma,
+                                g_and_prime=lambda r: (r ** (-2.0 * gam),
                                                        -2.0 * gam * r ** (-2.0 * gam - 1.0)))
-        a_phi, a_r = rayleigh._general_p_exponents(fam)
+        a_phi, a_r = rayleigh._exponents(fam)
         b = (a_phi + 1.0) / 2.0
         num = integrate_1d(lambda r: quadrature._bracket_angular(
             *(col[None] for col in _bracket_columns(equal, r)), [pw], [b])[0], 0.0, 2.0).value
@@ -806,7 +828,7 @@ class TestSweep:
         assert sigmas == [s * 2.0 / 4.0 for s in rayleigh.DEFAULT_SIGMA]
 
     def test_non_finite_fit_raises(self, monkeypatch):
-        monkeypatch.setattr(rayleigh, "_quotients_p2",
+        monkeypatch.setattr(rayleigh, "_quotients",
                             lambda families: tuple(
                                 QuotientParts(math.nan, 1.0, math.nan) for _ in families))
         with pytest.raises(FitUnstableError) as ei:
