@@ -1,7 +1,11 @@
 import collections
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -634,3 +638,69 @@ class TestBracketAngular:
         assert got[0] == 0.0 and not np.isfinite(got[2:]).any()
         # A = 0: int (1 - t^2)^(p/2 + b - 1) dt = B(1/2, b + p/2)
         assert got[1] == pytest.approx(beta(0.5, 0.1 + 1.5), rel=1e-13)
+
+    @pytest.mark.parametrize("pw,b", [
+        (1.0, 0.2), (1.5, 0.1), (1.6, 0.2), (1.6 + 1e-9, 0.2), (3.0, 0.05),
+        (3.0 + 1e-8, 0.2), (9.0, 0.3), (20.0, 0.2), (30.0, 6.75), (31.0, 0.4), (100.0, 0.1)])
+    def test_tables_match_the_series(self, pw, b):
+        # both branches on a dense grid of x, every panel edge and its
+        # neighbours, x0 +- 1 ulp, x = 1 and x = 0; then non-finite columns
+        x = _table_grid()
+        A = np.concatenate([x, np.ones_like(x), [math.nan, 1.0, math.inf]])[None]
+        C = np.concatenate([np.ones_like(x), x, [1.0, math.nan, math.inf]])[None]
+        got = quadrature._bracket_angular(A, C, [pw], [b])[0]
+        ref = _series_reference(A[0, :-3], C[0, :-3], pw, b)
+        np.testing.assert_allclose(got[:-3], ref, rtol=1e-13, atol=0.0)
+        assert not np.isfinite(got[-3:]).any()
+
+    @pytest.mark.parametrize("pw", [401.0, 1000.0, 2000.0])
+    def test_series_past_its_terms_is_nan(self, pw):
+        # at p = 1000 a series that never met its stop rule returned its
+        # partial sum, 1.5626 where tanh-sinh over phi gives 5.6014, and at
+        # p = 2000 inf; at p = 401 a factorial overflowed (OverflowError)
+        got = quadrature._bracket_angular(np.array([[1.0]]), np.array([[0.6]]), [pw], [0.1])
+        assert np.isnan(got).all()
+
+    def test_import_builds_no_table(self):
+        src = str(Path(quadrature.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import anisohardy; from anisohardy import quadrature as q; "
+             "print(*(f.cache_info().currsize for f in "
+             "(q._series_tables, q._chebyshev_table, q._bracket_tables)))"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0 and proc.stdout.split() == ["0", "0", "0"]
+
+    def test_new_combination_of_built_keys_builds_nothing(self):
+        rng = np.random.default_rng(5)
+        A, C = rng.uniform(0.0, 2.0, (2, 3, 60)) ** 3
+        pws, bs = [1.5, 3.0, 2.5], [0.1, 0.2, 0.05]
+        alone = [quadrature._bracket_angular(A[i:i + 1], C[i:i + 1], pws[i:i + 1], bs[i:i + 1])
+                 for i in range(3)]
+        builders = (quadrature._series_tables, quadrature._chebyshev_table)
+        built = [f.cache_info().misses for f in builders]
+        block = quadrature._bracket_angular(A[::-1], C[::-1], pws[::-1], bs[::-1])
+        assert [f.cache_info().misses for f in builders] == built
+        for i in range(3):
+            assert block[2 - i].tobytes() == alone[i][0].tobytes()
+
+
+def _table_grid():
+    """x in [0, 1] where _bracket_angular changes path or panel, and a dense grid."""
+    x0, panels = quadrature._X0, quadrature._PANELS
+    edges = x0 + (1.0 - x0) / panels * np.arange(panels + 1)
+    x = np.concatenate([np.linspace(x0, 1.0, 4001), edges, np.nextafter(edges, 0.0),
+                        np.nextafter(edges, 2.0), [0.0, 1e-3, 0.03]])
+    return np.unique(x[x <= 1.0])
+
+
+def _series_reference(A, C, pw, b):
+    """_bracket_angular's value with F from its series at every x."""
+    top = np.maximum(A, C)
+    x = np.minimum(A, C) / top
+    with np.errstate(divide="ignore"):
+        F = quadrature._series_F(quadrature._bracket_tables(((pw, b),)),
+                                 2 * (A > C) + (x < 0.5), x)
+    return F * beta(0.5, b) * top ** (pw / 2.0)

@@ -253,7 +253,8 @@ class TestWorkCounts:
     the K = 3 sweep's radial pass took 12,619 nodes (levels 0 to 10).  The
     general-p sweep's 2-D numerators took 3,709,216 bracket-kernel elements
     in one piece, 1,855,616 on the panels and 1,061,088 with a tail window;
-    its closed-form numerator rows take one element per radial node."""
+    its closed-form numerator rows take one element per radial node, and
+    few of those sum a series."""
 
     def test_radial_nodes_of_a_k_gt_1_sweep(self, monkeypatch):
         sizes = []
@@ -287,6 +288,22 @@ class TestWorkCounts:
         # nodes: 20 x 986 numerator row-nodes
         assert {rows for _, rows in calls} == {40}
         assert (len(calls), sum(nodes * rows // 2 for nodes, rows in calls)) == (7, 19_720)
+
+    def test_series_entries_of_a_general_p_sweep_with_its_tables_built(self, monkeypatch):
+        # the numerator rows read F from Chebyshev tables on [1/16, 1]; only
+        # elements below 1/16 sum a series, one entry per component.  Summing
+        # it at every element took 31,777 entries
+        params = HardyParams(3, 3.0, 0.0, 0.5)
+        sweep_and_extrapolate(params)          # builds the tables of its four (p, b)
+        entries = []
+        plain = quadrature._series_sums
+
+        def counted(P, Q, rows, y, L):
+            entries.append(y.size)
+            return plain(P, Q, rows, y, L)
+        monkeypatch.setattr(quadrature, "_series_sums", counted)
+        sweep_and_extrapolate(params)
+        assert sum(entries) == 2_310
 
 
 def _row_node_calls(monkeypatch):
@@ -658,6 +675,15 @@ class TestQuotientGeneralP:
     def test_rejects_p2_family(self):
         with pytest.raises(ValueError):
             quotient_general_p(TrialFamily(FamilyKind.P2_K_GT_1, K3_PARAMS, 1e-3))
+
+    @pytest.mark.parametrize("pw", [401.0, 1000.0])
+    def test_p_past_the_series_range_fails_typed(self, pw):
+        # at p = 401 a factorial of the angular series overflowed and raised
+        # OverflowError out of the sweep
+        fam = TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG, HardyParams(3, pw, 0.0, 0.5),
+                          1e-3, 0.2 / pw)
+        with pytest.raises(NotConvergedError):
+            quotient_general_p(fam)
 
     def test_sweeps_of_one_p_and_sigma_share_their_angular_rules(self):
         # a_phi = -1 + p sigma for every member; formed as n - 2 + p (alpha +
