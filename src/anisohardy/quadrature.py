@@ -12,12 +12,14 @@ Tanh-sinh converges exponentially only for integrands analytic inside the
 interval; at an interior kink it converges algebraically, and the level
 difference can understate the error.  Break points split the interval into
 panels, each with its own rule, so that a kink becomes a panel endpoint.
-Each level evaluates the integrand once, on the new nodes of every panel
-that a row still refines on, concatenated; each (row, panel) pair
-converges on its own, and a row's value and error estimate are the sums
-over its panels.  One interval is the one-panel case.  The radial
-integrals of the sweeps break at r = 1, where cutoff_eta leaves 1: its
-quintic ramp is C^2 there, and an integrand with eta' only C^1.
+The first integrand call takes levels 0 to 3 of every panel, each later
+call one level, on the new nodes of every panel that a row still refines
+on, concatenated; each level is summed from its own slice of the call, and
+each (row, panel) pair converges on its own, so a row's value and error
+estimate, the sums over its panels, are those of one call per level.  One
+interval is the one-panel case.  The radial integrals of the sweeps break
+at r = 1, where cutoff_eta leaves 1: its quintic ramp is C^2 there, and an
+integrand with eta' only C^1.
 
 Nodes are represented by their distance d from the nearer endpoint, so an
 integrand can be evaluated at machine-accurate offsets like b - 1e-290.  For
@@ -44,7 +46,10 @@ of the series for p up to 100.  Against 30-digit mpmath the kernel is
 within 6e-14 for p up to 31 and 2.5e-13 at p = 100, except where
 m = c - a - b lies within about 1e-4 of an integer: there the series itself,
 and so the tables, err by up to 3e-11.  A series that does not converge, as
-some do above p = 250, gives NaN, so its row fails with NotConvergedError.
+some do above p = 250, gives NaN, and so does every element of a (p, b)
+whose tables are not resolved (a panel's last two coefficients above 1e-10
+of its coefficient sum, as with b far above p or p past about 280); its
+row fails with NotConvergedError.
 
 Reduced integrals are computed WITHOUT the sphere-area prefactor of the
 residual angles; it cancels in every quotient.  sphere_area exists for
@@ -295,42 +300,55 @@ def _not_converged(what: str, total: float, err: float) -> NotConvergedError:
                              value=total, err_estimate=err)
 
 
+#: Levels 0 to _FIRST_CALL_LEVELS of every panel share the integrand's first
+#: call: each call carries a fixed setup cost, and no (row, panel) pair of the
+#: default sweeps converges before level 3, so the call evaluates no node that
+#: one call per level would not.
+_FIRST_CALL_LEVELS = 3
+
+
 def _ts_totals(f, panels, levels: int):
     """Running tanh-sinh totals of the rows of f over panels, row-major.
 
     panels is a sequence of (nodes, scale): nodes(t, d) maps the transform
     abscissae and endpoint distances of the unit interval to the points of
-    the panel, and scale is its length.  Each level calls f once, on x, the
-    level's new nodes of every panel that still has a live pair (per the
-    indices _refine sent), concatenated.  f returns a sequence of row
-    values at x, each an array of its shape or a value that broadcasts to
-    it, or a 2-D block of such rows, one per line.  A line's total on a
-    panel is the sum over that panel's slice of x, so a row's panel totals
-    do not depend on the other panels or rows.  Each level halves the
-    previous totals; levels 1..levels are yielded as arrays of the
+    the panel, and scale is its length.  f is called on x, the new nodes of
+    a run of levels of every panel that still has a live pair (per the
+    indices _refine sent), concatenated level-major: the first call covers
+    levels 0 to _FIRST_CALL_LEVELS of every panel, each later call one
+    level.  f returns a sequence of row values at x, each an array of its
+    shape or a value that broadcasts to it, or a 2-D block of such rows, one
+    per line.  A line's total on a panel at a level is the sum over that
+    level's and panel's slice of x, so a row's panel totals do not depend on
+    the other panels, rows or levels of the call.  Each level halves the
+    previous totals; levels 1..levels are yielded in turn as arrays of the
     (row, panel) totals, level 0 only seeds the first.
     """
-    n = len(panels)
+    n, first = len(panels), min(_FIRST_CALL_LEVELS, levels)
     totals, live = None, None
-    for level in range(levels + 1):
-        t, d, w = _ts_level(level)
+    for run in [range(first + 1), *((level,) for level in range(first + 1, levels + 1))]:
         ks = range(n) if live is None else np.unique(live % n).tolist()
-        xs = [panels[k][0](t, d) for k in ks]
+        rules = [_ts_level(level) for level in run]
+        xs = [panels[k][0](t, d) for t, d, _ in rules for k in ks]
         x = xs[0] if len(xs) == 1 else np.concatenate(xs)
-        sums = []
+        sums = [[] for _ in run]
         for row in f(x):
             fx = np.asarray(row, dtype=float)
             if fx.ndim <= x.ndim:
                 fx = (fx if fx.shape == x.shape else np.broadcast_to(fx, x.shape))[None]
-            by_panel = np.full((len(fx), n), math.nan)
-            for i, k in enumerate(ks):
-                part = fx[:, i * t.size:(i + 1) * t.size]
-                by_panel[:, k] = np.add.reduce(w * part, axis=-1) * panels[k][1]
-            sums.append(by_panel)
-        sums = np.concatenate(sums).ravel()
-        totals = sums if level == 0 else 0.5 * totals + sums
-        if level:
-            live = yield totals
+            start = 0
+            for level_sums, (t, _, w) in zip(sums, rules):
+                by_panel = np.full((len(fx), n), math.nan)
+                for k in ks:
+                    part = fx[:, start:start + t.size]
+                    by_panel[:, k] = np.add.reduce(w * part, axis=-1) * panels[k][1]
+                    start += t.size
+                level_sums.append(by_panel)
+        for level, level_sums in zip(run, sums):
+            new = np.concatenate(level_sums).ravel()
+            totals = new if level == 0 else 0.5 * totals + new
+            if level:
+                live = yield totals
 
 
 def _ts_rows(f, edges, spec: QuadratureSpec) -> tuple:
@@ -352,21 +370,21 @@ def integrate_rows(f: Callable, a: float, b: float, spec: QuadratureSpec | None 
                    breaks: tuple = ()) -> tuple[QuadResult, ...]:
     """Integrate the m rows of f over (a, b) on shared tanh-sinh nodes.
 
-    f is evaluated once per level on a numpy array of interior points and
-    returns a sequence of values there (arrays of the points' shape, values
-    that broadcast to it, or 2-D blocks of such rows, whose lines count as
-    rows in order), so work shared by the rows is done once.  breaks, points
-    strictly inside (a, b) in increasing order, split the interval into
-    panels, each with its own tanh-sinh rule: a kink of the integrand at a
-    break is then an endpoint of two panels, where the rule keeps its
-    exponential convergence, instead of an interior point, where it
-    converges only algebraically.  Each level evaluates f once, on the new
-    nodes of every panel that a row still refines on; each (row, panel)
-    converges on its own, and a row's value and error estimate are the sums
-    of its panels'.  Each row is summed, converged and frozen exactly as
-    integrate_1d would integrate it alone, so its QuadResult is the same to
-    the bit; the first row, in order, that does not converge raises
-    NotConvergedError with its best value.
+    f is evaluated on numpy arrays of interior points, once for levels 0 to
+    3 and then once per level, and returns a sequence of values there
+    (arrays of the points' shape, values that broadcast to it, or 2-D
+    blocks of such rows, whose lines count as rows in order), so work
+    shared by the rows is done once.  breaks, points strictly inside (a, b)
+    in increasing order, split the interval into panels, each with its own
+    tanh-sinh rule: a kink of the integrand at a break is then an endpoint
+    of two panels, where the rule keeps its exponential convergence,
+    instead of an interior point, where it converges only algebraically.
+    Each call of f takes the new nodes of every panel that a row still
+    refines on; each (row, panel) converges on its own, and a row's value
+    and error estimate are the sums of its panels'.  Each row is summed,
+    converged and frozen exactly as integrate_1d would integrate it alone,
+    so its QuadResult is the same to the bit; the first row, in order, that
+    does not converge raises NotConvergedError with its best value.
     """
     return _settled(_ts_rows(f, (a, *breaks, b), spec or _DEFAULT_SPEC))
 
@@ -467,8 +485,9 @@ _M_GAP = 1e-5
 _NONE = np.zeros(_SERIES_TERMS)
 #: F is read on [_X0, 1] from Chebyshev interpolants of degree _DEGREE on
 #: _PANELS equal panels (_chebyshev_table); below _X0 its series in powers
-#: of x takes about 14 terms.
-_X0, _PANELS, _DEGREE = 1.0 / 16.0, 16, 24
+#: of x takes about 14 terms.  A key with a panel whose last two
+#: coefficients pass _TAIL of its coefficient sum is NaN everywhere.
+_X0, _PANELS, _DEGREE, _TAIL = 1.0 / 16.0, 16, 24, 1e-10
 
 
 def _digamma(x):
@@ -597,7 +616,11 @@ def _series_F(tables, plan, x):
 def _chebyshev_table(pw: float, b: float):
     """Read-only Chebyshev coefficients of F for one (p, b) key, one row per
     branch and panel of [_X0, 1], branch-major: the series (_series_F) at
-    the _DEGREE + 1 Chebyshev points of each panel, in one call."""
+    the _DEGREE + 1 Chebyshev points of each panel, in one call.  All NaN
+    when a panel's last two coefficients are not within _TAIL of its
+    coefficient sum: on sweep keys (p up to 100, b at most p/2) they are
+    within 3.4e-15, but with b far above p, or past p of about 280, the
+    panels or the series are not resolved."""
     nodes = _DEGREE + 1
     # cos(k theta_j), theta_j = pi (2j + 1) / (2 nodes), from the angle reduced
     # exactly: cos(k * theta_j) in floats errs by k ulp of the angle, enough to
@@ -610,6 +633,8 @@ def _chebyshev_table(pw: float, b: float):
     F = _series_F(_series_tables(pw, b), plan, x).reshape(2 * _PANELS, nodes)
     coef = F @ cosines * (2.0 / nodes)
     coef[:, 0] *= 0.5
+    if not (np.abs(coef[:, -2:]).sum(axis=1) <= _TAIL * np.abs(coef).sum(axis=1)).all():
+        coef[:] = math.nan
     coef.setflags(write=False)
     return coef
 
@@ -650,7 +675,9 @@ def _bracket_angular(A, C, pws, bs):
     30-digit mpmath the value is within 6e-14 relative for p up to 31 and
     2.5e-13 at p = 100, and within 3e-11 where m lies within 1e-4 of an
     integer.  M = 0 gives 0, a non-finite A or C a non-finite value, and a
-    series that does not converge, as some do above p = 250, NaN.
+    series that does not converge, as some do above p = 250, NaN; a (p, b)
+    whose tables are not resolved (_chebyshev_table) is NaN at every
+    element, x < 1/16 included.
     """
     linear = [pw == 2.0 for pw in pws]
     if any(linear):
@@ -678,6 +705,7 @@ def _bracket_angular(A, C, pws, bs):
         if near.any():
             F.flat[todo[near]] = _series_F(tables, 2 * table[near] + 1, xs[near])
         F *= tables[5][key_of_row][:, None]
+        F[np.isnan(coef[::2 * _PANELS, 0])[key_of_row]] = math.nan    # refused keys
         for pw in set(pws):
             mine = np.array(pws) == pw
             F[mine] *= top[mine] ** (pw / 2.0)

@@ -372,8 +372,8 @@ def _extrapolate_eps(eps, rows, log_affine: bool):
 def _eps_lines(eps, rows):
     """|ln eps| and the lines through numerator and denominator against it."""
     L = np.abs(np.log(np.asarray(eps, dtype=float)))
-    cn = np.polynomial.polynomial.polyfit(L, [r.numerator for r in rows], 1)
-    cd = np.polynomial.polynomial.polyfit(L, [r.denominator for r in rows], 1)
+    cn, cd = np.polynomial.polynomial.polyfit(
+        L, [(r.numerator, r.denominator) for r in rows], 1).T
     return L, cn, cd
 
 
@@ -413,19 +413,18 @@ def _fit_pole_ratio(x, num_slopes, den_slopes):
     measured on the ratio as in _fit_sigma_intercept.
     """
     xa = np.asarray(x, dtype=float)
-    yn = xa * np.asarray(num_slopes, dtype=float)
-    yd = xa * np.asarray(den_slopes, dtype=float)
-    fit = np.polynomial.polynomial.polyfit
+    y = xa[:, None] * np.asarray([num_slopes, den_slopes], dtype=float).T
+    yn, yd = y.T
     deg = min(3, len(xa) - 1)
-    cn, cd = fit(xa, yn, deg), fit(xa, yd, deg)
+    cn, cd = np.polynomial.polynomial.polyfit(xa, y, deg).T
     value = float(cn[0] / cd[0])
     fitted = (np.polynomial.polynomial.polyval(xa, cn)
               / np.polynomial.polynomial.polyval(xa, cd))
     rms = float(np.sqrt(np.mean((fitted - yn / yd) ** 2)))
     if len(xa) > deg + 1:
         return value, rms
-    lower = float(fit(xa, yn, deg - 1)[0] / fit(xa, yd, deg - 1)[0])
-    return value, max(rms, abs(value - lower))
+    lower_n, lower_d = np.polynomial.polynomial.polyfit(xa, y, deg - 1)[0]
+    return value, max(rms, abs(value - float(lower_n / lower_d)))
 
 
 def _plan_sweep(params: HardyParams, eps_list, sigma_list):

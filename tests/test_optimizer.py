@@ -122,24 +122,26 @@ def _box(n, a, b):
 
 def _dense_grid_max(n, k, a, b, B, rows=64):
     """Every point of the 801 x 801 phase-one grid, the reference for
-    _grid_max: H2 and H1 at each point, then the largest H1 where H2 is
-    feasible.  Blocks of rows are evaluated in place into buffers that stay
-    in cache; each operation rounds as the grid's own expressions do."""
+    _grid_max: H2 at each point, then the largest H1 where H2 is feasible.
+    On a theta row H1 = q(theta) - H2 and rounded subtraction is monotone,
+    so that largest H1 is q less the row's least feasible H2.  The theta
+    terms are formed once per draw; blocks of rows of H2 are evaluated in
+    place into buffers that stay in cache, and each operation rounds as the
+    grid's own expressions do."""
     axis = np.linspace(-B, B, 801)
-    la = axis[None, :]
-    h2g, h1g = np.empty((rows, 801)), np.empty((rows, 801))
-    feasible = np.empty((rows, 801), dtype=bool)
-    best = -np.inf
+    la, th = axis[None, :], axis[:, None]
+    c, bth = n + 2.0 * a + 2.0 * b + 2.0 * th, 2.0 * b * th
+    h2g, feasible = np.empty((rows, 801)), np.empty((rows, 801), dtype=bool)
+    least = np.empty(801)
     for start in range(0, 801, rows):
-        th = axis[start:start + rows, None]
-        h2, h1, ok = h2g[:len(th)], h1g[:len(th)], feasible[:len(th)]
-        np.add(n + 2.0 * a + 2.0 * b + 2.0 * th, la, out=h2)
+        m = slice(start, start + rows)
+        h2, ok = h2g[:len(c[m])], feasible[:len(c[m])]
+        np.add(c[m], la, out=h2)
         np.multiply(la, h2, out=h2)                 # la * (... + la)
-        np.add(h2, 2.0 * b * th, out=h2)            # + 2 b th
-        np.subtract(-th * (k + 2.0 * a + th), h2, out=h1)
+        np.add(h2, bth[m], out=h2)                  # + 2 b th
         np.greater_equal(h2, optimizer._GRID_SLACK, out=ok)
-        best = max(best, float(np.max(h1, where=ok, initial=-np.inf)))
-    return best
+        np.min(h2, axis=1, where=ok, initial=np.inf, out=least[m])
+    return float(np.max(-axis * (k + 2.0 * a + axis) - least))
 
 
 class TestGridMax:

@@ -422,8 +422,9 @@ class TestPanels:
                                               lo.err_estimate + hi.err_estimate)
 
     def test_one_call_per_level_on_the_live_panels(self):
-        # the (1, 2) panel of eta' converges levels before the (0, 1) panel,
-        # where eta' is 0; each level is one call on the live panels' nodes
+        # the (0, 1) panel of eta', where eta' is 0, converges levels before
+        # the (1, 2) panel; the first call holds levels 0 to 3 of both panels,
+        # and each later level is one call on the live panels' nodes
         sizes = []
 
         def counted(x):
@@ -431,9 +432,10 @@ class TestPanels:
             return cutoff_eta_prime(x) * (1.0 + x)
 
         integrate_1d(counted, 0.0, 2.0, breaks=(1.0,))
-        level_sizes = [quadrature._ts_level(level)[0].size for level in range(len(sizes))]
-        assert all(size in (n, 2 * n) for size, n in zip(sizes, level_sizes))
-        assert sizes[0] == 2 * level_sizes[0] and sizes[-1] == level_sizes[-1]
+        level_sizes = [quadrature._ts_level(level)[0].size for level in range(3 + len(sizes))]
+        assert sizes[0] == 2 * sum(level_sizes[:4]) and len(sizes) > 1
+        assert all(size in (n, 2 * n) for size, n in zip(sizes[1:], level_sizes[4:]))
+        assert sizes[-1] == level_sizes[-1]
 
     def test_kink_at_a_break_converges_within_its_estimate(self):
         # int_0^2 eta' = eta(2) - eta(0) = -1; eta' has kinks at r = 1 and 2
@@ -467,23 +469,28 @@ class TestPanels:
         assert _raised(lambda: integrate_rows(
             lambda x: tuple(row(x) for row in rows), 0.0, 1.0, breaks=(0.5,))) == expected
 
-    def test_a_failed_row_stops_refining(self):
-        # the (0, 1) panel, x^-0.9, overflows at the first level with a node
-        # within 1e-300 of 0; the (-1, 0) panel, a step, would never
-        # converge, but its row is decided there and no further level is
-        # evaluated
+    @pytest.mark.parametrize("right,tiny", [
+        (lambda x: np.abs(x) ** -0.9, 1e-300),       # decided at level 3
+        (lambda x: np.where(x < 0.3, 1.0, 0.0), 1e-320),   # decided at level 5
+    ], ids=["level3", "level5"])
+    def test_a_failed_row_stops_refining(self, right, tiny):
+        # the (0, 1) panel overflows at the first level with a node within
+        # tiny of 0; the (-1, 0) panel, a step, would never converge, but its
+        # row is decided there: levels 0 to 3 share the first call, and no
+        # level past the deciding one is evaluated
         sizes = []
 
         def f(x):
             sizes.append(x.size)
-            tiny = (x > 0.0) & (x < 1e-300)
-            return (np.where(x < -0.7, 1.0, 0.0) + np.where(x > 0.0, np.abs(x) ** -0.9, 0.0)
-                    + np.where(tiny, np.inf, 0.0))
+            overflow = (x > 0.0) & (x < tiny)
+            return (np.where(x < -0.7, 1.0, 0.0) + np.where(x > 0.0, right(x), 0.0)
+                    + np.where(overflow, np.inf, 0.0))
 
         with pytest.raises(NotConvergedError) as ei:
             integrate_1d(f, -1.0, 1.0, breaks=(0.0,))
-        first = min(lv for lv in range(11) if np.any(_full_rule(lv)[1] < 1e-300))
-        assert sizes == [2 * quadrature._ts_level(lv)[0].size for lv in range(first + 1)]
+        first = min(lv for lv in range(11) if np.any(_full_rule(lv)[1] < tiny))
+        level_sizes = [2 * quadrature._ts_level(lv)[0].size for lv in range(first + 1)]
+        assert sizes == [sum(level_sizes[:4])] + level_sizes[4:]
         assert math.isinf(ei.value.value)
 
     @pytest.mark.parametrize("breaks", [(0.0,), (2.0,), (1.5, 0.5), (0.5, 0.5), (3.0,)])
@@ -660,6 +667,29 @@ class TestBracketAngular:
         # p = 2000 inf; at p = 401 a factorial overflowed (OverflowError)
         got = quadrature._bracket_angular(np.array([[1.0]]), np.array([[0.6]]), [pw], [0.1])
         assert np.isnan(got).all()
+
+    @pytest.mark.parametrize("pw,b,resolved", [
+        (2.5, 50.0, False), (3.0, 50.0, False),           # b far above p
+        (1000.0, 0.1, False), (2000.0, 0.1, False),       # p past about 280
+        (3.0, 5.0, True), (2.5, 10.0, True), (250.0, 0.1, True)])
+    def test_unresolved_tables_give_nan_not_wrong_values(self, pw, b, resolved):
+        # with the last Chebyshev coefficients at 1e-3 (2.5, 50), 3e-6 (3, 50),
+        # 2e-8 (1000, 0.1) and 2e-5 (2000, 0.1) of their sums, the kernel
+        # read up to 1.2e-2, 3.1e-5, 1.5e-9 and 8.5e-6 off, below 1/16 too
+        mpmath = pytest.importorskip("mpmath")
+        x = np.array([0.0, 1e-9, 1e-3, 0.03, np.nextafter(quadrature._X0, 0.0),
+                      quadrature._X0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
+        A = np.concatenate([x, np.ones_like(x)])[None]
+        C = np.concatenate([np.ones_like(x), x])[None]
+        got = quadrature._bracket_angular(A, C, [pw], [b])[0]
+        assert np.isfinite(got).all() if resolved else np.isnan(got).all()
+        with mpmath.workdps(40):
+            for a, c, value in zip(A[0], C[0], got):
+                if np.isnan(value):
+                    continue
+                ref = mpmath.beta(0.5, b) * mpmath.hyp2f1(
+                    -pw / 2.0, 0.5 if c >= a else b, b + 0.5, 1 - mpmath.mpf(min(a, c)))
+                assert abs(value - ref) <= 1e-12 * abs(ref), (a, c)
 
     def test_import_builds_no_table(self):
         src = str(Path(quadrature.__file__).resolve().parents[1])

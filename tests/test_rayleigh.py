@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from types import SimpleNamespace
@@ -267,27 +268,31 @@ class TestWorkCounts:
             return plain(f_counted, *args)
         monkeypatch.setattr(rayleigh, "integrate_rows", counted)
         sweep_and_extrapolate(K3_PARAMS)
-        # one call per level, on the new nodes of one or both panels
-        level_sizes = [quadrature._ts_level(level)[0].size for level in range(len(sizes))]
-        assert all(size in (n, 2 * n) for size, n in zip(sizes, level_sizes))
-        assert (len(sizes), sum(sizes)) == (8, 1774)
+        # one call for levels 0 to 3 of both panels, then one call per level,
+        # on the new nodes of one or both panels; one call per level took 8
+        level_sizes = [quadrature._ts_level(level)[0].size for level in range(3 + len(sizes))]
+        assert sizes[0] == 2 * sum(level_sizes[:4])
+        assert all(size in (n, 2 * n) for size, n in zip(sizes[1:], level_sizes[4:]))
+        assert (len(sizes), sum(sizes)) == (5, 1774)
 
     def test_row_nodes_of_a_k_lt_1_sweep(self, monkeypatch):
         # a numerator and a denominator row per member; the J1, J2, J3
-        # breakdown took 3 rows per member, 106,440 row-nodes, on the same nodes
+        # breakdown took 3 rows per member, 106,440 row-nodes, on the same
+        # nodes.  Levels 0 to 3 share the first call; one call per level took 8
         calls = _row_node_calls(monkeypatch)
         sweep_and_extrapolate(HardyParams(3, 2.0, 0.0, -0.05))
         assert {rows for _, rows in calls} == {40}
         assert (len(calls), sum(nodes for nodes, _ in calls),
-                sum(nodes * rows for nodes, rows in calls)) == (8, 1774, 70_960)
+                sum(nodes * rows for nodes, rows in calls)) == (5, 1774, 70_960)
 
     def test_numerator_row_nodes_of_a_general_p_sweep(self, monkeypatch):
         calls = _row_node_calls(monkeypatch)
         sweep_and_extrapolate(HardyParams(3, 3.0, 0.0, 0.5))
-        # one call per radial level, every member's two rows on the level's
-        # nodes: 20 x 986 numerator row-nodes
+        # one call for radial levels 0 to 3, then one per level, every
+        # member's two rows on the call's nodes: 20 x 986 numerator row-nodes.
+        # One call per level took 7
         assert {rows for _, rows in calls} == {40}
-        assert (len(calls), sum(nodes * rows // 2 for nodes, rows in calls)) == (7, 19_720)
+        assert (len(calls), sum(nodes * rows // 2 for nodes, rows in calls)) == (4, 19_720)
 
     def test_series_entries_of_a_general_p_sweep_with_its_tables_built(self, monkeypatch):
         # the numerator rows read F from Chebyshev tables on [1/16, 1]; only
@@ -304,6 +309,28 @@ class TestWorkCounts:
         monkeypatch.setattr(quadrature, "_series_sums", counted)
         sweep_and_extrapolate(params)
         assert sum(entries) == 2_310
+
+
+class TestGoldenSweeps:
+    """The default sweeps' rows and extrapolated values as float.hex, recorded
+    when the radial driver called the integrand once per level; the rows are
+    kept as the sha256 of their fields' float.hex, in order."""
+
+    @pytest.mark.parametrize("params,rows,extrapolated", [
+        (K3_PARAMS, "79db02544b0b393b23af1308aede69c38a1c88756127e8ada5d1178cc89b84a7",
+         "0x1.db3f9339af9e2p-4"),
+        (HardyParams(3, 2.0, 0.0, -0.05),
+         "b809866ba0ce2523303f6623f3bf90e502bccd57633673b918819bcecb6a0394",
+         "0x1.ffdcdc5edbfcdp-1"),
+        (HardyParams(3, 3.0, 0.0, 0.5),
+         "016506d9a1442dbbfe4ef30c51e83675d4dc0aee76475add3c2a200e095f6ed9",
+         "0x1.2f71be43a44b7p-2"),
+    ], ids=["K>1", "K<1", "general_p"])
+    def test_default_sweep_to_the_bit(self, params, rows, extrapolated):
+        res = sweep_and_extrapolate(params)
+        fields = [[float(getattr(r, f)).hex() for f in r.__dataclass_fields__] for r in res.rows]
+        assert hashlib.sha256(json.dumps(fields).encode()).hexdigest() == rows
+        assert res.extrapolated.hex() == extrapolated
 
 
 def _row_node_calls(monkeypatch):
@@ -748,6 +775,21 @@ class TestQuotientGeneralP:
         assert num == pytest.approx(sin_power_integral(a_phi) * radial, rel=1e-12)
 
 
+def _pole_ratio_one_line_at_a_time(x, num_slopes, den_slopes):
+    """_fit_pole_ratio with one polyfit per line: the reference for its
+    paired fits."""
+    fit, polyval = np.polynomial.polynomial.polyfit, np.polynomial.polynomial.polyval
+    yn, yd = x * np.asarray(num_slopes), x * np.asarray(den_slopes)
+    deg = min(3, len(x) - 1)
+    cn, cd = fit(x, yn, deg), fit(x, yd, deg)
+    value = float(cn[0] / cd[0])
+    rms = float(np.sqrt(np.mean((polyval(x, cn) / polyval(x, cd) - yn / yd) ** 2)))
+    if len(x) > deg + 1:
+        return value, rms
+    lower = float(fit(x, yn, deg - 1)[0] / fit(x, yd, deg - 1)[0])
+    return value, max(rms, abs(value - lower))
+
+
 class TestSweep:
     def test_k_gt_1_sweep(self):
         res = sweep_and_extrapolate(K3_PARAMS, eps_list=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6))
@@ -818,6 +860,24 @@ class TestSweep:
         plain, _ = rayleigh._fit_sigma_intercept(sigmas, [n / d for n, d in zip(num, den)])
         assert abs(value - c0) < 0.15 * abs(plain - c0)
         assert abs(value - c0) <= resid
+
+    def test_paired_fits_match_separate_fits_bit_for_bit(self):
+        # _eps_lines and _fit_pole_ratio fit the numerator and denominator
+        # lines in one polyfit of two columns; each column must be the fit of
+        # its line alone
+        fit = np.polynomial.polynomial.polyfit
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            m = int(rng.integers(2, 7))
+            x = np.sort(rng.uniform(0.01, 0.5, m))
+            num, den = rng.normal(size=(2, m)) * 10.0 ** rng.uniform(-8.0, 3.0, (2, 1))
+            rows = [SimpleNamespace(numerator=a, denominator=b) for a, b in zip(num, den)]
+            L, cn, cd = rayleigh._eps_lines(np.exp(-1.0 / x), rows)
+            assert (cn.tobytes(), cd.tobytes()) == (fit(L, num, 1).tobytes(),
+                                                    fit(L, den, 1).tobytes())
+            value, resid = rayleigh._fit_pole_ratio(x, num, den)
+            assert (value.hex(), resid.hex()) == tuple(
+                v.hex() for v in _pole_ratio_one_line_at_a_time(x, num, den))
 
     def test_general_p_certifies_at_high_beta(self):
         # n = 2, p = 2.5, beta = 0.9: the ratio polynomial's residual sat at
