@@ -301,8 +301,9 @@ def _not_converged(what: str, total: float, err: float) -> NotConvergedError:
 
 
 #: Levels 0 to _FIRST_CALL_LEVELS of every panel share the integrand's first
-#: call: each call carries a fixed setup cost, and no (row, panel) pair of the
-#: default sweeps converges before level 3, so the call evaluates no node that
+#: call: each call of a sweep's integrand carries a fixed setup cost, and on
+#: the default schedules and certbench's certification sets no (row, panel)
+#: pair converges before level 3, so there the call evaluates no node that
 #: one call per level would not.
 _FIRST_CALL_LEVELS = 3
 
