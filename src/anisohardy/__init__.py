@@ -16,7 +16,7 @@ from .closed_form import (Kind, Branch, ConstantResult, sharp_constant_p2,
                           branch_candidates, ckn_constant)
 from .optimizer import OptimizerBranch, OptimizerReport, maximize
 from .quadrature import (QuadratureSpec, QuadResult, XiSpec,
-                         log_gamma, beta, sin_power_integral, sphere_area,
+                         log_gamma, beta, sin_power_integral,
                          cutoff_eta, cutoff_eta_prime, gauss_jacobi,
                          integrate_1d, integrate_rows, integrate_2d,
                          lemma1_check)
@@ -37,7 +37,7 @@ __all__ = [
     "branch_candidates", "ckn_constant",
     "OptimizerBranch", "OptimizerReport", "maximize",
     "QuadratureSpec", "QuadResult", "XiSpec",
-    "log_gamma", "beta", "sin_power_integral", "sphere_area",
+    "log_gamma", "beta", "sin_power_integral",
     "cutoff_eta", "cutoff_eta_prime", "gauss_jacobi", "integrate_1d",
     "integrate_rows", "integrate_2d", "lemma1_check",
     "FamilyKind", "TrialFamily", "SweepResult", "SweepRow",

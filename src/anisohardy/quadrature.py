@@ -12,7 +12,7 @@ Tanh-sinh converges exponentially only for integrands analytic inside the
 interval; at an interior kink it converges algebraically, and the level
 difference can understate the error.  Break points split the interval into
 panels, each with its own rule, so that a kink becomes a panel endpoint.
-The first integrand call takes levels 0 to 3 of every panel, each later
+The first integrand call takes levels 0 to 4 of every panel, each later
 call one level, on the new nodes of every panel that a row still refines
 on, concatenated; each level is summed from its own slice of the call, and
 each (row, panel) pair converges on its own, so a row's value and error
@@ -52,8 +52,7 @@ of its coefficient sum, as with b far above p or p past about 280); its
 row fails with NotConvergedError.
 
 Reduced integrals are computed WITHOUT the sphere-area prefactor of the
-residual angles; it cancels in every quotient.  sphere_area exists for
-absolute reporting only.
+residual angles; it cancels in every quotient.
 
 Exponent caveat: the fixed tanh-sinh window resolves endpoint exponents
 c > -0.95 to full double precision; for c in (-1, -0.95] a tail below the
@@ -64,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -73,7 +72,7 @@ from .errors import NotConvergedError
 
 __all__ = [
     "QuadratureSpec", "QuadResult", "XiSpec", "Lemma1Report",
-    "log_gamma", "beta", "sin_power_integral", "sphere_area",
+    "log_gamma", "beta", "sin_power_integral",
     "cutoff_eta", "cutoff_eta_prime", "gauss_jacobi",
     "integrate_1d", "integrate_rows", "integrate_angular", "integrate_2d",
     "lemma1_check",
@@ -97,16 +96,6 @@ def beta(t: float, g: float) -> float:
     if t <= 0 or g <= 0:
         raise ValueError(f"beta requires positive arguments, got ({t}, {g})")
     return math.exp(math.lgamma(t) + math.lgamma(g) - math.lgamma(t + g))
-
-
-def sphere_area(m: int) -> float:
-    """Surface measure of the unit sphere in R^m: 2 pi^(m/2) / Gamma(m/2).
-
-    m = 1 gives 2 (two points), m = 2 gives 2*pi, m = 3 gives 4*pi.
-    """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"sphere_area requires an integer m >= 1, got {m!r}")
-    return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
 
 
 def sin_power_integral(lam: float, numeric: bool = False) -> float:
@@ -234,56 +223,52 @@ def _refine(totals, spec: QuadratureSpec, what: str, panels: int = 1) -> tuple:
     driven alone in turn: a failed row and the rows after it refine no
     further, and refinement ends once every row before it is decided.
     """
-    live, out = None, None
+    live, prev = None, None
     while True:
         try:
-            pair_totals = totals.send(live)
+            values = np.asarray(totals.send(live), dtype=float)
         except StopIteration:
             break
-        values = np.asarray(pair_totals, dtype=float)
-        if out is None:
-            m = len(values)
-            prev, err, last, out = (np.full(m, math.nan), np.full(m, math.inf),
-                                    np.full(m, math.nan), [None] * m)
-        todo = np.arange(m) if live is None else live
-        bad = ~np.isfinite(values[todo])
-        stop = int(np.argmax(bad)) if bad.any() else len(todo)
-        done = todo[:stop]
-        total = last[done] = values[done]
-        seen = ~np.isnan(prev[done])
-        diff = np.abs(total - prev[done])
-        err[done[seen]] = diff[seen]
-        converged = seen & (diff <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total)))
-        for j in done[converged].tolist():
-            out[j] = QuadResult(float(values[j]), float(err[j]))
-        prev[done] = total
-        live = done[~converged]
-        if stop < len(todo):        # pair j fails, and its row is decided
-            j = int(todo[stop])
-            row = j - j % panels
-            out[j] = _not_converged(what, float(values[j]), float(err[j]))
-            rest = todo[stop:]
+        if live is None:        # per pair: last total, estimate, 1 converged, 2 failed
+            last, err = np.full(values.size, math.nan), np.full(values.size, math.inf)
+            state, live = np.zeros(values.size, dtype=np.int8), np.arange(values.size)
+        total = values[live]
+        bad = ~np.isfinite(total)
+        stop = int(np.argmax(bad)) if bad.any() else live.size
+        done, total = live[:stop], total[:stop]
+        last[done] = total
+        if prev is None:        # the first totals of every pair
+            keep = np.ones(stop, dtype=bool)
+        else:
+            diff = np.abs(total - prev[:stop])
+            err[done] = diff
+            keep = diff > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+            state[done[~keep]] = 1
+        rest = live[stop:]
+        live, prev = done[keep], total[keep]
+        if rest.size:           # pair rest[0] fails, and its row is decided
+            row = int(rest[0]) - int(rest[0]) % panels
+            state[rest[0]] = 2
             rest = rest[rest < row + panels]
             last[rest] = values[rest]
+            prev = prev[live < row]
             live = live[live < row]
         if not live.size:
             break
     if live.size:
-        j = int(live[0])
-        out[j] = _not_converged(what, float(last[j]), float(err[j]))
+        state[live[0]] = 2
 
+    by_row = state.reshape(-1, panels)
+    failed, undecided = (by_row == 2).any(axis=1).tolist(), (by_row == 0).any(axis=1).tolist()
+    value, estimate = last[0::panels].copy(), err[0::panels].copy()
+    for k in range(1, panels):      # left to right, as a row's own sum
+        value += last[k::panels]
+        estimate += err[k::panels]
     rows = []
-    for row in range(0, len(out), panels):
-        pairs = out[row:row + panels]
-        if any(isinstance(res, NotConvergedError) for res in pairs):
-            rows.append(_not_converged(what, float(np.sum(last[row:row + panels])),
-                                       float(np.sum(err[row:row + panels]))))
-        elif None in pairs:
-            rows.append(None)
-        else:
-            rows.append(QuadResult(sum((res.value for res in pairs[1:]), pairs[0].value),
-                                   sum((res.err_estimate for res in pairs[1:]),
-                                       pairs[0].err_estimate)))
+    for row, (v, e) in enumerate(zip(value.tolist(), estimate.tolist())):
+        pairs = slice(row * panels, (row + 1) * panels)
+        rows.append(_not_converged(what, float(np.sum(last[pairs])), float(np.sum(err[pairs])))
+                    if failed[row] else None if undecided[row] else QuadResult(v, e))
     return tuple(rows)
 
 
@@ -302,54 +287,79 @@ def _not_converged(what: str, total: float, err: float) -> NotConvergedError:
 
 #: Levels 0 to _FIRST_CALL_LEVELS of every panel share the integrand's first
 #: call: each call of a sweep's integrand carries a fixed setup cost, and on
-#: the default schedules and certbench's certification sets no (row, panel)
-#: pair converges before level 3, so there the call evaluates no node that
-#: one call per level would not.
-_FIRST_CALL_LEVELS = 3
+#: the default schedules and certbench's certification sets no panel of a
+#: pass is done before level 4 (a few general-p pairs leave at level 3, each
+#: beside pairs of its panel that need level 4), so there the call evaluates
+#: no node that one call per level would not.
+_FIRST_CALL_LEVELS = 4
+
+
+@lru_cache(maxsize=128)
+def _panel_nodes(lo: float, hi: float, level: int):
+    """Read-only nodes of tanh-sinh level `level` (_ts_level) on the panel
+    (lo, hi), each from its distance to the nearer endpoint."""
+    t, d, _ = _ts_level(level)
+    x = np.where(t <= 0.0, lo + (hi - lo) * d, hi - (hi - lo) * d)
+    x.setflags(write=False)
+    return x
+
+
+def _weighted_rows(rows, x, w):
+    """The rows f returned at x, each times the weights w of its nodes, as
+    one 2-D array, a line per row: each row is an array of x's shape, a
+    value that broadcasts to it, or a 2-D block of such rows, one per line."""
+    lines = []
+    for row in rows:
+        fx = np.asarray(row, dtype=float)
+        lines.append(np.broadcast_to(fx, x.shape)[None] if fx.ndim <= x.ndim else fx)
+    out = np.empty((sum(len(fx) for fx in lines), x.size))
+    start = 0
+    for fx in lines:
+        np.multiply(fx, w, out=out[start:start + len(fx)])
+        start += len(fx)
+    return out
 
 
 def _ts_totals(f, panels, levels: int):
     """Running tanh-sinh totals of the rows of f over panels, row-major.
 
-    panels is a sequence of (nodes, scale): nodes(t, d) maps the transform
-    abscissae and endpoint distances of the unit interval to the points of
-    the panel, and scale is its length.  f is called on x, the new nodes of
-    a run of levels of every panel that still has a live pair (per the
-    indices _refine sent), concatenated level-major: the first call covers
-    levels 0 to _FIRST_CALL_LEVELS of every panel, each later call one
-    level.  f returns a sequence of row values at x, each an array of its
-    shape or a value that broadcasts to it, or a 2-D block of such rows, one
-    per line.  A line's total on a panel at a level is the sum over that
-    level's and panel's slice of x, so a row's panel totals do not depend on
-    the other panels, rows or levels of the call.  Each level halves the
+    panels is a sequence of (nodes, scale): nodes(level) gives the new
+    points of that level (_ts_level) in the panel, and scale is its length.
+    f is called on x, the new nodes of a run of levels of every panel that
+    still has a live pair (per the indices _refine sent), concatenated
+    level-major: the first call covers levels 0 to _FIRST_CALL_LEVELS of
+    every panel, each later call one level.  f returns rows at x as
+    _weighted_rows takes them.  A line's total on a panel at a level is the
+    sum of its weighted values over that level's and panel's slice of x,
+    times the panel's scale, so a row's panel totals do not depend on the
+    other panels, rows or levels of the call.  The sums of every level go
+    into one array, NaN on the panels a call skips.  Each level halves the
     previous totals; levels 1..levels are yielded in turn as arrays of the
     (row, panel) totals, level 0 only seeds the first.
     """
     n, first = len(panels), min(_FIRST_CALL_LEVELS, levels)
-    totals, live = None, None
-    for run in [range(first + 1), *((level,) for level in range(first + 1, levels + 1))]:
-        ks = range(n) if live is None else np.unique(live % n).tolist()
-        rules = [_ts_level(level) for level in run]
-        xs = [panels[k][0](t, d) for t, d, _ in rules for k in ks]
+    scales = np.array([scale for _, scale in panels], dtype=float)
+    ks, sums, totals = range(n), None, None
+    for run in [range(first + 1), *(range(level, level + 1)
+                                    for level in range(first + 1, levels + 1))]:
+        slots = [(level, k) for level in run for k in ks]
+        xs = [panels[k][0](level) for level, k in slots]
+        ws = [_ts_level(level)[2] for level, _ in slots]
         x = xs[0] if len(xs) == 1 else np.concatenate(xs)
-        sums = [[] for _ in run]
-        for row in f(x):
-            fx = np.asarray(row, dtype=float)
-            if fx.ndim <= x.ndim:
-                fx = (fx if fx.shape == x.shape else np.broadcast_to(fx, x.shape))[None]
-            start = 0
-            for level_sums, (t, _, w) in zip(sums, rules):
-                by_panel = np.full((len(fx), n), math.nan)
-                for k in ks:
-                    part = fx[:, start:start + t.size]
-                    by_panel[:, k] = np.add.reduce(w * part, axis=-1) * panels[k][1]
-                    start += t.size
-                level_sums.append(by_panel)
-        for level, level_sums in zip(run, sums):
-            new = np.concatenate(level_sums).ravel()
+        wfx = _weighted_rows(f(x), x, ws[0] if len(ws) == 1 else np.concatenate(ws))
+        if sums is None:
+            sums = np.full((levels + 1, len(wfx), n), math.nan)
+        start = 0
+        for (level, k), w in zip(slots, ws):
+            np.add.reduce(wfx[:, start:start + w.size], axis=-1, out=sums[level, :, k])
+            start += w.size
+        sums[run.start:run.stop] *= scales
+        for level in run:
+            new = sums[level].ravel()
             totals = new if level == 0 else 0.5 * totals + new
             if level:
                 live = yield totals
+        ks = sorted(set((live % n).tolist()))
 
 
 def _ts_rows(f, edges, spec: QuadratureSpec) -> tuple:
@@ -357,12 +367,8 @@ def _ts_rows(f, edges, spec: QuadratureSpec) -> tuple:
     consecutive edges (a, e1, ..., b)."""
     if any(not hi > lo for lo, hi in zip(edges, edges[1:])):
         raise ValueError(f"need a < break points < b, increasing, got {tuple(edges)}")
-
-    def panel(lo, hi):
-        return lambda t, d: np.where(t <= 0.0, lo + (hi - lo) * d, hi - (hi - lo) * d), hi - lo
-
-    totals = _ts_totals(f, [panel(lo, hi) for lo, hi in zip(edges, edges[1:])], spec.levels)
-    return _refine(totals, spec,
+    panels = [(partial(_panel_nodes, lo, hi), hi - lo) for lo, hi in zip(edges, edges[1:])]
+    return _refine(_ts_totals(f, panels, spec.levels), spec,
                    f"tanh-sinh on ({edges[0]}, {edges[-1]}) within {spec.levels} levels",
                    len(edges) - 1)
 
@@ -372,7 +378,7 @@ def integrate_rows(f: Callable, a: float, b: float, spec: QuadratureSpec | None 
     """Integrate the m rows of f over (a, b) on shared tanh-sinh nodes.
 
     f is evaluated on numpy arrays of interior points, once for levels 0 to
-    3 and then once per level, and returns a sequence of values there
+    4 and then once per level, and returns a sequence of values there
     (arrays of the points' shape, values that broadcast to it, or 2-D
     blocks of such rows, whose lines count as rows in order), so work
     shared by the rows is done once.  breaks, points strictly inside (a, b)
@@ -385,7 +391,8 @@ def integrate_rows(f: Callable, a: float, b: float, spec: QuadratureSpec | None 
     and error estimate are the sums of its panels'.  Each row is summed,
     converged and frozen exactly as integrate_1d would integrate it alone,
     so its QuadResult is the same to the bit; the first row, in order, that
-    does not converge raises NotConvergedError with its best value.
+    does not converge raises NotConvergedError with its best value.  An f
+    that returns no rows gives ().
     """
     return _settled(_ts_rows(f, (a, *breaks, b), spec or _DEFAULT_SPEC))
 
@@ -413,7 +420,8 @@ def integrate_angular(f_of_sin: Callable, spec: QuadratureSpec | None = None) ->
     """
     spec = spec or _DEFAULT_SPEC
     totals = _ts_totals(lambda s: (f_of_sin(s),),
-                        [(lambda t, d: np.sin(np.pi * d), math.pi)], spec.levels)
+                        [(lambda level: np.sin(np.pi * _ts_level(level)[1]), math.pi)],
+                        spec.levels)
     return _settled(_refine(totals, spec, f"angular tanh-sinh within {spec.levels} levels"))[0]
 
 
@@ -487,8 +495,9 @@ _NONE = np.zeros(_SERIES_TERMS)
 #: F is read on [_X0, 1] from Chebyshev interpolants of degree _DEGREE on
 #: _PANELS equal panels (_chebyshev_table); below _X0 its series in powers
 #: of x takes about 14 terms.  A key with a panel whose last two
-#: coefficients pass _TAIL of its coefficient sum is NaN everywhere.
-_X0, _PANELS, _DEGREE, _TAIL = 1.0 / 16.0, 16, 24, 1e-10
+#: coefficients pass _TAIL of its coefficient sum, or whose two series
+#: differ by more than _SEAM relative at x = 1/2, is NaN everywhere.
+_X0, _PANELS, _DEGREE, _TAIL, _SEAM = 1.0 / 16.0, 16, 24, 1e-10, 1e-12
 
 
 def _digamma(x):
@@ -619,9 +628,13 @@ def _chebyshev_table(pw: float, b: float):
     branch and panel of [_X0, 1], branch-major: the series (_series_F) at
     the _DEGREE + 1 Chebyshev points of each panel, in one call.  All NaN
     when a panel's last two coefficients are not within _TAIL of its
-    coefficient sum: on sweep keys (p up to 100, b at most p/2) they are
-    within 3.4e-15, but with b far above p, or past p of about 280, the
-    panels or the series are not resolved."""
+    coefficient sum, or when a branch's series in 1 - x and connection
+    formula in x, which its samples switch between at x = 1/2, differ there
+    by more than _SEAM relative.  On sweep keys (p up to 100, b at most p/2)
+    the tails are within 3.4e-15 and the seams within 7.7e-14, but with b
+    far above p, or past p of about 280, the panels or the series are not
+    resolved: at (2.5, 20) and (3, 20) the tails pass, but the connection
+    formula has lost digits, and the seams differ by 6.8e-11 and 3.3e-12."""
     nodes = _DEGREE + 1
     # cos(k theta_j), theta_j = pi (2j + 1) / (2 nodes), from the angle reduced
     # exactly: cos(k * theta_j) in floats errs by k ulp of the angle, enough to
@@ -631,10 +644,14 @@ def _chebyshev_table(pw: float, b: float):
     lo = _X0 + (1.0 - _X0) / _PANELS * np.arange(_PANELS)
     x = np.tile((lo[:, None] + (1.0 - _X0) / _PANELS * 0.5 * (1.0 + cosines[:, 1])).ravel(), 2)
     plan = np.repeat([0, 2], x.size // 2) + (x < 0.5)
-    F = _series_F(_series_tables(pw, b), plan, x).reshape(2 * _PANELS, nodes)
-    coef = F @ cosines * (2.0 / nodes)
+    # then F at x = 1/2 from both regions of each branch: the seam
+    F = _series_F(_series_tables(pw, b), np.concatenate([plan, np.arange(4)]),
+                  np.concatenate([x, np.full(4, 0.5)]))
+    seam = F[-4:]
+    coef = F[:-4].reshape(2 * _PANELS, nodes) @ cosines * (2.0 / nodes)
     coef[:, 0] *= 0.5
-    if not (np.abs(coef[:, -2:]).sum(axis=1) <= _TAIL * np.abs(coef).sum(axis=1)).all():
+    if not ((np.abs(coef[:, -2:]).sum(axis=1) <= _TAIL * np.abs(coef).sum(axis=1)).all()
+            and (np.abs(seam[0::2] - seam[1::2]) <= _SEAM * np.abs(seam[0::2])).all()):
         coef[:] = math.nan
     coef.setflags(write=False)
     return coef

@@ -342,39 +342,33 @@ class SweepResult:
     fit: FitInfo
 
 
-def _fit_inv_log(eps, q):
+def _fit_inv_log(eps, slices):
+    """eps -> 0 limit of each sigma slice's quotients under
+    quotient = C + c/|ln eps|: the intercepts C, all slices in one polyfit,
+    a column per slice."""
     x = 1.0 / np.abs(np.log(np.asarray(eps, dtype=float)))
-    coeffs = np.polynomial.polynomial.polyfit(x, np.asarray(q), 1)
-    fitted = coeffs[0] + coeffs[1] * x
-    rms = float(np.sqrt(np.mean((fitted - np.asarray(q)) ** 2)))
-    return float(coeffs[0]), rms
+    q = np.array([[r.quotient for r in sl] for sl in slices]).T
+    return np.polynomial.polynomial.polyfit(x, q, 1)[0]
 
 
-def _extrapolate_eps(eps, rows, log_affine: bool):
-    """eps -> 0 limit of the quotient for one sigma slice.
+def _eps_lines(eps, slices):
+    """|ln eps| and, per sigma slice, the lines through its numerators and
+    denominators against it: columns (intercept, slope) of cn and cd, one per
+    slice, all slices in one polyfit with a numerator and a denominator
+    column each.
 
     For families whose numerator and denominator are each affine in |ln eps|
-    (K > 1, K = 1, general-p), the limit is the ratio of the two fitted
-    slopes; the plain intercept of quotient = C + c/|ln eps| carries an
+    (K > 1, K = 1, general-p), a slice's eps -> 0 limit is the ratio of the
+    two slopes; the plain intercept of quotient = C + c/|ln eps| carries an
     O(1/|ln eps|^2) window bias that the slope ratio does not.  The K < 1
     family has no log growth (its eps-power cancels in the quotient), so
-    there the intercept fit is the right model.
+    there the intercept fit (_fit_inv_log) is the right model.
     """
-    q = [r.quotient for r in rows]
-    if not log_affine:
-        return _fit_inv_log(eps, q)
-    L, cn, cd = _eps_lines(eps, rows)
-    fitted = (cn[0] + cn[1] * L) / (cd[0] + cd[1] * L)
-    rms = float(np.sqrt(np.mean((fitted - np.asarray(q)) ** 2)))
-    return float(cn[1] / cd[1]), rms
-
-
-def _eps_lines(eps, rows):
-    """|ln eps| and the lines through numerator and denominator against it."""
     L = np.abs(np.log(np.asarray(eps, dtype=float)))
-    cn, cd = np.polynomial.polynomial.polyfit(
-        L, [(r.numerator, r.denominator) for r in rows], 1).T
-    return L, cn, cd
+    lines = np.polynomial.polynomial.polyfit(
+        L, [[v for sl in slices for v in (sl[i].numerator, sl[i].denominator)]
+            for i in range(len(L))], 1)
+    return L, lines[:, 0::2], lines[:, 1::2]
 
 
 def _fit_sigma_intercept(x, y):
@@ -502,20 +496,22 @@ def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None) -
     parts = _quotients(families)
     rows = tuple(SweepRow(f.epsilon, f.sigma, q.numerator, q.denominator, q.quotient,
                           q.err_estimate) for f, q in zip(families, parts))
-    if kind is FamilyKind.P2_K_GT_1:
-        extrapolated, resid = _extrapolate_eps(eps_list, rows, log_affine=True)
-        fit = FitInfo(FitModel.INV_LOG_EPS, resid)
+    slices = [[r for r in rows if r.sigma == s] for s in sigmas]
+    if kind is FamilyKind.P2_K_LT_1:
+        extrapolated, resid = _fit_sigma_intercept(sigmas, _fit_inv_log(eps_list, slices))
     else:
-        slices = [[r for r in rows if r.sigma == s] for s in sigmas]
-        if kind is FamilyKind.GENERAL_P_BETA_NONNEG:
-            lines = [_eps_lines(eps_list, sl) for sl in slices]
-            extrapolated, resid = _fit_pole_ratio(
-                sigmas, [cn[1] for _, cn, _ in lines], [cd[1] for _, _, cd in lines])
+        L, cn, cd = _eps_lines(eps_list, slices)
+        if kind is FamilyKind.P2_K_GT_1:
+            (n0, n1), (d0, d1) = cn[:, 0], cd[:, 0]
+            fitted = (n0 + n1 * L) / (d0 + d1 * L)
+            q = np.asarray([r.quotient for r in rows])
+            extrapolated, resid = float(n1 / d1), float(np.sqrt(np.mean((fitted - q) ** 2)))
+        elif kind is FamilyKind.GENERAL_P_BETA_NONNEG:
+            extrapolated, resid = _fit_pole_ratio(sigmas, cn[1], cd[1])
         else:
-            log_affine = kind is not FamilyKind.P2_K_LT_1
-            limits = [_extrapolate_eps(eps_list, sl, log_affine)[0] for sl in slices]
-            extrapolated, resid = _fit_sigma_intercept(sigmas, limits)
-        fit = FitInfo(FitModel.LINEAR_SIGMA, resid)
+            extrapolated, resid = _fit_sigma_intercept(sigmas, cn[1] / cd[1])
+    fit = FitInfo(FitModel.INV_LOG_EPS if kind is FamilyKind.P2_K_GT_1
+                  else FitModel.LINEAR_SIGMA, resid)
 
     if not (math.isfinite(extrapolated) and math.isfinite(resid)):
         raise FitUnstableError(

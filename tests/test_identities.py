@@ -8,7 +8,7 @@ from anisohardy import (BumpFunction, CknParams, ExponentPair, HardyParams,
                         QuadratureSpec, WeightSpec, admissible_ckn, branch_candidates,
                         ckn_extremal_check, cutoff_eta, cutoff_eta_prime,
                         gauss_jacobi, hardy_spot_test, integrate_1d, r_functional,
-                        sharp_constant_general_p, sharp_constant_p2, sphere_area,
+                        sharp_constant_general_p, sharp_constant_p2,
                         verify_CKNp, verify_E2, verify_Ep)
 from anisohardy.errors import EmptyInputError, NegativeRemainderError, SupportViolationError
 from anisohardy.identities import (IdentityReport, _ball_nodes, _ckn_divergence_spot_check,
@@ -48,6 +48,11 @@ class TestRFunctional:
         # p < 1 makes (p-1)|Y|^p negative: R = -0.5, far below the floor
         with pytest.raises(NegativeRemainderError):
             _r_rows(np.zeros((2, 1)), np.array([[1.0], [0.0]]), 0.5)
+
+
+def sphere_area(n):
+    """Surface measure of the unit sphere in R^n: 2 pi^(n/2) / Gamma(n/2)."""
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 class TestBallRule:

@@ -268,31 +268,33 @@ class TestWorkCounts:
             return plain(f_counted, *args)
         monkeypatch.setattr(rayleigh, "integrate_rows", counted)
         sweep_and_extrapolate(K3_PARAMS)
-        # one call for levels 0 to 3 of both panels, then one call per level,
-        # on the new nodes of one or both panels; one call per level took 8
-        level_sizes = [quadrature._ts_level(level)[0].size for level in range(3 + len(sizes))]
-        assert sizes[0] == 2 * sum(level_sizes[:4])
-        assert all(size in (n, 2 * n) for size, n in zip(sizes[1:], level_sizes[4:]))
-        assert (len(sizes), sum(sizes)) == (5, 1774)
+        # one call for levels 0 to 4 of both panels, then one call per level,
+        # on the new nodes of one or both panels; one call per level took 8,
+        # and a first call of levels 0 to 3 took 5
+        level_sizes = [quadrature._ts_level(level)[0].size for level in range(4 + len(sizes))]
+        assert sizes[0] == 2 * sum(level_sizes[:5])
+        assert all(size in (n, 2 * n) for size, n in zip(sizes[1:], level_sizes[5:]))
+        assert (len(sizes), sum(sizes)) == (4, 1774)
 
     def test_row_nodes_of_a_k_lt_1_sweep(self, monkeypatch):
         # a numerator and a denominator row per member; the J1, J2, J3
         # breakdown took 3 rows per member, 106,440 row-nodes, on the same
-        # nodes.  Levels 0 to 3 share the first call; one call per level took 8
+        # nodes.  Levels 0 to 4 share the first call; one call per level took
+        # 8, and a first call of levels 0 to 3 took 5
         calls = _row_node_calls(monkeypatch)
         sweep_and_extrapolate(HardyParams(3, 2.0, 0.0, -0.05))
         assert {rows for _, rows in calls} == {40}
         assert (len(calls), sum(nodes for nodes, _ in calls),
-                sum(nodes * rows for nodes, rows in calls)) == (5, 1774, 70_960)
+                sum(nodes * rows for nodes, rows in calls)) == (4, 1774, 70_960)
 
     def test_numerator_row_nodes_of_a_general_p_sweep(self, monkeypatch):
         calls = _row_node_calls(monkeypatch)
         sweep_and_extrapolate(HardyParams(3, 3.0, 0.0, 0.5))
-        # one call for radial levels 0 to 3, then one per level, every
+        # one call for radial levels 0 to 4, then one per level, every
         # member's two rows on the call's nodes: 20 x 986 numerator row-nodes.
-        # One call per level took 7
+        # One call per level took 7, and a first call of levels 0 to 3 took 4
         assert {rows for _, rows in calls} == {40}
-        assert (len(calls), sum(nodes * rows // 2 for nodes, rows in calls)) == (4, 19_720)
+        assert (len(calls), sum(nodes * rows // 2 for nodes, rows in calls)) == (3, 19_720)
 
     def test_series_entries_of_a_general_p_sweep_with_its_tables_built(self, monkeypatch):
         # the numerator rows read F from Chebyshev tables on [1/16, 1]; only
@@ -862,22 +864,49 @@ class TestSweep:
         assert abs(value - c0) <= resid
 
     def test_paired_fits_match_separate_fits_bit_for_bit(self):
-        # _eps_lines and _fit_pole_ratio fit the numerator and denominator
-        # lines in one polyfit of two columns; each column must be the fit of
-        # its line alone
+        # a sweep fits all its sigma slices in one polyfit, a column per
+        # slice: four one-column fits at K < 1 (_fit_inv_log) and four
+        # two-column fits, numerator and denominator, at K = 1 and general p
+        # (_eps_lines); _fit_pole_ratio fits its two lines in one polyfit too.
+        # Each column must be the fit of its line alone
         fit = np.polynomial.polynomial.polyfit
         rng = np.random.default_rng(11)
         for _ in range(300):
-            m = int(rng.integers(2, 7))
+            m, k = int(rng.integers(2, 7)), int(rng.integers(1, 5))
             x = np.sort(rng.uniform(0.01, 0.5, m))
-            num, den = rng.normal(size=(2, m)) * 10.0 ** rng.uniform(-8.0, 3.0, (2, 1))
-            rows = [SimpleNamespace(numerator=a, denominator=b) for a, b in zip(num, den)]
-            L, cn, cd = rayleigh._eps_lines(np.exp(-1.0 / x), rows)
-            assert (cn.tobytes(), cd.tobytes()) == (fit(L, num, 1).tobytes(),
-                                                    fit(L, den, 1).tobytes())
-            value, resid = rayleigh._fit_pole_ratio(x, num, den)
+            eps = np.exp(-1.0 / x)
+            num, den, q = rng.normal(size=(3, k, m)) * 10.0 ** rng.uniform(-8.0, 3.0, (3, k, 1))
+            slices = [[SimpleNamespace(numerator=a, denominator=b, quotient=c)
+                       for a, b, c in zip(*cols)] for cols in zip(num, den, q)]
+            L, cn, cd = rayleigh._eps_lines(eps, slices)
+            assert cn.shape == cd.shape == (2, k)
+            for j in range(k):
+                assert (cn[:, j].tobytes(), cd[:, j].tobytes()) == (fit(L, num[j], 1).tobytes(),
+                                                                  fit(L, den[j], 1).tobytes())
+            intercepts = rayleigh._fit_inv_log(eps, slices)
+            inv_log = 1.0 / np.abs(np.log(eps))
+            assert intercepts.tobytes() == np.array([fit(inv_log, q[j], 1)[0]
+                                                     for j in range(k)]).tobytes()
+            value, resid = rayleigh._fit_pole_ratio(x, num[0], den[0])
             assert (value.hex(), resid.hex()) == tuple(
-                v.hex() for v in _pole_ratio_one_line_at_a_time(x, num, den))
+                v.hex() for v in _pole_ratio_one_line_at_a_time(x, num[0], den[0]))
+
+    @pytest.mark.parametrize("params,fits", [
+        (K3_PARAMS, 1), (HardyParams(3, 2.0, 0.0, -0.05), 3), (HardyParams(3, 3.0, 0.0, 0.5), 3),
+        (HardyParams(3, 2.0, 0.0, (-3.0 + math.sqrt(8.0)) / 2.0), 3)],
+        ids=["K>1", "K<1", "general_p", "K=1"])
+    def test_one_eps_fit_per_sweep(self, monkeypatch, params, fits):
+        # the eps stage is one polyfit, and the sigma stage of four sigmas
+        # one at degree 3 and one at degree 2
+        calls = []
+        plain = np.polynomial.polynomial.polyfit
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return plain(*args, **kwargs)
+        monkeypatch.setattr(np.polynomial.polynomial, "polyfit", counted)
+        sweep_and_extrapolate(params)
+        assert len(calls) == fits
 
     def test_general_p_certifies_at_high_beta(self):
         # n = 2, p = 2.5, beta = 0.9: the ratio polynomial's residual sat at
