@@ -5,8 +5,9 @@ a run manifest (command, parameters, seed, the tool, Python and numpy
 versions, timestamp).  All numeric work is deterministic for a fixed
 manifest: sums accumulate in fixed index order and every random draw comes
 from a generator seeded by (seed, index).  Only verify draws from a seed it
-is given, so only verify takes --seed; report records its criteria's fixed
-seeds, and the commands that draw nothing record seed 0.
+is given, so only verify takes --seed, a non-negative integer; report
+records its criteria's fixed seeds, and the commands that draw nothing
+record seed 0.
 
 --config FILE, on every command, reads flat key = value lines: each becomes
 --key=value ('_' read as '-') right after the command token, so the parser
@@ -293,6 +294,8 @@ def cmd_verify(args) -> int:
     count = args.count if args.count is not None else _VERIFY_COUNTS[which]
     if count < 1:
         raise ValueError(f"--count must be at least 1, got {count}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     if which == "lemma1" and count != _VERIFY_COUNTS["lemma1"]:
         raise ValueError(f"--count must be {_VERIFY_COUNTS['lemma1']} for lemma1, which "
                          f"runs its fixed kernels; got {count}")

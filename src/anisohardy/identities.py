@@ -25,14 +25,18 @@ change from order 12.
 
 The rule's nodes are coordinate-major: an (n, N) array whose coordinate
 rows are contiguous, so each operation runs once over all N nodes instead
-of over the n coordinates of each node.  At each order the bump's geometry
-(z = x - c, q = z . direction, rho = |z|, eta(rho/w), eta'(rho/w)) is
-formed once for u and grad u, and |x'| and |x| once for all of a check's
-terms.  A sum over coordinates adds the rows in coordinate order, which
-gives the bits of numpy's sum over the last axis of the row-major (N, n)
-array.  Functions of (..., n) points (weight_p2, weight_general_p,
-axis_norms, and the value and gradient of a bump that is not a
-BumpFunction) take the (N, n) view x.T.
+of over the n coordinates of each node.  Each pass forms every per-node
+quantity once: the bump's geometry (z = x - c, q = z . direction,
+rho = |z|, eta(rho/w), eta'(rho/w)) for u and grad u; |x'| and |x| in one
+axis_norms call, from which V and the closed-form weight (the norm helpers
+behind weight_p2 and weight_general_p) follow; and |grad u|^p for the
+left-hand side and the remainder R.  A sum over coordinates adds the rows
+in coordinate order, which gives the bits of numpy's sum over the last
+axis of the row-major (N, n) array.  Functions of (..., n) points
+(axis_norms, and the value and gradient of a bump that is not a
+BumpFunction) take the (N, n) view x.T.  What does not depend on the bump
+is formed once and cached: the sphere rule of each dimension and order,
+and the CKN spot check's sample radii and directions of each dimension.
 """
 
 from __future__ import annotations
@@ -51,7 +55,11 @@ from .params import CknParams, HardyParams, admissible_ckn
 # by this name.
 from .quadrature import (cutoff_eta, cutoff_eta_prime, gauss_jacobi,  # noqa: F401
                          integrate_1d, log_gamma)
-from .weights import WeightSpec, axis_norms, weight_general_p, weight_p2
+# weight_p2 and weight_general_p are no longer called here (the checks take
+# their formulas from _weight_p2 and _weight_general_p); certbench's layer
+# tracer looks them up by these names.
+from .weights import (WeightSpec, _weight_general_p, _weight_p2, axis_norms,  # noqa: F401
+                      weight_general_p, weight_p2)
 
 __all__ = [
     "BumpFunction", "IdentityReport", "ExtremalReport", "SpotTestReport",
@@ -98,20 +106,22 @@ def r_functional(X, Y, p: float) -> float:
     return float(_r_rows(xv, yv, p)[0])
 
 
-def _r_rows(X, Y, p: float, relative: bool = False):
+def _r_rows(X, Y, p: float, relative: bool = False, _nx_p=None):
     """r_functional at every node of coordinate-major (n, N) arrays, with the
     same clamping.
 
     At Y = 0 the cross term |Y|^(p-1) <Y/|Y|, X> tends to 0 for p > 1.
     With relative=True each R is divided by the size of its terms, the
-    scale of its floor (0 where every term vanishes).
+    scale of its floor (0 where every term vanishes).  _nx_p, when given, is
+    np.sqrt(_dot(X, X)) ** p, already formed by the caller.
     """
-    nx = np.sqrt(_dot(X, X))
+    if _nx_p is None:
+        _nx_p = np.sqrt(_dot(X, X)) ** p
     ny = np.sqrt(_dot(Y, Y))
     dot = _dot(X, Y)
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = np.where(ny > 0.0, p * ny ** (p - 2.0) * dot, 0.0)
-    sizes = (p - 1.0) * ny ** p + nx ** p
+    sizes = (p - 1.0) * ny ** p + _nx_p
     value = sizes + cross
     low = value < -_CLAMP_REL * (sizes + np.abs(cross))
     if np.any(low):
@@ -384,9 +394,9 @@ def verify_E2(spec: WeightSpec, u) -> IdentityReport:
     _check_support_clear(u, params.k)
 
     def terms(x, wts, uval, ugrad, segments):
-        s, r = _norms(x, params.k)
+        s, r = axis_norms(x.T, params.k)
         v = _hardy_v(params, s, r)
-        w_closed = weight_p2(x.T, spec)
+        w_closed = _weight_p2(spec, s, r, v)
         f_ratio_grad = ugrad - uval * _log_f_gradient(spec, x, s, r)
         return _segment_sums(segments, wts * v * _dot(ugrad, ugrad),
                              weight_term=wts * w_closed * uval * uval,
@@ -413,11 +423,12 @@ def verify_Ep(spec: WeightSpec, u) -> IdentityReport:
     _check_support_clear(u, params.k)
 
     def terms(x, wts, uval, ugrad, segments):
-        s, r = _norms(x, params.k)
+        s, r = axis_norms(x.T, params.k)
         v = _hardy_v(params, s, r)
-        w_closed = weight_general_p(x.T, spec)
-        rvals = _r_rows(ugrad, -uval * _log_f_gradient(spec, x, s, r), p)
-        return _segment_sums(segments, wts * v * np.sqrt(_dot(ugrad, ugrad)) ** p,
+        w_closed = _weight_general_p(spec, s, r, v)
+        grad_p = np.sqrt(_dot(ugrad, ugrad)) ** p
+        rvals = _r_rows(ugrad, -uval * _log_f_gradient(spec, x, s, r), p, _nx_p=grad_p)
+        return _segment_sums(segments, wts * v * grad_p,
                              weight_term=wts * w_closed * np.abs(uval) ** p,
                              remainder_term=wts * v * rvals)
 
@@ -465,17 +476,31 @@ def _ckn_flux_divergence_fd(ckn: CknParams, x: np.ndarray, h: np.ndarray) -> np.
 _SPOT_POINTS = 20
 
 
+@lru_cache(maxsize=16)
+def _spot_draws(n: int):
+    """The spot check's radii (_SPOT_POINTS,), in widths, and unit directions
+    (n, _SPOT_POINTS): default_rng(0)'s normal direction, then its uniform
+    radius in [0.2, 1.5), for each point in turn.  They depend on n alone,
+    so they are drawn once per n.  Read-only and cached."""
+    rng = np.random.default_rng(0)
+    radii = np.empty(_SPOT_POINTS)
+    dirs = np.empty((n, _SPOT_POINTS))
+    for j in range(_SPOT_POINTS):
+        direction = rng.normal(size=n)
+        dirs[:, j] = direction / np.linalg.norm(direction)
+        radii[j] = rng.uniform(0.2, 1.5)
+    radii.setflags(write=False)
+    dirs.setflags(write=False)
+    return radii, dirs
+
+
 def _ckn_divergence_spot_check(ckn: CknParams, u) -> float:
     """Largest relative error of the closed-form flux divergence against finite
-    differences at _SPOT_POINTS points drawn in the annulus
-    0.2 w < |x - c| < 1.5 w; IllConditionedError when it exceeds 1e-6."""
-    rng = np.random.default_rng(0)
-    center = np.asarray(u.center)
-    x = np.empty((ckn.n, _SPOT_POINTS))
-    for j in range(_SPOT_POINTS):
-        direction = rng.normal(size=ckn.n)
-        direction /= np.linalg.norm(direction)
-        x[:, j] = center + rng.uniform(0.2, 1.5) * u.width * direction
+    differences at _SPOT_POINTS points c + rho w d in the annulus
+    0.2 w < |x - c| < 1.5 w, with the radii rho and directions d of
+    _spot_draws(n); IllConditionedError when it exceeds 1e-6."""
+    radii, dirs = _spot_draws(ckn.n)
+    x = np.asarray(u.center)[:, None] + radii * u.width * dirs
     fd = _ckn_flux_divergence_fd(ckn, x, 1e-4 * (1.0 + np.sqrt(_dot(x, x))))
     closed = _ckn_fields(ckn, x)[3]
     errors = np.abs(fd - closed) / np.maximum(np.abs(closed), 1e-300)
@@ -505,7 +530,8 @@ def verify_CKNp(ckn: CknParams, u) -> IdentityReport:
     def terms(x, wts, uval, ugrad, segments):
         V, F, fmag, div_closed = _ckn_fields(ckn, x)
         u_p = np.abs(uval) ** p
-        integrals = _segment_sums(segments, wts * V * np.sqrt(_dot(ugrad, ugrad)) ** p,
+        grad_p = np.sqrt(_dot(ugrad, ugrad)) ** p
+        integrals = _segment_sums(segments, wts * V * grad_p,
                                   field=wts * V * fmag ** p * u_p,
                                   divergence=wts * div_closed * u_p)
         # kappa0 per segment, spread over its nodes: kappa0^(1/(p-1)) scales
@@ -519,7 +545,7 @@ def verify_CKNp(ckn: CknParams, u) -> IdentityReport:
             kappa0 = (i_grad / i_field) ** ((p - 1.0) / p)
             scale[seg], divisor[seg] = kappa0 ** (1.0 / (p - 1.0)), p * kappa0
             lhs.append(i_grad ** (1.0 / p) * i_field ** ((p - 1.0) / p))
-        rvals = _r_rows(ugrad, uval * scale * F, p)
+        rvals = _r_rows(ugrad, uval * scale * F, p, _nx_p=grad_p)
         remainder = _segment_sums(segments, wts * V / divisor * rvals)
         return [(value, {"divergence_term": rest["divergence"] / p, "remainder_term": t_rem})
                 for value, (_, rest), (t_rem, _) in zip(lhs, integrals, remainder)]

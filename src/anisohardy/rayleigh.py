@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -96,7 +97,7 @@ class TrialFamily:
                 if not self.sigma > 0.0:
                     raise ValueError("the K = 1 family requires sigma > 0")
             else:
-                bound = math.sqrt(max(1.0 - self._K(), 0.0)) / 2.0
+                bound = math.sqrt(max(1.0 - self._K, 0.0)) / 2.0
                 if not 0.0 < self.sigma < bound:
                     raise ValueError(
                         f"the K < 1 family requires 0 < sigma < {bound}")
@@ -109,7 +110,9 @@ class TrialFamily:
                 raise SingularParamsError(
                     f"reduced {what} exponent {value} <= -1; integral diverges")
 
+    @cached_property
     def _K(self) -> float:
+        """K of the member's parameters, computed once per member."""
         return compute_K(self.params).k_value
 
     @property
@@ -118,7 +121,7 @@ class TrialFamily:
         p = self.params
         theta0 = (1.0 - p.n - 2.0 * p.alpha) / 2.0
         if self.kind is FamilyKind.P2_K_GT_1:
-            return (-(p.n + 2.0 * p.alpha) + math.sqrt(self._K())) / 2.0
+            return (-(p.n + 2.0 * p.alpha) + math.sqrt(self._K)) / 2.0
         if self.kind is FamilyKind.GENERAL_P_BETA_NONNEG:
             return -(p.n - 1.0 + p.p * p.alpha) / p.p + self.sigma
         return theta0 + self.sigma
@@ -128,13 +131,13 @@ class TrialFamily:
         """Exponent e of (r^2 + eps^2)^e inside g."""
         p = self.params
         if self.kind is FamilyKind.P2_K_GT_1:
-            lam1 = -p.beta - math.sqrt(self._K()) / 2.0
+            lam1 = -p.beta - math.sqrt(self._K) / 2.0
             return lam1 / 2.0
         if self.kind is FamilyKind.P2_K_EQ_1:
             lam0 = -p.beta - 0.5
             return (lam0 - self.sigma) / 2.0
         if self.kind is FamilyKind.P2_K_LT_1:
-            lam0 = -p.beta - (1.0 + math.sqrt(1.0 - self._K())) / 2.0
+            lam0 = -p.beta - (1.0 + math.sqrt(1.0 - self._K)) / 2.0
             return lam0 / 2.0
         lam = -p.beta - 1.0 / p.p - self.sigma
         return lam / 2.0
@@ -445,7 +448,8 @@ def _plan_sweep(params: HardyParams, eps_list, sigma_list):
     if params.p != 2 and params.beta < 0.0:
         raise UnsupportedRegimeError(
             "no sharpness family exists for beta < 0, p != 2")
-    if params.p == 2 and compute_K(params).family is RegimeFamily.K_GT_1:
+    regime = compute_K(params) if params.p == 2 else None
+    if regime is not None and regime.family is RegimeFamily.K_GT_1:
         if sigma_list:
             raise ValueError("sigma_list is forbidden for the K > 1 family")
         if len(eps_list) < 3:
@@ -465,10 +469,10 @@ def _plan_sweep(params: HardyParams, eps_list, sigma_list):
             raise ValueError("sigma_list entries must be distinct, positive and finite")
         if params.p != 2:
             kind = FamilyKind.GENERAL_P_BETA_NONNEG
-        elif compute_K(params).family is RegimeFamily.K_EQ_1:
+        elif regime.family is RegimeFamily.K_EQ_1:
             kind = FamilyKind.P2_K_EQ_1
         else:
-            bound = math.sqrt(1.0 - compute_K(params).k_value) / 2.0
+            bound = math.sqrt(1.0 - regime.k_value) / 2.0
             kept = [s for s in sigmas if s < bound]
             if len(kept) >= 2:
                 sigmas, kind = kept, FamilyKind.P2_K_LT_1

@@ -150,46 +150,60 @@ def weight_p2(x, spec: WeightSpec):
     """Closed-form weight H1 V/|x'|^2 + H2 V |x''|^2/(|x'|^2 |x|^2), p = 2.
 
     |x''|^2 is computed as |x|^2 - |x'|^2 so the k = n-1 and general-k paths
-    share code.  Accepts a point (n,) or a batch (..., n).
+    share code.  Accepts a point (n,) or a batch (..., n); the formula is
+    _weight_p2 of the points' axis_norms.
     """
+    arr = np.asarray(x, dtype=float)
+    w = _weight_p2(spec, *axis_norms(arr, spec.params.k))
+    return float(w) if arr.ndim == 1 else w
+
+
+def _weight_p2(spec: WeightSpec, s, r, v=None):
+    """weight_p2 from the norms s = |x'| and r = |x|; v, when given, is V at
+    those norms and must have the bits of s^(2a+2) r^(2b)."""
     if spec.exponents is None:
         raise ValueError("weight_p2 needs a WeightSpec with exponents=(theta, lam)")
     p = spec.params
     if p.p != 2:
         raise ValueError(f"weight_p2 requires p = 2, got p = {p.p}")
-    arr = np.asarray(x, dtype=float)
-    s, r = axis_norms(arr, p.k)
     _guard(s, r)
     th, la = spec.exponents.theta, spec.exponents.lam
-    v = s ** (2.0 * p.alpha + 2.0) * r ** (2.0 * p.beta)
+    if v is None:
+        v = s ** (2.0 * p.alpha + 2.0) * r ** (2.0 * p.beta)
     h1 = H1(th, la, p)
     h2 = H2(th, la, p)
-    w = h1 * v / s ** 2 + h2 * v * (r * r - s * s) / (s * s * r * r)
-    return float(w) if arr.ndim == 1 else w
+    return h1 * v / s ** 2 + h2 * v * (r * r - s * s) / (s * s * r * r)
 
 
 def weight_general_p(x, spec: WeightSpec):
     """Closed-form weight of the |x'|^gamma trial function, any p >= 1.
 
     Returns V |x'|^-p { -|g|^(p-2) g [(p-1)g + k + p a] - |g|^(p-2) g b p |x'|^2/|x|^2 }.
-    gamma = 0 returns 0 (the limit value; exact for p >= 2).
+    gamma = 0 returns 0 (the limit value; exact for p >= 2).  Accepts a
+    point (n,) or a batch (..., n); the formula is _weight_general_p of the
+    points' axis_norms.
     """
+    arr = np.asarray(x, dtype=float)
+    w = _weight_general_p(spec, *axis_norms(arr, spec.params.k))
+    return float(w) if arr.ndim == 1 else w
+
+
+def _weight_general_p(spec: WeightSpec, s, r, v=None):
+    """weight_general_p from the norms s = |x'| and r = |x|; v, when given, is
+    V at those norms and must have the bits of s^(p(a+1)) r^(pb)."""
     if spec.gamma is None:
         raise ValueError("weight_general_p needs a WeightSpec with gamma")
     p = spec.params
-    arr = np.asarray(x, dtype=float)
-    s, r = axis_norms(arr, p.k)
     _guard(s, r)
     g = spec.gamma
     if g == 0.0:
-        w = np.zeros_like(s)
-        return float(w) if arr.ndim == 1 else w
+        return np.zeros_like(s)
     gq = abs(g) ** (p.p - 2.0) * g
-    v = s ** (p.p * (p.alpha + 1.0)) * r ** (p.p * p.beta)
+    if v is None:
+        v = s ** (p.p * (p.alpha + 1.0)) * r ** (p.p * p.beta)
     bracket = (-gq * ((p.p - 1.0) * g + p.k + p.p * p.alpha)
                - gq * p.beta * p.p * (s * s) / (r * r))
-    w = v * s ** (-p.p) * bracket
-    return float(w) if arr.ndim == 1 else w
+    return v * s ** (-p.p) * bracket
 
 
 # ------------------------------------------------------------- FD oracles

@@ -538,6 +538,15 @@ class TestVerifyCount:
         doc = strict_json(err)
         assert doc["type"] == "ValueError" and "--count" in doc["error"]
 
+    @pytest.mark.parametrize("which", ["lemma1", "E2"])
+    def test_negative_seed_is_exit_2(self, capsys, which):
+        # lemma1 draws nothing and took -1; E2 failed in numpy's generator
+        # with a message that did not name the flag
+        code, out, err = run_cli(capsys, "verify", "--which", which, "--seed", "-1")
+        assert (code, out) == (2, "")
+        doc = strict_json(err)
+        assert doc["type"] == "ValueError" and "--seed" in doc["error"]
+
     def test_count_from_config_is_checked_too(self, capsys, tmp_path):
         cfg = tmp_path / "verify.cfg"
         cfg.write_text("count = 0\n", encoding="utf-8")

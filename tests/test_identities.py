@@ -44,6 +44,14 @@ class TestRFunctional:
     def test_zero_y_limit(self):
         assert r_functional([2.0, 0.0], [0.0, 0.0], 1.5) == pytest.approx(2.0 ** 1.5)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.5])
+    def test_supplied_grad_power_keeps_the_bits(self, p):
+        rng = np.random.default_rng(int(p * 10))
+        x, y = rng.normal(size=(2, 3, 4096))
+        y[:, :8] = 0.0                              # the Y = 0 limit too
+        nx_p = np.sqrt(_dot(x, x)) ** p
+        assert _r_rows(x, y, p, _nx_p=nx_p).tobytes() == _r_rows(x, y, p).tobytes()
+
     def test_negative_beyond_rounding_raises(self):
         # p < 1 makes (p-1)|Y|^p negative: R = -0.5, far below the floor
         with pytest.raises(NegativeRemainderError):
@@ -448,6 +456,40 @@ class TestVerifyCKNp:
         worst = _ckn_divergence_spot_check(ckn, u)
         assert worst == pytest.approx(self._loop_spot_check(ckn, u), abs=1e-12)
         assert 0.0 < worst <= 1e-6
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_cached_spot_points_match_per_call_draws(self, n, monkeypatch):
+        # the points as each call drew them, one default_rng(0) per call
+        p, a, b, g2, g3 = 3.0, 0.1, 0.2, 0.3, 0.2
+        ckn = CknParams(n, p, a, b, a * p - b * (p - 1.0), (g3 * (p - 1.0) + g2 - 1.0) / p,
+                        g2, g3)
+        u = BumpFunction(center=np.linspace(1.0, -0.6, n), width=0.1)
+        rng = np.random.default_rng(0)
+        expected = np.empty((n, identities._SPOT_POINTS))
+        for j in range(identities._SPOT_POINTS):
+            direction = rng.normal(size=n)
+            direction /= np.linalg.norm(direction)
+            expected[:, j] = np.asarray(u.center) + rng.uniform(0.2, 1.5) * u.width * direction
+        seen = []
+        plain = identities._ckn_flux_divergence_fd
+
+        def recorded(ckn, x, h):
+            seen.append(x.copy())
+            return plain(ckn, x, h)
+        monkeypatch.setattr(identities, "_ckn_flux_divergence_fd", recorded)
+        for _ in range(2):
+            _ckn_divergence_spot_check(ckn, u)
+        assert [x.tobytes() for x in seen] == [expected.tobytes()] * 2
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_spot_draws_are_cached_and_read_only(self, n):
+        radii, dirs = identities._spot_draws(n)
+        assert identities._spot_draws(n)[0] is radii
+        assert radii.shape == (identities._SPOT_POINTS,)
+        assert dirs.shape == (n, identities._SPOT_POINTS)
+        for arr in (radii, dirs):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 class TestCknExtremal:

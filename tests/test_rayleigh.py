@@ -312,6 +312,24 @@ class TestWorkCounts:
         sweep_and_extrapolate(params)
         assert sum(entries) == 2_310
 
+    @pytest.mark.parametrize("params,calls", [
+        (K3_PARAMS, 6), (HardyParams(3, 2.0, 0.0, -0.05), 21), (HardyParams(3, 3.0, 0.0, 0.5), 0),
+        (HardyParams(3, 2.0, 0.0, (-3.0 + math.sqrt(8.0)) / 2.0), 1)],
+        ids=["K>1", "K<1", "general_p", "K=1"])
+    def test_compute_K_calls_of_a_default_sweep(self, monkeypatch, params, calls):
+        # one for the plan at p = 2, and one for each member of the K > 1
+        # (5 eps) and K < 1 (4 sigmas by 5 eps) families, whose exponents
+        # read K; computing it at every exponent access took 21 (K > 1) and
+        # 43 (K < 1), and the plan 2 where K is near 1
+        found = []
+
+        def counted(p):
+            found.append(p)
+            return compute_K(p)
+        monkeypatch.setattr(rayleigh, "compute_K", counted)
+        sweep_and_extrapolate(params)
+        assert len(found) == calls
+
 
 class TestGoldenSweeps:
     """The default sweeps' rows and extrapolated values as float.hex, recorded

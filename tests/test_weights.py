@@ -251,3 +251,74 @@ class TestIllConditioned:
             divergence_oracle(lambda z: 1.0, f, np.array([0.5, 1.0]))
         with pytest.raises(ValueError, match="complex-analytic"):
             divergence_oracle_p(lambda z: 1.0, f, 3.0, np.array([0.5, 1.0]))
+
+
+def _weight_p2_formula(x, spec):
+    """weight_p2 written out in one piece, norms included."""
+    p = spec.params
+    arr = np.asarray(x, dtype=float)
+    s = np.sqrt(np.sum(arr[..., :p.k] ** 2, axis=-1))
+    r = np.sqrt(np.sum(arr ** 2, axis=-1))
+    if np.any(s < 1e-8 * (1.0 + r)):
+        raise SingularPointError("guard")
+    th, la = spec.exponents.theta, spec.exponents.lam
+    v = s ** (2.0 * p.alpha + 2.0) * r ** (2.0 * p.beta)
+    w = H1(th, la, p) * v / s ** 2 + H2(th, la, p) * v * (r * r - s * s) / (s * s * r * r)
+    return float(w) if arr.ndim == 1 else w
+
+
+def _weight_general_p_formula(x, spec):
+    """weight_general_p written out in one piece, norms included."""
+    p = spec.params
+    arr = np.asarray(x, dtype=float)
+    s = np.sqrt(np.sum(arr[..., :p.k] ** 2, axis=-1))
+    r = np.sqrt(np.sum(arr ** 2, axis=-1))
+    if np.any(s < 1e-8 * (1.0 + r)):
+        raise SingularPointError("guard")
+    g = spec.gamma
+    if g == 0.0:
+        w = np.zeros_like(s)
+    else:
+        gq = abs(g) ** (p.p - 2.0) * g
+        v = s ** (p.p * (p.alpha + 1.0)) * r ** (p.p * p.beta)
+        w = v * s ** (-p.p) * (-gq * ((p.p - 1.0) * g + p.k + p.p * p.alpha)
+                               - gq * p.beta * p.p * (s * s) / (r * r))
+    return float(w) if arr.ndim == 1 else w
+
+
+class TestWeightsFromNorms:
+    """The public weights, now thin wrappers of the norm helpers the identity
+    checks call, keep the bits of the formula written out in one piece."""
+
+    SHAPES = [(), (64,), (5, 7)]
+
+    @staticmethod
+    def _bits(w):
+        return np.asarray(w).tobytes(), type(w)
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (3, 1), (4, 2), (5, 4)])
+    def test_weight_p2(self, n, k):
+        rng = np.random.default_rng(n * 10 + k)
+        spec = WeightSpec(_params(n, 2.0, -0.3, 0.4, k), exponents=ExponentPair(0.35, -0.2))
+        for shape in self.SHAPES:
+            x = rng.uniform(0.2, 2.0, size=shape + (n,))
+            assert self._bits(weight_p2(x, spec)) == self._bits(_weight_p2_formula(x, spec))
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (3, 1), (4, 3)])
+    @pytest.mark.parametrize("p,gamma", [(1.5, -0.4), (3.0, 0.6), (2.5, 0.0)])
+    def test_weight_general_p(self, n, k, p, gamma):
+        rng = np.random.default_rng(n * 10 + k)
+        spec = WeightSpec(_params(n, p, 0.2, 0.3, k), gamma=gamma)
+        for shape in self.SHAPES:
+            x = rng.uniform(0.2, 2.0, size=shape + (n,))
+            assert self._bits(weight_general_p(x, spec)) == \
+                self._bits(_weight_general_p_formula(x, spec))
+
+    def test_guard_zone_raises_on_both_paths(self):
+        params = _params(3, 2.0, 0.0, 0.0)
+        x = np.array([[1.0, 1.0, 1.0], [0.0, 1e-9, 1.0]])
+        for weight, spec in ((weight_p2, WeightSpec(params, exponents=ExponentPair(0.1, 0.1))),
+                             (weight_general_p, WeightSpec(params, gamma=0.0))):
+            for pts in (x, x[1]):
+                with pytest.raises(SingularPointError):
+                    weight(pts, spec)
