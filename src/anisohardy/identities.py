@@ -79,18 +79,6 @@ def _dot(a, b):
     return total
 
 
-def _norms(x, k: int):
-    """(|x'|, |x|) at coordinate-major points x (n, ...), x' the first k rows;
-    the bits of axis_norms(x.T, k)."""
-    sq = x[0] * x[0]
-    for i in range(1, k):
-        sq += x[i] * x[i]
-    s = np.sqrt(sq)
-    for i in range(k, len(x)):
-        sq += x[i] * x[i]
-    return s, np.sqrt(sq)
-
-
 def r_functional(X, Y, p: float) -> float:
     """Picone-type remainder R(X, Y) = (p-1)|Y|^p + |X|^p + p|Y|^(p-2) <Y, X>.
 
@@ -636,7 +624,7 @@ def hardy_spot_test(params: HardyParams, bumps) -> SpotTestReport:
         _check_support_clear(u, params.k)
         x, wts = _ball_nodes(u, 16)
         uval, ugrad = _bump_fields(u, x)
-        s, r = _norms(x, params.k)
+        s, r = axis_norms(x.T, params.k)
         v = _hardy_v(params, s, r)
         num = float(np.sum(wts * v * np.sqrt(_dot(ugrad, ugrad)) ** p))
         den = float(np.sum(wts * v * s ** (-p) * np.abs(uval) ** p))

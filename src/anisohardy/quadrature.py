@@ -35,21 +35,22 @@ one outcome per row; the public integrators raise the first row's failure.
 
 The closed form (_bracket_angular) is, away from p = 2, a Gauss
 hypergeometric F(x) of x = min(A, C)/max(A, C) in [0, 1], one F per branch.
-Per (p, b) it is tabulated once, lazily: Chebyshev interpolants of degree 24
-on 16 equal panels of [1/16, 1], from F's series at their Chebyshev points.
-An element with x in that range is read from its panel by Clenshaw's
-recurrence; below 1/16, where F has its x^m or log singularity at 0, it
-sums the series in powers of x on its own, in about 14 terms.  Either way
-each element is evaluated alone, so a batch of rows gives each row the
-values it gets alone, to the bit.  The tables are within 2.3e-14 relative
-of the series for p up to 100.  Against 30-digit mpmath the kernel is
-within 6e-14 for p up to 31 and 2.5e-13 at p = 100, except where
-m = c - a - b lies within about 1e-4 of an integer: there the series itself,
-and so the tables, err by up to 3e-11.  A series that does not converge, as
-some do above p = 250, gives NaN, and so does every element of a (p, b)
-whose tables are not resolved (a panel's last two coefficients above 1e-10
-of its coefficient sum, as with b far above p or p past about 280); its
-row fails with NotConvergedError.
+Per (p, b) it is tabulated once, lazily, from F's series: Chebyshev
+interpolants of degree 12 on 64 equal panels of [1/16, 1], and below 1/16
+in u = log2 x on two panels per octave down to 2^-110, where F's x^m and
+log singularity at 0 is analytic in u.  An element reads its panel by one
+Clenshaw recurrence of 12 steps, whichever table holds it; below 2^-110 it
+takes the leading term of each series component.  No element sums a
+series, and each is evaluated alone, so a batch of rows gives each row the
+values it gets alone, to the bit.  Against 40-digit mpmath at every panel
+edge, for b from 1e-6 to 0.4, the kernel is within 6e-14 for p up to 31
+and 2.5e-13 at p = 100, except where m = c - a - b lies within about 1e-4
+of an integer: there the series itself, and so the tables, err by up to
+3e-11.  A (p, b) whose tables are not resolved (a panel's last two
+coefficients above 1e-10 of its coefficient sum, two series that disagree
+at x = 1/2, or a sample whose series does not converge, as with b far
+above p or p past about 280) is NaN at every element, and a sweep of it
+raises NotConvergedError before its radial pass.
 
 Reduced integrals are computed WITHOUT the sphere-area prefactor of the
 residual angles; it cancels in every quotient.
@@ -484,20 +485,27 @@ def integrate_2d(f: Callable, c: float, spec: QuadratureSpec | None = None,
 
 # ------------------------------------------------- angular closed form
 
-#: Series terms at most, enough for p up to 250; each element stops at its
-#: first term below _SERIES_REL of its own sum, and one that never does is
-#: NaN.
+#: Series terms at most, enough for p up to 250; each table sample stops at
+#: its first term below _SERIES_REL of its own sum, and one that never does
+#: is NaN, which refuses its key.
 _SERIES_TERMS, _SERIES_REL = 320, 2e-17
 #: Near an integer k, m = c - a - b is interpolated linearly in a, at fixed
 #: c, between the log case at k and the connection formula at k +- _M_GAP.
 _M_GAP = 1e-5
 _NONE = np.zeros(_SERIES_TERMS)
-#: F is read on [_X0, 1] from Chebyshev interpolants of degree _DEGREE on
-#: _PANELS equal panels (_chebyshev_table); below _X0 its series in powers
-#: of x takes about 14 terms.  A key with a panel whose last two
-#: coefficients pass _TAIL of its coefficient sum, or whose two series
-#: differ by more than _SEAM relative at x = 1/2, is NaN everywhere.
-_X0, _PANELS, _DEGREE, _TAIL, _SEAM = 1.0 / 16.0, 16, 24, 1e-10, 1e-12
+#: F is read from Chebyshev interpolants of degree _DEGREE (_chebyshev_table):
+#: on _PANELS equal panels of [_X0, 1], and below _X0 = 2^-4 on _PER_OCTAVE
+#: equal panels per octave in u = log2 x, down to 2^_FLOOR_EXP; below that,
+#: from the leading term of each component of its series.  A key with a
+#: panel whose last two coefficients pass _TAIL of its coefficient sum, or
+#: whose two series differ by more than _SEAM relative at x = 1/2, is NaN
+#: everywhere.
+_X0, _PANELS, _DEGREE, _TAIL, _SEAM = 1.0 / 16.0, 64, 12, 1e-10, 1e-12
+_PER_OCTAVE, _FLOOR_EXP = 2, -110
+#: Table columns per branch: the panels of [2^_FLOOR_EXP, _X0] in log2 x,
+#: then those of [_X0, 1].
+_LOG_PANELS = _PER_OCTAVE * (-4 - _FLOOR_EXP)
+_COLUMNS = _LOG_PANELS + _PANELS
 
 
 def _digamma(x):
@@ -526,26 +534,28 @@ def _pochhammer_series(ups, downs, n: int = _SERIES_TERMS):
     return np.concatenate(([1.0], np.cumprod(ratio)))
 
 
-def _connection(a, bb, m, scale=1.0, near=True) -> list:
+def _connection(a, bb, m, am, scale=1.0, near=True) -> list:
     """F(a, bb; a + bb + m; 1 - x) as components (scale, P, Q, e), each
     scale x^e sum_n (P_n ln x + Q_n) x^n: Abramowitz & Stegun 15.3.6, or
-    15.3.11 (the log case) at an integer m >= 1, interpolated within _M_GAP."""
+    15.3.11 (the log case) at an integer m >= 1, interpolated within _M_GAP.
+    am is a + m, given exactly: formed from a rounded m it errs by an ulp of
+    m, which Gamma(a + m) turns into 1e-10 relative at a + m = 1e-6."""
     c, k = a + bb + m, round(m)
     if near and 0.0 < abs(m - k) < _M_GAP:
         far = k + math.copysign(_M_GAP, m - k)
         w = (m - k) / (far - k)
-        return (_connection(a + (m - k), bb, k, scale * (1.0 - w), False)
-                + _connection(a + (m - far), bb, far, scale * w, False))
+        return (_connection(a + (m - k), bb, k, am, scale * (1.0 - w), False)
+                + _connection(a + (m - far), bb, far, am, scale * w, False))
     if m != k:
-        return [(scale * _gamma_ratio((c, m), (bb + m, a + m)), _NONE,
+        return [(scale * _gamma_ratio((c, m), (bb + m, am)), _NONE,
                  _pochhammer_series((a, bb), (1.0 - m, 1.0)), 0.0),
                 (scale * _gamma_ratio((c, -m), (a, bb)), _NONE,
-                 _pochhammer_series((bb + m, a + m), (1.0 + m, 1.0)), m)]
+                 _pochhammer_series((bb + m, am), (1.0 + m, 1.0)), m)]
     n = np.arange(_SERIES_TERMS, dtype=float)
     finite = np.concatenate([_pochhammer_series((a, bb), (1.0, 1.0 - k), k), _NONE[k:]])
-    t = _pochhammer_series((a + k, bb + k), (1.0, k + 1.0)) / math.factorial(k)
-    psi = _digamma(n + 1.0) + _digamma(n + k + 1.0) - _digamma(a + n + k) - _digamma(bb + n + k)
-    return [(scale * _gamma_ratio((k, c), (a + k, bb + k)), _NONE, finite, 0.0),
+    t = _pochhammer_series((am, bb + k), (1.0, k + 1.0)) / math.factorial(k)
+    psi = _digamma(n + 1.0) + _digamma(n + k + 1.0) - _digamma(am + n) - _digamma(bb + n + k)
+    return [(scale * _gamma_ratio((k, c), (am, bb + k)), _NONE, finite, 0.0),
             (-(-1.0) ** k * scale * _gamma_ratio((c,), (a, bb)), t, -t * psi, float(k))]
 
 
@@ -554,32 +564,22 @@ def _series_tables(pw: float, b: float):
     """(P, Q, scale, e, has P) of one (p, b) key: four components of F, zero
     padded, per branch and region x >= 1/2, x < 1/2.  Branch 0, C >= A, is
     F(-p/2, 1/2; b + 1/2; 1 - A/C), m = b + p/2, and branch 1
-    F(-p/2, b; b + 1/2; 1 - C/A), m = (p + 1)/2, each m formed as this sum.
-    For x >= 1/2 F is its Gauss series in 1 - x or, above p = 8, where those
-    terms cancel by up to 3^(p/2), Euler's x^m F(bb + m, a + m; c; 1 - x).
+    F(-p/2, b; b + 1/2; 1 - C/A), m = (p + 1)/2, each m formed as this sum,
+    and a + m = c - bb exactly b and 1/2.  For x >= 1/2 F is its Gauss series
+    in 1 - x or, above p = 8, where those terms cancel by up to 3^(p/2),
+    Euler's x^m F(bb + m, a + m; c; 1 - x).
     """
     rows, a, c = [], -pw / 2.0, b + 0.5
     try:
-        for bb, m in ((0.5, b + pw / 2.0), (b, (pw + 1.0) / 2.0)):
-            gauss = ((a, bb), 0.0) if pw <= 8.0 else ((bb + m, a + m), m)
+        for bb, m, am in ((0.5, b + pw / 2.0, b), (b, (pw + 1.0) / 2.0, 0.5)):
+            gauss = ((a, bb), 0.0) if pw <= 8.0 else ((bb + m, am), m)
             for comps in ([(1.0, _NONE, _pochhammer_series(gauss[0], (c, 1.0)), gauss[1])],
-                          _connection(a, bb, m)):
+                          _connection(a, bb, m, am)):
                 rows += comps + [(0.0, _NONE, _NONE, 0.0)] * (4 - len(comps))
     except OverflowError:       # a factorial or Gamma ratio past p of about 340
         rows = [(math.nan, _NONE, _NONE, 0.0)] * 16
     scale, P, Q, e = (np.array(col) for col in zip(*rows))
     return P.T.copy(), Q.T.copy(), scale, e, P.any(axis=1)
-
-
-@lru_cache(maxsize=64)
-def _bracket_tables(keys: tuple):
-    """(P, Q, scale, e, has P, B(1/2, b) by key): _series_tables of the keys
-    in turn, 16 components each, indexed 4 (4 key + 2 branch + region) + slot;
-    a new combination of keys joins their tables and builds none."""
-    parts = [_series_tables(*key) for key in keys]
-    P, Q = (np.concatenate([part[i] for part in parts], axis=1) for i in (0, 1))
-    scale, e, logs = (np.concatenate([part[i] for part in parts]) for i in (2, 3, 4))
-    return P, Q, scale, e, logs, np.array([beta(0.5, b) for _, b in keys])
 
 
 def _series_sums(P, Q, rows, y, L):
@@ -610,8 +610,8 @@ def _series_sums(P, Q, rows, y, L):
 
 
 def _series_F(tables, plan, x):
-    """F at each x in [0, 1] by its series: tables as _series_tables or
-    _bracket_tables give them, plan the 4 key + 2 branch + region of each x."""
+    """F at each x in [0, 1] by its series: tables as _series_tables gives
+    them, plan the 2 branch + region of each x."""
     P, Q, scale, e, logs = tables[:5]
     owner, slot = np.nonzero(scale[4 * plan[:, None] + np.arange(4)])
     comp = 4 * plan[owner] + slot
@@ -624,51 +624,96 @@ def _series_F(tables, plan, x):
 
 @lru_cache(maxsize=64)
 def _chebyshev_table(pw: float, b: float):
-    """Read-only Chebyshev coefficients of F for one (p, b) key, one row per
-    branch and panel of [_X0, 1], branch-major: the series (_series_F) at
-    the _DEGREE + 1 Chebyshev points of each panel, in one call.  All NaN
-    when a panel's last two coefficients are not within _TAIL of its
-    coefficient sum, or when a branch's series in 1 - x and connection
-    formula in x, which its samples switch between at x = 1/2, differ there
-    by more than _SEAM relative.  On sweep keys (p up to 100, b at most p/2)
-    the tails are within 3.4e-15 and the seams within 7.7e-14, but with b
-    far above p, or past p of about 280, the panels or the series are not
-    resolved: at (2.5, 20) and (3, 20) the tails pass, but the connection
-    formula has lost digits, and the seams differ by 6.8e-11 and 3.3e-12."""
+    """(coefficients, leading terms) of B(1/2, b) F for one (p, b) key, both
+    read-only.  The coefficients are a (_DEGREE + 1, 2 _COLUMNS) array, a row
+    per degree and a column per branch and panel, branch-major: per branch
+    the _LOG_PANELS panels of [2^_FLOOR_EXP, _X0], equal in u = log2 x, then
+    the _PANELS equal panels of [_X0, 1], each from the series (_series_F)
+    at its _DEGREE + 1 Chebyshev points, all in one call.  In u, F is
+    analytic in |Im u| < pi/ln 2, so its x^m and log singularity at x = 0
+    costs nothing; half an octave per panel resolves F where a large x^m
+    component dominates it, as x^4.5 does below 1/16 at (9, 1e-4).  The
+    leading terms are a (4, 2, 4) array: scale, e, Q_0 and P_0 of each
+    branch's four components below x = 1/2, for x below 2^_FLOOR_EXP.  Both
+    are all NaN when a column's last two coefficients are not within _TAIL
+    of its coefficient sum, or when a branch's series in 1 - x and
+    connection formula in x, which its samples switch between at x = 1/2,
+    differ there by more than _SEAM relative.  On the sweeps' keys (p up to
+    100, sigma up to 0.2) the tails are within 9.4e-15 and the seams within
+    6.7e-14.  With b far above p, or past p of about 280, the panels or the
+    series are not resolved: at (2.5, 20) and (3, 20) the tails pass, but
+    the connection formula has lost digits, and the seams differ by 6.8e-11
+    and 3.3e-12."""
     nodes = _DEGREE + 1
     # cos(k theta_j), theta_j = pi (2j + 1) / (2 nodes), from the angle reduced
     # exactly: cos(k * theta_j) in floats errs by k ulp of the angle, enough to
     # put noise of 1e-15 into the high coefficients
     cosines = np.cos(np.pi / (2 * nodes) * (np.outer(2 * np.arange(nodes) + 1, np.arange(nodes))
                                             % (4 * nodes)))
-    lo = _X0 + (1.0 - _X0) / _PANELS * np.arange(_PANELS)
-    x = np.tile((lo[:, None] + (1.0 - _X0) / _PANELS * 0.5 * (1.0 + cosines[:, 1])).ravel(), 2)
+    unit = 0.5 * (1.0 + cosines[:, 1])
+    logs = 2.0 ** (_FLOOR_EXP + (np.arange(_LOG_PANELS)[:, None] + unit) / _PER_OCTAVE)
+    panels = _X0 + (1.0 - _X0) / _PANELS * (np.arange(_PANELS)[:, None] + unit)
+    x = np.tile(np.concatenate([logs.ravel(), panels.ravel()]), 2)
     plan = np.repeat([0, 2], x.size // 2) + (x < 0.5)
-    # then F at x = 1/2 from both regions of each branch: the seam
-    F = _series_F(_series_tables(pw, b), np.concatenate([plan, np.arange(4)]),
-                  np.concatenate([x, np.full(4, 0.5)]))
+    # then F at x = 1/2 from both regions of each branch: the seam.  Past p of
+    # about 250 the series may overflow, which refuses the key below
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = _series_tables(pw, b)
+        F = _series_F(tables, np.concatenate([plan, np.arange(4)]),
+                      np.concatenate([x, np.full(4, 0.5)]))
+        coef = np.ascontiguousarray((F[:-4].reshape(2 * _COLUMNS, nodes) @ cosines).T)
     seam = F[-4:]
-    coef = F[:-4].reshape(2 * _PANELS, nodes) @ cosines * (2.0 / nodes)
-    coef[:, 0] *= 0.5
-    if not ((np.abs(coef[:, -2:]).sum(axis=1) <= _TAIL * np.abs(coef).sum(axis=1)).all()
+    coef *= 2.0 / nodes * beta(0.5, b)
+    coef[0] *= 0.5
+    P, Q, scale, e, _ = tables
+    low = np.add.outer([4, 12], np.arange(4))       # each branch's x < 1/2 components
+    lead = np.array([scale[low] * beta(0.5, b), e[low], Q[0, low], P[0, low]])
+    if not ((np.abs(coef[-2:]).sum(axis=0) <= _TAIL * np.abs(coef).sum(axis=0)).all()
             and (np.abs(seam[0::2] - seam[1::2]) <= _SEAM * np.abs(seam[0::2])).all()):
-        coef[:] = math.nan
+        coef[:], lead[:] = math.nan, math.nan
     coef.setflags(write=False)
-    return coef
+    lead.setflags(write=False)
+    return coef, lead
 
 
-def _chebyshev_F(coef, rows, x):
-    """F at each x in [_X0, 1] by Clenshaw's recurrence on its panel's
-    coefficients; rows holds, per x, the row of coef of its table's first
-    panel."""
-    u = (x - _X0) * (_PANELS / (1.0 - _X0))
-    panel = np.minimum(u.astype(int), _PANELS - 1)
-    c = coef[rows + panel].T
-    t = 2.0 * (u - panel) - 1.0
-    t2, b1, b2 = 2.0 * t, c[-1], 0.0
-    for ck in c[-2:0:-1]:
-        b1, b2 = ck + t2 * b1 - b2, b1
-    return c[0] + t * b1 - b2
+@lru_cache(maxsize=64)
+def _bracket_tables(keys: tuple):
+    """(coefficients, leading terms) of the keys in turn (_chebyshev_table),
+    joined along their branch axes, so that table 2 key + branch owns
+    coefficient columns from _COLUMNS times its index; a new combination of
+    keys joins their tables and builds none."""
+    parts = [_chebyshev_table(*key) for key in keys]
+    return (np.concatenate([coef for coef, _ in parts], axis=1),
+            np.concatenate([lead for _, lead in parts], axis=1))
+
+
+def _angular_resolved(pw: float, b: float) -> bool:
+    """Whether _bracket_angular resolves the key (p, b): always at p = 2,
+    which takes no table, and otherwise when _chebyshev_table is not NaN."""
+    return pw == 2.0 or not math.isnan(_chebyshev_table(pw, b)[0][0, 0])
+
+
+def _chebyshev_F(coef, columns, t):
+    """Clenshaw's recurrence at each t in [-1, 1] on the coefficient column
+    of coef that columns names for it.  The columns are gathered into one
+    array, a row per degree, whose rows then hold the recurrence's terms."""
+    c = coef.take(columns, axis=1)
+    t2, step = 2.0 * t, np.empty_like(t)
+    c[-2] += t2 * c[-1]
+    for k in range(len(c) - 3, 0, -1):      # b_k = c_k + 2 t b_(k+1) - b_(k+2)
+        np.multiply(t2, c[k + 1], out=step)
+        c[k] += step
+        c[k] -= c[k + 2]
+    return c[0] + t * c[1] - c[2]
+
+
+def _leading_F(lead, tables, x):
+    """The leading term of each series component below x = 1/2, summed:
+    scale x^e (Q_0 + P_0 ln x) for each x, with ln 0 read as 0 where only
+    x^e = 0 multiplies it; tables holds each x's 2 key + branch."""
+    scale, e, Q0, P0 = lead[:, tables]
+    L = np.log(np.where(x > 0.0, x, 1.0))[:, None]
+    return (scale * x[:, None] ** e * (Q0 + P0 * L)).sum(axis=1)
 
 
 @lru_cache(maxsize=64)
@@ -686,16 +731,18 @@ def _bracket_angular(A, C, pws, bs):
     A and C are (rows, nodes) blocks of values >= 0, pws and bs one p >= 1
     and b > 0 per row.  At p = 2 the integral is linear, A B(3/2, b) +
     C B(1/2, b + 1).  Otherwise, with M = max(A, C) and x = min/M, it is
-    M^(p/2) B(1/2, b) F(x), F hypergeometric (_series_tables).  For x in
-    [1/16, 1] F is read from the Chebyshev tables of its (p, b)
-    (_chebyshev_table), within 2.3e-14 of its series for p up to 100; below
-    1/16 each element sums the series in powers of x alone.  Against
-    30-digit mpmath the value is within 6e-14 relative for p up to 31 and
-    2.5e-13 at p = 100, and within 3e-11 where m lies within 1e-4 of an
-    integer.  M = 0 gives 0, a non-finite A or C a non-finite value, and a
-    series that does not converge, as some do above p = 250, NaN; a (p, b)
-    whose tables are not resolved (_chebyshev_table) is NaN at every
-    element, x < 1/16 included.
+    M^(p/2) B(1/2, b) F(x), F hypergeometric (_series_tables), read from
+    the tables of its (p, b) (_chebyshev_table): every element with x at
+    least 2^_FLOOR_EXP by one Clenshaw recurrence of _DEGREE steps on its
+    panel, in x on [1/16, 1] and in log2 x below, and the few below that
+    from the leading terms of the series.  Against 40-digit mpmath at every
+    panel edge, for b from 1e-6 to 0.4, the value is within 6e-14 relative
+    for p up to 31 (1.3e-14 measured) and 2.5e-13 at p = 100 (6.7e-14
+    measured), and within 3e-11 where m lies within 1e-4 of an integer.
+    M = 0 gives 0 and a non-finite A or C a non-finite value; a NaN ratio
+    x, as 0/0 gives, reads F(1).  A (p, b) whose tables are not resolved
+    (_angular_resolved) is NaN at every element.  When every row has one p,
+    as in every sweep, M^(p/2) is taken in place.
     """
     linear = [pw == 2.0 for pw in pws]
     if any(linear):
@@ -709,25 +756,35 @@ def _bracket_angular(A, C, pws, bs):
         return F
     keys = tuple(dict.fromkeys(zip(pws, bs)))
     key_of_row = np.array([keys.index(key) for key in zip(pws, bs)])
+    coef, lead = _bracket_tables(keys)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         top = np.maximum(A, C)
-        x = np.minimum(A, C) / top
-        todo = np.flatnonzero((top > 0.0) & np.isfinite(x))
-        xs = x.ravel()[todo]
-        table = (2 * key_of_row[:, None] + (A > C)).ravel()[todo]
-        near = xs < _X0
-        F = np.where(top > 0.0, math.nan, 0.0)
-        coef = np.concatenate([_chebyshev_table(*key) for key in keys])
-        F.flat[todo[~near]] = _chebyshev_F(coef, _PANELS * table[~near], xs[~near])
-        tables = _bracket_tables(keys)
-        if near.any():
-            F.flat[todo[near]] = _series_F(tables, 2 * table[near] + 1, xs[near])
-        F *= tables[5][key_of_row][:, None]
-        F[np.isnan(coef[::2 * _PANELS, 0])[key_of_row]] = math.nan    # refused keys
-        for pw in set(pws):
-            mine = np.array(pws) == pw
-            F[mine] *= top[mine] ** (pw / 2.0)
-    return F
+        # a NaN ratio (0/0, inf/inf or a NaN column) reads F(1), which top
+        # then turns into 0 or a non-finite value
+        x = np.fmin(np.minimum(A, C) / top, 1.0).ravel()
+        tables = (2 * key_of_row[:, None] + (A > C)).ravel()
+        # per element: the first column of its range of panels, and its
+        # coordinate u there in panel widths
+        u = (x - _X0) * (_PANELS / (1.0 - _X0))
+        first = _COLUMNS * tables + _LOG_PANELS
+        near = np.flatnonzero(x < _X0)
+        if near.size:           # octave [2^(k-1), 2^k) of x = f 2^k, f in [1/2, 1)
+            f, k = np.frexp(np.maximum(x[near], 2.0 ** _FLOOR_EXP))
+            u[near] = _PER_OCTAVE * (np.log2(f) + 1.0)
+            first[near] = _COLUMNS * tables[near] + _PER_OCTAVE * (k - 1 - _FLOOR_EXP)
+        panel = np.minimum(u.astype(int), _PANELS - 1)
+        F = _chebyshev_F(coef, first + panel, 2.0 * (u - panel) - 1.0)
+        low = near[x[near] < 2.0 ** _FLOOR_EXP]
+        if low.size:
+            F[low] = _leading_F(lead, tables[low], x[low])
+        if len(set(pws)) == 1:  # every sweep
+            np.power(top, pws[0] / 2.0, out=top)
+        else:
+            for pw in set(pws):
+                mine = np.array(pws) == pw
+                top[mine] **= pw / 2.0
+        top *= F.reshape(top.shape)
+    return top
 
 
 # ------------------------------------------------------------ Lemma check

@@ -37,12 +37,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FitUnstableError, SingularParamsError, UnsupportedRegimeError
+from .errors import (FitUnstableError, NotConvergedError, SingularParamsError,
+                     UnsupportedRegimeError)
 from .params import HardyParams, RegimeFamily, admissible_hardy, compute_K
 # integrate_1d, integrate_2d and integrate_angular are no longer called here;
 # certbench's layer tracer looks them up by these names.
-from .quadrature import (QuadratureSpec, _bracket_angular, cutoff_eta,  # noqa: F401
-                         cutoff_eta_prime, integrate_1d, integrate_2d,
+from .quadrature import (QuadratureSpec, _angular_resolved, _bracket_angular,  # noqa: F401
+                         cutoff_eta, cutoff_eta_prime, integrate_1d, integrate_2d,
                          integrate_angular, integrate_rows, sin_power_integral)
 
 __all__ = [
@@ -213,11 +214,12 @@ def quotient_general_p(family: TrialFamily) -> QuotientParts:
     its angular integral against the weight sin(phi)^a_phi is a Gauss
     hypergeometric closed form at each radial node; the denominator's is a
     Beta function.  err_estimate is the two radial integrals' alone: the
-    closed form is read from Chebyshev tables built once per (p, b) from
-    its series, and below x = 1/16 summed from the series: within 6e-14
-    relative for p up to 31, and 3e-11 where c - a - b is within 1e-4 of an
-    integer (quadrature._bracket_angular).  This is the one-member case of
-    _quotients.
+    closed form is read from Chebyshev tables of degree 12 built once per
+    (p, b) from its series, in x on [1/16, 1] and in log2 x below: within
+    6e-14 relative for p up to 31, and 3e-11 where c - a - b is within 1e-4
+    of an integer (quadrature._bracket_angular).  A (p, b) whose tables are
+    not resolved raises NotConvergedError before any integrand is
+    evaluated.  This is the one-member case of _quotients.
     """
     if family.kind is not FamilyKind.GENERAL_P_BETA_NONNEG:
         raise ValueError("quotient_general_p takes the general-p family")
@@ -247,9 +249,16 @@ def _quotients(families) -> tuple[QuotientParts, ...]:
     turn (_rows), on the panels (0, 1) and (1, 2), to _SWEEP_SPEC_1D at
     p = 2 and _SWEEP_SPEC_P otherwise; the members share one p.  Each result
     is the one the member gets alone, to the bit, and a failure the first
-    one met on the members in turn.
+    one met on the members in turn.  A (p, b) whose angular tables are not
+    resolved (quadrature._angular_resolved) raises NotConvergedError before
+    any integrand is evaluated.
     """
     exponents = [_exponents(f) for f in families]
+    for pw, b in dict.fromkeys((f.params.p, (a_phi + 1.0) / 2.0)
+                               for f, (a_phi, _) in zip(families, exponents)):
+        if not _angular_resolved(pw, b):
+            raise NotConvergedError(f"the angular closed form at (p, b) = ({pw}, {b}) is not "
+                                    "resolved: its Chebyshev tables failed their checks")
     spec = _SWEEP_SPEC_1D if families[0].params.p == 2 else _SWEEP_SPEC_P
     rads = integrate_rows(_rows(families, exponents), 0.0, spec.truncation_radius, spec,
                           _RADIAL_BREAKS)
@@ -326,9 +335,10 @@ class SweepRow:
     relative quadrature error estimate of its two radial integrals: the
     angular factors are closed forms, a Beta function for the denominator
     and, for the numerator, a linear form at p = 2 and otherwise a Gauss
-    hypergeometric function, read from Chebyshev tables of its series per
-    (p, b), within 6e-14 relative for p up to 31 (3e-11 where c - a - b is
-    within 1e-4 of an integer)."""
+    hypergeometric function, read from Chebyshev tables of degree 12 of its
+    series per (p, b), in x on [1/16, 1] and in log2 x below, within 6e-14
+    relative for p up to 31 (3e-11 where c - a - b is within 1e-4 of an
+    integer)."""
 
     epsilon: float
     sigma: float

@@ -177,6 +177,16 @@ class TestErrorExitCodes:
         assert doc["type"] == "FitUnstableError"
         assert "residual" in doc and "value" in doc
 
+    def test_refused_angular_tables_are_a_failed_check(self, capsys):
+        # at p = 300 the general-p angular tables are refused before the
+        # radial pass, which failed on NaN rows with "(last sum nan)"
+        code, out, err = run_cli(capsys, "rayleigh", "--n", "3", "--p", "300")
+        assert code == 1
+        assert out == ""
+        doc = strict_json(err)
+        assert doc["type"] == "NotConvergedError"
+        assert "(p, b) = (300.0, " in doc["error"] and "not resolved" in doc["error"]
+
     def test_sweep_below_p2_keeps_stderr_empty(self):
         # a fresh interpreter, where numpy warnings would reach stderr
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -12,7 +12,7 @@ from anisohardy import (BumpFunction, CknParams, ExponentPair, HardyParams,
                         verify_CKNp, verify_E2, verify_Ep)
 from anisohardy.errors import EmptyInputError, NegativeRemainderError, SupportViolationError
 from anisohardy.identities import (IdentityReport, _ball_nodes, _ckn_divergence_spot_check,
-                                   _dot, _log_f_gradient, _norms, _r_rows, _sphere_rule)
+                                   _dot, _log_f_gradient, _r_rows, _sphere_rule)
 from anisohardy import cli, identities, report
 from anisohardy.report import (EP_P_CYCLE, run_criterion_8, sample_ckn_config,
                                sample_e2_config, sample_ep_config)
@@ -790,13 +790,15 @@ class TestSameAsRowMajor:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_coordinate_sums(self, n):
         # one ulp of |x| at a node seldom reaches a check's sums, so the
-        # coordinate sums are compared directly
+        # coordinate sums are compared directly: _dot, and axis_norms of the
+        # (N, n) view of coordinate-major points
         rng = np.random.default_rng(n)
         x, y = rng.normal(size=(2, n, 4096))
         rows_x, rows_y = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)
         assert _dot(x, y).tobytes() == np.sum(rows_x * rows_y, axis=-1).tobytes()
         for k in range(1, n):
-            assert np.array_equal(_norms(x, k), axis_norms(rows_x, k))
+            for view, rows in zip(axis_norms(x.T, k), axis_norms(rows_x, k)):
+                assert view.tobytes() == rows.tobytes()
 
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (3, 1), (4, 2)])
     def test_verify_E2(self, n, k):

@@ -638,7 +638,7 @@ class TestBracketAngular:
         (3.0, 0, 2, False), (4.0, 1, 1, False)])          # 15.3.6; 1/Gamma(-p/2) = 0
     def test_region_below_one_half_takes_its_case(self, pw, branch, components, log):
         # the x < 1/2 region of a branch at b = 0.2, as the cases above name it
-        _, _, scale, _, logs, _ = quadrature._bracket_tables(((pw, 0.2),))
+        _, _, scale, _, logs = quadrature._series_tables(pw, 0.2)
         region = slice(4 * (2 * branch + 1), 4 * (2 * branch + 2))
         assert np.count_nonzero(scale[region]) == components and logs[region].any() == log
 
@@ -711,6 +711,42 @@ class TestBracketAngular:
                     -pw / 2.0, 0.5 if c >= a else b, b + 0.5, 1 - mpmath.mpf(min(a, c)))
                 assert abs(value - ref) <= 1e-12 * abs(ref), (a, c)
 
+    #: Keys that _chebyshev_table refuses, by their seams (m = b + p/2 within
+    #: 1e-4 of an integer, where the connection formula loses digits): at
+    #: (20, 1e-4) the two series differ by 2.1e-12 at x = 1/2
+    MPMATH_REFUSED = {(20.0, 1e-6), (30.0, 1e-6), (20.0, 1e-4)}
+
+    @pytest.mark.parametrize("pw", [1.0, 1.5, 1.6, 1.6 + 1e-9, 3.0, 3.0 + 1e-8, 9.0, 20.0, 30.0,
+                                    31.0, 100.0])
+    @pytest.mark.parametrize("b", [1e-6, 1e-4, 0.05, 0.4])
+    def test_matches_40_digit_mpmath_at_every_panel_edge(self, pw, b):
+        # both branches at x = 0, 2^-1074 and 1 ulp either side of every
+        # panel edge, 2^-110 and 1/16 among them; within 6e-14 relative for
+        # p up to 31, 2.5e-13 at p = 100 and 3e-11 where m lies within 1e-4
+        # of an integer.  Both neighbours of an edge are held to the value
+        # at the edge: F grows with x, and x F'/F <= p/2, so 1 ulp of x moves
+        # F by at most p/2 ulp.  Before a + m was passed exactly, m = b + p/2
+        # rounded it: 2.9e-11 off at (1, 1e-6) and 2.5e-9 at (100, 1e-6)
+        mpmath = pytest.importorskip("mpmath")
+        edges = _panel_edges()
+        x = np.concatenate([[0.0, 2.0 ** -1074], np.nextafter(edges, 0.0),
+                            np.nextafter(edges[:-1], 2.0)])
+        at = np.concatenate([x[:2], edges, edges[:-1]])
+        A = np.concatenate([x, np.ones_like(x)])[None]
+        C = np.concatenate([np.ones_like(x), x])[None]
+        got = quadrature._bracket_angular(A, C, [pw], [b])[0].reshape(2, -1)
+        if (pw, b) in self.MPMATH_REFUSED:
+            assert np.isnan(got).all()
+            return
+        with mpmath.workdps(40):
+            a, c, scale = -mpmath.mpf(pw) / 2, mpmath.mpf(b) + 0.5, mpmath.beta(0.5, b)
+            for branch, (bb, m) in enumerate([(0.5, b + pw / 2.0), (b, (pw + 1.0) / 2.0)]):
+                near = 0.0 < abs(m - round(m)) < 1e-4
+                bound = (3e-11 if near else 6e-14 if pw <= 31.0 else 2.5e-13) + pw * 2.0 ** -53
+                refs = {v: scale * mpmath.hyp2f1(a, bb, c, 1 - mpmath.mpf(v)) for v in set(at)}
+                for xi, v, value in zip(x, at, got[branch]):
+                    assert abs(value - refs[v]) <= bound * abs(refs[v]), (branch, xi)
+
     def test_import_builds_no_table(self):
         src = str(Path(quadrature.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -719,9 +755,9 @@ class TestBracketAngular:
             [sys.executable, "-c",
              "import anisohardy; from anisohardy import quadrature as q; "
              "print(*(f.cache_info().currsize for f in "
-             "(q._series_tables, q._chebyshev_table, q._bracket_tables)))"],
+             "(q._series_tables, q._chebyshev_table, q._bracket_tables, q._linear_betas)))"],
             capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == 0 and proc.stdout.split() == ["0", "0", "0"]
+        assert proc.returncode == 0 and proc.stdout.split() == ["0", "0", "0", "0"]
 
     def test_new_combination_of_built_keys_builds_nothing(self):
         rng = np.random.default_rng(5)
@@ -737,12 +773,23 @@ class TestBracketAngular:
             assert block[2 - i].tobytes() == alone[i][0].tobytes()
 
 
+def _panel_edges():
+    """Every panel edge of _bracket_angular's tables: from 2^_FLOOR_EXP to
+    1/16 in steps of 1/_PER_OCTAVE in log2 x, then the equal panels of
+    [1/16, 1]."""
+    q = quadrature
+    logs = 2.0 ** (q._FLOOR_EXP + np.arange(q._LOG_PANELS + 1) / q._PER_OCTAVE)
+    return np.concatenate([logs, q._X0 + (1.0 - q._X0) / q._PANELS * np.arange(1, q._PANELS + 1)])
+
+
 def _table_grid():
-    """x in [0, 1] where _bracket_angular changes path or panel, and a dense grid."""
-    x0, panels = quadrature._X0, quadrature._PANELS
-    edges = x0 + (1.0 - x0) / panels * np.arange(panels + 1)
-    x = np.concatenate([np.linspace(x0, 1.0, 4001), edges, np.nextafter(edges, 0.0),
-                        np.nextafter(edges, 2.0), [0.0, 1e-3, 0.03]])
+    """x in [0, 1] where _bracket_angular changes path or panel, subnormal x
+    and dense grids in x on [1/16, 1] and in log2 x below."""
+    edges = _panel_edges()
+    x = np.concatenate([np.linspace(quadrature._X0, 1.0, 4001),
+                        2.0 ** np.linspace(quadrature._FLOOR_EXP - 20, -4.0, 2001),
+                        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0),
+                        [0.0, 2.0 ** -1074, 1e-300, 1e-3, 0.03]])
     return np.unique(x[x <= 1.0])
 
 
@@ -751,6 +798,6 @@ def _series_reference(A, C, pw, b):
     top = np.maximum(A, C)
     x = np.minimum(A, C) / top
     with np.errstate(divide="ignore"):
-        F = quadrature._series_F(quadrature._bracket_tables(((pw, b),)),
+        F = quadrature._series_F(quadrature._series_tables(pw, b),
                                  2 * (A > C) + (x < 0.5), x)
     return F * beta(0.5, b) * top ** (pw / 2.0)

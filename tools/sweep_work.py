@@ -6,6 +6,15 @@ as JSON:
 - integrand calls, radial nodes and row-nodes of its one tanh-sinh pass,
   and the polyfit calls of its fits: counts that do not depend on the
   machine;
+- for the general-p sweep, "bracket": the elements of its angular closed
+  form (quadrature._bracket_angular) by the path that evaluates them, the
+  Clenshaw steps of an element read from a Chebyshev table, and the (p, b)
+  keys whose tables the sweep builds, with each build's wall time in ms.
+  The paths are the table on [1/16, 1] ("table"), the log2 x table below
+  it ("log_table"), the leading terms below 2^_FLOOR_EXP ("floor"), and
+  "zero_or_non_finite", the elements with max(A, C) = 0 or a NaN ratio,
+  which read the table at x = 1.  A checkout without log2 x tables counts
+  its elements below 1/16, which sum their series, as "series";
 - driver_us: the median wall time, in microseconds, of the pass's
   integrate_rows with the integrand replaced by a lookup of the rows it
   returned on a recorded pass (a cached-rows replay), so that only the
@@ -23,6 +32,7 @@ copy of the script in another checkout measures that checkout.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import statistics
 import sys
@@ -33,7 +43,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from anisohardy import HardyParams, rayleigh  # noqa: E402
+from anisohardy import HardyParams, quadrature, rayleigh  # noqa: E402
 
 #: The sweeps of TestGoldenSweeps, with their default schedules.
 SWEEPS = {
@@ -66,6 +76,48 @@ def work_counts(params) -> dict:
         rayleigh.integrate_rows, np.polynomial.polynomial.polyfit = plain_rows, plain_fit
     return {"integrand_calls": len(calls), "nodes": sum(n for n, _ in calls),
             "row_nodes": sum(n * m for n, m in calls), "polyfit_calls": len(fits)}
+
+
+def bracket_counts(params) -> dict:
+    """Angular closed-form elements by path, Clenshaw steps per table
+    element, and the keys a sweep builds, from empty table caches."""
+    q = quadrature
+    for cached in (q._series_tables, q._chebyshev_table, q._bracket_tables):
+        cached.cache_clear()
+    paths, built = collections.Counter(), []
+    plain_bracket, plain_table = rayleigh._bracket_angular, q._chebyshev_table
+    floor = 2.0 ** q._FLOOR_EXP if hasattr(q, "_FLOOR_EXP") else None
+
+    def counted(A, C, pws, bs):
+        general = np.array([pw != 2.0 for pw in pws])
+        a, c = A[general], C[general]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            top = np.maximum(a, c)
+            x = np.minimum(a, c) / top
+        ok = (top > 0.0) & np.isfinite(x)
+        below = ok & (x < q._X0)
+        paths["zero_or_non_finite"] += int(np.count_nonzero(~ok))
+        paths["table"] += int(np.count_nonzero(ok & (x >= q._X0)))
+        if floor is None:
+            paths["series"] += int(np.count_nonzero(below))
+        else:
+            paths["log_table"] += int(np.count_nonzero(below & (x >= floor)))
+            paths["floor"] += int(np.count_nonzero(below & (x < floor)))
+        return plain_bracket(A, C, pws, bs)
+
+    def timed(pw, b):
+        misses, start = plain_table.cache_info().misses, time.perf_counter()
+        out = plain_table(pw, b)
+        if plain_table.cache_info().misses > misses:
+            built.append({"p": pw, "b": b, "build_ms": round((time.perf_counter() - start) * 1e3, 2)})
+        return out
+
+    rayleigh._bracket_angular, q._chebyshev_table = counted, timed
+    try:
+        rayleigh.sweep_and_extrapolate(params)
+    finally:
+        rayleigh._bracket_angular, q._chebyshev_table = plain_bracket, plain_table
+    return {"elements": dict(paths), "clenshaw_steps": q._DEGREE, "keys_built": built}
 
 
 def driver_us(params, repeats: int) -> float:
@@ -101,6 +153,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = {name: {**work_counts(params), "driver_us": round(driver_us(params, args.repeats), 1)}
            for name, params in SWEEPS.items()}
+    out["general_p"]["bracket"] = bracket_counts(SWEEPS["general_p"])
     print(json.dumps(out, indent=1))
     return 0
 
