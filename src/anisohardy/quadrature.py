@@ -30,27 +30,29 @@ sin_power_integral, whose Beta closed form the sweeps use.
 
 integrate_2d (radial tanh-sinh of angular Gauss-Jacobi sums) is a plain
 reference; the sweeps take that angular integral in closed form.  _refine
-alone runs the convergence loop of the 1D, angular and 2D integrators, with
-one outcome per row; the public integrators raise the first row's failure.
+alone runs the convergence loop of the 1D, angular and 2D integrators; it
+returns a result per row, or raises the failure of the first row, in
+order, that does not converge.
 
-The closed form (_bracket_angular) is, away from p = 2, a Gauss
-hypergeometric F(x) of x = min(A, C)/max(A, C) in [0, 1], one F per branch.
-Per (p, b) it is tabulated once, lazily, from F's series: Chebyshev
-interpolants of degree 12 on 64 equal panels of [1/16, 1], and below 1/16
-in u = log2 x on two panels per octave down to 2^-110, where F's x^m and
-log singularity at 0 is analytic in u.  An element reads its panel by one
-Clenshaw recurrence of 12 steps, whichever table holds it; below 2^-110 it
-takes the leading term of each series component.  No element sums a
-series, and each is evaluated alone, so a batch of rows gives each row the
-values it gets alone, to the bit.  Against 40-digit mpmath at every panel
-edge, for b from 1e-6 to 0.4, the kernel is within 6e-14 for p up to 31
-and 2.5e-13 at p = 100, except where m = c - a - b lies within about 1e-4
-of an integer: there the series itself, and so the tables, err by up to
-3e-11.  A (p, b) whose tables are not resolved (a panel's last two
-coefficients above 1e-10 of its coefficient sum, two series that disagree
-at x = 1/2, or a sample whose series does not converge, as with b far
-above p or p past about 280) is NaN at every element, and a sweep of it
-raises NotConvergedError before its radial pass.
+The closed form (_bracket_angular; one p per call, one b per row) is, away
+from p = 2, a Gauss hypergeometric F(x) of x = min(A, C)/max(A, C) in
+[0, 1], one F per branch.  Per (p, b) it is tabulated once, lazily, from
+F's series: Chebyshev interpolants of degree 12 on 64 equal panels of
+[1/16, 1], and below 1/16 in u = log2 x on two panels per octave down to
+2^-110, where F's x^m and log singularity at 0 is analytic in u.  An
+element reads its panel by one Clenshaw recurrence of 12 steps, whichever
+table holds it; below 2^-110 it takes the leading term of each series
+component.  No element sums a series, and each is evaluated alone, so a
+batch of rows gives each row the values it gets alone, to the bit.
+Against 40-digit mpmath at every panel edge, for b from 1e-6 to 0.4, the
+kernel is within 6e-14 for p up to 31 and 2.5e-13 at p = 100, except where
+m = c - a - b lies within about 1e-4 of an integer: there the series
+itself, and so the tables, err by up to 3e-11.  A (p, b) whose tables are
+not resolved (a panel's last two coefficients above 1e-10 of its
+coefficient sum, two series that disagree at x = 1/2, or a sample whose
+series does not converge, as with b far above p or p past about 280) is
+NaN at every element, and a sweep of it raises NotConvergedError before
+its radial pass.
 
 Reduced integrals are computed WITHOUT the sphere-area prefactor of the
 residual angles; it cancels in every quotient.
@@ -146,24 +148,20 @@ def cutoff_eta_prime(t):
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Refinement depth and tolerances for the integrators: tanh-sinh levels
-    (integrate_2d's angular orders are the module constant _ORDERS).
-
-    truncation_radius is the upper end of radial integrals (the cutoff
-    support ends at 2).
+    (integrate_2d's angular orders are the module constant _ORDERS).  The
+    interval is the caller's; integrate_2d's radial one is (0, 2), the
+    support of cutoff_eta.
     """
 
     levels: int = 10
     abs_tol: float = 1e-13
     rel_tol: float = 1e-10
-    truncation_radius: float = 2.0
 
     def __post_init__(self):
         if self.levels < 3:
             raise ValueError(f"levels must be >= 3, got {self.levels}")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("abs_tol and rel_tol must be positive")
-        if self.truncation_radius <= 0:
-            raise ValueError("truncation_radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -203,7 +201,7 @@ def _ts_level(level: int):
     return t[keep], d[keep], w[keep]
 
 
-def _refine(totals, spec: QuadratureSpec, what: str, panels: int = 1) -> tuple:
+def _refine(totals, spec: QuadratureSpec, what: str, panels: int = 1) -> tuple[QuadResult, ...]:
     """Drive rows of refined totals (levels or orders) to convergence.
 
     totals is a generator that yields, per refinement, one total for each
@@ -217,12 +215,12 @@ def _refine(totals, spec: QuadratureSpec, what: str, panels: int = 1) -> tuple:
     refinement, and an infinite total would meet its own infinite relative
     tolerance.
 
-    Returns one outcome per row: a QuadResult whose value and error
-    estimate are the sums of its pairs', a NotConvergedError carrying the
-    sums of its pairs' last totals and estimates, or None for a row after
-    the first failed row.  Pairs are settled in order, as if each row were
+    Returns a QuadResult per row, whose value and error estimate are the
+    sums of its pairs'.  Pairs are settled in order, as if each row were
     driven alone in turn: a failed row and the rows after it refine no
-    further, and refinement ends once every row before it is decided.
+    further, and refinement ends once every row before it is decided.  The
+    first row that does not converge then raises NotConvergedError carrying
+    the sums of its pairs' last totals and estimates.
     """
     live, prev = None, None
     while True:
@@ -230,9 +228,9 @@ def _refine(totals, spec: QuadratureSpec, what: str, panels: int = 1) -> tuple:
             values = np.asarray(totals.send(live), dtype=float)
         except StopIteration:
             break
-        if live is None:        # per pair: last total, estimate, 1 converged, 2 failed
+        if live is None:        # per pair: last total, estimate, converged
             last, err = np.full(values.size, math.nan), np.full(values.size, math.inf)
-            state, live = np.zeros(values.size, dtype=np.int8), np.arange(values.size)
+            converged, live = np.zeros(values.size, dtype=bool), np.arange(values.size)
         total = values[live]
         bad = ~np.isfinite(total)
         stop = int(np.argmax(bad)) if bad.any() else live.size
@@ -244,46 +242,29 @@ def _refine(totals, spec: QuadratureSpec, what: str, panels: int = 1) -> tuple:
             diff = np.abs(total - prev[:stop])
             err[done] = diff
             keep = diff > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
-            state[done[~keep]] = 1
+            converged[done[~keep]] = True
         rest = live[stop:]
         live, prev = done[keep], total[keep]
         if rest.size:           # pair rest[0] fails, and its row is decided
             row = int(rest[0]) - int(rest[0]) % panels
-            state[rest[0]] = 2
             rest = rest[rest < row + panels]
             last[rest] = values[rest]
             prev = prev[live < row]
             live = live[live < row]
         if not live.size:
             break
-    if live.size:
-        state[live[0]] = 2
 
-    by_row = state.reshape(-1, panels)
-    failed, undecided = (by_row == 2).any(axis=1).tolist(), (by_row == 0).any(axis=1).tolist()
+    failed = np.flatnonzero(~converged.reshape(-1, panels).all(axis=1))
+    if failed.size:
+        pairs = slice(failed[0] * panels, (failed[0] + 1) * panels)
+        total = float(np.sum(last[pairs]))
+        raise NotConvergedError(f"{what} did not converge (last sum {total})",
+                                value=total, err_estimate=float(np.sum(err[pairs])))
     value, estimate = last[0::panels].copy(), err[0::panels].copy()
     for k in range(1, panels):      # left to right, as a row's own sum
         value += last[k::panels]
         estimate += err[k::panels]
-    rows = []
-    for row, (v, e) in enumerate(zip(value.tolist(), estimate.tolist())):
-        pairs = slice(row * panels, (row + 1) * panels)
-        rows.append(_not_converged(what, float(np.sum(last[pairs])), float(np.sum(err[pairs])))
-                    if failed[row] else None if undecided[row] else QuadResult(v, e))
-    return tuple(rows)
-
-
-def _settled(outcomes) -> tuple[QuadResult, ...]:
-    """The results of _refine's outcomes; raises the first row's failure."""
-    for res in outcomes:
-        if not isinstance(res, QuadResult):
-            raise res
-    return outcomes
-
-
-def _not_converged(what: str, total: float, err: float) -> NotConvergedError:
-    return NotConvergedError(f"{what} did not converge (last sum {total})",
-                             value=total, err_estimate=err)
+    return tuple(QuadResult(v, e) for v, e in zip(value.tolist(), estimate.tolist()))
 
 
 #: Levels 0 to _FIRST_CALL_LEVELS of every panel share the integrand's first
@@ -363,17 +344,6 @@ def _ts_totals(f, panels, levels: int):
         ks = sorted(set((live % n).tolist()))
 
 
-def _ts_rows(f, edges, spec: QuadratureSpec) -> tuple:
-    """_refine's outcomes for the rows of f over the panels between
-    consecutive edges (a, e1, ..., b)."""
-    if any(not hi > lo for lo, hi in zip(edges, edges[1:])):
-        raise ValueError(f"need a < break points < b, increasing, got {tuple(edges)}")
-    panels = [(partial(_panel_nodes, lo, hi), hi - lo) for lo, hi in zip(edges, edges[1:])]
-    return _refine(_ts_totals(f, panels, spec.levels), spec,
-                   f"tanh-sinh on ({edges[0]}, {edges[-1]}) within {spec.levels} levels",
-                   len(edges) - 1)
-
-
 def integrate_rows(f: Callable, a: float, b: float, spec: QuadratureSpec | None = None,
                    breaks: tuple = ()) -> tuple[QuadResult, ...]:
     """Integrate the m rows of f over (a, b) on shared tanh-sinh nodes.
@@ -388,14 +358,19 @@ def integrate_rows(f: Callable, a: float, b: float, spec: QuadratureSpec | None 
     of two panels, where the rule keeps its exponential convergence,
     instead of an interior point, where it converges only algebraically.
     Each call of f takes the new nodes of every panel that a row still
-    refines on; each (row, panel) converges on its own, and a row's value
-    and error estimate are the sums of its panels'.  Each row is summed,
-    converged and frozen exactly as integrate_1d would integrate it alone,
-    so its QuadResult is the same to the bit; the first row, in order, that
-    does not converge raises NotConvergedError with its best value.  An f
-    that returns no rows gives ().
+    refines on (_ts_totals); each (row, panel) converges on its own, and a
+    row's value and error estimate are the sums of its panels' (_refine).
+    Each row is summed, converged and frozen exactly as integrate_1d would
+    integrate it alone, so its QuadResult is the same to the bit; the first
+    row, in order, that does not converge raises NotConvergedError with its
+    best value.  An f that returns no rows gives ().
     """
-    return _settled(_ts_rows(f, (a, *breaks, b), spec or _DEFAULT_SPEC))
+    spec, edges = spec or _DEFAULT_SPEC, (a, *breaks, b)
+    if any(not hi > lo for lo, hi in zip(edges, edges[1:])):
+        raise ValueError(f"need a < break points < b, increasing, got {edges}")
+    panels = [(partial(_panel_nodes, lo, hi), hi - lo) for lo, hi in zip(edges, edges[1:])]
+    return _refine(_ts_totals(f, panels, spec.levels), spec,
+                   f"tanh-sinh on ({a}, {b}) within {spec.levels} levels", len(panels))
 
 
 def integrate_1d(f: Callable, a: float, b: float, spec: QuadratureSpec | None = None,
@@ -423,7 +398,7 @@ def integrate_angular(f_of_sin: Callable, spec: QuadratureSpec | None = None) ->
     totals = _ts_totals(lambda s: (f_of_sin(s),),
                         [(lambda level: np.sin(np.pi * _ts_level(level)[1]), math.pi)],
                         spec.levels)
-    return _settled(_refine(totals, spec, f"angular tanh-sinh within {spec.levels} levels"))[0]
+    return _refine(totals, spec, f"angular tanh-sinh within {spec.levels} levels")[0]
 
 
 @lru_cache(maxsize=128)
@@ -461,14 +436,14 @@ _ORDERS = (32, 64, 128, 256, 512, 1024)
 
 def integrate_2d(f: Callable, c: float, spec: QuadratureSpec | None = None,
                  breaks: tuple = ()) -> QuadResult:
-    """int_0^R int_0^pi f(r, cos phi) sin(phi)^c dphi dr, for f even in cos phi.
+    """int_0^2 int_0^pi f(r, cos phi) sin(phi)^c dphi dr, for f even in cos phi.
 
-    R is spec.truncation_radius and c > -1.  Each order m = 32, ..., 1024
-    is one integrate_1d of the sums f(r[:, None], t[None, :]) @ w of the
-    m-point Gauss-Jacobi rule for the weight (1 - t^2)^((c-1)/2), t = cos phi,
-    halved to its positive nodes by evenness.  The error estimate is the
-    larger of the last order difference and that order's radial error; past
-    the last order NotConvergedError carries its total.
+    (0, 2) is the support of cutoff_eta, and c > -1.  Each order m = 32,
+    ..., 1024 is one integrate_1d of the sums f(r[:, None], t[None, :]) @ w
+    of the m-point Gauss-Jacobi rule for the weight (1 - t^2)^((c-1)/2),
+    t = cos phi, halved to its positive nodes by evenness.  The error
+    estimate is the larger of the last order difference and that order's
+    radial error; past the last order NotConvergedError carries its total.
     """
     spec, radial = spec or _DEFAULT_SPEC, []
 
@@ -476,10 +451,10 @@ def integrate_2d(f: Callable, c: float, spec: QuadratureSpec | None = None,
         for m in _ORDERS:
             t, w = gauss_jacobi(m, (c - 1.0) / 2.0, (c - 1.0) / 2.0)
             radial.append(integrate_1d(lambda r: f(r[:, None], t[None, m // 2:]) @ w[m // 2:],
-                                       0.0, spec.truncation_radius, spec, breaks))
+                                       0.0, 2.0, spec, breaks))
             yield (2.0 * radial[-1].value,)
 
-    res, = _settled(_refine(order_totals(), spec, f"Gauss-Jacobi within order {_ORDERS[-1]}"))
+    res, = _refine(order_totals(), spec, f"Gauss-Jacobi within order {_ORDERS[-1]}")
     return QuadResult(res.value, max(res.err_estimate, 2.0 * radial[-1].err_estimate))
 
 
@@ -559,7 +534,6 @@ def _connection(a, bb, m, am, scale=1.0, near=True) -> list:
             (-(-1.0) ** k * scale * _gamma_ratio((c,), (a, bb)), t, -t * psi, float(k))]
 
 
-@lru_cache(maxsize=64)
 def _series_tables(pw: float, b: float):
     """(P, Q, scale, e, has P) of one (p, b) key: four components of F, zero
     padded, per branch and region x >= 1/2, x < 1/2.  Branch 0, C >= A, is
@@ -677,12 +651,13 @@ def _chebyshev_table(pw: float, b: float):
 
 
 @lru_cache(maxsize=64)
-def _bracket_tables(keys: tuple):
-    """(coefficients, leading terms) of the keys in turn (_chebyshev_table),
-    joined along their branch axes, so that table 2 key + branch owns
-    coefficient columns from _COLUMNS times its index; a new combination of
-    keys joins their tables and builds none."""
-    parts = [_chebyshev_table(*key) for key in keys]
+def _bracket_tables(pw: float, bs: tuple):
+    """(coefficients, leading terms) of the keys (p, b), b in bs, in turn
+    (_chebyshev_table), joined along their branch axes, so that table
+    2 i + branch of the i-th b owns coefficient columns from _COLUMNS times
+    its index; a new combination of built keys joins their tables and
+    builds none."""
+    parts = [_chebyshev_table(pw, b) for b in bs]
     return (np.concatenate([coef for coef, _ in parts], axis=1),
             np.concatenate([lead for _, lead in parts], axis=1))
 
@@ -725,44 +700,36 @@ def _linear_betas(bs: tuple):
     return columns
 
 
-def _bracket_angular(A, C, pws, bs):
+def _bracket_angular(A, C, pw: float, bs):
     """int_-1^1 (A t^2 + C (1 - t^2))^(p/2) (1 - t^2)^(b-1) dt, elementwise.
 
-    A and C are (rows, nodes) blocks of values >= 0, pws and bs one p >= 1
-    and b > 0 per row.  At p = 2 the integral is linear, A B(3/2, b) +
-    C B(1/2, b + 1).  Otherwise, with M = max(A, C) and x = min/M, it is
-    M^(p/2) B(1/2, b) F(x), F hypergeometric (_series_tables), read from
-    the tables of its (p, b) (_chebyshev_table): every element with x at
-    least 2^_FLOOR_EXP by one Clenshaw recurrence of _DEGREE steps on its
-    panel, in x on [1/16, 1] and in log2 x below, and the few below that
-    from the leading terms of the series.  Against 40-digit mpmath at every
-    panel edge, for b from 1e-6 to 0.4, the value is within 6e-14 relative
-    for p up to 31 (1.3e-14 measured) and 2.5e-13 at p = 100 (6.7e-14
-    measured), and within 3e-11 where m lies within 1e-4 of an integer.
-    M = 0 gives 0 and a non-finite A or C a non-finite value; a NaN ratio
-    x, as 0/0 gives, reads F(1).  A (p, b) whose tables are not resolved
-    (_angular_resolved) is NaN at every element.  When every row has one p,
-    as in every sweep, M^(p/2) is taken in place.
+    A and C are (rows, nodes) blocks of values >= 0, pw the one p >= 1 of
+    every row and bs one b > 0 per row.  At p = 2 the integral is linear,
+    A B(3/2, b) + C B(1/2, b + 1).  Otherwise, with M = max(A, C) and
+    x = min/M, it is M^(p/2) B(1/2, b) F(x), F hypergeometric
+    (_series_tables), read from the tables of its (p, b) (_chebyshev_table):
+    every element with x at least 2^_FLOOR_EXP by one Clenshaw recurrence
+    of _DEGREE steps on its panel, in x on [1/16, 1] and in log2 x below,
+    and the few below that from the leading terms of the series.  Against
+    40-digit mpmath at every panel edge, for b from 1e-6 to 0.4, the value
+    is within 6e-14 relative for p up to 31 (1.3e-14 measured) and 2.5e-13
+    at p = 100 (6.7e-14 measured), and within 3e-11 where m lies within
+    1e-4 of an integer.  M = 0 gives 0 and a non-finite A or C a non-finite
+    value; a NaN ratio x, as 0/0 gives, reads F(1).  A (p, b) whose tables
+    are not resolved (_angular_resolved) is NaN at every element.
     """
-    linear = [pw == 2.0 for pw in pws]
-    if any(linear):
+    if pw == 2.0:
         of_A, of_C = _linear_betas(tuple(bs))
         with np.errstate(over="ignore"):
-            F = A * of_A + C * of_C
-        series = np.flatnonzero(np.logical_not(linear))
-        if series.size:
-            F[series] = _bracket_angular(A[series], C[series], [pws[i] for i in series],
-                                         [bs[i] for i in series])
-        return F
-    keys = tuple(dict.fromkeys(zip(pws, bs)))
-    key_of_row = np.array([keys.index(key) for key in zip(pws, bs)])
-    coef, lead = _bracket_tables(keys)
+            return A * of_A + C * of_C
+    keys = tuple(dict.fromkeys(bs))
+    coef, lead = _bracket_tables(pw, keys)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         top = np.maximum(A, C)
         # a NaN ratio (0/0, inf/inf or a NaN column) reads F(1), which top
         # then turns into 0 or a non-finite value
         x = np.fmin(np.minimum(A, C) / top, 1.0).ravel()
-        tables = (2 * key_of_row[:, None] + (A > C)).ravel()
+        tables = (2 * np.array([keys.index(b) for b in bs])[:, None] + (A > C)).ravel()
         # per element: the first column of its range of panels, and its
         # coordinate u there in panel widths
         u = (x - _X0) * (_PANELS / (1.0 - _X0))
@@ -777,12 +744,7 @@ def _bracket_angular(A, C, pws, bs):
         low = near[x[near] < 2.0 ** _FLOOR_EXP]
         if low.size:
             F[low] = _leading_F(lead, tables[low], x[low])
-        if len(set(pws)) == 1:  # every sweep
-            np.power(top, pws[0] / 2.0, out=top)
-        else:
-            for pw in set(pws):
-                mine = np.array(pws) == pw
-                top[mine] **= pw / 2.0
+        np.power(top, pw / 2.0, out=top)
         top *= F.reshape(top.shape)
     return top
 

@@ -58,9 +58,10 @@ DEFAULT_SIGMA = (0.2, 0.1, 0.05, 0.025)
 
 _SWEEP_SPEC_1D = QuadratureSpec(levels=11, abs_tol=1e-14, rel_tol=1e-10)
 _SWEEP_SPEC_P = QuadratureSpec(levels=9, abs_tol=1e-12, rel_tol=5e-8)
-#: The radial panels are (0, 1) and (1, R): cutoff_eta leaves 1 at r = 1, a
-#: C^2 kink of every radial integrand (C^1 where eta' enters).
-_RADIAL_BREAKS = (1.0,)
+#: The radial panels are (0, 1) and (1, _RADIAL_END): cutoff_eta leaves 1 at
+#: r = 1, a C^2 kink of every radial integrand (C^1 where eta' enters), and
+#: is 0 from r = 2 on.
+_RADIAL_BREAKS, _RADIAL_END = (1.0,), 2.0
 
 
 class FamilyKind(Enum):
@@ -245,23 +246,21 @@ def _exponents(family: TrialFamily) -> tuple[float, float]:
 def _quotients(families) -> tuple[QuotientParts, ...]:
     """The quotient of each member, all radial integrals in one pass.
 
-    The rows of the pass are the numerator and denominator of each member in
-    turn (_rows), on the panels (0, 1) and (1, 2), to _SWEEP_SPEC_1D at
-    p = 2 and _SWEEP_SPEC_P otherwise; the members share one p.  Each result
-    is the one the member gets alone, to the bit, and a failure the first
-    one met on the members in turn.  A (p, b) whose angular tables are not
-    resolved (quadrature._angular_resolved) raises NotConvergedError before
-    any integrand is evaluated.
+    The members share one p, as _plan_sweep makes them.  The rows of the
+    pass are the numerator and denominator of each member in turn (_rows),
+    on the panels (0, 1) and (1, 2), to _SWEEP_SPEC_1D at p = 2 and
+    _SWEEP_SPEC_P otherwise.  Each result is the one the member gets alone,
+    to the bit, and a failure the first one met on the members in turn.  A
+    (p, b) whose angular tables are not resolved (_angular_resolved) raises
+    NotConvergedError before any integrand is evaluated.
     """
-    exponents = [_exponents(f) for f in families]
-    for pw, b in dict.fromkeys((f.params.p, (a_phi + 1.0) / 2.0)
-                               for f, (a_phi, _) in zip(families, exponents)):
+    pw, exponents = families[0].params.p, [_exponents(f) for f in families]
+    for b in dict.fromkeys((a_phi + 1.0) / 2.0 for a_phi, _ in exponents):
         if not _angular_resolved(pw, b):
             raise NotConvergedError(f"the angular closed form at (p, b) = ({pw}, {b}) is not "
                                     "resolved: its Chebyshev tables failed their checks")
-    spec = _SWEEP_SPEC_1D if families[0].params.p == 2 else _SWEEP_SPEC_P
-    rads = integrate_rows(_rows(families, exponents), 0.0, spec.truncation_radius, spec,
-                          _RADIAL_BREAKS)
+    spec = _SWEEP_SPEC_1D if pw == 2 else _SWEEP_SPEC_P
+    rads = integrate_rows(_rows(families, exponents), 0.0, _RADIAL_END, spec, _RADIAL_BREAKS)
 
     parts = []
     for (a_phi, _), num, rad in zip(exponents, rads[0::2], rads[1::2]):
@@ -283,17 +282,17 @@ def _rows(families, exponents):
     |grad v|^2 = |x'|^(2 theta - 2) (A cos^2 phi + C sin^2 phi) for
     v = |x'|^theta g(|x|), with A = theta^2 g^2 and C = (theta g + r g')^2;
     both carry the radial weight r^a_r as r^(2 a_r / p).  The numerator row
-    is _bracket_angular of A and C at b = (a_phi + 1)/2, the denominator
-    row r^a_r g^p; the members share one p.  Each level forms r^2 and the
-    cutoff once, each distinct power of r once, and g and g' over member
-    columns.  A power that overflows, as r^a_r with a_r near -1 does at
+    is _bracket_angular of A and C at the members' one p and each member's
+    b = (a_phi + 1)/2, the denominator row r^a_r g^p.  Each level forms r^2
+    and the cutoff once, each distinct power of r once, and g and g' over
+    member columns.  A power that overflows, as r^a_r with a_r near -1 does at
     subnormal nodes, makes its row non-finite, which fails its member,
     and raises no warning.
     """
-    pws = [f.params.p for f in families]
+    pw = families[0].params.p
     bs = [(a_phi + 1.0) / 2.0 for a_phi, _ in exponents]
-    r_keys, r_of = np.unique([e for (_, a_r), pw in zip(exponents, pws)
-                              for e in (2.0 * a_r / pw, a_r)], return_inverse=True)
+    r_keys, r_of = np.unique([e for _, a_r in exponents for e in (2.0 * a_r / pw, a_r)],
+                             return_inverse=True)
     fold_of, den_of = r_of[0::2], r_of[1::2]
     e2, ge, theta = (np.array([[v] for v in col]) for col in zip(
         *((f.epsilon * f.epsilon, f.g_exponent, f.h_exponent) for f in families)))
@@ -309,8 +308,8 @@ def _rows(families, exponents):
                 fold, theta_g = r_pow[fold_of[m]], theta[m] * g
                 block = np.empty((2 * len(g), r.size))
                 block[0::2] = _bracket_angular(fold * theta_g ** 2,
-                                               fold * (theta_g + r * gp) ** 2, pws[m], bs[m])
-                np.multiply(r_pow[den_of[m]], g ** pws[0], out=block[1::2])
+                                               fold * (theta_g + r * gp) ** 2, pw, bs[m])
+                np.multiply(r_pow[den_of[m]], g ** pw, out=block[1::2])
                 blocks.append(block)
         return blocks
     return rows
@@ -319,8 +318,9 @@ def _rows(families, exponents):
 # ------------------------------------------------------------------ sweeps
 
 class FitModel(Enum):
-    INV_LOG_EPS = "C + c/|ln eps|"
-    LINEAR_SIGMA = "linear sigma intercept"
+    INV_LOG_EPS = "ratio of the |ln eps| slopes of numerator and denominator"
+    LINEAR_SIGMA = ("sigma = 0 intercept of degree min(3, n_sigma - 1) polynomials of the "
+                    "eps limits (general p: of sigma times the |ln eps| slopes)")
 
 
 @dataclass(frozen=True)
@@ -495,8 +495,9 @@ def _plan_sweep(params: HardyParams, eps_list, sigma_list):
 def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None) -> SweepResult:
     """Sweep eps (and sigma), extrapolate the quotient to the sharp constant.
 
-    K > 1: single-stage fit quotient = C + c/|ln eps|.  K <= 1 and general-p:
-    per-sigma eps-extrapolation followed by a polynomial sigma intercept;
+    K > 1: one eps stage, the ratio of the |ln eps| slopes of numerator and
+    denominator (FitModel.INV_LOG_EPS).  K <= 1 and general-p: per-sigma
+    eps-extrapolation, then a polynomial sigma intercept (LINEAR_SIGMA);
     general-p takes the intercepts of sigma times the two eps slopes
     (_fit_pole_ratio).  The default sigma schedule is DEFAULT_SIGMA, times
     2/p for general p.  Raises FitUnstableError (carrying the value) when

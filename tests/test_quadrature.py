@@ -161,9 +161,9 @@ class TestGaussJacobi:
 
 class TestIntegrate2d:
     def test_product_separable(self):
-        spec = QuadratureSpec(truncation_radius=1.0)
-        res = integrate_2d(lambda r, t: r * np.ones_like(t), 0.0, spec)
-        assert res.value == pytest.approx(math.pi / 2.0, rel=1e-10)
+        # int_0^2 r dr times int_0^pi dphi
+        res = integrate_2d(lambda r, t: r * np.ones_like(t), 0.0)
+        assert res.value == pytest.approx(2.0 * math.pi, rel=1e-10)
 
     def test_zero_integrand(self):
         res = integrate_2d(lambda r, t: np.zeros(np.broadcast(r, t).shape), 0.5)
@@ -627,7 +627,7 @@ class TestBracketAngular:
         b = p_sigma / 2.0
         A = np.array([list(self.RATIOS) + [1.0] * len(self.RATIOS)])
         C = np.array([[1.0] * len(self.RATIOS) + list(self.RATIOS)])
-        got = quadrature._bracket_angular(3.0 * A, 3.0 * C, [pw], [b])[0]
+        got = quadrature._bracket_angular(3.0 * A, 3.0 * C, pw, [b])[0]
         for a, c, value in zip(3.0 * A[0], 3.0 * C[0], got):
             ref = _angular_reference(a, c, pw, b)
             assert value == pytest.approx(ref, rel=1e-11, abs=0.0), (a, c)
@@ -642,13 +642,14 @@ class TestBracketAngular:
         region = slice(4 * (2 * branch + 1), 4 * (2 * branch + 2))
         assert np.count_nonzero(scale[region]) == components and logs[region].any() == log
 
-    def test_rows_do_not_depend_on_each_other(self):
+    @pytest.mark.parametrize("pw", [1.5, 2.0, 3.0, 4.0])
+    def test_rows_do_not_depend_on_each_other(self, pw):
         rng = np.random.default_rng(3)
-        A, C = rng.uniform(0.0, 2.0, (2, 4, 50)) ** 3
-        pws, bs = [1.5, 2.0, 3.0, 4.0], [0.1, 0.3, 0.2, 0.05]
-        block = quadrature._bracket_angular(A, C, pws, bs)
-        for i in range(4):
-            alone = quadrature._bracket_angular(A[i:i + 1], C[i:i + 1], pws[i:i + 1], bs[i:i + 1])
+        A, C = rng.uniform(0.0, 2.0, (2, 5, 50)) ** 3
+        bs = [0.1, 0.3, 0.2, 0.3, 0.05]                   # b = 0.3 twice
+        block = quadrature._bracket_angular(A, C, pw, bs)
+        for i in range(5):
+            alone = quadrature._bracket_angular(A[i:i + 1], C[i:i + 1], pw, bs[i:i + 1])
             assert block[i].tobytes() == alone[0].tobytes()
 
     def test_zero_and_non_finite_columns(self):
@@ -656,7 +657,7 @@ class TestBracketAngular:
         C = np.array([[0.0, 1.0, 1.0, 1.0, math.inf, math.inf]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = quadrature._bracket_angular(A, C, [3.0], [0.1])[0]
+            got = quadrature._bracket_angular(A, C, 3.0, [0.1])[0]
         assert got[0] == 0.0 and not np.isfinite(got[2:]).any()
         # A = 0: int (1 - t^2)^(p/2 + b - 1) dt = B(1/2, b + p/2)
         assert got[1] == pytest.approx(beta(0.5, 0.1 + 1.5), rel=1e-13)
@@ -670,7 +671,7 @@ class TestBracketAngular:
         x = _table_grid()
         A = np.concatenate([x, np.ones_like(x), [math.nan, 1.0, math.inf]])[None]
         C = np.concatenate([np.ones_like(x), x, [1.0, math.nan, math.inf]])[None]
-        got = quadrature._bracket_angular(A, C, [pw], [b])[0]
+        got = quadrature._bracket_angular(A, C, pw, [b])[0]
         ref = _series_reference(A[0, :-3], C[0, :-3], pw, b)
         np.testing.assert_allclose(got[:-3], ref, rtol=1e-13, atol=0.0)
         assert not np.isfinite(got[-3:]).any()
@@ -680,7 +681,7 @@ class TestBracketAngular:
         # at p = 1000 a series that never met its stop rule returned its
         # partial sum, 1.5626 where tanh-sinh over phi gives 5.6014, and at
         # p = 2000 inf; at p = 401 a factorial overflowed (OverflowError)
-        got = quadrature._bracket_angular(np.array([[1.0]]), np.array([[0.6]]), [pw], [0.1])
+        got = quadrature._bracket_angular(np.array([[1.0]]), np.array([[0.6]]), pw, [0.1])
         assert np.isnan(got).all()
 
     @pytest.mark.parametrize("pw,b,resolved", [
@@ -701,7 +702,7 @@ class TestBracketAngular:
                       quadrature._X0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
         A = np.concatenate([x, np.ones_like(x)])[None]
         C = np.concatenate([np.ones_like(x), x])[None]
-        got = quadrature._bracket_angular(A, C, [pw], [b])[0]
+        got = quadrature._bracket_angular(A, C, pw, [b])[0]
         assert np.isfinite(got).all() if resolved else np.isnan(got).all()
         with mpmath.workdps(40):
             for a, c, value in zip(A[0], C[0], got):
@@ -734,7 +735,7 @@ class TestBracketAngular:
         at = np.concatenate([x[:2], edges, edges[:-1]])
         A = np.concatenate([x, np.ones_like(x)])[None]
         C = np.concatenate([np.ones_like(x), x])[None]
-        got = quadrature._bracket_angular(A, C, [pw], [b])[0].reshape(2, -1)
+        got = quadrature._bracket_angular(A, C, pw, [b])[0].reshape(2, -1)
         if (pw, b) in self.MPMATH_REFUSED:
             assert np.isnan(got).all()
             return
@@ -755,20 +756,19 @@ class TestBracketAngular:
             [sys.executable, "-c",
              "import anisohardy; from anisohardy import quadrature as q; "
              "print(*(f.cache_info().currsize for f in "
-             "(q._series_tables, q._chebyshev_table, q._bracket_tables, q._linear_betas)))"],
+             "(q._chebyshev_table, q._bracket_tables, q._linear_betas)))"],
             capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == 0 and proc.stdout.split() == ["0", "0", "0", "0"]
+        assert proc.returncode == 0 and proc.stdout.split() == ["0", "0", "0"]
 
     def test_new_combination_of_built_keys_builds_nothing(self):
         rng = np.random.default_rng(5)
         A, C = rng.uniform(0.0, 2.0, (2, 3, 60)) ** 3
-        pws, bs = [1.5, 3.0, 2.5], [0.1, 0.2, 0.05]
-        alone = [quadrature._bracket_angular(A[i:i + 1], C[i:i + 1], pws[i:i + 1], bs[i:i + 1])
+        bs = [0.15, 0.25, 0.07]          # keys no other test builds
+        alone = [quadrature._bracket_angular(A[i:i + 1], C[i:i + 1], 3.0, bs[i:i + 1])
                  for i in range(3)]
-        builders = (quadrature._series_tables, quadrature._chebyshev_table)
-        built = [f.cache_info().misses for f in builders]
-        block = quadrature._bracket_angular(A[::-1], C[::-1], pws[::-1], bs[::-1])
-        assert [f.cache_info().misses for f in builders] == built
+        built = quadrature._chebyshev_table.cache_info().misses
+        block = quadrature._bracket_angular(A[::-1], C[::-1], 3.0, bs[::-1])
+        assert quadrature._chebyshev_table.cache_info().misses == built
         for i in range(3):
             assert block[2 - i].tobytes() == alone[i][0].tobytes()
 

@@ -133,7 +133,7 @@ def _seeded_p2_families(seed, count=4):
 
 class TestStackedRadials:
     """quotient_p2's one radial pass against separate integrate_1d calls of
-    its numerator and denominator rows, all on the panels (0, 1) and (1, R)."""
+    its numerator and denominator rows, all on the panels (0, 1) and (1, 2)."""
 
     SPEC = rayleigh._SWEEP_SPEC_1D
     BREAKS = rayleigh._RADIAL_BREAKS
@@ -142,7 +142,7 @@ class TestStackedRadials:
     def test_matches_separate_integrals_bit_for_bit(self, fam):
         theta, (a_phi, a_r) = fam.h_exponent, rayleigh._exponents(fam)
         b = (a_phi + 1.0) / 2.0
-        R = self.SPEC.truncation_radius
+        R = rayleigh._RADIAL_END
 
         def numerator(r):
             # the angular integral of A cos^2 phi + C sin^2 phi, linear at p = 2
@@ -470,11 +470,11 @@ def _general_p_member(family):
 
     def numerator(r):
         A, C = _bracket_columns(family, r)
-        return quadrature._bracket_angular(A[None], C[None], [pw], [(a_phi + 1.0) / 2.0])[0]
+        return quadrature._bracket_angular(A[None], C[None], pw, [(a_phi + 1.0) / 2.0])[0]
 
-    num = integrate_1d(numerator, 0.0, spec.truncation_radius, spec, breaks)
+    num = integrate_1d(numerator, 0.0, rayleigh._RADIAL_END, spec, breaks)
     rad = integrate_1d(lambda r: r ** a_r * family.g_and_prime(r)[0] ** pw,
-                       0.0, spec.truncation_radius, spec, breaks)
+                       0.0, rayleigh._RADIAL_END, spec, breaks)
     den = sin_power_integral(a_phi) * rad.value
     return QuotientParts(num.value, den, num.value / den,
                          err_estimate=rayleigh._rel_err(num, rad))
@@ -778,7 +778,7 @@ class TestQuotientGeneralP:
         # t = cos(phi) and the weight sin(phi)^a_phi
         seen = []
         monkeypatch.setattr(rayleigh, "_bracket_angular",
-                            lambda A, C, pws, bs: seen.append((A, C)) or np.zeros_like(A))
+                            lambda A, C, pw, bs: seen.append((A, C)) or np.zeros_like(A))
         rayleigh._rows([fam], [rayleigh._exponents(fam)])(r)
         (A, C), = seen
         s, t = rho / r, x[:, 2] / r
@@ -801,7 +801,7 @@ class TestQuotientGeneralP:
         a_phi, a_r = rayleigh._exponents(fam)
         b = (a_phi + 1.0) / 2.0
         num = integrate_1d(lambda r: quadrature._bracket_angular(
-            *(col[None] for col in _bracket_columns(equal, r)), [pw], [b])[0], 0.0, 2.0).value
+            *(col[None] for col in _bracket_columns(equal, r)), pw, [b])[0], 0.0, 2.0).value
         e = a_r - 2.0 * gam * pw            # A^(p/2) = |gam|^p r^e
         radial = abs(gam) ** pw * 2.0 ** (e + 1.0) / (e + 1.0)
         assert num == pytest.approx(sin_power_integral(a_phi) * radial, rel=1e-12)

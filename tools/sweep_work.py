@@ -15,6 +15,11 @@ as JSON:
   "zero_or_non_finite", the elements with max(A, C) = 0 or a NaN ratio,
   which read the table at x = 1.  A checkout without log2 x tables counts
   its elements below 1/16, which sum their series, as "series";
+- for the general-p sweep also "caches": the entries and bytes of array
+  held by each table cache after the sweep, from empty caches:
+  quadrature._chebyshev_table (one key (p, b) each), _bracket_tables (the
+  joined tables of one call's b values) and, on a checkout where it is
+  still a cache, _series_tables;
 - driver_us: the median wall time, in microseconds, of the pass's
   integrate_rows with the integrand replaced by a lookup of the rows it
   returned on a recorded pass (a cached-rows replay), so that only the
@@ -78,22 +83,49 @@ def work_counts(params) -> dict:
             "row_nodes": sum(n * m for n, m in calls), "polyfit_calls": len(fits)}
 
 
+#: The table caches of the angular closed form, by their names in quadrature.
+TABLE_CACHES = ("_series_tables", "_chebyshev_table", "_bracket_tables")
+
+
+def _nbytes(value) -> int:
+    """Bytes of the arrays in a cached value: an array or a tuple of them."""
+    if isinstance(value, tuple):
+        return sum(_nbytes(v) for v in value)
+    return value.nbytes if isinstance(value, np.ndarray) else 0
+
+
 def bracket_counts(params) -> dict:
     """Angular closed-form elements by path, Clenshaw steps per table
-    element, and the keys a sweep builds, from empty table caches."""
+    element, the keys a sweep builds, and what each table cache holds
+    after it, from empty table caches."""
     q = quadrature
-    for cached in (q._series_tables, q._chebyshev_table, q._bracket_tables):
+    plain = {name: getattr(q, name) for name in TABLE_CACHES
+             if hasattr(getattr(q, name), "cache_clear")}
+    for cached in plain.values():
         cached.cache_clear()
-    paths, built = collections.Counter(), []
-    plain_bracket, plain_table = rayleigh._bracket_angular, q._chebyshev_table
+    paths, built, held = collections.Counter(), [], {name: {} for name in plain}
+    plain_bracket = rayleigh._bracket_angular
     floor = 2.0 ** q._FLOOR_EXP if hasattr(q, "_FLOOR_EXP") else None
 
-    def counted(A, C, pws, bs):
-        general = np.array([pw != 2.0 for pw in pws])
-        a, c = A[general], C[general]
+    def holding(name):
+        cached = plain[name]
+
+        def call(*key):
+            misses, start = cached.cache_info().misses, time.perf_counter()
+            out = held[name][key] = cached(*key)
+            if name == "_chebyshev_table" and cached.cache_info().misses > misses:
+                built.append({"p": key[0], "b": key[1],
+                              "build_ms": round((time.perf_counter() - start) * 1e3, 2)})
+            return out
+        return call
+
+    def counted(A, C, pw, bs):
+        # a checkout before one p per call passes one p per row, all equal
+        if np.ravel(pw)[0] == 2.0:
+            return plain_bracket(A, C, pw, bs)
         with np.errstate(divide="ignore", invalid="ignore"):
-            top = np.maximum(a, c)
-            x = np.minimum(a, c) / top
+            top = np.maximum(A, C)
+            x = np.minimum(A, C) / top
         ok = (top > 0.0) & np.isfinite(x)
         below = ok & (x < q._X0)
         paths["zero_or_non_finite"] += int(np.count_nonzero(~ok))
@@ -103,21 +135,22 @@ def bracket_counts(params) -> dict:
         else:
             paths["log_table"] += int(np.count_nonzero(below & (x >= floor)))
             paths["floor"] += int(np.count_nonzero(below & (x < floor)))
-        return plain_bracket(A, C, pws, bs)
+        return plain_bracket(A, C, pw, bs)
 
-    def timed(pw, b):
-        misses, start = plain_table.cache_info().misses, time.perf_counter()
-        out = plain_table(pw, b)
-        if plain_table.cache_info().misses > misses:
-            built.append({"p": pw, "b": b, "build_ms": round((time.perf_counter() - start) * 1e3, 2)})
-        return out
-
-    rayleigh._bracket_angular, q._chebyshev_table = counted, timed
+    rayleigh._bracket_angular = counted
+    for name in plain:
+        setattr(q, name, holding(name))
     try:
         rayleigh.sweep_and_extrapolate(params)
     finally:
-        rayleigh._bracket_angular, q._chebyshev_table = plain_bracket, plain_table
-    return {"elements": dict(paths), "clenshaw_steps": q._DEGREE, "keys_built": built}
+        rayleigh._bracket_angular = plain_bracket
+        for name, cached in plain.items():
+            setattr(q, name, cached)
+    caches = {name: {"entries": cached.cache_info().currsize,
+                     "bytes": sum(_nbytes(v) for v in held[name].values())}
+              for name, cached in plain.items()}
+    return {"elements": dict(paths), "clenshaw_steps": q._DEGREE, "keys_built": built,
+            "caches": caches}
 
 
 def driver_us(params, repeats: int) -> float:
@@ -132,7 +165,8 @@ def driver_us(params, repeats: int) -> float:
         return cached[-1]
 
     def run(f):
-        return rayleigh.integrate_rows(f, 0.0, spec.truncation_radius, spec,
+        # a checkout before _RADIAL_END took the radial end 2 from the spec
+        return rayleigh.integrate_rows(f, 0.0, getattr(rayleigh, "_RADIAL_END", 2.0), spec,
                                        rayleigh._RADIAL_BREAKS)
 
     expected = run(recording)
