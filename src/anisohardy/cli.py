@@ -66,6 +66,9 @@ _EXIT_CODES = {
     NegativeRemainderError: EXIT_CHECK_FAILED,
     ValueError: EXIT_BAD_INPUT,
     OSError: EXIT_BAD_INPUT,
+    # finite parameters whose K or constant lies outside double range, where
+    # Python's float ** raises
+    OverflowError: EXIT_BAD_INPUT,
 }
 
 

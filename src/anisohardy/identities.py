@@ -58,8 +58,8 @@ from .quadrature import (cutoff_eta, cutoff_eta_prime, gauss_jacobi,  # noqa: F4
 # weight_p2 and weight_general_p are no longer called here (the checks take
 # their formulas from _weight_p2 and _weight_general_p); certbench's layer
 # tracer looks them up by these names.
-from .weights import (WeightSpec, _weight_general_p, _weight_p2, axis_norms,  # noqa: F401
-                      weight_general_p, weight_p2)
+from .weights import (WeightSpec, _hardy_v, _weight_general_p, _weight_p2,  # noqa: F401
+                      axis_norms, weight_general_p, weight_p2)
 
 __all__ = [
     "BumpFunction", "IdentityReport", "ExtremalReport", "SpotTestReport",
@@ -350,11 +350,6 @@ def _check_support_clear(u, k: int):
         raise SupportViolationError(
             "bump support reaches into the singular-set margin "
             f"(|center'|={cprime}, |center|={cfull}, width={u.width})")
-
-
-def _hardy_v(params: HardyParams, s, r):
-    """V = |x'|^(p(alpha+1)) |x|^(p beta), the expression of WeightSpec.V."""
-    return s ** (params.p * (params.alpha + 1.0)) * r ** (params.p * params.beta)
 
 
 def _log_f_gradient(spec: WeightSpec, x, s, r):

@@ -6,7 +6,8 @@ sum, which is exactly the class produced by the spherical reduction of the
 weighted integrals here.  Levels halve the trapezoid step and the error
 estimate is the difference between consecutive levels.  integrate_rows
 integrates several integrands on the same nodes from one evaluation per
-level; integrate_1d is its one-row case.
+level, which returns one (rows, nodes) array; integrate_1d is its one-row
+case.
 
 Tanh-sinh converges exponentially only for integrands analytic inside the
 interval; at an interior kink it converges algebraically, and the level
@@ -44,14 +45,11 @@ element reads its panel by one Clenshaw recurrence of 12 steps, whichever
 table holds it; below 2^-110 it takes the leading term of each series
 component.  No element sums a series, and each is evaluated alone, so a
 batch of rows gives each row the values it gets alone, to the bit.
-Against 40-digit mpmath at every panel edge, for b from 1e-6 to 0.4, the
-kernel is within 6e-14 for p up to 31 and 2.5e-13 at p = 100, except where
-m = c - a - b lies within about 1e-4 of an integer: there the series
-itself, and so the tables, err by up to 3e-11.  A (p, b) whose tables are
-not resolved (a panel's last two coefficients above 1e-10 of its
-coefficient sum, two series that disagree at x = 1/2, or a sample whose
-series does not converge, as with b far above p or p past about 280) is
-NaN at every element, and a sweep of it raises NotConvergedError before
+_bracket_angular gives its accuracy against 40-digit mpmath.  A (p, b)
+whose tables are not resolved (a panel's last two coefficients above 1e-10
+of its coefficient sum, two series that disagree at x = 1/2, or a sample
+whose series does not converge, as with b far above p or p past about 280)
+is NaN at every element, and a sweep of it raises NotConvergedError before
 its radial pass.
 
 Reduced integrals are computed WITHOUT the sphere-area prefactor of the
@@ -286,22 +284,6 @@ def _panel_nodes(lo: float, hi: float, level: int):
     return x
 
 
-def _weighted_rows(rows, x, w):
-    """The rows f returned at x, each times the weights w of its nodes, as
-    one 2-D array, a line per row: each row is an array of x's shape, a
-    value that broadcasts to it, or a 2-D block of such rows, one per line."""
-    lines = []
-    for row in rows:
-        fx = np.asarray(row, dtype=float)
-        lines.append(np.broadcast_to(fx, x.shape)[None] if fx.ndim <= x.ndim else fx)
-    out = np.empty((sum(len(fx) for fx in lines), x.size))
-    start = 0
-    for fx in lines:
-        np.multiply(fx, w, out=out[start:start + len(fx)])
-        start += len(fx)
-    return out
-
-
 def _ts_totals(f, panels, levels: int):
     """Running tanh-sinh totals of the rows of f over panels, row-major.
 
@@ -310,8 +292,9 @@ def _ts_totals(f, panels, levels: int):
     f is called on x, the new nodes of a run of levels of every panel that
     still has a live pair (per the indices _refine sent), concatenated
     level-major: the first call covers levels 0 to _FIRST_CALL_LEVELS of
-    every panel, each later call one level.  f returns rows at x as
-    _weighted_rows takes them.  A line's total on a panel at a level is the
+    every panel, each later call one level.  f returns one float array of
+    shape (rows, x.size), which is weighted into a new array, so the array
+    f returned is never written.  A row's total on a panel at a level is the
     sum of its weighted values over that level's and panel's slice of x,
     times the panel's scale, so a row's panel totals do not depend on the
     other panels, rows or levels of the call.  The sums of every level go
@@ -328,7 +311,7 @@ def _ts_totals(f, panels, levels: int):
         xs = [panels[k][0](level) for level, k in slots]
         ws = [_ts_level(level)[2] for level, _ in slots]
         x = xs[0] if len(xs) == 1 else np.concatenate(xs)
-        wfx = _weighted_rows(f(x), x, ws[0] if len(ws) == 1 else np.concatenate(ws))
+        wfx = np.multiply(f(x), ws[0] if len(ws) == 1 else np.concatenate(ws))
         if sums is None:
             sums = np.full((levels + 1, len(wfx), n), math.nan)
         start = 0
@@ -348,22 +331,22 @@ def integrate_rows(f: Callable, a: float, b: float, spec: QuadratureSpec | None 
                    breaks: tuple = ()) -> tuple[QuadResult, ...]:
     """Integrate the m rows of f over (a, b) on shared tanh-sinh nodes.
 
-    f is evaluated on numpy arrays of interior points, once for levels 0 to
-    4 and then once per level, and returns a sequence of values there
-    (arrays of the points' shape, values that broadcast to it, or 2-D
-    blocks of such rows, whose lines count as rows in order), so work
-    shared by the rows is done once.  breaks, points strictly inside (a, b)
-    in increasing order, split the interval into panels, each with its own
-    tanh-sinh rule: a kink of the integrand at a break is then an endpoint
-    of two panels, where the rule keeps its exponential convergence,
-    instead of an interior point, where it converges only algebraically.
-    Each call of f takes the new nodes of every panel that a row still
-    refines on (_ts_totals); each (row, panel) converges on its own, and a
-    row's value and error estimate are the sums of its panels' (_refine).
-    Each row is summed, converged and frozen exactly as integrate_1d would
-    integrate it alone, so its QuadResult is the same to the bit; the first
-    row, in order, that does not converge raises NotConvergedError with its
-    best value.  An f that returns no rows gives ().
+    f is evaluated on a 1-D numpy array x of interior points, once for
+    levels 0 to 4 and then once per level, and returns one float array of
+    shape (m, x.size), a row per integrand (a tuple of m rows of x's shape
+    is read as that array), so work shared by the rows is done once.
+    breaks, points strictly inside (a, b) in increasing order, split the
+    interval into panels, each with its own tanh-sinh rule: a kink of the
+    integrand at a break is then an endpoint of two panels, where the rule
+    keeps its exponential convergence, instead of an interior point, where
+    it converges only algebraically.  Each call of f takes the new nodes of
+    every panel that a row still refines on (_ts_totals); each (row, panel)
+    converges on its own, and a row's value and error estimate are the sums
+    of its panels' (_refine).  Each row is summed, converged and frozen
+    exactly as integrate_1d would integrate it alone, so its QuadResult is
+    the same to the bit; the first row, in order, that does not converge
+    raises NotConvergedError with its best value.  An f that returns an
+    array of shape (0, x.size) gives ().
     """
     spec, edges = spec or _DEFAULT_SPEC, (a, *breaks, b)
     if any(not hi > lo for lo, hi in zip(edges, edges[1:])):
@@ -382,9 +365,15 @@ def integrate_1d(f: Callable, a: float, b: float, spec: QuadratureSpec | None = 
     the level difference is at most max(abs_tol, rel_tol*|value|) on every
     panel between the breaks (see integrate_rows); otherwise
     NotConvergedError carrying the best value.  This is the one-row case of
-    integrate_rows.
+    integrate_rows: f's values are its (1, N) array.
     """
-    return integrate_rows(lambda x: (f(x),), a, b, spec, breaks)[0]
+    return integrate_rows(_one_row(f), a, b, spec, breaks)[0]
+
+
+def _one_row(f):
+    """f as an integrand of one row: its values at x, or a value that
+    broadcasts to x's shape, as a (1, x.size) array."""
+    return lambda x: np.broadcast_to(f(x), x.shape)[None]
 
 
 def integrate_angular(f_of_sin: Callable, spec: QuadratureSpec | None = None) -> QuadResult:
@@ -395,7 +384,7 @@ def integrate_angular(f_of_sin: Callable, spec: QuadratureSpec | None = None) ->
     Handles algebraic blow-up of f at sin phi -> 0 with rate > -1.
     """
     spec = spec or _DEFAULT_SPEC
-    totals = _ts_totals(lambda s: (f_of_sin(s),),
+    totals = _ts_totals(_one_row(f_of_sin),
                         [(lambda level: np.sin(np.pi * _ts_level(level)[1]), math.pi)],
                         spec.levels)
     return _refine(totals, spec, f"angular tanh-sinh within {spec.levels} levels")[0]

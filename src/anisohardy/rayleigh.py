@@ -48,8 +48,7 @@ from .quadrature import (QuadratureSpec, _angular_resolved, _bracket_angular,  #
 
 __all__ = [
     "FamilyKind", "TrialFamily", "FitModel", "FitInfo", "SweepRow",
-    "SweepResult", "QuotientParts",
-    "quotient_p2", "quotient_general_p", "sweep_and_extrapolate",
+    "SweepResult", "quotient_p2", "quotient_general_p", "sweep_and_extrapolate",
     "DEFAULT_EPS", "DEFAULT_SIGMA",
 ]
 
@@ -179,15 +178,21 @@ def _g_and_prime(r, r2, eta, eta_prime, e2, ge):
 
 
 @dataclass(frozen=True)
-class QuotientParts:
-    """A member's gradient integral (numerator), weighted L^p integral
-    (denominator), their quotient, and err_estimate, the larger relative
-    quadrature error estimate of the two radial integrals."""
+class SweepRow:
+    """One (eps, sigma) member's gradient integral (numerator), weighted L^p
+    integral (denominator) and their quotient.  err_estimate is the larger
+    relative quadrature error estimate of its two radial integrals: the
+    angular factors are closed forms, a Beta function for the denominator
+    and, for the numerator, a linear form at p = 2 and otherwise a Gauss
+    hypergeometric function read from tables (quadrature._bracket_angular
+    gives their accuracy)."""
 
+    epsilon: float
+    sigma: float
     numerator: float
     denominator: float
     quotient: float
-    err_estimate: float = math.nan
+    err_estimate: float
 
 
 def _rel_err(*results) -> float:
@@ -195,8 +200,8 @@ def _rel_err(*results) -> float:
     return max(r.err_estimate / max(abs(r.value), 1e-300) for r in results)
 
 
-def quotient_p2(family: TrialFamily) -> QuotientParts:
-    """Weighted Rayleigh quotient of a p = 2 family member.
+def quotient_p2(family: TrialFamily) -> SweepRow:
+    """Weighted Rayleigh quotient of a p = 2 family member, as its SweepRow.
 
     The p = 2 case of the one radial pass (_quotients): the angular integral
     of the gradient bracket A cos^2 phi + C sin^2 phi is linear in A and C,
@@ -208,19 +213,17 @@ def quotient_p2(family: TrialFamily) -> QuotientParts:
     return _quotients((family,))[0]
 
 
-def quotient_general_p(family: TrialFamily) -> QuotientParts:
-    """Rayleigh quotient of the general-p family.
+def quotient_general_p(family: TrialFamily) -> SweepRow:
+    """Rayleigh quotient of a general-p family member, as its SweepRow.
 
     The gradient integrand couples r and phi through |x'| = r sin(phi), but
     its angular integral against the weight sin(phi)^a_phi is a Gauss
-    hypergeometric closed form at each radial node; the denominator's is a
-    Beta function.  err_estimate is the two radial integrals' alone: the
-    closed form is read from Chebyshev tables of degree 12 built once per
-    (p, b) from its series, in x on [1/16, 1] and in log2 x below: within
-    6e-14 relative for p up to 31, and 3e-11 where c - a - b is within 1e-4
-    of an integer (quadrature._bracket_angular).  A (p, b) whose tables are
-    not resolved raises NotConvergedError before any integrand is
-    evaluated.  This is the one-member case of _quotients.
+    hypergeometric closed form at each radial node, read from Chebyshev
+    tables built once per (p, b) (quadrature._bracket_angular gives their
+    accuracy); the denominator's is a Beta function.  err_estimate is the
+    two radial integrals' alone.  A (p, b) whose tables are not resolved
+    raises NotConvergedError before any integrand is evaluated.  This is the
+    one-member case of _quotients.
     """
     if family.kind is not FamilyKind.GENERAL_P_BETA_NONNEG:
         raise ValueError("quotient_general_p takes the general-p family")
@@ -243,8 +246,8 @@ def _exponents(family: TrialFamily) -> tuple[float, float]:
     return mu - 2.0, mu + 2.0 * p.beta - 1.0
 
 
-def _quotients(families) -> tuple[QuotientParts, ...]:
-    """The quotient of each member, all radial integrals in one pass.
+def _quotients(families) -> tuple[SweepRow, ...]:
+    """The SweepRow of each member, all radial integrals in one pass.
 
     The members share one p, as _plan_sweep makes them.  The rows of the
     pass are the numerator and denominator of each member in turn (_rows),
@@ -262,11 +265,12 @@ def _quotients(families) -> tuple[QuotientParts, ...]:
     spec = _SWEEP_SPEC_1D if pw == 2 else _SWEEP_SPEC_P
     rads = integrate_rows(_rows(families, exponents), 0.0, _RADIAL_END, spec, _RADIAL_BREAKS)
 
-    parts = []
-    for (a_phi, _), num, rad in zip(exponents, rads[0::2], rads[1::2]):
+    rows = []
+    for f, (a_phi, _), num, rad in zip(families, exponents, rads[0::2], rads[1::2]):
         den = sin_power_integral(a_phi) * rad.value
-        parts.append(QuotientParts(num.value, den, num.value / den, _rel_err(num, rad)))
-    return tuple(parts)
+        rows.append(SweepRow(f.epsilon, f.sigma, num.value, den, num.value / den,
+                             _rel_err(num, rad)))
+    return tuple(rows)
 
 
 #: Grid elements per block of members in the radial pass: small blocks keep
@@ -275,9 +279,9 @@ _BLOCK_ELEMENTS = 2 ** 12
 
 
 def _rows(families, exponents):
-    """Integrand of the radial pass: the numerator and denominator rows of
-    each member in turn, in blocks of members of about _BLOCK_ELEMENTS grid
-    elements.
+    """Integrand of the radial pass: an array of shape (2 * members, nodes),
+    the numerator and denominator rows of each member in turn, filled in
+    blocks of members of about _BLOCK_ELEMENTS grid elements.
 
     |grad v|^2 = |x'|^(2 theta - 2) (A cos^2 phi + C sin^2 phi) for
     v = |x'|^theta g(|x|), with A = theta^2 g^2 and C = (theta g + r g')^2;
@@ -299,19 +303,17 @@ def _rows(families, exponents):
 
     def rows(r):
         r2, eta, eta_prime = r * r, cutoff_eta(r), cutoff_eta_prime(r)
-        step, blocks = max(1, _BLOCK_ELEMENTS // r.size), []
+        step, out = max(1, _BLOCK_ELEMENTS // r.size), np.empty((2 * len(families), r.size))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             r_pow = _power(r, r_keys[:, None])
             for i in range(0, len(families), step):
-                m = slice(i, i + step)
+                m, block = slice(i, i + step), out[2 * i:2 * (i + step)]
                 g, gp = _g_and_prime(r, r2, eta, eta_prime, e2[m], ge[m])
                 fold, theta_g = r_pow[fold_of[m]], theta[m] * g
-                block = np.empty((2 * len(g), r.size))
                 block[0::2] = _bracket_angular(fold * theta_g ** 2,
                                                fold * (theta_g + r * gp) ** 2, pw, bs[m])
                 np.multiply(r_pow[den_of[m]], g ** pw, out=block[1::2])
-                blocks.append(block)
-        return blocks
+        return out
     return rows
 
 
@@ -327,25 +329,6 @@ class FitModel(Enum):
 class FitInfo:
     model: FitModel
     residual: float
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One (eps, sigma) member's quotient; err_estimate is the larger
-    relative quadrature error estimate of its two radial integrals: the
-    angular factors are closed forms, a Beta function for the denominator
-    and, for the numerator, a linear form at p = 2 and otherwise a Gauss
-    hypergeometric function, read from Chebyshev tables of degree 12 of its
-    series per (p, b), in x on [1/16, 1] and in log2 x below, within 6e-14
-    relative for p up to 31 (3e-11 where c - a - b is within 1e-4 of an
-    integer)."""
-
-    epsilon: float
-    sigma: float
-    numerator: float
-    denominator: float
-    quotient: float
-    err_estimate: float
 
 
 @dataclass(frozen=True)
@@ -508,9 +491,7 @@ def sweep_and_extrapolate(params: HardyParams, eps_list=None, sigma_list=None) -
     (three eps for K > 1), and every member is a valid TrialFamily.
     """
     kind, eps_list, sigmas, families = _plan_sweep(params, eps_list, sigma_list)
-    parts = _quotients(families)
-    rows = tuple(SweepRow(f.epsilon, f.sigma, q.numerator, q.denominator, q.quotient,
-                          q.err_estimate) for f, q in zip(families, parts))
+    rows = _quotients(families)
     slices = [[r for r in rows if r.sigma == s] for s in sigmas]
     if kind is FamilyKind.P2_K_LT_1:
         extrapolated, resid = _fit_sigma_intercept(sigmas, _fit_inv_log(eps_list, slices))

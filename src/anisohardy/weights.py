@@ -108,6 +108,12 @@ def axis_norms(x, k: int):
     return s, r
 
 
+def _hardy_v(params: HardyParams, s, r):
+    """V = |x'|^(p(alpha+1)) |x|^(p beta) from the norms s = |x'| and r = |x|;
+    at p = 2 the exponent 2(alpha+1) has the bits of 2 alpha + 2."""
+    return s ** (params.p * (params.alpha + 1.0)) * r ** (params.p * params.beta)
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """A weight pair: the gradient-side V and a trial exponent choice.
@@ -127,9 +133,7 @@ class WeightSpec:
 
     def V(self, x):
         """|x'|^(p(alpha+1)) |x|^(p beta); vectorized over leading axes."""
-        p = self.params
-        s, r = axis_norms(x, p.k)
-        return s ** (p.p * (p.alpha + 1.0)) * r ** (p.p * p.beta)
+        return _hardy_v(self.params, *axis_norms(x, self.params.k))
 
     def f(self, x):
         """The trial function |x'|^theta |x|^lam or |x'|^gamma."""
@@ -160,7 +164,7 @@ def weight_p2(x, spec: WeightSpec):
 
 def _weight_p2(spec: WeightSpec, s, r, v=None):
     """weight_p2 from the norms s = |x'| and r = |x|; v, when given, is V at
-    those norms and must have the bits of s^(2a+2) r^(2b)."""
+    those norms and must have the bits of _hardy_v."""
     if spec.exponents is None:
         raise ValueError("weight_p2 needs a WeightSpec with exponents=(theta, lam)")
     p = spec.params
@@ -169,7 +173,7 @@ def _weight_p2(spec: WeightSpec, s, r, v=None):
     _guard(s, r)
     th, la = spec.exponents.theta, spec.exponents.lam
     if v is None:
-        v = s ** (2.0 * p.alpha + 2.0) * r ** (2.0 * p.beta)
+        v = _hardy_v(p, s, r)
     h1 = H1(th, la, p)
     h2 = H2(th, la, p)
     return h1 * v / s ** 2 + h2 * v * (r * r - s * s) / (s * s * r * r)
@@ -190,7 +194,7 @@ def weight_general_p(x, spec: WeightSpec):
 
 def _weight_general_p(spec: WeightSpec, s, r, v=None):
     """weight_general_p from the norms s = |x'| and r = |x|; v, when given, is
-    V at those norms and must have the bits of s^(p(a+1)) r^(pb)."""
+    V at those norms and must have the bits of _hardy_v."""
     if spec.gamma is None:
         raise ValueError("weight_general_p needs a WeightSpec with gamma")
     p = spec.params
@@ -200,7 +204,7 @@ def _weight_general_p(spec: WeightSpec, s, r, v=None):
         return np.zeros_like(s)
     gq = abs(g) ** (p.p - 2.0) * g
     if v is None:
-        v = s ** (p.p * (p.alpha + 1.0)) * r ** (p.p * p.beta)
+        v = _hardy_v(p, s, r)
     bracket = (-gq * ((p.p - 1.0) * g + p.k + p.p * p.alpha)
                - gq * p.beta * p.p * (s * s) / (r * r))
     return v * s ** (-p.p) * bracket

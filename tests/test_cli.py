@@ -275,6 +275,21 @@ class TestErrorExitCodes:
         doc = strict_json(err)
         assert doc["type"] == "ValueError" and "finite" in doc["error"]
 
+    @pytest.mark.parametrize("argv", [
+        ("constant", "--n", "3", "--p", "2", "--alpha", "1e200"),
+        ("optimize", "--n", "3", "--alpha", "1e200"),
+        ("rayleigh", "--n", "3", "--p", "2", "--alpha", "1e200"),
+        ("constant", "--n", "3", "--p", "1000", "--alpha", "10"),
+    ])
+    def test_out_of_range_value_is_exit_2(self, capsys, argv):
+        # finite parameters whose K ((n + 2 alpha)^2) or constant
+        # (((k + p alpha)/p)^p) lies outside double range: Python's float **
+        # raised OverflowError, a traceback with exit 1
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert strict_json(err)["type"] == "OverflowError"
+
     @pytest.mark.parametrize("sigmas", ["0.1,0.1", "0.1,0,0.05", "0.1,-0.05"])
     def test_bad_sigma_list_is_exit_2(self, capsys, sigmas):
         code, out, err = run_cli(capsys, "rayleigh", "--n", "3", "--p", "2",

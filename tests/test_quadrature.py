@@ -361,7 +361,7 @@ class TestIntegrateRows:
     def _stacked(rows, seen):
         def f(x):
             seen.append(x.size)
-            return tuple(row(x) for row in rows)
+            return np.array([row(x) for row in rows])
         return f
 
     def test_rows_match_separate_calls_bit_for_bit(self):
@@ -388,13 +388,21 @@ class TestIntegrateRows:
         assert _raised(lambda: integrate_rows(
             lambda x: tuple(row(x) for row in rows), 0.0, 1.0)) == expected
 
-    @pytest.mark.parametrize("rows", [lambda x: (), lambda x: (np.empty((0, x.size)),)],
-                             ids=["no_rows", "empty_block"])
     @pytest.mark.parametrize("breaks", [(), (0.5,)])
-    def test_no_rows_give_no_results(self, rows, breaks):
-        # no rows at all failed inside numpy ("need at least one array to
-        # concatenate"); an empty block of rows gives the same
-        assert integrate_rows(rows, 0.0, 1.0, breaks=breaks) == ()
+    def test_no_rows_give_no_results(self, breaks):
+        # no rows at all once failed inside numpy ("need at least one array
+        # to concatenate")
+        assert integrate_rows(lambda x: np.empty((0, x.size)), 0.0, 1.0, breaks=breaks) == ()
+
+    def test_the_integrands_array_is_not_written(self):
+        # integrate_rows weights the rows into a new array: a read-only one
+        # would raise at any write
+        def f(x):
+            rows = np.array([row(x) for row in self.SMOOTH])
+            rows.setflags(write=False)
+            return rows
+        assert integrate_rows(f, 0.0, 2.0) == integrate_rows(
+            lambda x: tuple(row(x) for row in self.SMOOTH), 0.0, 2.0)
 
     def test_stops_once_the_first_row_fails(self):
         seen = []

@@ -17,7 +17,7 @@ from anisohardy.errors import (FitUnstableError, NotConvergedError,
                                SingularParamsError, UnsupportedRegimeError)
 from anisohardy.params import RegimeFamily, admissible_hardy
 from anisohardy.quadrature import integrate_angular
-from anisohardy.rayleigh import FitModel, QuotientParts
+from anisohardy.rayleigh import FitModel, SweepRow
 
 K3_PARAMS = HardyParams(3, 2.0, -0.5, -0.5)
 BEST_02 = (2.0 * math.sqrt(3.0) - 3.0) / 4.0
@@ -99,6 +99,17 @@ class TestQuotientP2:
                           1e-3, 0.05)
         with pytest.raises(ValueError):
             quotient_p2(fam)
+
+    @pytest.mark.parametrize("quotient,family", [
+        (quotient_p2, TrialFamily(FamilyKind.P2_K_LT_1, HardyParams(3, 2.0, 0.0, 0.0), 1e-4, 0.05)),
+        (quotient_general_p, TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG,
+                                         HardyParams(3, 3.0, 0.0, 0.5), 1e-3, 0.1)),
+    ], ids=["p2", "general_p"])
+    def test_returns_the_members_sweep_row(self, quotient, family):
+        row = quotient(family)
+        assert isinstance(row, SweepRow)
+        assert (row.epsilon, row.sigma) == (family.epsilon, family.sigma)
+        assert row.quotient == row.numerator / row.denominator
 
 
 def _seeded_p2_families(seed, count=4):
@@ -365,9 +376,9 @@ def _row_node_calls(monkeypatch):
 
     def counted(f, *args):
         def f_counted(r):
-            blocks = f(r)
-            calls.append((r.size, sum(len(block) for block in blocks)))
-            return blocks
+            rows = f(r)
+            calls.append((r.size, len(rows)))
+            return rows
         return plain(f_counted, *args)
     monkeypatch.setattr(rayleigh, "integrate_rows", counted)
     return calls
@@ -476,8 +487,8 @@ def _general_p_member(family):
     rad = integrate_1d(lambda r: r ** a_r * family.g_and_prime(r)[0] ** pw,
                        0.0, rayleigh._RADIAL_END, spec, breaks)
     den = sin_power_integral(a_phi) * rad.value
-    return QuotientParts(num.value, den, num.value / den,
-                         err_estimate=rayleigh._rel_err(num, rad))
+    return SweepRow(family.epsilon, family.sigma, num.value, den, num.value / den,
+                    rayleigh._rel_err(num, rad))
 
 
 def _general_p_member_loop(families):
@@ -573,9 +584,9 @@ class TestBatchedGeneralPSweep:
             rows = plain(families, exponents)
 
             def first_den_nan(r):
-                blocks = rows(r)
-                blocks[0][1] = math.nan
-                return blocks
+                out = rows(r)
+                out[1] = math.nan
+                return out
             return first_den_nan
         monkeypatch.setattr(rayleigh, "_rows", den_nan_at_first)
         # the first member's denominator fails first
@@ -975,7 +986,8 @@ class TestSweep:
     def test_non_finite_fit_raises(self, monkeypatch):
         monkeypatch.setattr(rayleigh, "_quotients",
                             lambda families: tuple(
-                                QuotientParts(math.nan, 1.0, math.nan) for _ in families))
+                                SweepRow(f.epsilon, f.sigma, math.nan, 1.0, math.nan, math.nan)
+                                for f in families))
         with pytest.raises(FitUnstableError) as ei:
             sweep_and_extrapolate(K3_PARAMS)
         assert math.isnan(ei.value.value)

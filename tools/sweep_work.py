@@ -65,9 +65,11 @@ def work_counts(params) -> dict:
 
     def counted_rows(f, *args):
         def f_counted(r):
-            blocks = f(r)
-            calls.append((r.size, sum(len(block) for block in blocks)))
-            return blocks
+            rows = f(r)
+            # a checkout before one array per call returns a list of blocks
+            calls.append((r.size, len(rows) if isinstance(rows, np.ndarray)
+                           else sum(len(block) for block in rows)))
+            return rows
         return plain_rows(f_counted, *args)
 
     def counted_fit(*args, **kwargs):
