@@ -43,6 +43,33 @@ def _check_finite(**values):
             raise ValueError(f"{name} must be finite, got {val!r}")
 
 
+def _magnitude(base: float, e: float) -> float:
+    """|base|^e, or inf where it passes double range."""
+    try:
+        return abs(base) ** e
+    except OverflowError:
+        return math.inf
+
+
+def _check_range(params: HardyParams):
+    """Raise OverflowError, naming the quantity and params, when a quantity
+    that a route forms from params lies outside double range: K and the two
+    squares of its cross-check (compute_K, which constant runs at every p)
+    and the general-p constant.  Past these, Python's float ** raised
+    OverflowError with no name, or a sweep ran its radial pass on non-finite
+    rows and reported a failed check."""
+    n, p, a, b, k = params.n, params.p, params.alpha, params.beta, params.k
+    s, c = n + 2.0 * a, (k + p * a) / p
+    constant = (("((k + p alpha)/p)^p", c) if b >= 0.0
+                else ("((k + p alpha + p beta)/p)^p", c + b))
+    for name, value in (("K = -4 beta (n + 2 alpha + beta)", -4.0 * b * (s + b)),
+                        ("(n + 2 alpha)^2", _magnitude(s, 2.0)),
+                        ("(n + 2 alpha + 2 beta)^2", _magnitude(s + 2.0 * b, 2.0)),
+                        (f"the constant {constant[0]}", _magnitude(constant[1], p))):
+        if not math.isfinite(value):
+            raise OverflowError(f"{name} lies outside double range at {params}")
+
+
 def _set_int(obj, name: str, lo: int, hi: float = math.inf):
     """Store obj.name as an int in [lo, hi]; numpy integers are taken too."""
     val = getattr(obj, name)
@@ -56,7 +83,9 @@ class HardyParams:
     """One instance (n, p, alpha, beta, k) of the anisotropic Hardy inequality.
 
     k defaults to n-1, the codimension-one axis split.  p = 1 is accepted.
-    n and k are stored as int; p, alpha and beta must be finite.
+    n and k are stored as int; p, alpha and beta must be finite, and the
+    quantities the routes form from them within double range (_check_range,
+    OverflowError).
     """
 
     n: int
@@ -73,6 +102,7 @@ class HardyParams:
         _check_finite(p=self.p, alpha=self.alpha, beta=self.beta)
         if not self.p >= 1:
             raise ValueError(f"p must be >= 1, got {self.p!r}")
+        _check_range(self)
 
     @property
     def is_full_axis(self) -> bool:

@@ -35,22 +35,27 @@ alone runs the convergence loop of the 1D, angular and 2D integrators; it
 returns a result per row, or raises the failure of the first row, in
 order, that does not converge.
 
-The closed form (_bracket_angular; one p per call, one b per row) is, away
-from p = 2, a Gauss hypergeometric F(x) of x = min(A, C)/max(A, C) in
-[0, 1], one F per branch.  Per (p, b) it is tabulated once, lazily, from
-F's series: Chebyshev interpolants of degree 12 on 64 equal panels of
-[1/16, 1], and below 1/16 in u = log2 x on two panels per octave down to
-2^-110, where F's x^m and log singularity at 0 is analytic in u.  An
-element reads its panel by one Clenshaw recurrence of 12 steps, whichever
-table holds it; below 2^-110 it takes the leading term of each series
-component.  No element sums a series, and each is evaluated alone, so a
-batch of rows gives each row the values it gets alone, to the bit.
-_bracket_angular gives its accuracy against 40-digit mpmath.  A (p, b)
-whose tables are not resolved (a panel's last two coefficients above 1e-10
-of its coefficient sum, two series that disagree at x = 1/2, or a sample
-whose series does not converge, as with b far above p or p past about 280)
-is NaN at every element, and a sweep of it raises NotConvergedError before
-its radial pass.
+The closed form (_bracket_angular; one p per call, one b per row) is, at
+an even p = 2m, a sum of m + 1 positive Beta terms (Abramowitz & Stegun
+6.2.1), A B(3/2, b) + C B(1/2, b + 1) at p = 2, with coefficients cached
+per (m, b values).  At any other p it is a Gauss hypergeometric F(x) of
+x = min(A, C)/max(A, C) in [0, 1], one F per branch.  Per (p, b) that F is
+tabulated once, lazily, from its series: Chebyshev interpolants of degree
+12 on 64 equal panels of [1/16, 1], and below 1/16 in u = log2 x on two
+panels per octave down to 2^-110, where F's x^m and log singularity at 0
+is analytic in u, each checked in the Chebyshev basis and then stored as
+power coefficients in the panel variable.  An element reads its panel by
+Horner's rule of 12 steps, whichever table holds it; below 2^-110 it takes
+the leading term of each series component.  No element sums a series, and
+each is evaluated alone, so a batch of rows gives each row the values it
+gets alone, to the bit.  _bracket_angular gives its accuracy against
+40-digit mpmath.  A (p, b) whose tables are not resolved (a panel's last
+two coefficients above 1e-10 of its coefficient sum, two series that
+disagree at x = 1/2, or a sample whose series does not converge, as with b
+far above p or p past about 280) is NaN at every element, and a sweep of
+it raises NotConvergedError before its radial pass; an even p takes no
+table and is resolved at every b up to p = 2000 (_EVEN_P_MAX), past which
+it is refused in the same way.
 
 Reduced integrals are computed WITHOUT the sphere-area prefactor of the
 residual angles; it cancels in every quotient.
@@ -587,26 +592,28 @@ def _series_F(tables, plan, x):
 
 @lru_cache(maxsize=64)
 def _chebyshev_table(pw: float, b: float):
-    """(coefficients, leading terms) of B(1/2, b) F for one (p, b) key, both
-    read-only.  The coefficients are a (_DEGREE + 1, 2 _COLUMNS) array, a row
-    per degree and a column per branch and panel, branch-major: per branch
-    the _LOG_PANELS panels of [2^_FLOOR_EXP, _X0], equal in u = log2 x, then
-    the _PANELS equal panels of [_X0, 1], each from the series (_series_F)
-    at its _DEGREE + 1 Chebyshev points, all in one call.  In u, F is
-    analytic in |Im u| < pi/ln 2, so its x^m and log singularity at x = 0
-    costs nothing; half an octave per panel resolves F where a large x^m
-    component dominates it, as x^4.5 does below 1/16 at (9, 1e-4).  The
-    leading terms are a (4, 2, 4) array: scale, e, Q_0 and P_0 of each
-    branch's four components below x = 1/2, for x below 2^_FLOOR_EXP.  Both
-    are all NaN when a column's last two coefficients are not within _TAIL
-    of its coefficient sum, or when a branch's series in 1 - x and
-    connection formula in x, which its samples switch between at x = 1/2,
-    differ there by more than _SEAM relative.  On the sweeps' keys (p up to
-    100, sigma up to 0.2) the tails are within 9.4e-15 and the seams within
-    6.7e-14.  With b far above p, or past p of about 280, the panels or the
-    series are not resolved: at (2.5, 20) and (3, 20) the tails pass, but
-    the connection formula has lost digits, and the seams differ by 6.8e-11
-    and 3.3e-12."""
+    """(coefficients, leading terms) of B(1/2, b) F for one (p, b) key, p
+    not even, both read-only.  The coefficients are a (_DEGREE + 1,
+    2 _COLUMNS) array, a row per power of the panel variable t in [-1, 1]
+    and a column per branch and panel, branch-major: per branch the
+    _LOG_PANELS panels of [2^_FLOOR_EXP, _X0], equal in u = log2 x, then the
+    _PANELS equal panels of [_X0, 1], each from the series (_series_F) at
+    its _DEGREE + 1 Chebyshev points, all in one call.  In u, F is analytic
+    in |Im u| < pi/ln 2, so its x^m and log singularity at x = 0 costs
+    nothing; half an octave per panel resolves F where a large x^m component
+    dominates it, as x^4.5 does below 1/16 at (9, 1e-4).  The leading terms
+    are a (4, 2, 4) array: scale, e, Q_0 and P_0 of each branch's four
+    components below x = 1/2, for x below 2^_FLOOR_EXP.  Both are all NaN
+    when a column's last two Chebyshev coefficients are not within _TAIL of
+    its coefficient sum, or when a branch's series in 1 - x and connection
+    formula in x, which its samples switch between at x = 1/2, differ there
+    by more than _SEAM relative.  The Chebyshev coefficients that pass are
+    then turned into power coefficients in t, once per key, for Horner's
+    rule (_chebyshev_F).  On the sweeps' keys (p up to 99, sigma up to 0.2)
+    the tails are within 9.4e-15 and the seams within 6.7e-14.  With b far
+    above p, or past p of about 280, the panels or the series are not
+    resolved: at (2.5, 20) and (3, 20) the tails pass, but the connection
+    formula has lost digits, and the seams differ by 6.8e-11 and 3.3e-12."""
     nodes = _DEGREE + 1
     # cos(k theta_j), theta_j = pi (2j + 1) / (2 nodes), from the angle reduced
     # exactly: cos(k * theta_j) in floats errs by k ulp of the angle, enough to
@@ -634,6 +641,13 @@ def _chebyshev_table(pw: float, b: float):
     if not ((np.abs(coef[-2:]).sum(axis=0) <= _TAIL * np.abs(coef).sum(axis=0)).all()
             and (np.abs(seam[0::2] - seam[1::2]) <= _SEAM * np.abs(seam[0::2])).all()):
         coef[:], lead[:] = math.nan, math.nan
+    # row k of basis: the power coefficients of T_k, from
+    # T_(k+1) = 2 t T_k - T_(k-1); integers, exact in floats
+    basis = np.eye(nodes)
+    for k in range(2, nodes):
+        basis[k, 1:] = 2.0 * basis[k - 1, :-1]
+        basis[k] -= basis[k - 2]
+    coef = basis.T @ coef
     coef.setflags(write=False)
     lead.setflags(write=False)
     return coef, lead
@@ -652,23 +666,25 @@ def _bracket_tables(pw: float, bs: tuple):
 
 
 def _angular_resolved(pw: float, b: float) -> bool:
-    """Whether _bracket_angular resolves the key (p, b): always at p = 2,
-    which takes no table, and otherwise when _chebyshev_table is not NaN."""
-    return pw == 2.0 or not math.isnan(_chebyshev_table(pw, b)[0][0, 0])
+    """Whether _bracket_angular resolves the key (p, b): at an even p, which
+    takes no table, when p is at most _EVEN_P_MAX, and otherwise when
+    _chebyshev_table is not NaN."""
+    if pw % 2.0 == 0.0:
+        return pw <= _EVEN_P_MAX
+    return not math.isnan(_chebyshev_table(pw, b)[0][0, 0])
 
 
 def _chebyshev_F(coef, columns, t):
-    """Clenshaw's recurrence at each t in [-1, 1] on the coefficient column
-    of coef that columns names for it.  The columns are gathered into one
-    array, a row per degree, whose rows then hold the recurrence's terms."""
+    """Horner's rule at each t in [-1, 1] on the power coefficients in t of
+    the column of coef that columns names for it: _DEGREE steps of one
+    multiply and one add.  The columns are gathered into one array, a row
+    per power, whose last row then holds the running value."""
     c = coef.take(columns, axis=1)
-    t2, step = 2.0 * t, np.empty_like(t)
-    c[-2] += t2 * c[-1]
-    for k in range(len(c) - 3, 0, -1):      # b_k = c_k + 2 t b_(k+1) - b_(k+2)
-        np.multiply(t2, c[k + 1], out=step)
-        c[k] += step
-        c[k] -= c[k + 2]
-    return c[0] + t * c[1] - c[2]
+    F = c[-1]
+    for k in range(len(c) - 2, -1, -1):
+        F *= t
+        F += c[k]
+    return F
 
 
 def _leading_F(lead, tables, x):
@@ -680,37 +696,78 @@ def _leading_F(lead, tables, x):
     return (scale * x[:, None] ** e * (Q0 + P0 * L)).sum(axis=1)
 
 
+#: The largest even p that _bracket_angular sums, the largest it is tested
+#: at against 40-digit mpmath; the sum takes p/2 steps per element, and a
+#: larger even p is NaN at every element, as an unresolved table is.
+_EVEN_P_MAX = 2000.0
+
+
 @lru_cache(maxsize=64)
-def _linear_betas(bs: tuple):
-    """Read-only columns B(3/2, b) and B(1/2, b + 1), one row per b: at
-    p = 2 the coefficients of A and C in _bracket_angular."""
-    columns = np.array([[[beta(1.5, b)] for b in bs], [[beta(0.5, b + 1.0)] for b in bs]])
-    columns.setflags(write=False)
-    return columns
+def _even_coefficients(m: int, bs: tuple):
+    """Read-only (m + 1, rows, 1) array: at p = 2m, the coefficient
+    binom(m, j) B(j + 1/2, m - j + b) of A^j C^(m - j) in _bracket_angular,
+    one row per b.  The ends are the p = 2 ones, B(1/2, b + 1) and B(3/2, b)
+    as beta gives them, carried up to B(1/2, b + m) and B(m + 1/2, b) by
+    B(1/2, y + 1) = B(1/2, y) y / (y + 1/2) and B(x + 1, b) = B(x, b) x / (x + b);
+    the others follow from the first by
+    co_(j+1) = co_j (m - j)(j + 1/2) / ((j + 1)(m - j - 1 + b)).  Every step
+    multiplies by a ratio of positive floats, with no lgamma difference, so
+    the error grows by a few ulp per step."""
+    b = np.array(bs, dtype=float)[:, None]
+    co = np.empty((m + 1, len(bs), 1))
+    co[0] = [[beta(0.5, v + 1.0)] for v in bs]
+    co[m] = [[beta(1.5, v)] for v in bs]
+    for i in range(1, m):
+        co[0] *= (b + i) / (b + (i + 0.5))
+        co[m] *= (i + 0.5) / (b + (i + 0.5))
+    for j in range(m - 1):
+        co[j + 1] = co[j] * ((m - j) * (j + 0.5)) / ((j + 1) * (m - j - 1 + b))
+    co.setflags(write=False)
+    return co
 
 
 def _bracket_angular(A, C, pw: float, bs):
     """int_-1^1 (A t^2 + C (1 - t^2))^(p/2) (1 - t^2)^(b-1) dt, elementwise.
 
     A and C are (rows, nodes) blocks of values >= 0, pw the one p >= 1 of
-    every row and bs one b > 0 per row.  At p = 2 the integral is linear,
-    A B(3/2, b) + C B(1/2, b + 1).  Otherwise, with M = max(A, C) and
+    every row and bs one b > 0 per row.  At an even p = 2m the bracket is a
+    polynomial in A and C, so the integral is the sum over j of
+    binom(m, j) A^j C^(m - j) B(j + 1/2, m - j + b), every term positive
+    (_even_coefficients); Horner's rule in A, with the powers of C formed as
+    it goes, takes m steps.  At p = 2 that is A B(3/2, b) + C B(1/2, b + 1),
+    two products and a sum.  Against the same sum in 40-digit mpmath, for b
+    from 1e-6 to 0.4, it is within 6e-14 relative for p up to 100 (2.7e-15
+    measured), and within 1e-12 at p = 1000 and 2000 (3.1e-14 measured);
+    against 40-digit hyp2f1 at every panel edge of the tables below, within
+    8.6e-15 for p up to 100.  It takes no table and is resolved at every
+    b; its cost grows with p, and an even p above _EVEN_P_MAX is NaN at
+    every element.  Otherwise, with M = max(A, C) and
     x = min/M, it is M^(p/2) B(1/2, b) F(x), F hypergeometric
     (_series_tables), read from the tables of its (p, b) (_chebyshev_table):
-    every element with x at least 2^_FLOOR_EXP by one Clenshaw recurrence
-    of _DEGREE steps on its panel, in x on [1/16, 1] and in log2 x below,
-    and the few below that from the leading terms of the series.  Against
-    40-digit mpmath at every panel edge, for b from 1e-6 to 0.4, the value
-    is within 6e-14 relative for p up to 31 (1.3e-14 measured) and 2.5e-13
-    at p = 100 (6.7e-14 measured), and within 3e-11 where m lies within
-    1e-4 of an integer.  M = 0 gives 0 and a non-finite A or C a non-finite
-    value; a NaN ratio x, as 0/0 gives, reads F(1).  A (p, b) whose tables
-    are not resolved (_angular_resolved) is NaN at every element.
+    every element with x at least 2^_FLOOR_EXP by Horner's rule of _DEGREE
+    steps on its panel, in x on [1/16, 1] and in log2 x below, and the few
+    below that from the leading terms of the series.  Against 40-digit
+    mpmath at every panel edge, for b from 1e-6 to 0.4, the value is within
+    6e-14 relative for p up to 31 (1.3e-14 measured) and 2.5e-13 at p = 99
+    (6.4e-14 measured), and within 3e-11 where m lies within 1e-4 of an
+    integer; Horner's rule reads within 8.6e-16 relative of Clenshaw's
+    recurrence on the Chebyshev coefficients, for p from 1 to 99.  On
+    either path M = 0 gives 0 and a non-finite A or C a non-finite value; on
+    the tables a NaN ratio x, as 0/0 gives, reads F(1).  A (p, b) whose
+    tables are not resolved (_angular_resolved) is NaN at every element.
     """
-    if pw == 2.0:
-        of_A, of_C = _linear_betas(tuple(bs))
-        with np.errstate(over="ignore"):
-            return A * of_A + C * of_C
+    if pw % 2.0 == 0.0:
+        if pw > _EVEN_P_MAX:
+            return np.full(np.shape(A), math.nan)
+        co = _even_coefficients(int(pw) // 2, tuple(bs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            total, power = co[-1] * A, C
+            for j in range(len(co) - 2, -1, -1):
+                total += co[j] * power
+                if j:
+                    total *= A
+                    power = power * C
+        return total
     keys = tuple(dict.fromkeys(bs))
     coef, lead = _bracket_tables(pw, keys)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

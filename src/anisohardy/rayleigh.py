@@ -5,8 +5,9 @@ g(r) = (r^2 + eps^2)^(e) eta(r), eta the C^2 cutoff.  After spherical
 reduction the denominator of every member is a sin-power integral, taken
 from its Beta closed form, times a radial integral over (0, 2).  The
 gradient integrand couples r and the angle, but its angular integral at
-each radial node is a closed form too: linear in the two terms of the
-gradient at p = 2, Gauss hypergeometric otherwise.  So every sweep, of any
+each radial node is a closed form too: at an even p a sum of Beta terms in
+the two terms of the gradient (linear at p = 2), Gauss hypergeometric
+otherwise.  So every sweep, of any
 family, takes the numerator and denominator radials of all its members in
 one tanh-sinh pass.  Every radial integral runs on the panels (0, 1) and
 (1, 2): eta leaves 1 at r = 1, a kink inside (0, 2) that would make tanh-sinh
@@ -183,9 +184,9 @@ class SweepRow:
     integral (denominator) and their quotient.  err_estimate is the larger
     relative quadrature error estimate of its two radial integrals: the
     angular factors are closed forms, a Beta function for the denominator
-    and, for the numerator, a linear form at p = 2 and otherwise a Gauss
-    hypergeometric function read from tables (quadrature._bracket_angular
-    gives their accuracy)."""
+    and, for the numerator, a sum of p/2 + 1 Beta terms at an even p (a
+    linear form at p = 2) and otherwise a Gauss hypergeometric function read
+    from tables (quadrature._bracket_angular gives the accuracy of both)."""
 
     epsilon: float
     sigma: float
@@ -217,13 +218,15 @@ def quotient_general_p(family: TrialFamily) -> SweepRow:
     """Rayleigh quotient of a general-p family member, as its SweepRow.
 
     The gradient integrand couples r and phi through |x'| = r sin(phi), but
-    its angular integral against the weight sin(phi)^a_phi is a Gauss
-    hypergeometric closed form at each radial node, read from Chebyshev
-    tables built once per (p, b) (quadrature._bracket_angular gives their
-    accuracy); the denominator's is a Beta function.  err_estimate is the
-    two radial integrals' alone.  A (p, b) whose tables are not resolved
-    raises NotConvergedError before any integrand is evaluated.  This is the
-    one-member case of _quotients.
+    its angular integral against the weight sin(phi)^a_phi is a closed form
+    at each radial node: at an even p a sum of p/2 + 1 Beta terms, and
+    otherwise a Gauss hypergeometric function read from tables built once
+    per (p, b) (quadrature._bracket_angular gives the accuracy of both); the
+    denominator's is a Beta function.  err_estimate is the two radial
+    integrals' alone.  A (p, b) that the closed form does not resolve (a
+    p that is not even whose tables fail their checks, or an even p past
+    the sum's range) raises NotConvergedError before any integrand is
+    evaluated.  This is the one-member case of _quotients.
     """
     if family.kind is not FamilyKind.GENERAL_P_BETA_NONNEG:
         raise ValueError("quotient_general_p takes the general-p family")
@@ -254,14 +257,15 @@ def _quotients(families) -> tuple[SweepRow, ...]:
     on the panels (0, 1) and (1, 2), to _SWEEP_SPEC_1D at p = 2 and
     _SWEEP_SPEC_P otherwise.  Each result is the one the member gets alone,
     to the bit, and a failure the first one met on the members in turn.  A
-    (p, b) whose angular tables are not resolved (_angular_resolved) raises
-    NotConvergedError before any integrand is evaluated.
+    (p, b) whose angular closed form is not resolved (_angular_resolved)
+    raises NotConvergedError before any integrand is evaluated.
     """
     pw, exponents = families[0].params.p, [_exponents(f) for f in families]
     for b in dict.fromkeys((a_phi + 1.0) / 2.0 for a_phi, _ in exponents):
         if not _angular_resolved(pw, b):
             raise NotConvergedError(f"the angular closed form at (p, b) = ({pw}, {b}) is not "
-                                    "resolved: its Chebyshev tables failed their checks")
+                                    "resolved: its Chebyshev tables failed their checks, or "
+                                    "its even p is past the Beta sum's range")
     spec = _SWEEP_SPEC_1D if pw == 2 else _SWEEP_SPEC_P
     rads = integrate_rows(_rows(families, exponents), 0.0, _RADIAL_END, spec, _RADIAL_BREAKS)
 
@@ -287,7 +291,9 @@ def _rows(families, exponents):
     v = |x'|^theta g(|x|), with A = theta^2 g^2 and C = (theta g + r g')^2;
     both carry the radial weight r^a_r as r^(2 a_r / p).  The numerator row
     is _bracket_angular of A and C at the members' one p and each member's
-    b = (a_phi + 1)/2, the denominator row r^a_r g^p.  Each level forms r^2
+    b = (a_phi + 1)/2: a sum of Beta terms at an even p, two products and a
+    sum at p = 2, and otherwise a read of its tables.  The denominator row
+    is r^a_r g^p.  Each level forms r^2
     and the cutoff once, each distinct power of r once, and g and g' over
     member columns.  A power that overflows, as r^a_r with a_r near -1 does at
     subnormal nodes, makes its row non-finite, which fails its member,

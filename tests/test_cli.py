@@ -178,14 +178,15 @@ class TestErrorExitCodes:
         assert "residual" in doc and "value" in doc
 
     def test_refused_angular_tables_are_a_failed_check(self, capsys):
-        # at p = 300 the general-p angular tables are refused before the
-        # radial pass, which failed on NaN rows with "(last sum nan)"
-        code, out, err = run_cli(capsys, "rayleigh", "--n", "3", "--p", "300")
+        # at p = 301 the general-p angular tables are refused before the
+        # radial pass, which failed on NaN rows with "(last sum nan)"; the
+        # even p = 300 takes no table
+        code, out, err = run_cli(capsys, "rayleigh", "--n", "3", "--p", "301")
         assert code == 1
         assert out == ""
         doc = strict_json(err)
         assert doc["type"] == "NotConvergedError"
-        assert "(p, b) = (300.0, " in doc["error"] and "not resolved" in doc["error"]
+        assert "(p, b) = (301.0, " in doc["error"] and "not resolved" in doc["error"]
 
     def test_sweep_below_p2_keeps_stderr_empty(self):
         # a fresh interpreter, where numpy warnings would reach stderr
@@ -275,20 +276,33 @@ class TestErrorExitCodes:
         doc = strict_json(err)
         assert doc["type"] == "ValueError" and "finite" in doc["error"]
 
-    @pytest.mark.parametrize("argv", [
-        ("constant", "--n", "3", "--p", "2", "--alpha", "1e200"),
-        ("optimize", "--n", "3", "--alpha", "1e200"),
-        ("rayleigh", "--n", "3", "--p", "2", "--alpha", "1e200"),
-        ("constant", "--n", "3", "--p", "1000", "--alpha", "10"),
-    ])
-    def test_out_of_range_value_is_exit_2(self, capsys, argv):
+    @pytest.mark.parametrize("argv,quantity", [
+        (("constant", "--n", "3", "--p", "2", "--alpha", "1e200"), "(n + 2 alpha)^2"),
+        (("optimize", "--n", "3", "--alpha", "1e200"), "(n + 2 alpha)^2"),
+        (("rayleigh", "--n", "3", "--p", "2", "--alpha", "1e200"), "(n + 2 alpha)^2"),
+        (("constant", "--n", "3", "--p", "1000", "--alpha", "10"), "((k + p alpha)/p)^p"),
+        (("constant", "--n", "3", "--p", "3", "--alpha", "1e200"), "(n + 2 alpha)^2"),
+        (("rayleigh", "--n", "3", "--p", "3", "--alpha", "1e200"), "(n + 2 alpha)^2"),
+        (("rayleigh", "--n", "3", "--p", "1000", "--alpha", "10"), "((k + p alpha)/p)^p"),
+        (("rayleigh", "--n", "3", "--p", "1.5", "--alpha", "0.5", "--beta", "1e200"), "K"),
+    ], ids=[f"argv{i}" for i in range(8)])
+    def test_out_of_range_value_is_exit_2(self, capsys, argv, quantity):
         # finite parameters whose K ((n + 2 alpha)^2) or constant
         # (((k + p alpha)/p)^p) lies outside double range: Python's float **
-        # raised OverflowError, a traceback with exit 1
+        # raised OverflowError, a traceback with exit 1, and later a document
+        # that named neither the quantity nor the parameters; the p = 3
+        # sweep ran its radial pass on non-finite rows and exited 1 with
+        # NotConvergedError
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert "Traceback" not in err and len(err.splitlines()) == 1
-        assert strict_json(err)["type"] == "OverflowError"
+        doc = strict_json(err)
+        assert doc["type"] == "OverflowError"
+        assert quantity in doc["error"] and "outside double range" in doc["error"]
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        named = ", ".join(f"{name}={float(flags.get('--' + name, default))!r}"
+                          for name, default in (("p", 2.0), ("alpha", 0.0), ("beta", 0.0)))
+        assert f"HardyParams(n=3, {named}, k=2)" in doc["error"]
 
     @pytest.mark.parametrize("sigmas", ["0.1,0.1", "0.1,0,0.05", "0.1,-0.05"])
     def test_bad_sigma_list_is_exit_2(self, capsys, sigmas):

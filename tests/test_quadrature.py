@@ -622,6 +622,7 @@ class TestBracketAngular:
     or, at p = 2, linear, against tanh-sinh quadrature over phi."""
 
     RATIOS = (1e-14, 1e-9, 1e-5, 1e-2, 0.3, 0.5, 0.7, 1.0)
+    SUM_RATIOS = (0.0, 1e-300) + RATIOS
 
     @pytest.mark.parametrize("pw,p_sigma", [
         (1.5, 0.2), (2.5, 0.8), (3.0, 0.1), (3.6, 0.4),   # generic
@@ -684,24 +685,38 @@ class TestBracketAngular:
         np.testing.assert_allclose(got[:-3], ref, rtol=1e-13, atol=0.0)
         assert not np.isfinite(got[-3:]).any()
 
-    @pytest.mark.parametrize("pw", [401.0, 1000.0, 2000.0])
+    @pytest.mark.parametrize("pw", [401.0, 1001.0, 2002.0, 1e8])
     def test_series_past_its_terms_is_nan(self, pw):
         # at p = 1000 a series that never met its stop rule returned its
         # partial sum, 1.5626 where tanh-sinh over phi gives 5.6014, and at
-        # p = 2000 inf; at p = 401 a factorial overflowed (OverflowError)
+        # p = 2000 inf; at p = 401 a factorial overflowed (OverflowError).
+        # An even p past _EVEN_P_MAX is refused without forming its sum
         got = quadrature._bracket_angular(np.array([[1.0]]), np.array([[0.6]]), pw, [0.1])
         assert np.isnan(got).all()
+
+    @pytest.mark.parametrize("pw", [1000.0, 2000.0])
+    def test_even_p_past_the_series_terms_is_summed(self, pw):
+        # the tables refused these keys (NaN); the even-p sum reads 5.6014 at
+        # p = 1000, as tanh-sinh over phi does
+        mpmath = pytest.importorskip("mpmath")
+        got = quadrature._bracket_angular(np.array([[1.0]]), np.array([[0.6]]), pw, [0.1])
+        with mpmath.workdps(40):
+            ref = mpmath.beta(0.5, 0.1) * mpmath.hyp2f1(-pw / 2.0, 0.1, 0.6, 1 - mpmath.mpf(0.6))
+        assert abs(got[0, 0] - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("pw,b,resolved", [
         (2.5, 50.0, False), (3.0, 50.0, False),           # b far above p
         (2.5, 20.0, False), (3.0, 20.0, False), (2.5, 30.0, False), (3.0, 30.0, False),
         (2.5, 40.0, False), (3.0, 40.0, False),
-        (1000.0, 0.1, False), (2000.0, 0.1, False),       # p past about 280
+        (1001.0, 0.1, False),                             # p past about 280
+        (1000.0, 0.1, True), (2000.0, 0.1, True),         # even p: a sum, no table
+        (2002.0, 0.1, False),                             # even p past the sum's range
         (3.0, 5.0, True), (2.5, 10.0, True), (3.0, 15.0, True), (250.0, 0.1, True)])
     def test_unresolved_tables_give_nan_not_wrong_values(self, pw, b, resolved):
         # with the last Chebyshev coefficients at 1e-3 (2.5, 50), 3e-6 (3, 50),
         # 2e-8 (1000, 0.1) and 2e-5 (2000, 0.1) of their sums, the kernel
-        # read up to 1.2e-2, 3.1e-5, 1.5e-9 and 8.5e-6 off, below 1/16 too.
+        # read up to 1.2e-2, 3.1e-5, 1.5e-9 and 8.5e-6 off, below 1/16 too;
+        # it now sums p = 1000 and 2000, which read as mpmath does.
         # At (2.5, 20) and (3, 20) the tails pass, but the connection formula
         # loses digits: the kernel read 3.6e-11 and 1.7e-12 off at x = 1/2,
         # where the two series it samples differ by 6.8e-11 and 3.3e-12
@@ -720,22 +735,21 @@ class TestBracketAngular:
                     -pw / 2.0, 0.5 if c >= a else b, b + 0.5, 1 - mpmath.mpf(min(a, c)))
                 assert abs(value - ref) <= 1e-12 * abs(ref), (a, c)
 
-    #: Keys that _chebyshev_table refuses, by their seams (m = b + p/2 within
-    #: 1e-4 of an integer, where the connection formula loses digits): at
-    #: (20, 1e-4) the two series differ by 2.1e-12 at x = 1/2
-    MPMATH_REFUSED = {(20.0, 1e-6), (30.0, 1e-6), (20.0, 1e-4)}
-
     @pytest.mark.parametrize("pw", [1.0, 1.5, 1.6, 1.6 + 1e-9, 3.0, 3.0 + 1e-8, 9.0, 20.0, 30.0,
-                                    31.0, 100.0])
+                                    31.0, 99.0, 100.0])
     @pytest.mark.parametrize("b", [1e-6, 1e-4, 0.05, 0.4])
     def test_matches_40_digit_mpmath_at_every_panel_edge(self, pw, b):
         # both branches at x = 0, 2^-1074 and 1 ulp either side of every
         # panel edge, 2^-110 and 1/16 among them; within 6e-14 relative for
-        # p up to 31, 2.5e-13 at p = 100 and 3e-11 where m lies within 1e-4
-        # of an integer.  Both neighbours of an edge are held to the value
-        # at the edge: F grows with x, and x F'/F <= p/2, so 1 ulp of x moves
-        # F by at most p/2 ulp.  Before a + m was passed exactly, m = b + p/2
-        # rounded it: 2.9e-11 off at (1, 1e-6) and 2.5e-9 at (100, 1e-6)
+        # p up to 31 and at every even p (a sum, no table), 2.5e-13 at p = 99
+        # and 3e-11 where a table's m lies within 1e-4 of an integer.  Both
+        # neighbours of an edge are held to the value at the edge: F grows
+        # with x, and x F'/F <= p/2, so 1 ulp of x moves F by at most p/2
+        # ulp.  Before a + m was passed exactly, m = b + p/2 rounded it:
+        # 2.9e-11 off at (1, 1e-6) and 2.5e-9 at (100, 1e-6).  The tables
+        # refused (20, 1e-6), (30, 1e-6) and (20, 1e-4), NaN everywhere, where
+        # m = b + p/2 lies within 1e-4 of an integer: at (20, 1e-4) their two
+        # series differed by 2.1e-12 at x = 1/2
         mpmath = pytest.importorskip("mpmath")
         edges = _panel_edges()
         x = np.concatenate([[0.0, 2.0 ** -1074], np.nextafter(edges, 0.0),
@@ -744,14 +758,13 @@ class TestBracketAngular:
         A = np.concatenate([x, np.ones_like(x)])[None]
         C = np.concatenate([np.ones_like(x), x])[None]
         got = quadrature._bracket_angular(A, C, pw, [b])[0].reshape(2, -1)
-        if (pw, b) in self.MPMATH_REFUSED:
-            assert np.isnan(got).all()
-            return
+        even = pw % 2.0 == 0.0
         with mpmath.workdps(40):
             a, c, scale = -mpmath.mpf(pw) / 2, mpmath.mpf(b) + 0.5, mpmath.beta(0.5, b)
             for branch, (bb, m) in enumerate([(0.5, b + pw / 2.0), (b, (pw + 1.0) / 2.0)]):
-                near = 0.0 < abs(m - round(m)) < 1e-4
-                bound = (3e-11 if near else 6e-14 if pw <= 31.0 else 2.5e-13) + pw * 2.0 ** -53
+                near = not even and 0.0 < abs(m - round(m)) < 1e-4
+                bound = (3e-11 if near else 6e-14 if pw <= 31.0 or even else 2.5e-13
+                         ) + pw * 2.0 ** -53
                 refs = {v: scale * mpmath.hyp2f1(a, bb, c, 1 - mpmath.mpf(v)) for v in set(at)}
                 for xi, v, value in zip(x, at, got[branch]):
                     assert abs(value - refs[v]) <= bound * abs(refs[v]), (branch, xi)
@@ -764,7 +777,7 @@ class TestBracketAngular:
             [sys.executable, "-c",
              "import anisohardy; from anisohardy import quadrature as q; "
              "print(*(f.cache_info().currsize for f in "
-             "(q._chebyshev_table, q._bracket_tables, q._linear_betas)))"],
+             "(q._chebyshev_table, q._bracket_tables, q._even_coefficients)))"],
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0 and proc.stdout.split() == ["0", "0", "0"]
 
@@ -779,6 +792,41 @@ class TestBracketAngular:
         assert quadrature._chebyshev_table.cache_info().misses == built
         for i in range(3):
             assert block[2 - i].tobytes() == alone[i][0].tobytes()
+
+    @pytest.mark.parametrize("pw", [4.0, 6.0, 8.0, 20.0, 30.0, 100.0])
+    @pytest.mark.parametrize("b", [1e-6, 1e-4, 0.05, 0.4])
+    def test_even_p_sum_matches_40_digit_mpmath(self, pw, b):
+        # both branches, min(A, C)/max(A, C) from 0 to 1; the same sum of
+        # Beta terms in 40-digit mpmath, within 6e-14 relative
+        mpmath = pytest.importorskip("mpmath")
+        A = 3.0 * np.array([list(self.SUM_RATIOS) + [1.0] * len(self.SUM_RATIOS)])
+        C = 3.0 * np.array([[1.0] * len(self.SUM_RATIOS) + list(self.SUM_RATIOS)])
+        got = quadrature._bracket_angular(A, C, pw, [b])[0]
+        m = int(pw) // 2
+        with mpmath.workdps(40):
+            half, bm = mpmath.mpf(1) / 2, mpmath.mpf(b)
+            terms = [mpmath.binomial(m, j) * mpmath.beta(j + half, m - j + bm)
+                     for j in range(m + 1)]
+            for a, c, value in zip(A[0], C[0], got):
+                ref = mpmath.fsum(t * mpmath.mpf(a) ** j * mpmath.mpf(c) ** (m - j)
+                                  for j, t in enumerate(terms))
+                assert abs(value - ref) <= 6e-14 * ref, (a, c)
+
+    def test_p2_sum_is_the_linear_form_to_the_bit(self):
+        rng = np.random.default_rng(11)
+        A, C = rng.uniform(0.0, 2.0, (2, 4, 300)) ** 3
+        bs = [0.2, 1e-6, 0.35, 0.0125]
+        got = quadrature._bracket_angular(A, C, 2.0, bs)
+        for i, b in enumerate(bs):
+            linear = A[i] * beta(1.5, b) + C[i] * beta(0.5, b + 1.0)
+            assert got[i].tobytes() == linear.tobytes()
+
+    @pytest.mark.parametrize("pw", [2.0, 4.0, 8.0])
+    def test_even_p_builds_no_table(self, pw):
+        built = quadrature._chebyshev_table.cache_info().misses
+        assert quadrature._angular_resolved(pw, 0.0123)
+        quadrature._bracket_angular(np.ones((1, 3)), np.ones((1, 3)), pw, [0.0123])
+        assert quadrature._chebyshev_table.cache_info().misses == built
 
 
 def _panel_edges():

@@ -349,7 +349,14 @@ class TestGoldenSweeps:
     sweep was recorded again when its angular closed form moved to tables of
     degree 12 with log2 x panels below x = 1/16: its numerators and
     quotients moved by at most 2.2e-15 relative, its extrapolated value by
-    1.5e-14 (0x1.2f71be43a44b7p-2 before)."""
+    1.5e-14 (0x1.2f71be43a44b7p-2 before).  It was recorded once more when
+    the tables were read by Horner's rule on power coefficients instead of
+    Clenshaw's recurrence: its numerators moved by at most 3.3e-16 relative,
+    its quotients by 2.7e-16 and its extrapolated value by 1 ulp, 1.9e-16
+    (0x1.2f71be43a4507p-2 before); its error estimates, differences of
+    nearly equal level totals, by up to 7.6e-4 of themselves.  The p = 2
+    sweeps' angular closed form, the m = 1 case of the even-p sum, is the
+    same to the bit."""
 
     @pytest.mark.parametrize("params,rows,extrapolated", [
         (K3_PARAMS, "79db02544b0b393b23af1308aede69c38a1c88756127e8ada5d1178cc89b84a7",
@@ -358,8 +365,8 @@ class TestGoldenSweeps:
          "b809866ba0ce2523303f6623f3bf90e502bccd57633673b918819bcecb6a0394",
          "0x1.ffdcdc5edbfcdp-1"),
         (HardyParams(3, 3.0, 0.0, 0.5),
-         "da48f63150e0d86798ffa05ac9bfdd395b8ddb18ea01ec631ddad3940ea893e7",
-         "0x1.2f71be43a4507p-2"),
+         "8e48633c2343f50a6d7a4691d042d0368d43ef94c7e9b50ab887f5c49de8a2be",
+         "0x1.2f71be43a4508p-2"),
     ], ids=["K>1", "K<1", "general_p"])
     def test_default_sweep_to_the_bit(self, params, rows, extrapolated):
         res = sweep_and_extrapolate(params)
@@ -741,19 +748,31 @@ class TestQuotientGeneralP:
     @pytest.mark.parametrize("pw", [401.0, 1000.0])
     def test_p_past_the_series_range_fails_typed(self, pw):
         # at p = 401 a factorial of the angular series overflowed and raised
-        # OverflowError out of the sweep
+        # OverflowError out of the sweep; p = 1000 takes the even-p sum, and
+        # its rows overflow ("last sum inf")
         fam = TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG, HardyParams(3, pw, 0.0, 0.5),
                           1e-3, 0.2 / pw)
         with pytest.raises(NotConvergedError):
             quotient_general_p(fam)
 
     def test_refused_key_fails_before_any_integrand(self, monkeypatch):
-        # at p = 300 the angular tables are refused; the radial pass ran on
-        # NaN rows and failed with "(last sum nan)"
+        # at p = 301 the angular tables are refused; the radial pass ran on
+        # NaN rows and failed with "(last sum nan)".  (At the even p = 300 it
+        # takes no table: its rows overflow, and the pass fails on them)
         evaluations = _count_evaluations(monkeypatch)
-        with pytest.raises(NotConvergedError, match=r"at \(p, b\) = \(300\.0, 0\.2"):
-            sweep_and_extrapolate(HardyParams(3, 300.0, 0.0, 0.5))
+        with pytest.raises(NotConvergedError, match=r"at \(p, b\) = \(301\.0, 0\.2"):
+            sweep_and_extrapolate(HardyParams(3, 301.0, 0.0, 0.5))
         assert evaluations[0] == 0
+
+    def test_even_p_past_the_sum_range_fails_before_any_integrand(self, monkeypatch):
+        # the even-p sum takes p/2 steps per element; unbounded, p = 1e8
+        # would form gigabytes of coefficients and 1e8 array passes
+        evaluations = _count_evaluations(monkeypatch)
+        formed = quadrature._even_coefficients.cache_info().misses
+        with pytest.raises(NotConvergedError, match=r"at \(p, b\) = \(100000000\.0, .*even p"):
+            sweep_and_extrapolate(HardyParams(3, 1e8, 0.0, 0.5))
+        assert evaluations[0] == 0
+        assert quadrature._even_coefficients.cache_info().misses == formed
 
     def test_sweeps_of_one_p_and_sigma_share_their_angular_rules(self):
         # a_phi = -1 + p sigma for every member; formed as n - 2 + p (alpha +
@@ -881,6 +900,21 @@ class TestSweep:
         assert _planned_kind(params) is FamilyKind.P2_K_EQ_1
         res = sweep_and_extrapolate(params)
         assert res.extrapolated == pytest.approx(1.0, rel=0.02)
+
+    def test_even_p_sweep_builds_no_table(self):
+        built = quadrature._chebyshev_table.cache_info().misses
+        res = sweep_and_extrapolate(HardyParams(3, 4.0, 0.2, 0.3))
+        assert quadrature._chebyshev_table.cache_info().misses == built
+        constant = sharp_constant_general_p(HardyParams(3, 4.0, 0.2, 0.3)).value
+        assert res.extrapolated == pytest.approx(constant, rel=0.02)
+
+    def test_even_p_at_small_sigma_certifies(self):
+        # the tables refused (p, b) = (8, 2.5e-4), where m = b + p/2 lies near
+        # an integer, and this sweep raised NotConvergedError; the even-p sum
+        # came within 2.4e-11 of the closed form
+        params = HardyParams(3, 8.0, 0.2, 0.3)
+        res = sweep_and_extrapolate(params, sigma_list=(5e-4, 2.5e-4, 1.25e-4, 6.25e-5))
+        assert res.extrapolated == pytest.approx(sharp_constant_general_p(params).value, rel=0.02)
 
     @pytest.mark.parametrize("pw", [2.5, 3.0])
     def test_general_p_certifies_across_p(self, pw):

@@ -1,25 +1,28 @@
 """Work and driver cost of the default sweeps pinned by TestGoldenSweeps.
 
-For each of the three default sweeps (K > 1, K < 1 and general p) it prints,
-as JSON:
+For each of the three default sweeps (K > 1, K < 1 and general p = 3), and
+the default sweep at the even p = 4, it prints, as JSON:
 
 - integrand calls, radial nodes and row-nodes of its one tanh-sinh pass,
   and the polyfit calls of its fits: counts that do not depend on the
   machine;
-- for the general-p sweep, "bracket": the elements of its angular closed
+- for the general-p sweeps, "bracket": the elements of the angular closed
   form (quadrature._bracket_angular) by the path that evaluates them, the
-  Clenshaw steps of an element read from a Chebyshev table, and the (p, b)
-  keys whose tables the sweep builds, with each build's wall time in ms.
-  The paths are the table on [1/16, 1] ("table"), the log2 x table below
-  it ("log_table"), the leading terms below 2^_FLOOR_EXP ("floor"), and
-  "zero_or_non_finite", the elements with max(A, C) = 0 or a NaN ratio,
-  which read the table at x = 1.  A checkout without log2 x tables counts
-  its elements below 1/16, which sum their series, as "series";
-- for the general-p sweep also "caches": the entries and bytes of array
-  held by each table cache after the sweep, from empty caches:
-  quadrature._chebyshev_table (one key (p, b) each), _bracket_tables (the
-  joined tables of one call's b values) and, on a checkout where it is
-  still a cache, _series_tables;
+  steps of the rule that reads an element from a table ("table_steps"),
+  and the (p, b) keys whose tables the sweep builds, with each build's
+  wall time in ms.  The paths are the even-p sum of Beta terms ("sum",
+  every element of an even-p call, whatever its value), the table on
+  [1/16, 1] ("table"), the log2 x table below it ("log_table"), the
+  leading terms below 2^_FLOOR_EXP ("floor"), and "zero_or_non_finite",
+  the table elements with max(A, C) = 0 or a NaN ratio, which read the
+  table at x = 1.  A checkout without log2 x tables
+  counts its elements below 1/16, which sum their series, as "series";
+- for the general-p sweeps also "caches": the entries and bytes of array
+  held by each cache of the angular closed form after the sweep, from
+  empty caches: quadrature._chebyshev_table (one key (p, b) each),
+  _bracket_tables (the joined tables of one call's b values),
+  _even_coefficients (the Beta coefficients of one call's b values at an
+  even p) and, on a checkout where it is still a cache, _series_tables;
 - driver_us: the median wall time, in microseconds, of the pass's
   integrate_rows with the integrand replaced by a lookup of the rows it
   returned on a recorded pass (a cached-rows replay), so that only the
@@ -56,6 +59,9 @@ SWEEPS = {
     "K<1": HardyParams(3, 2.0, 0.0, -0.05),
     "general_p": HardyParams(3, 3.0, 0.0, 0.5),
 }
+#: The general-p sweeps whose angular closed form is counted: the golden one
+#: and its even-p counterpart.
+BRACKET_SWEEPS = {"general_p": SWEEPS["general_p"], "general_p4": HardyParams(3, 4.0, 0.0, 0.5)}
 
 
 def work_counts(params) -> dict:
@@ -85,8 +91,9 @@ def work_counts(params) -> dict:
             "row_nodes": sum(n * m for n, m in calls), "polyfit_calls": len(fits)}
 
 
-#: The table caches of the angular closed form, by their names in quadrature.
-TABLE_CACHES = ("_series_tables", "_chebyshev_table", "_bracket_tables")
+#: The caches of the angular closed form, by their names in quadrature; a
+#: checkout counts those it has.
+TABLE_CACHES = ("_series_tables", "_chebyshev_table", "_bracket_tables", "_even_coefficients")
 
 
 def _nbytes(value) -> int:
@@ -97,12 +104,13 @@ def _nbytes(value) -> int:
 
 
 def bracket_counts(params) -> dict:
-    """Angular closed-form elements by path, Clenshaw steps per table
-    element, the keys a sweep builds, and what each table cache holds
-    after it, from empty table caches."""
+    """Angular closed-form elements by path, the table rule's steps per
+    element, the keys a sweep builds, and what each cache holds after it,
+    from empty caches."""
     q = quadrature
+    summed = hasattr(q, "_even_coefficients")
     plain = {name: getattr(q, name) for name in TABLE_CACHES
-             if hasattr(getattr(q, name), "cache_clear")}
+             if hasattr(getattr(q, name, None), "cache_clear")}
     for cached in plain.values():
         cached.cache_clear()
     paths, built, held = collections.Counter(), [], {name: {} for name in plain}
@@ -124,6 +132,9 @@ def bracket_counts(params) -> dict:
     def counted(A, C, pw, bs):
         # a checkout before one p per call passes one p per row, all equal
         if np.ravel(pw)[0] == 2.0:
+            return plain_bracket(A, C, pw, bs)
+        if summed and np.ravel(pw)[0] % 2.0 == 0.0:
+            paths["sum"] += int(np.size(A))
             return plain_bracket(A, C, pw, bs)
         with np.errstate(divide="ignore", invalid="ignore"):
             top = np.maximum(A, C)
@@ -151,7 +162,7 @@ def bracket_counts(params) -> dict:
     caches = {name: {"entries": cached.cache_info().currsize,
                      "bytes": sum(_nbytes(v) for v in held[name].values())}
               for name, cached in plain.items()}
-    return {"elements": dict(paths), "clenshaw_steps": q._DEGREE, "keys_built": built,
+    return {"elements": dict(paths), "table_steps": q._DEGREE, "keys_built": built,
             "caches": caches}
 
 
@@ -188,8 +199,9 @@ def main(argv=None) -> int:
                         help="timed replays per sweep (default 200)")
     args = parser.parse_args(argv)
     out = {name: {**work_counts(params), "driver_us": round(driver_us(params, args.repeats), 1)}
-           for name, params in SWEEPS.items()}
-    out["general_p"]["bracket"] = bracket_counts(SWEEPS["general_p"])
+           for name, params in {**SWEEPS, **BRACKET_SWEEPS}.items()}
+    for name, params in BRACKET_SWEEPS.items():
+        out[name]["bracket"] = bracket_counts(params)
     print(json.dumps(out, indent=1))
     return 0
 
