@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -55,19 +56,25 @@ def _check_range(params: HardyParams):
     """Raise OverflowError, naming the quantity and params, when a quantity
     that a route forms from params lies outside double range: K and the two
     squares of its cross-check (compute_K, which constant runs at every p)
-    and the general-p constant.  Past these, Python's float ** raised
-    OverflowError with no name, or a sweep ran its radial pass on non-finite
-    rows and reported a failed check."""
+    and the general-p constant, which must also not underflow below the
+    smallest normal double (sys.float_info.min).  Past these, Python's
+    float ** raised OverflowError with no name, a sweep ran its radial pass
+    on non-finite rows and reported a failed check, or an underflowed
+    constant such as 0.002^1000 was reported as the sharp constant 0.0."""
     n, p, a, b, k = params.n, params.p, params.alpha, params.beta, params.k
     s, c = n + 2.0 * a, (k + p * a) / p
-    constant = (("((k + p alpha)/p)^p", c) if b >= 0.0
-                else ("((k + p alpha + p beta)/p)^p", c + b))
-    for name, value in (("K = -4 beta (n + 2 alpha + beta)", -4.0 * b * (s + b)),
-                        ("(n + 2 alpha)^2", _magnitude(s, 2.0)),
-                        ("(n + 2 alpha + 2 beta)^2", _magnitude(s + 2.0 * b, 2.0)),
-                        (f"the constant {constant[0]}", _magnitude(constant[1], p))):
+    name, base = (("((k + p alpha)/p)^p", c) if b >= 0.0
+                  else ("((k + p alpha + p beta)/p)^p", c + b))
+    constant = _magnitude(base, p)
+    for quantity, value in (("K = -4 beta (n + 2 alpha + beta)", _k_value(params)),
+                            ("(n + 2 alpha)^2", _magnitude(s, 2.0)),
+                            ("(n + 2 alpha + 2 beta)^2", _magnitude(s + 2.0 * b, 2.0)),
+                            (f"the constant {name}", constant)):
         if not math.isfinite(value):
-            raise OverflowError(f"{name} lies outside double range at {params}")
+            raise OverflowError(f"{quantity} lies outside double range at {params}")
+    if base > 0.0 and constant < sys.float_info.min:
+        raise OverflowError(f"the constant {name} = {constant!r} lies outside double range, "
+                            f"below the smallest normal double, at {params}")
 
 
 def _set_int(obj, name: str, lo: int, hi: float = math.inf):
@@ -206,6 +213,12 @@ class Regime:
     family: RegimeFamily
 
 
+def _k_value(params: HardyParams) -> float:
+    """K = -4*beta*(n + 2*alpha + beta), unchecked: the one expression of K,
+    which compute_K checks and classifies and a trial family reads."""
+    return -4.0 * params.beta * (params.n + 2.0 * params.alpha + params.beta)
+
+
 def compute_K(params: HardyParams) -> Regime:
     """Regime constant K = -4*beta*(n + 2*alpha + beta), classified.
 
@@ -217,7 +230,7 @@ def compute_K(params: HardyParams) -> Regime:
         raise InadmissibleParamsError(
             f"compute_K requires admissible parameters, got {params}")
     n, a, b = params.n, params.alpha, params.beta
-    k_val = -4.0 * b * (n + 2.0 * a + b)
+    k_val = _k_value(params)
     k_alt = (n + 2.0 * a) ** 2 - (n + 2.0 * a + 2.0 * b) ** 2
     scale = max(1.0, abs(k_val), (n + 2.0 * a) ** 2)
     if abs(k_val - k_alt) > _FORM_AGREE_TOL * scale:

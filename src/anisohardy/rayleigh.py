@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import (FitUnstableError, NotConvergedError, SingularParamsError,
                      UnsupportedRegimeError)
-from .params import HardyParams, RegimeFamily, admissible_hardy, compute_K
+from .params import HardyParams, RegimeFamily, _k_value, admissible_hardy, compute_K
 # integrate_1d, integrate_2d and integrate_angular are no longer called here;
 # certbench's layer tracer looks them up by these names.
 from .quadrature import (QuadratureSpec, _angular_resolved, _bracket_angular,  # noqa: F401
@@ -84,6 +84,10 @@ class TrialFamily:
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         p = self.params
+        if not p.is_full_axis:
+            raise ValueError("trial families are defined for k = n-1")
+        if not admissible_hardy(p):                     # before K is read
+            raise ValueError(f"inadmissible parameters: {p}")
         if self.kind is FamilyKind.GENERAL_P_BETA_NONNEG:
             if p.beta < 0.0:
                 raise ValueError("the general-p family requires beta >= 0")
@@ -103,10 +107,6 @@ class TrialFamily:
                 if not 0.0 < self.sigma < bound:
                     raise ValueError(
                         f"the K < 1 family requires 0 < sigma < {bound}")
-        if not p.is_full_axis:
-            raise ValueError("trial families are defined for k = n-1")
-        if not admissible_hardy(p):
-            raise ValueError(f"inadmissible parameters: {p}")
         for what, value in zip(("angular", "radial"), _exponents(self)):  # g(0) is finite
             if value <= -1.0:
                 raise SingularParamsError(
@@ -114,8 +114,9 @@ class TrialFamily:
 
     @cached_property
     def _K(self) -> float:
-        """K of the member's parameters, computed once per member."""
-        return compute_K(self.params).k_value
+        """K of the member's parameters, by compute_K's expression of it, to
+        the bit; the member checks admissibility itself."""
+        return _k_value(self.params)
 
     @property
     def h_exponent(self) -> float:
@@ -172,10 +173,15 @@ def _power(base, e):
 
 def _g_and_prime(r, r2, eta, eta_prime, e2, ge):
     """(g, g') at r from r^2 and the cutoff there; eps^2 and the exponent of g
-    are floats, or columns of one per member that broadcast against r."""
+    are floats, or columns of one per profile that broadcast against r."""
     q = r2 + e2
     qe = _power(q, ge)
-    return qe * eta, 2.0 * ge * r * _power(q, ge - 1.0) * eta + qe * eta_prime
+    gp = 2.0 * ge * r
+    gp *= _power(q, ge - 1.0)
+    gp *= eta
+    gp += qe * eta_prime
+    qe *= eta
+    return qe, gp
 
 
 @dataclass(frozen=True)
@@ -293,32 +299,61 @@ def _rows(families, exponents):
     is _bracket_angular of A and C at the members' one p and each member's
     b = (a_phi + 1)/2: a sum of Beta terms at an even p, two products and a
     sum at p = 2, and otherwise a read of its tables.  The denominator row
-    is r^a_r g^p.  Each level forms r^2
-    and the cutoff once, each distinct power of r once, and g and g' over
-    member columns.  A power that overflows, as r^a_r with a_r near -1 does at
-    subnormal nodes, makes its row non-finite, which fails its member,
-    and raises no warning.
+    is r^a_r g^p.
+
+    Each level forms r^2 and the cutoff once, and each distinct power of r
+    once.  g depends on a member only through its radial profile, the pair
+    (eps^2, g exponent), so g and r g' are formed once per profile, into
+    (profiles, nodes) arrays that the members read: the 20 members of a
+    default K < 1 sweep share 5 profiles, since its g exponent does not
+    depend on sigma, and every other family has one profile per member.
+    The profiles are numbered in the order the members first use them, so
+    each block of members forms the profiles its members are the first to
+    use and reads the others.  g^p is formed per member: at p = 2, the one
+    p with shared profiles, it is a square, no dearer than reading a stored
+    row.  A power that overflows, as r^a_r with a_r near -1 does at
+    subnormal nodes, makes its row non-finite, which fails its member, and
+    raises no warning.
     """
     pw = families[0].params.p
     bs = [(a_phi + 1.0) / 2.0 for a_phi, _ in exponents]
     r_keys, r_of = np.unique([e for _, a_r in exponents for e in (2.0 * a_r / pw, a_r)],
                              return_inverse=True)
     fold_of, den_of = r_of[0::2], r_of[1::2]
-    e2, ge, theta = (np.array([[v] for v in col]) for col in zip(
-        *((f.epsilon * f.epsilon, f.g_exponent, f.h_exponent) for f in families)))
+    # profile_of[i] is member i's profile, and the members up to i use the
+    # first formed[i] profiles
+    profiles, profile_of, formed = {}, [], []
+    for f in families:
+        profile_of.append(profiles.setdefault((f.epsilon * f.epsilon, f.g_exponent),
+                                              len(profiles)))
+        formed.append(len(profiles))
+    profile_of = np.array(profile_of)
+    e2, ge = (np.array(col)[:, None] for col in zip(*profiles))
+    theta = np.array([f.h_exponent for f in families])[:, None]
 
     def rows(r):
         r2, eta, eta_prime = r * r, cutoff_eta(r), cutoff_eta_prime(r)
         step, out = max(1, _BLOCK_ELEMENTS // r.size), np.empty((2 * len(families), r.size))
+        g, r_gp = np.empty((2, len(profiles), r.size))
+        done = 0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             r_pow = _power(r, r_keys[:, None])
             for i in range(0, len(families), step):
                 m, block = slice(i, i + step), out[2 * i:2 * (i + step)]
-                g, gp = _g_and_prime(r, r2, eta, eta_prime, e2[m], ge[m])
-                fold, theta_g = r_pow[fold_of[m]], theta[m] * g
-                block[0::2] = _bracket_angular(fold * theta_g ** 2,
-                                               fold * (theta_g + r * gp) ** 2, pw, bs[m])
-                np.multiply(r_pow[den_of[m]], g ** pw, out=block[1::2])
+                new = slice(done, formed[m][-1])
+                if new.start < new.stop:         # else every profile it reads is formed
+                    g[new], gp = _g_and_prime(r, r2, eta, eta_prime, e2[new], ge[new])
+                    np.multiply(r, gp, out=r_gp[new])
+                done, own = new.stop, profile_of[m]
+                g_own, fold = g.take(own, axis=0), r_pow.take(fold_of[m], axis=0)
+                np.multiply(r_pow.take(den_of[m], axis=0), g_own ** pw, out=block[1::2])
+                A = np.multiply(theta[m], g_own, out=g_own)      # theta g
+                C = r_gp.take(own, axis=0)
+                C += A                                           # theta g + r g'
+                for part in (A, C):
+                    np.square(part, out=part)
+                    part *= fold
+                block[0::2] = _bracket_angular(A, C, pw, bs[m])
         return out
     return rows
 

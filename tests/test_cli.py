@@ -180,8 +180,9 @@ class TestErrorExitCodes:
     def test_refused_angular_tables_are_a_failed_check(self, capsys):
         # at p = 301 the general-p angular tables are refused before the
         # radial pass, which failed on NaN rows with "(last sum nan)"; the
-        # even p = 300 takes no table
-        code, out, err = run_cli(capsys, "rayleigh", "--n", "3", "--p", "301")
+        # even p = 300 takes no table.  At alpha = 0 the constant
+        # ((k + p alpha)/p)^p underflows, which is refused with exit 2
+        code, out, err = run_cli(capsys, "rayleigh", "--n", "3", "--p", "301", "--alpha", "1")
         assert code == 1
         assert out == ""
         doc = strict_json(err)
@@ -285,14 +286,19 @@ class TestErrorExitCodes:
         (("rayleigh", "--n", "3", "--p", "3", "--alpha", "1e200"), "(n + 2 alpha)^2"),
         (("rayleigh", "--n", "3", "--p", "1000", "--alpha", "10"), "((k + p alpha)/p)^p"),
         (("rayleigh", "--n", "3", "--p", "1.5", "--alpha", "0.5", "--beta", "1e200"), "K"),
-    ], ids=[f"argv{i}" for i in range(8)])
+        (("constant", "--n", "3", "--p", "1000", "--alpha", "0", "--beta", "0.5"),
+         "((k + p alpha)/p)^p"),
+        (("constant", "--n", "3", "--p", "400", "--alpha", "0", "--beta", "0.5"),
+         "((k + p alpha)/p)^p"),
+    ], ids=[f"argv{i}" for i in range(10)])
     def test_out_of_range_value_is_exit_2(self, capsys, argv, quantity):
         # finite parameters whose K ((n + 2 alpha)^2) or constant
         # (((k + p alpha)/p)^p) lies outside double range: Python's float **
         # raised OverflowError, a traceback with exit 1, and later a document
         # that named neither the quantity nor the parameters; the p = 3
         # sweep ran its radial pass on non-finite rows and exited 1 with
-        # NotConvergedError
+        # NotConvergedError.  The last two constants, 0.002^1000 and
+        # 0.005^400, underflow: both printed "constant": 0.0 as sharp
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert "Traceback" not in err and len(err.splitlines()) == 1

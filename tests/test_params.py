@@ -31,6 +31,19 @@ class TestHardyParams:
         with pytest.raises(ValueError):
             HardyParams(**kwargs)
 
+    @pytest.mark.parametrize("pw,beta", [(1000.0, 0.5), (165.0, 0.5), (400.0, -0.001)])
+    def test_constant_below_the_smallest_normal_is_refused(self, pw, beta):
+        # ((k + p alpha)/p)^p at alpha = 0 is 0.002^1000 = 0.0 and
+        # (2/165)^165 = 6.1e-317, a subnormal; at beta < 0 the lower bound
+        # 0.004^400 = 0.0.  0.002^1000 was reported as the sharp constant 0.0
+        with pytest.raises(OverflowError, match=r"\)\^p = .* outside double range, below "
+                                                r"the smallest normal double, at HardyParams"):
+            HardyParams(3, pw, 0.0, beta)
+
+    def test_constant_just_above_the_smallest_normal_is_kept(self):
+        # (2/160)^160 = 3.2e-305
+        assert HardyParams(3, 160.0, 0.0, 0.5).p == 160.0
+
     def test_accepts_numpy_integers(self):
         params = HardyParams(np.int64(3), 2.0, 0.0, 0.0, np.int32(1))
         assert params == HardyParams(3, 2.0, 0.0, 0.0, 1)

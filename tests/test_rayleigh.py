@@ -323,15 +323,47 @@ class TestWorkCounts:
         sweep_and_extrapolate(params)
         assert entries == []
 
+    @pytest.mark.parametrize("params,profiles,evaluations", [
+        (K3_PARAMS, 5, 8_870), (HardyParams(3, 2.0, 0.0, -0.05), 5, 8_870),
+        (HardyParams(3, 3.0, 0.0, 0.5), 20, 19_720)], ids=["K>1", "K<1", "general_p"])
+    def test_profile_rows_of_a_default_sweep(self, monkeypatch, params, profiles, evaluations):
+        # g and g' are formed once per radial profile (eps^2, g exponent) on
+        # each integrand call's nodes.  The K < 1 family's g exponent does not
+        # depend on sigma, so its 4 sigmas by 5 eps share 5 profiles: forming
+        # them per member took 20 rows per call, 35,480 profile-node
+        # evaluations.  The K > 1 family (5 eps) and the general-p family (4
+        # sigmas by 5 eps, whose g exponent moves with sigma) have one
+        # profile per member
+        rows, calls = [], []
+        plain_g, plain_rows = rayleigh._g_and_prime, rayleigh.integrate_rows
+
+        def g_and_prime(r, r2, eta, eta_prime, e2, ge):
+            rows.append(len(e2))
+            return plain_g(r, r2, eta, eta_prime, e2, ge)
+
+        def counted(f, *args):
+            def f_counted(r):
+                rows.clear()
+                out = f(r)
+                calls.append((r.size, sum(rows)))
+                return out
+            return plain_rows(f_counted, *args)
+        monkeypatch.setattr(rayleigh, "_g_and_prime", g_and_prime)
+        monkeypatch.setattr(rayleigh, "integrate_rows", counted)
+        sweep_and_extrapolate(params)
+        assert {formed for _, formed in calls} == {profiles}
+        assert sum(nodes * formed for nodes, formed in calls) == evaluations
+
     @pytest.mark.parametrize("params,calls", [
-        (K3_PARAMS, 6), (HardyParams(3, 2.0, 0.0, -0.05), 21), (HardyParams(3, 3.0, 0.0, 0.5), 0),
+        (K3_PARAMS, 1), (HardyParams(3, 2.0, 0.0, -0.05), 1), (HardyParams(3, 3.0, 0.0, 0.5), 0),
         (HardyParams(3, 2.0, 0.0, (-3.0 + math.sqrt(8.0)) / 2.0), 1)],
         ids=["K>1", "K<1", "general_p", "K=1"])
     def test_compute_K_calls_of_a_default_sweep(self, monkeypatch, params, calls):
-        # one for the plan at p = 2, and one for each member of the K > 1
-        # (5 eps) and K < 1 (4 sigmas by 5 eps) families, whose exponents
-        # read K; computing it at every exponent access took 21 (K > 1) and
-        # 43 (K < 1), and the plan 2 where K is near 1
+        # one for the plan at p = 2; a member reads K by compute_K's own
+        # expression (params._k_value).  One more for each member of the
+        # K > 1 (5 eps) and K < 1 (4 sigmas by 5 eps) families took 6 and
+        # 21, computing it at every exponent access 21 and 43, and the plan
+        # 2 where K is near 1
         found = []
 
         def counted(p):
@@ -749,8 +781,10 @@ class TestQuotientGeneralP:
     def test_p_past_the_series_range_fails_typed(self, pw):
         # at p = 401 a factorial of the angular series overflowed and raised
         # OverflowError out of the sweep; p = 1000 takes the even-p sum, and
-        # its rows overflow ("last sum inf")
-        fam = TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG, HardyParams(3, pw, 0.0, 0.5),
+        # its rows overflow ("last sum inf").  alpha = 1 keeps the constant
+        # ((k + p alpha)/p)^p near e^2: at alpha = 0 it underflows, and
+        # HardyParams refuses it
+        fam = TrialFamily(FamilyKind.GENERAL_P_BETA_NONNEG, HardyParams(3, pw, 1.0, 0.5),
                           1e-3, 0.2 / pw)
         with pytest.raises(NotConvergedError):
             quotient_general_p(fam)
@@ -758,19 +792,21 @@ class TestQuotientGeneralP:
     def test_refused_key_fails_before_any_integrand(self, monkeypatch):
         # at p = 301 the angular tables are refused; the radial pass ran on
         # NaN rows and failed with "(last sum nan)".  (At the even p = 300 it
-        # takes no table: its rows overflow, and the pass fails on them)
+        # takes no table: its rows overflow, and the pass fails on them.)  At
+        # alpha = 0 the constant underflows, and HardyParams refuses it
         evaluations = _count_evaluations(monkeypatch)
         with pytest.raises(NotConvergedError, match=r"at \(p, b\) = \(301\.0, 0\.2"):
-            sweep_and_extrapolate(HardyParams(3, 301.0, 0.0, 0.5))
+            sweep_and_extrapolate(HardyParams(3, 301.0, 1.0, 0.5))
         assert evaluations[0] == 0
 
     def test_even_p_past_the_sum_range_fails_before_any_integrand(self, monkeypatch):
         # the even-p sum takes p/2 steps per element; unbounded, p = 1e8
-        # would form gigabytes of coefficients and 1e8 array passes
+        # would form gigabytes of coefficients and 1e8 array passes.  At
+        # alpha = 0 the constant underflows, and HardyParams refuses it
         evaluations = _count_evaluations(monkeypatch)
         formed = quadrature._even_coefficients.cache_info().misses
         with pytest.raises(NotConvergedError, match=r"at \(p, b\) = \(100000000\.0, .*even p"):
-            sweep_and_extrapolate(HardyParams(3, 1e8, 0.0, 0.5))
+            sweep_and_extrapolate(HardyParams(3, 1e8, 1.0, 0.5))
         assert evaluations[0] == 0
         assert quadrature._even_coefficients.cache_info().misses == formed
 

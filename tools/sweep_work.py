@@ -6,6 +6,10 @@ the default sweep at the even p = 4, it prints, as JSON:
 - integrand calls, radial nodes and row-nodes of its one tanh-sinh pass,
   and the polyfit calls of its fits: counts that do not depend on the
   machine;
+- "profile_node_evals": the radial profiles (rows of rayleigh._g_and_prime,
+  which forms g and g') times the nodes of each integrand call, summed
+  over the pass, and "compute_K_calls", the calls of params.compute_K that
+  the sweep makes through rayleigh;
 - for the general-p sweeps, "bracket": the elements of the angular closed
   form (quadrature._bracket_angular) by the path that evaluates them, the
   steps of the rule that reads an element from a table ("table_steps"),
@@ -65,9 +69,19 @@ BRACKET_SWEEPS = {"general_p": SWEEPS["general_p"], "general_p4": HardyParams(3,
 
 
 def work_counts(params) -> dict:
-    """Integrand calls, nodes, row-nodes and polyfit calls of one sweep."""
-    calls, fits = [], []
+    """Integrand calls, nodes, row-nodes, profile-node evaluations, polyfit
+    calls and compute_K calls of one sweep."""
+    calls, fits, profiles, regimes = [], [], [], []
     plain_rows, plain_fit = rayleigh.integrate_rows, np.polynomial.polynomial.polyfit
+    plain_g, plain_K = rayleigh._g_and_prime, rayleigh.compute_K
+
+    def counted_g(r, r2, eta, eta_prime, e2, ge):
+        profiles.append(np.size(e2) * r.size)
+        return plain_g(r, r2, eta, eta_prime, e2, ge)
+
+    def counted_K(p):
+        regimes.append(p)
+        return plain_K(p)
 
     def counted_rows(f, *args):
         def f_counted(r):
@@ -83,12 +97,16 @@ def work_counts(params) -> dict:
         return plain_fit(*args, **kwargs)
 
     rayleigh.integrate_rows, np.polynomial.polynomial.polyfit = counted_rows, counted_fit
+    rayleigh._g_and_prime, rayleigh.compute_K = counted_g, counted_K
     try:
         rayleigh.sweep_and_extrapolate(params)
     finally:
         rayleigh.integrate_rows, np.polynomial.polynomial.polyfit = plain_rows, plain_fit
+        rayleigh._g_and_prime, rayleigh.compute_K = plain_g, plain_K
     return {"integrand_calls": len(calls), "nodes": sum(n for n, _ in calls),
-            "row_nodes": sum(n * m for n, m in calls), "polyfit_calls": len(fits)}
+            "row_nodes": sum(n * m for n, m in calls),
+            "profile_node_evals": sum(profiles), "polyfit_calls": len(fits),
+            "compute_K_calls": len(regimes)}
 
 
 #: The caches of the angular closed form, by their names in quadrature; a
