@@ -37,13 +37,30 @@ axis of the row-major (N, n) array.  Functions of (..., n) points
 BumpFunction) take the (N, n) view x.T.  What does not depend on the bump
 is formed once and cached: the sphere rule of each dimension and order,
 and the CKN spot check's sample radii and directions of each dimension.
+
+A pass evaluates into one float64 workspace per thread (threading.local),
+viewed as rows of the pass's N nodes (_Rows): the ball rule's nodes and
+weights, the bump fields, the norms, V, the closed-form weight, grad log f,
+R and the integrands are written into its rows with out=, and a helper's
+temporaries are rows above its results that it gives back before it
+returns.  Once warm a pass allocates no node-sized array, so an n = 3 check
+hands no temporaries back to the C allocator, whose heap trimming would
+page-fault them in again on the next check.  The
+workspace is sized, the first time a pass at dimension n outgrows it, for
+the rows that pass used on the ladder's largest pass at n (orders 8, 10
+and 12 together, or 16 alone), and it grows only when a larger pass
+arrives; it is never shared between threads, and a pass must not start
+another pass in the same thread.  Every operation keeps its operands and
+their order, so every report keeps the bits of fresh-array evaluation.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -53,7 +70,7 @@ from .errors import (EmptyInputError, IllConditionedError, NegativeRemainderErro
 from .params import CknParams, HardyParams, admissible_ckn
 # integrate_1d is no longer called here; certbench's layer tracer looks it up
 # by this name.
-from .quadrature import (cutoff_eta, cutoff_eta_prime, gauss_jacobi,  # noqa: F401
+from .quadrature import (_pow, cutoff_eta, cutoff_eta_prime, gauss_jacobi,  # noqa: F401
                          integrate_1d, log_gamma)
 # weight_p2 and weight_general_p are no longer called here (the checks take
 # their formulas from _weight_p2 and _weight_general_p); certbench's layer
@@ -69,13 +86,62 @@ __all__ = [
 
 _CLAMP_REL = 1e-12
 
+#: The thread's workspace, in its attribute buf (see _Rows and _at_orders).
+_local = threading.local()
 
-def _dot(a, b):
+
+class _Rows:
+    """Rows of one node shape, taken in turn: the rows of a rule pass in the
+    thread's workspace, a flat float64 buffer viewed as rows of the pass's N
+    nodes, or fresh arrays where there is no buffer (the public calls).
+
+    rows() takes one uninitialised row and rows(k) a (k, ...) block; a helper
+    gives back the rows it took after its results by setting top back.  A
+    row past the buffer's end is a fresh array, and peak records the rows
+    the pass reached, so that the workspace can grow to them.
+    """
+
+    __slots__ = ("shape", "grid", "size", "top", "peak")
+
+    def __init__(self, shape, buf=None):
+        self.shape = shape
+        self.grid = (None if buf is None
+                     else buf[:buf.size - buf.size % shape[0]].reshape(-1, shape[0]))
+        self.size = 0 if buf is None else len(self.grid)
+        self.top = self.peak = 0
+
+    def __call__(self, count=None):
+        """A row, or a block of count rows, taken."""
+        rows = self.spare(count)
+        self.top += 1 if count is None else count
+        return rows
+
+    def spare(self, count=None):
+        """A row, or a block of count rows, above the top and not taken:
+        scratch for a call that takes no rows."""
+        start = self.top
+        end = start + (1 if count is None else count)
+        if end <= self.size:
+            return self.grid[start] if count is None else self.grid[start:end]
+        self.peak = max(self.peak, end)
+        return np.empty(self.shape if count is None else (count,) + self.shape)
+
+    def mask(self):
+        """A boolean array of the node shape, in the bytes of a row taken."""
+        row = self()
+        return row.reshape(-1).view(np.bool_)[:row.size].reshape(row.shape)
+
+
+def _dot(a, b, rows=None):
     """sum_i a_i b_i over the coordinate rows of a and b, in coordinate order:
-    the bits of np.sum(a * b, axis=-1) on the row-major transposes."""
-    total = a[0] * b[0]
+    the bits of np.sum(a * b, axis=-1) on the row-major transposes.  The sum
+    is a row taken from rows (a fresh array when None)."""
+    if rows is None:
+        rows = _Rows(np.shape(a[0]))
+    total = np.multiply(a[0], b[0], out=rows())
+    term = rows.spare()
     for i in range(1, len(a)):
-        total += a[i] * b[i]
+        total += np.multiply(a[i], b[i], out=term)
     return total
 
 
@@ -94,31 +160,44 @@ def r_functional(X, Y, p: float) -> float:
     return float(_r_rows(xv, yv, p)[0])
 
 
-def _r_rows(X, Y, p: float, relative: bool = False, _nx_p=None):
+def _r_rows(X, Y, p: float, relative: bool = False, _nx_p=None, rows=None):
     """r_functional at every node of coordinate-major (n, N) arrays, with the
     same clamping.
 
     At Y = 0 the cross term |Y|^(p-1) <Y/|Y|, X> tends to 0 for p > 1.
     With relative=True each R is divided by the size of its terms, the
     scale of its floor (0 where every term vanishes).  _nx_p, when given, is
-    np.sqrt(_dot(X, X)) ** p, already formed by the caller.
+    np.sqrt(_dot(X, X)) ** p, already formed by the caller.  R is a row
+    taken from rows (a fresh array when None).
     """
+    if rows is None:
+        rows = _Rows(np.shape(X[0]))
+    value = rows()
+    top = rows.top
     if _nx_p is None:
-        _nx_p = np.sqrt(_dot(X, X)) ** p
-    ny = np.sqrt(_dot(Y, Y))
-    dot = _dot(X, Y)
+        _nx_p = _dot(X, X, rows)
+        _pow(np.sqrt(_nx_p, out=_nx_p), p, _nx_p)
+    ny = _dot(Y, Y, rows)
+    np.sqrt(ny, out=ny)
+    dot = _dot(X, Y, rows)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cross = np.where(ny > 0.0, p * ny ** (p - 2.0) * dot, 0.0)
-    sizes = (p - 1.0) * ny ** p + _nx_p
-    value = sizes + cross
-    low = value < -_CLAMP_REL * (sizes + np.abs(cross))
+        # p |Y|^(p-2) <Y, X> where |Y| > 0, else 0
+        cross = _pow(ny, p - 2.0, rows())
+        np.multiply(p, cross, out=cross)
+        np.multiply(cross, dot, out=cross)
+    zero = np.greater(ny, 0.0, out=rows.mask())
+    np.copyto(cross, 0.0, where=np.logical_not(zero, out=zero))
+    sizes = np.add(np.multiply(p - 1.0, _pow(ny, p, dot), out=dot), _nx_p, out=dot)
+    np.add(sizes, cross, out=value)
+    size = np.add(sizes, np.abs(cross, out=cross), out=cross)
+    low = np.less(value, np.multiply(-_CLAMP_REL, size, out=sizes), out=sizes)
     if np.any(low):
         raise NegativeRemainderError(
-            f"R(X, Y) reached {float(np.min(value[low]))}, below -1e-12 times "
+            f"R(X, Y) reached {float(np.min(value[low != 0]))}, below -1e-12 times "
             "the size of its terms")
-    value = np.maximum(value, 0.0)
+    np.maximum(value, 0.0, out=value)
+    rows.top = top
     if relative:
-        size = sizes + np.abs(cross)
         return np.divide(value, size, out=np.zeros_like(value), where=size > 0.0)
     return value
 
@@ -168,47 +247,74 @@ class BumpFunction:
     def support_radius(self) -> float:
         return 2.0 * self.width
 
-    def _poly(self, q):
-        out = np.zeros_like(q)
+    def _poly(self, q, rows=None):
+        """P(q) by Horner's rule from 0, in a row taken from rows (a fresh
+        array when None)."""
+        if rows is None:
+            rows = _Rows(np.shape(q))
+        out = rows()
+        out.fill(0.0)
         for c in reversed(self.coefficients):
-            out = out * q + c
+            np.add(np.multiply(out, q, out=out), c, out=out)
         return out
 
-    def _poly_prime(self, q):
-        out = np.zeros_like(q)
-        deg = self.polynomial_degree
+    def _poly_prime(self, q, rows=None):
+        """P'(q) = sum_i i c_i q^(i-1) from 0, in a row taken from rows (a
+        fresh array when None)."""
+        if rows is None:
+            rows = _Rows(np.shape(q))
+        out, term = rows(), rows.spare()
+        out.fill(0.0)
         for i, c in enumerate(self.coefficients[1:], start=1):
-            out = out + i * c * q ** (i - 1)
-        return out if deg >= 1 else np.zeros_like(q)
+            out += np.multiply(i * c, _pow(q, i - 1, term), out=term)
+        return out
 
     def value(self, x):
         """u at points x of shape (n,) or (..., n)."""
-        return self._fields(_coordinate_major(x))[0]
+        return self._fields(_coordinate_major(x))[0][()]
 
     def gradient(self, x):
         """grad u at points x of shape (n,) or (..., n), in the same shape."""
         return np.moveaxis(self._fields(_coordinate_major(x))[1], 0, -1)
 
-    def _fields(self, x):
+    def _fields(self, x, rows=None):
         """(u, grad u) at coordinate-major points x of shape (n, ...); the
         gradient is coordinate-major too.  z = x - center, q = z . direction,
-        rho = |z| and the cutoff's eta and eta' are formed once for both."""
+        rho = |z| and the cutoff's eta and eta' are formed once for both.
+        u and grad u are rows taken from rows (fresh arrays when None), which
+        gets back every temporary."""
+        if rows is None:
+            rows = _Rows(np.shape(x)[1:])
+        n = len(x)
+        value, grad = rows(), rows(n)
+        top = rows.top
         center = np.asarray(self.center).reshape((-1,) + (1,) * (np.ndim(x) - 1))
-        z = x - center
+        z = np.subtract(x, center, out=rows(n))
         # q is the row-major matrix-vector product, not a sum over rows: BLAS
         # rounds it with fused multiply-adds.
-        q = np.stack(tuple(z), axis=-1) @ np.asarray(self.direction)
-        rho = np.sqrt(_dot(z, z))
-        t = rho / self.width
-        eta = cutoff_eta(t)
-        etap = cutoff_eta_prime(t)
-        poly = self._poly(q)
-        radial = poly * etap / self.width / np.where(rho > 0.0, rho, 1.0)
-        slope = self._poly_prime(q)
-        grad = radial * z
+        q = rows()
+        row_major = rows.spare(n).reshape(q.shape + (n,))
+        np.copyto(np.moveaxis(row_major, -1, 0), z)
+        np.matmul(row_major, np.asarray(self.direction), out=q)
+        rho = _dot(z, z, rows)
+        np.sqrt(rho, out=rho)
+        eta, etap, t, scratch = rows(), rows(), rows(), rows()
+        np.divide(rho, self.width, out=t)
+        cutoff_eta(t, (eta, scratch, rows.spare()))
+        cutoff_eta_prime(t, (etap, scratch))
+        poly = self._poly(q, rows)
+        # poly eta' / w / rho, where rho > 0 (the division by 1.0 elsewhere
+        # changes nothing)
+        radial = np.divide(np.multiply(poly, etap, out=t), self.width, out=t)
+        np.divide(radial, rho, out=radial, where=np.greater(rho, 0.0, out=rows.mask()))
+        slope = self._poly_prime(q, rows)
+        np.multiply(radial, z, out=grad)
+        term = rows.spare()
         for i, d in enumerate(self.direction):
-            grad[i] += slope * d * eta
-        return poly * eta, grad
+            grad[i] += np.multiply(np.multiply(slope, d, out=term), eta, out=term)
+        np.multiply(poly, eta, out=value)
+        rows.top = top
+        return value, grad
 
 
 def _coordinate_major(x):
@@ -262,9 +368,16 @@ def _sphere_rule(n: int, m: int):
     return dirs, wts
 
 
-def _ball_nodes(u, m: int):
+def _rule_nodes(n: int, m: int) -> int:
+    """Nodes of the order-m ball rule in R^n: 2m radii, 2m azimuths and m
+    heights for each further dimension."""
+    return 4 * m ** n
+
+
+def _ball_nodes(u, m: int, x=None, wts=None):
     """Order-m product rule on the support ball B(center, 2 width) of u:
-    coordinate-major nodes (n, N) and weights (N,).
+    coordinate-major nodes (n, N) and weights (N,), written into x and wts
+    when given (fresh arrays otherwise).
 
     Gauss-Legendre radii on [0, w] and [w, 2w] with the Jacobian rho^(n-1),
     times _sphere_rule(n, m): N = 2m * 2m * m^(n-2) nodes, radius-major.
@@ -275,33 +388,55 @@ def _ball_nodes(u, m: int):
     rho = np.concatenate([half * (t + 1.0), half * (t + 3.0)])
     w_rho = half * np.concatenate([w, w]) * rho ** (n - 1)
     dirs, w_dir = _sphere_rule(n, m)
-    x = (dirs[:, None, :] * rho[:, None]).reshape(n, -1)
+    if x is None:
+        x, wts = np.empty((n, _rule_nodes(n, m))), np.empty(_rule_nodes(n, m))
+    np.multiply(dirs[:, None, :], rho[:, None], out=x.reshape(n, rho.size, -1))
     x += np.asarray(u.center)[:, None]
-    return x, np.outer(w_rho, w_dir).ravel()
+    np.multiply(w_rho[:, None], w_dir, out=wts.reshape(rho.size, -1))
+    return x, wts
 
 
-def _bump_fields(u, x):
+def _bump_fields(u, x, rows):
     """(u, grad u) at coordinate-major nodes x, the gradient coordinate-major.
 
-    A BumpFunction forms its geometry once for both; any other bump is
-    evaluated through its value and gradient on the (N, n) view.
+    A BumpFunction forms its geometry once for both, into rows taken from
+    rows; any other bump is evaluated through its value and gradient on the
+    (N, n) view.
     """
     if isinstance(u, BumpFunction):
-        return u._fields(x)
+        return u._fields(x, rows)
     return u.value(x.T), np.moveaxis(u.gradient(x.T), -1, 0)
+
+
+#: The orders of the ladder's passes (_ladder): orders 8, 12 and, for kinked
+#: integrands, 10 in one pass, and order 16 alone.
+_LADDER_PASSES = ((8, 10, 12), (16,))
 
 
 def _at_orders(u, terms, orders):
     """[(lhs, rhs_terms, nodes)] of terms at each rule order, from one pass
-    of terms(x, wts, u, grad u, segments) -> [(lhs, rhs_terms)] over the
-    orders' nodes laid end to end, segments[i] the slice of orders[i]."""
-    rules = [_ball_nodes(u, m) for m in orders]
-    x = np.concatenate([nodes for nodes, _ in rules], axis=1)
-    wts = np.concatenate([w for _, w in rules])
-    ends = np.cumsum([w.size for _, w in rules])
-    segments = [slice(end - w.size, end) for end, (_, w) in zip(ends, rules)]
-    found = terms(x, wts, *_bump_fields(u, x), segments)
-    return [(lhs, rhs, w.size) for (lhs, rhs), (_, w) in zip(found, rules)]
+    of terms(x, wts, u, grad u, segments, rows) -> [(lhs, rhs_terms)] over
+    the orders' nodes laid end to end, segments[i] the slice of orders[i].
+
+    Every array of the pass is a row of the thread's workspace, taken from
+    rows; terms takes its rows from rows as well.  A pass that reached past
+    the workspace grows it to the rows the pass took, on the larger of this
+    pass and the ladder's largest pass at this n, so that every later pass
+    of this kind at this n fits.
+    """
+    n = len(u.center)
+    sizes = [_rule_nodes(n, m) for m in orders]
+    ends = list(accumulate(sizes))
+    segments = [slice(end - size, end) for end, size in zip(ends, sizes)]
+    rows = _Rows((ends[-1],), getattr(_local, "buf", None))
+    x, wts = rows(n), rows()
+    for m, seg in zip(orders, segments):
+        _ball_nodes(u, m, x[:, seg], wts[seg])
+    found = terms(x, wts, *_bump_fields(u, x, rows), segments, rows)
+    if rows.peak:
+        largest = max(sum(_rule_nodes(n, m) for m in ms) for ms in _LADDER_PASSES)
+        _local.buf = np.empty(rows.peak * max(ends[-1], largest))
+    return [(lhs, rhs, size) for (lhs, rhs), size in zip(found, sizes)]
 
 
 def _segment_sums(segments, lhs, **rhs):
@@ -352,17 +487,41 @@ def _check_support_clear(u, k: int):
             f"(|center'|={cprime}, |center|={cfull}, width={u.width})")
 
 
-def _log_f_gradient(spec: WeightSpec, x, s, r):
+def _log_f_gradient(spec: WeightSpec, x, s, r, rows=None):
     """grad log f = theta x'/|x'|^2 + lam x/|x|^2 (theta = gamma, lam = 0 on the
-    gamma path) at coordinate-major points x with norms s = |x'|, r = |x|."""
+    gamma path) at coordinate-major points x with norms s = |x'|, r = |x|,
+    in a block of rows taken from rows (a fresh array when None)."""
+    if rows is None:
+        rows = _Rows(np.shape(s))
     k = spec.params.k
     if spec.exponents is None:
         theta, lam = spec.gamma, 0.0
     else:
         theta, lam = spec.exponents.theta, spec.exponents.lam
-    grad = lam * x / (r * r)
-    grad[:k] += theta * x[:k] / (s * s)
+    grad = rows(len(x))
+    top = rows.top
+    np.divide(np.multiply(lam, x, out=grad), np.multiply(r, r, out=rows()), out=grad)
+    term = np.multiply(theta, x[:k], out=rows(k))
+    grad[:k] += np.divide(term, np.multiply(s, s, out=rows()), out=term)
+    rows.top = top
     return grad
+
+
+def _norms_and_weights(spec: WeightSpec, x, rows, weight, scratch: int):
+    """Rows of |x'|, |x|, V and the closed-form weight (_weight_p2 or
+    _weight_general_p, with its scratch rows) at the nodes x of a pass."""
+    params = spec.params
+    s, r, v, w_closed = rows(4)
+    axis_norms(x.T, params.k, out=(s, r, rows.spare(len(x)).T))
+    _hardy_v(params, s, r, out=(v, rows.spare()))
+    weight(spec, s, r, v, out=(w_closed, *rows.spare(scratch)))
+    return s, r, v, w_closed
+
+
+def _grad_power(ugrad, p: float, rows):
+    """|grad u|^p = sqrt(<grad u, grad u>) ** p, in a row taken from rows."""
+    grad_p = _dot(ugrad, ugrad, rows)
+    return _pow(np.sqrt(grad_p, out=grad_p), p, grad_p)
 
 
 def verify_E2(spec: WeightSpec, u) -> IdentityReport:
@@ -376,14 +535,18 @@ def verify_E2(spec: WeightSpec, u) -> IdentityReport:
         raise ValueError("verify_E2 needs a p = 2 WeightSpec with exponents")
     _check_support_clear(u, params.k)
 
-    def terms(x, wts, uval, ugrad, segments):
-        s, r = axis_norms(x.T, params.k)
-        v = _hardy_v(params, s, r)
-        w_closed = _weight_p2(spec, s, r, v)
-        f_ratio_grad = ugrad - uval * _log_f_gradient(spec, x, s, r)
-        return _segment_sums(segments, wts * v * _dot(ugrad, ugrad),
-                             weight_term=wts * w_closed * uval * uval,
-                             remainder_term=wts * v * _dot(f_ratio_grad, f_ratio_grad))
+    def terms(x, wts, uval, ugrad, segments, rows):
+        s, r, v, w_closed = _norms_and_weights(spec, x, rows, _weight_p2, 3)
+        # grad(u/f) f = grad u - u grad log f
+        f_ratio_grad = _log_f_gradient(spec, x, s, r, rows)
+        np.subtract(ugrad, np.multiply(uval, f_ratio_grad, out=f_ratio_grad), out=f_ratio_grad)
+        wv = np.multiply(wts, v, out=v)
+        lhs = _dot(ugrad, ugrad, rows)
+        remainder = _dot(f_ratio_grad, f_ratio_grad, rows)
+        weight = np.multiply(np.multiply(wts, w_closed, out=w_closed), uval, out=w_closed)
+        return _segment_sums(segments, np.multiply(wv, lhs, out=lhs),
+                             weight_term=np.multiply(weight, uval, out=weight),
+                             remainder_term=np.multiply(wv, remainder, out=remainder))
 
     return _ladder(u, terms, smooth=True)
 
@@ -405,32 +568,47 @@ def verify_Ep(spec: WeightSpec, u) -> IdentityReport:
         raise ValueError("p < 2 requires |grad f| > 0, so gamma != 0")
     _check_support_clear(u, params.k)
 
-    def terms(x, wts, uval, ugrad, segments):
-        s, r = axis_norms(x.T, params.k)
-        v = _hardy_v(params, s, r)
-        w_closed = _weight_general_p(spec, s, r, v)
-        grad_p = np.sqrt(_dot(ugrad, ugrad)) ** p
-        rvals = _r_rows(ugrad, -uval * _log_f_gradient(spec, x, s, r), p, _nx_p=grad_p)
-        return _segment_sums(segments, wts * v * grad_p,
-                             weight_term=wts * w_closed * np.abs(uval) ** p,
-                             remainder_term=wts * v * rvals)
+    def terms(x, wts, uval, ugrad, segments, rows):
+        s, r, v, w_closed = _norms_and_weights(spec, x, rows, _weight_general_p, 1)
+        grad_p = _grad_power(ugrad, p, rows)
+        # Y = -u grad log f
+        y = _log_f_gradient(spec, x, s, r, rows)
+        np.multiply(np.negative(uval, out=rows.spare()), y, out=y)
+        rvals = _r_rows(ugrad, y, p, _nx_p=grad_p, rows=rows)
+        wv = np.multiply(wts, v, out=v)
+        u_p = rows()
+        _pow(np.abs(uval, out=u_p), p, u_p)
+        weight = np.multiply(np.multiply(wts, w_closed, out=w_closed), u_p, out=w_closed)
+        return _segment_sums(segments, np.multiply(wv, grad_p, out=grad_p),
+                             weight_term=weight,
+                             remainder_term=np.multiply(wv, rvals, out=rvals))
 
     return _ladder(u, terms, smooth=p % 2 == 0)
 
 
 # ------------------------------------------------------------------- CKN
 
-def _ckn_fields(ckn: CknParams, x):
+def _ckn_fields(ckn: CknParams, x, rows=None):
     """(V, F, |F|, closed-form div(V |F|^(p-2) F)) at coordinate-major points
     x (n, N); F is coordinate-major too.  |x'| and |x| come from axis_norms,
-    whose calls certbench's tracer counts as the CKN check's points."""
-    s, r = axis_norms(x.T, ckn.n - 1)
-    V = s ** (ckn.p * ckn.mu) * r ** (ckn.p * ckn.gamma2)
-    s_field = s ** (ckn.beta - ckn.mu)
-    fmag = s_field * r ** (ckn.gamma3 - ckn.gamma2)
-    F = s_field * r ** (ckn.gamma3 - ckn.gamma2 - 1.0) * x
-    div_closed = ((ckn.n + ckn.p * (ckn.alpha + ckn.gamma1))
-                  * s ** (ckn.alpha * ckn.p) * r ** (ckn.gamma1 * ckn.p))
+    whose calls certbench's tracer counts as the CKN check's points.  The
+    fields are rows taken from rows (fresh arrays when None)."""
+    if rows is None:
+        rows = _Rows(np.shape(x)[1:])
+    V, fmag, div_closed, F = rows(), rows(), rows(), rows(len(x))
+    top = rows.top
+    s, r, s_field, tmp = rows(4)
+    axis_norms(x.T, ckn.n - 1, out=(s, r, rows.spare(len(x)).T))
+    p = ckn.p
+    np.multiply(_pow(s, p * ckn.mu, V), _pow(r, p * ckn.gamma2, tmp), out=V)
+    _pow(s, ckn.beta - ckn.mu, s_field)
+    np.multiply(s_field, _pow(r, ckn.gamma3 - ckn.gamma2, tmp), out=fmag)
+    radial = np.multiply(s_field, _pow(r, ckn.gamma3 - ckn.gamma2 - 1.0, tmp), out=tmp)
+    np.multiply(radial, x, out=F)
+    scale = ckn.n + p * (ckn.alpha + ckn.gamma1)
+    np.multiply(np.multiply(scale, _pow(s, ckn.alpha * p, div_closed), out=div_closed),
+                _pow(r, ckn.gamma1 * p, tmp), out=div_closed)
+    rows.top = top
     return V, F, fmag, div_closed
 
 
@@ -510,16 +688,20 @@ def verify_CKNp(ckn: CknParams, u) -> IdentityReport:
     _check_support_clear(u, ckn.n - 1)
     p = ckn.p
 
-    def terms(x, wts, uval, ugrad, segments):
-        V, F, fmag, div_closed = _ckn_fields(ckn, x)
-        u_p = np.abs(uval) ** p
-        grad_p = np.sqrt(_dot(ugrad, ugrad)) ** p
-        integrals = _segment_sums(segments, wts * V * grad_p,
-                                  field=wts * V * fmag ** p * u_p,
-                                  divergence=wts * div_closed * u_p)
+    def terms(x, wts, uval, ugrad, segments, rows):
+        V, F, fmag, div_closed = _ckn_fields(ckn, x, rows)
+        u_p, lhs_rows = rows(2)
+        _pow(np.abs(uval, out=u_p), p, u_p)
+        grad_p = _grad_power(ugrad, p, rows)
+        wV = np.multiply(wts, V, out=V)
+        field = np.multiply(np.multiply(wV, _pow(fmag, p, fmag), out=fmag), u_p, out=fmag)
+        divergence = np.multiply(np.multiply(wts, div_closed, out=div_closed), u_p,
+                                 out=div_closed)
+        integrals = _segment_sums(segments, np.multiply(wV, grad_p, out=lhs_rows),
+                                  field=field, divergence=divergence)
         # kappa0 per segment, spread over its nodes: kappa0^(1/(p-1)) scales
         # the field and p kappa0 divides the remainder
-        scale, divisor = np.empty_like(uval), np.empty_like(uval)
+        scale, divisor = rows(2)
         lhs = []
         for seg, (i_grad, rest) in zip(segments, integrals):
             i_field = rest["field"]
@@ -528,8 +710,11 @@ def verify_CKNp(ckn: CknParams, u) -> IdentityReport:
             kappa0 = (i_grad / i_field) ** ((p - 1.0) / p)
             scale[seg], divisor[seg] = kappa0 ** (1.0 / (p - 1.0)), p * kappa0
             lhs.append(i_grad ** (1.0 / p) * i_field ** ((p - 1.0) / p))
-        rvals = _r_rows(ugrad, uval * scale * F, p, _nx_p=grad_p)
-        remainder = _segment_sums(segments, wts * V / divisor * rvals)
+        # Y = u kappa0^(1/(p-1)) F
+        np.multiply(np.multiply(uval, scale, out=scale), F, out=F)
+        rvals = _r_rows(ugrad, F, p, _nx_p=grad_p, rows=rows)
+        remainder = _segment_sums(
+            segments, np.multiply(np.divide(wV, divisor, out=divisor), rvals, out=rvals))
         return [(value, {"divergence_term": rest["divergence"] / p, "remainder_term": t_rem})
                 for value, (_, rest), (t_rem, _) in zip(lhs, integrals, remainder)]
 
@@ -609,19 +794,25 @@ class SpotTestReport:
 def hardy_spot_test(params: HardyParams, bumps) -> SpotTestReport:
     """Rayleigh quotients of arbitrary bumps must dominate the closed constant.
 
-    Each quotient is taken with the order-16 ball rule."""
+    Each quotient is one pass of the order-16 ball rule (_at_orders)."""
     bumps = list(bumps)
     if not bumps:
         raise EmptyInputError("hardy_spot_test needs at least one bump")
     p = params.p
+
+    def terms(x, wts, uval, ugrad, segments, rows):
+        s, r, v, u_p = rows(4)
+        axis_norms(x.T, params.k, out=(s, r, rows.spare(len(x)).T))
+        _hardy_v(params, s, r, out=(v, rows.spare()))
+        wv = np.multiply(wts, v, out=v)
+        num = np.multiply(wv, _grad_power(ugrad, p, rows), out=r)
+        den = np.multiply(wv, _pow(s, -p, s), out=s)
+        np.multiply(den, _pow(np.abs(uval, out=u_p), p, u_p), out=den)
+        return _segment_sums(segments, num, den=den)
+
     best = math.inf
     for u in bumps:
         _check_support_clear(u, params.k)
-        x, wts = _ball_nodes(u, 16)
-        uval, ugrad = _bump_fields(u, x)
-        s, r = axis_norms(x.T, params.k)
-        v = _hardy_v(params, s, r)
-        num = float(np.sum(wts * v * np.sqrt(_dot(ugrad, ugrad)) ** p))
-        den = float(np.sum(wts * v * s ** (-p) * np.abs(uval) ** p))
-        best = min(best, num / den)
+        [(num, rest, _)] = _at_orders(u, terms, (16,))
+        best = min(best, num / rest["den"])
     return SpotTestReport(best, sharp_constant_general_p(params).value)

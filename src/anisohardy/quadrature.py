@@ -120,30 +120,54 @@ def sin_power_integral(lam: float, numeric: bool = False) -> float:
 
 # ----------------------------------------------------------------- cutoff
 
-def _smoothstep(u):
-    # quintic ramp, C^2 with S(0)=0, S(1)=1, S'(0)=S'(1)=S''(0)=S''(1)=0
-    return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
+def _pow(base, e, out=None):
+    """base ** e, into out when it is given.  For arrays numpy's power with
+    out= rounds as ** does; a numpy scalar base with out=None keeps the
+    scalar ** of the C library, which can round differently."""
+    return base ** e if out is None else np.power(base, e, out=out)
 
 
-def cutoff_eta(t):
+def _smoothstep(u, out=None):
+    """Quintic ramp S(u) = u^3 (10 + u (-15 + 6 u)), C^2 with S(0) = 0,
+    S(1) = 1, S'(0) = S'(1) = S''(0) = S''(1) = 0.  out: None, or (S, scratch),
+    two arrays shaped like u."""
+    res, tmp = (None, None) if out is None else out
+    s = np.multiply(6.0, u, out=tmp)
+    s = np.add(-15.0, s, out=tmp)
+    s = np.multiply(u, s, out=tmp)
+    s = np.add(10.0, s, out=tmp)
+    cube = np.multiply(u, u, out=res)
+    cube = np.multiply(cube, u, out=res)
+    return np.multiply(cube, s, out=res)
+
+
+def cutoff_eta(t, out=None):
     """C^2 cutoff: identically 1 on (-inf, 1], 0 on [2, inf), quintic ramp between.
 
     Accepts scalars or arrays.  |eta'| <= 15/8 everywhere.  Evaluated as
     S(2 - t) through the ramp's symmetry 1 - S(u) = S(1 - u): S(v) >= 0 for
     every v >= 0, whereas 1 - S(t - 1) rounds to about -1e-15 just below 2
-    and makes eta ** p NaN for non-integer p.
+    and makes eta ** p NaN for non-integer p.  out: None, or (eta, scratch,
+    scratch), three arrays shaped like t; eta is written into the first.
     """
     arr = np.asarray(t, dtype=float)
-    out = _smoothstep(np.clip(2.0 - arr, 0.0, 1.0))
-    return float(out) if arr.ndim == 0 else out
+    res, u, tmp = (None,) * 3 if out is None else out
+    u = np.clip(np.subtract(2.0, arr, out=u), 0.0, 1.0, out=u)
+    value = _smoothstep(u, (res, tmp))
+    return float(value) if arr.ndim == 0 else value
 
 
-def cutoff_eta_prime(t):
-    """Derivative of cutoff_eta: -30 u^2 (1-u)^2 on the ramp, 0 elsewhere."""
+def cutoff_eta_prime(t, out=None):
+    """Derivative of cutoff_eta: -30 u^2 (1-u)^2 on the ramp, 0 elsewhere.
+    out: None, or (eta', scratch), two arrays shaped like t."""
     arr = np.asarray(t, dtype=float)
-    u = np.clip(arr - 1.0, 0.0, 1.0)
-    out = -30.0 * u * u * (1.0 - u) ** 2
-    return float(out) if arr.ndim == 0 else out
+    res, tmp = (None, None) if out is None else out
+    u = np.clip(np.subtract(arr, 1.0, out=tmp), 0.0, 1.0, out=tmp)
+    value = np.multiply(-30.0, u, out=res)
+    value = np.multiply(value, u, out=res)
+    fall = _pow(np.subtract(1.0, u, out=tmp), 2, tmp)
+    value = np.multiply(value, fall, out=res)
+    return float(value) if arr.ndim == 0 else value
 
 
 # ------------------------------------------------------------- quadrature

@@ -32,7 +32,7 @@ denominator both grow like |ln eps|.  Extrapolation fits exactly that model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -73,12 +73,19 @@ class FamilyKind(Enum):
 
 @dataclass(frozen=True)
 class TrialFamily:
-    """One member (eps, sigma) of an extremizing family."""
+    """One member (eps, sigma) of an extremizing family.
+
+    Its exponents are formed once, as the member is built: h_exponent, the
+    power of |x'| in h, and exponents, the pair (a_phi, a_r) of _exponents.
+    They take no part in equality or the repr.
+    """
 
     kind: FamilyKind
     params: HardyParams
     epsilon: float
     sigma: float = 0.0
+    h_exponent: float = field(init=False, repr=False, compare=False)
+    exponents: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -107,7 +114,9 @@ class TrialFamily:
                 if not 0.0 < self.sigma < bound:
                     raise ValueError(
                         f"the K < 1 family requires 0 < sigma < {bound}")
-        for what, value in zip(("angular", "radial"), _exponents(self)):  # g(0) is finite
+        object.__setattr__(self, "h_exponent", self._h_exponent())
+        object.__setattr__(self, "exponents", _exponents(self))
+        for what, value in zip(("angular", "radial"), self.exponents):  # g(0) is finite
             if value <= -1.0:
                 raise SingularParamsError(
                     f"reduced {what} exponent {value} <= -1; integral diverges")
@@ -118,8 +127,7 @@ class TrialFamily:
         the bit; the member checks admissibility itself."""
         return _k_value(self.params)
 
-    @property
-    def h_exponent(self) -> float:
+    def _h_exponent(self) -> float:
         """Power of |x'| in h."""
         p = self.params
         theta0 = (1.0 - p.n - 2.0 * p.alpha) / 2.0
@@ -266,7 +274,7 @@ def _quotients(families) -> tuple[SweepRow, ...]:
     (p, b) whose angular closed form is not resolved (_angular_resolved)
     raises NotConvergedError before any integrand is evaluated.
     """
-    pw, exponents = families[0].params.p, [_exponents(f) for f in families]
+    pw, exponents = families[0].params.p, [f.exponents for f in families]
     for b in dict.fromkeys((a_phi + 1.0) / 2.0 for a_phi, _ in exponents):
         if not _angular_resolved(pw, b):
             raise NotConvergedError(f"the angular closed form at (p, b) = ({pw}, {b}) is not "

@@ -48,6 +48,7 @@ import numpy as np
 
 from .errors import IllConditionedError, SingularPointError
 from .params import ExponentPair, HardyParams
+from .quadrature import _pow
 
 __all__ = [
     "WeightSpec", "H", "H1", "H2", "H2_larger_root", "axis_norms",
@@ -94,24 +95,35 @@ def H1(theta: float, lam: float, params: HardyParams) -> float:
     return H(theta, params) - H2(theta, lam, params)
 
 
-def axis_norms(x, k: int):
+def axis_norms(x, k: int, out=None):
     """(|x'|, |x|) for points of shape (..., n), x' = first k coordinates.
 
     A complex point stays complex: the norms are the analytic continuations
-    sqrt(sum z_i^2), as the oracles' complex step needs.
+    sqrt(sum z_i^2), as the oracles' complex step needs.  out: None, or
+    (|x'|, |x|, squares), arrays of the points' shape less its last axis and,
+    for the squares of the coordinates, of the points' shape; the squares
+    keep the layout of x for the bits of its sums.
     """
     arr = np.asarray(x)
     if arr.dtype.kind != "c":
         arr = np.asarray(arr, dtype=float)
-    s = np.sqrt(np.sum(arr[..., :k] ** 2, axis=-1))
-    r = np.sqrt(np.sum(arr ** 2, axis=-1))
+    s, r, squares = (None,) * 3 if out is None else out
+    squares = np.square(arr, out=squares)
+    s = np.sqrt(np.sum(squares[..., :k], axis=-1, out=s), out=s)
+    r = np.sqrt(np.sum(squares, axis=-1, out=r), out=r)
     return s, r
 
 
-def _hardy_v(params: HardyParams, s, r):
+def _hardy_v(params: HardyParams, s, r, out=None):
     """V = |x'|^(p(alpha+1)) |x|^(p beta) from the norms s = |x'| and r = |x|;
-    at p = 2 the exponent 2(alpha+1) has the bits of 2 alpha + 2."""
-    return s ** (params.p * (params.alpha + 1.0)) * r ** (params.p * params.beta)
+    at p = 2 the exponent 2(alpha+1) has the bits of 2 alpha + 2.  out: None,
+    or (V, scratch), two arrays shaped like s."""
+    v, tmp = (None, None) if out is None else out
+    s_part = _pow(s, params.p * (params.alpha + 1.0), v)
+    r_part = _pow(r, params.p * params.beta, tmp)
+    # numpy's scalar * keeps the rounding of a complex scalar product, which
+    # its multiply loop need not
+    return s_part * r_part if v is None else np.multiply(s_part, r_part, out=v)
 
 
 @dataclass(frozen=True)
@@ -144,8 +156,11 @@ class WeightSpec:
         return s ** self.gamma
 
 
-def _guard(s, r):
-    if np.any(s < GUARD_COEFF * (1.0 + r)):
+def _guard(s, r, scratch=None):
+    """SingularPointError unless |x'| >= GUARD_COEFF (1 + |x|) at every point;
+    scratch, when given, is an array shaped like s that receives the test."""
+    bound = np.multiply(GUARD_COEFF, np.add(1.0, r, out=scratch), out=scratch)
+    if np.any(np.less(s, bound, out=scratch)):
         raise SingularPointError(
             "point lies inside the singular-set guard zone |x'| < 1e-8 (1+|x|)")
 
@@ -162,21 +177,29 @@ def weight_p2(x, spec: WeightSpec):
     return float(w) if arr.ndim == 1 else w
 
 
-def _weight_p2(spec: WeightSpec, s, r, v=None):
+def _weight_p2(spec: WeightSpec, s, r, v=None, out=None):
     """weight_p2 from the norms s = |x'| and r = |x|; v, when given, is V at
-    those norms and must have the bits of _hardy_v."""
+    those norms and must have the bits of _hardy_v.  out: None, or (W, three
+    scratch arrays), four arrays shaped like s."""
     if spec.exponents is None:
         raise ValueError("weight_p2 needs a WeightSpec with exponents=(theta, lam)")
     p = spec.params
     if p.p != 2:
         raise ValueError(f"weight_p2 requires p = 2, got p = {p.p}")
-    _guard(s, r)
+    w, t1, t2, t3 = (None,) * 4 if out is None else out
+    _guard(s, r, t1)
     th, la = spec.exponents.theta, spec.exponents.lam
     if v is None:
         v = _hardy_v(p, s, r)
     h1 = H1(th, la, p)
     h2 = H2(th, la, p)
-    return h1 * v / s ** 2 + h2 * v * (r * r - s * s) / (s * s * r * r)
+    # h1 v / s^2 + h2 v (r r - s s) / (s s r r)
+    first = np.divide(np.multiply(h1, v, out=w), _pow(s, 2, t1), out=w)
+    ss = np.multiply(s, s, out=t3)
+    across = np.subtract(np.multiply(r, r, out=t2), ss, out=t2)
+    num = np.multiply(np.multiply(h2, v, out=t1), across, out=t1)
+    den = np.multiply(np.multiply(ss, r, out=t3), r, out=t3)
+    return np.add(first, np.divide(num, den, out=t1), out=w)
 
 
 def weight_general_p(x, spec: WeightSpec):
@@ -192,22 +215,30 @@ def weight_general_p(x, spec: WeightSpec):
     return float(w) if arr.ndim == 1 else w
 
 
-def _weight_general_p(spec: WeightSpec, s, r, v=None):
+def _weight_general_p(spec: WeightSpec, s, r, v=None, out=None):
     """weight_general_p from the norms s = |x'| and r = |x|; v, when given, is
-    V at those norms and must have the bits of _hardy_v."""
+    V at those norms and must have the bits of _hardy_v.  out: None, or (W,
+    scratch), two arrays shaped like s."""
     if spec.gamma is None:
         raise ValueError("weight_general_p needs a WeightSpec with gamma")
     p = spec.params
-    _guard(s, r)
+    w, tmp = (None, None) if out is None else out
+    _guard(s, r, tmp)
     g = spec.gamma
     if g == 0.0:
-        return np.zeros_like(s)
+        if w is None:
+            return np.zeros_like(s)
+        w.fill(0.0)
+        return w
     gq = abs(g) ** (p.p - 2.0) * g
     if v is None:
         v = _hardy_v(p, s, r)
-    bracket = (-gq * ((p.p - 1.0) * g + p.k + p.p * p.alpha)
-               - gq * p.beta * p.p * (s * s) / (r * r))
-    return v * s ** (-p.p) * bracket
+    # bracket = -gq ((p-1) g + k + p a) - gq b p s s / (r r)
+    ratio = np.multiply(gq * p.beta * p.p, np.multiply(s, s, out=w), out=w)
+    ratio = np.divide(ratio, np.multiply(r, r, out=tmp), out=w)
+    bracket = np.subtract(-gq * ((p.p - 1.0) * g + p.k + p.p * p.alpha), ratio, out=w)
+    scale = np.multiply(v, _pow(s, -p.p, tmp), out=tmp)
+    return np.multiply(scale, bracket, out=w)
 
 
 # ------------------------------------------------------------- FD oracles

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -850,3 +853,98 @@ class TestSameAsRowMajor:
         # equals the row of the (1, n) batch
         ref = RowMajor.gradient(u, x if len(shape) > 1 else x[None])
         assert np.ascontiguousarray(grad).tobytes() == ref.tobytes()
+
+
+def _in_new_thread(fn, *args):
+    """fn(*args) in a thread of its own, whose workspace starts empty."""
+    found = []
+    worker = threading.Thread(target=lambda: found.append(fn(*args)))
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    return found[0]
+
+
+def _mixed_checks():
+    """(name, check, args) of every kind at n = 2 and n = 3, and Ep checks
+    that go on to order 16 at n = 2 and at n = 3."""
+    seed = report.CRITERION_SEEDS[8]
+    checks = []
+    for i in range(2):
+        checks.append((f"E2 {i}", verify_E2, sample_e2_config(seed, i)))
+        checks.append((f"CKN {i}", verify_CKNp, sample_ckn_config(seed + 2, i)))
+    checks.append(("Ep n=3 to 16", verify_Ep, sample_ep_config(seed + 1, 0, EP_P_CYCLE[0])))
+    checks.append(("Ep n=2 to 16", verify_Ep, sample_ep_config(7, 2, 1.5)))
+    checks.append(("Ep n=2", verify_Ep, sample_ep_config(seed + 1, 2, EP_P_CYCLE[2])))
+    return checks
+
+
+class TestWorkspace:
+    """Every pass evaluates into one workspace per thread, which it reuses."""
+
+    def test_interleaved_checks_equal_each_check_alone(self, monkeypatch):
+        checks = _mixed_checks()
+        alone = {name: _in_new_thread(check, *args) for name, check, args in checks}
+        assert {len(args[1].center) for _, _, args in checks} == {2, 3}
+        assert alone["Ep n=3 to 16"].nodes == 4 * 16 ** 3
+        assert alone["Ep n=2 to 16"].order == 16
+        alone = {name: _bits(rep) for name, rep in alone.items()}
+        # the (8, 10, 12, 16) pass of TestOrderLadder, which is larger than
+        # any pass of the ladder
+        ckn, u = sample_ckn_config(9, 1)
+        _, seen = _traced(monkeypatch, verify_CKNp, ckn, u)
+        four = _in_new_thread(identities._at_orders, u, seen[0][1], (8, 10, 12, 16))
+        for name, check, args in checks + checks[::-1]:
+            assert _bits(check(*args)) == alone[name], name
+            assert identities._at_orders(u, seen[0][1], (8, 10, 12, 16)) == four
+
+    def test_concurrent_threads_equal_a_sequential_run(self):
+        # more threads than cores, each through the checks in its own order,
+        # switching often: a shared workspace would mix their rows
+        checks = _mixed_checks()
+        sequential = [_bits(check(*args)) for _, check, args in checks]
+        start = threading.Barrier(4)
+        found = {}
+
+        def run(shift):
+            order = [(i + shift) % len(checks) for i in range(len(checks))]
+            if shift % 2:
+                order.reverse()
+            start.wait()
+            found[shift] = {i: _bits(checks[i][1](*checks[i][2])) for i in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=run, args=(shift,)) for shift in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for shift in range(4):
+            assert [found[shift][i] for i in range(len(checks))] == sequential, shift
+
+    @pytest.mark.parametrize("kind", ["E2", "Ep", "CKN"])
+    def test_warm_n3_check_allocates_no_node_rows(self, kind):
+        # at n = 3 a row of the (8, 10, 12) pass is 101 KiB and one of order
+        # 16 128 KiB; fresh arrays for every temporary take 1.7 to 3.5 MiB
+        seed = report.CRITERION_SEEDS[8]
+        check, args = {
+            "E2": (verify_E2, sample_e2_config(seed, 1)),
+            "Ep": (verify_Ep, sample_ep_config(seed + 1, 0, EP_P_CYCLE[0])),
+            "CKN": (verify_CKNp, sample_ckn_config(seed + 2, 1)),
+        }[kind]
+        assert len(args[1].center) == 3
+        expected = check(*args)
+        tracemalloc.start()
+        try:
+            rep = check(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the workspace did not grow either: that would trace its 3 MiB
+        assert peak <= 512 * 1024
+        assert _bits(rep) == _bits(expected)

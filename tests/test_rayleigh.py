@@ -373,6 +373,22 @@ class TestWorkCounts:
         sweep_and_extrapolate(params)
         assert len(found) == calls
 
+    @pytest.mark.parametrize("params,members", [
+        (K3_PARAMS, 5), (HardyParams(3, 2.0, 0.0, -0.05), 20), (HardyParams(3, 3.0, 0.0, 0.5), 20)],
+        ids=["K>1", "K<1", "general_p"])
+    def test_h_exponent_once_per_member(self, monkeypatch, params, members):
+        # formed once, as the member is built, for its checks in
+        # __post_init__, the quotients and the rows
+        found = []
+        plain = rayleigh.TrialFamily._h_exponent
+
+        def counted(family):
+            found.append(family)
+            return plain(family)
+        monkeypatch.setattr(rayleigh.TrialFamily, "_h_exponent", counted)
+        result = sweep_and_extrapolate(params)
+        assert len(result.rows) == members and len(found) == members
+
 
 class TestGoldenSweeps:
     """The default sweeps' rows and extrapolated values as float.hex, recorded
