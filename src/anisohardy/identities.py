@@ -443,7 +443,8 @@ def _segment_sums(segments, lhs, **rhs):
     """[(lhs, rhs_terms)] per segment from the integrand values (weights
     applied): each sum runs over its segment alone, so it has the bits of
     np.sum over that order's rule."""
-    return [(float(np.sum(lhs[seg])), {k: float(np.sum(v[seg])) for k, v in rhs.items()})
+    return [(float(np.add.reduce(lhs[seg])),
+             {k: float(np.add.reduce(v[seg])) for k, v in rhs.items()})
             for seg in segments]
 
 

@@ -109,8 +109,8 @@ def axis_norms(x, k: int, out=None):
         arr = np.asarray(arr, dtype=float)
     s, r, squares = (None,) * 3 if out is None else out
     squares = np.square(arr, out=squares)
-    s = np.sqrt(np.sum(squares[..., :k], axis=-1, out=s), out=s)
-    r = np.sqrt(np.sum(squares, axis=-1, out=r), out=r)
+    s = np.sqrt(np.add.reduce(squares[..., :k], axis=-1, out=s), out=s)
+    r = np.sqrt(np.add.reduce(squares, axis=-1, out=r), out=r)
     return s, r
 
 
@@ -257,7 +257,7 @@ def _complex_partial(f: Callable, z: np.ndarray, j: int, step: float) -> float:
         raise ValueError(
             "the divergence oracle needs f complex-analytic: f returned a real "
             "value at a complex point (abs, np.linalg.norm or a float cast inside f?)")
-    return float(np.imag(value)) / step
+    return float(value.imag) / step
 
 
 def _flux_divergence(V: Callable, f: Callable, p: float, x: np.ndarray, h: float,
@@ -318,8 +318,9 @@ def divergence_oracle_p(V: Callable, f: Callable, p: float, x) -> float:
     # The outer difference's roundoff (~eps/h) and the Richardson pair's
     # truncation stay below ~1e-9 relative at this step for the steep
     # exponents of the oracle checks.
-    step = 4e-3 * (1.0 + float(np.linalg.norm(pt)))
-    cs = _COMPLEX_STEP * (1.0 + float(np.linalg.norm(pt)))
+    scale = 1.0 + float(np.linalg.norm(pt))
+    step = 4e-3 * scale
+    cs = _COMPLEX_STEP * scale
     if p < 2 and not any(_complex_partial(f, pt, j, cs) for j in range(pt.size)):
         raise ValueError("divergence_oracle_p with p < 2 needs |grad f| > 0 at x")
     stages = [_flux_divergence(V, f, p, pt, step * s, cs) for s in (1.0, 0.5, 0.25)]

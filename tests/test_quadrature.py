@@ -424,6 +424,25 @@ class TestPanels:
             assert x.tobytes() == np.where(t <= 0.0, lo + (hi - lo) * d,
                                            hi - (hi - lo) * d).tobytes()
 
+    def test_nodes_round_onto_every_panel_end_but_0(self):
+        # a node within about half an ulp of a panel end is that end
+        ends = collections.Counter()
+        for lo, hi in [(0.0, 1.0), (1.0, 2.0)]:
+            for level in range(8):
+                x = quadrature._panel_nodes(lo, hi, level)
+                ends.update(x[(x == 0.0) | (x == 1.0) | (x == 2.0)].tolist())
+                ends["nodes"] += x.size
+        # 1,152 of the 3,154 nodes of levels 0 to 7; none is 0
+        assert ends == {1.0: 767, 2.0: 385, "nodes": 3154}
+
+    def test_a_singularity_is_integrable_at_an_end_at_0_only(self):
+        assert abs(integrate_1d(lambda x: x ** -0.5, 0.0, 1.0).value - 2.0) <= 2.3e-16
+        with np.errstate(divide="ignore"):
+            for f, a, b in [(lambda x: (1.0 - x) ** -0.5, 0.0, 1.0),
+                            (lambda x: (x - 1.0) ** -0.5, 1.0, 2.0)]:
+                with pytest.raises(NotConvergedError, match=r"last sum inf\)"):
+                    integrate_1d(f, a, b)
+
     ROWS = (lambda x: x ** -0.3 * np.exp(x), lambda x: np.abs(x - 0.7) ** 2.5,
             lambda x: np.sin(3.0 * x))
 

@@ -40,6 +40,23 @@ def test_identity_work_one_check(capsys):
         _load("identity_work").main(["--check", "CKN n=4"])
 
 
+def test_oracle_work(capsys):
+    out = _run("oracle_work", ["--repeats", "1"], capsys)
+    assert sorted(out["rows"]) == sorted(f"p={p} n={n}" for p in ("2", "1.5", "3")
+                                         for n in (2, 3, 4, 5))
+    for name, row in out["rows"].items():
+        n = int(name[-1])
+        # three stages of central differences, one flux per side and axis;
+        # at p = 2 the flux takes one partial of f, else all n of them; then
+        # f at the point, and at p < 2 first a check that the gradient does
+        # not vanish, which stops at the first nonzero partial
+        assert row["V_evals_per_call"] == 6 * n, name
+        per_flux = 1 if name.startswith("p=2 ") else n
+        assert row["f_evals_per_call"] == 6 * n * per_flux + 1 + name.startswith("p=1.5"), name
+        assert row["profiled_calls_per_call"] > 0 and row["median_us"] > 0
+    assert out["numpy"] and out["criterion_11_s"] > 0
+
+
 def test_sweep_work(capsys):
     out = _run("sweep_work", [], capsys)
     assert sorted(out) == ["K<1", "K>1", "general_p", "general_p4"]
@@ -47,3 +64,8 @@ def test_sweep_work(capsys):
     for row in out.values():
         assert row["integrand_calls"] > 0 and row["driver_us"] > 0
     assert out["general_p4"]["bracket"]["keys_built"] == []
+    # radial nodes within about half an ulp of r = 1 or r = 2 are that radius
+    names = ("K>1", "K<1", "general_p")
+    assert [out[k]["nodes"] for k in names] == [1774, 1774, 986]
+    assert [sum(out[k]["panel_end_nodes"].values()) for k in names] == [478, 478, 287]
+    assert out["general_p"]["panel_end_nodes"] == {"0.0": 0, "1.0": 239, "2.0": 48}

@@ -322,3 +322,73 @@ class TestWeightsFromNorms:
             for pts in (x, x[1]):
                 with pytest.raises(SingularPointError):
                     weight(pts, spec)
+
+
+def _oracle_draws(seed=2024):
+    """(spec, p, point) triples: p = 2 pair specs at n = 2..5 on the full
+    axis and, for n >= 3, on k = 1, three points each; gamma specs at
+    p = 1.5 and 3 for n = 2..5, two points each.  40 in all, with
+    |x'| > 0.3 and 0.3 < |x| < 2.5."""
+    rng = np.random.default_rng(seed)
+
+    def params(n, p, k):
+        while True:
+            a, b = rng.uniform(-0.7, 0.7, size=2)
+            par = HardyParams(n, p, float(a), float(b), k)
+            if k + p * a > 0.1 and p * (a + b) + n > 0.1:
+                return par
+
+    def points(n, k, count):
+        kept = []
+        while len(kept) < count:
+            x = rng.uniform(-2.0, 2.0, size=n)
+            s, r = np.linalg.norm(x[:k]), np.linalg.norm(x)
+            if s > 0.3 and 0.3 < r < 2.5:
+                kept.append(x)
+        return kept
+
+    draws = []
+    for n, k in ((2, 1), (3, 2), (3, 1), (4, 3), (4, 1), (5, 4), (5, 1), (5, 2)):
+        pair = ExponentPair(*(float(v) for v in rng.uniform(-1.5, 1.5, size=2)))
+        spec = WeightSpec(params(n, 2.0, k), exponents=pair)
+        draws += [(spec, 2.0, x) for x in points(n, k, 3)]
+    for p in (1.5, 3.0):
+        for n in (2, 3, 4, 5):
+            spec = WeightSpec(params(n, p, n - 1), gamma=float(rng.uniform(0.3, 1.0)))
+            draws += [(spec, p, x) for x in points(n, n - 1, 2)]
+    return draws
+
+
+class TestOracleGolden:
+    """The oracle's values on seeded (spec, point) pairs, as the sha256 of
+    their float.hex in order, and the oracle's per-point path free of numpy's
+    Python wrappers np.sum and np.imag: each reduction calls the ufunc method
+    the wrapper ends in, with the same bits and fewer Python-level calls."""
+
+    def test_values_to_the_bit(self):
+        import hashlib
+        values = []
+        for spec, p, x in _oracle_draws():
+            values.append(divergence_oracle(spec.V, spec.f, x) if p == 2.0
+                          else divergence_oracle_p(spec.V, spec.f, p, x))
+        assert len(values) == 40
+        digest = hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest()
+        assert digest == "b2a8868bf2686ceb5c32f888799e3d7497ce647768273dc305bc61526a761095"
+
+    def test_criterion_11_to_the_bit(self):
+        from anisohardy.report import run_criterion_11
+        details = run_criterion_11().details
+        assert details["weight_worst"] == 4.732243149620835e-11
+        assert details["leray_worst"] == 7.343354232400499e-10
+
+    def test_path_calls_no_sum_or_imag_wrapper(self, monkeypatch):
+        draws = _oracle_draws()[::5]
+        expected = [divergence_oracle_p(spec.V, spec.f, p, x) for spec, p, x in draws]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the oracle's path called a numpy wrapper")
+
+        monkeypatch.setattr(np, "sum", refused)
+        monkeypatch.setattr(np, "imag", refused)
+        got = [divergence_oracle_p(spec.V, spec.f, p, x) for spec, p, x in draws]
+        assert got == expected

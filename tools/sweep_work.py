@@ -6,6 +6,9 @@ the default sweep at the even p = 4, it prints, as JSON:
 - integrand calls, radial nodes and row-nodes of its one tanh-sinh pass,
   and the polyfit calls of its fits: counts that do not depend on the
   machine;
+- "panel_end_nodes": the radial nodes of the pass that sit exactly on a
+  panel end, r = 0, the break r = 1 or r = 2, by end: a node at distance d
+  below about half an ulp of its panel end rounds onto it;
 - "profile_node_evals": the radial profiles (rows of rayleigh._g_and_prime,
   which forms g and g') times the nodes of each integrand call, summed
   over the pass, and "compute_K_calls", the calls of params.compute_K that
@@ -69,9 +72,12 @@ BRACKET_SWEEPS = {"general_p": SWEEPS["general_p"], "general_p4": HardyParams(3,
 
 
 def work_counts(params) -> dict:
-    """Integrand calls, nodes, row-nodes, profile-node evaluations, polyfit
-    calls and compute_K calls of one sweep."""
+    """Integrand calls, nodes, row-nodes, nodes on each panel end,
+    profile-node evaluations, polyfit calls and compute_K calls of one
+    sweep."""
     calls, fits, profiles, regimes = [], [], [], []
+    ends = (0.0, *rayleigh._RADIAL_BREAKS, getattr(rayleigh, "_RADIAL_END", 2.0))
+    at_ends = dict.fromkeys(ends, 0)
     plain_rows, plain_fit = rayleigh.integrate_rows, np.polynomial.polynomial.polyfit
     plain_g, plain_K = rayleigh._g_and_prime, rayleigh.compute_K
 
@@ -85,6 +91,8 @@ def work_counts(params) -> dict:
 
     def counted_rows(f, *args):
         def f_counted(r):
+            for end in ends:
+                at_ends[end] += int(np.count_nonzero(r == end))
             rows = f(r)
             # a checkout before one array per call returns a list of blocks
             calls.append((r.size, len(rows) if isinstance(rows, np.ndarray)
@@ -105,6 +113,7 @@ def work_counts(params) -> dict:
         rayleigh._g_and_prime, rayleigh.compute_K = plain_g, plain_K
     return {"integrand_calls": len(calls), "nodes": sum(n for n, _ in calls),
             "row_nodes": sum(n * m for n, m in calls),
+            "panel_end_nodes": {str(end): count for end, count in at_ends.items()},
             "profile_node_evals": sum(profiles), "polyfit_calls": len(fits),
             "compute_K_calls": len(regimes)}
 
