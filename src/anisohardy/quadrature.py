@@ -17,8 +17,11 @@ The first integrand call takes levels 0 to 4 of every panel, each later
 call one level, on the new nodes of every panel that a row still refines
 on, concatenated; each level is summed from its own slice of the call, and
 each (row, panel) pair converges on its own, so a row's value and error
-estimate, the sums over its panels, are those of one call per level.  One
-interval is the one-panel case.  The radial integrals of the sweeps break
+estimate, the sums over its panels, are those of one call per level.  The
+integrand sees each distinct node of a call once, the panel ends that many
+nodes round onto among them (below), and an integrand that takes rows is
+asked only for the rows that still refine.  One interval is the one-panel
+case.  The radial integrals of the sweeps break
 at r = 1, where cutoff_eta leaves 1: its quintic ramp is C^2 there, and an
 integrand with eta' only C^1.
 
@@ -73,7 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -317,57 +320,121 @@ def _panel_nodes(lo: float, hi: float, level: int):
     return x
 
 
-def _ts_totals(f, panels, levels: int):
+@lru_cache(maxsize=16)
+def _angular_nodes(lo: float, hi: float, level: int):
+    """Read-only sin(phi) at the nodes of tanh-sinh level `level` on
+    (0, pi), as sin(pi d) from the distance d to the nearer endpoint; lo and
+    hi are 0 and pi."""
+    x = np.sin(np.pi * _ts_level(level)[1])
+    x.setflags(write=False)
+    return x
+
+
+@lru_cache(maxsize=128)
+def _call_plan(nodes, edges: tuple, levels: range, ks: tuple):
+    """(x, expand, weights, slots) of one integrand call on levels of the
+    panels ks: the call's distinct nodes in first-seen order, read-only; the
+    index that expands f's values at them back to the full node list,
+    level-major and then by panel, or None when every node is distinct;
+    that list's weights, read-only; and per (level, panel) slot of the list
+    the triple (level, panel, size).  nodes(lo, hi, level) gives a level's
+    nodes on the panel (lo, hi)."""
+    slots = tuple((level, k, _ts_level(level)[2].size) for level in levels for k in ks)
+    x = np.concatenate([nodes(edges[k], edges[k + 1], level) for level, k, _ in slots])
+    weights = np.concatenate([_ts_level(level)[2] for level, _, _ in slots])
+    _, first, inverse = np.unique(x, return_index=True, return_inverse=True)
+    expand = None
+    if first.size < x.size:
+        order = np.argsort(first)
+        x, expand = x[first[order]], np.argsort(order)[inverse]
+    for array in (x, weights):
+        array.setflags(write=False)
+    return x, expand, weights, slots
+
+
+def _takes_rows(f) -> bool:
+    """Whether the integrand f is a function with a parameter named rows
+    (see _ts_totals); any other callable is called with x alone."""
+    code = getattr(f, "__code__", None)
+    return code is not None and "rows" in code.co_varnames[:code.co_argcount
+                                                            + code.co_kwonlyargcount]
+
+
+def _ts_totals(f, nodes, edges: tuple, levels: int, by_rows: bool = False):
     """Running tanh-sinh totals of the rows of f over panels, row-major.
 
-    panels is a sequence of (nodes, scale): nodes(level) gives the new
-    points of that level (_ts_level) in the panel, and scale is its length.
-    f is called on x, the new nodes of a run of levels of every panel that
-    still has a live pair (per the indices _refine sent), concatenated
-    level-major: the first call covers levels 0 to _FIRST_CALL_LEVELS of
-    every panel, each later call one level.  f returns one float array of
-    shape (rows, x.size), which is weighted into a new array, so the array
-    f returned is never written.  A row's total on a panel at a level is the
-    sum of its weighted values over that level's and panel's slice of x,
-    times the panel's scale, so a row's panel totals do not depend on the
-    other panels, rows or levels of the call.  The sums of every level go
-    into one array, NaN on the panels a call skips.  Each level halves the
-    previous totals; levels 1..levels are yielded in turn as arrays of the
-    (row, panel) totals, level 0 only seeds the first.
+    The panels are (edges[k], edges[k + 1]); nodes(lo, hi, level) gives the
+    new points of a level (_ts_level) in the panel (lo, hi), and a panel's
+    scale is its length.  A call of f covers the new nodes of a run of
+    levels of every panel that still has a live pair (per the indices
+    _refine sent), concatenated level-major: the first call covers levels 0
+    to _FIRST_CALL_LEVELS of every panel, each later call one level.  f's
+    value at a node may depend on that node alone: f is called once per
+    call on the call's distinct nodes, in first-seen order (_call_plan),
+    and returns one float array of shape (rows, nodes).  Its values are
+    expanded back to the full node list in a new array, which is weighted
+    in place, so the array f returned is never written, and each level's
+    pairwise sums see the array the full node list would give.  With by_rows
+    f is called as f(x, rows=None) first, for every row, and from the second
+    call on with rows, the sorted indices of the rows that own a live pair;
+    it then returns those rows alone, and the others keep NaN placeholders.
+    A row's total on a panel at a level is the sum of its weighted values
+    over that level's and panel's slice of the node list, times the panel's
+    scale, so a row's panel totals do not depend on the other panels, rows
+    or levels of the call.  The sums of every level go into one array, NaN
+    on the panels a call skips.  Each level halves the previous totals;
+    levels 1..levels are yielded in turn as arrays of the (row, panel)
+    totals, level 0 only seeds the first.
     """
-    n, first = len(panels), min(_FIRST_CALL_LEVELS, levels)
-    scales = np.array([scale for _, scale in panels], dtype=float)
-    ks, sums, totals = range(n), None, None
+    n, first = len(edges) - 1, min(_FIRST_CALL_LEVELS, levels)
+    scales = np.array([hi - lo for lo, hi in zip(edges, edges[1:])], dtype=float)
+    ks, rows, sums, totals = tuple(range(n)), None, None, None
     for run in [range(first + 1), *(range(level, level + 1)
                                     for level in range(first + 1, levels + 1))]:
-        slots = [(level, k) for level in run for k in ks]
-        xs = [panels[k][0](level) for level, k in slots]
-        ws = [_ts_level(level)[2] for level, _ in slots]
-        x = xs[0] if len(xs) == 1 else np.concatenate(xs)
-        wfx = np.multiply(f(x), ws[0] if len(ws) == 1 else np.concatenate(ws))
+        x, expand, weights, slots = _call_plan(nodes, edges, run, ks)
+        fx = f(x, rows=rows) if by_rows else f(x)
+        if expand is None:
+            wfx = np.multiply(fx, weights)
+        else:
+            wfx = np.take(np.asarray(fx, dtype=float), expand, axis=1)
+            np.multiply(wfx, weights, out=wfx)
         if sums is None:
             sums = np.full((levels + 1, len(wfx), n), math.nan)
         start = 0
-        for (level, k), w in zip(slots, ws):
-            np.add.reduce(wfx[:, start:start + w.size], axis=-1, out=sums[level, :, k])
-            start += w.size
+        for level, k, size in slots:
+            part = wfx[:, start:start + size]
+            if rows is None:
+                np.add.reduce(part, axis=-1, out=sums[level, :, k])
+            else:
+                sums[level, rows, k] = np.add.reduce(part, axis=-1)
+            start += size
         sums[run.start:run.stop] *= scales
         for level in run:
             new = sums[level].ravel()
             totals = new if level == 0 else 0.5 * totals + new
             if level:
                 live = yield totals
-        ks = sorted(set((live % n).tolist()))
+        pairs = live.tolist()
+        ks = tuple(sorted({i % n for i in pairs}))
+        if by_rows:             # live is increasing
+            rows = np.array(list(dict.fromkeys(i // n for i in pairs)))
 
 
 def integrate_rows(f: Callable, a: float, b: float, spec: QuadratureSpec | None = None,
                    breaks: tuple = ()) -> tuple[QuadResult, ...]:
     """Integrate the m rows of f over (a, b) on shared tanh-sinh nodes.
 
-    f is evaluated on a 1-D numpy array x of nodes, once for levels 0 to 4
-    and then once per level, and returns one float array of
-    shape (m, x.size), a row per integrand (a tuple of m rows of x's shape
-    is read as that array), so work shared by the rows is done once.
+    f is evaluated on a 1-D numpy array x of distinct nodes, once for levels
+    0 to 4 and then once per level, and returns one float array of shape
+    (m, x.size), a row per integrand (a tuple of m rows of x's shape is read
+    as that array), so work shared by the rows is done once.  f's value at a
+    node may depend on that node alone: a node that two slots of a call
+    share, as a panel end that several levels round onto, is passed once
+    and its value used for each.  A function f with a parameter named rows
+    is called as f(x, rows=None) first, for every row, and from then on as
+    f(x, rows=rows), rows the increasing indices of the rows that still
+    refine; it then returns those rows alone, in that order, and need not
+    compute the others.
     breaks, points strictly inside (a, b) in increasing order, split the
     interval into panels, each with its own tanh-sinh rule: a kink of the
     integrand at a break is then an endpoint of two panels, where the rule
@@ -379,9 +446,9 @@ def integrate_rows(f: Callable, a: float, b: float, spec: QuadratureSpec | None 
     arithmetic, but those within about half an ulp of a panel end round onto
     it (see the module docstring): on the panels (0, 1) and (1, 2), 1,152
     of the 3,154 nodes of levels 0 to 7 are 1.0 or 2.0 exactly, so f must
-    be finite at every panel end other than 0.  Each row is
-    summed, converged and frozen
-    exactly as integrate_1d would integrate it alone, so its QuadResult is
+    be finite at every panel end other than 0.  Each row is summed,
+    converged and frozen exactly as integrate_1d would integrate it alone,
+    on the same values in the same order, so its QuadResult is
     the same to the bit; the first row, in order, that does not converge
     raises NotConvergedError with its best value.  An f that returns an
     array of shape (0, x.size) gives ().
@@ -389,19 +456,19 @@ def integrate_rows(f: Callable, a: float, b: float, spec: QuadratureSpec | None 
     spec, edges = spec or _DEFAULT_SPEC, (a, *breaks, b)
     if any(not hi > lo for lo, hi in zip(edges, edges[1:])):
         raise ValueError(f"need a < break points < b, increasing, got {edges}")
-    panels = [(partial(_panel_nodes, lo, hi), hi - lo) for lo, hi in zip(edges, edges[1:])]
-    return _refine(_ts_totals(f, panels, spec.levels), spec,
-                   f"tanh-sinh on ({a}, {b}) within {spec.levels} levels", len(panels))
+    return _refine(_ts_totals(f, _panel_nodes, edges, spec.levels, _takes_rows(f)), spec,
+                   f"tanh-sinh on ({a}, {b}) within {spec.levels} levels", len(edges) - 1)
 
 
 def integrate_1d(f: Callable, a: float, b: float, spec: QuadratureSpec | None = None,
                  breaks: tuple = ()) -> QuadResult:
     """Integrate f over (a, b); an algebraic singularity is allowed at an end 0.
 
-    f is evaluated on numpy arrays of nodes and returns an array of the same
-    shape (or a value that broadcasts to it).  Nodes next to a panel end
-    other than 0 round onto it (see integrate_rows), so an f that is
-    infinite there gives a non-finite sum and NotConvergedError: take
+    f is evaluated on numpy arrays of distinct nodes and returns an array of
+    the same shape (or a value that broadcasts to it); its value at a node
+    may depend on that node alone.  Nodes next to a panel end other than 0
+    round onto it (see integrate_rows), so an f that is infinite there
+    gives a non-finite sum and NotConvergedError: take
     int_0^1 (1 - x)^-0.5 dx as int_0^1 x^-0.5 dx, with the singularity at
     0.  Converged when the level difference is at most
     max(abs_tol, rel_tol*|value|) on every panel between the breaks (see
@@ -426,9 +493,7 @@ def integrate_angular(f_of_sin: Callable, spec: QuadratureSpec | None = None) ->
     Handles algebraic blow-up of f at sin phi -> 0 with rate > -1.
     """
     spec = spec or _DEFAULT_SPEC
-    totals = _ts_totals(_one_row(f_of_sin),
-                        [(lambda level: np.sin(np.pi * _ts_level(level)[1]), math.pi)],
-                        spec.levels)
+    totals = _ts_totals(_one_row(f_of_sin), _angular_nodes, (0.0, math.pi), spec.levels)
     return _refine(totals, spec, f"angular tanh-sinh within {spec.levels} levels")[0]
 
 
@@ -763,7 +828,7 @@ def _even_coefficients(m: int, bs: tuple):
     return co
 
 
-def _bracket_angular(A, C, pw: float, bs):
+def _bracket_angular(A, C, pw: float, bs, keys=None):
     """int_-1^1 (A t^2 + C (1 - t^2))^(p/2) (1 - t^2)^(b-1) dt, elementwise.
 
     A and C are (rows, nodes) blocks of values >= 0, pw the one p >= 1 of
@@ -792,11 +857,17 @@ def _bracket_angular(A, C, pw: float, bs):
     either path M = 0 gives 0 and a non-finite A or C a non-finite value; on
     the tables a NaN ratio x, as 0/0 gives, reads F(1).  A (p, b) whose
     tables are not resolved (_angular_resolved) is NaN at every element.
+    keys, the distinct b whose tables (or Beta coefficients) the call joins,
+    in order, default to those of bs; a caller whose calls hold different
+    subsets of its b values passes them all, so that every call reads one
+    cached join.  The values do not depend on keys.
     """
+    keys = tuple(dict.fromkeys(bs)) if keys is None else keys
+    index = [keys.index(b) for b in bs]
     if pw % 2.0 == 0.0:
         if pw > _EVEN_P_MAX:
             return np.full(np.shape(A), math.nan)
-        co = _even_coefficients(int(pw) // 2, tuple(bs))
+        co = _even_coefficients(int(pw) // 2, keys).take(index, axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             total, power = co[-1] * A, C
             for j in range(len(co) - 2, -1, -1):
@@ -805,14 +876,13 @@ def _bracket_angular(A, C, pw: float, bs):
                     total *= A
                     power = power * C
         return total
-    keys = tuple(dict.fromkeys(bs))
     coef, lead = _bracket_tables(pw, keys)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         top = np.maximum(A, C)
         # a NaN ratio (0/0, inf/inf or a NaN column) reads F(1), which top
         # then turns into 0 or a non-finite value
         x = np.fmin(np.minimum(A, C) / top, 1.0).ravel()
-        tables = (2 * np.array([keys.index(b) for b in bs])[:, None] + (A > C)).ravel()
+        tables = (2 * np.array(index)[:, None] + (A > C)).ravel()
         # per element: the first column of its range of panels, and its
         # coordinate u there in panel widths
         u = (x - _X0) * (_PANELS / (1.0 - _X0))

@@ -299,7 +299,12 @@ _BLOCK_ELEMENTS = 2 ** 12
 def _rows(families, exponents):
     """Integrand of the radial pass: an array of shape (2 * members, nodes),
     the numerator and denominator rows of each member in turn, filled in
-    blocks of members of about _BLOCK_ELEMENTS grid elements.
+    blocks of members of about _BLOCK_ELEMENTS grid elements.  Called with
+    rows, the sorted indices of some of those rows, it forms the rows of the
+    members that own one of them alone, and returns the rows asked for, in
+    order.  The nodes of a call are distinct (integrate_rows); each value
+    depends on its node alone, and a member's rows on that member alone, so
+    each row has the same bits in every call.
 
     |grad v|^2 = |x'|^(2 theta - 2) (A cos^2 phi + C sin^2 phi) for
     v = |x'|^theta g(|x|), with A = theta^2 g^2 and C = (theta g + r g')^2;
@@ -309,50 +314,69 @@ def _rows(families, exponents):
     sum at p = 2, and otherwise a read of its tables.  The denominator row
     is r^a_r g^p.
 
-    Each level forms r^2 and the cutoff once, and each distinct power of r
+    Each call forms r^2 and the cutoff once, and each distinct power of r
     once.  g depends on a member only through its radial profile, the pair
     (eps^2, g exponent), so g and r g' are formed once per profile, into
     (profiles, nodes) arrays that the members read: the 20 members of a
     default K < 1 sweep share 5 profiles, since its g exponent does not
     depend on sigma, and every other family has one profile per member.
-    The profiles are numbered in the order the members first use them, so
-    each block of members forms the profiles its members are the first to
-    use and reads the others.  g^p is formed per member: at p = 2, the one
-    p with shared profiles, it is a square, no dearer than reading a stored
-    row.  A power that overflows, as r^a_r with a_r near -1 does at
+    The profiles of a call are numbered in the order its members first use
+    them, so each block of members forms the profiles its members are the
+    first to use and reads the others.  g^p is formed per member: at p = 2,
+    the one p with shared profiles, it is a square, no dearer than reading a
+    stored row.  A power that overflows, as r^a_r with a_r near -1 does at
     subnormal nodes, makes its row non-finite, which fails its member, and
     raises no warning.
     """
     pw = families[0].params.p
     bs = [(a_phi + 1.0) / 2.0 for a_phi, _ in exponents]
+    keys = tuple(dict.fromkeys(bs))
     r_keys, r_of = np.unique([e for _, a_r in exponents for e in (2.0 * a_r / pw, a_r)],
                              return_inverse=True)
-    fold_of, den_of = r_of[0::2], r_of[1::2]
-    # profile_of[i] is member i's profile, and the members up to i use the
-    # first formed[i] profiles
-    profiles, profile_of, formed = {}, [], []
+    r_of = r_of.tolist()
+    profiles, profile_of = {}, []
     for f in families:
         profile_of.append(profiles.setdefault((f.epsilon * f.epsilon, f.g_exponent),
                                               len(profiles)))
-        formed.append(len(profiles))
-    profile_of = np.array(profile_of)
-    e2, ge = (np.array(col)[:, None] for col in zip(*profiles))
-    theta = np.array([f.h_exponent for f in families])[:, None]
+    e2_of, ge_of = (np.array(col)[:, None] for col in zip(*profiles))
+    theta_of = np.array([f.h_exponent for f in families])[:, None]
 
-    def rows(r):
+    def plan(members):
+        """The data of the members, a list of indices, in their order: the
+        column of the powers of r they use and (eps^2, g exponent) of each
+        profile they use, each numbered by first use; then per member theta,
+        its powers of r^(2 a_r / p) and r^a_r, its profile, the count of
+        profiles the members up to it use, and b."""
+        powers, used, own, formed = {}, {}, [], []
+        for i in members:
+            own.append(used.setdefault(profile_of[i], len(used)))
+            formed.append(len(used))
+        power_of = [powers.setdefault(r_of[j], len(powers))
+                    for i in members for j in (2 * i, 2 * i + 1)]
+        used = list(used)
+        return (r_keys[list(powers)][:, None], e2_of[used], ge_of[used], theta_of[members],
+                np.array(power_of[0::2]), np.array(power_of[1::2]), np.array(own), formed,
+                [bs[i] for i in members])
+
+    everyone = plan(list(range(len(families))))
+
+    def integrand(r, rows=None):
+        members = None if rows is None else list(dict.fromkeys((rows // 2).tolist()))
+        powers, e2, ge, theta, fold_of, den_of, profile, formed, b = (
+            everyone if members is None else plan(members))
         r2, eta, eta_prime = r * r, cutoff_eta(r), cutoff_eta_prime(r)
-        step, out = max(1, _BLOCK_ELEMENTS // r.size), np.empty((2 * len(families), r.size))
-        g, r_gp = np.empty((2, len(profiles), r.size))
+        step, out = max(1, _BLOCK_ELEMENTS // r.size), np.empty((2 * len(theta), r.size))
+        g, r_gp = np.empty((2, len(e2), r.size))
         done = 0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            r_pow = _power(r, r_keys[:, None])
-            for i in range(0, len(families), step):
+            r_pow = _power(r, powers)
+            for i in range(0, len(theta), step):
                 m, block = slice(i, i + step), out[2 * i:2 * (i + step)]
                 new = slice(done, formed[m][-1])
                 if new.start < new.stop:         # else every profile it reads is formed
                     g[new], gp = _g_and_prime(r, r2, eta, eta_prime, e2[new], ge[new])
                     np.multiply(r, gp, out=r_gp[new])
-                done, own = new.stop, profile_of[m]
+                done, own = new.stop, profile[m]
                 g_own, fold = g.take(own, axis=0), r_pow.take(fold_of[m], axis=0)
                 np.multiply(r_pow.take(den_of[m], axis=0), g_own ** pw, out=block[1::2])
                 A = np.multiply(theta[m], g_own, out=g_own)      # theta g
@@ -361,9 +385,13 @@ def _rows(families, exponents):
                 for part in (A, C):
                     np.square(part, out=part)
                     part *= fold
-                block[0::2] = _bracket_angular(A, C, pw, bs[m])
+                block[0::2] = _bracket_angular(A, C, pw, b[m], keys)
+        if members is not None and len(rows) < len(out):
+            # a member's rows are formed together; return the rows asked for
+            first = {member: 2 * j for j, member in enumerate(members)}
+            out = out.take([first[i // 2] + i % 2 for i in rows.tolist()], axis=0)
         return out
-    return rows
+    return integrand
 
 
 # ------------------------------------------------------------------ sweeps

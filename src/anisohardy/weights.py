@@ -271,7 +271,7 @@ def _flux_divergence(V: Callable, f: Callable, p: float, x: np.ndarray, h: float
         if p == 2:
             return float(V(z)) * _complex_partial(f, z, i, step)
         g = np.array([_complex_partial(f, z, j, step) for j in range(n)])
-        return float(V(z)) * float(np.linalg.norm(g)) ** (p - 2.0) * g[i]
+        return float(V(z)) * math.sqrt(g.dot(g)) ** (p - 2.0) * g[i]
 
     total = 0.0
     for i in range(n):

@@ -1,5 +1,8 @@
 import collections
+import functools
+import importlib.util
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -31,6 +34,14 @@ def _full_rule(level):
     w = h * np.pi * np.cosh(t) * e / (1.0 + e) ** 2
     keep = (d > 0.0) & (w > 0.0) & np.isfinite(w)
     return t[keep], d[keep], w[keep]
+
+
+def _distinct_nodes(edges, levels, panels=None):
+    """The distinct nodes of the levels of the panels (edges[k], edges[k + 1]),
+    every panel by default, sorted: the nodes of one integrand call."""
+    panels = range(len(edges) - 1) if panels is None else panels
+    return np.unique(np.concatenate([quadrature._panel_nodes(edges[k], edges[k + 1], lv)
+                                     for lv in levels for k in panels]))
 
 
 class TestSpecials:
@@ -275,12 +286,22 @@ class TestIntegrate1dIncremental:
         def f(x):
             return x ** -0.3 * np.exp(x)
 
-        counted, seen = self._counting(f)
+        calls = []
+
+        def counted(x):
+            calls.append(x.copy())
+            return f(x)
+
         spec = QuadratureSpec()
         res = integrate_1d(counted, 0.5, 2.0, spec)
-        sizes = {_full_rule(lv)[0].size: lv for lv in range(spec.levels + 1)}
-        assert seen == [seen[0]] and seen[0] in sizes    # the full rule of one level
-        level = sizes[seen[0]]
+        # one call on the distinct nodes of the full rule of one level: the
+        # nodes that round onto 2.0 are passed once (197 nodes at level 4
+        # when every node was passed, 103 distinct)
+        sizes = {_distinct_nodes((0.5, 2.0), range(lv + 1)).size: lv
+                 for lv in range(spec.levels + 1)}
+        assert len(calls) == 1 and calls[0].size in sizes
+        level = sizes[calls[0].size]
+        assert np.array_equal(np.sort(calls[0]), _distinct_nodes((0.5, 2.0), range(level + 1)))
         ref = [self._full_rule_sum(f, 0.5, 2.0, lv) for lv in range(level + 1)]
         tol = max(spec.abs_tol, spec.rel_tol * abs(ref[-1]))
         # level 1 only seeds the first comparison; the first call holds levels
@@ -331,7 +352,8 @@ class TestIntegrate1dIncremental:
         with pytest.raises(NotConvergedError) as ei:
             integrate_1d(counted, 0.0, 1.0)
         first = min(lv for lv in range(11) if np.any(_full_rule(lv)[1] < 1e-300))
-        assert seen[0] == _full_rule(max(first, quadrature._FIRST_CALL_LEVELS))[0].size
+        last = max(first, quadrature._FIRST_CALL_LEVELS)
+        assert seen[0] == _distinct_nodes((0.0, 1.0), range(last + 1)).size
         assert math.isinf(ei.value.value)
 
 
@@ -409,7 +431,8 @@ class TestIntegrateRows:
         with pytest.raises(NotConvergedError):
             integrate_rows(self._stacked([self.overflow, self.step], seen), 0.0, 1.0)
         first = min(lv for lv in range(11) if np.any(_full_rule(lv)[1] < 1e-300))
-        assert sum(seen) == _full_rule(max(first, quadrature._FIRST_CALL_LEVELS))[0].size
+        last = max(first, quadrature._FIRST_CALL_LEVELS)
+        assert sum(seen) == _distinct_nodes((0.0, 1.0), range(last + 1)).size
 
 
 class TestPanels:
@@ -474,10 +497,28 @@ class TestPanels:
             return cutoff_eta_prime(x) * np.cos(20.0 * x)
 
         integrate_1d(counted, 0.0, 2.0, breaks=(1.0,))
-        level_sizes = [quadrature._ts_level(level)[0].size for level in range(4 + len(sizes))]
-        assert sizes[0] == 2 * sum(level_sizes[:5]) and len(sizes) > 1
-        assert all(size in (n, 2 * n) for size, n in zip(sizes[1:], level_sizes[5:]))
-        assert sizes[-1] == level_sizes[-1]
+        edges = (0.0, 1.0, 2.0)
+        assert sizes[0] == _distinct_nodes(edges, range(5)).size and len(sizes) > 1
+        for level, size in enumerate(sizes[1:], start=5):
+            assert size in {_distinct_nodes(edges, [level], ks).size for ks in ([0], [1], [0, 1])}
+        assert sizes[-1] == _distinct_nodes(edges, [3 + len(sizes)], [1]).size
+
+    def test_no_call_passes_a_repeated_node(self):
+        # every node of the call's levels and live panels, each once: nodes
+        # that round onto the panel ends 1.0 and 2.0 are passed once per call
+        calls = []
+
+        def recorded(x):
+            calls.append(x.copy())
+            return cutoff_eta_prime(x) * np.cos(20.0 * x)
+
+        integrate_1d(recorded, 0.0, 2.0, breaks=(1.0,))
+        edges = (0.0, 1.0, 2.0)
+        assert np.array_equal(np.sort(calls[0]), _distinct_nodes(edges, range(5)))
+        for level, x in enumerate(calls[1:], start=5):
+            assert any(np.array_equal(np.sort(x), _distinct_nodes(edges, [level], ks))
+                       for ks in ([0], [1], [0, 1]))
+        assert len(calls) > 1 and all(np.unique(x).size == x.size for x in calls)
 
     def test_kink_at_a_break_converges_within_its_estimate(self):
         # int_0^2 eta' = eta(2) - eta(0) = -1; eta' has kinks at r = 1 and 2
@@ -531,8 +572,9 @@ class TestPanels:
         with pytest.raises(NotConvergedError) as ei:
             integrate_1d(f, -1.0, 1.0, breaks=(0.0,))
         first = min(lv for lv in range(11) if np.any(_full_rule(lv)[1] < tiny))
-        level_sizes = [2 * quadrature._ts_level(lv)[0].size for lv in range(max(first, 4) + 1)]
-        assert sizes == [sum(level_sizes[:5])] + level_sizes[5:]
+        edges = (-1.0, 0.0, 1.0)
+        assert sizes == [_distinct_nodes(edges, range(5)).size] + [
+            _distinct_nodes(edges, [lv]).size for lv in range(5, max(first, 4) + 1)]
         assert math.isinf(ei.value.value)
 
     @pytest.mark.parametrize("breaks", [(0.0,), (2.0,), (1.5, 0.5), (0.5, 0.5), (3.0,)])
@@ -565,11 +607,12 @@ class TestIntegrate2dIncremental:
             return f(r, t)
         return recorded, seen
 
-    @pytest.mark.parametrize("breaks,full", [((), 197), ((1.0,), 394)])
+    @pytest.mark.parametrize("breaks,full", [((), 150), ((1.0,), 252)])
     def test_evaluates_each_node_pair_once(self, breaks, full):
-        # per order reached: every radial node of each panel up to the level
-        # that panel reached, against the m/2 positive angular nodes, each
-        # pair once
+        # per order reached: every distinct radial node of each panel up to
+        # the level that panel reached, against the m/2 positive angular
+        # nodes, each pair once.  Levels 0 to 4 of each panel; every node,
+        # with those that round onto 2.0 (and 1.0) repeated, took 197 and 394
         def f(r, t):
             return r ** 0.5 * np.exp(-r) / (1.02 - t * t)
         edges = (0.0, *breaks, 2.0)
@@ -578,9 +621,9 @@ class TestIntegrate2dIncremental:
             t, d, _ = quadrature._ts_level(lv)
             for lo, hi in zip(edges, edges[1:]):
                 rule.update(np.where(t <= 0.0, lo + (hi - lo) * d, hi - (hi - lo) * d).tolist())
-        radial_sizes = [_full_rule(lv)[0].size for lv in range(11)]
-        panel_sizes = {sum(sizes) for sizes in itertools.product(radial_sizes,
-                                                                 repeat=len(breaks) + 1)}
+        panel_sizes = {np.unique(np.concatenate([_distinct_nodes(edges, range(top + 1), [k])
+                                                 for k, top in enumerate(reached)])).size
+                       for reached in itertools.product(range(11), repeat=len(breaks) + 1)}
         assert full in panel_sizes
         counted, seen = self._counting(f)
         recorded, radial = self._radial_nodes(counted)
@@ -590,7 +633,7 @@ class TestIntegrate2dIncremental:
         assert reached == list(self.ORDERS[:len(reached)]) and len(reached) >= 3
         for m in reached:
             assert seen[m // 2] == (m // 2) * full
-            assert len(radial[m // 2]) == full
+            assert len(radial[m // 2]) == len(set(radial[m // 2])) == full
             assert not collections.Counter(radial[m // 2]) - rule
         assert res.err_estimate <= max(1e-13, 1e-10 * abs(res.value))
 
@@ -768,7 +811,9 @@ class TestBracketAngular:
         # 2.9e-11 off at (1, 1e-6) and 2.5e-9 at (100, 1e-6).  The tables
         # refused (20, 1e-6), (30, 1e-6) and (20, 1e-4), NaN everywhere, where
         # m = b + p/2 lies within 1e-4 of an integer: at (20, 1e-4) their two
-        # series differed by 2.1e-12 at x = 1/2
+        # series differed by 2.1e-12 at x = 1/2.  The references, B(1/2, b)
+        # F(-p/2, bb; b + 1/2; 1 - x) at 40 digits, come from the committed
+        # table of tools/bracket_reference.py (_edge_references)
         mpmath = pytest.importorskip("mpmath")
         edges = _panel_edges()
         x = np.concatenate([[0.0, 2.0 ** -1074], np.nextafter(edges, 0.0),
@@ -778,15 +823,32 @@ class TestBracketAngular:
         C = np.concatenate([np.ones_like(x), x])[None]
         got = quadrature._bracket_angular(A, C, pw, [b])[0].reshape(2, -1)
         even = pw % 2.0 == 0.0
+        points, table = _edge_references()
+        assert points == [0.0, 2.0 ** -1074, *edges.tolist()]
         with mpmath.workdps(40):
-            a, c, scale = -mpmath.mpf(pw) / 2, mpmath.mpf(b) + 0.5, mpmath.beta(0.5, b)
-            for branch, (bb, m) in enumerate([(0.5, b + pw / 2.0), (b, (pw + 1.0) / 2.0)]):
+            for branch, m in enumerate([b + pw / 2.0, (pw + 1.0) / 2.0]):
                 near = not even and 0.0 < abs(m - round(m)) < 1e-4
                 bound = (3e-11 if near else 6e-14 if pw <= 31.0 or even else 2.5e-13
                          ) + pw * 2.0 ** -53
-                refs = {v: scale * mpmath.hyp2f1(a, bb, c, 1 - mpmath.mpf(v)) for v in set(at)}
+                refs = {v: mpmath.mpf(ref) for v, ref in zip(points, table[f"{pw!r} {b!r} {branch}"])}
                 for xi, v, value in zip(x, at, got[branch]):
                     assert abs(value - refs[v]) <= bound * abs(refs[v]), (branch, xi)
+
+    def test_edge_references_match_mpmath(self):
+        # seeded entries of the committed table, recomputed with mpmath by
+        # the script that writes it, to the last of their 40 digits
+        pytest.importorskip("mpmath")
+        tool = _load_tool("bracket_reference")
+        points, table = _edge_references()
+        assert points == tool.points()
+        assert sorted(table) == sorted(tool.key(pw, b, branch) for pw in tool.PS
+                                       for b in tool.BS for branch in (0, 1))
+        rng = np.random.default_rng(36)
+        for _ in range(8):
+            key = sorted(table)[rng.integers(len(table))]
+            i = int(rng.integers(len(points)))
+            pw, b, branch = key.split()
+            assert tool.reference(float(pw), float(b), int(branch), points[i]) == table[key][i]
 
     def test_import_builds_no_table(self):
         src = str(Path(quadrature.__file__).resolve().parents[1])
@@ -846,6 +908,26 @@ class TestBracketAngular:
         assert quadrature._angular_resolved(pw, 0.0123)
         quadrature._bracket_angular(np.ones((1, 3)), np.ones((1, 3)), pw, [0.0123])
         assert quadrature._chebyshev_table.cache_info().misses == built
+
+
+def _load_tool(name):
+    """The module of tools/<name>.py."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"tools_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.lru_cache(maxsize=1)
+def _edge_references():
+    """(points, table) of the committed 40-digit references that
+    tools/bracket_reference.py writes: the points x in increasing order, and
+    per key "p b branch" one decimal string per point."""
+    path = Path(__file__).resolve().parent / "data" / "bracket_edges_40_digits.json"
+    with open(path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    return [float.fromhex(x) for x in data["x"]], data["refs"]
 
 
 def _panel_edges():

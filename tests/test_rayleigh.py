@@ -269,43 +269,92 @@ class TestWorkCounts:
     few of those sum a series."""
 
     def test_radial_nodes_of_a_k_gt_1_sweep(self, monkeypatch):
-        sizes = []
-        plain = rayleigh.integrate_rows
-
-        def counted(f, *args):
-            def f_counted(r):
-                sizes.append(r.size)
-                return f(r)
-            return plain(f_counted, *args)
-        monkeypatch.setattr(rayleigh, "integrate_rows", counted)
+        calls = _row_node_calls(monkeypatch)
         sweep_and_extrapolate(K3_PARAMS)
-        # one call for levels 0 to 4 of both panels, then one call per level,
-        # on the new nodes of one or both panels; one call per level took 8,
-        # and a first call of levels 0 to 3 took 5
-        level_sizes = [quadrature._ts_level(level)[0].size for level in range(4 + len(sizes))]
-        assert sizes[0] == 2 * sum(level_sizes[:5])
-        assert all(size in (n, 2 * n) for size, n in zip(sizes[1:], level_sizes[5:]))
-        assert (len(sizes), sum(sizes)) == (4, 1774)
+        # one call for the distinct nodes of levels 0 to 4 of both panels,
+        # then one call per level, on the distinct new nodes of one or both
+        # panels; the rows of the members that own a live pair.  Every node,
+        # with the 478 that round onto 1.0 or 2.0 repeated, took 1,774 nodes,
+        # and every member at every call 17,740 row-nodes; one call per level
+        # took 8 calls, and a first call of levels 0 to 3 took 5
+        sizes = [nodes for nodes, _, _ in calls]
+        assert sizes[0] == _distinct_nodes(range(5)).size
+        for level, size in enumerate(sizes[1:], start=5):
+            assert size in {_distinct_nodes([level], ks).size for ks in ([0], [1], [0, 1])}
+        assert [formed for _, _, formed in calls] == [10, 10, 8, 2]
+        assert (len(sizes), sum(sizes), sum(n * formed for n, _, formed in calls)) == \
+            (4, 1300, 7624)
 
     def test_row_nodes_of_a_k_lt_1_sweep(self, monkeypatch):
-        # a numerator and a denominator row per member; the J1, J2, J3
-        # breakdown took 3 rows per member, 106,440 row-nodes, on the same
-        # nodes.  Levels 0 to 4 share the first call; one call per level took
-        # 8, and a first call of levels 0 to 3 took 5
+        # a numerator and a denominator row per member, formed for the members
+        # that own a live (row, panel) pair.  Every member on every node took
+        # 70,960 row-nodes, and the J1, J2, J3 breakdown 3 rows per member,
+        # 106,440.  Levels 0 to 4 share the first call; one call per level
+        # took 8, and a first call of levels 0 to 3 took 5
         calls = _row_node_calls(monkeypatch)
         sweep_and_extrapolate(HardyParams(3, 2.0, 0.0, -0.05))
-        assert {rows for _, rows in calls} == {40}
-        assert (len(calls), sum(nodes for nodes, _ in calls),
-                sum(nodes * rows for nodes, rows in calls)) == (4, 1774, 70_960)
+        assert [formed for _, _, formed in calls] == [40, 40, 32, 8]
+        assert (len(calls), sum(nodes for nodes, _, _ in calls),
+                sum(nodes * formed for nodes, _, formed in calls),
+                sum(nodes * rows for nodes, rows, _ in calls)) == (4, 1300, 30_496, 29_899)
 
     def test_numerator_row_nodes_of_a_general_p_sweep(self, monkeypatch):
         calls = _row_node_calls(monkeypatch)
         sweep_and_extrapolate(HardyParams(3, 3.0, 0.0, 0.5))
-        # one call for radial levels 0 to 4, then one per level, every
-        # member's two rows on the call's nodes: 20 x 986 numerator row-nodes.
-        # One call per level took 7, and a first call of levels 0 to 3 took 4
-        assert {rows for _, rows in calls} == {40}
-        assert (len(calls), sum(nodes * rows // 2 for nodes, rows in calls)) == (3, 19_720)
+        # one call for radial levels 0 to 4, then one per level, the two rows
+        # of each member that owns a live pair on the call's distinct nodes.
+        # Every member on every node took 20 x 986 = 19,720 numerator
+        # row-nodes; one call per level took 7 calls, and a first call of
+        # levels 0 to 3 took 4
+        assert [formed for _, _, formed in calls] == [40, 40, 24]
+        assert (len(calls), sum(nodes * formed // 2 for nodes, _, formed in calls)) == \
+            (3, 11_660)
+
+    @pytest.mark.parametrize("params", [
+        K3_PARAMS, HardyParams(3, 2.0, 0.0, -0.05), HardyParams(3, 3.0, 0.0, 0.5)],
+        ids=["K>1", "K<1", "general_p"])
+    def test_integrand_forms_only_the_rows_of_live_members(self, monkeypatch, params):
+        # the first call forms every row; each later call is given the rows
+        # that own a live (row, panel) pair, pair i on the two panels being
+        # row i // 2 of member i // 4, forms the two rows of those members
+        # alone and returns the rows it was given
+        sent, seen, formed = [], [], []
+        plain_refine, plain_rows = quadrature._refine, rayleigh.integrate_rows
+        plain_bracket = rayleigh._bracket_angular
+
+        def refine(totals, *args):
+            def relay():        # the live pairs _refine sends, in turn
+                live = None
+                while True:
+                    try:
+                        values = totals.send(live)
+                    except StopIteration:
+                        return
+                    live = yield values
+                    sent.append(live.tolist())
+            return plain_refine(relay(), *args)
+
+        def bracket(A, C, pw, bs, keys):
+            formed.append(len(A))
+            return plain_bracket(A, C, pw, bs, keys)
+
+        def counted(f, *args):
+            def f_seen(r, rows=None):
+                formed.clear()
+                out = f(r, rows=rows)
+                seen.append((sent[-1] if sent else None, rows, sum(formed), len(out)))
+                return out
+            return plain_rows(f_seen, *args)
+        monkeypatch.setattr(quadrature, "_refine", refine)
+        monkeypatch.setattr(rayleigh, "_bracket_angular", bracket)
+        monkeypatch.setattr(rayleigh, "integrate_rows", counted)
+        members = len(sweep_and_extrapolate(params).rows)
+        assert seen[0] == (None, None, members, 2 * members)
+        assert len(seen) > 1 and any(members_formed < members for _, _, members_formed, _ in seen)
+        for live, rows, members_formed, returned in seen[1:]:
+            assert rows.tolist() == sorted({i // 2 for i in live})
+            assert members_formed == len({i // 4 for i in live})
+            assert returned == len(rows)
 
     def test_series_entries_of_a_general_p_sweep_with_its_tables_built(self, monkeypatch):
         # the numerator rows read F from Chebyshev tables, in x on [1/16, 1]
@@ -324,35 +373,37 @@ class TestWorkCounts:
         assert entries == []
 
     @pytest.mark.parametrize("params,profiles,evaluations", [
-        (K3_PARAMS, 5, 8_870), (HardyParams(3, 2.0, 0.0, -0.05), 5, 8_870),
-        (HardyParams(3, 3.0, 0.0, 0.5), 20, 19_720)], ids=["K>1", "K<1", "general_p"])
+        (K3_PARAMS, [5, 5, 4, 1], 3_812), (HardyParams(3, 2.0, 0.0, -0.05), [5, 5, 4, 1], 3_812),
+        (HardyParams(3, 3.0, 0.0, 0.5), [20, 20, 12], 11_660)], ids=["K>1", "K<1", "general_p"])
     def test_profile_rows_of_a_default_sweep(self, monkeypatch, params, profiles, evaluations):
         # g and g' are formed once per radial profile (eps^2, g exponent) on
-        # each integrand call's nodes.  The K < 1 family's g exponent does not
-        # depend on sigma, so its 4 sigmas by 5 eps share 5 profiles: forming
-        # them per member took 20 rows per call, 35,480 profile-node
+        # each integrand call's distinct nodes, for the profiles of the
+        # members that own a live pair.  The K < 1 family's g exponent does
+        # not depend on sigma, so its 4 sigmas by 5 eps share 5 profiles:
+        # forming them per member took 20 rows per call, 35,480 profile-node
         # evaluations.  The K > 1 family (5 eps) and the general-p family (4
         # sigmas by 5 eps, whose g exponent moves with sigma) have one
-        # profile per member
-        rows, calls = [], []
+        # profile per member.  Every profile at every call on every node took
+        # 8,870, 8,870 and 19,720
+        formed, calls = [], []
         plain_g, plain_rows = rayleigh._g_and_prime, rayleigh.integrate_rows
 
         def g_and_prime(r, r2, eta, eta_prime, e2, ge):
-            rows.append(len(e2))
+            formed.append(len(e2))
             return plain_g(r, r2, eta, eta_prime, e2, ge)
 
         def counted(f, *args):
-            def f_counted(r):
-                rows.clear()
-                out = f(r)
-                calls.append((r.size, sum(rows)))
+            def f_counted(r, rows=None):
+                formed.clear()
+                out = f(r, rows=rows)
+                calls.append((r.size, sum(formed)))
                 return out
             return plain_rows(f_counted, *args)
         monkeypatch.setattr(rayleigh, "_g_and_prime", g_and_prime)
         monkeypatch.setattr(rayleigh, "integrate_rows", counted)
         sweep_and_extrapolate(params)
-        assert {formed for _, formed in calls} == {profiles}
-        assert sum(nodes * formed for nodes, formed in calls) == evaluations
+        assert [count for _, count in calls] == profiles
+        assert sum(nodes * count for nodes, count in calls) == evaluations
 
     @pytest.mark.parametrize("params,calls", [
         (K3_PARAMS, 1), (HardyParams(3, 2.0, 0.0, -0.05), 1), (HardyParams(3, 3.0, 0.0, 0.5), 0),
@@ -424,19 +475,34 @@ class TestGoldenSweeps:
 
 
 def _row_node_calls(monkeypatch):
-    """(nodes, rows) of every integrand call of the radial passes run after
-    this call."""
-    calls = []
-    plain = rayleigh.integrate_rows
+    """(nodes, rows returned, rows formed) of every integrand call of the
+    radial passes run after this call.  A member's numerator and denominator
+    rows are formed together: twice the rows of its angular closed form."""
+    calls, formed = [], []
+    plain, plain_bracket = rayleigh.integrate_rows, rayleigh._bracket_angular
+
+    def bracket(A, C, pw, bs, keys):
+        formed.append(len(A))
+        return plain_bracket(A, C, pw, bs, keys)
 
     def counted(f, *args):
-        def f_counted(r):
-            rows = f(r)
-            calls.append((r.size, len(rows)))
-            return rows
+        def f_counted(r, rows=None):
+            formed.clear()
+            out = f(r, rows=rows)
+            calls.append((r.size, len(out), 2 * sum(formed)))
+            return out
         return plain(f_counted, *args)
+    monkeypatch.setattr(rayleigh, "_bracket_angular", bracket)
     monkeypatch.setattr(rayleigh, "integrate_rows", counted)
     return calls
+
+
+def _distinct_nodes(levels, panels=(0, 1)):
+    """The distinct radial nodes of the levels of the panels (0, 1) and
+    (1, 2), sorted: the nodes of one integrand call."""
+    edges = (0.0, *rayleigh._RADIAL_BREAKS, rayleigh._RADIAL_END)
+    return np.unique(np.concatenate([quadrature._panel_nodes(edges[k], edges[k + 1], level)
+                                     for level in levels for k in panels]))
 
 
 def _sweep_outcome(params, sigmas):
@@ -860,7 +926,7 @@ class TestQuotientGeneralP:
         # t = cos(phi) and the weight sin(phi)^a_phi
         seen = []
         monkeypatch.setattr(rayleigh, "_bracket_angular",
-                            lambda A, C, pw, bs: seen.append((A, C)) or np.zeros_like(A))
+                            lambda A, C, pw, bs, keys: seen.append((A, C)) or np.zeros_like(A))
         rayleigh._rows([fam], [rayleigh._exponents(fam)])(r)
         (A, C), = seen
         s, t = rho / r, x[:, 2] / r

@@ -58,14 +58,24 @@ def test_oracle_work(capsys):
 
 
 def test_sweep_work(capsys):
-    out = _run("sweep_work", [], capsys)
+    out = _run("sweep_work", ["--repeats", "20"], capsys)
     assert sorted(out) == ["K<1", "K>1", "general_p", "general_p4"]
     assert [out[k]["compute_K_calls"] for k in ("K>1", "K<1", "general_p")] == [1, 1, 0]
     for row in out.values():
-        assert row["integrand_calls"] > 0 and row["driver_us"] > 0
+        assert row["integrand_calls"] > 0 and row["driver_us"] > 0 and row["minor_faults"] >= 0
     assert out["general_p4"]["bracket"]["keys_built"] == []
-    # radial nodes within about half an ulp of r = 1 or r = 2 are that radius
+    # each call passes each distinct radial node once: every node, with those
+    # that round onto r = 1 or r = 2 repeated, took [394, 198, 394, 788]
+    # (1,774) and [394, 198, 394] (986)
     names = ("K>1", "K<1", "general_p")
-    assert [out[k]["nodes"] for k in names] == [1774, 1774, 986]
-    assert [sum(out[k]["panel_end_nodes"].values()) for k in names] == [478, 478, 287]
-    assert out["general_p"]["panel_end_nodes"] == {"0.0": 0, "1.0": 239, "2.0": 48}
+    assert [out[k]["nodes_per_call"] for k in names] == [
+        [252, 151, 300, 597], [252, 151, 300, 597], [252, 151, 300]]
+    assert [out[k]["nodes"] for k in names] == [1300, 1300, 703]
+    # a node within about half an ulp of r = 1 or r = 2 is that radius, once
+    # per call of its panel: 478 (430 and 48) and 287 (239 and 48) before
+    assert [out[k]["panel_end_nodes"] for k in names] == [
+        {"0.0": 0, "1.0": 4, "2.0": 1}, {"0.0": 0, "1.0": 4, "2.0": 1},
+        {"0.0": 0, "1.0": 3, "2.0": 1}]
+    # the rows of the members that own a live pair, after the first call:
+    # every member at every call took 17,740, 70,960 and 39,440
+    assert [out[k]["row_nodes"] for k in names] == [7624, 30_496, 23_320]

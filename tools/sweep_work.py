@@ -3,12 +3,19 @@
 For each of the three default sweeps (K > 1, K < 1 and general p = 3), and
 the default sweep at the even p = 4, it prints, as JSON:
 
-- integrand calls, radial nodes and row-nodes of its one tanh-sinh pass,
-  and the polyfit calls of its fits: counts that do not depend on the
-  machine;
+- integrand calls, radial nodes, the radial nodes of each call
+  ("nodes_per_call"; a call passes each distinct node once) and row-nodes
+  of its one tanh-sinh pass, and the polyfit calls of its fits: counts that
+  do not depend on the machine.  "row_nodes" counts the rows the integrand
+  forms, two per member whose angular closed form it evaluates (the
+  members that own a live (row, panel) pair, after the first call), times
+  the call's nodes;
 - "panel_end_nodes": the radial nodes of the pass that sit exactly on a
   panel end, r = 0, the break r = 1 or r = 2, by end: a node at distance d
   below about half an ulp of its panel end rounds onto it;
+- "minor_faults": the minor page faults of one warm sweep, from
+  resource.getrusage of this process, averaged over --repeats sweeps after
+  one unmeasured sweep; they depend on the allocator and the machine;
 - "profile_node_evals": the radial profiles (rows of rayleigh._g_and_prime,
   which forms g and g') times the nodes of each integrand call, summed
   over the pass, and "compute_K_calls", the calls of params.compute_K that
@@ -40,6 +47,9 @@ Run from the repository root:
 
     python tools/sweep_work.py [--repeats N]
 
+--repeats sets both the timed replays of driver_us and the sweeps whose
+page faults are averaged.
+
 The library is imported from the src directory next to this script, so a
 copy of the script in another checkout measures that checkout.
 """
@@ -49,6 +59,7 @@ from __future__ import annotations
 import argparse
 import collections
 import json
+import resource
 import statistics
 import sys
 import time
@@ -72,14 +83,15 @@ BRACKET_SWEEPS = {"general_p": SWEEPS["general_p"], "general_p4": HardyParams(3,
 
 
 def work_counts(params) -> dict:
-    """Integrand calls, nodes, row-nodes, nodes on each panel end,
-    profile-node evaluations, polyfit calls and compute_K calls of one
-    sweep."""
-    calls, fits, profiles, regimes = [], [], [], []
+    """Integrand calls, nodes, nodes per call, row-nodes formed, nodes on
+    each panel end, profile-node evaluations, polyfit calls and compute_K
+    calls of one sweep."""
+    calls, fits, profiles, regimes, formed = [], [], [], [], []
     ends = (0.0, *rayleigh._RADIAL_BREAKS, getattr(rayleigh, "_RADIAL_END", 2.0))
     at_ends = dict.fromkeys(ends, 0)
     plain_rows, plain_fit = rayleigh.integrate_rows, np.polynomial.polynomial.polyfit
     plain_g, plain_K = rayleigh._g_and_prime, rayleigh.compute_K
+    plain_bracket = rayleigh._bracket_angular
 
     def counted_g(r, r2, eta, eta_prime, e2, ge):
         profiles.append(np.size(e2) * r.size)
@@ -89,15 +101,19 @@ def work_counts(params) -> dict:
         regimes.append(p)
         return plain_K(p)
 
+    def counted_bracket(A, C, *args):
+        formed.append(len(A))
+        return plain_bracket(A, C, *args)
+
     def counted_rows(f, *args):
-        def f_counted(r):
+        def f_counted(r, rows=None):
             for end in ends:
                 at_ends[end] += int(np.count_nonzero(r == end))
-            rows = f(r)
-            # a checkout before one array per call returns a list of blocks
-            calls.append((r.size, len(rows) if isinstance(rows, np.ndarray)
-                           else sum(len(block) for block in rows)))
-            return rows
+            formed.clear()
+            # a checkout before the live rows never passes rows
+            out = f(r) if rows is None else f(r, rows=rows)
+            calls.append((r.size, 2 * sum(formed)))
+            return out
         return plain_rows(f_counted, *args)
 
     def counted_fit(*args, **kwargs):
@@ -106,12 +122,15 @@ def work_counts(params) -> dict:
 
     rayleigh.integrate_rows, np.polynomial.polynomial.polyfit = counted_rows, counted_fit
     rayleigh._g_and_prime, rayleigh.compute_K = counted_g, counted_K
+    rayleigh._bracket_angular = counted_bracket
     try:
         rayleigh.sweep_and_extrapolate(params)
     finally:
         rayleigh.integrate_rows, np.polynomial.polynomial.polyfit = plain_rows, plain_fit
         rayleigh._g_and_prime, rayleigh.compute_K = plain_g, plain_K
+        rayleigh._bracket_angular = plain_bracket
     return {"integrand_calls": len(calls), "nodes": sum(n for n, _ in calls),
+            "nodes_per_call": [n for n, _ in calls],
             "row_nodes": sum(n * m for n, m in calls),
             "panel_end_nodes": {str(end): count for end, count in at_ends.items()},
             "profile_node_evals": sum(profiles), "polyfit_calls": len(fits),
@@ -156,13 +175,13 @@ def bracket_counts(params) -> dict:
             return out
         return call
 
-    def counted(A, C, pw, bs):
+    def counted(A, C, pw, bs, *keys):
         # a checkout before one p per call passes one p per row, all equal
         if np.ravel(pw)[0] == 2.0:
-            return plain_bracket(A, C, pw, bs)
+            return plain_bracket(A, C, pw, bs, *keys)
         if summed and np.ravel(pw)[0] % 2.0 == 0.0:
             paths["sum"] += int(np.size(A))
-            return plain_bracket(A, C, pw, bs)
+            return plain_bracket(A, C, pw, bs, *keys)
         with np.errstate(divide="ignore", invalid="ignore"):
             top = np.maximum(A, C)
             x = np.minimum(A, C) / top
@@ -175,7 +194,7 @@ def bracket_counts(params) -> dict:
         else:
             paths["log_table"] += int(np.count_nonzero(below & (x >= floor)))
             paths["floor"] += int(np.count_nonzero(below & (x < floor)))
-        return plain_bracket(A, C, pw, bs)
+        return plain_bracket(A, C, pw, bs, *keys)
 
     rayleigh._bracket_angular = counted
     for name in plain:
@@ -197,11 +216,12 @@ def driver_us(params, repeats: int) -> float:
     """Median microseconds of the sweep's radial pass on cached rows."""
     families = rayleigh._plan_sweep(params, None, None)[3]
     spec = rayleigh._SWEEP_SPEC_1D if params.p == 2 else rayleigh._SWEEP_SPEC_P
-    rows = rayleigh._rows(families, [rayleigh._exponents(f) for f in families])
+    integrand = rayleigh._rows(families, [rayleigh._exponents(f) for f in families])
     cached = []
 
-    def recording(r):
-        cached.append(rows(r))
+    def recording(r, rows=None):
+        # a checkout before the live rows never passes rows
+        cached.append(integrand(r) if rows is None else integrand(r, rows=rows))
         return cached[-1]
 
     def run(f):
@@ -214,18 +234,28 @@ def driver_us(params, repeats: int) -> float:
     for _ in range(repeats):
         replay = iter(cached)
         start = time.perf_counter()
-        got = run(lambda r: next(replay))
+        got = run(lambda r, rows=None: next(replay))
         times.append(time.perf_counter() - start)
         assert got == expected
     return statistics.median(times) * 1e6
 
 
+def minor_faults(params, repeats: int) -> float:
+    """Minor page faults of this process per warm sweep."""
+    rayleigh.sweep_and_extrapolate(params)
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(repeats):
+        rayleigh.sweep_and_extrapolate(params)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / repeats
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=200,
-                        help="timed replays per sweep (default 200)")
+                        help="timed replays and page-faulted sweeps per sweep (default 200)")
     args = parser.parse_args(argv)
-    out = {name: {**work_counts(params), "driver_us": round(driver_us(params, args.repeats), 1)}
+    out = {name: {**work_counts(params), "driver_us": round(driver_us(params, args.repeats), 1),
+                  "minor_faults": minor_faults(params, args.repeats)}
            for name, params in {**SWEEPS, **BRACKET_SWEEPS}.items()}
     for name, params in BRACKET_SWEEPS.items():
         out[name]["bracket"] = bracket_counts(params)
